@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
-from .tabular import Dataset, TabularError
+from .tabular import CHUNK_ROWS, Dataset, TabularError
 
 __all__ = [
     "BinningError",
@@ -509,24 +510,70 @@ def drop_suppressed_rows(encoded: EncodedDataset) -> tuple[EncodedDataset, int]:
 
 
 def write_encoded_csv(encoded: EncodedDataset, path) -> None:
-    """Persist the code matrix as integer CSV with a header row."""
+    """Persist the code matrix as integer CSV with a header row.
+
+    The bytes are fixed: UTF-8, the codebook names joined by commas, then
+    one row per record of decimal codes joined by commas, every line ended
+    by LF, with no quoting.
+    """
+    codes = encoded.codes
+    table = np.array([str(c) for c in range(int(codes.max(initial=0)) + 1)], dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(encoded.codebook.names) + "\n")
-        for row in encoded.codes:
-            fh.write(",".join(str(int(c)) for c in row) + "\n")
+        for start in range(0, len(codes), CHUNK_ROWS):
+            rows = table[codes[start : start + CHUNK_ROWS]].tolist()
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def read_encoded_csv(path, codebook: Codebook) -> EncodedDataset:
+    """Parse a file written by :func:`write_encoded_csv` against ``codebook``.
+
+    Blank lines are skipped. Errors name the file and the data row, counted
+    1-based from the line after the header, blank lines included. Lines are
+    converted ``CHUNK_ROWS`` at a time.
+    """
+    n_cells = len(codebook)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != codebook.names:
             raise TabularError(
                 f"{path}: header mismatch: expected {list(codebook.names)}, found {header}"
             )
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    codes = (
-        np.asarray(rows, dtype=np.int64)
-        if rows
-        else np.zeros((0, len(codebook)), dtype=np.int64)
-    )
-    return EncodedDataset(codes, codebook, provenance=str(path))
+        chunks = [np.zeros((0, n_cells), dtype=np.int64)]
+        first_row = 1
+        while lines := list(map(str.strip, islice(fh, CHUNK_ROWS))):
+            chunks.append(_parse_code_lines(lines, n_cells, path, first_row))
+            first_row += len(lines)
+    return EncodedDataset(np.concatenate(chunks), codebook, provenance=str(path))
+
+
+def _parse_code_lines(lines, n_cells, path, first_row) -> np.ndarray:
+    """Code matrix of one chunk of stripped lines, blank ones skipped.
+
+    ``first_row`` is the data row number of ``lines[0]``. The comma count of
+    every line is checked, then the whole chunk goes through one split and
+    one integer conversion; only when that fails are the cells converted one
+    by one, to locate the first bad one.
+    """
+    rows = [line for line in lines if line]
+    if {line.count(",") for line in rows} - {n_cells - 1}:
+        index, line = next(
+            (i, line) for i, line in enumerate(lines) if line and line.count(",") != n_cells - 1
+        )
+        raise TabularError(
+            f"{path}: row {first_row + index}: "
+            f"expected {n_cells} cells, found {line.count(',') + 1}"
+        )
+    cells = ",".join(rows).split(",") if rows else []
+    try:
+        return np.asarray(cells, dtype=np.int64).reshape(len(rows), n_cells)
+    except (ValueError, OverflowError):
+        for index, line in enumerate(lines):
+            for cell in line.split(",") if line else ():
+                try:
+                    np.asarray([cell], dtype=np.int64)
+                except (ValueError, OverflowError):
+                    raise TabularError(
+                        f"{path}: row {first_row + index}: invalid integer code '{cell}'"
+                    ) from None
+        raise  # unreachable: the chunk fails to convert only if one of its cells does

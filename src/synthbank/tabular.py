@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -37,6 +38,13 @@ CATEGORICAL = "categorical"
 
 #: numeric cells survive a write/read cycle to this many significant digits
 FLOAT_FORMAT = "{:.12g}"
+# the same format for the ``%`` operator, which is faster on plain floats
+_FLOAT_PERCENT = "%.12g"
+
+#: rows converted per step by :func:`read_csv` and by the encoded-CSV reader
+#: and writer in :mod:`synthbank.binning`, bounding the per-cell string
+#: objects they hold at once
+CHUNK_ROWS = 1024
 
 
 class TabularError(ValueError):
@@ -187,7 +195,12 @@ def read_csv(path, schema) -> Dataset:
 
     The header row must match the schema names in order. Categorical cells
     are resolved to level indices; numeric cells must parse as finite
-    floats. Every error names the offending data row (1-based) and column.
+    floats. Every error names the offending data row (1-based) and column;
+    when a file has several faults, the first one in row order is reported.
+
+    Rows are tokenised by :mod:`csv` and converted a column at a time, in
+    chunks of :data:`CHUNK_ROWS` rows so that no whole-file list of cell
+    strings is held at once.
     """
     schema = tuple(schema)
     try:
@@ -207,52 +220,95 @@ def read_csv(path, schema) -> Dataset:
             {label: i for i, label in enumerate(spec.levels)} if spec.is_categorical else None
             for spec in schema
         ]
-        cells: list[list] = [[] for _ in schema]
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(schema):
-                raise TabularError(
-                    f"row {rownum}: expected {len(schema)} cells, found {len(row)}"
-                )
-            for j, (spec, cell) in enumerate(zip(schema, row)):
-                if level_maps[j] is not None:
-                    code = level_maps[j].get(cell)
-                    if code is None:
-                        raise TabularError(
-                            f"row {rownum}, column '{spec.name}': unknown level '{cell}'"
-                        )
-                    cells[j].append(code)
-                else:
-                    text = cell.strip()
-                    if not text:
-                        raise TabularError(
-                            f"row {rownum}, column '{spec.name}': missing value"
-                        )
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        raise TabularError(
-                            f"row {rownum}, column '{spec.name}': "
-                            f"unparseable numeric cell '{cell}'"
-                        ) from None
-                    if not np.isfinite(value):
-                        raise TabularError(
-                            f"row {rownum}, column '{spec.name}': non-finite value '{cell}'"
-                        )
-                    cells[j].append(value)
+        chunks: list[list[np.ndarray]] = [[] for _ in schema]
+        first_row = 1
+        while rows := list(islice(reader, CHUNK_ROWS)):
+            for j, col in enumerate(_parse_rows(rows, schema, level_maps, first_row)):
+                chunks[j].append(col)
+            first_row += len(rows)
 
     columns = [
-        np.asarray(col, dtype=np.int64 if spec.is_categorical else np.float64)
-        for spec, col in zip(schema, cells)
+        np.concatenate(parts)
+        if parts
+        else np.zeros(0, dtype=np.int64 if spec.is_categorical else np.float64)
+        for spec, parts in zip(schema, chunks)
     ]
     return Dataset(schema, columns, provenance=str(path))
+
+
+def _parse_rows(rows, schema, level_maps, first_row) -> list[np.ndarray]:
+    """Convert one chunk of tokenised rows into one array per column.
+
+    ``first_row`` is the 1-based data row number of ``rows[0]``. On bad
+    input, raises the error of the first faulty row, and within that row of
+    the first faulty cell, as a cell-by-cell scan would.
+    """
+    n_cells = len(schema)
+    ragged = None
+    if set(map(len, rows)) != {n_cells}:
+        ragged = next(i for i, row in enumerate(rows) if len(row) != n_cells)
+        found = len(rows[ragged])
+        rows = rows[:ragged]  # rows before the ragged one are checked first
+    faults = []
+    arrays = []
+    for spec, level_map, cells in zip(schema, level_maps, zip(*rows)):
+        try:
+            arrays.append(_convert_column(cells, level_map))
+        except (KeyError, ValueError):
+            faults.append((*_first_bad_cell(cells, level_map), spec.name))
+    if faults:
+        index, reason, name = min(faults, key=lambda fault: fault[0])
+        raise TabularError(f"row {first_row + index}, column '{name}': {reason}")
+    if ragged is not None:
+        raise TabularError(
+            f"row {first_row + ragged}: expected {n_cells} cells, found {found}"
+        )
+    return arrays
+
+
+def _convert_column(cells, level_map) -> np.ndarray:
+    """Level indices (``level_map`` given) or finite floats, in one C-level pass.
+
+    Raises KeyError or ValueError on any bad cell.
+    """
+    if level_map is not None:
+        return np.fromiter(map(level_map.__getitem__, cells), np.int64, len(cells))
+    values = np.fromiter(map(float, cells), np.float64, len(cells))
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
+
+
+def _first_bad_cell(cells, level_map) -> tuple[int, str]:
+    """Index and reason of the first cell that :func:`_convert_column` rejects."""
+    for index, cell in enumerate(cells):
+        if level_map is not None:
+            if cell not in level_map:
+                return index, f"unknown level '{cell}'"
+            continue
+        text = cell.strip()
+        if not text:
+            return index, "missing value"
+        try:
+            value = float(text)
+        except ValueError:
+            return index, f"unparseable numeric cell '{cell}'"
+        if not np.isfinite(value):
+            return index, f"non-finite value '{cell}'"
+    raise AssertionError("the column failed to convert, yet every cell converts")
 
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write ``dataset`` in the fixed CSV dialect.
 
-    Categorical cells are written as their level labels; numeric cells with
-    12 significant digits, so ``read_csv(write_csv(d))`` reproduces ``d``
-    cell-for-cell at that precision.
+    The bytes are fixed: UTF-8, the header row of column names, then one
+    row per record, every row ended by CRLF, cells separated by commas and
+    quoted only when they hold a comma, a double quote, CR or LF (quotes
+    doubled inside), as :class:`csv.writer` does with ``QUOTE_MINIMAL``.
+    Categorical cells are written as their level labels, numeric cells as
+    ``FLOAT_FORMAT`` writes them (12 significant digits, ``-0`` kept), so
+    ``read_csv(write_csv(d))`` reproduces ``d`` cell-for-cell at that
+    precision.
     """
     try:
         fh = open(path, "w", newline="", encoding="utf-8")
@@ -265,11 +321,34 @@ def write_csv(dataset: Dataset, path) -> None:
         for spec in dataset.schema:
             col = dataset.column(spec.name)
             if spec.is_categorical:
-                labels = spec.levels
-                text_columns.append([labels[c] for c in col])
+                text_columns.append(list(map(spec.levels.__getitem__, col.tolist())))
             else:
-                text_columns.append([FLOAT_FORMAT.format(v) for v in col])
-        writer.writerows(zip(*text_columns) if text_columns else [])
+                text_columns.append(_format_numeric(col))
+        writer.writerows(zip(*text_columns))
+
+
+def _format_numeric(col: np.ndarray) -> list[str]:
+    """``FLOAT_FORMAT`` text of every cell, formatting each distinct value once.
+
+    Values are deduplicated on their bit pattern, so ``-0.0`` and ``0.0``
+    stay apart. Whole values below ``1e12`` in magnitude, ``-0.0`` aside, are
+    written by ``int -> str``, which for them gives exactly the
+    ``FLOAT_FORMAT`` text; the rest go through ``%`` formatting with the
+    same 12 digits.
+    """
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    integral = (
+        (distinct == np.floor(distinct))
+        & (np.abs(distinct) < 1e12)
+        & ~((distinct == 0) & np.signbit(distinct))
+    )
+    text = np.empty(distinct.size, dtype=object)
+    whole = distinct[integral].astype(np.int64).tolist()
+    others = distinct[~integral].tolist()
+    text[integral] = np.array(list(map(str, whole)), dtype=object)
+    text[~integral] = np.array(list(map(_FLOAT_PERCENT.__mod__, others)), dtype=object)
+    return text[inverse].tolist()
 
 
 def load_schema(path) -> tuple[ColumnSpec, ...]:

@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 from synthbank.binning import (
     BinningError,
     BinningRule,
+    EncodedDataset,
     assign_codes,
     encode_dataset,
     equal_frequency_bins,
     explicit_bins,
     kmeans_1d,
     log_pretransform,
+    read_encoded_csv,
     uniform_width_bins,
+    write_encoded_csv,
 )
 from synthbank.presets import CBP_AGE_CUTOFFS, deposit_rules
-from synthbank.tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
+from synthbank.tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset, TabularError
+from util import make_encoded
 
 
 # ---------------------------------------------------------------- explicit
@@ -347,3 +351,68 @@ def test_codebook_json_round_trip(tmp_path):
     assert again.domain_sizes == enc.codebook.domain_sizes
     for a, b in zip(again, enc.codebook):
         assert a == b
+
+
+# ------------------------------------------------------------ encoded CSV
+
+def _round_trip(encoded, path):
+    write_encoded_csv(encoded, path)
+    return read_encoded_csv(path, encoded.codebook)
+
+
+def test_encoded_csv_round_trip_with_suppressed_code(tmp_path):
+    plain = make_encoded([[0, 1], [2, 0], [1, 1]], [3, 2])
+    codebook = plain.codebook.with_suppressed()
+    # the reserved suppressed code equals the domain size: 3 and 2 here
+    encoded = EncodedDataset([[3, 1], [2, 2], [0, 0], [3, 2]], codebook)
+    again = _round_trip(encoded, tmp_path / "pac.csv")
+    assert again.codebook is codebook
+    assert np.array_equal(again.codes, encoded.codes)
+
+
+def test_encoded_csv_round_trip_zero_rows(tmp_path):
+    encoded = make_encoded(np.zeros((0, 3), dtype=np.int64), [2, 3, 4])
+    again = _round_trip(encoded, tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_text(encoding="utf-8") == "a0,a1,a2\n"
+    assert again.codes.shape == (0, 3)
+
+
+def test_encoded_csv_round_trip_single_column(tmp_path):
+    encoded = make_encoded([4, 0, 11, 4], [12])
+    again = _round_trip(encoded, tmp_path / "one.csv")
+    assert (tmp_path / "one.csv").read_text(encoding="utf-8") == "a0\n4\n0\n11\n4\n"
+    assert np.array_equal(again.codes, encoded.codes)
+
+
+def _encoded_file(tmp_path, body):
+    path = tmp_path / "codes.csv"
+    path.write_text("a0,a1\n" + body, encoding="utf-8")
+    return path, make_encoded(np.zeros((0, 2), dtype=np.int64), [3, 3]).codebook
+
+
+def test_encoded_csv_skips_blank_lines(tmp_path, monkeypatch):
+    monkeypatch.setattr("synthbank.binning.CHUNK_ROWS", 2)
+    path, codebook = _encoded_file(tmp_path, "0,1\n\n  \n2,2\n\n")
+    assert read_encoded_csv(path, codebook).codes.tolist() == [[0, 1], [2, 2]]
+
+
+def test_encoded_csv_ragged_row_names_file_and_row(tmp_path, monkeypatch):
+    monkeypatch.setattr("synthbank.binning.CHUNK_ROWS", 2)
+    # row numbers count blank lines and run on across chunks
+    path, codebook = _encoded_file(tmp_path, "0,1\n\n1,1\n2,0,1\n")
+    with pytest.raises(TabularError) as info:
+        read_encoded_csv(path, codebook)
+    assert str(info.value) == f"{path}: row 4: expected 2 cells, found 3"
+
+
+def test_encoded_csv_bad_cell_names_file_and_row(tmp_path):
+    path, codebook = _encoded_file(tmp_path, "0,1\n1x,1\n2,y\n")
+    with pytest.raises(TabularError) as info:
+        read_encoded_csv(path, codebook)
+    assert str(info.value) == f"{path}: row 2: invalid integer code '1x'"
+
+
+def test_encoded_csv_out_of_range_code_rejected(tmp_path):
+    path, codebook = _encoded_file(tmp_path, "0,1\n3,1\n")
+    with pytest.raises(BinningError, match="out of range"):
+        read_encoded_csv(path, codebook)

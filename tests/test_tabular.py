@@ -1,12 +1,17 @@
 """CSV ingestion/emission and dataset validation."""
 
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from synthbank import tabular
+from synthbank.binning import Codebook, ColumnCodec, EncodedDataset, write_encoded_csv
 from synthbank.tabular import (
     CATEGORICAL,
+    FLOAT_FORMAT,
     NUMERIC,
     ColumnSpec,
     Dataset,
@@ -221,3 +226,246 @@ def test_write_unwritable_path():
     ds = Dataset(SCHEMA, [np.array([1.0]), np.array([0])])
     with pytest.raises(TabularError, match="cannot write"):
         write_csv(ds, "/nonexistent-dir/nope.csv")
+
+
+# ------------------------------------------------ per-cell byte references
+#
+# The cell-by-cell writers and reader below are the CSV layer as it was
+# before it converted whole columns at once. They pin the bytes that
+# write_csv and write_encoded_csv must keep, and the values and error
+# messages that read_csv must keep.
+
+
+def reference_write_csv(dataset, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, doublequote=True)
+        writer.writerow(dataset.column_names)
+        text_columns = []
+        for spec in dataset.schema:
+            col = dataset.column(spec.name)
+            if spec.is_categorical:
+                text_columns.append([spec.levels[c] for c in col])
+            else:
+                text_columns.append([FLOAT_FORMAT.format(v) for v in col])
+        writer.writerows(zip(*text_columns) if text_columns else [])
+
+
+def reference_write_encoded_csv(encoded, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(encoded.codebook.names) + "\n")
+        for row in encoded.codes:
+            fh.write(",".join(str(int(c)) for c in row) + "\n")
+
+
+def reference_read_csv(path, schema):
+    schema = tuple(schema)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise TabularError(f"{path}: empty file, header row is mandatory")
+        expected = [spec.name for spec in schema]
+        if header != expected:
+            raise TabularError(f"{path}: header mismatch: expected {expected}, found {header}")
+        level_maps = [
+            {label: i for i, label in enumerate(spec.levels)} if spec.is_categorical else None
+            for spec in schema
+        ]
+        cells = [[] for _ in schema]
+        for rownum, row in enumerate(reader, start=1):
+            if len(row) != len(schema):
+                raise TabularError(
+                    f"row {rownum}: expected {len(schema)} cells, found {len(row)}"
+                )
+            for j, (spec, cell) in enumerate(zip(schema, row)):
+                if level_maps[j] is not None:
+                    code = level_maps[j].get(cell)
+                    if code is None:
+                        raise TabularError(
+                            f"row {rownum}, column '{spec.name}': unknown level '{cell}'"
+                        )
+                    cells[j].append(code)
+                else:
+                    text = cell.strip()
+                    if not text:
+                        raise TabularError(
+                            f"row {rownum}, column '{spec.name}': missing value"
+                        )
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise TabularError(
+                            f"row {rownum}, column '{spec.name}': "
+                            f"unparseable numeric cell '{cell}'"
+                        ) from None
+                    if not np.isfinite(value):
+                        raise TabularError(
+                            f"row {rownum}, column '{spec.name}': non-finite value '{cell}'"
+                        )
+                    cells[j].append(value)
+    columns = [
+        np.asarray(col, dtype=np.int64 if spec.is_categorical else np.float64)
+        for spec, col in zip(schema, cells)
+    ]
+    return Dataset(schema, columns, provenance=str(path))
+
+
+EDGE_FLOATS = (
+    0.0,
+    -0.0,
+    1e12 - 1,
+    -(1e12 - 1),
+    1e12,
+    -1e12,
+    5e-324,  # smallest subnormal
+    -2.5e-320,
+    2.2250738585072014e-308,  # smallest normal
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    2.0**53,
+    123456789012.5,
+    0.1,
+)
+
+_any_float = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**13), 10**13).map(float),
+    st.integers(-50, 50).map(lambda n: n / 4),
+)
+_csv_text = st.one_of(
+    st.sampled_from(("", ",", '"', "\r", "\n", "\r\n", 'a,"b"', " x ")),
+    st.text(
+        alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+        max_size=6,
+    ),
+)
+
+
+@st.composite
+def edge_dataset_strategy(draw):
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 40))
+    names = draw(st.lists(_csv_text.filter(bool), min_size=n_cols, max_size=n_cols, unique=True))
+    schema, columns = [], []
+    for name in names:
+        if draw(st.booleans()):
+            levels = tuple(draw(st.lists(_csv_text, min_size=1, max_size=5, unique=True)))
+            schema.append(ColumnSpec(name, CATEGORICAL, levels=levels))
+            codes = draw(
+                st.lists(st.integers(0, len(levels) - 1), min_size=n_rows, max_size=n_rows)
+            )
+            columns.append(np.array(codes, dtype=np.int64))
+        else:
+            schema.append(ColumnSpec(name, NUMERIC))
+            values = draw(st.lists(_any_float, min_size=n_rows, max_size=n_rows))
+            columns.append(np.array(values, dtype=np.float64))
+    return Dataset(tuple(schema), columns)
+
+
+EVERY_EDGE = Dataset(
+    (
+        ColumnSpec("value", NUMERIC),
+        ColumnSpec("label", CATEGORICAL, levels=("plain", "a,b", 'say "hi"', "cr\r", "lf\n", "")),
+    ),
+    [np.array(EDGE_FLOATS, dtype=np.float64), np.arange(len(EDGE_FLOATS)) % 6],
+)
+EMPTY_LABEL_ONLY = Dataset(
+    (ColumnSpec("only", CATEGORICAL, levels=("",)),), [np.zeros(3, dtype=np.int64)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_dataset_strategy())
+@example(EVERY_EDGE)
+@example(EMPTY_LABEL_ONLY)
+@example(Dataset(SCHEMA, [np.zeros(0), np.zeros(0, dtype=np.int64)]))
+def test_write_csv_bytes_match_per_cell_reference(tmp_path_factory, ds):
+    out = tmp_path_factory.mktemp("bytes")
+    write_csv(ds, out / "columnar.csv")
+    reference_write_csv(ds, out / "reference.csv")
+    assert (out / "columnar.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+
+def test_write_csv_keeps_negative_zero_and_exponents(tmp_path):
+    ds = Dataset((ColumnSpec("x", NUMERIC),), [np.array([-0.0, 0.0, 1e12 - 1, 1e12, 5e-324])])
+    write_csv(ds, tmp_path / "x.csv")
+    assert (tmp_path / "x.csv").read_bytes() == (
+        b"x\r\n-0\r\n0\r\n999999999999\r\n1e+12\r\n4.94065645841e-324\r\n"
+    )
+
+
+@st.composite
+def encoded_strategy(draw):
+    domains = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    n_rows = draw(st.integers(0, 40))
+    codecs = [
+        ColumnCodec(name=f"a{j}", kind="categorical", labels=tuple(map(str, range(size))))
+        for j, size in enumerate(domains)
+    ]
+    codebook = Codebook(codecs)
+    if draw(st.booleans()):
+        codebook = codebook.with_suppressed()
+        domains = [size + 1 for size in domains]
+    codes = [
+        draw(st.lists(st.integers(0, size - 1), min_size=n_rows, max_size=n_rows))
+        for size in domains
+    ]
+    matrix = np.array(codes, dtype=np.int64).T.reshape(n_rows, len(domains))
+    return EncodedDataset(matrix, codebook)
+
+
+@settings(max_examples=100, deadline=None)
+@given(encoded_strategy(), st.sampled_from((1, 3, 1024)))
+def test_write_encoded_csv_bytes_match_per_cell_reference(tmp_path_factory, encoded, chunk_rows):
+    out = tmp_path_factory.mktemp("encoded")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("synthbank.binning.CHUNK_ROWS", chunk_rows)
+        write_encoded_csv(encoded, out / "columnar.csv")
+    reference_write_encoded_csv(encoded, out / "reference.csv")
+    assert (out / "columnar.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+
+# read_csv must return what the per-cell reader returned, or raise its
+# message, on well-formed and malformed files alike, across chunk borders
+READ_SCHEMA = (
+    ColumnSpec("x", NUMERIC),
+    ColumnSpec("seg", CATEGORICAL, levels=("M", "a,b", "")),
+    ColumnSpec("y", NUMERIC),
+)
+_num_cell = st.sampled_from(
+    ("1", "-0", "2.5", " 7 ", "1e3", "1_0", "", "  ", "abc", "inf", "-nan", "1e400", "0x1")
+)
+_seg_cell = st.sampled_from(("M", '"a,b"', '""', "", "X", "m"))
+
+
+@st.composite
+def csv_body_strategy(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        cells = [draw(_num_cell), draw(_seg_cell), draw(_num_cell)]
+        if draw(st.integers(0, 9)) == 0:  # now and then a ragged or blank row
+            cells = cells[: draw(st.integers(0, 2))] + draw(st.lists(_num_cell, max_size=1))
+        lines.append(",".join(cells))
+    return "x,seg,y\r\n" + "".join(line + "\r\n" for line in lines)
+
+
+def _read_outcome(reader, path):
+    try:
+        ds = reader(path, READ_SCHEMA)
+    except TabularError as exc:
+        return str(exc)
+    return [(col.dtype.str, col.tolist()) for col in (ds.column(n) for n in ds.column_names)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_body_strategy(), st.sampled_from((1, 2, 5, 1024)))
+# row 2 has faults in 'seg' and 'y' and row 3 is ragged: 'seg' of row 2 is reported
+@example("x,seg,y\n1,M,2\n3,Q,oops\n4\n", 1024)
+def test_read_csv_matches_per_cell_reference(tmp_path_factory, body, chunk_rows):
+    path = tmp_path_factory.mktemp("read") / "d.csv"
+    path.write_text(body, encoding="utf-8", newline="")
+    expected = _read_outcome(reference_read_csv, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tabular, "CHUNK_ROWS", chunk_rows)
+        assert _read_outcome(read_csv, path) == expected
