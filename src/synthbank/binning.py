@@ -356,13 +356,19 @@ def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Globally optimal 1-D k-means partition.
 
     Optimal 1-D clusters are contiguous on the sorted axis, so the exact
-    optimum is found by dynamic programming over sorted distinct values
-    (divide-and-conquer over the monotone split points), avoiding the
-    initialization nondeterminism of Lloyd iteration. Minimizing
-    within-cluster sum of squared deviations is equivalent to minimizing
-    the size-normalized pairwise squared distances, which differ by a
-    constant factor of two. Edges are placed at midpoints between adjacent
-    clusters.
+    optimum is found by dynamic programming over sorted distinct values,
+    avoiding the initialization nondeterminism of Lloyd iteration.
+    Minimizing within-cluster sum of squared deviations is equivalent to
+    minimizing the size-normalized pairwise squared distances, which differ
+    by a constant factor of two. Edges are placed at midpoints between
+    adjacent clusters.
+
+    Each DP layer is solved by divide and conquer over the monotone split
+    points (Grønlund et al. 2017; Wang & Song 2011), run level-synchronously:
+    all nodes of one recursion depth are evaluated in a single vectorized
+    pass, so a layer costs about log2(m) passes of O(m) work for m distinct
+    values. Among candidate splits of equal cost the smallest split index
+    wins, as with ``np.argmin``.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
@@ -381,11 +387,11 @@ def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     cs = np.concatenate([[0.0], np.cumsum(counts * centered)])
     cq = np.concatenate([[0.0], np.cumsum(counts * centered * centered)])
 
-    def seg_cost(i_arr, j):
-        # weighted SSE of distinct-value block [i, j], vector over i
-        w = cw[j + 1] - cw[i_arr]
-        s = cs[j + 1] - cs[i_arr]
-        q = cq[j + 1] - cq[i_arr]
+    def seg_cost(i_arr, j_arr):
+        # weighted SSE of distinct-value blocks [i, j], elementwise
+        w = cw[j_arr + 1] - cw[i_arr]
+        s = cs[j_arr + 1] - cs[i_arr]
+        q = cq[j_arr + 1] - cq[i_arr]
         return q - s * s / w
 
     # single-cluster layer: cost of the prefix block [0, j]
@@ -395,20 +401,37 @@ def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     for layer in range(1, k):
         cur = np.full(m, np.inf)
         arg = np.zeros(m, dtype=np.int64)
-        # divide and conquer over j using monotonicity of the best split
-        stack = [(layer, m - 1, layer, m - 1)]
-        while stack:
-            jlo, jhi, ilo, ihi = stack.pop()
-            if jlo > jhi:
-                continue
+        # frontier of pending nodes: target rows [jlo, jhi] whose best
+        # split lies in [ilo, ihi]; ilo <= jlo holds for every node, so no
+        # candidate range [ilo, min(ihi, jm)] is empty
+        jlo = np.array([layer], dtype=np.int64)
+        jhi = np.array([m - 1], dtype=np.int64)
+        ilo = jlo.copy()
+        ihi = jhi.copy()
+        while jlo.size:
             jm = (jlo + jhi) // 2
-            cand = np.arange(ilo, min(ihi, jm) + 1)
-            costs = prev[cand - 1] + seg_cost(cand, jm)
-            best = int(np.argmin(costs))
-            cur[jm] = costs[best]
-            arg[jm] = cand[best]
-            stack.append((jlo, jm - 1, ilo, int(cand[best])))
-            stack.append((jm + 1, jhi, int(cand[best]), ihi))
+            lens = np.minimum(ihi, jm) - ilo + 1
+            starts = np.cumsum(lens) - lens
+            cand = np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(ilo - starts, lens)
+            seg = np.repeat(np.arange(jm.size), lens)
+            costs = prev[cand - 1] + seg_cost(cand, jm[seg])
+            mins = np.minimum.reduceat(costs, starts)
+            # first position of each node's minimum (np.argmin's tie rule,
+            # including its preference for the first NaN)
+            hit = costs == mins[seg]
+            if np.isnan(mins).any():
+                hit |= np.isnan(costs)
+            pos = np.flatnonzero(hit)
+            pos = pos[np.concatenate([[True], seg[pos[1:]] != seg[pos[:-1]]])]
+            best = cand[pos]
+            cur[jm] = mins
+            arg[jm] = best
+            jlo = np.concatenate([jlo, jm + 1])
+            jhi = np.concatenate([jm - 1, jhi])
+            ilo = np.concatenate([ilo, best])
+            ihi = np.concatenate([best, ihi])
+            keep = jlo <= jhi
+            jlo, jhi, ilo, ihi = jlo[keep], jhi[keep], ilo[keep], ihi[keep]
         prev = cur
         split_at[layer] = arg
 

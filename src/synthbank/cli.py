@@ -17,10 +17,11 @@ directory. Flags override the corresponding config fields.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import json
 import sys
 
 from .pipeline import (
+    DEFAULT_PRIVACY,
     Pipeline,
     PipelineConfig,
     PipelineConfigError,
@@ -63,40 +64,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
-    updates = {}
+def _apply_overrides(doc: dict, args) -> dict:
+    """The config document with the command-line flags written into it."""
+    doc = dict(doc)
     if args.seed is not None:
-        updates["seed"] = args.seed
+        doc["seed"] = args.seed
     if args.out is not None:
-        updates["output"] = args.out
-    if args.mechanism is not None:
-        updates["mechanism"] = args.mechanism
+        doc["output"] = args.out
     if args.strategy is not None:
-        updates["strategy"] = args.strategy
-    if args.epsilon is not None:
-        updates["epsilon"] = args.epsilon
-    if args.delta is not None:
-        updates["delta"] = args.delta
-    config = dataclasses.replace(config, **updates)
-    errors = []
-    if config.mechanism not in ("mst", "aim", "pac"):
-        errors.append(
-            f"mechanism.name: unknown value {config.mechanism!r} (allowed: mst, aim, pac)"
-        )
-    if config.strategy not in ("cbp", "data_driven"):
-        errors.append(
-            f"strategy: unknown value {config.strategy!r} (allowed: cbp, data_driven)"
-        )
-    if errors:
-        raise PipelineConfigError(errors)
-    return config
+        doc["strategy"] = args.strategy
+    if args.mechanism is not None:
+        mech = doc.get("mechanism", {})
+        if isinstance(mech, dict):
+            doc["mechanism"] = {**mech, "name": args.mechanism}
+        else:
+            doc["mechanism"] = args.mechanism
+    if args.epsilon is not None or args.delta is not None:
+        privacy = doc.get("privacy", DEFAULT_PRIVACY)
+        privacy = dict(privacy) if isinstance(privacy, dict) else {}
+        if args.epsilon is not None:
+            privacy["epsilon"] = args.epsilon
+        if args.delta is not None:
+            privacy["delta"] = args.delta
+        doc["privacy"] = privacy
+    return doc
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = PipelineConfig.from_json(args.config)
-        config = _apply_overrides(config, args)
+        with open(args.config, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        config = PipelineConfig.from_dict(_apply_overrides(doc, args))
     except PipelineConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)

@@ -65,6 +65,8 @@ __all__ = [
 APPLICATIONS = ("fi", "yield", "credit")
 MECHANISMS = ("mst", "aim", "pac")
 DECODE_MODES = ("left_edge", "midpoint", "kde")
+# privacy section used when a config has none; ``privacy: null`` means no noise
+DEFAULT_PRIVACY = {"epsilon": 1.0, "delta": 1e-10}
 
 # stage tags mixed into the seed sequence; stable across releases
 _STAGE_SEEDS = {"datagen": 0, "synth": 1, "decode": 2}
@@ -134,7 +136,7 @@ class PipelineConfig:
             errors.append(
                 f"mechanism.name: unknown value {mechanism!r} (allowed: {', '.join(MECHANISMS)})"
             )
-        privacy = doc.get("privacy", {"epsilon": 1.0, "delta": 1e-10})
+        privacy = doc.get("privacy", DEFAULT_PRIVACY)
         epsilon = delta = None
         if privacy is not None:
             epsilon = pick(privacy, "epsilon")

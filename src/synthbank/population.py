@@ -27,7 +27,7 @@ Planted structure worth knowing when testing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "FiPopulationConfig",
     "DepositMarketConfig",
     "CreditPortfolioConfig",
-    "PopulationConfig",
     "generate_fi_population",
     "generate_term_deposits",
     "generate_credit_cards",
@@ -184,16 +183,6 @@ class CreditPortfolioConfig:
             _check_probs("kernel row", row, 6)
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ValueError("kernel rows must sum to 1")
-
-
-@dataclass(frozen=True)
-class PopulationConfig:
-    """Bundle of the three planted models plus the master seed."""
-
-    fi: FiPopulationConfig = field(default_factory=FiPopulationConfig)
-    deposits: DepositMarketConfig = field(default_factory=DepositMarketConfig)
-    credit: CreditPortfolioConfig = field(default_factory=CreditPortfolioConfig)
-    seed: int = 20170101
 
 
 def _ages_for_bands(bands: np.ndarray, rng: np.random.Generator) -> np.ndarray:

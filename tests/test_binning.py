@@ -234,6 +234,113 @@ def test_kmeans_codes_consistent_with_edges():
     assert np.array_equal(codes, assign_codes(values, edges))
 
 
+# ------------------------------------------- node-by-node k-means reference
+#
+# kmeans_1d as it was before it solved each recursion depth in one
+# vectorized pass: one Python iteration per divide-and-conquer node. The
+# cost oracles above accept any optimal partition; this one pins the tie
+# break too, and with it the codes and edge bytes.
+
+
+def reference_kmeans_1d(values, k):
+    vals = np.asarray(values, dtype=np.float64)
+    uniq, counts = np.unique(vals, return_counts=True)
+    m = uniq.size
+    centered = uniq - uniq.mean()
+    cw = np.concatenate([[0.0], np.cumsum(counts)])
+    cs = np.concatenate([[0.0], np.cumsum(counts * centered)])
+    cq = np.concatenate([[0.0], np.cumsum(counts * centered * centered)])
+
+    def seg_cost(i_arr, j):
+        w = cw[j + 1] - cw[i_arr]
+        s = cs[j + 1] - cs[i_arr]
+        q = cq[j + 1] - cq[i_arr]
+        return q - s * s / w
+
+    prev = cq[1:] - cs[1:] * cs[1:] / cw[1:]
+    split_at = np.zeros((k, m), dtype=np.int64)
+    for layer in range(1, k):
+        cur = np.full(m, np.inf)
+        arg = np.zeros(m, dtype=np.int64)
+        stack = [(layer, m - 1, layer, m - 1)]
+        while stack:
+            jlo, jhi, ilo, ihi = stack.pop()
+            if jlo > jhi:
+                continue
+            jm = (jlo + jhi) // 2
+            cand = np.arange(ilo, min(ihi, jm) + 1)
+            costs = prev[cand - 1] + seg_cost(cand, jm)
+            best = int(np.argmin(costs))
+            cur[jm] = costs[best]
+            arg[jm] = cand[best]
+            stack.append((jlo, jm - 1, ilo, int(cand[best])))
+            stack.append((jm + 1, jhi, int(cand[best]), ihi))
+        prev = cur
+        split_at[layer] = arg
+
+    bounds = [0] * k
+    j = m - 1
+    for layer in range(k - 1, 0, -1):
+        i = int(split_at[layer][j])
+        bounds[layer] = i
+        j = i - 1
+    cluster_starts = uniq[bounds]
+    inner = 0.5 * (uniq[np.asarray(bounds[1:], dtype=np.int64) - 1] + cluster_starts[1:])
+    top = uniq[-1]
+    lo = uniq[0]
+    if m == 1:
+        top = np.nextafter(lo, np.inf)
+    edges = np.concatenate([[lo], inner, [top]])
+    return assign_codes(vals, edges), edges
+
+
+@st.composite
+def nextafter_runs(draw):
+    # a run of adjacent doubles, each value repeated a few times
+    x = draw(st.floats(-1e6, 1e6, allow_nan=False))
+    steps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=30))
+    out = []
+    for repeat in steps:
+        out.extend([x] * (repeat + 1))
+        x = float(np.nextafter(x, np.inf))
+    return out
+
+
+KMEANS_VALUES = st.one_of(
+    # heavy ties: few distinct values, many repeats
+    st.lists(st.integers(0, 6).map(float), min_size=1, max_size=80),
+    # a single distinct value
+    st.tuples(st.floats(-1e9, 1e9), st.integers(1, 20)).map(lambda t: [t[0]] * t[1]),
+    # money-scale amounts in cents
+    st.lists(
+        st.integers(-10**11, 10**11).map(lambda c: c / 100.0), min_size=1, max_size=80
+    ),
+    # log-pretransformed positive amounts
+    st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=80).map(
+        lambda v: log_pretransform(v).tolist()
+    ),
+    nextafter_runs(),
+    # magnitudes whose squares overflow: NaN costs, which np.argmin ranks first
+    st.lists(
+        st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(160, 300)),
+        min_size=1,
+        max_size=40,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=KMEANS_VALUES, data=st.data())
+def test_kmeans_bytes_match_node_by_node_reference(values, data):
+    m = len(set(values))
+    k = data.draw(st.one_of(st.just(1), st.just(m), st.integers(1, m)), label="k")
+    with np.errstate(over="ignore", invalid="ignore"):
+        codes, edges = kmeans_1d(values, k)
+        ref_codes, ref_edges = reference_kmeans_1d(values, k)
+    assert np.array_equal(codes, ref_codes)
+    assert edges.tobytes() == ref_edges.tobytes()
+
+
 # --------------------------------------------------------------------- log
 
 def test_log_analytic():

@@ -160,6 +160,25 @@ def test_cli_overrides(tmp_path):
     assert report["privacy"]["epsilon"] == 2.5
 
 
+@pytest.mark.parametrize(
+    "privacy, flags, message",
+    [
+        (None, ["--epsilon", "0.5"], "privacy.delta: must lie in (0, 1), got None"),
+        ({"epsilon": 1.0, "delta": 1e-10}, ["--epsilon", "-1"], "privacy.epsilon: must be positive"),
+        ({"epsilon": 1.0, "delta": 1e-10}, ["--delta", "5"], "privacy.delta: must lie in (0, 1)"),
+        ({"epsilon": 1.0, "delta": 1e-10}, ["--mechanism", "gan"], "mechanism.name: unknown value 'gan'"),
+    ],
+    ids=["epsilon-on-null-privacy", "negative-epsilon", "delta-above-one", "unknown-mechanism"],
+)
+def test_cli_bad_flags_are_config_errors(tmp_path, capsys, privacy, flags, message):
+    path = write_config(tmp_path, credit_config(tmp_path, privacy=privacy))
+    assert cli_main(["pipeline", "--config", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "failed" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_fi_pipeline_smoke(tmp_path):
     doc = {
         "application": "fi",
