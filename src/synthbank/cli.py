@@ -66,6 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(doc: dict, args) -> dict:
     """The config document with the command-line flags written into it."""
+    if not isinstance(doc, dict):
+        return doc  # ``PipelineConfig.from_dict`` reports it
     doc = dict(doc)
     if args.seed is not None:
         doc["seed"] = args.seed

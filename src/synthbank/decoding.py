@@ -10,6 +10,7 @@ is single-threaded.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ __all__ = [
     "decode_left_edge",
     "decode_midpoint",
     "kde_decode",
+    "decoded_schema",
     "decode_dataset",
 ]
 
@@ -50,10 +52,10 @@ class KdeSpec:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "scott":
                 raise DecodeError(f"unknown bandwidth rule '{self.bandwidth}'")
-        elif not (self.bandwidth > 0):
-            raise DecodeError("bandwidth must be positive")
-        if self.grid_points < 16:
-            raise DecodeError("grid_points must be >= 16")
+        elif not isinstance(self.bandwidth, numbers.Real) or not self.bandwidth > 0:
+            raise DecodeError(f"bandwidth must be positive, got {self.bandwidth!r}")
+        if not isinstance(self.grid_points, numbers.Integral) or self.grid_points < 16:
+            raise DecodeError(f"grid_points must be an integer >= 16, got {self.grid_points!r}")
         if self.bounds is not None and not (self.bounds[0] < self.bounds[1]):
             if self.bounds[0] != self.bounds[1]:
                 raise DecodeError("bounds must satisfy min <= max")
@@ -196,6 +198,17 @@ def kde_decode(
     return np.exp(out) if codec.log_flag else out
 
 
+def decoded_schema(codebook: Codebook) -> tuple[ColumnSpec, ...]:
+    """Schema of a decoded dataset: binned columns become numeric, and
+    categorical columns keep their codebook labels."""
+    return tuple(
+        ColumnSpec(codec.name, CATEGORICAL, levels=codec.labels)
+        if codec.kind == "categorical"
+        else ColumnSpec(codec.name, NUMERIC)
+        for codec in codebook
+    )
+
+
 def decode_dataset(
     encoded: EncodedDataset,
     mode: str = "left_edge",
@@ -216,7 +229,6 @@ def decode_dataset(
             raise DecodeError("kde decode needs the source dataset and a generator")
         kde_spec = kde_spec or KdeSpec()
 
-    schema = []
     columns = []
     for codec in encoded.codebook:
         codes = encoded.column_codes(codec.name)
@@ -226,10 +238,8 @@ def decode_dataset(
                     f"column '{codec.name}': suppressed codes cannot be decoded; "
                     "drop suppressed rows first"
                 )
-            schema.append(ColumnSpec(codec.name, CATEGORICAL, levels=codec.labels))
             columns.append(codes.copy())
             continue
-        schema.append(ColumnSpec(codec.name, NUMERIC))
         if mode == "left_edge":
             columns.append(decode_left_edge(codes, encoded.codebook, codec.name))
         elif mode == "midpoint":
@@ -245,4 +255,4 @@ def decode_dataset(
                     rng,
                 )
             )
-    return Dataset(schema, columns, provenance=encoded.provenance)
+    return Dataset(decoded_schema(encoded.codebook), columns, provenance=encoded.provenance)

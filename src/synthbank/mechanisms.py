@@ -26,6 +26,7 @@ diagnostic mode (sigma = 0, exact selection).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -48,6 +49,7 @@ __all__ = [
     "mst_synthesize",
     "fit_aim_model",
     "aim_synthesize",
+    "pac_sigma",
     "pac_threshold",
     "pac_aggregate",
     "pac_synthesize",
@@ -554,18 +556,18 @@ class PacConfig:
     budget split across the k levels when left unset).
     """
 
-    k: int
+    k: int = 2
     eta: float = 0.01
     delta_k: float = 3.0
     sigma_k: float | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise MechanismError("reporting length k must be >= 1")
-        if not (0 < self.eta < 1):
-            raise MechanismError("eta must lie in (0, 1)")
-        if self.delta_k < 1:
-            raise MechanismError("delta_k must be >= 1")
+        if not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise MechanismError(f"reporting length k must be an integer >= 1, got {self.k!r}")
+        if not isinstance(self.eta, numbers.Real) or not 0 < self.eta < 1:
+            raise MechanismError(f"eta must lie in (0, 1), got {self.eta!r}")
+        if not isinstance(self.delta_k, numbers.Real) or self.delta_k < 1:
+            raise MechanismError(f"delta_k must be >= 1, got {self.delta_k!r}")
         if self.sigma_k is not None and self.sigma_k < 0:
             raise MechanismError("sigma_k must be non-negative")
 
@@ -598,7 +600,9 @@ class PacLevel:
     weights: dict  # attrs tuple -> dense weight array over the subset domain
 
 
-def _resolve_pac_sigma(config: PacConfig, params: PrivacyParams | None) -> float:
+def pac_sigma(config: PacConfig, params: PrivacyParams | None) -> float:
+    """Per-level base noise scale: ``sigma_k`` when set, else the Gaussian
+    scale of the budget split equally across the ``k`` levels."""
     if config.sigma_k is not None:
         return config.sigma_k
     if params is None:
@@ -625,7 +629,7 @@ def pac_aggregate(
     d = data.n_columns
     if config.k > d:
         raise MechanismError(f"reporting length {config.k} exceeds {d} attributes")
-    sigma = _resolve_pac_sigma(config, params)
+    sigma = pac_sigma(config, params)
     cfg = replace(config, sigma_k=sigma)
     domain = data.codebook.domain_sizes
     n = data.n_records

@@ -5,8 +5,10 @@ artifacts into the output directory and appends to the run manifest, so a
 failed run leaves the manifest up to the failing stage. Outputs are
 deterministic for a fixed (config, seed): each stage derives its generator
 from ``(seed, stage_tag)``, so running stages separately or through
-``run_pipeline`` produces identical bytes. Stage timings live only in the
-manifest, which is excluded from byte-for-byte determinism.
+``run_pipeline`` draws the same random numbers. A stage run on its own
+reads what it needs back from the output directory, where numbers carry
+12 significant digits. Stage timings live only in the manifest, which is
+excluded from byte-for-byte determinism.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,8 +43,8 @@ from .binning import (
     read_encoded_csv,
     write_encoded_csv,
 )
-from .decoding import KdeSpec, decode_dataset
-from .mechanisms import PacConfig, fit_aim_model, fit_mst_model, pac_synthesize
+from .decoding import KdeSpec, decode_dataset, decoded_schema
+from .mechanisms import PacConfig, fit_aim_model, fit_mst_model, pac_sigma, pac_synthesize
 from .population import (
     CreditPortfolioConfig,
     DepositMarketConfig,
@@ -51,7 +54,7 @@ from .population import (
     generate_term_deposits,
 )
 from .presets import AGE_BAND_LABELS, default_workload, rules_for
-from .privacy import PrivacyParams, gaussian_sigma, split_budget
+from .privacy import PrivacyParams
 from .tabular import Dataset, load_schema, read_csv, save_schema, write_csv
 
 __all__ = [
@@ -62,11 +65,27 @@ __all__ = [
     "compare_strategies",
 ]
 
-APPLICATIONS = ("fi", "yield", "credit")
+# population settings of each application, overridden by ``input.datagen``
+POPULATION_CONFIGS = {
+    "fi": FiPopulationConfig,
+    "yield": DepositMarketConfig,
+    "credit": CreditPortfolioConfig,
+}
+APPLICATIONS = tuple(POPULATION_CONFIGS)
 MECHANISMS = ("mst", "aim", "pac")
 DECODE_MODES = ("left_edge", "midpoint", "kde")
 # privacy section used when a config has none; ``privacy: null`` means no noise
 DEFAULT_PRIVACY = {"epsilon": 1.0, "delta": 1e-10}
+# config keys of the sections that build one object each
+PAC_KEYS = ("k", "eta", "delta_k")
+KDE_KEYS = ("bandwidth", "grid_points")
+RULE_KEYS = ("method", "cutoffs", "k", "log_pretransform", "floor")
+CARD_YEARS = (2020, 2021)
+INPUT_FILES = {
+    "fi": ("data", "schema", "unbanked"),
+    "yield": ("data", "schema"),
+    "credit": tuple(f"{kind}_{year}" for year in CARD_YEARS for kind in ("cards", "schema")),
+}
 
 # stage tags mixed into the seed sequence; stable across releases
 _STAGE_SEEDS = {"datagen": 0, "synth": 1, "decode": 2}
@@ -94,12 +113,9 @@ class PipelineConfig:
     selection_fraction: float = 1.0 / 3.0
     rounds: int = 10
     workload: list | None = None
-    pac_k: int = 2
-    pac_eta: float = 0.01
-    pac_delta_k: float = 3.0
+    pac: PacConfig = field(default_factory=PacConfig)
     decode_mode: str = "left_edge"
-    kde_bandwidth: float | str = "scott"
-    kde_grid_points: int = 512
+    kde: KdeSpec = field(default_factory=KdeSpec)
     n_synthetic: int | None = None
     datagen: dict = field(default_factory=dict)
     files: dict = field(default_factory=dict)
@@ -113,10 +129,26 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        if not isinstance(doc, dict):
+            raise PipelineConfigError(
+                [f"config: the top level must be a JSON object, got {type(doc).__name__}"]
+            )
         errors = []
 
         def pick(section, key, default=None):
             return section.get(key, default) if isinstance(section, dict) else default
+
+        def build(factory, label, section, keys):
+            """``factory`` called with the given keys of ``section``; errors are collected."""
+            section = {} if section is None else section
+            if not isinstance(section, dict):
+                errors.append(f"{label}: must be an object, got {section!r}")
+                return None
+            try:
+                return factory(**{key: section[key] for key in keys if key in section})
+            except (TypeError, ValueError, OverflowError) as exc:
+                errors.append(f"{label}: {exc}")
+                return None
 
         application = doc.get("application")
         if application not in APPLICATIONS:
@@ -141,9 +173,9 @@ class PipelineConfig:
         if privacy is not None:
             epsilon = pick(privacy, "epsilon")
             delta = pick(privacy, "delta")
-            if epsilon is None or not epsilon > 0:
+            if not isinstance(epsilon, numbers.Real) or not epsilon > 0:
                 errors.append(f"privacy.epsilon: must be positive, got {epsilon!r}")
-            if delta is None or not 0 < delta < 1:
+            if not isinstance(delta, numbers.Real) or not 0 < delta < 1:
                 errors.append(f"privacy.delta: must lie in (0, 1), got {delta!r}")
         decode = doc.get("decode", {})
         decode_mode = pick(decode, "mode", "left_edge")
@@ -151,6 +183,7 @@ class PipelineConfig:
             errors.append(
                 f"decode.mode: unknown value {decode_mode!r} (allowed: {', '.join(DECODE_MODES)})"
             )
+        kde = build(KdeSpec, "decode", decode, KDE_KEYS)
         output = doc.get("output")
         if not output:
             errors.append("output: an output directory is required")
@@ -159,13 +192,25 @@ class PipelineConfig:
             errors.append(f"seed: must be a non-negative integer, got {seed!r}")
 
         input_section = doc.get("input", {"datagen": {}})
-        datagen = input_section.get("datagen") if isinstance(input_section, dict) else None
-        files = input_section.get("files") if isinstance(input_section, dict) else None
+        datagen = pick(input_section, "datagen")
+        files = pick(input_section, "files")
         if datagen is None and files is None:
             errors.append("input: needs a 'datagen' or 'files' section")
+        for key, section in (("datagen", datagen), ("files", files)):
+            if section is not None and not isinstance(section, dict):
+                errors.append(f"input.{key}: must be an object, got {section!r}")
+        if isinstance(datagen, dict) and application in APPLICATIONS:
+            known = {f.name for f in dataclasses.fields(POPULATION_CONFIGS[application])}
+            unknown = sorted(set(datagen) - known)
+            if unknown:
+                errors.append(f"input.datagen: unknown keys {unknown} for {application}")
+        if isinstance(files, dict) and application in APPLICATIONS:
+            missing = [key for key in INPUT_FILES[application] if key not in files]
+            if missing:
+                errors.append(f"input.files: missing keys {missing}")
 
         selection_fraction = pick(mech_section, "selection_fraction", 1.0 / 3.0)
-        if not 0 <= selection_fraction < 1:
+        if not isinstance(selection_fraction, numbers.Real) or not 0 <= selection_fraction < 1:
             errors.append(
                 f"mechanism.selection_fraction: must lie in [0, 1), got {selection_fraction!r}"
             )
@@ -175,31 +220,29 @@ class PipelineConfig:
         workload = pick(mech_section, "workload")
         if workload is not None:
             parsed_workload = []
-            for item in workload:
-                if isinstance(item, dict):
-                    if "attrs" not in item:
-                        errors.append(f"mechanism.workload: entry {item!r} needs 'attrs'")
-                        continue
-                    parsed_workload.append(
-                        {"attrs": list(item["attrs"]), "weight": float(item.get("weight", 1.0))}
-                    )
-                else:
-                    parsed_workload.append(list(item))
-            workload = parsed_workload
-        pac = pick(mech_section, "pac", {}) or {}
-        rule_overrides = doc.get("rule_overrides", {}) or {}
-        parsed_overrides = {}
-        for name, spec in rule_overrides.items():
             try:
-                parsed_overrides[name] = BinningRule(
-                    method=spec.get("method"),
-                    cutoffs=tuple(spec["cutoffs"]) if "cutoffs" in spec else None,
-                    k=spec.get("k"),
-                    log_pretransform=spec.get("log_pretransform", False),
-                    floor=spec.get("floor", 0.0),
-                )
-            except Exception as exc:
-                errors.append(f"rule_overrides.{name}: {exc}")
+                for item in workload:
+                    if isinstance(item, dict):
+                        if "attrs" not in item:
+                            errors.append(f"mechanism.workload: entry {item!r} needs 'attrs'")
+                            continue
+                        parsed_workload.append(
+                            {"attrs": list(item["attrs"]), "weight": float(item.get("weight", 1.0))}
+                        )
+                    else:
+                        parsed_workload.append(list(item))
+            except (TypeError, ValueError) as exc:
+                errors.append(f"mechanism.workload: {exc}")
+            workload = parsed_workload
+        pac = build(PacConfig, "mechanism.pac", pick(mech_section, "pac"), PAC_KEYS)
+        rule_overrides = doc.get("rule_overrides") or {}
+        if not isinstance(rule_overrides, dict):
+            errors.append(f"rule_overrides: must be an object, got {rule_overrides!r}")
+            rule_overrides = {}
+        parsed_overrides = {
+            name: build(BinningRule, f"rule_overrides.{name}", spec, RULE_KEYS)
+            for name, spec in rule_overrides.items()
+        }
 
         n_synthetic = doc.get("n_synthetic")
         if n_synthetic is not None and (not isinstance(n_synthetic, int) or n_synthetic < 0):
@@ -218,12 +261,9 @@ class PipelineConfig:
             selection_fraction=float(selection_fraction),
             rounds=rounds,
             workload=workload,
-            pac_k=int(pac.get("k", 2)),
-            pac_eta=float(pac.get("eta", 0.01)),
-            pac_delta_k=float(pac.get("delta_k", 3.0)),
+            pac=pac,
             decode_mode=decode_mode,
-            kde_bandwidth=pick(decode, "bandwidth", "scott"),
-            kde_grid_points=int(pick(decode, "grid_points", 512)),
+            kde=kde,
             n_synthetic=n_synthetic,
             datagen=dict(datagen or {}),
             files=dict(files or {}),
@@ -236,33 +276,21 @@ class PipelineConfig:
             return cls.from_dict(json.load(fh))
 
     def to_snapshot(self) -> dict:
+        """The config as JSON: ``pac`` and ``kde`` hold only their config keys."""
         doc = dataclasses.asdict(self)
-        doc["rule_overrides"] = {
-            name: {
-                "method": rule.method,
-                "cutoffs": list(rule.cutoffs) if rule.cutoffs else None,
-                "k": rule.k,
-                "log_pretransform": rule.log_pretransform,
-                "floor": rule.floor,
-            }
-            for name, rule in self.rule_overrides.items()
-        }
+        doc["pac"] = {key: doc["pac"][key] for key in PAC_KEYS}
+        doc["kde"] = {key: doc["kde"][key] for key in KDE_KEYS}
         return doc
 
 
-def _dataclass_with_overrides(base, overrides: dict, label: str):
-    if not overrides:
-        return base
-    valid = {f.name for f in dataclasses.fields(base)}
-    unknown = sorted(set(overrides) - valid)
-    if unknown:
-        raise PipelineConfigError([f"input.datagen.{label}: unknown keys {unknown}"])
+def _population_config(application: str, overrides: dict):
+    """The application's population settings with ``input.datagen`` applied."""
     fixed = {}
     for key, value in overrides.items():
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         fixed[key] = value
-    return dataclasses.replace(base, **fixed)
+    return dataclasses.replace(POPULATION_CONFIGS[application](), **fixed)
 
 
 def _json_dump(doc, path) -> None:
@@ -293,38 +321,36 @@ class SourceBundle:
 
     dataset: Dataset
     unbanked: dict | None = None
-    cards: tuple | None = None
     coverage: dict | None = None
 
 
 class Pipeline:
-    """Stage runner; every stage persists artifacts and manifest progress."""
+    """Stage runner; every stage persists artifacts and manifest progress.
+
+    ``gen_data`` starts a new manifest. Every later stage extends the one in
+    memory or, in a fresh runner, the ``manifest.json`` of the output
+    directory, so a run done stage by stage records what a one-shot run does.
+    """
 
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.outdir = Path(config.output)
         self.outdir.mkdir(parents=True, exist_ok=True)
-        self.manifest: dict = {
-            "package_version": __version__,
-            "config": config.to_snapshot(),
-            "stages": [],
-            "privacy": {
-                "epsilon": config.epsilon,
-                "delta": config.delta,
-                "selection_fraction": config.selection_fraction,
-            },
-            "mechanism": {"name": config.mechanism},
-            "metrics_summary": {},
-            "artifacts": {},
-        }
+        self._manifest: dict | None = None
         self.source: SourceBundle | None = None
         self.encoded: EncodedDataset | None = None
         self.synthetic: EncodedDataset | None = None
         self.decoded: Dataset | None = None
-        self.suppressed_dropped = 0
         self.report: dict | None = None
 
     # ------------------------------------------------------------- helpers
+
+    @property
+    def manifest(self) -> dict:
+        if self._manifest is None:
+            path = self.outdir / "manifest.json"
+            self._manifest = json.loads(path.read_text(encoding="utf-8"))
+        return self._manifest
 
     def _rng(self, stage: str) -> np.random.Generator:
         return np.random.default_rng([self.config.seed, _STAGE_SEEDS[stage]])
@@ -349,110 +375,82 @@ class Pipeline:
             save_schema(dataset.schema, self.outdir / schema_name)
             self._register(schema_name)
 
+    def _write_json(self, doc, name: str) -> None:
+        _json_dump(doc, self.outdir / name)
+        self._register(name)
+
+    def _write_lines(self, lines: list[str], name: str) -> None:
+        """One plot or transition CSV: the lines joined by LF, LF-terminated."""
+        (self.outdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self._register(name)
+
     # -------------------------------------------------------------- stages
 
     def gen_data(self) -> SourceBundle:
         """Generate (or load) the original microdata and write it out."""
         started = time.perf_counter()
         config = self.config
+        self._manifest = {
+            "package_version": __version__,
+            "config": config.to_snapshot(),
+            "stages": [],
+            "privacy": {
+                "epsilon": config.epsilon,
+                "delta": config.delta,
+                "selection_fraction": config.selection_fraction,
+            },
+            "mechanism": {"name": config.mechanism},
+            "metrics_summary": {},
+            "artifacts": {},
+        }
         rng = self._rng("datagen")
         app = config.application
-        if config.files:
-            self.source = self._load_input_files()
-        elif app == "fi":
-            fi_config = _dataclass_with_overrides(FiPopulationConfig(), config.datagen, "fi")
-            dataset, unbanked = generate_fi_population(fi_config, rng)
-            self.source = SourceBundle(dataset=dataset, unbanked=unbanked)
-        elif app == "yield":
-            dep_config = _dataclass_with_overrides(DepositMarketConfig(), config.datagen, "yield")
-            self.source = SourceBundle(dataset=generate_term_deposits(dep_config, rng))
-        else:
-            credit_config = _dataclass_with_overrides(
-                CreditPortfolioConfig(), config.datagen, "credit"
-            )
-            cards_2020, cards_2021 = generate_credit_cards(credit_config, rng)
-            joined, coverage = active_both_filter(cards_2020, cards_2021)
+        files = config.files
+        population = _population_config(app, config.datagen)
+        cards = None
+        if app == "credit":
+            if files:
+                cards = [
+                    read_csv(files[f"cards_{year}"], load_schema(files[f"schema_{year}"]))
+                    for year in CARD_YEARS
+                ]
+            else:
+                cards = generate_credit_cards(population, rng)
+            joined, coverage = active_both_filter(*cards)
+            self.source = SourceBundle(dataset=joined, coverage=dataclasses.asdict(coverage))
+        elif files:
             self.source = SourceBundle(
-                dataset=joined,
-                cards=(cards_2020, cards_2021),
-                coverage={
-                    "count_fraction": coverage.count_fraction,
-                    "debt_fraction": coverage.debt_fraction,
-                    "n_joined": coverage.n_joined,
-                },
+                dataset=read_csv(files["data"], load_schema(files["schema"])),
+                unbanked=load_unbanked_csv(files["unbanked"]) if app == "fi" else None,
             )
+        elif app == "fi":
+            dataset, unbanked = generate_fi_population(population, rng)
+            self.source = SourceBundle(dataset=dataset, unbanked=unbanked)
+        else:
+            self.source = SourceBundle(dataset=generate_term_deposits(population, rng))
 
         self._write_dataset(self.source.dataset, "original.csv", "schema.json")
         if self.source.unbanked is not None:
             save_unbanked_csv(self.source.unbanked, self.outdir / "unbanked.csv")
             self._register("unbanked.csv")
-        if self.source.cards is not None:
-            self._write_dataset(self.source.cards[0], "cards_2020.csv", "schema_2020.json")
-            self._write_dataset(self.source.cards[1], "cards_2021.csv", "schema_2021.json")
+        if cards is not None:
+            for year, dataset in zip(CARD_YEARS, cards):
+                self._write_dataset(dataset, f"cards_{year}.csv", f"schema_{year}.json")
         if self.source.coverage is not None:
-            _json_dump(self.source.coverage, self.outdir / "coverage.json")
-            self._register("coverage.json")
+            self._write_json(self.source.coverage, "coverage.json")
         self._stage("gen-data", started)
         return self.source
 
-    def _load_input_files(self) -> SourceBundle:
-        config = self.config
-        app = config.application
-        files = config.files
-        if app == "credit":
-            needed = ("cards_2020", "schema_2020", "cards_2021", "schema_2021")
-            missing = [k for k in needed if k not in files]
-            if missing:
-                raise PipelineConfigError([f"input.files: missing keys {missing}"])
-            cards_2020 = read_csv(files["cards_2020"], load_schema(files["schema_2020"]))
-            cards_2021 = read_csv(files["cards_2021"], load_schema(files["schema_2021"]))
-            joined, coverage = active_both_filter(cards_2020, cards_2021)
-            return SourceBundle(
-                dataset=joined,
-                cards=(cards_2020, cards_2021),
-                coverage={
-                    "count_fraction": coverage.count_fraction,
-                    "debt_fraction": coverage.debt_fraction,
-                    "n_joined": coverage.n_joined,
-                },
-            )
-        needed = ("data", "schema") + (("unbanked",) if app == "fi" else ())
-        missing = [k for k in needed if k not in files]
-        if missing:
-            raise PipelineConfigError([f"input.files: missing keys {missing}"])
-        dataset = read_csv(files["data"], load_schema(files["schema"]))
-        unbanked = load_unbanked_csv(files["unbanked"]) if app == "fi" else None
-        return SourceBundle(dataset=dataset, unbanked=unbanked)
-
     def _require_source(self) -> SourceBundle:
         if self.source is None:
-            dataset = read_csv(self.outdir / "original.csv", load_schema(self.outdir / "schema.json"))
-            unbanked = None
-            cards = None
-            coverage = None
+            out = self.outdir
+            schema = load_schema(out / "schema.json")
+            self.source = SourceBundle(read_csv(out / "original.csv", schema))
             if self.config.application == "fi":
-                unbanked = load_unbanked_csv(self.outdir / "unbanked.csv")
+                self.source.unbanked = load_unbanked_csv(out / "unbanked.csv")
             if self.config.application == "credit":
-                cards_2020 = read_csv(
-                    self.outdir / "cards_2020.csv", load_schema(self.outdir / "schema_2020.json")
-                )
-                cards_2021 = read_csv(
-                    self.outdir / "cards_2021.csv", load_schema(self.outdir / "schema_2021.json")
-                )
-                cards = (cards_2020, cards_2021)
-                coverage_path = self.outdir / "coverage.json"
-                if coverage_path.exists():
-                    coverage = json.loads(coverage_path.read_text(encoding="utf-8"))
-                else:
-                    _, cov = active_both_filter(cards_2020, cards_2021)
-                    coverage = {
-                        "count_fraction": cov.count_fraction,
-                        "debt_fraction": cov.debt_fraction,
-                        "n_joined": cov.n_joined,
-                    }
-            self.source = SourceBundle(
-                dataset=dataset, unbanked=unbanked, cards=cards, coverage=coverage
-            )
+                coverage = (out / "coverage.json").read_text(encoding="utf-8")
+                self.source.coverage = json.loads(coverage)
         return self.source
 
     def encode(self) -> EncodedDataset:
@@ -474,67 +472,54 @@ class Pipeline:
             self.encoded = read_encoded_csv(self.outdir / "encoded.csv", codebook)
         return self.encoded
 
+    def _workload(self, names: tuple[str, ...]) -> list:
+        """The AIM workload as (attribute indices, weight) pairs."""
+        workload = []
+        for item in self.config.workload or default_workload(self.config.application):
+            attrs, weight = (
+                (item["attrs"], item.get("weight", 1.0)) if isinstance(item, dict) else (item, 1.0)
+            )
+            for name in attrs:
+                if name not in names:
+                    raise PipelineConfigError([
+                        f"mechanism.workload: unknown column {name!r} "
+                        f"(columns: {', '.join(names)})"
+                    ])
+            workload.append((tuple(names.index(name) for name in attrs), weight))
+        return workload
+
     def synthesize(self) -> EncodedDataset:
         started = time.perf_counter()
         config = self.config
         encoded = self._require_encoded()
+        names = encoded.codebook.names
         rng = self._rng("synth")
         n_out = config.n_synthetic if config.n_synthetic is not None else encoded.n_records
         params = config.privacy
-        details: dict = {}
-        if config.mechanism == "mst":
-            model = fit_mst_model(encoded, params, rng, config.selection_fraction)
-            self.synthetic = EncodedDataset(model.sample(n_out, rng), encoded.codebook, "mst")
-            details["tree_edges"] = [
-                [encoded.codebook.names[a], encoded.codebook.names[b]] for a, b in model.edges
-            ]
-            details["measured"] = [
-                {
-                    "attrs": [encoded.codebook.names[a] for a in item["attrs"]],
-                    "sigma": item["sigma"],
-                }
-                for item in model.measured
-            ]
-        elif config.mechanism == "aim":
-            names = encoded.codebook.names
-            workload_names = config.workload or default_workload(config.application)
-            workload = []
-            for item in workload_names:
-                if isinstance(item, dict):
-                    attrs = tuple(names.index(n) for n in item["attrs"])
-                    workload.append((attrs, float(item.get("weight", 1.0))))
-                else:
-                    workload.append(tuple(names.index(n) for n in item))
-            model = fit_aim_model(
-                encoded, workload, params, config.rounds, rng, config.selection_fraction
-            )
-            self.synthetic = EncodedDataset(model.sample(n_out, rng), encoded.codebook, "aim")
-            details["measured"] = [
-                {
-                    "attrs": [names[a] for a in item["attrs"]],
-                    "sigma": item["sigma"],
-                }
-                for item in model.measured
-            ]
+        if config.mechanism == "pac":
+            self.synthetic = pac_synthesize(encoded, config.pac, params, n_out, rng)
+            sigma = pac_sigma(config.pac, params)
+            details = {"pac": {key: getattr(config.pac, key) for key in PAC_KEYS}}
         else:
-            pac_config = PacConfig(
-                k=config.pac_k, eta=config.pac_eta, delta_k=config.pac_delta_k
-            )
-            self.synthetic = pac_synthesize(encoded, pac_config, params, n_out, rng)
-            details["pac"] = {"k": config.pac_k, "eta": config.pac_eta, "delta_k": config.pac_delta_k}
-
-        if params is not None:
             if config.mechanism == "mst":
-                m = max(encoded.n_columns, 1)
-            elif config.mechanism == "aim":
-                m = config.rounds
+                model = fit_mst_model(encoded, params, rng, config.selection_fraction)
             else:
-                m = config.pac_k
-            _, per_measurement = split_budget(params, m,
-                0.0 if config.mechanism == "pac" else config.selection_fraction)
-            self.manifest["privacy"]["sigma_per_measurement"] = gaussian_sigma(per_measurement)
-        else:
-            self.manifest["privacy"]["sigma_per_measurement"] = 0.0
+                model = fit_aim_model(
+                    encoded, self._workload(names), params, config.rounds, rng,
+                    config.selection_fraction,
+                )
+            self.synthetic = EncodedDataset(
+                model.sample(n_out, rng), encoded.codebook, config.mechanism
+            )
+            sigma = model.measured[0]["sigma"]  # one sigma for every measurement
+            details = {
+                "tree_edges": [[names[a], names[b]] for a, b in model.edges],
+                "measured": [
+                    {"attrs": [names[a] for a in item["attrs"]], "sigma": item["sigma"]}
+                    for item in model.measured
+                ],
+            }
+        self.manifest["privacy"]["sigma_per_measurement"] = sigma
         self.manifest["mechanism"].update(details)
         write_encoded_csv(self.synthetic, self.outdir / "synthetic_encoded.csv")
         self._register("synthetic_encoded.csv")
@@ -552,18 +537,12 @@ class Pipeline:
     def decode(self) -> Dataset:
         started = time.perf_counter()
         config = self.config
-        synthetic = self._require_synthetic()
-        source = self._require_source()
-        clean, dropped = drop_suppressed_rows(synthetic)
-        self.suppressed_dropped = dropped
-        rng = self._rng("decode")
-        kde_spec = KdeSpec(bandwidth=config.kde_bandwidth, grid_points=config.kde_grid_points)
+        clean, _ = drop_suppressed_rows(self._require_synthetic())
+        # only KDE decode fits the original values
+        source = self._require_source().dataset if config.decode_mode == "kde" else None
         self.decoded = decode_dataset(
-            clean,
-            mode=config.decode_mode,
-            source=source.dataset,
-            kde_spec=kde_spec,
-            rng=rng,
+            clean, mode=config.decode_mode, source=source, kde_spec=config.kde,
+            rng=self._rng("decode"),
         )
         self._write_dataset(self.decoded, "synthetic_decoded.csv")
         self._stage("decode", started)
@@ -571,25 +550,9 @@ class Pipeline:
 
     def _require_decoded(self) -> Dataset:
         if self.decoded is None:
-            source = self._require_source()
-            self.decoded = read_csv(
-                self.outdir / "synthetic_decoded.csv", self._decoded_schema(source)
-            )
-            synthetic = self._require_synthetic()
-            clean, dropped = drop_suppressed_rows(synthetic)
-            self.suppressed_dropped = dropped
+            schema = decoded_schema(self._require_encoded().codebook)
+            self.decoded = read_csv(self.outdir / "synthetic_decoded.csv", schema)
         return self.decoded
-
-    def _decoded_schema(self, source: SourceBundle):
-        from .tabular import NUMERIC, ColumnSpec
-
-        specs = []
-        for spec in source.dataset.schema:
-            if spec.is_categorical:
-                specs.append(spec)
-            else:
-                specs.append(ColumnSpec(spec.name, NUMERIC, units=spec.units))
-        return tuple(specs)
 
     def evaluate(self) -> dict:
         started = time.perf_counter()
@@ -598,7 +561,7 @@ class Pipeline:
         encoded = self._require_encoded()
         synthetic = self._require_synthetic()
         decoded = self._require_decoded()
-        clean_synth, _ = drop_suppressed_rows(synthetic)
+        clean_synth, dropped = drop_suppressed_rows(synthetic)
 
         if config.application == "fi":
             metrics = self._evaluate_fi(source, encoded, clean_synth, decoded)
@@ -615,11 +578,10 @@ class Pipeline:
             "seed": config.seed,
             "n_original": source.dataset.n_records,
             "n_synthetic": synthetic.n_records,
-            "suppressed_rows_dropped": self.suppressed_dropped,
+            "suppressed_rows_dropped": dropped,
             "metrics": metrics,
         }
-        _json_dump(self.report, self.outdir / "report.json")
-        self._register("report.json")
+        self._write_json(self.report, "report.json")
         self.manifest["metrics_summary"] = {
             "relative_error": metrics.get("relative_error"),
         }
@@ -648,10 +610,7 @@ class Pipeline:
             rows.append(
                 f"{key[0]},{key[1]},{key[2]},{comp_o.values[key]:.6f},{comp_s.values[key]:.6f}"
             )
-        (self.outdir / "plot_usage_components.csv").write_text(
-            "\n".join(rows) + "\n", encoding="utf-8"
-        )
-        self._register("plot_usage_components.csv")
+        self._write_lines(rows, "plot_usage_components.csv")
 
         metrics = {
             "tau_overall": tau.overall,
@@ -679,10 +638,7 @@ class Pipeline:
                         lines.append(
                             f"{name},{label},{lo[name][level]:.6f},{ls[name][level]:.6f}"
                         )
-                (self.outdir / "plot_usage_levels.csv").write_text(
-                    "\n".join(lines) + "\n", encoding="utf-8"
-                )
-                self._register("plot_usage_levels.csv")
+                self._write_lines(lines, "plot_usage_levels.csv")
             except Exception as exc:  # suppression can empty a column
                 levels_report = {"error": str(exc)}
             metrics["usage_levels"] = levels_report
@@ -786,8 +742,7 @@ class Pipeline:
                         ]
                     )
                 )
-        (self.outdir / "plot_yield_points.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        self._register("plot_yield_points.csv")
+        self._write_lines(lines, "plot_yield_points.csv")
 
         mean_wai = float(
             np.mean([p.wai for c in curves_o.values() for p in c.points.values()])
@@ -829,9 +784,7 @@ class Pipeline:
                     lines.append(
                         state + "," + ",".join(f"{v:.6f}" for v in tm.probs[i])
                     )
-                name = f"transition_{kind}_{tag}.csv"
-                (self.outdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-                self._register(name)
+                self._write_lines(lines, f"transition_{kind}_{tag}.csv")
 
         rates_o = delinquency_rate(encoded, delinquency_column="Delinquency2021")
         rates_s = delinquency_rate(clean_synth, delinquency_column="Delinquency2021")
@@ -846,10 +799,7 @@ class Pipeline:
                 f"{'' if ro is None else f'{ro:.6f}'},"
                 f"{'' if rs is None else f'{rs:.6f}'}"
             )
-        (self.outdir / "plot_delinquency_rates.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
-        self._register("plot_delinquency_rates.csv")
+        self._write_lines(lines, "plot_delinquency_rates.csv")
 
         frob_del = metrics["frobenius"]["delinquency"]["value"]
         metrics["coverage"] = source.coverage
@@ -868,9 +818,7 @@ class Pipeline:
         self.encode()
         self.synthesize()
         self.decode()
-        report = self.evaluate()
-        self.write_manifest()
-        return report
+        return self.evaluate()
 
 
 def run_pipeline(config_or_path) -> dict:

@@ -20,6 +20,7 @@ from synthbank.decoding import (
     decode_dataset,
     decode_left_edge,
     decode_midpoint,
+    decoded_schema,
     kde_decode,
 )
 from synthbank.tabular import NUMERIC, ColumnSpec, Dataset
@@ -146,6 +147,7 @@ def test_decode_dataset_round_trip_consistency():
     for mode in ("left_edge", "midpoint", "kde"):
         decoded = decode_dataset(enc, mode=mode, source=ds, rng=np.random.default_rng(12))
         assert decoded.n_records == ds.n_records
+        assert decoded.schema == decoded_schema(enc.codebook)
         assert np.array_equal(decoded.column("gender"), ds.column("gender"))
         re_encoded = encode_dataset(decoded, rules)
         if mode == "kde":
@@ -175,3 +177,17 @@ def test_midpoint_and_left_edge_give_different_curependencies():
     mid = decode_midpoint(enc.column_codes("x"), enc.codebook, "x")
     assert np.all(mid > left)
     assert np.mean(np.abs(mid - values)) < np.mean(np.abs(left - values))
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"grid_points": "abc"}, "grid_points must be an integer >= 16, got 'abc'"),
+        ({"grid_points": 64.0}, "grid_points must be an integer"),
+        ({"bandwidth": "1"}, "unknown bandwidth rule"),
+        ({"bandwidth": [1]}, "bandwidth must be positive, got [1]"),
+    ],
+)
+def test_kde_spec_rejects_wrong_types(spec, message):
+    with pytest.raises(DecodeError, match=message.replace("[", r"\[").replace("]", r"\]")):
+        KdeSpec(**spec)

@@ -355,6 +355,21 @@ def test_pac_k_exceeds_attrs():
         pac_synthesize(data, PacConfig(k=3), None, 5, np.random.default_rng(20))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"k": 0}, "k must be an integer >= 1, got 0"),
+        ({"k": 2.0}, "k must be an integer >= 1, got 2.0"),
+        ({"k": "2"}, "k must be an integer >= 1, got '2'"),
+        ({"eta": "x"}, "eta must lie in"),
+        ({"delta_k": None}, "delta_k must be >= 1, got None"),
+    ],
+)
+def test_pac_config_rejects_bad_fields(fields, message):
+    with pytest.raises(MechanismError, match=message):
+        PacConfig(**fields)
+
+
 def test_aim_weight_prioritizes_marginal():
     rng = np.random.default_rng(29)
     a = rng.integers(0, 3, 4000)

@@ -289,3 +289,112 @@ def test_file_input_round_trip(tmp_path):
     }
     report = run_pipeline(write_config(tmp_path, file_doc, "fromfiles.json"))
     assert report["metrics"]["frobenius"]["delinquency"]["value"] >= 0.0
+
+
+def without_seconds(doc):
+    if isinstance(doc, dict):
+        return {k: without_seconds(v) for k, v in doc.items() if k != "seconds"}
+    if isinstance(doc, list):
+        return [without_seconds(v) for v in doc]
+    return doc
+
+
+STAGES = ("gen-data", "encode", "synth", "decode", "eval")
+
+
+@pytest.mark.parametrize("mechanism", ["mst", "aim", "pac"])
+def test_staged_manifest_equals_one_shot_manifest(tmp_path, mechanism):
+    path = write_config(tmp_path, credit_config(tmp_path, mechanism={"name": mechanism}))
+    manifest_path = tmp_path / "run" / "manifest.json"
+    assert cli_main(["pipeline", "--config", str(path)]) == 0
+    one_shot = json.loads(manifest_path.read_text())
+    for command in STAGES:
+        assert cli_main([command, "--config", str(path)]) == 0
+    staged = json.loads(manifest_path.read_text())
+    assert [stage["name"] for stage in staged["stages"]] == list(STAGES)
+    assert "sigma_per_measurement" in staged["privacy"]
+    assert without_seconds(staged) == without_seconds(one_shot)
+
+
+def test_stages_read_only_what_they_use(tmp_path):
+    staged = write_config(tmp_path, credit_config(tmp_path, subdir="staged"), "staged.json")
+    one_shot = write_config(tmp_path, credit_config(tmp_path, subdir="oneshot"), "oneshot.json")
+    assert cli_main(["gen-data", "--config", str(staged)]) == 0
+    for name in ("cards_2020.csv", "cards_2021.csv"):
+        (tmp_path / "staged" / name).unlink()
+    for command in STAGES[1:]:
+        assert cli_main([command, "--config", str(staged)]) == 0
+    assert cli_main(["pipeline", "--config", str(one_shot)]) == 0
+    expected = artifact_bytes(tmp_path / "oneshot")
+    del expected["cards_2020.csv"], expected["cards_2021.csv"]
+    assert artifact_bytes(tmp_path / "staged") == expected
+
+
+@pytest.mark.parametrize("mechanism", ["mst", "aim", "pac"])
+def test_manifest_sigma_is_the_measured_sigma(tmp_path, mechanism):
+    from synthbank.mechanisms import PacConfig, pac_sigma
+    from synthbank.privacy import PrivacyParams
+
+    doc = credit_config(tmp_path, mechanism={"name": mechanism})
+    run_pipeline(PipelineConfig.from_dict(doc))
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    sigma = manifest["privacy"]["sigma_per_measurement"]
+    assert sigma > 0
+    if mechanism == "pac":
+        assert sigma == pac_sigma(PacConfig(), PrivacyParams(1.0, 1e-10))
+    else:
+        measured = manifest["mechanism"]["measured"]
+        assert measured and all(item["sigma"] == sigma for item in measured)
+        assert manifest["mechanism"]["tree_edges"]
+
+
+def test_unknown_workload_column_is_named(tmp_path):
+    doc = credit_config(
+        tmp_path, mechanism={"name": "aim", "workload": [["Gender", "Income"]]}
+    )
+    with pytest.raises(PipelineConfigError) as err:
+        run_pipeline(PipelineConfig.from_dict(doc))
+    message = str(err.value)
+    assert "mechanism.workload: unknown column 'Income'" in message
+    assert "Delinquency2021" in message and "Gender" in message
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "config: the top level must be a JSON object, got list"),
+        ({"mechanism": {"name": "pac", "pac": 3}}, "mechanism.pac: must be an object, got 3"),
+        ({"mechanism": {"name": "pac", "pac": {"k": 0}}}, "mechanism.pac: reporting length k"),
+        ({"rule_overrides": [1]}, "rule_overrides: must be an object, got [1]"),
+        (
+            {"mechanism": {"name": "mst", "selection_fraction": "x"}},
+            "mechanism.selection_fraction: must lie in [0, 1), got 'x'",
+        ),
+        (
+            {"privacy": {"epsilon": "x", "delta": 1e-10}},
+            "privacy.epsilon: must be positive, got 'x'",
+        ),
+        ({"decode": {"grid_points": "abc"}}, "decode: grid_points must be an integer >= 16"),
+        ({"decode": {"mode": "kde", "bandwidth": -1}}, "decode: bandwidth must be positive"),
+        (
+            {"input": {"datagen": {"n_card": 100}}},
+            "input.datagen: unknown keys ['n_card'] for credit",
+        ),
+        (
+            {"input": {"files": {"cards_2020": "a.csv"}}},
+            "input.files: missing keys ['schema_2020', 'cards_2021', 'schema_2021']",
+        ),
+    ],
+    ids=["top-level-list", "pac-not-object", "pac-k-zero", "rule-overrides-list",
+         "selection-fraction-string", "epsilon-string", "grid-points-string", "negative-bandwidth",
+         "unknown-datagen-key", "missing-input-files"],
+)
+def test_cli_bad_config_fields_are_config_errors(tmp_path, capsys, doc, message):
+    if isinstance(doc, dict):
+        doc = credit_config(tmp_path, **doc)
+    path = write_config(tmp_path, doc)
+    assert cli_main(["pipeline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "failed" not in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
