@@ -97,28 +97,45 @@ def build_yield_curves(
     if term_codec.log_flag:
         terms = np.log(terms)
     term_codes = assign_codes(terms, term_codec.edges)
-    capital = data.column(capital_column)
-    rates = data.column(rate_column)
+    n_bins = term_codec.domain_size
 
-    types = data.labels(type_column)
-    currencies = data.labels(currency_column)
-    periods = data.labels(period_column)
-    curves: dict[tuple, YieldCurve] = {}
-    group_keys = sorted(
-        {(t, c, p) for t, c, p in zip(types, currencies, periods)}
-    )
-    for key in group_keys:
-        mask = (types == key[0]) & (currencies == key[1]) & (periods == key[2])
-        points = {}
-        for code in np.unique(term_codes[mask]):
-            sel = mask & (term_codes == code)
-            points[int(code)] = YieldPoint(
-                wai=weighted_avg_rate(capital[sel], rates[sel]),
-                total_capital=float(capital[sel].sum()),
-                count=int(sel.sum()),
-            )
-        curves[key] = YieldCurve(key=key, points=points, n_term_bins=term_codec.domain_size)
-    return curves
+    # one stable sort by (type, currency, period, term code), each label
+    # keyed by its rank among its column's sorted labels, so groups come
+    # out in sorted label order and keep their rows in data order
+    key = np.zeros(data.n_records, dtype=np.int64)
+    group_labels = []
+    for name in (type_column, currency_column, period_column):
+        levels = data.spec(name).levels
+        if not levels:
+            raise YieldError(f"feature '{name}' must be categorical")
+        by_label = sorted(range(len(levels)), key=levels.__getitem__)
+        rank = np.empty(len(levels), dtype=np.int64)
+        rank[by_label] = np.arange(len(levels))
+        key = key * len(levels) + rank[data.column(name)]
+        group_labels.append([levels[i] for i in by_label])
+    key = key * n_bins + term_codes
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    capital = data.column(capital_column)[order]
+    rates = data.column(rate_column)[order]
+
+    types, currencies, periods = group_labels
+    points_by_group: dict[tuple, dict] = {}
+    bounds = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), key.size] if key.size else []
+    for start, stop in zip(bounds, bounds[1:]):
+        group, code = divmod(int(key[start]), n_bins)
+        group, period = divmod(group, len(periods))
+        type_, currency = divmod(group, len(currencies))
+        points = points_by_group.setdefault((types[type_], currencies[currency], periods[period]), {})
+        points[code] = YieldPoint(
+            wai=weighted_avg_rate(capital[start:stop], rates[start:stop]),
+            total_capital=float(capital[start:stop].sum()),
+            count=stop - start,
+        )
+    return {
+        group_key: YieldCurve(key=group_key, points=points, n_term_bins=n_bins)
+        for group_key, points in points_by_group.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -308,9 +325,21 @@ def nss_fit(
     saw_rank_deficiency = False
     beta_cap = 50.0  # rates live in percent; honest curve shapes stay far below
 
+    # weighted basis columns of one decay time, by the expressions of
+    # _nss_basis: [1, f1, f2] serve as tau1's first three columns and f2
+    # as tau2's f3
+    columns = {}
+
+    def tau_columns(tau: float) -> np.ndarray:
+        if tau not in columns:
+            u = t / tau
+            f1 = -np.expm1(-u) / u
+            columns[tau] = np.column_stack([np.ones_like(t), f1, f1 - np.exp(-u)]) * sw[:, None]
+        return columns[tau]
+
     def solve(tau1: float, tau2: float):
         nonlocal saw_rank_deficiency
-        basis_w = _nss_basis(t, tau1, tau2) * sw[:, None]
+        basis_w = np.concatenate([tau_columns(tau1), tau_columns(tau2)[:, 2:]], axis=1)
         yw = y * sw
         widths = (4, 3, 2, 1) if tau1 != tau2 else (3, 2, 1)
         beta = np.zeros(4)
@@ -328,12 +357,23 @@ def nss_fit(
         rmse = float(np.sqrt(np.sum((basis_w @ beta - yw) ** 2)))
         return beta, rmse
 
+    # a cell solved again gives the same rmse, which cannot beat the best
+    # by the 1e-15 margin, so every cell is solved at most once
+    solved = set()
     best = None  # (rmse, tau1, tau2, beta)
+
+    def consider(tau1: float, tau2: float) -> None:
+        nonlocal best
+        if (tau1, tau2) in solved:
+            return
+        solved.add((tau1, tau2))
+        beta, rmse = solve(tau1, tau2)
+        if best is None or rmse < best[0] - 1e-15:
+            best = (rmse, tau1, tau2, beta)
+
     for tau1 in tau_grid:
         for tau2 in tau_grid:
-            beta, rmse = solve(tau1, tau2)
-            if best is None or rmse < best[0] - 1e-15:
-                best = (rmse, tau1, tau2, beta)
+            consider(tau1, tau2)
     grid_best = best[0]
 
     tau_lo, tau_hi = min(tau_grid) / 2.0, max(tau_grid) * 2.0
@@ -341,9 +381,7 @@ def nss_fit(
         factors = np.geomspace(0.6, 1.0 / 0.6, 7)
         for tau1 in np.clip(best[1] * factors, tau_lo, tau_hi):
             for tau2 in np.clip(best[2] * factors, tau_lo, tau_hi):
-                beta, rmse = solve(float(tau1), float(tau2))
-                if rmse < best[0] - 1e-15:
-                    best = (rmse, float(tau1), float(tau2), beta)
+                consider(float(tau1), float(tau2))
 
     assert best[0] <= grid_best + 1e-12  # refinement only ever improves
     if saw_rank_deficiency:

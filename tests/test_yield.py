@@ -1,14 +1,20 @@
 """Yield curves, LOWESS smoothing, and the Svensson fit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthbank.apps.yield_curve import (
     DEFAULT_TAU_GRID,
     NssParams,
+    YieldCurve,
     YieldError,
+    YieldPoint,
+    _nss_basis,
     build_yield_curves,
     lowess,
     nss_eval,
@@ -16,7 +22,7 @@ from synthbank.apps.yield_curve import (
     weighted_avg_rate,
     yield_rmse,
 )
-from synthbank.binning import encode_dataset
+from synthbank.binning import Codebook, ColumnCodec, assign_codes, encode_dataset
 from synthbank.population import DepositMarketConfig, generate_term_deposits, planted_rate_curve
 from synthbank.presets import deposit_rules
 from synthbank.tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
@@ -291,3 +297,147 @@ def test_planted_deposit_curve_recovered_without_noise():
             right = term_edges[code + 1]
             grid = planted_rate_curve(config, np.linspace(left, right, 64))
             assert grid.min() - 1e-9 <= point.wai <= grid.max() + 1e-9
+
+
+# ------------------------------------------- reference implementations
+
+
+def reference_build_yield_curves(data, codebook):
+    """One full-length mask per group and per term code, in data order."""
+    term_codec = codebook["Term"]
+    terms = data.column("Term")
+    if term_codec.log_flag:
+        terms = np.log(terms)
+    term_codes = assign_codes(terms, term_codec.edges)
+    capital = data.column("Capital")
+    rates = data.column("InterestRate")
+    types = data.labels("typeFI")
+    currencies = data.labels("Currency")
+    periods = data.labels("Period")
+    curves = {}
+    for key in sorted({(t, c, p) for t, c, p in zip(types, currencies, periods)}):
+        mask = (types == key[0]) & (currencies == key[1]) & (periods == key[2])
+        points = {}
+        for code in np.unique(term_codes[mask]):
+            sel = mask & (term_codes == code)
+            points[int(code)] = YieldPoint(
+                wai=weighted_avg_rate(capital[sel], rates[sel]),
+                total_capital=float(capital[sel].sum()),
+                count=int(sel.sum()),
+            )
+        curves[key] = YieldCurve(key=key, points=points, n_term_bins=term_codec.domain_size)
+    return curves
+
+
+def reference_nss_fit(terms, rates, weights=None, tau_grid=DEFAULT_TAU_GRID, refine_rounds=2):
+    """Every grid and refinement cell solved from a freshly built basis."""
+    t = np.asarray(terms, dtype=np.float64)
+    y = np.asarray(rates, dtype=np.float64)
+    w = np.ones_like(t) if weights is None else np.asarray(weights, dtype=np.float64)
+    sw = np.sqrt(w / w.sum())
+    saw_rank_deficiency = False
+
+    def solve(tau1, tau2):
+        nonlocal saw_rank_deficiency
+        basis_w = _nss_basis(t, tau1, tau2) * sw[:, None]
+        yw = y * sw
+        widths = (4, 3, 2, 1) if tau1 != tau2 else (3, 2, 1)
+        beta = np.zeros(4)
+        for ncols in widths:
+            sub, _, rank, _ = np.linalg.lstsq(basis_w[:, :ncols], yw, rcond=None)
+            if ncols == 4 and rank < 4:
+                saw_rank_deficiency = True
+                continue
+            if np.max(np.abs(sub)) <= 50.0:
+                beta[:ncols] = sub
+                break
+        else:
+            beta[0] = float(np.sum(yw * sw))
+        return beta, float(np.sqrt(np.sum((basis_w @ beta - yw) ** 2)))
+
+    best = None
+    for tau1 in tau_grid:
+        for tau2 in tau_grid:
+            beta, rmse = solve(tau1, tau2)
+            if best is None or rmse < best[0] - 1e-15:
+                best = (rmse, tau1, tau2, beta)
+    tau_lo, tau_hi = min(tau_grid) / 2.0, max(tau_grid) * 2.0
+    for _ in range(refine_rounds):
+        factors = np.geomspace(0.6, 1.0 / 0.6, 7)
+        for tau1 in np.clip(best[1] * factors, tau_lo, tau_hi):
+            for tau2 in np.clip(best[2] * factors, tau_lo, tau_hi):
+                beta, rmse = solve(float(tau1), float(tau2))
+                if rmse < best[0] - 1e-15:
+                    best = (rmse, float(tau1), float(tau2), beta)
+    if saw_rank_deficiency:
+        warnings.warn("rank-deficient term-structure basis; dropped beta3", stacklevel=2)
+    rmse, tau1, tau2, beta = best
+    return NssParams(*(float(b) for b in beta), tau1=tau1, tau2=tau2), rmse
+
+
+def with_warnings(fn, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.lists(st.floats(1.0, 4000.0), min_size=6, max_size=30),
+    data=st.data(),
+    tau_grid=st.sampled_from([DEFAULT_TAU_GRID, (30.0, 30.0, 400.0, 15.0), (15, 3600)]),
+)
+def test_nss_fit_equals_reference_bit_for_bit(terms, data, tau_grid):
+    n = len(terms)
+    if np.unique(terms).size < 3:
+        terms = [*terms[:-3], 10.0, 100.0, 1000.0]
+    rates = data.draw(st.lists(st.floats(-5.0, 20.0), min_size=n, max_size=n))
+    weights = data.draw(st.none() | st.lists(st.floats(1e-3, 1e7), min_size=n, max_size=n))
+    got = with_warnings(nss_fit, terms, rates, weights=weights, tau_grid=tau_grid)
+    want = with_warnings(reference_nss_fit, terms, rates, weights=weights, tau_grid=tau_grid)
+    # repr tells -0.0 from 0.0 and 15 from 15.0, and round-trips every float
+    assert repr(got) == repr(want)
+
+
+LEVELS = {
+    "typeFI": ("Nonbank", "Bank", "Cooperative"),
+    "Currency": ("USD", "PYG"),
+    "Period": ("2023-12", "2019-12", "2021-12"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 300),
+    data=st.data(),
+    log_flag=st.booleans(),
+)
+def test_build_yield_curves_equals_reference_bit_for_bit(n, data, log_flag):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # levels listed out of sorted order, some of them never used
+    schema = tuple(ColumnSpec(name, CATEGORICAL, levels=levels) for name, levels in LEVELS.items()) + (
+        ColumnSpec("Capital", NUMERIC),
+        ColumnSpec("Term", NUMERIC),
+        ColumnSpec("InterestRate", NUMERIC),
+    )
+    used = {name: data.draw(st.integers(1, len(levels))) for name, levels in LEVELS.items()}
+    ds = Dataset(
+        schema,
+        [rng.integers(0, used[name], n) for name in LEVELS]
+        + [np.exp(rng.normal(15, 3, n)), rng.integers(1, 3600, n).astype(float), rng.normal(6, 2, n)],
+    )
+    edges = np.sort(rng.choice(np.arange(1.0, 4000.0), data.draw(st.integers(2, 12)), replace=False))
+    if log_flag:
+        edges = np.log(edges)
+    codebook = Codebook([ColumnCodec(name="Term", kind="binned", edges=tuple(edges), log_flag=log_flag)])
+    got = build_yield_curves(ds, codebook)
+    want = reference_build_yield_curves(ds, codebook)
+    assert repr(list(got.items())) == repr(list(want.items()))
+
+
+def test_build_yield_curves_rejects_numeric_group_column():
+    ds = deposit_dataset([15.0, 45.0, 100.0], [2.0, 3.0, 4.0], [1e6, 2e6, 3e6])
+    enc = encode_dataset(ds, deposit_rules("cbp"))
+    with pytest.raises(YieldError, match="'Capital' must be categorical"):
+        build_yield_curves(ds, enc.codebook, type_column="Capital")
