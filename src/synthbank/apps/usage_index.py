@@ -114,13 +114,12 @@ def build_usage_indicators(
         if name not in data.column_names:
             raise UsageError(f"required feature '{name}' missing from dataset")
 
-    periods = np.asarray(data.labels("Period"), dtype=object)
-    genders = np.asarray(data.labels("Gender"), dtype=object)
+    for name in ("Period", "Gender"):
+        if not data.spec(name).is_categorical:
+            raise TabularError(f"column '{name}' is numeric, has no labels")
+    periods = data.spec("Period").levels
+    genders = data.spec("Gender").levels
     bands = _age_band(data.column("Age"), age_cutoffs)
-    band_labels = np.asarray(AGE_BAND_LABELS, dtype=object)[bands]
-    has_fi = data.column("nFI") > 0
-    has_savings = data.column("nSavings") > 0
-    has_loan = data.column("nLoans") > 0
 
     def cell_to_group(cell_key):
         if granularity == "cell":
@@ -129,12 +128,18 @@ def build_usage_indicators(
             return (cell_key[0],)
         return ()
 
+    # rows, and rows with each indicator, per (period, age band, gender) cell
+    n_bands, n_genders = len(age_cutoffs), len(genders)
+    cell = (data.column("Period") * n_bands + bands) * n_genders + data.column("Gender")
+    n_cells = len(periods) * n_bands * n_genders
+    flagged = [cell[data.column(name) > 0] for name in INDICATOR_COLUMNS]
+    counts = np.stack([np.bincount(rows, minlength=n_cells) for rows in (cell, *flagged)], axis=1)
     banked: dict[tuple, np.ndarray] = {}
-    cells = list(zip(periods, band_labels, genders))
-    for i, cell in enumerate(cells):
-        group = cell_to_group(cell)
-        acc = banked.setdefault(group, np.zeros(4))
-        acc += (1.0, has_fi[i], has_savings[i], has_loan[i])
+    for index in np.flatnonzero(counts[:, 0]).tolist():
+        period, rest = divmod(index, n_bands * n_genders)
+        band, gender = divmod(rest, n_genders)
+        group = cell_to_group((periods[period], AGE_BAND_LABELS[band], genders[gender]))
+        banked[group] = banked.get(group, 0) + counts[index]
 
     extra: dict[tuple, float] = {}
     for cell_key, count in unbanked.items():

@@ -20,7 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-from .tabular import CHUNK_ROWS, Dataset, TabularError
+from .tabular import CHUNK_ROWS, Dataset, TabularError, text_table, write_rows
 
 __all__ = [
     "BinningError",
@@ -537,15 +537,17 @@ def write_encoded_csv(encoded: EncodedDataset, path) -> None:
 
     The bytes are fixed: UTF-8, the codebook names joined by commas, then
     one row per record of decimal codes joined by commas, every line ended
-    by LF, with no quoting.
+    by LF, with no quoting. :func:`synthbank.tabular.write_rows` assembles
+    the rows from the code strings, each followed by a comma or, in the
+    last column, by LF.
     """
     codes = encoded.codes
-    table = np.array([str(c) for c in range(int(codes.max(initial=0)) + 1)], dtype=object)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(encoded.codebook.names) + "\n")
-        for start in range(0, len(codes), CHUNK_ROWS):
-            rows = table[codes[start : start + CHUNK_ROWS]].tolist()
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+    strings = [str(c) for c in range(int(codes.max(initial=0)) + 1)]
+    tables = [text_table([s + "," for s in strings])] * (codes.shape[1] - 1)
+    tables.append(text_table([s + "\n" for s in strings]))
+    with open(path, "wb") as fh:
+        fh.write((",".join(encoded.codebook.names) + "\n").encode("utf-8"))
+        write_rows(fh, tables, list(codes.T), CHUNK_ROWS)
 
 
 def read_encoded_csv(path, codebook: Codebook) -> EncodedDataset:

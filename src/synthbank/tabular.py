@@ -11,11 +11,19 @@ double-quote quoting, UTF-8, header row mandatory. Numeric cells are
 written with 12 significant digits, which is the precision the round trip
 guarantees. Missing values are rejected at ingestion; use
 :func:`filter_rows` to drop out-of-range rows up front.
+
+:func:`write_csv` writes the bytes a per-cell :class:`csv.writer` pass
+with ``QUOTE_MINIMAL`` and ``FLOAT_FORMAT`` writes, built as numpy byte
+arrays: the text of each level comes from :class:`csv.writer` itself, and
+the text of each distinct numeric value from its 12 decimal digits,
+computed in numpy wherever the rounding can be proven exact (1e-4 <= |v|
+< 1e12, no tie); every other value is formatted by ``%`` once.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from itertools import islice
@@ -38,12 +46,12 @@ CATEGORICAL = "categorical"
 
 #: numeric cells survive a write/read cycle to this many significant digits
 FLOAT_FORMAT = "{:.12g}"
-# the same format for the ``%`` operator, which is faster on plain floats
+# the same format for the ``%`` operator: the writer's fallback, once per value
 _FLOAT_PERCENT = "%.12g"
 
 #: rows converted per step by :func:`read_csv` and by the encoded-CSV reader
-#: and writer in :mod:`synthbank.binning`, bounding the per-cell string
-#: objects they hold at once
+#: in :mod:`synthbank.binning`, bounding the per-cell string objects they
+#: hold at once; the writers assemble ``8 * CHUNK_ROWS`` rows per step
 CHUNK_ROWS = 1024
 
 
@@ -309,46 +317,176 @@ def write_csv(dataset: Dataset, path) -> None:
     ``FLOAT_FORMAT`` writes them (12 significant digits, ``-0`` kept), so
     ``read_csv(write_csv(d))`` reproduces ``d`` cell-for-cell at that
     precision.
+
+    The text of each level, and of each distinct numeric value, is built
+    once into a byte table (:func:`_level_table`, :func:`_number_table`);
+    :func:`write_rows` then gathers the table rows of every record. The
+    bytes are those a per-cell :class:`csv.writer` pass writes.
     """
+    names = dataset.column_names
+    tables, indices = [], []
+    for j, spec in enumerate(dataset.schema):
+        end = "\r\n" if j == len(names) - 1 else ","
+        col = dataset.column(spec.name)
+        if spec.is_categorical:
+            tables.append(_level_table(spec.levels, len(names), end))
+            indices.append(col)
+        else:
+            # distinct bit patterns, so that -0.0 and 0.0 stay apart; the
+            # row indices are held until the file is written, so in the
+            # smallest integer type that fits them
+            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            tables.append(_number_table(bits.view(np.float64), end))
+            indices.append(inverse.astype(np.min_scalar_type(bits.size)))
     try:
-        fh = open(path, "w", newline="", encoding="utf-8")
+        fh = open(path, "wb")
     except OSError as exc:
         raise TabularError(f"cannot write {path}: {exc}") from None
     with fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, doublequote=True)
-        writer.writerow(dataset.column_names)
-        text_columns = []
-        for spec in dataset.schema:
-            col = dataset.column(spec.name)
-            if spec.is_categorical:
-                text_columns.append(list(map(spec.levels.__getitem__, col.tolist())))
-            else:
-                text_columns.append(_format_numeric(col))
-        writer.writerows(zip(*text_columns))
+        fh.write(_csv_line(names).encode("utf-8"))
+        write_rows(fh, tables, indices, CHUNK_ROWS)
 
 
-def _format_numeric(col: np.ndarray) -> list[str]:
-    """``FLOAT_FORMAT`` text of every cell, formatting each distinct value once.
+def write_rows(fh, tables, indices, chunk_rows) -> None:
+    """Write record ``i`` as the bytes of ``tables[j][indices[j][i]]``, ``j`` in order.
 
-    Values are deduplicated on their bit pattern, so ``-0.0`` and ``0.0``
-    stay apart. Whole values below ``1e12`` in magnitude, ``-0.0`` aside, are
-    written by ``int -> str``, which for them gives exactly the
-    ``FLOAT_FORMAT`` text; the rest go through ``%`` formatting with the
-    same 12 digits.
+    Each table is a ``uint8`` array holding one cell text per row, its
+    separator or line end included. NUL bytes, anywhere in a row, stand for
+    nothing and are dropped on output, so no cell text may hold one.
+    Records are gathered, masked and written ``8 * chunk_rows`` at a time,
+    so the whole file is never held in memory.
     """
-    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    integral = (
-        (distinct == np.floor(distinct))
-        & (np.abs(distinct) < 1e12)
-        & ~((distinct == 0) & np.signbit(distinct))
-    )
-    text = np.empty(distinct.size, dtype=object)
-    whole = distinct[integral].astype(np.int64).tolist()
-    others = distinct[~integral].tolist()
-    text[integral] = np.array(list(map(str, whole)), dtype=object)
-    text[~integral] = np.array(list(map(_FLOAT_PERCENT.__mod__, others)), dtype=object)
-    return text[inverse].tolist()
+    n_records = len(indices[0]) if indices else 0
+    step = 8 * chunk_rows
+    for start in range(0, n_records, step):
+        block = np.concatenate(
+            [
+                np.take(table, index[start : start + step], axis=0)
+                for table, index in zip(tables, indices)
+            ],
+            axis=1,
+        )
+        fh.write(block[block != 0])
+
+
+def _csv_line(cells) -> str:
+    """``cells`` as one :class:`csv.writer` row (``QUOTE_MINIMAL``, CRLF)."""
+    buf = io.StringIO()
+    csv.writer(buf, quoting=csv.QUOTE_MINIMAL, doublequote=True).writerow(cells)
+    return buf.getvalue()
+
+
+def text_table(texts) -> np.ndarray:
+    """``(len(texts), width)`` ``uint8`` table of the UTF-8 texts, NUL padded."""
+    fixed = np.array([text.encode("utf-8") for text in texts], dtype=bytes)
+    return fixed.view(np.uint8).reshape(len(texts), fixed.dtype.itemsize)
+
+
+def _level_table(levels, n_columns, end) -> np.ndarray:
+    """Byte table of each level's cell text followed by ``end``.
+
+    The text is cut from the :class:`csv.writer` row that has the file's
+    arity, the level first and the other cells empty: :mod:`csv` writes a
+    row of one empty cell as ``""``, so a one-column file writes an empty
+    label that way.
+    """
+    empty = [""] * (n_columns - 1)
+    cut = n_columns + 1  # the empty cells' commas and the CRLF
+    return text_table([_csv_line([label, *empty])[:-cut] + end for label in levels])
+
+
+def _number_table(values, end) -> np.ndarray:
+    """Byte table of each value's ``FLOAT_FORMAT`` text followed by ``end``.
+
+    Values with ``1e-4 <= |v| < 1e12`` take their text from
+    :func:`_decimal_text` when it can prove the rounding; every other value
+    (``0``, ``-0``, exponent notation, subnormals, unproven cases) is
+    formatted by ``%`` with the same 12 digits. Values are converted
+    ``8 * CHUNK_ROWS`` at a time, and columns that are NUL in every row are
+    dropped at the end.
+    """
+    pieces = []  # (rows, their texts)
+    step = 8 * CHUNK_ROWS
+    for start in range(0, values.size, step):
+        part = values[start : start + step]
+        mag = np.abs(part)
+        fast = np.flatnonzero((mag >= 1e-4) & (mag < 1e12))
+        proven, text = _decimal_text(part[fast])
+        rest = np.ones(part.size, dtype=bool)
+        rest[fast[proven]] = False
+        rest = np.flatnonzero(rest)
+        pieces.append((start + fast[proven], text))
+        pieces.append((start + rest, text_table([_FLOAT_PERCENT % v for v in part[rest].tolist()])))
+    width = max((text.shape[1] for _, text in pieces), default=0)
+    table = np.zeros((values.size, width + len(end)), dtype=np.uint8)
+    for rows, text in pieces:
+        table[rows, : text.shape[1]] = text
+    table[:, width:] = np.frombuffer(end.encode("ascii"), dtype=np.uint8)
+    # compress keeps C order (fancy indexing would not), so that the row
+    # gathers of write_rows copy whole rows
+    return np.compress((table != 0).any(axis=0), table, axis=1)
+
+
+# 10**k for the scales k = 11 - x0 of x0 in [-4, 11]; each one is exact
+_EXACT_POW10 = np.array([float(10**k) for k in range(16)])
+# 12 digits are read as four groups of three; row i of _DIGIT_TRIPLES holds
+# digit i of each of 000 to 999
+_GROUP_POW10 = np.array([10**9, 10**6, 10**3, 1], dtype=np.intp)
+_DIGIT_TRIPLES = (np.arange(1000) // np.array([[100], [10], [1]]) % 10 + ord("0")).astype(
+    np.uint8
+)
+
+
+def _decimal_text(values):
+    """``FLOAT_FORMAT`` text of the values it can prove, all ``1e-4 <= |v| < 1e12``.
+
+    Returns the mask of proven values and a ``uint8`` table of their texts,
+    in which NUL bytes stand for nothing. ``x0`` estimates the decimal
+    exponent ``floor(log10|v|)`` and ``10**(11 - x0)`` is an exact double,
+    so ``scaled = |v| * 10**(11 - x0)`` is the exact product rounded once.
+    The 12 significant digits ``%g`` prints are the exact product rounded
+    to an integer, ``rint(scaled)``, whenever
+
+    * ``scaled`` is not a half-integer: half-integers below ``1e12`` are
+      doubles, so the exact product lies strictly on the same side of each
+      of them as ``scaled``, and no tie is possible;
+    * ``scaled >= 1e11``, so that ``x0`` is not too high (``log10`` is not
+      trusted). A product just below ``1e11`` that rounds to it lies within
+      half an ulp of it, and its 12-digit text equals that of ``1e11``;
+    * ``rint(scaled) < 1e12``, so that ``x0`` is not too low and the
+      rounding does not carry into a 13th digit.
+
+    ``%g`` prints such a value in fixed notation with ``11 - x0`` decimals,
+    then drops the trailing zeros and a bare point.
+    """
+    mag = np.abs(values)
+    x0 = np.clip(np.floor(np.log10(mag)), -4, 11).astype(np.intp)
+    scaled = mag * _EXACT_POW10[11 - x0]
+    rounded = np.rint(scaled)
+    proven = (np.abs(scaled - rounded) < 0.5) & (scaled >= 1e11) & (rounded < 1e12)
+
+    # one column per value from here on, so that numpy works along long rows
+    groups = rounded[proven].astype(np.intp) // _GROUP_POW10[:, None]
+    groups[1:] -= 1000 * groups[:-1]
+    n = groups.shape[1]
+    # four bytes of padding, then the 12 digits, the first of which is not 0
+    stream = np.full((17, n), ord("0"), dtype=np.uint8)
+    stream[4:16] = np.take(_DIGIT_TRIPLES, groups, axis=1).transpose(1, 0, 2).reshape(12, n)
+    # the stream with the point after its first 5 + x0 bytes
+    at = np.arange(17, dtype=np.int8)[:, None]
+    point = (x0[proven] + 5).astype(np.int8)
+    text = np.where(at < point, stream, np.roll(stream, 1, axis=0))
+    text[at == point] = ord(".")
+    # NUL out what %g leaves out: the padding before the integer part (all
+    # of it, or all but the 0 before the point), the zeros after the last
+    # nonzero decimal, and a point with no decimals after it
+    last = (16 - np.argmax(stream[15:3:-1] != ord("0"), axis=0)).astype(np.int8)
+    padding = at < np.minimum(point - 1, 4)
+    trailing = (at > point) & (at > last)
+    bare_point = (at == point) & (last <= point)
+    text[padding | trailing | bare_point] = 0
+    sign = np.where(np.signbit(values[proven]), ord("-"), 0).astype(np.uint8)
+    return proven, np.concatenate([sign[None, :], text]).T
 
 
 def load_schema(path) -> tuple[ColumnSpec, ...]:

@@ -376,13 +376,15 @@ EMPTY_LABEL_ONLY = Dataset(
 
 
 @settings(max_examples=150, deadline=None)
-@given(edge_dataset_strategy())
-@example(EVERY_EDGE)
-@example(EMPTY_LABEL_ONLY)
-@example(Dataset(SCHEMA, [np.zeros(0), np.zeros(0, dtype=np.int64)]))
-def test_write_csv_bytes_match_per_cell_reference(tmp_path_factory, ds):
+@given(edge_dataset_strategy(), st.sampled_from((1, 3, 1024)))
+@example(EVERY_EDGE, 1024)
+@example(EMPTY_LABEL_ONLY, 1024)
+@example(Dataset(SCHEMA, [np.zeros(0), np.zeros(0, dtype=np.int64)]), 1024)
+def test_write_csv_bytes_match_per_cell_reference(tmp_path_factory, ds, chunk_rows):
     out = tmp_path_factory.mktemp("bytes")
-    write_csv(ds, out / "columnar.csv")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tabular, "CHUNK_ROWS", chunk_rows)
+        write_csv(ds, out / "columnar.csv")
     reference_write_csv(ds, out / "reference.csv")
     assert (out / "columnar.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
@@ -393,6 +395,81 @@ def test_write_csv_keeps_negative_zero_and_exponents(tmp_path):
     assert (tmp_path / "x.csv").read_bytes() == (
         b"x\r\n-0\r\n0\r\n999999999999\r\n1e+12\r\n4.94065645841e-324\r\n"
     )
+
+
+# The numeric cell text must equal "%.12g" % v on the inputs where a
+# formatter built from decimal digits can go wrong: 12-digit ties and the
+# values next to them, powers of ten and their neighbours (where log10 may
+# misjudge the exponent), the ends of the fixed-notation range, subnormals
+# and arbitrary bit patterns, each with either sign.
+
+
+def _nudge(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, np.inf if ulps > 0 else -np.inf))
+    return value
+
+
+_bit_pattern = (
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+    .filter(np.isfinite)
+)
+# the double nearest (D + 0.5) * 10**(x - 11), a tie at 12 digits, and 1-2 ulps around it
+_twelve_digit_tie = st.builds(
+    lambda digits, x, ulps: _nudge(float(f"{digits}5e{x - 12}"), ulps),
+    st.integers(10**11, 10**12 - 1),
+    st.integers(-4, 11),
+    st.integers(-2, 2),
+)
+_power_of_ten = st.builds(
+    lambda e, ulps: _nudge(float(f"1e{e}"), ulps), st.integers(-5, 12), st.integers(-4, 4)
+)
+_subnormal = st.integers(1, 2**52 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.int64).view(np.float64))
+)
+FORMAT_EDGES = (
+    1e-4,
+    float(np.nextafter(1e-4, 0)),
+    999999999999.4,
+    999999999999.5,
+    999999999999.6,
+    float(np.nextafter(1e12, 0)),
+)
+_formatter_input = st.one_of(
+    _bit_pattern, _twelve_digit_tie, _power_of_ten, st.sampled_from(FORMAT_EDGES), _subnormal
+)
+
+
+def _written_cells(tmp_path, values):
+    ds = Dataset((ColumnSpec("x", NUMERIC),), [np.array(values, dtype=np.float64)])
+    write_csv(ds, tmp_path / "x.csv")
+    lines = (tmp_path / "x.csv").read_bytes().split(b"\r\n")
+    assert lines[0] == b"x" and lines[-1] == b""
+    return [line.decode("ascii") for line in lines[1:-1]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_formatter_input, st.booleans()), min_size=1, max_size=40))
+@example([(value, negative) for value in FORMAT_EDGES for negative in (False, True)])
+# the product by 10**k rounds onto a half-integer that the exact product is not
+@example([(8245.026313705, False), (0.03572212420795, True), (14.07476745125, False)])
+def test_write_csv_numbers_match_percent_format(tmp_path_factory, cells):
+    values = [-value if negative else value for value, negative in cells]
+    got = _written_cells(tmp_path_factory.mktemp("fmt"), values)
+    assert got == ["%.12g" % value for value in values]
+
+
+def test_fast_path_and_fallback_columns(tmp_path):
+    # mark the "%" fallback's text, to see which cells took it
+    fast = [1e-4, -0.00012345, 0.5, 1.0, -7.0, 10.0, 123.456, -99999999999.5, 999999999999.0]
+    fast += [float(np.nextafter(1e12, 0)) - 0.5, 1234567.891234567, 0.1, 2.5e-3]
+    fallback = [0.0, -0.0, 1e12, -1e15, 5e-324, -1e-5, float(np.nextafter(1e-4, 0))]
+    fallback += [999999999999.5, -999999999999.6, 1.7976931348623157e308, 12345678901.25]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tabular, "_FLOAT_PERCENT", "<%.12g>")
+        assert _written_cells(tmp_path, fast) == ["%.12g" % value for value in fast]
+        assert _written_cells(tmp_path, fallback) == ["<%.12g>" % value for value in fallback]
 
 
 @st.composite

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthbank.apps.usage_index import (
     UsageError,
@@ -15,8 +17,8 @@ from synthbank.apps.usage_index import (
 )
 from synthbank.binning import encode_dataset
 from synthbank.population import FiPopulationConfig, generate_fi_population
-from synthbank.presets import AGE_BAND_LABELS, fi_rules
-from synthbank.tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
+from synthbank.presets import AGE_BAND_LABELS, CBP_AGE_CUTOFFS, fi_rules
+from synthbank.tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset, TabularError
 
 from util import make_encoded
 
@@ -266,3 +268,114 @@ def test_component_monotone_in_raw_indicators():
     assert high > low
     comp = UsageComponent(weights, {("g",): low}, "o", 0.0)
     assert 0.0 <= comp.values[("g",)] <= 1.0
+
+
+# ------------------------------------------------ per-row reference
+#
+# build_usage_indicators as it was before it counted rows per cell with
+# np.bincount: one dictionary update per row. Its output must be kept.
+
+
+def reference_build_usage_indicators(
+    data, unbanked, age_cutoffs=CBP_AGE_CUTOFFS, granularity="cell"
+):
+    periods = np.asarray(data.labels("Period"), dtype=object)
+    genders = np.asarray(data.labels("Gender"), dtype=object)
+    cut = np.asarray(age_cutoffs)
+    bands = np.minimum(np.searchsorted(cut, data.column("Age"), side="right"), len(cut) - 1)
+    band_labels = np.asarray(AGE_BAND_LABELS, dtype=object)[bands]
+    has_fi = data.column("nFI") > 0
+    has_savings = data.column("nSavings") > 0
+    has_loan = data.column("nLoans") > 0
+
+    def cell_to_group(cell_key):
+        if granularity == "cell":
+            return cell_key
+        if granularity == "period":
+            return (cell_key[0],)
+        return ()
+
+    banked = {}
+    for i, cell in enumerate(zip(periods, band_labels, genders)):
+        acc = banked.setdefault(cell_to_group(cell), np.zeros(4))
+        acc += (1.0, has_fi[i], has_savings[i], has_loan[i])
+    extra = {}
+    for cell_key, count in unbanked.items():
+        if count < 0:
+            raise UsageError(f"unbanked count for {cell_key} is negative")
+        group = cell_to_group(tuple(cell_key))
+        extra[group] = extra.get(group, 0.0) + count
+    out = []
+    for group in sorted(set(banked) | {g for g, c in extra.items() if c > 0}):
+        stats = banked.get(group, np.zeros(4))
+        population = stats[0] + extra.get(group, 0.0)
+        if population <= 0:
+            raise UsageError(f"group {group} has zero total population")
+        out.append(
+            UsageIndicators(
+                key=group,
+                alpha=float(stats[1] / population),
+                beta=float(stats[2] / population),
+                gamma=float(stats[3] / population),
+                population=int(population),
+            )
+        )
+    return out
+
+
+@st.composite
+def usage_input_strategy(draw):
+    periods = draw(
+        st.lists(st.sampled_from(("2019", "2020", "2021")), min_size=1, max_size=3, unique=True)
+    )
+    genders = draw(st.lists(st.sampled_from(("M", "F", "X")), min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(0, 60))
+    rows = st.lists(st.integers(0, 10**6), min_size=n, max_size=n)
+    counts = st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n)
+    schema = (
+        ColumnSpec("Period", CATEGORICAL, levels=tuple(periods)),
+        ColumnSpec("Age", NUMERIC),
+        ColumnSpec("Gender", CATEGORICAL, levels=tuple(genders)),
+        ColumnSpec("nFI", NUMERIC),
+        ColumnSpec("nSavings", NUMERIC),
+        ColumnSpec("nLoans", NUMERIC),
+    )
+    data = Dataset(
+        schema,
+        [
+            np.array(draw(rows), dtype=np.int64) % len(periods),
+            np.array(draw(st.lists(st.floats(0, 120), min_size=n, max_size=n)), dtype=float),
+            np.array(draw(rows), dtype=np.int64) % len(genders),
+            np.array(draw(counts)),
+            np.array(draw(counts)),
+            np.array(draw(counts)),
+        ],
+    )
+    cells = st.tuples(
+        st.sampled_from(periods), st.sampled_from(AGE_BAND_LABELS), st.sampled_from(genders)
+    )
+    unbanked = draw(st.dictionaries(cells, st.integers(0, 50), max_size=6))
+    return data, unbanked
+
+
+@settings(max_examples=150, deadline=None)
+@given(usage_input_strategy(), st.sampled_from(("cell", "period", "overall")))
+def test_build_usage_indicators_matches_per_row_reference(case, granularity):
+    data, unbanked = case
+
+    def outcome(build):
+        try:
+            return repr(build(data, unbanked, granularity=granularity))
+        except UsageError as exc:
+            return f"UsageError: {exc}"
+
+    assert outcome(build_usage_indicators) == outcome(reference_build_usage_indicators)
+
+
+@pytest.mark.parametrize("name", ["Period", "Gender"])
+def test_build_usage_indicators_needs_categorical_period_and_gender(name):
+    ds = small_fi_dataset(5)
+    schema = tuple(ColumnSpec(s.name, NUMERIC) if s.name == name else s for s in ds.schema)
+    numeric = Dataset(schema, [ds.column(s.name).astype(float) for s in ds.schema])
+    with pytest.raises(TabularError, match=f"column '{name}' is numeric"):
+        build_usage_indicators(numeric, {})
