@@ -92,6 +92,12 @@ def _apply_overrides(doc: dict, args) -> dict:
     return doc
 
 
+def _config_error(lines) -> int:
+    for line in lines:
+        print(f"config error: {line}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -99,12 +105,9 @@ def main(argv=None) -> int:
             doc = json.load(fh)
         config = PipelineConfig.from_dict(_apply_overrides(doc, args))
     except PipelineConfigError as exc:
-        for line in exc.errors:
-            print(f"config error: {line}", file=sys.stderr)
-        return 2
+        return _config_error(exc.errors)
     except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error([exc])
 
     try:
         if args.command == "compare":
@@ -124,6 +127,8 @@ def main(argv=None) -> int:
             print(f"relative_error: {metrics.get('relative_error')}")
         print(f"artifacts written to {config.output}")
         return 0
+    except PipelineConfigError as exc:  # found only once a stage has read the data
+        return _config_error(exc.errors)
     except Exception as exc:
         stage = args.command
         print(f"stage '{stage}' failed: {exc}", file=sys.stderr)

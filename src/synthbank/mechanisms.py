@@ -1,20 +1,22 @@
 """Marginal-based synthesizers over encoded (all-categorical) data.
 
-Three mechanisms share the same measurement primitives:
+``run_mechanism`` runs any of the three ``MECHANISMS`` end to end. They
+share the same measurement primitives:
 
-* ``mst_synthesize`` scores attribute pairs by mutual information, perturbs
-  the scores with Gumbel noise (report-noisy-max style) under the selection
-  budget, keeps the maximum spanning tree, measures the root's one-way and
-  every edge's two-way marginal with Gaussian noise, and samples rows from
-  the fitted tree model.
-* ``aim_synthesize`` is a workload-aware greedy loop: each round scores
-  every workload marginal by the L1 gap between the current model estimate
-  and the exact data marginal minus an expected-noise penalty, selects the
-  max-score marginal via the selection budget, measures it, and refits.
-* ``pac_synthesize`` extracts tuple counts per reporting length with a
-  per-record contribution cap, adds Gaussian noise, suppresses tuples whose
-  noisy count falls below the spurious-tuple threshold, and assembles rows
-  greedily from surviving tuples.
+* ``mst`` (``fit_mst_model``) scores attribute pairs by mutual information,
+  perturbs the scores with Gumbel noise (report-noisy-max style) under the
+  selection budget, keeps the maximum spanning tree, measures the root's
+  one-way and every edge's two-way marginal with Gaussian noise, and
+  samples rows from the fitted tree model.
+* ``aim`` (``fit_aim_model``) is a workload-aware greedy loop: each round
+  scores every workload marginal (see ``parse_workload``) by the L1 gap
+  between the current model estimate and the exact data marginal minus an
+  expected-noise penalty, selects the max-score marginal via the selection
+  budget, measures it, and refits.
+* ``pac`` (``pac_synthesize``) extracts tuple counts per reporting length
+  with a per-record contribution cap, adds Gaussian noise, suppresses
+  tuples whose noisy count falls below the spurious-tuple threshold, and
+  assembles rows greedily from surviving tuples.
 
 Tree fitting is exact closed-form inference (root marginal plus edge
 conditionals), which is correct for the tree-structured measurement sets
@@ -25,9 +27,10 @@ diagnostic mode (sigma = 0, exact selection).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -37,6 +40,7 @@ from .binning import Codebook, EncodedDataset
 from .privacy import PrivacyParams, add_gaussian_noise, gaussian_sigma, split_budget
 
 __all__ = [
+    "MECHANISMS",
     "MechanismError",
     "Marginal",
     "TreeModel",
@@ -46,15 +50,18 @@ __all__ = [
     "mutual_information",
     "maximum_spanning_tree",
     "fit_mst_model",
-    "mst_synthesize",
+    "parse_workload",
     "fit_aim_model",
-    "aim_synthesize",
     "pac_sigma",
     "pac_threshold",
     "pac_aggregate",
     "pac_synthesize",
     "uniform_synthesize",
+    "run_mechanism",
+    "synthetic_codebook",
 ]
+
+MECHANISMS = ("mst", "aim", "pac")
 
 
 class MechanismError(ValueError):
@@ -103,12 +110,15 @@ def mutual_information(data: EncodedDataset, a: int, b: int) -> float:
     n = counts.sum()
     if n == 0:
         return 0.0
-    p = counts / n
+    return max(_plug_in_mi(counts / n), 0.0)
+
+
+def _plug_in_mi(p: np.ndarray) -> float:
+    """Mutual information (nats) of a normalised two-way probability table."""
     px = p.sum(axis=1, keepdims=True)
     py = p.sum(axis=0, keepdims=True)
     mask = p > 0
-    mi = float(np.sum(p[mask] * np.log(p[mask] / (px @ py)[mask])))
-    return max(mi, 0.0)
+    return float(np.sum(p[mask] * np.log(p[mask] / (px @ py)[mask])))
 
 
 class _UnionFind:
@@ -282,36 +292,16 @@ def _build_tree_model(domain, one_way: dict, pairs: dict, edge_list=None, measur
     d = len(domain)
     pair_tables = {tuple(sorted(k)): np.asarray(v, dtype=np.float64) for k, v in pairs.items()}
     if edge_list is None:
-        weights = {}
-        for key, table in sorted(pair_tables.items()):
-            p = _clean_distribution(table, table.size).reshape(table.shape)
-            px = p.sum(axis=1, keepdims=True)
-            py = p.sum(axis=0, keepdims=True)
-            mask = p > 0
-            weights[key] = float(np.sum(p[mask] * np.log(p[mask] / (px @ py)[mask])))
+        weights = {
+            key: _plug_in_mi(_clean_distribution(table, table.size).reshape(table.shape))
+            for key, table in sorted(pair_tables.items())
+        }
         edge_list = _maximum_spanning_forest(weights, d) if weights else []
 
     adj: dict[int, list[int]] = {i: [] for i in range(d)}
     for a, b in edge_list:
         adj[a].append(b)
         adj[b].append(a)
-
-    # connected components, rooted at their smallest attribute
-    roots, comp_of = [], {}
-    for start in range(d):
-        if start in comp_of:
-            continue
-        comp = [start]
-        comp_of[start] = start
-        frontier = [start]
-        while frontier:
-            node = frontier.pop(0)
-            for nxt in sorted(adj[node]):
-                if nxt not in comp_of:
-                    comp_of[nxt] = start
-                    comp.append(nxt)
-                    frontier.append(nxt)
-        roots.append(min(comp))
 
     def base_dist(attr: int) -> np.ndarray:
         if attr in one_way:
@@ -323,13 +313,20 @@ def _build_tree_model(domain, one_way: dict, pairs: dict, edge_list=None, measur
                 return _clean_distribution(table.sum(axis=0), domain[attr])
         return np.full(domain[attr], 1.0 / domain[attr])
 
+    # one breadth-first walk per connected component, rooted at its smallest
+    # attribute, orients every edge away from the root
     attr_dist: dict[int, np.ndarray] = {}
     conditionals: dict[tuple[int, int], np.ndarray] = {}
     oriented: list[tuple[int, int]] = []
-    for root in roots:
+    roots: list[int] = []
+    visited: set[int] = set()
+    for root in range(d):
+        if root in visited:
+            continue
+        roots.append(root)
+        visited.add(root)
         attr_dist[root] = base_dist(root)
         frontier = [root]
-        visited = {root}
         while frontier:
             parent = frontier.pop(0)
             for child in sorted(adj[parent]):
@@ -415,55 +412,33 @@ def fit_mst_model(
     )
 
 
-def mst_synthesize(
-    data: EncodedDataset,
-    params: PrivacyParams | None,
-    n_out: int,
-    rng: np.random.Generator,
-    selection_fraction: float = 1.0 / 3.0,
-) -> EncodedDataset:
-    """Spanning-tree mechanism end to end: select, measure, fit, sample."""
-    model = fit_mst_model(data, params, rng, selection_fraction)
-    codes = model.sample(n_out, rng)
-    return EncodedDataset(codes, data.codebook, provenance="mst")
+def parse_workload(items) -> list[tuple[tuple, float]]:
+    """An AIM workload as ``(attrs, weight)`` pairs.
 
-
-def _validate_workload(workload, d: int) -> list[tuple[tuple[int, ...], float]]:
-    """Normalize workload items to (attrs, weight) pairs.
-
-    Items are attribute tuples, optionally weighted: ``(attrs, weight)``
-    pairs or ``{"attrs": ..., "weight": ...}`` mappings.
+    Each item is a list of one or two distinct column names, or an
+    ``{"attrs": [...], "weight": w}`` object with a positive weight (1 when
+    left out). A repeat of an earlier marginal, in any column order, is
+    dropped.
     """
-    if not workload:
-        raise MechanismError("workload must be non-empty")
-    normalized: list[tuple[tuple[int, ...], float]] = []
-    seen = set()
-    for item in workload:
-        weight = 1.0
+    if not isinstance(items, (list, tuple)):
+        raise MechanismError(f"must be a list, got {items!r}")
+    pairs, seen = [], set()
+    for item in items:
+        attrs, weight = item, 1.0
         if isinstance(item, dict):
-            attrs_raw, weight = item.get("attrs", ()), float(item.get("weight", 1.0))
-        elif (
-            len(item) == 2
-            and isinstance(item[0], (tuple, list))
-        ):
-            attrs_raw, weight = item[0], float(item[1])
-        else:
-            attrs_raw = item
-        attrs = tuple(sorted(attrs_raw))
-        if not weight > 0:
-            raise MechanismError(f"workload marginal {item}: weight must be positive")
+            attrs, weight = item.get("attrs"), item.get("weight", 1.0)
+        if not isinstance(attrs, (list, tuple)) or not all(isinstance(a, str) for a in attrs):
+            raise MechanismError(f"entry {item!r}: needs a list of column names")
         if len(attrs) not in (1, 2):
-            raise MechanismError(
-                f"workload marginal {item}: only 1- and 2-way marginals are supported"
-            )
+            raise MechanismError(f"entry {item!r}: only 1- and 2-way marginals are supported")
         if len(set(attrs)) != len(attrs):
-            raise MechanismError(f"duplicate attribute in workload marginal {item}")
-        if any(a < 0 or a >= d for a in attrs):
-            raise MechanismError(f"invalid workload attribute in {item}")
-        if attrs not in seen:
-            seen.add(attrs)
-            normalized.append((attrs, weight))
-    return normalized
+            raise MechanismError(f"entry {item!r}: duplicate column")
+        if isinstance(weight, bool) or not isinstance(weight, numbers.Real) or not weight > 0:
+            raise MechanismError(f"entry {item!r}: weight must be positive")
+        if frozenset(attrs) not in seen:
+            seen.add(frozenset(attrs))
+            pairs.append((tuple(attrs), float(weight)))
+    return pairs
 
 
 def fit_aim_model(
@@ -481,13 +456,15 @@ def fit_aim_model(
     minus the expected noise it would introduce, scaled by the workload
     weight. Selection adds Gumbel noise under the per-round selection
     budget; the chosen marginal is measured and the forest model refitted.
-    Re-measured marginals are averaged.
+    Re-measured marginals are averaged. ``workload`` holds distinct
+    ``(attrs, weight)`` pairs with sorted attribute indices and positive
+    weights.
     """
     if rounds < 1:
         raise MechanismError("rounds must be >= 1")
-    d = data.n_columns
+    if not workload:
+        raise MechanismError("workload must be non-empty")
     n = data.n_records
-    wl = _validate_workload(workload, d)
     if params is None:
         selection, sigma = None, 0.0
     else:
@@ -502,12 +479,12 @@ def fit_aim_model(
     hits: dict[tuple[int, ...], int] = {}
     measured = []
     model = _build_tree_model(domain, {}, {}, edge_list=[])
-    exact = {attrs: compute_marginal(data, attrs).counts for attrs, _ in wl}
-    max_weight = max(weight for _, weight in wl)
+    exact = {attrs: compute_marginal(data, attrs).counts for attrs, _ in workload}
+    max_weight = max(weight for _, weight in workload)
 
     for _ in range(rounds):
         best_attrs, best_score = None, -np.inf
-        for attrs, weight in wl:
+        for attrs, weight in workload:
             estimate = model.marginal(attrs) * n
             gap = float(np.abs(estimate - exact[attrs]).sum())
             penalty = sigma * math.sqrt(2.0 / math.pi) * estimate.size
@@ -532,34 +509,17 @@ def fit_aim_model(
     return model
 
 
-def aim_synthesize(
-    data: EncodedDataset,
-    workload,
-    params: PrivacyParams | None,
-    rounds: int,
-    n_out: int,
-    rng: np.random.Generator,
-    selection_fraction: float = 1.0 / 3.0,
-) -> EncodedDataset:
-    model = fit_aim_model(data, workload, params, rounds, rng, selection_fraction)
-    codes = model.sample(n_out, rng)
-    return EncodedDataset(codes, data.codebook, provenance="aim")
-
-
 @dataclass(frozen=True)
 class PacConfig:
     """Aggregate-seeded synthesiser settings.
 
-    ``k`` is the reporting length, ``eta`` the target spurious proportion,
-    ``delta_k`` the per-record contribution cap per tuple length, and
-    ``sigma_k`` the per-level base noise scale (derived from the privacy
-    budget split across the k levels when left unset).
+    ``k`` is the reporting length, ``eta`` the target spurious proportion
+    and ``delta_k`` the per-record contribution cap per tuple length.
     """
 
     k: int = 2
     eta: float = 0.01
     delta_k: float = 3.0
-    sigma_k: float | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, numbers.Integral) or self.k < 1:
@@ -568,12 +528,11 @@ class PacConfig:
             raise MechanismError(f"eta must lie in (0, 1), got {self.eta!r}")
         if not isinstance(self.delta_k, numbers.Real) or self.delta_k < 1:
             raise MechanismError(f"delta_k must be >= 1, got {self.delta_k!r}")
-        if self.sigma_k is not None and self.sigma_k < 0:
-            raise MechanismError("sigma_k must be non-negative")
 
 
-def pac_threshold(config: PacConfig, s_prev: int, v_k: int) -> float:
-    """Suppression threshold rho_k for one reporting level.
+def pac_threshold(config: PacConfig, sigma_k: float, s_prev: int, v_k: int) -> float:
+    """Suppression threshold rho_k for one reporting level of base noise
+    scale ``sigma_k``.
 
     ``rho_k = sqrt(delta_k) * sigma_k * Phi^-1(1 - eta * min(1,
     s_prev/v_k))`` with Phi the standard normal CDF; a spurious tuple then
@@ -582,10 +541,8 @@ def pac_threshold(config: PacConfig, s_prev: int, v_k: int) -> float:
     """
     if v_k <= 0:
         raise MechanismError("candidate tuple count must be positive")
-    if config.sigma_k is None:
-        raise MechanismError("sigma_k must be resolved before computing thresholds")
     quantile = 1.0 - config.eta * min(1.0, s_prev / v_k)
-    return math.sqrt(config.delta_k) * config.sigma_k * float(ndtri(quantile))
+    return math.sqrt(config.delta_k) * sigma_k * float(ndtri(quantile))
 
 
 @dataclass
@@ -601,10 +558,8 @@ class PacLevel:
 
 
 def pac_sigma(config: PacConfig, params: PrivacyParams | None) -> float:
-    """Per-level base noise scale: ``sigma_k`` when set, else the Gaussian
-    scale of the budget split equally across the ``k`` levels."""
-    if config.sigma_k is not None:
-        return config.sigma_k
+    """Per-level base noise scale: the Gaussian scale of the budget split
+    equally across the ``k`` levels (0 without a budget)."""
     if params is None:
         return 0.0
     _, per_level = split_budget(params, config.k, 0.0)
@@ -623,23 +578,22 @@ def pac_aggregate(
     whose (length-1)-sub-tuples all survived the previous level; counts are
     extracted with each record contributing to at most ``delta_k``
     attribute subsets per level; Gaussian noise with cell scale
-    ``sigma_k * sqrt(delta_k)`` is added to every candidate; candidates
+    ``pac_sigma * sqrt(delta_k)`` is added to every candidate; candidates
     below the level threshold are suppressed.
     """
     d = data.n_columns
     if config.k > d:
         raise MechanismError(f"reporting length {config.k} exceeds {d} attributes")
     sigma = pac_sigma(config, params)
-    cfg = replace(config, sigma_k=sigma)
     domain = data.codebook.domain_sizes
     n = data.n_records
-    cap = int(cfg.delta_k)
-    cell_scale = sigma * math.sqrt(cfg.delta_k)
+    cap = int(config.delta_k)
+    cell_scale = sigma * math.sqrt(config.delta_k)
 
     levels: list[PacLevel] = []
     prev_masks: dict | None = None
     s_prev = 1  # |S_0|: the empty tuple
-    for length in range(1, cfg.k + 1):
+    for length in range(1, config.k + 1):
         subsets = list(combinations(range(d), length))
         contrib = None
         if len(subsets) > cap and n > 0:
@@ -684,7 +638,7 @@ def pac_aggregate(
             s_prev = 0
             continue
 
-        rho = pac_threshold(cfg, s_prev, total_candidates)
+        rho = pac_threshold(config, sigma, s_prev, total_candidates)
         weights = {}
         kept_masks = {}
         n_survivors = 0
@@ -779,3 +733,53 @@ def uniform_synthesize(codebook: Codebook, n_out: int, rng: np.random.Generator)
         [rng.integers(0, codec.domain_size, size=n_out) for codec in codebook]
     ) if len(codebook) else np.zeros((n_out, 0), dtype=np.int64)
     return EncodedDataset(codes.astype(np.int64), codebook, provenance="uniform")
+
+
+def run_mechanism(
+    data: EncodedDataset,
+    mechanism: str,
+    params: PrivacyParams | None,
+    n_out: int,
+    rng: np.random.Generator,
+    *,
+    selection_fraction: float = 1.0 / 3.0,
+    rounds: int = 10,
+    workload=(),
+    pac: PacConfig = PacConfig(),
+) -> tuple[EncodedDataset, float, dict]:
+    """Run ``mechanism`` on ``data`` and draw ``n_out`` synthetic rows.
+
+    ``workload`` holds AIM's ``(column names, weight)`` pairs. Returns the
+    rows, the noise scale of every measurement, and the details a run
+    manifest records: the PAC settings, or the tree edges and the measured
+    marginals by column name.
+    """
+    if mechanism == "pac":
+        synthetic = pac_synthesize(data, pac, params, n_out, rng)
+        return synthetic, pac_sigma(pac, params), {"pac": dataclasses.asdict(pac)}
+    if mechanism == "mst":
+        model = fit_mst_model(data, params, rng, selection_fraction)
+    elif mechanism == "aim":
+        indexed = [
+            (tuple(sorted(data.codebook.index_of(name) for name in attrs)), weight)
+            for attrs, weight in workload
+        ]
+        model = fit_aim_model(data, indexed, params, rounds, rng, selection_fraction)
+    else:
+        raise MechanismError(f"unknown mechanism {mechanism!r} (allowed: {', '.join(MECHANISMS)})")
+    names = data.codebook.names
+    details = {
+        "tree_edges": [[names[a], names[b]] for a, b in model.edges],
+        "measured": [
+            {"attrs": [names[a] for a in item["attrs"]], "sigma": item["sigma"]}
+            for item in model.measured
+        ],
+    }
+    synthetic = EncodedDataset(model.sample(n_out, rng), data.codebook, mechanism)
+    return synthetic, model.measured[0]["sigma"], details
+
+
+def synthetic_codebook(mechanism: str, codebook: Codebook) -> Codebook:
+    """The codebook of ``mechanism``'s output for input ``codebook``: PAC
+    output may hold the reserved suppressed code in every column."""
+    return codebook.with_suppressed() if mechanism == "pac" else codebook

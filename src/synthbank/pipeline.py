@@ -44,7 +44,14 @@ from .binning import (
     write_encoded_csv,
 )
 from .decoding import KdeSpec, decode_dataset, decoded_schema
-from .mechanisms import PacConfig, fit_aim_model, fit_mst_model, pac_sigma, pac_synthesize
+from .mechanisms import (
+    MECHANISMS,
+    MechanismError,
+    PacConfig,
+    parse_workload,
+    run_mechanism,
+    synthetic_codebook,
+)
 from .population import (
     CreditPortfolioConfig,
     DepositMarketConfig,
@@ -72,14 +79,11 @@ POPULATION_CONFIGS = {
     "credit": CreditPortfolioConfig,
 }
 APPLICATIONS = tuple(POPULATION_CONFIGS)
-MECHANISMS = ("mst", "aim", "pac")
 DECODE_MODES = ("left_edge", "midpoint", "kde")
 # privacy section used when a config has none; ``privacy: null`` means no noise
 DEFAULT_PRIVACY = {"epsilon": 1.0, "delta": 1e-10}
-# config keys of the sections that build one object each
-PAC_KEYS = ("k", "eta", "delta_k")
+# config keys of the decode section that build its ``KdeSpec``
 KDE_KEYS = ("bandwidth", "grid_points")
-RULE_KEYS = ("method", "cutoffs", "k", "log_pretransform", "floor")
 CARD_YEARS = (2020, 2021)
 INPUT_FILES = {
     "fi": ("data", "schema", "unbanked"),
@@ -138,8 +142,10 @@ class PipelineConfig:
         def pick(section, key, default=None):
             return section.get(key, default) if isinstance(section, dict) else default
 
-        def build(factory, label, section, keys):
-            """``factory`` called with the given keys of ``section``; errors are collected."""
+        def build(factory, label, section, keys=None):
+            """``factory`` called with the given keys of ``section`` (by default the
+            fields of ``factory``); errors are collected."""
+            keys = keys or [f.name for f in dataclasses.fields(factory)]
             section = {} if section is None else section
             if not isinstance(section, dict):
                 errors.append(f"{label}: must be an object, got {section!r}")
@@ -219,28 +225,17 @@ class PipelineConfig:
             errors.append(f"mechanism.rounds: must be a positive integer, got {rounds!r}")
         workload = pick(mech_section, "workload")
         if workload is not None:
-            parsed_workload = []
             try:
-                for item in workload:
-                    if isinstance(item, dict):
-                        if "attrs" not in item:
-                            errors.append(f"mechanism.workload: entry {item!r} needs 'attrs'")
-                            continue
-                        parsed_workload.append(
-                            {"attrs": list(item["attrs"]), "weight": float(item.get("weight", 1.0))}
-                        )
-                    else:
-                        parsed_workload.append(list(item))
-            except (TypeError, ValueError) as exc:
+                workload = parse_workload(workload)
+            except MechanismError as exc:
                 errors.append(f"mechanism.workload: {exc}")
-            workload = parsed_workload
-        pac = build(PacConfig, "mechanism.pac", pick(mech_section, "pac"), PAC_KEYS)
+        pac = build(PacConfig, "mechanism.pac", pick(mech_section, "pac"))
         rule_overrides = doc.get("rule_overrides") or {}
         if not isinstance(rule_overrides, dict):
             errors.append(f"rule_overrides: must be an object, got {rule_overrides!r}")
             rule_overrides = {}
         parsed_overrides = {
-            name: build(BinningRule, f"rule_overrides.{name}", spec, RULE_KEYS)
+            name: build(BinningRule, f"rule_overrides.{name}", spec)
             for name, spec in rule_overrides.items()
         }
 
@@ -276,9 +271,8 @@ class PipelineConfig:
             return cls.from_dict(json.load(fh))
 
     def to_snapshot(self) -> dict:
-        """The config as JSON: ``pac`` and ``kde`` hold only their config keys."""
+        """The config as JSON: ``kde`` holds only its config keys."""
         doc = dataclasses.asdict(self)
-        doc["pac"] = {key: doc["pac"][key] for key in PAC_KEYS}
         doc["kde"] = {key: doc["kde"][key] for key in KDE_KEYS}
         return doc
 
@@ -473,52 +467,27 @@ class Pipeline:
         return self.encoded
 
     def _workload(self, names: tuple[str, ...]) -> list:
-        """The AIM workload as (attribute indices, weight) pairs."""
-        workload = []
-        for item in self.config.workload or default_workload(self.config.application):
-            attrs, weight = (
-                (item["attrs"], item.get("weight", 1.0)) if isinstance(item, dict) else (item, 1.0)
-            )
+        """The AIM workload: the config's, its columns checked against
+        ``names``, or else the application preset."""
+        for attrs, _ in self.config.workload or ():
             for name in attrs:
                 if name not in names:
                     raise PipelineConfigError([
                         f"mechanism.workload: unknown column {name!r} "
                         f"(columns: {', '.join(names)})"
                     ])
-            workload.append((tuple(names.index(name) for name in attrs), weight))
-        return workload
+        return self.config.workload or parse_workload(default_workload(self.config.application))
 
     def synthesize(self) -> EncodedDataset:
         started = time.perf_counter()
         config = self.config
         encoded = self._require_encoded()
-        names = encoded.codebook.names
-        rng = self._rng("synth")
         n_out = config.n_synthetic if config.n_synthetic is not None else encoded.n_records
-        params = config.privacy
-        if config.mechanism == "pac":
-            self.synthetic = pac_synthesize(encoded, config.pac, params, n_out, rng)
-            sigma = pac_sigma(config.pac, params)
-            details = {"pac": {key: getattr(config.pac, key) for key in PAC_KEYS}}
-        else:
-            if config.mechanism == "mst":
-                model = fit_mst_model(encoded, params, rng, config.selection_fraction)
-            else:
-                model = fit_aim_model(
-                    encoded, self._workload(names), params, config.rounds, rng,
-                    config.selection_fraction,
-                )
-            self.synthetic = EncodedDataset(
-                model.sample(n_out, rng), encoded.codebook, config.mechanism
-            )
-            sigma = model.measured[0]["sigma"]  # one sigma for every measurement
-            details = {
-                "tree_edges": [[names[a], names[b]] for a, b in model.edges],
-                "measured": [
-                    {"attrs": [names[a] for a in item["attrs"]], "sigma": item["sigma"]}
-                    for item in model.measured
-                ],
-            }
+        self.synthetic, sigma, details = run_mechanism(
+            encoded, config.mechanism, config.privacy, n_out, self._rng("synth"),
+            selection_fraction=config.selection_fraction, rounds=config.rounds,
+            workload=self._workload(encoded.codebook.names), pac=config.pac,
+        )
         self.manifest["privacy"]["sigma_per_measurement"] = sigma
         self.manifest["mechanism"].update(details)
         write_encoded_csv(self.synthetic, self.outdir / "synthetic_encoded.csv")
@@ -528,9 +497,9 @@ class Pipeline:
 
     def _require_synthetic(self) -> EncodedDataset:
         if self.synthetic is None:
-            codebook = Codebook.from_json(self.outdir / "codebook.json")
-            if self.config.mechanism == "pac":
-                codebook = codebook.with_suppressed()
+            codebook = synthetic_codebook(
+                self.config.mechanism, Codebook.from_json(self.outdir / "codebook.json")
+            )
             self.synthetic = read_encoded_csv(self.outdir / "synthetic_encoded.csv", codebook)
         return self.synthetic
 

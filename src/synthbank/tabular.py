@@ -9,8 +9,7 @@ single-threaded.
 The CSV dialect is fixed so interchange is bit-stable: comma separated,
 double-quote quoting, UTF-8, header row mandatory. Numeric cells are
 written with 12 significant digits, which is the precision the round trip
-guarantees. Missing values are rejected at ingestion; use
-:func:`filter_rows` to drop out-of-range rows up front.
+guarantees. Missing values are rejected at ingestion.
 
 :func:`write_csv` writes the bytes a per-cell :class:`csv.writer` pass
 with ``QUOTE_MINIMAL`` and ``FLOAT_FORMAT`` writes, built as numpy byte
@@ -38,7 +37,6 @@ __all__ = [
     "write_csv",
     "load_schema",
     "save_schema",
-    "filter_rows",
 ]
 
 NUMERIC = "numeric"
@@ -182,11 +180,6 @@ class Dataset:
         if not spec.is_categorical:
             raise TabularError(f"column '{name}' is numeric, has no labels")
         return np.asarray(spec.levels, dtype=object)[self.column(name)]
-
-    def take(self, row_indices) -> "Dataset":
-        """New dataset holding the selected rows (in the given order)."""
-        idx = np.asarray(row_indices)
-        return Dataset(self._schema, [col[idx] for col in self._columns], self.provenance)
 
     def _column_index(self, name: str) -> int:
         try:
@@ -522,25 +515,3 @@ def save_schema(schema, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=False)
         fh.write("\n")
-
-
-def filter_rows(dataset: Dataset, bounds: dict) -> tuple[Dataset, int]:
-    """Drop rows outside per-column inclusive numeric ranges.
-
-    ``bounds`` maps column name to ``(lo, hi)``; either end may be None.
-    Returns the filtered dataset and the number of rows dropped, mirroring
-    the ingestion rule that inconsistent rows are excluded rather than
-    imputed.
-    """
-    mask = np.ones(dataset.n_records, dtype=bool)
-    for name, (lo, hi) in bounds.items():
-        spec = dataset.spec(name)
-        if spec.is_categorical:
-            raise TabularError(f"range filter on categorical column '{name}'")
-        col = dataset.column(name)
-        if lo is not None:
-            mask &= col >= lo
-        if hi is not None:
-            mask &= col <= hi
-    kept = dataset.take(np.flatnonzero(mask))
-    return kept, int(dataset.n_records - kept.n_records)

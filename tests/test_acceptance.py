@@ -26,11 +26,10 @@ from synthbank.decoding import KdeSpec, decode_dataset
 from synthbank.mechanisms import (
     PacConfig,
     compute_marginal,
-    fit_aim_model,
     maximum_spanning_tree,
-    mst_synthesize,
     pac_aggregate,
     pac_threshold,
+    run_mechanism,
     uniform_synthesize,
 )
 from synthbank.pipeline import PipelineConfig, compare_strategies, run_pipeline
@@ -180,7 +179,7 @@ def test_criterion_3_noiseless_pipeline():
     joined, _ = active_both_filter(cards_2020, cards_2021)
     assert joined.n_records >= 95_000
     encoded = encode_dataset(joined, credit_rules("cbp"))
-    synth = mst_synthesize(encoded, None, encoded.n_records, np.random.default_rng(102))
+    synth, _, _ = run_mechanism(encoded, "mst", None, encoded.n_records, np.random.default_rng(102))
     tm_o = transition_matrix(
         encoded.column_codes("Delinquency2020"), encoded.column_codes("Delinquency2021"), 6
     )
@@ -194,7 +193,9 @@ def test_criterion_3_noiseless_pipeline():
     fi_config = FiPopulationConfig(n_individuals=400_000, periods=("2021", "2022"))
     fi_data, unbanked = generate_fi_population(fi_config, np.random.default_rng(103))
     fi_encoded = encode_dataset(fi_data, fi_rules("cbp"))
-    fi_synth = mst_synthesize(fi_encoded, None, fi_encoded.n_records, np.random.default_rng(104))
+    fi_synth, _, _ = run_mechanism(
+        fi_encoded, "mst", None, fi_encoded.n_records, np.random.default_rng(104)
+    )
     fi_decoded = decode_dataset(fi_synth, mode="left_edge")
     comp_o = pca_usage_component(build_usage_indicators(fi_data, unbanked), "original")
     comp_s = pca_usage_component(build_usage_indicators(fi_decoded, unbanked), "synthetic")
@@ -206,7 +207,9 @@ def test_criterion_3_noiseless_pipeline():
                                      periods=("2023-12",))
     deposits = generate_term_deposits(dep_config, np.random.default_rng(105))
     dep_encoded = encode_dataset(deposits, deposit_rules("cbp"))
-    dep_synth = mst_synthesize(dep_encoded, None, dep_encoded.n_records, np.random.default_rng(106))
+    dep_synth, _, _ = run_mechanism(
+        dep_encoded, "mst", None, dep_encoded.n_records, np.random.default_rng(106)
+    )
     dep_decoded = decode_dataset(dep_synth, mode="left_edge")
     curves_o = build_yield_curves(deposits, dep_encoded.codebook)
     curves_s = build_yield_curves(dep_decoded, dep_encoded.codebook)
@@ -235,9 +238,11 @@ def test_criterion_4_dp_regime_sanity():
     tm_o = transition_matrix(
         encoded.column_codes("Delinquency2020"), encoded.column_codes("Delinquency2021"), 6
     )
-    d20 = encoded.codebook.index_of("Delinquency2020")
-    d21 = encoded.codebook.index_of("Delinquency2021")
-    workload = [(d20, d21), (encoded.codebook.index_of("Debt2020"), encoded.codebook.index_of("Debt2021")), (encoded.codebook.index_of("Age2020"), encoded.codebook.index_of("Gender"))]
+    workload = [
+        (("Delinquency2020", "Delinquency2021"), 1.0),
+        (("Debt2020", "Debt2021"), 1.0),
+        (("Age2020", "Gender"), 1.0),
+    ]
 
     def frob_of(synth):
         tm_s = transition_matrix(
@@ -250,12 +255,12 @@ def test_criterion_4_dp_regime_sanity():
     for seed in range(10):
         baseline = frob_of(uniform_synthesize(encoded.codebook, n, np.random.default_rng(9000 + seed)))
         mst_rng = np.random.default_rng(1000 + seed)
-        mst_err = frob_of(mst_synthesize(encoded, params, n, mst_rng))
+        mst_err = frob_of(run_mechanism(encoded, "mst", params, n, mst_rng)[0])
         aim_rng = np.random.default_rng(2000 + seed)
-        model = fit_aim_model(encoded, workload, params, rounds=6, rng=aim_rng)
-        from synthbank.binning import EncodedDataset
-
-        aim_err = frob_of(EncodedDataset(model.sample(n, aim_rng), encoded.codebook))
+        aim_synth, _, _ = run_mechanism(
+            encoded, "aim", params, n, aim_rng, rounds=6, workload=workload
+        )
+        aim_err = frob_of(aim_synth)
         assert mst_err < 1.0 and aim_err < 1.0, (mst_err, aim_err)
         wins["mst"] += mst_err < baseline
         wins["aim"] += aim_err < baseline
@@ -268,9 +273,9 @@ def test_criterion_4_dp_regime_sanity():
 
 @criterion(5, "aggregate suppression of a planted singleton; threshold arithmetic")
 def test_criterion_5_pac_suppression():
-    rho = pac_threshold(PacConfig(k=2, eta=0.025, delta_k=3.0, sigma_k=1.0), 10, 10)
+    rho = pac_threshold(PacConfig(k=2, eta=0.025, delta_k=3.0), 1.0, 10, 10)
     assert abs(rho - math.sqrt(3.0) * 1.959964) < 1e-4
-    assert abs(pac_threshold(PacConfig(k=2, eta=0.5, delta_k=3.0, sigma_k=1.0), 10, 10)) < 1e-4
+    assert abs(pac_threshold(PacConfig(k=2, eta=0.5, delta_k=3.0), 1.0, 10, 10)) < 1e-4
 
     rng = np.random.default_rng(301)
     n = 100_000

@@ -9,18 +9,19 @@ from scipy.special import ndtr
 
 from synthbank.binning import encode_dataset
 from synthbank.mechanisms import (
+    MECHANISMS,
     MechanismError,
     PacConfig,
-    aim_synthesize,
     compute_marginal,
     fit_aim_model,
     fit_mst_model,
     maximum_spanning_tree,
-    mst_synthesize,
     mutual_information,
     pac_aggregate,
     pac_synthesize,
     pac_threshold,
+    parse_workload,
+    run_mechanism,
     uniform_synthesize,
 )
 from synthbank.population import DepositMarketConfig, generate_term_deposits
@@ -148,7 +149,7 @@ def test_mst_noiseless_copy_column():
     rng = np.random.default_rng(7)
     a = rng.integers(0, 4, 2000)
     data = make_encoded(np.column_stack([a, a]), (4, 4))
-    synth = mst_synthesize(data, None, 2000, np.random.default_rng(1))
+    synth, _, _ = run_mechanism(data, "mst", None, 2000, np.random.default_rng(1))
     assert np.array_equal(synth.codes[:, 0], synth.codes[:, 1])
 
 
@@ -158,7 +159,7 @@ def test_mst_noiseless_single_column_frequencies():
     a = rng.choice(4, size=20_000, p=probs)
     data = make_encoded(a, (4,))
     n_out = 100_000
-    synth = mst_synthesize(data, None, n_out, np.random.default_rng(2))
+    synth, _, _ = run_mechanism(data, "mst", None, n_out, np.random.default_rng(2))
     source_freq = np.bincount(a, minlength=4) / a.size
     synth_freq = np.bincount(synth.codes[:, 0], minlength=4) / n_out
     for p, phat in zip(source_freq, synth_freq):
@@ -168,7 +169,7 @@ def test_mst_noiseless_single_column_frequencies():
 
 def test_mst_n_out_zero():
     data = make_encoded([[0, 1], [1, 0]], (2, 2))
-    synth = mst_synthesize(data, None, 0, np.random.default_rng(3))
+    synth, _, _ = run_mechanism(data, "mst", None, 0, np.random.default_rng(3))
     assert synth.n_records == 0
     assert synth.codebook.domain_sizes == data.codebook.domain_sizes
 
@@ -176,7 +177,7 @@ def test_mst_n_out_zero():
 def test_mst_empty_noiseless_errors():
     data = make_encoded(np.zeros((0, 2), dtype=np.int64), (2, 2))
     with pytest.raises(MechanismError, match="empty input"):
-        mst_synthesize(data, None, 10, np.random.default_rng(4))
+        fit_mst_model(data, None, np.random.default_rng(4))
 
 
 def test_mst_noiseless_model_marginals_exact():
@@ -209,12 +210,15 @@ def test_mechanisms_deterministic_under_seed():
     codes = np.column_stack([rng.integers(0, 3, 800), rng.integers(0, 4, 800)])
     data = make_encoded(codes, (3, 4))
     params = PrivacyParams(1.0, 1e-10)
-    for fn in (
-        lambda s: mst_synthesize(data, params, 500, np.random.default_rng(s)),
-        lambda s: aim_synthesize(data, [(0, 1)], params, 3, 500, np.random.default_rng(s)),
-        lambda s: pac_synthesize(data, PacConfig(k=2), params, 500, np.random.default_rng(s)),
-        lambda s: uniform_synthesize(data.codebook, 500, np.random.default_rng(s)),
-    ):
+    runs = [
+        lambda s, name=name: run_mechanism(
+            data, name, params, 500, np.random.default_rng(s),
+            rounds=3, workload=[(("a0", "a1"), 1.0)],
+        )[0]
+        for name in MECHANISMS
+    ]
+    runs.append(lambda s: uniform_synthesize(data.codebook, 500, np.random.default_rng(s)))
+    for fn in runs:
         first = fn(123)
         second = fn(123)
         assert np.array_equal(first.codes, second.codes)
@@ -235,7 +239,9 @@ def chain_fixture(n=20_000, seed=23):
 
 def test_aim_single_round_single_marginal():
     data = chain_fixture(2000)
-    model = fit_aim_model(data, [(0, 1)], PrivacyParams(1.0, 1e-10), 1, np.random.default_rng(7))
+    model = fit_aim_model(
+        data, [((0, 1), 1.0)], PrivacyParams(1.0, 1e-10), 1, np.random.default_rng(7)
+    )
     assert len(model.measured) == 1
     assert tuple(model.measured[0]["attrs"]) == (0, 1)
 
@@ -244,7 +250,10 @@ def test_aim_high_budget_recovers_all_pairs():
     data = chain_fixture()
     workload = [(0, 1), (0, 2), (1, 2)]
     params = PrivacyParams(1e6, 1e-10)
-    synth = aim_synthesize(data, workload, params, 8, data.n_records, np.random.default_rng(8))
+    synth, _, _ = run_mechanism(
+        data, "aim", params, data.n_records, np.random.default_rng(8), rounds=8,
+        workload=[((f"a{a}", f"a{b}"), 1.0) for a, b in workload],
+    )
     for attrs in workload:
         tv = tv_distance(
             compute_marginal(data, attrs).counts, compute_marginal(synth, attrs).counts
@@ -254,8 +263,8 @@ def test_aim_high_budget_recovers_all_pairs():
 
 def test_aim_invalid_workload():
     data = chain_fixture(100)
-    with pytest.raises(MechanismError, match="invalid workload attribute"):
-        fit_aim_model(data, [(0, 9)], None, 1, np.random.default_rng(9))
+    with pytest.raises(MechanismError, match="out of range"):
+        fit_aim_model(data, [((0, 9), 1.0)], None, 1, np.random.default_rng(9))
     with pytest.raises(MechanismError, match="non-empty"):
         fit_aim_model(data, [], None, 1, np.random.default_rng(9))
 
@@ -271,8 +280,11 @@ def test_aim_prioritized_pair_beats_mst():
     n = enc.n_records
     aim_tv, mst_tv = [], []
     for seed in range(20):
-        synth_a = aim_synthesize(enc, [pair], params, 1, n, np.random.default_rng(1000 + seed))
-        synth_m = mst_synthesize(enc, params, n, np.random.default_rng(2000 + seed))
+        synth_a, _, _ = run_mechanism(
+            enc, "aim", params, n, np.random.default_rng(1000 + seed),
+            rounds=1, workload=[(("Period", "InterestRate"), 1.0)],
+        )
+        synth_m, _, _ = run_mechanism(enc, "mst", params, n, np.random.default_rng(2000 + seed))
         aim_tv.append(tv_distance(exact, compute_marginal(synth_a, pair).counts))
         mst_tv.append(tv_distance(exact, compute_marginal(synth_m, pair).counts))
     assert np.mean(aim_tv) <= np.mean(mst_tv), (np.mean(aim_tv), np.mean(mst_tv))
@@ -281,21 +293,21 @@ def test_aim_prioritized_pair_beats_mst():
 # ------------------------------------------------------------------- PAC
 
 def test_pac_threshold_median_case():
-    cfg = PacConfig(k=2, eta=0.5, delta_k=3.0, sigma_k=1.0)
-    assert abs(pac_threshold(cfg, 10, 10)) < 1e-12  # quantile 0.5 -> 0
+    cfg = PacConfig(k=2, eta=0.5, delta_k=3.0)
+    assert abs(pac_threshold(cfg, 1.0, 10, 10)) < 1e-12  # quantile 0.5 -> 0
 
 
 def test_pac_threshold_normal_quantile():
-    cfg = PacConfig(k=2, eta=0.025, delta_k=3.0, sigma_k=1.0)
-    rho = pac_threshold(cfg, 10, 10)
+    cfg = PacConfig(k=2, eta=0.025, delta_k=3.0)
+    rho = pac_threshold(cfg, 1.0, 10, 10)
     assert abs(rho - math.sqrt(3.0) * 1.959964) < 1e-4
 
 
 def test_pac_threshold_spurious_bound_consistency():
     for eta in (0.5, 0.025):
-        cfg = PacConfig(k=2, eta=eta, delta_k=3.0, sigma_k=1.0)
-        rho = pac_threshold(cfg, 10, 10)
-        bound = 1.0 - ndtr(rho / (cfg.sigma_k * math.sqrt(cfg.delta_k)))
+        cfg = PacConfig(k=2, eta=eta, delta_k=3.0)
+        rho = pac_threshold(cfg, 1.0, 10, 10)
+        bound = 1.0 - ndtr(rho / (1.0 * math.sqrt(cfg.delta_k)))
         assert abs(bound - eta) < 1e-10
 
 
@@ -333,7 +345,7 @@ def test_pac_suppresses_more_combinations_than_mst():
     data = make_encoded(np.column_stack([a, b, c]), (10, 8, 6))
     params = PrivacyParams(1.0, 1e-10)
     pac_out = pac_synthesize(data, PacConfig(k=2), params, n, np.random.default_rng(18))
-    mst_out = mst_synthesize(data, params, n, np.random.default_rng(18))
+    mst_out, _, _ = run_mechanism(data, "mst", params, n, np.random.default_rng(18))
     pac_distinct = len({tuple(r) for r in pac_out.codes.tolist()})
     mst_distinct = len({tuple(r) for r in mst_out.codes.tolist()})
     assert pac_distinct < mst_distinct
@@ -384,6 +396,29 @@ def test_aim_weight_prioritizes_marginal():
 
 
 def test_aim_weight_must_be_positive():
-    data = chain_fixture(100)
-    with pytest.raises(MechanismError, match="weight"):
-        fit_aim_model(data, [((0, 1), 0.0)], None, 1, np.random.default_rng(31))
+    with pytest.raises(MechanismError, match="weight must be positive"):
+        parse_workload([{"attrs": ["a0", "a1"], "weight": 0.0}])
+
+
+def test_parse_workload_normalises_and_drops_repeats():
+    workload = parse_workload(
+        [{"attrs": ["a2", "a0"], "weight": 3}, ["a1"], ["a0", "a2"], {"attrs": ["a1", "a2"]}]
+    )
+    assert workload == [(("a2", "a0"), 3.0), (("a1",), 1.0), (("a1", "a2"), 1.0)]
+
+
+def test_run_mechanism_resolves_workload_names_in_any_order():
+    data = chain_fixture(2000)
+    workload = [(("a2", "a0"), 1.0), (("a1",), 1.0)]
+    _, sigma, details = run_mechanism(
+        data, "aim", None, 10, np.random.default_rng(32), rounds=2, workload=workload
+    )
+    model = fit_aim_model(
+        data, [((0, 2), 1.0), ((1,), 1.0)], None, 2, np.random.default_rng(32)
+    )
+    names = data.codebook.names
+    assert sigma == 0.0
+    assert details["measured"] == [
+        {"attrs": [names[a] for a in item["attrs"]], "sigma": 0.0} for item in model.measured
+    ]
+    assert details["tree_edges"] == [[names[a], names[b]] for a, b in model.edges]

@@ -348,7 +348,7 @@ def test_manifest_sigma_is_the_measured_sigma(tmp_path, mechanism):
         assert manifest["mechanism"]["tree_edges"]
 
 
-def test_unknown_workload_column_is_named(tmp_path):
+def test_unknown_workload_column_is_named(tmp_path, capsys):
     doc = credit_config(
         tmp_path, mechanism={"name": "aim", "workload": [["Gender", "Income"]]}
     )
@@ -357,6 +357,11 @@ def test_unknown_workload_column_is_named(tmp_path):
     message = str(err.value)
     assert "mechanism.workload: unknown column 'Income'" in message
     assert "Delinquency2021" in message and "Gender" in message
+    # the columns are known only after encode, so the CLI reports it from a stage
+    assert cli_main(["pipeline", "--config", str(write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert "config error: mechanism.workload: unknown column 'Income'" in err
+    assert "failed" not in err
 
 
 @pytest.mark.parametrize(
@@ -384,10 +389,34 @@ def test_unknown_workload_column_is_named(tmp_path):
             {"input": {"files": {"cards_2020": "a.csv"}}},
             "input.files: missing keys ['schema_2020', 'cards_2021', 'schema_2021']",
         ),
+        (
+            {"mechanism": {"name": "aim", "workload": "Gender"}},
+            "mechanism.workload: must be a list, got 'Gender'",
+        ),
+        (
+            {"mechanism": {"name": "aim", "workload": [{"weight": 2.0}]}},
+            "mechanism.workload: entry {'weight': 2.0}: needs a list of column names",
+        ),
+        (
+            {"mechanism": {"name": "aim", "workload": [["Gender", "Age2020", "Debt2020"]]}},
+            "mechanism.workload: entry ['Gender', 'Age2020', 'Debt2020']: "
+            "only 1- and 2-way marginals are supported",
+        ),
+        (
+            {"mechanism": {"name": "aim", "workload": [["Gender", "Gender"]]}},
+            "mechanism.workload: entry ['Gender', 'Gender']: duplicate column",
+        ),
+        (
+            {"mechanism": {"name": "aim", "workload": [{"attrs": ["Gender"], "weight": -1}]}},
+            "mechanism.workload: entry {'attrs': ['Gender'], 'weight': -1}: "
+            "weight must be positive",
+        ),
     ],
     ids=["top-level-list", "pac-not-object", "pac-k-zero", "rule-overrides-list",
          "selection-fraction-string", "epsilon-string", "grid-points-string", "negative-bandwidth",
-         "unknown-datagen-key", "missing-input-files"],
+         "unknown-datagen-key", "missing-input-files", "workload-not-list",
+         "workload-entry-without-attrs", "workload-three-way", "workload-repeated-column",
+         "workload-negative-weight"],
 )
 def test_cli_bad_config_fields_are_config_errors(tmp_path, capsys, doc, message):
     if isinstance(doc, dict):

@@ -16,7 +16,6 @@ from synthbank.tabular import (
     ColumnSpec,
     Dataset,
     TabularError,
-    filter_rows,
     load_schema,
     read_csv,
     save_schema,
@@ -141,13 +140,6 @@ def test_schema_json_round_trip(tmp_path):
     path = tmp_path / "schema.json"
     save_schema(SCHEMA, path)
     assert load_schema(path) == SCHEMA
-
-
-def test_filter_rows_reports_drop_count():
-    ds = Dataset(SCHEMA, [np.array([15.0, 30.0, 120.0, 45.0]), np.array([0, 1, 0, 1])])
-    kept, dropped = filter_rows(ds, {"age": (18.0, 110.0)})
-    assert dropped == 2
-    assert np.array_equal(kept.column("age"), [30.0, 45.0])
 
 
 def test_duplicate_levels_rejected():
