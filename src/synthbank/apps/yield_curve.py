@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
 
 from ..binning import Codebook, assign_codes
 from ..tabular import Dataset
@@ -208,32 +209,30 @@ def lowess(x, y, frac: float = 2.0 / 3.0, iters: int = 3) -> np.ndarray:
         raise YieldError("frac too small: window must hold at least 2 points")
 
     dist = np.abs(x[:, None] - x[None, :])
-    h = np.sort(dist, axis=1)[:, r - 1]
-    base = np.zeros_like(dist)
-    for i in range(n):
-        if h[i] == 0:
-            base[i] = (dist[i] == 0).astype(np.float64)
-        else:
-            u = np.clip(dist[i] / h[i], 0.0, 1.0)
-            base[i] = (1.0 - u**3) ** 3
+    h = np.sort(dist, axis=1)[:, r - 1][:, None]
+    # a row whose window has zero width weights its ties alone; each
+    # division is made only on the rows whose branch takes it
+    u = np.clip(np.divide(dist, h, out=np.zeros_like(dist), where=h > 0), 0.0, 1.0)
+    base = np.where(h == 0, (dist == 0).astype(np.float64), (1.0 - u**3) ** 3)
 
     delta = np.ones(n)
     fitted = np.zeros(n)
     for _ in range(iters + 1):
-        for i in range(n):
-            w = base[i] * delta
-            sw = w.sum()
-            swx = (w * x).sum()
-            swx2 = (w * x * x).sum()
-            swy = (w * y).sum()
-            swxy = (w * x * y).sum()
-            det = sw * swx2 - swx * swx
-            if abs(det) <= 1e-12 * max(sw * swx2, 1e-300):
-                fitted[i] = swy / sw if sw > 0 else y[i]
-            else:
-                slope = (sw * swxy - swx * swy) / det
-                intercept = (swy - slope * swx) / sw
-                fitted[i] = intercept + slope * x[i]
+        w = base * delta
+        sw = w.sum(axis=1)
+        swx = (w * x).sum(axis=1)
+        swx2 = (w * x * x).sum(axis=1)
+        swy = (w * y).sum(axis=1)
+        swxy = (w * x * y).sum(axis=1)
+        det = sw * swx2 - swx * swx
+        degenerate = np.abs(det) <= 1e-12 * np.maximum(sw * swx2, 1e-300)
+        # a degenerate window takes the weighted mean, and the point's own
+        # rate when it has no weight at all
+        mean = np.divide(swy, sw, out=y.copy(), where=sw > 0)
+        line = ~degenerate
+        slope = np.divide(sw * swxy - swx * swy, det, out=np.zeros(n), where=line)
+        intercept = np.divide(swy - slope * swx, sw, out=np.zeros(n), where=line)
+        fitted = np.where(degenerate, mean, intercept + slope * x)
         residuals = y - fitted
         s = float(np.median(np.abs(residuals)))
         if s == 0:
@@ -287,6 +286,29 @@ def nss_eval(params: NssParams, t) -> np.ndarray | float:
 DEFAULT_TAU_GRID = (15.0, 30.0, 60.0, 120.0, 240.0, 480.0, 960.0, 1920.0, 3600.0)
 
 
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares solutions and ranks of a stack of systems in one call.
+
+    ``a`` is ``(k, m, n)`` and ``b`` is ``(m,)``; returns the ``(k, n)``
+    solutions and the ``(k,)`` ranks. This is the gufunc call of
+    ``np.linalg.lstsq`` with its default ``rcond``, made once for the whole
+    stack: every matrix gets the bits and the rank of its own
+    ``np.linalg.lstsq(a[i], b, rcond=None)``, and an SVD that does not
+    converge raises ``LinAlgError`` in the same way.
+    """
+    m, n = a.shape[-2:]
+    rcond = np.finfo(np.float64).eps * max(m, n)
+    with np.errstate(
+        call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        x, _, rank, _ = _lstsq_gufunc(a, b[:, None], rcond, signature="ddd->ddid")
+    return x[..., 0], rank
+
+
 def nss_fit(
     terms,
     rates,
@@ -308,6 +330,16 @@ def nss_fit(
     generous rate-unit bound, otherwise the fit falls back through the
     nested bases (drop the second hump, then the first, then slope).
     A rank-deficient four-factor basis additionally warns.
+
+    Cells are solved in batches: the whole grid is one batch, and each
+    refinement round is one batch per ``tau1`` row. A row's ``tau2`` values
+    come from the best cell after the previous row, so a round cannot be
+    one batch without changing which cells are tried. The four-factor
+    solves of a batch are one stacked LAPACK call (:func:`_lstsq_stack`);
+    the narrower bases depend on ``tau1`` alone (width 1 on no decay time
+    at all), so each is solved at most once per fit. Within a batch the
+    cells are compared in the order a cell-by-cell search visits them, and
+    the first cell to beat the best by more than 1e-15 wins.
     """
     t = np.asarray(terms, dtype=np.float64)
     y = np.asarray(rates, dtype=np.float64)
@@ -321,67 +353,106 @@ def nss_fit(
     if np.any(w <= 0):
         raise YieldError("weights must be positive")
     sw = np.sqrt(w / w.sum())
+    yw = y * sw
 
     saw_rank_deficiency = False
     beta_cap = 50.0  # rates live in percent; honest curve shapes stay far below
 
-    # weighted basis columns of one decay time, by the expressions of
+    # weighted basis columns of each decay time, by the expressions of
     # _nss_basis: [1, f1, f2] serve as tau1's first three columns and f2
     # as tau2's f3
     columns = {}
 
-    def tau_columns(tau: float) -> np.ndarray:
-        if tau not in columns:
-            u = t / tau
+    def add_columns(taus) -> None:
+        new = [tau for tau in taus if tau not in columns]
+        if new:
+            u = t / np.array(new, dtype=np.float64)[:, None]
             f1 = -np.expm1(-u) / u
-            columns[tau] = np.column_stack([np.ones_like(t), f1, f1 - np.exp(-u)]) * sw[:, None]
-        return columns[tau]
+            basis = np.stack([np.ones_like(u), f1, f1 - np.exp(-u)], axis=2) * sw[:, None]
+            columns.update(zip(new, basis))
 
-    def solve(tau1: float, tau2: float):
-        nonlocal saw_rank_deficiency
-        basis_w = np.concatenate([tau_columns(tau1), tau_columns(tau2)[:, 2:]], axis=1)
-        yw = y * sw
-        widths = (4, 3, 2, 1) if tau1 != tau2 else (3, 2, 1)
-        beta = np.zeros(4)
-        for ncols in widths:
-            sub, _, rank, _ = np.linalg.lstsq(basis_w[:, :ncols], yw, rcond=None)
-            if ncols == 4 and rank < 4:
-                saw_rank_deficiency = True
-                continue
+    # the betas of a cell whose four-factor solve is rejected: the first of
+    # widths 3, 2, 1 within the cap. Widths 3 and 2 use tau1's columns
+    # alone, and width 1 no decay time, so its betas are kept under None.
+    fallbacks = {}  # tau1 -> betas
+
+    def add_fallbacks(tau1s) -> None:
+        pending = [tau for tau in dict.fromkeys(tau1s) if tau not in fallbacks]
+        for ncols in (3, 2):
+            if not pending:
+                return
+            sub, _ = _lstsq_stack(np.stack([columns[tau][:, :ncols] for tau in pending]), yw)
+            within = np.max(np.abs(sub), axis=1) <= beta_cap
+            for tau, beta, ok in zip(pending, sub, within):
+                if ok:
+                    fallbacks[tau] = np.concatenate([beta, np.zeros(4 - ncols)])
+            pending = [tau for tau in pending if tau not in fallbacks]
+        if pending and None not in fallbacks:
+            beta = np.zeros(4)
+            (sub,), _ = _lstsq_stack(columns[pending[0]][None, :, :1], yw)
             if np.max(np.abs(sub)) <= beta_cap:
-                beta[:ncols] = sub
-                break
-        else:
-            # intercept-only: the weighted mean rate, always within the cap
-            beta[0] = float(np.sum(yw * sw))
-        rmse = float(np.sqrt(np.sum((basis_w @ beta - yw) ** 2)))
-        return beta, rmse
+                beta[:1] = sub
+            else:
+                # intercept-only: the weighted mean rate, always within the cap
+                beta[0] = float(np.sum(yw * sw))
+            fallbacks[None] = beta
+        for tau in pending:
+            fallbacks[tau] = fallbacks[None]
+
+    def solve(cells: list) -> tuple[np.ndarray, list]:
+        nonlocal saw_rank_deficiency
+        add_columns(dict.fromkeys(tau for cell in cells for tau in cell))
+        basis_w = np.concatenate(
+            [
+                np.stack([columns[tau1] for tau1, _ in cells]),
+                np.stack([columns[tau2][:, 2:] for _, tau2 in cells]),
+            ],
+            axis=2,
+        )
+        betas = np.zeros((len(cells), 4))
+        accepted = np.zeros(len(cells), dtype=bool)
+        full = np.array([tau1 != tau2 for tau1, tau2 in cells])
+        if full.any():
+            sub, rank = _lstsq_stack(basis_w[full], yw)
+            deficient = rank < 4
+            saw_rank_deficiency |= bool(deficient.any())
+            betas[full] = sub
+            accepted[full] = ~deficient & (np.max(np.abs(sub), axis=1) <= beta_cap)
+        rejected = np.flatnonzero(~accepted).tolist()  # their betas are replaced
+        add_fallbacks(cells[i][0] for i in rejected)
+        for i in rejected:
+            betas[i] = fallbacks[cells[i][0]]
+        residuals = (basis_w @ betas[:, :, None])[:, :, 0] - yw
+        return betas, np.sqrt(np.sum(residuals**2, axis=1)).tolist()
 
     # a cell solved again gives the same rmse, which cannot beat the best
     # by the 1e-15 margin, so every cell is solved at most once
     solved = set()
     best = None  # (rmse, tau1, tau2, beta)
 
-    def consider(tau1: float, tau2: float) -> None:
+    def consider(cells) -> None:
         nonlocal best
-        if (tau1, tau2) in solved:
+        fresh = []
+        for cell in cells:
+            if cell not in solved:
+                solved.add(cell)
+                fresh.append(cell)
+        if not fresh:
             return
-        solved.add((tau1, tau2))
-        beta, rmse = solve(tau1, tau2)
-        if best is None or rmse < best[0] - 1e-15:
-            best = (rmse, tau1, tau2, beta)
+        betas, rmses = solve(fresh)
+        for (tau1, tau2), beta, rmse in zip(fresh, betas, rmses):
+            if best is None or rmse < best[0] - 1e-15:
+                best = (rmse, tau1, tau2, beta)
 
-    for tau1 in tau_grid:
-        for tau2 in tau_grid:
-            consider(tau1, tau2)
+    consider([(tau1, tau2) for tau1 in tau_grid for tau2 in tau_grid])
     grid_best = best[0]
 
     tau_lo, tau_hi = min(tau_grid) / 2.0, max(tau_grid) * 2.0
+    factors = np.geomspace(0.6, 1.0 / 0.6, 7)
     for _ in range(refine_rounds):
-        factors = np.geomspace(0.6, 1.0 / 0.6, 7)
         for tau1 in np.clip(best[1] * factors, tau_lo, tau_hi):
-            for tau2 in np.clip(best[2] * factors, tau_lo, tau_hi):
-                consider(float(tau1), float(tau2))
+            tau2_row = np.clip(best[2] * factors, tau_lo, tau_hi)
+            consider([(float(tau1), float(tau2)) for tau2 in tau2_row])
 
     assert best[0] <= grid_best + 1e-12  # refinement only ever improves
     if saw_rank_deficiency:

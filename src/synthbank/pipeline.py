@@ -84,6 +84,19 @@ DECODE_MODES = ("left_edge", "midpoint", "kde")
 DEFAULT_PRIVACY = {"epsilon": 1.0, "delta": 1e-10}
 # config keys of the decode section that build its ``KdeSpec``
 KDE_KEYS = ("bandwidth", "grid_points")
+# keys of the config sections whose keys are fixed; ``mechanism.pac`` and
+# ``rule_overrides.<column>`` take the fields of their dataclass, and
+# ``input.datagen`` and ``input.files`` depend on the application
+SECTION_KEYS = {
+    "config": (
+        "application", "strategy", "mechanism", "privacy", "decode", "input",
+        "rule_overrides", "n_synthetic", "seed", "output",
+    ),
+    "mechanism": ("name", "selection_fraction", "rounds", "workload", "pac"),
+    "privacy": ("epsilon", "delta"),
+    "decode": ("mode", *KDE_KEYS),
+    "input": ("datagen", "files"),
+}
 CARD_YEARS = (2020, 2021)
 INPUT_FILES = {
     "fi": ("data", "schema", "unbanked"),
@@ -142,10 +155,19 @@ class PipelineConfig:
         def pick(section, key, default=None):
             return section.get(key, default) if isinstance(section, dict) else default
 
+        def check_keys(label, section, keys, suffix=""):
+            if isinstance(section, dict):
+                unknown = sorted(set(section) - set(keys), key=str)
+                if unknown:
+                    errors.append(f"{label}: unknown keys {unknown}{suffix}")
+
         def build(factory, label, section, keys=None):
             """``factory`` called with the given keys of ``section`` (by default the
-            fields of ``factory``); errors are collected."""
-            keys = keys or [f.name for f in dataclasses.fields(factory)]
+            fields of ``factory``, and then no other key is allowed); errors are
+            collected."""
+            if keys is None:
+                keys = [f.name for f in dataclasses.fields(factory)]
+                check_keys(label, section, keys)
             section = {} if section is None else section
             if not isinstance(section, dict):
                 errors.append(f"{label}: must be an object, got {section!r}")
@@ -156,6 +178,7 @@ class PipelineConfig:
                 errors.append(f"{label}: {exc}")
                 return None
 
+        check_keys("config", doc, SECTION_KEYS["config"])
         application = doc.get("application")
         if application not in APPLICATIONS:
             errors.append(
@@ -169,6 +192,7 @@ class PipelineConfig:
         mech_section = doc.get("mechanism", {})
         if isinstance(mech_section, str):
             mech_section = {"name": mech_section}
+        check_keys("mechanism", mech_section, SECTION_KEYS["mechanism"])
         mechanism = pick(mech_section, "name")
         if mechanism not in MECHANISMS:
             errors.append(
@@ -177,6 +201,7 @@ class PipelineConfig:
         privacy = doc.get("privacy", DEFAULT_PRIVACY)
         epsilon = delta = None
         if privacy is not None:
+            check_keys("privacy", privacy, SECTION_KEYS["privacy"])
             epsilon = pick(privacy, "epsilon")
             delta = pick(privacy, "delta")
             if not isinstance(epsilon, numbers.Real) or not epsilon > 0:
@@ -184,6 +209,7 @@ class PipelineConfig:
             if not isinstance(delta, numbers.Real) or not 0 < delta < 1:
                 errors.append(f"privacy.delta: must lie in (0, 1), got {delta!r}")
         decode = doc.get("decode", {})
+        check_keys("decode", decode, SECTION_KEYS["decode"])
         decode_mode = pick(decode, "mode", "left_edge")
         if decode_mode not in DECODE_MODES:
             errors.append(
@@ -198,6 +224,7 @@ class PipelineConfig:
             errors.append(f"seed: must be a non-negative integer, got {seed!r}")
 
         input_section = doc.get("input", {"datagen": {}})
+        check_keys("input", input_section, SECTION_KEYS["input"])
         datagen = pick(input_section, "datagen")
         files = pick(input_section, "files")
         if datagen is None and files is None:
@@ -205,15 +232,14 @@ class PipelineConfig:
         for key, section in (("datagen", datagen), ("files", files)):
             if section is not None and not isinstance(section, dict):
                 errors.append(f"input.{key}: must be an object, got {section!r}")
-        if isinstance(datagen, dict) and application in APPLICATIONS:
-            known = {f.name for f in dataclasses.fields(POPULATION_CONFIGS[application])}
-            unknown = sorted(set(datagen) - known)
-            if unknown:
-                errors.append(f"input.datagen: unknown keys {unknown} for {application}")
-        if isinstance(files, dict) and application in APPLICATIONS:
-            missing = [key for key in INPUT_FILES[application] if key not in files]
-            if missing:
-                errors.append(f"input.files: missing keys {missing}")
+        if application in APPLICATIONS:
+            known = [f.name for f in dataclasses.fields(POPULATION_CONFIGS[application])]
+            check_keys("input.datagen", datagen, known, f" for {application}")
+            check_keys("input.files", files, INPUT_FILES[application])
+            if isinstance(files, dict):
+                missing = [key for key in INPUT_FILES[application] if key not in files]
+                if missing:
+                    errors.append(f"input.files: missing keys {missing}")
 
         selection_fraction = pick(mech_section, "selection_fraction", 1.0 / 3.0)
         if not isinstance(selection_fraction, numbers.Real) or not 0 <= selection_fraction < 1:

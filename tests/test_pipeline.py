@@ -411,12 +411,35 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
             "mechanism.workload: entry {'attrs': ['Gender'], 'weight': -1}: "
             "weight must be positive",
         ),
+        ({"mechanism": {"name": "aim", "round": 3}}, "mechanism: unknown keys ['round']"),
+        (
+            {"mechanism": {"name": "pac", "pac": {"etaa": 0.5}}},
+            "mechanism.pac: unknown keys ['etaa']",
+        ),
+        ({"decode": {"mode": "kde", "bandwith": 0.1}}, "decode: unknown keys ['bandwith']"),
+        ({"sed": 3, "outptu": "x"}, "config: unknown keys ['outptu', 'sed']"),
+        (
+            {"privacy": {"epsilon": 1.0, "delta": 1e-10, "eps": 2.0}},
+            "privacy: unknown keys ['eps']",
+        ),
+        ({"input": {"datagen": {}, "file": {}}}, "input: unknown keys ['file']"),
+        (
+            {"input": {"files": {"cards_2020": "a", "schema_2020": "b", "cards_2021": "c",
+                                 "schema_2021": "d", "data": "e"}}},
+            "input.files: unknown keys ['data']",
+        ),
+        (
+            {"rule_overrides": {"Debt2020": {"method": "equal_frequency", "k": 4, "bins": 5}}},
+            "rule_overrides.Debt2020: unknown keys ['bins']",
+        ),
     ],
     ids=["top-level-list", "pac-not-object", "pac-k-zero", "rule-overrides-list",
          "selection-fraction-string", "epsilon-string", "grid-points-string", "negative-bandwidth",
          "unknown-datagen-key", "missing-input-files", "workload-not-list",
          "workload-entry-without-attrs", "workload-three-way", "workload-repeated-column",
-         "workload-negative-weight"],
+         "workload-negative-weight", "unknown-mechanism-key", "unknown-pac-key",
+         "unknown-decode-key", "unknown-top-level-keys", "unknown-privacy-key",
+         "unknown-input-key", "unknown-input-files-key", "unknown-rule-override-key"],
 )
 def test_cli_bad_config_fields_are_config_errors(tmp_path, capsys, doc, message):
     if isinstance(doc, dict):

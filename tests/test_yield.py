@@ -14,6 +14,7 @@ from synthbank.apps.yield_curve import (
     YieldCurve,
     YieldError,
     YieldPoint,
+    _lstsq_stack,
     _nss_basis,
     build_yield_curves,
     lowess,
@@ -157,7 +158,7 @@ def test_lowess_constant():
     assert np.max(np.abs(lowess(x, y) - 3.25)) < 1e-12
 
 
-def reference_lowess(x, y, frac, iters):
+def independent_lowess(x, y, frac, iters):
     """Independently coded dense implementation of the same conventions."""
     n = len(x)
     r = max(2, min(n, int(math.ceil(frac * n))))
@@ -195,7 +196,7 @@ def test_lowess_matches_reference_on_noisy_sine():
     x = np.sort(rng.uniform(0, 4 * np.pi, 80))
     y = np.sin(x) + rng.normal(0, 0.3, 80)
     got = lowess(x, y, frac=0.4, iters=3)
-    want = reference_lowess(x, y, 0.4, 3)
+    want = independent_lowess(x, y, 0.4, 3)
     assert np.max(np.abs(got - want)) < 1e-6
 
 
@@ -329,6 +330,87 @@ def reference_build_yield_curves(data, codebook):
     return curves
 
 
+def reference_lowess(x, y, frac=2.0 / 3.0, iters=3):
+    """The point-by-point loop: one weighted line fit per point and pass."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = x.size
+    if n < 3:
+        raise YieldError("lowess needs at least 3 points")
+    if np.any(np.diff(x) < 0):
+        raise YieldError("x must be sorted ascending")
+    if x[0] == x[-1]:
+        raise YieldError("degenerate input: all x equal")
+    r = int(np.ceil(frac * n))
+    r = max(2, min(r, n))
+    if frac * n < 2:
+        raise YieldError("frac too small: window must hold at least 2 points")
+
+    dist = np.abs(x[:, None] - x[None, :])
+    h = np.sort(dist, axis=1)[:, r - 1]
+    base = np.zeros_like(dist)
+    for i in range(n):
+        if h[i] == 0:
+            base[i] = (dist[i] == 0).astype(np.float64)
+        else:
+            u = np.clip(dist[i] / h[i], 0.0, 1.0)
+            base[i] = (1.0 - u**3) ** 3
+
+    delta = np.ones(n)
+    fitted = np.zeros(n)
+    for _ in range(iters + 1):
+        for i in range(n):
+            w = base[i] * delta
+            sw = w.sum()
+            swx = (w * x).sum()
+            swx2 = (w * x * x).sum()
+            swy = (w * y).sum()
+            swxy = (w * x * y).sum()
+            det = sw * swx2 - swx * swx
+            if abs(det) <= 1e-12 * max(sw * swx2, 1e-300):
+                fitted[i] = swy / sw if sw > 0 else y[i]
+            else:
+                slope = (sw * swxy - swx * swy) / det
+                intercept = (swy - slope * swx) / sw
+                fitted[i] = intercept + slope * x[i]
+        residuals = y - fitted
+        s = float(np.median(np.abs(residuals)))
+        if s == 0:
+            break
+        u = np.clip(residuals / (6.0 * s), -1.0, 1.0)
+        delta = (1.0 - u**2) ** 2
+    return fitted
+
+
+def outcome(fn, *args, **kwargs):
+    """The bytes of a call's result, or its error, and the kinds of warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args, **kwargs).tobytes()
+        except YieldError as exc:
+            result = str(exc)
+    return result, {w.category for w in caught}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.lists(
+        st.floats(0.0, 4000.0) | st.sampled_from([0.0, 1.0, 30.0, 365.0]), min_size=3, max_size=40
+    ),
+    data=st.data(),
+    frac=st.floats(0.05, 1.0),
+    iters=st.integers(0, 4),
+)
+def test_lowess_equals_reference_bit_for_bit(x, data, frac, iters):
+    # repeated x values give windows of zero width and degenerate line fits
+    x = np.sort(x)
+    y = data.draw(st.lists(st.floats(-20.0, 20.0) | st.just(3.0), min_size=x.size, max_size=x.size))
+    assert outcome(lowess, x, y, frac=frac, iters=iters) == outcome(
+        reference_lowess, x, y, frac=frac, iters=iters
+    )
+
+
 def reference_nss_fit(terms, rates, weights=None, tau_grid=DEFAULT_TAU_GRID, refine_rounds=2):
     """Every grid and refinement cell solved from a freshly built basis."""
     t = np.asarray(terms, dtype=np.float64)
@@ -387,17 +469,84 @@ def with_warnings(fn, *args, **kwargs):
     terms=st.lists(st.floats(1.0, 4000.0), min_size=6, max_size=30),
     data=st.data(),
     tau_grid=st.sampled_from([DEFAULT_TAU_GRID, (30.0, 30.0, 400.0, 15.0), (15, 3600)]),
+    refine_rounds=st.integers(0, 3),
 )
-def test_nss_fit_equals_reference_bit_for_bit(terms, data, tau_grid):
+def test_nss_fit_equals_reference_bit_for_bit(terms, data, tau_grid, refine_rounds):
     n = len(terms)
     if np.unique(terms).size < 3:
         terms = [*terms[:-3], 10.0, 100.0, 1000.0]
     rates = data.draw(st.lists(st.floats(-5.0, 20.0), min_size=n, max_size=n))
     weights = data.draw(st.none() | st.lists(st.floats(1e-3, 1e7), min_size=n, max_size=n))
-    got = with_warnings(nss_fit, terms, rates, weights=weights, tau_grid=tau_grid)
-    want = with_warnings(reference_nss_fit, terms, rates, weights=weights, tau_grid=tau_grid)
+    kwargs = dict(weights=weights, tau_grid=tau_grid, refine_rounds=refine_rounds)
+    got = with_warnings(nss_fit, terms, rates, **kwargs)
+    want = with_warnings(reference_nss_fit, terms, rates, **kwargs)
     # repr tells -0.0 from 0.0 and 15 from 15.0, and round-trips every float
     assert repr(got) == repr(want)
+
+
+def test_nss_fit_fallbacks_and_rank_deficiency_equal_reference(monkeypatch):
+    # short terms make every factor nearly collinear with the level: some
+    # cells keep four factors, some fall back to widths 3, 2 and 1, and some
+    # four-factor bases are rank-deficient
+    rng = np.random.default_rng(126)
+    terms = np.round(rng.uniform(1.0, 30.0, 8))
+    rates = rng.uniform(-5.0, 20.0, 8)
+    got = with_warnings(nss_fit, terms, rates)
+
+    solves = []
+    lstsq = np.linalg.lstsq
+
+    def recording_lstsq(a, b, rcond):
+        sub, residuals, rank, sv = lstsq(a, b, rcond=rcond)
+        solves.append((a.shape[1], rank, np.max(np.abs(sub)) <= 50.0))
+        return sub, residuals, rank, sv
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    want = with_warnings(reference_nss_fit, terms, rates)
+    assert repr(got) == repr(want)
+    assert got[1] == ["rank-deficient term-structure basis; dropped beta3"]
+    # a width is solved only when every wider one was rejected
+    accepted = {
+        width for width, rank, within_cap in solves if within_cap and (width < 4 or rank == 4)
+    }
+    assert accepted == {4, 3, 2, 1}
+    assert any(width == 4 and rank < 4 for width, rank, _ in solves)
+
+
+def test_lstsq_stack_matches_numpy_lstsq_per_matrix():
+    rng = np.random.default_rng(5)
+    m = 9
+    b = rng.normal(size=m)
+    for n in (1, 2, 3, 4):
+        stack = [rng.normal(size=(m, n)) for _ in range(4)]
+        stack.append(np.zeros((m, n)))  # rank 0
+        if n > 1:
+            repeated = rng.normal(size=(m, n))
+            repeated[:, -1] = repeated[:, 0]  # repeated column: rank-deficient
+            stack.append(repeated)
+            near = rng.normal(size=(m, n))
+            near[:, -1] = near[:, 0] * (1 + 1e-9)  # solutions far over the cap
+            stack.append(near)
+        t = np.geomspace(1.0, 30.0, m)
+        svensson_like = [np.ones(m), *(np.exp(-t / tau) for tau in (3600, 1920, 960))]
+        stack.append(np.column_stack(svensson_like)[:, :n])
+        x, rank = _lstsq_stack(np.stack(stack), b)
+        assert x.shape == (len(stack), n)
+        for a, xi, ri in zip(stack, x, rank):
+            want, _, want_rank, _ = np.linalg.lstsq(a, b, rcond=None)
+            assert xi.tobytes() == want.tobytes()
+            assert ri == want_rank
+        assert rank.min() < n
+        assert np.max(np.abs(x)) > 50.0 or n == 1
+
+
+def test_lstsq_stack_raises_when_the_svd_fails():
+    a = np.random.default_rng(6).normal(size=(2, 8, 4))
+    a[1, 3, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        np.linalg.lstsq(a[1], np.ones(8), rcond=None)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        _lstsq_stack(a, np.ones(8))
 
 
 LEVELS = {
