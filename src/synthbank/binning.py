@@ -14,13 +14,26 @@ single-threaded.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
 
-from .tabular import CHUNK_ROWS, Dataset, TabularError, text_table, write_rows
+from .tabular import (
+    CHUNK_ROWS,
+    Dataset,
+    TabularError,
+    cell_blocks,
+    check_header,
+    count_lines,
+    digit_sum,
+    read_bytes,
+    split_header,
+    text_table,
+    write_rows,
+)
 
 __all__ = [
     "BinningError",
@@ -554,22 +567,65 @@ def read_encoded_csv(path, codebook: Codebook) -> EncodedDataset:
     """Parse a file written by :func:`write_encoded_csv` against ``codebook``.
 
     Blank lines are skipped. Errors name the file and the data row, counted
-    1-based from the line after the header, blank lines included. Lines are
-    converted ``CHUNK_ROWS`` at a time.
+    1-based from the line after the header, blank lines included; a missing
+    file is a :class:`TabularError`.
+
+    The file is read as bytes and converted in numpy, ``8 * CHUNK_ROWS``
+    lines at a time (:func:`synthbank.tabular.cell_blocks`): a code of 1 to
+    18 ASCII digits is the sum of its digits times their place values,
+    counted from its end (:func:`synthbank.tabular.digit_sum`), an integer
+    below ``10**18`` that int64 holds exactly. The text reader, which
+    converts stripped lines ``CHUNK_ROWS`` at a time with one integer
+    conversion per chunk, reads the whole file instead when it is not
+    UTF-8, its header line holds a CR that does not end it in CRLF, or a
+    block holds a line end other than the header's (LF or CRLF), a blank
+    line, a row without ``len(codebook) - 1`` commas, or a cell that is not
+    1 to 18 digits. It returns the same codes, or raises the error.
     """
     n_cells = len(codebook)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != codebook.names:
-            raise TabularError(
-                f"{path}: header mismatch: expected {list(codebook.names)}, found {header}"
-            )
-        chunks = [np.zeros((0, n_cells), dtype=np.int64)]
+    data = read_bytes(path)
+    head = split_header(data) if n_cells else None
+    if head is None:
+        return EncodedDataset(_read_code_text(path, data, codebook), codebook, provenance=str(path))
+    line, body, crlf = head
+    check_header(path, line.strip().split(","), codebook.names)
+    codes = np.empty((count_lines(data, body), n_cells), dtype=np.int64)
+    for first, block, edges in cell_blocks(data, body, crlf, n_cells, 8 * CHUNK_ROWS):
+        if block is None or not _block_codes(block, edges, codes[first:]):
+            codes = _read_code_text(path, data, codebook)
+            break
+    return EncodedDataset(codes, codebook, provenance=str(path))
+
+
+def _read_code_text(path, data, codebook) -> np.ndarray:
+    """The code matrix of the file ``data``, read as text ``CHUNK_ROWS`` lines at a time."""
+    n_cells = len(codebook)
+    chunks = [np.zeros((0, n_cells), dtype=np.int64)]
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+        check_header(path, fh.readline().strip().split(","), codebook.names)
         first_row = 1
         while lines := list(map(str.strip, islice(fh, CHUNK_ROWS))):
             chunks.append(_parse_code_lines(lines, n_cells, path, first_row))
             first_row += len(lines)
-    return EncodedDataset(np.concatenate(chunks), codebook, provenance=str(path))
+    return np.concatenate(chunks)
+
+
+def _block_codes(block, edges, out) -> bool:
+    """Write a block's codes to the head of ``out``; False if a cell is not 1 to 18 digits."""
+    digits = block - np.uint8(ord("0"))  # a digit's value, 10 or more for any other byte
+    is_digit = digits < 10
+    # commas, CRs and LFs are no digits: every byte from the block's first
+    # line on that is one must be a cell byte
+    n_cell_bytes = (edges[-1] - edges[0] - 1).sum() - len(edges[0]) * (len(edges) - 2)
+    if np.count_nonzero(is_digit[int(edges[0][0]) + 1 :]) != n_cell_bytes:
+        return False
+    digits *= is_digit
+    for j, (before, ends) in enumerate(zip(edges, edges[1:])):
+        widths = ends - before - 1
+        if widths.min() < 1 or widths.max() > 18:
+            return False
+        out[: ends.size, j] = digit_sum(digits, before, ends)
+    return True
 
 
 def _parse_code_lines(lines, n_cells, path, first_row) -> np.ndarray:

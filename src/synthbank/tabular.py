@@ -17,6 +17,15 @@ arrays: the text of each level comes from :class:`csv.writer` itself, and
 the text of each distinct numeric value from its 12 decimal digits,
 computed in numpy wherever the rounding can be proven exact (1e-4 <= |v|
 < 1e12, no tie); every other value is formatted by ``%`` once.
+
+:func:`read_csv` converts the file's bytes in numpy, a block of
+``8 * CHUNK_ROWS`` rows at a time: a level is found by its UTF-8 bytes, and
+a number in fixed notation is its digits read as an integer ``m < 2**53``,
+divided by ``10**k`` for its ``k`` decimals, which is ``float(text)`` bit
+for bit. A file holding input the writer does not produce (quotes, a line
+end other than the header's, blank or ragged rows, cells that do not
+convert) is read by :mod:`csv` and ``float()`` instead, so values and error
+messages are those of a cell-by-cell :mod:`csv` pass either way.
 """
 
 from __future__ import annotations
@@ -47,10 +56,16 @@ FLOAT_FORMAT = "{:.12g}"
 # the same format for the ``%`` operator: the writer's fallback, once per value
 _FLOAT_PERCENT = "%.12g"
 
-#: rows converted per step by :func:`read_csv` and by the encoded-CSV reader
-#: in :mod:`synthbank.binning`, bounding the per-cell string objects they
-#: hold at once; the writers assemble ``8 * CHUNK_ROWS`` rows per step
+#: rows per step of the CSV layer: the writers assemble, and the readers
+#: convert in numpy, ``8 * CHUNK_ROWS`` rows at a time; the readers' text
+#: paths convert ``CHUNK_ROWS`` rows at a time, bounding the per-cell string
+#: objects they hold at once
 CHUNK_ROWS = 1024
+
+#: widest cell the readers' numpy paths read as digits: an integer below
+#: ``10**18``, which int64 holds (the widest ``FLOAT_FORMAT`` text in fixed
+#: notation is 18 bytes, ``-0.000123456789012``)
+_MAX_DIGITS = 18
 
 
 class TabularError(ValueError):
@@ -199,42 +214,293 @@ def read_csv(path, schema) -> Dataset:
     floats. Every error names the offending data row (1-based) and column;
     when a file has several faults, the first one in row order is reported.
 
-    Rows are tokenised by :mod:`csv` and converted a column at a time, in
-    chunks of :data:`CHUNK_ROWS` rows so that no whole-file list of cell
-    strings is held at once.
+    The file is read as bytes and converted in numpy, ``8 * CHUNK_ROWS``
+    rows at a time (:func:`cell_blocks`). A categorical cell is matched
+    against the level labels' UTF-8 bytes. A numeric cell of the form
+    ``-?D+(.D+)?`` with at most ``_MAX_DIGITS`` bytes after its sign, whose
+    digits, read without the point, make an integer ``m < 2**53``, is
+    ``m / 10.0**k`` for its ``k`` decimals, sign applied. Both operands are
+    exact doubles (``10**k`` is, up to ``k = 22``), so the one correctly
+    rounded division equals the correctly rounded ``float(text)`` bit for
+    bit, ``-0`` included (Clinger's fast path). Every ``FLOAT_FORMAT`` text
+    in fixed notation qualifies. Any other numeric cell goes through
+    ``float()`` once per distinct text.
+
+    :mod:`csv` with ``float()`` per cell reads the whole file instead when
+    it is not UTF-8, holds a double quote or a NUL byte, its header line
+    holds a CR that does not end it in CRLF, or a block holds a line end
+    other than the header's (LF or CRLF), an empty line, a row without
+    ``len(schema) - 1`` commas, a cell longer than
+    :func:`csv.field_size_limit` or a cell that does not convert. It returns
+    the same arrays, or raises the error, converting ``CHUNK_ROWS`` rows at
+    a time so that no whole-file list of cell strings is held at once.
     """
     schema = tuple(schema)
+    data = read_bytes(path)
+    head = None
+    if schema and data and b'"' not in data and b"\0" not in data:
+        head = split_header(data)
+    if head is None:
+        return Dataset(schema, _read_text(path, data, schema), provenance=str(path))
+    line, body, crlf = head
+    check_header(path, next(csv.reader([line]), []), [spec.name for spec in schema])
+    levels = [_level_index(spec.levels) if spec.is_categorical else None for spec in schema]
+    # room before each block for the widest label's window
+    pad = max([1] + [index[0].dtype.itemsize for index in levels if index is not None])
+    n_rows = count_lines(data, body)
+    columns = [np.empty(n_rows, np.int64 if spec.is_categorical else np.float64) for spec in schema]
+    for first, block, edges in cell_blocks(data, body, crlf, len(schema), 8 * CHUNK_ROWS, pad):
+        if block is None or not _convert_block(block, edges, levels, [c[first:] for c in columns]):
+            columns = _read_text(path, data, schema)
+            break
+    return Dataset(schema, columns, provenance=str(path))
+
+
+def read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``; a missing file is a :class:`TabularError`."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, "rb") as fh:
+            return fh.read()
     except FileNotFoundError:
         raise TabularError(f"no such file: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise TabularError(f"{path}: empty file, header row is mandatory")
-        expected = [spec.name for spec in schema]
-        if header != expected:
-            raise TabularError(f"{path}: header mismatch: expected {expected}, found {header}")
 
-        level_maps = [
-            {label: i for i, label in enumerate(spec.levels)} if spec.is_categorical else None
-            for spec in schema
-        ]
-        chunks: list[list[np.ndarray]] = [[] for _ in schema]
-        first_row = 1
-        while rows := list(islice(reader, CHUNK_ROWS)):
-            for j, col in enumerate(_parse_rows(rows, schema, level_maps, first_row)):
-                chunks[j].append(col)
-            first_row += len(rows)
 
-    columns = [
+def split_header(data):
+    """``(header text, offset of the first data line, crlf)`` of a file's bytes.
+
+    ``crlf`` tells whether the header line ends in CRLF rather than LF. Returns
+    None when the file is not UTF-8 or its header line holds a CR that does
+    not end it, the cases the numpy readers leave to the text readers.
+    """
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    end = data.find(b"\n")
+    if end < 0:
+        end = body = len(data)
+        crlf = False
+    else:
+        body = end + 1
+        crlf = data[end - 1 : end] == b"\r"
+    line = data[: end - crlf]
+    if b"\r" in line:
+        return None
+    return line.decode("utf-8"), body, crlf
+
+
+def count_lines(data, body) -> int:
+    """Lines from offset ``body`` on: LF bytes, plus a last line without one."""
+    return data.count(b"\n", body) + (body < len(data) and data[-1:] != b"\n")
+
+
+def cell_blocks(data, body, crlf, n_cells, step, pad=1):
+    """Yield ``(first, block, edges)`` for each block of ``step`` lines.
+
+    Lines start at offset ``body`` of ``data`` and end in CRLF (``crlf``) or
+    LF; the last may have no line end. ``first`` is the index of the
+    block's first line. ``block`` is a ``uint8`` array of the lines after
+    ``pad`` more bytes (of the line before, or NUL), and ``edges`` a list of
+    ``n_cells + 1`` arrays of offsets into it, so that cell ``j`` of line
+    ``i`` is ``block[edges[j][i] + 1 : edges[j + 1][i]]``: the byte before
+    the line, the line's commas, then its line end.
+
+    ``block`` and ``edges`` are None, and no block follows, when the lines
+    hold another line end (a bare CR, or a bare LF in a CRLF file), or the
+    block an empty line or a line without ``n_cells - 1`` commas: a text
+    reader then reads the file.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    lf = np.flatnonzero(buf[body:] == ord("\n")) + body
+    if data.count(b"\r", body) != (lf.size if crlf else 0) or (
+        crlf and (buf[lf - 1] != ord("\r")).any()
+    ):
+        yield 0, None, None
+        return
+    n_lines = count_lines(data, body)
+    for first in range(0, n_lines, step):
+        offset = int(lf[first - 1]) + 1 if first else body
+        # the line the file's end ends, if any, is in the last block
+        last = n_lines > lf.size and first + step >= n_lines
+        stop = buf.size if last else int(lf[min(first + step, lf.size) - 1]) + 1
+        if offset >= pad:
+            block = buf[offset - pad : stop]
+        else:
+            block = np.concatenate([np.zeros(pad - offset, dtype=np.uint8), buf[:stop]])
+        line_ends = lf[first : first + step] + (pad - offset)
+        ends = np.append(line_ends - crlf, block.size) if last else line_ends - crlf
+        before = np.concatenate([[pad - 1], line_ends])[: ends.size]
+        commas = np.flatnonzero(block[pad:] == ord(","))
+        commas += pad
+        fits = commas.size == ends.size * (n_cells - 1)
+        if fits:
+            commas = commas.reshape(ends.size, n_cells - 1)
+            # each line's share of the commas lies inside it, so it has n_cells - 1
+            fits = n_cells == 1 or ((commas[:, 0] > before).all() and (commas[:, -1] < ends).all())
+        if not fits or (ends == before + 1).any():
+            yield first, None, None
+            return
+        yield first, block, [before, *commas.T, ends]
+
+
+def digit_sum(digits, before, ends, base=10) -> np.ndarray:
+    """The integer each cell's digits spell in ``base``, in int64.
+
+    ``digits`` holds each byte's digit, and 0 at offsets ``before``. Cell
+    ``i`` is the bytes between offsets ``before[i]`` and ``ends[i]``, at most
+    ``_MAX_DIGITS`` of them, so that the integer is below ``base**18``. They
+    are summed by place value from the cell's end, the byte at
+    ``before[i]`` standing in for those before it.
+    """
+    total = np.take(digits, ends - 1).astype(np.int64)
+    for place in range(1, int((ends - before).max()) - 1):
+        total += np.take(digits, np.maximum(ends - 1 - place, before)) * np.int64(base**place)
+    return total
+
+
+def check_header(path, header, names) -> None:
+    """Raise the readers' header mismatch error unless ``header`` lists ``names``."""
+    if header != list(names):
+        raise TabularError(f"{path}: header mismatch: expected {list(names)}, found {header}")
+
+
+def _read_text(path, data, schema) -> list[np.ndarray]:
+    """The columns of the file ``data`` as :mod:`csv` reads them, ``CHUNK_ROWS`` rows at a time."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    row = next(reader, None)
+    if row is None:
+        raise TabularError(f"{path}: empty file, header row is mandatory")
+    check_header(path, row, [spec.name for spec in schema])
+    level_maps = [
+        {label: i for i, label in enumerate(spec.levels)} if spec.is_categorical else None
+        for spec in schema
+    ]
+    chunks: list[list[np.ndarray]] = [[] for _ in schema]
+    first_row = 1
+    while rows := list(islice(reader, CHUNK_ROWS)):
+        for j, col in enumerate(_parse_rows(rows, schema, level_maps, first_row)):
+            chunks[j].append(col)
+        first_row += len(rows)
+    return [
         np.concatenate(parts)
         if parts
         else np.zeros(0, dtype=np.int64 if spec.is_categorical else np.float64)
         for spec, parts in zip(schema, chunks)
     ]
-    return Dataset(schema, columns, provenance=str(path))
+
+
+def _level_index(levels):
+    """The labels' UTF-8 bytes as sorted right-aligned ``S`` values, and their level indices."""
+    encoded = [label.encode("utf-8") for label in levels]
+    width = max(map(len, encoded), default=0) or 1
+    labels = np.array([text.rjust(width, b"\0") for text in encoded], dtype=f"S{width}")
+    order = np.argsort(labels)
+    return labels[order], order
+
+
+def _convert_block(block, edges, levels, out) -> bool:
+    """Write a block's columns to the heads of ``out``; False if a cell does not convert."""
+    limit = csv.field_size_limit()
+    kinds = None
+    for j, index in enumerate(levels):
+        starts, ends = edges[j] + 1, edges[j + 1]
+        if (ends - starts).max() > limit:
+            return False
+        if index is not None:
+            col = _level_codes(block, starts, ends, *index)
+        else:
+            if kinds is None:
+                kinds = _digit_kinds(block)
+            col = _decimal_values(block, starts, ends, *kinds)
+        if col is None:
+            return False
+        out[j][: col.size] = col
+    return True
+
+
+def _digit_kinds(block):
+    """``(digits, kinds)`` of a block's bytes, for :func:`_decimal_values`.
+
+    ``digits`` holds each byte's digit, and 0 for every byte that is no
+    digit; ``kinds`` holds 0 for a digit, 1 for a point and 3 for any other
+    byte.
+    """
+    digits = block - np.uint8(ord("0"))
+    kinds = np.uint8(3) * (digits > 9)
+    np.putmask(digits, kinds, np.uint8(0))
+    np.putmask(kinds, block == ord("."), np.uint8(1))
+    return digits, kinds
+
+
+def _level_codes(block, starts, ends, labels, order):
+    """Level index of each cell, or None if a cell is no level's label.
+
+    ``block`` holds at least as many bytes up to each cell's end as the
+    widest label.
+    """
+    width = labels.dtype.itemsize
+    widths = ends - starts
+    if widths.max() > width:
+        return None
+    # each cell's last `width` bytes, those before its start set to NUL
+    windows = np.ndarray((block.size - width + 1,), dtype=labels.dtype, buffer=block, strides=(1,))
+    cells = windows[ends - width]
+    cells.view(np.uint8).reshape(-1, width)[np.arange(-width, 0) < -widths[:, None]] = 0
+    found = np.searchsorted(labels, cells).clip(max=labels.size - 1)
+    if (labels[found] != cells).any():
+        return None
+    return order[found]
+
+
+def _decimal_values(block, starts, ends, digits, kinds):
+    """``float(text)`` of each cell, or None if a cell is not a finite float.
+
+    A cell ``-?D+(.D+)?`` with 1 to ``_MAX_DIGITS`` bytes after its sign
+    whose digits make an integer ``mantissa < 2**53`` is
+    ``mantissa / 10**k``, ``k`` its decimals: its bytes are summed by place
+    value (:func:`digit_sum`) with the point read as ``0``, and the digits
+    before the point are then moved one place down. The byte kinds
+    (:func:`_digit_kinds`), summed in base 4, tell its form: 0 when every
+    byte is a digit, ``4**k`` when one is a point and the others digits.
+    Every other cell goes through ``float()`` once per distinct text.
+    """
+    if (ends == starts).any():
+        return None  # float("") fails
+    negative = block[starts] == ord("-")
+    before = starts + negative - 1  # a separator or the sign
+    width = ends - before - 1
+    kinds[before] = 0  # as digits[before] is
+    # a cell of more bytes is not summed whole: it goes through float()
+    before = np.maximum(before, ends - 1 - _MAX_DIGITS)
+    form = digit_sum(kinds, before, ends, base=4)
+    point = form > 0
+    decimals = (np.frexp(form)[1] // 2).astype(np.intp)  # k of form == 4**k
+    whole = digit_sum(digits, before, ends)
+    low = whole % np.int64(10) ** decimals
+    mantissa = np.where(point, (whole - low) // 10 + low, whole)
+    fast = (
+        # all digits, or one point with digits on both sides
+        (~point | ((form == np.int64(4) ** decimals) & (decimals > 0) & (decimals < width - 1)))
+        & (width >= 1)
+        & (width <= _MAX_DIGITS)
+        & (mantissa < 2**53)
+    )
+    values = mantissa.astype(np.float64) / _EXACT_POW10[decimals]
+    np.negative(values, out=values, where=negative)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = [block[s:e].tobytes() for s, e in zip(starts[slow].tolist(), ends[slow].tolist())]
+        parsed = {}
+        for cell in set(texts):
+            try:
+                parsed[cell] = float(cell.decode("utf-8"))
+            except ValueError:
+                return None
+        values[slow] = [parsed[cell] for cell in texts]
+        if not np.isfinite(values[slow]).all():
+            return None
+    return values
 
 
 def _parse_rows(rows, schema, level_maps, first_row) -> list[np.ndarray]:
@@ -420,8 +686,9 @@ def _number_table(values, end) -> np.ndarray:
     return np.compress((table != 0).any(axis=0), table, axis=1)
 
 
-# 10**k for the scales k = 11 - x0 of x0 in [-4, 11]; each one is exact
-_EXACT_POW10 = np.array([float(10**k) for k in range(16)])
+# 10**k for k in [0, 22], each an exact double: the writer's scales k = 11 - x0
+# of x0 in [-4, 11] and the reader's decimal counts
+_EXACT_POW10 = np.array([float(10**k) for k in range(23)])
 # 12 digits are read as four groups of three; row i of _DIGIT_TRIPLES holds
 # digit i of each of 000 to 999
 _GROUP_POW10 = np.array([10**9, 10**6, 10**3, 1], dtype=np.intp)

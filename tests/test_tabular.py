@@ -1,14 +1,22 @@
 """CSV ingestion/emission and dataset validation."""
 
 import csv
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from synthbank import tabular
-from synthbank.binning import Codebook, ColumnCodec, EncodedDataset, write_encoded_csv
+from synthbank import binning, tabular
+from synthbank.binning import (
+    BinningError,
+    Codebook,
+    ColumnCodec,
+    EncodedDataset,
+    read_encoded_csv,
+    write_encoded_csv,
+)
 from synthbank.tabular import (
     CATEGORICAL,
     FLOAT_FORMAT,
@@ -86,6 +94,13 @@ def test_missing_value_rejected(tmp_path):
 def test_missing_file():
     with pytest.raises(TabularError, match="no such file"):
         read_csv("/nonexistent/nope.csv", SCHEMA)
+
+
+def test_missing_encoded_file():
+    codebook = Codebook([ColumnCodec(name="a0", kind="categorical", labels=("0", "1"))])
+    with pytest.raises(TabularError) as info:
+        read_encoded_csv("/nonexistent/nope.csv", codebook)
+    assert str(info.value) == "no such file: /nonexistent/nope.csv"
 
 
 def test_header_mismatch(tmp_path):
@@ -496,41 +511,82 @@ def test_write_encoded_csv_bytes_match_per_cell_reference(tmp_path_factory, enco
 
 
 # read_csv must return what the per-cell reader returned, or raise its
-# message, on well-formed and malformed files alike, across chunk borders
+# message, on well-formed and malformed files alike, across block and chunk
+# borders and whatever the line ends
 READ_SCHEMA = (
     ColumnSpec("x", NUMERIC),
     ColumnSpec("seg", CATEGORICAL, levels=("M", "a,b", "")),
     ColumnSpec("y", NUMERIC),
 )
-_num_cell = st.sampled_from(
+_NUM_CELLS = (
     ("1", "-0", "2.5", " 7 ", "1e3", "1_0", "", "  ", "abc", "inf", "-nan", "1e400", "0x1")
+    # the edges of the numpy reader's exact path: 15, 16 and 17 significant
+    # digits, a mantissa just above 2**53, and forms that float() takes
+    + ("123456789012345", "-0.1234567890123456", "1.2345678901234567", "9007199254740993")
+    + ("9007199254740992", "0.0001", "-0.0", ".5", "5.", "+2", "1e-05", "1.5e+12", '"2.5"')
 )
+
+
+def _finite_float(text):
+    try:
+        return bool(np.isfinite(float(text)))
+    except ValueError:
+        return False
+
+
+_num_cell = st.sampled_from(_NUM_CELLS)
 _seg_cell = st.sampled_from(("M", '"a,b"', '""', "", "X", "m"))
+_line_end = st.sampled_from(("\n", "\r\n", "\r"))
+# the cells of files whose every cell converts, which the numpy reader reads
+# whole: any fault sends a file to the text reader
+_good_num_cell = st.sampled_from([cell for cell in _NUM_CELLS if _finite_float(cell)])
+_good_seg_cell = st.sampled_from(("M", ""))
 
 
 @st.composite
 def csv_body_strategy(draw):
+    if draw(st.booleans()):  # a file the numpy reader takes whole
+        end = draw(st.sampled_from(("\n", "\r\n")))
+        lines = [
+            ",".join([draw(_good_num_cell), draw(_good_seg_cell), draw(_good_num_cell)]) + end
+            for _ in range(draw(st.integers(0, 20)))
+        ]
+        body = "x,seg,y" + end + "".join(lines)
+        return body.removesuffix(end) if lines and draw(st.booleans()) else body
+    end = draw(_line_end)
     lines = []
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, 20))):
         cells = [draw(_num_cell), draw(_seg_cell), draw(_num_cell)]
         if draw(st.integers(0, 9)) == 0:  # now and then a ragged or blank row
             cells = cells[: draw(st.integers(0, 2))] + draw(st.lists(_num_cell, max_size=1))
-        lines.append(",".join(cells))
-    return "x,seg,y\r\n" + "".join(line + "\r\n" for line in lines)
+        # now and then a line end other than the file's
+        lines.append(",".join(cells) + (draw(_line_end) if draw(st.integers(0, 9)) == 0 else end))
+    body = "x,seg,y" + end + "".join(lines)
+    if lines and draw(st.booleans()):
+        body = body.removesuffix(end)
+    return body
 
 
-def _read_outcome(reader, path):
+def _read_outcome(reader, path, schema=READ_SCHEMA):
     try:
-        ds = reader(path, READ_SCHEMA)
+        ds = reader(path, schema)
     except TabularError as exc:
         return str(exc)
-    return [(col.dtype.str, col.tolist()) for col in (ds.column(n) for n in ds.column_names)]
+    # floats by their bits, so that -0.0 and 0.0 differ
+    return [
+        (col.dtype.str, (col.view(np.int64) if col.dtype == np.float64 else col).tolist())
+        for col in (ds.column(n) for n in ds.column_names)
+    ]
 
 
 @settings(max_examples=300, deadline=None)
 @given(csv_body_strategy(), st.sampled_from((1, 2, 5, 1024)))
 # row 2 has faults in 'seg' and 'y' and row 3 is ragged: 'seg' of row 2 is reported
 @example("x,seg,y\n1,M,2\n3,Q,oops\n4\n", 1024)
+# a bare CR in the second block of a CRLF file adds a row
+@example("x,seg,y\r\n" + "1,M,2\r\n" * 9 + "3,,4\r5,M,6\r\n" + "7,M,x\r\n", 1)
+# an empty last cell, and no line end after it
+@example("x,seg,y\n1,M,", 1)
 def test_read_csv_matches_per_cell_reference(tmp_path_factory, body, chunk_rows):
     path = tmp_path_factory.mktemp("read") / "d.csv"
     path.write_text(body, encoding="utf-8", newline="")
@@ -538,3 +594,240 @@ def test_read_csv_matches_per_cell_reference(tmp_path_factory, body, chunk_rows)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tabular, "CHUNK_ROWS", chunk_rows)
         assert _read_outcome(read_csv, path) == expected
+
+
+def test_read_csv_blank_line_in_one_column_file_is_a_ragged_row(tmp_path):
+    # csv reads a blank line as no cells, not as one empty cell, even where
+    # an empty cell would be a level
+    schema = (ColumnSpec("only", CATEGORICAL, levels=("", "M")),)
+    for end in ("\n", "\r\n"):
+        path = tmp_path / "one.csv"
+        path.write_bytes(f"only{end}M{end}{end}M{end}".encode("ascii"))
+        expected = _read_outcome(reference_read_csv, path, schema)
+        assert expected == "row 2: expected 1 cells, found 0"
+        assert _read_outcome(read_csv, path, schema) == expected
+
+
+def test_read_csv_bare_cr_inside_a_line_splits_it(tmp_path):
+    # a level holding a CR matches the text of a cell, but csv ends the row there
+    schema = (ColumnSpec("x", NUMERIC), ColumnSpec("g", CATEGORICAL, levels=("a\rb", "b", "a")))
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b"x,g\n1,a\rb\n")
+    expected = _read_outcome(reference_read_csv, path, schema)
+    assert expected == "row 2: expected 2 cells, found 1"
+    assert _read_outcome(read_csv, path, schema) == expected
+
+
+def test_written_files_are_read_without_the_text_readers(tmp_path, monkeypatch):
+    # what write_csv and write_encoded_csv write, the numpy readers take whole
+    def no_text_reader(*args):
+        raise AssertionError("the text reader ran")
+
+    monkeypatch.setattr(tabular, "_read_text", no_text_reader)
+    monkeypatch.setattr(binning, "_parse_code_lines", no_text_reader)
+    monkeypatch.setattr(tabular, "CHUNK_ROWS", 2)
+    monkeypatch.setattr(binning, "CHUNK_ROWS", 2)
+    write_csv(EVERY_EDGE_UNQUOTED, tmp_path / "d.csv")
+    again = read_csv(tmp_path / "d.csv", EVERY_EDGE_UNQUOTED.schema)
+    expected = np.array([float("%.12g" % value) for value in EDGE_FLOATS])
+    assert again.column("value").view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert again.column("label").tolist() == EVERY_EDGE_UNQUOTED.column("label").tolist()
+    codebook = Codebook(
+        ColumnCodec(name=f"a{j}", kind="categorical", labels=tuple(map(str, range(12))))
+        for j in range(3)
+    )
+    encoded = EncodedDataset(np.arange(60).reshape(20, 3) % 12, codebook)
+    write_encoded_csv(encoded, tmp_path / "e.csv")
+    assert read_encoded_csv(tmp_path / "e.csv", codebook).codes.tolist() == encoded.codes.tolist()
+
+
+EVERY_EDGE_UNQUOTED = Dataset(
+    (
+        # a label longer than any number, in the first column
+        ColumnSpec("label", CATEGORICAL, levels=("plain", "", " spaced ", "ünï", "x" * 40)),
+        ColumnSpec("value", NUMERIC),
+    ),
+    [np.arange(len(EDGE_FLOATS)) % 5, np.array(EDGE_FLOATS, dtype=np.float64)],
+)
+
+
+# A number the writer prints reads back as float() of the printed text, bit
+# for bit, over the whole double range and on either side of the numpy
+# reader's block borders.
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_formatter_input, st.booleans()), min_size=1, max_size=40),
+    st.sampled_from((1, 1024)),
+)
+@example([(value, sign) for value in EDGE_FLOATS + FORMAT_EDGES for sign in (False, True)], 1)
+def test_write_read_round_trip_is_float_of_text_bit_for_bit(tmp_path_factory, cells, chunk_rows):
+    values = np.array([-value if negative else value for value, negative in cells])
+    ds = Dataset(
+        (ColumnSpec("x", NUMERIC), ColumnSpec("g", CATEGORICAL, levels=("a", "bb"))),
+        [values, np.arange(values.size) % 2],
+    )
+    out = tmp_path_factory.mktemp("bits") / "x.csv"
+    write_csv(ds, out)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tabular, "CHUNK_ROWS", chunk_rows)
+        again = read_csv(out, ds.schema)
+    expected = np.array([float("%.12g" % value) for value in values.tolist()])
+    assert again.column("x").view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert again.column("g").tolist() == ds.column("g").tolist()
+
+
+# Decimal texts around the limits of the exact path: up to 20 integer digits
+# (leading zeros included), up to 23 decimals, mantissas near and above 2**53
+# (where rounding the mantissa first and then dividing can round twice), signs.
+_decimal_text = st.one_of(
+    st.builds(
+        lambda sign, whole, point, fraction: sign + whole + (point + fraction if point else ""),
+        st.sampled_from(("", "-", "+")),
+        st.one_of(
+            st.text("0123456789", min_size=1, max_size=20),
+            st.integers(2**53 - 3, 2**53 + 3).map(str),
+            st.just(""),
+        ),
+        st.sampled_from(("", ".")),
+        st.one_of(st.text("0123456789", max_size=23), st.integers(0, 2**53 + 3).map(str)),
+    ),
+    st.builds(
+        lambda digits, at: digits[:at] + "." + digits[at:],
+        st.integers(2**53 - 2**20, 2**54).map(str),
+        st.integers(1, 16),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        # files whose every cell converts, which the numpy reader reads whole
+        st.lists(_decimal_text.filter(_finite_float), min_size=1, max_size=30),
+        st.lists(_decimal_text, min_size=1, max_size=30),
+    )
+)
+@example(["9007199254740993", "900719925474099.3", "-0", "-0.0", "0.0000000000000000000001"])
+# 19 bytes after the sign, whose last 18 make a small integer
+@example(["1000000000000000005", "1.00000000000000005", "-100000000000000000.5"])
+# mantissas in [2**53, 2**54): float(mantissa) / 10**k rounds twice
+@example(["9.045139995783513", "946558832521392.3", "12.948410181481021"])
+def test_read_csv_decimal_cells_equal_float_of_text(tmp_path_factory, texts):
+    path = tmp_path_factory.mktemp("dec") / "d.csv"
+    path.write_bytes(("x\n" + "".join(text + "\n" for text in texts)).encode("ascii"))
+    schema = (ColumnSpec("x", NUMERIC),)
+    assert _read_outcome(read_csv, path, schema) == _read_outcome(reference_read_csv, path, schema)
+
+
+# --------------------------------------------- encoded CSV reader reference
+#
+# read_encoded_csv as it was before it converted file bytes in numpy: stripped
+# lines, CHUNK_ROWS at a time, one integer conversion per chunk. The numpy
+# reader must return its codes or raise its exception and message.
+
+
+def reference_read_encoded_csv(path, codebook):
+    n_cells = len(codebook)
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        if tuple(header) != codebook.names:
+            raise TabularError(
+                f"{path}: header mismatch: expected {list(codebook.names)}, found {header}"
+            )
+        chunks = [np.zeros((0, n_cells), dtype=np.int64)]
+        first_row = 1
+        while lines := list(map(str.strip, islice(fh, binning.CHUNK_ROWS))):
+            chunks.append(_reference_code_lines(lines, n_cells, path, first_row))
+            first_row += len(lines)
+    return EncodedDataset(np.concatenate(chunks), codebook, provenance=str(path))
+
+
+def _reference_code_lines(lines, n_cells, path, first_row):
+    rows = [line for line in lines if line]
+    if {line.count(",") for line in rows} - {n_cells - 1}:
+        index, line = next(
+            (i, line) for i, line in enumerate(lines) if line and line.count(",") != n_cells - 1
+        )
+        raise TabularError(
+            f"{path}: row {first_row + index}: "
+            f"expected {n_cells} cells, found {line.count(',') + 1}"
+        )
+    cells = ",".join(rows).split(",") if rows else []
+    try:
+        return np.asarray(cells, dtype=np.int64).reshape(len(rows), n_cells)
+    except (ValueError, OverflowError):
+        for index, line in enumerate(lines):
+            for cell in line.split(",") if line else ():
+                try:
+                    np.asarray([cell], dtype=np.int64)
+                except (ValueError, OverflowError):
+                    raise TabularError(
+                        f"{path}: row {first_row + index}: invalid integer code '{cell}'"
+                    ) from None
+        raise
+
+
+_code_cell = st.one_of(
+    st.integers(0, 11).map(str),
+    st.sampled_from(("+1", " 1 ", "01", "1_0", "1x", "-1", "", "12", "007", "000000000011")),
+    # 18 digits, then 19 or more: above 2**63 - 1 the text reader overflows
+    st.sampled_from(("0" * 17 + "5", "9" * 18, "0" * 18 + "1", "9" * 19, "9223372036854775808")),
+    st.integers(10**18, 10**25).map(str),
+)
+
+
+_digit_code = st.one_of(
+    st.integers(0, 11).map(str), st.sampled_from(("01", "007", "000000000011", "0" * 17 + "5"))
+)
+
+
+@st.composite
+def encoded_body_strategy(draw):
+    n_cells = draw(st.integers(1, 3))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    lines = []
+    # half the files hold only digit codes, which the numpy reader reads whole
+    clean = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.integers(6 if clean else 0, 19))
+        if kind == 0:
+            line = draw(st.sampled_from(("", " ", "\t", "  ")))  # blank or whitespace only
+        elif kind == 1:  # a ragged row
+            line = ",".join(draw(st.lists(_code_cell, max_size=n_cells + 1)))
+        elif kind < 6:
+            line = ",".join(draw(st.lists(_code_cell, min_size=n_cells, max_size=n_cells)))
+        else:  # canonical codes, or leading zeros
+            line = ",".join(draw(_digit_code) for _ in range(n_cells))
+        lines.append(line + (draw(st.sampled_from(("\n", "\r\n", "\r"))) if kind == 2 else end))
+    body = ",".join(f"a{j}" for j in range(n_cells)) + end + "".join(lines)
+    if lines and draw(st.booleans()):
+        body = body.removesuffix(end)
+    return n_cells, body
+
+
+def _encoded_outcome(reader, path, codebook):
+    try:
+        return reader(path, codebook).codes.tolist()
+    except (TabularError, BinningError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(encoded_body_strategy(), st.sampled_from((1, 2, 5, 1024)))
+# an invalid code before a ragged row in one chunk: the ragged row is reported
+@example((2, "a0,a1\n0,1\n1x,1\n2\n"), 1024)
+@example((2, "a0,a1\r\n" + "0,1\r\n" * 9 + "2,2\r3,3\r\n"), 1)
+# a code of 19 digits, which int64 does not hold, in a file of digit codes
+@example((2, "a0,a1\n1,2\n3," + "9" * 19 + "\n"), 1024)
+def test_read_encoded_csv_matches_line_reference(tmp_path_factory, drawn, chunk_rows):
+    n_cells, body = drawn
+    codebook = Codebook(
+        ColumnCodec(name=f"a{j}", kind="categorical", labels=tuple(map(str, range(12))))
+        for j in range(n_cells)
+    )
+    path = tmp_path_factory.mktemp("codes") / "c.csv"
+    path.write_bytes(body.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(binning, "CHUNK_ROWS", chunk_rows)
+        expected = _encoded_outcome(reference_read_encoded_csv, path, codebook)
+        assert _encoded_outcome(read_encoded_csv, path, codebook) == expected
