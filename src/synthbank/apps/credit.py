@@ -9,12 +9,17 @@ decode step.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from ..binning import EncodedDataset
-from ..tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
+from ..population import CreditPortfolioConfig, generate_credit_cards
+from ..presets import AGE_BAND_LABELS, credit_rules
+from ..tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset, load_schema, read_csv
 
 __all__ = [
     "CreditError",
@@ -193,3 +198,106 @@ def active_both_filter(
         n_joined=int(common.size),
     )
     return joined, coverage
+
+
+# --------------------------------------------- the credit application (see apps)
+
+CARD_YEARS = (2020, 2021)
+POPULATION = CreditPortfolioConfig
+INPUT_FILES = tuple(f"{kind}_{year}" for year in CARD_YEARS for kind in ("cards", "schema"))
+EXTRA = "coverage.json"
+rules = credit_rules
+#: the two transitions, plus age and gender against each other and the 2020 states
+WORKLOAD = [
+    ("Delinquency2020", "Delinquency2021"),
+    ("Debt2020", "Debt2021"),
+    ("Age2020", "Gender"),
+    ("Gender", "Delinquency2020"),
+    ("Age2020", "Debt2020"),
+]
+#: the year-to-year transitions scored, by the state each one follows
+TRANSITIONS = {
+    "delinquency": ("Delinquency2020", "Delinquency2021"),
+    "debt": ("Debt2020", "Debt2021"),
+}
+
+
+def prepare(population: CreditPortfolioConfig, files: dict, rng: np.random.Generator):
+    """The cards active in both years and their coverage, from the yearly
+    card files or generated; the yearly cards are written out too."""
+    if files:
+        cards = [
+            read_csv(files[f"cards_{year}"], load_schema(files[f"schema_{year}"]))
+            for year in CARD_YEARS
+        ]
+    else:
+        cards = generate_credit_cards(population, rng)
+    joined, coverage = active_both_filter(*cards)
+    written = [
+        (dataset, f"cards_{year}.csv", f"schema_{year}.json")
+        for year, dataset in zip(CARD_YEARS, cards)
+    ]
+    return joined, dataclasses.asdict(coverage), written
+
+
+def save_extra(coverage: dict, path) -> None:
+    Path(path).write_text(json.dumps(coverage, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def load_extra(path) -> dict:
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def evaluate(original, coverage, encoded, clean_synth, decoded, strategy):
+    """Frobenius errors of the synthetic transition matrices and the
+    delinquency rates per (age band, gender), all on codes."""
+    codebook = encoded.codebook
+    metrics: dict = {"frobenius": {}}
+    tables = {}
+    norms = {}
+    for kind, (c0, c1) in TRANSITIONS.items():
+        n_states = codebook[c0].domain_size
+        edges = codebook[c0].edges
+        labels = tuple(f"[{edges[i]:g},{edges[i + 1]:g})" for i in range(n_states))
+        tm_o = transition_matrix(
+            encoded.column_codes(c0), encoded.column_codes(c1), n_states, states=labels
+        )
+        tm_s = transition_matrix(
+            clean_synth.column_codes(c0), clean_synth.column_codes(c1), n_states, states=labels
+        )
+        result = frobenius_error(tm_s, tm_o)
+        metrics["frobenius"][kind] = {"value": result.value, "excluded_rows": result.excluded_rows}
+        norms[kind] = float(np.sqrt(np.sum(tm_o.probs[tm_o.defined] ** 2)))
+        for tag, tm in (("original", tm_o), ("synthetic", tm_s)):
+            lines = ["state," + ",".join(tm.states)]
+            for i, state in enumerate(tm.states):
+                lines.append(state + "," + ",".join(f"{v:.6f}" for v in tm.probs[i]))
+            tables[f"transition_{kind}_{tag}.csv"] = lines
+
+    rates_o = delinquency_rate(encoded, delinquency_column="Delinquency2021")
+    rates_s = delinquency_rate(clean_synth, delinquency_column="Delinquency2021")
+    # band names when the codes are the seven reporting bands
+    named = codebook["Age2020"].domain_size == len(AGE_BAND_LABELS)
+    lines = ["age_band,gender,rate_original,rate_synthetic"]
+    for key in sorted(rates_o):
+        band = AGE_BAND_LABELS[key[0]] if named else f"bin{key[0]}"
+        ro = rates_o[key]
+        rs = rates_s.get(key)
+        lines.append(
+            f"{band},{key[1]},"
+            f"{'' if ro is None else f'{ro:.6f}'},"
+            f"{'' if rs is None else f'{rs:.6f}'}"
+        )
+    tables["plot_delinquency_rates.csv"] = lines
+
+    frob_del = metrics["frobenius"]["delinquency"]["value"]
+    metrics["coverage"] = coverage
+    metrics["missing_rate_groups_synthetic"] = sum(1 for v in rates_s.values() if v is None)
+    metrics["relative_error"] = (
+        frob_del / norms["delinquency"] if norms["delinquency"] > 0 else None
+    )
+    return metrics, tables
+
+
+def headline(metrics: dict) -> dict:
+    return {f"frobenius_{kind}": metrics["frobenius"][kind]["value"] for kind in TRANSITIONS}

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..binning import EncodedDataset
-from ..presets import AGE_BAND_LABELS, CBP_AGE_CUTOFFS
-from ..tabular import Dataset, TabularError
+from ..population import FiPopulationConfig, generate_fi_population
+from ..presets import AGE_BAND_LABELS, CBP_AGE_CUTOFFS, fi_rules
+from ..tabular import Dataset, TabularError, load_schema, read_csv
 
 __all__ = [
     "UsageError",
@@ -306,3 +307,76 @@ def save_unbanked_csv(unbanked: dict, path) -> None:
         writer.writerow(["period", "age_band", "gender", "count"])
         for key in sorted(unbanked):
             writer.writerow([key[0], key[1], key[2], int(unbanked[key])])
+
+
+# ------------------------------------------------- the fi application (see apps)
+
+POPULATION = FiPopulationConfig
+INPUT_FILES = ("data", "schema", "unbanked")
+EXTRA = "unbanked.csv"
+rules = fi_rules
+#: each indicator against each demographic, plus two demographic pairs
+WORKLOAD = [
+    (demo, indicator) for indicator in INDICATOR_COLUMNS for demo in ("Period", "Age", "Gender")
+] + [("Age", "Gender"), ("Period", "Age")]
+load_extra = load_unbanked_csv
+save_extra = save_unbanked_csv
+
+
+def prepare(population: FiPopulationConfig, files: dict, rng: np.random.Generator):
+    """The fi microdata and its unbanked table, read from ``files`` or generated."""
+    if files:
+        dataset = read_csv(files["data"], load_schema(files["schema"]))
+        return dataset, load_unbanked_csv(files["unbanked"]), []
+    dataset, unbanked = generate_fi_population(population, rng)
+    return dataset, unbanked, []
+
+
+def evaluate(original, unbanked, encoded, clean_synth, decoded, strategy):
+    """Tau between the usage components of the original and the decoded
+    synthetic data over their shared groups, plus, for data-driven bins,
+    the usage-level shares of the codes."""
+    comp_o = pca_usage_component(build_usage_indicators(original, unbanked), variant="original")
+    comp_s = pca_usage_component(build_usage_indicators(decoded, unbanked), variant="synthetic")
+    shared = sorted(set(comp_o.values) & set(comp_s.values))
+    tau = tau_metric(
+        replace(comp_s, values={k: comp_s.values[k] for k in shared}),
+        replace(comp_o, values={k: comp_o.values[k] for k in shared}),
+    )
+    rows = ["period,age_band,gender,b_original,b_synthetic"]
+    for key in shared:
+        period, band, gender = key
+        rows.append(f"{period},{band},{gender},{comp_o.values[key]:.6f},{comp_s.values[key]:.6f}")
+    tables = {"plot_usage_components.csv": rows}
+
+    metrics = {
+        "tau_overall": tau.overall,
+        "tau_per_group": {"|".join(k): v for k, v in sorted(tau.per_group.items())},
+        "cells_excluded": len(set(comp_o.values) ^ set(comp_s.values)),
+        "weights_original": list(comp_o.weights),
+        "weights_synthetic": list(comp_s.weights),
+        "pca_recon_error_original": comp_o.recon_error,
+        "pca_recon_error_synthetic": comp_s.recon_error,
+        "relative_error": tau.overall,
+    }
+    if strategy == "data_driven":
+        try:
+            lo = usage_levels(encoded)
+            ls = usage_levels(clean_synth)
+        except UsageError as exc:  # under three codes, or all suppressed
+            metrics["usage_levels"] = {"error": str(exc)}
+        else:
+            metrics["usage_levels"] = {
+                name: {"original": lo[name].tolist(), "synthetic": ls[name].tolist()}
+                for name in lo
+            }
+            lines = ["indicator,level,share_original,share_synthetic"]
+            for name in sorted(lo):
+                for level, label in enumerate(LEVEL_LABELS):
+                    lines.append(f"{name},{label},{lo[name][level]:.6f},{ls[name][level]:.6f}")
+            tables["plot_usage_levels.csv"] = lines
+    return metrics, tables
+
+
+def headline(metrics: dict) -> dict:
+    return {"tau_overall": metrics["tau_overall"]}

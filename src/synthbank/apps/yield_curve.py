@@ -15,7 +15,9 @@ import numpy as np
 from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
 
 from ..binning import Codebook, assign_codes
-from ..tabular import Dataset
+from ..population import DepositMarketConfig, generate_term_deposits
+from ..presets import deposit_rules
+from ..tabular import Dataset, load_schema, read_csv
 
 __all__ = [
     "YieldError",
@@ -467,3 +469,144 @@ def nss_fit(
         tau2=tau2,
     )
     return params, rmse
+
+
+# ---------------------------------------------- the yield application (see apps)
+
+POPULATION = DepositMarketConfig
+INPUT_FILES = ("data", "schema")
+EXTRA = None
+rules = deposit_rules
+#: the rate against every other column, plus term against capital
+WORKLOAD = [
+    ("Term", "InterestRate"),
+    ("Capital", "InterestRate"),
+    ("Term", "Capital"),
+    ("Period", "InterestRate"),
+    ("Currency", "InterestRate"),
+    ("typeFI", "InterestRate"),
+]
+
+
+def prepare(population: DepositMarketConfig, files: dict, rng: np.random.Generator):
+    """The term-deposit microdata, read from ``files`` or generated."""
+    if files:
+        return read_csv(files["data"], load_schema(files["schema"])), None, []
+    return generate_term_deposits(population, rng), None, []
+
+
+def evaluate(original, extra, encoded, clean_synth, decoded, strategy):
+    """Max WAI RMSE per (type, currency) group between the original and the
+    decoded synthetic curves, plus LOWESS and Svensson fits of each
+    synthetic curve for the plot table."""
+    codebook = encoded.codebook
+    curves_o = build_yield_curves(original, codebook)
+    curves_s = build_yield_curves(decoded, codebook)
+    term_edges = np.asarray(codebook["Term"].edges)
+
+    groups: dict = {}
+    group_keys = sorted({(k[0], k[1]) for k in curves_o} | {(k[0], k[1]) for k in curves_s})
+    wai_max_overall = None
+    for gkey in group_keys:
+        per_period_o = {k[2]: c for k, c in curves_o.items() if (k[0], k[1]) == gkey}
+        per_period_s = {k[2]: c for k, c in curves_s.items() if (k[0], k[1]) == gkey}
+        shared_periods = sorted(set(per_period_o) & set(per_period_s))
+        entry: dict = {"periods_excluded": len(set(per_period_o) ^ set(per_period_s))}
+        try:
+            if not shared_periods:
+                raise YieldError("no shared periods with data")
+            sub_o = {p: per_period_o[p] for p in shared_periods}
+            sub_s = {p: per_period_s[p] for p in shared_periods}
+            wai = yield_rmse(sub_s, sub_o, field="wai")
+            tc = yield_rmse(sub_s, sub_o, field="total_capital")
+            entry.update(
+                {
+                    "wai_rmse_per_period": wai.per_period,
+                    "wai_rmse_max": wai.maximum,
+                    "tc_rmse_max": tc.maximum,
+                    "excluded_bins": wai.excluded_bins,
+                }
+            )
+            if wai_max_overall is None or wai.maximum > wai_max_overall:
+                wai_max_overall = wai.maximum
+        except YieldError as exc:
+            entry["error"] = str(exc)
+        groups["|".join(gkey)] = entry
+
+    # plot-ready points with trend fits per synthetic curve
+    lines = [
+        "type,currency,period,term_bin,term_left_days,"
+        "wai_original,tc_original,count_original,"
+        "wai_synthetic,tc_synthetic,count_synthetic,lowess_synthetic,nss_synthetic"
+    ]
+    nss_report: dict = {}
+    for key in sorted(set(curves_o) | set(curves_s)):
+        co = curves_o.get(key)
+        cs = curves_s.get(key)
+        bins = sorted(set(co.points if co else ()) | set(cs.points if cs else ()))
+        smooth: dict = {}
+        nss_values: dict = {}
+        if cs is not None and len(cs.points) >= 3:
+            xs = np.array([term_edges[b] for b in cs.terms()])
+            ys = np.array([cs.points[b].wai for b in cs.terms()])
+            try:
+                smooth = dict(zip(cs.terms(), lowess(xs, ys)))
+            except YieldError:
+                smooth = {}
+        if cs is not None and len(cs.points) >= 6:
+            xs = np.array([max(term_edges[b], 1.0) for b in cs.terms()])
+            ys = np.array([cs.points[b].wai for b in cs.terms()])
+            ws = np.array([max(cs.points[b].total_capital, 1.0) for b in cs.terms()])
+            try:
+                params, fit_rmse = nss_fit(xs, ys, weights=ws)
+                nss_report["|".join(key)] = {
+                    "beta0": params.beta0,
+                    "beta1": params.beta1,
+                    "beta2": params.beta2,
+                    "beta3": params.beta3,
+                    "tau1": params.tau1,
+                    "tau2": params.tau2,
+                    "fit_rmse": fit_rmse,
+                }
+                nss_values = {b: float(nss_eval(params, max(term_edges[b], 1.0))) for b in cs.terms()}
+            except YieldError as exc:
+                nss_report["|".join(key)] = {"error": str(exc)}
+        for b in bins:
+            po = co.points.get(b) if co else None
+            ps = cs.points.get(b) if cs else None
+            lines.append(
+                ",".join(
+                    [
+                        key[0],
+                        key[1],
+                        key[2],
+                        str(b),
+                        f"{term_edges[b]:.6g}",
+                        f"{po.wai:.6f}" if po else "",
+                        f"{po.total_capital:.6g}" if po else "",
+                        str(po.count) if po else "",
+                        f"{ps.wai:.6f}" if ps else "",
+                        f"{ps.total_capital:.6g}" if ps else "",
+                        str(ps.count) if ps else "",
+                        f"{smooth[b]:.6f}" if b in smooth else "",
+                        f"{nss_values[b]:.6f}" if b in nss_values else "",
+                    ]
+                )
+            )
+
+    mean_wai = float(
+        np.mean([p.wai for c in curves_o.values() for p in c.points.values()])
+    ) if curves_o else float("nan")
+    relative = (wai_max_overall / mean_wai) if (wai_max_overall is not None and mean_wai > 0) else None
+    metrics = {
+        "groups": groups,
+        "wai_rmse_max_overall": wai_max_overall,
+        "mean_original_wai": mean_wai,
+        "nss": nss_report,
+        "relative_error": relative,
+    }
+    return metrics, {"plot_yield_points.csv": lines}
+
+
+def headline(metrics: dict) -> dict:
+    return {"wai_rmse_max": metrics["wai_rmse_max_overall"]}

@@ -20,6 +20,8 @@ import argparse
 import json
 import sys
 
+from .apps import APPS
+from .mechanisms import MECHANISMS
 from .pipeline import (
     DEFAULT_PRIVACY,
     Pipeline,
@@ -27,6 +29,7 @@ from .pipeline import (
     PipelineConfigError,
     compare_strategies,
 )
+from .presets import STRATEGIES
 
 _STAGE_COMMANDS = {
     "gen-data": ("gen_data",),
@@ -43,8 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="synthbank",
         description="Differentially private synthetic banking microdata pipeline.",
         epilog=(
-            "Config keys: application (fi|yield|credit), strategy (cbp|data_driven), "
-            "mechanism.name (mst|aim|pac), mechanism.selection_fraction, mechanism.rounds, "
+            f"Config keys: application ({'|'.join(APPS)}), strategy ({'|'.join(STRATEGIES)}), "
+            f"mechanism.name ({'|'.join(MECHANISMS)}), "
+            "mechanism.selection_fraction, mechanism.rounds, "
             "mechanism.workload, mechanism.pac.{k,eta,delta_k}, privacy.{epsilon,delta} "
             "(null for the noiseless diagnostic mode), decode.{mode,bandwidth,grid_points}, "
             "input.datagen.* or input.files.*, rule_overrides.<column>, n_synthetic, "
@@ -113,10 +117,8 @@ def main(argv=None) -> int:
         if args.command == "compare":
             comparison = compare_strategies(config)
             for metric, row in comparison["rows"].items():
-                print(
-                    f"{metric}: cbp={row['cbp']} data_driven={row['data_driven']} "
-                    f"winner={row['winner']}"
-                )
+                sides = " ".join(f"{s}={row[s]}" for s in STRATEGIES)
+                print(f"{metric}: {sides} winner={row['winner']}")
             return 0
         pipeline = Pipeline(config)
         for step in _STAGE_COMMANDS[args.command]:

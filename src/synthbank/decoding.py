@@ -22,6 +22,7 @@ from .binning import Codebook, EncodedDataset, log_pretransform
 from .tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
 
 __all__ = [
+    "DECODE_MODES",
     "DecodeError",
     "KdeSpec",
     "decode_left_edge",
@@ -30,6 +31,8 @@ __all__ = [
     "decoded_schema",
     "decode_dataset",
 ]
+
+DECODE_MODES = ("left_edge", "midpoint", "kde")
 
 
 class DecodeError(ValueError):
@@ -274,7 +277,7 @@ def decode_dataset(
     columns pass through with their original labels. KDE mode requires the
     original dataset (``source``) as the fit target and a seeded generator.
     """
-    if mode not in ("left_edge", "midpoint", "kde"):
+    if mode not in DECODE_MODES:
         raise DecodeError(f"unknown decode mode '{mode}'")
     if mode == "kde":
         if source is None or rng is None:

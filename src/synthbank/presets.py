@@ -30,7 +30,6 @@ __all__ = [
     "fi_rules",
     "deposit_rules",
     "credit_rules",
-    "default_workload",
     "STRATEGIES",
 ]
 
@@ -142,42 +141,3 @@ def credit_rules(strategy: str) -> dict[str, BinningRule]:
         "Delinquency2020": BinningRule(KMEANS, k=6),
         "Delinquency2021": BinningRule(KMEANS, k=6),
     }
-
-
-def rules_for(application: str, strategy: str) -> dict[str, BinningRule]:
-    if application == "fi":
-        return fi_rules(strategy)
-    if application == "yield":
-        return deposit_rules(strategy)
-    if application == "credit":
-        return credit_rules(strategy)
-    raise ValueError(f"unknown application '{application}'")
-
-
-def default_workload(application: str) -> list[tuple[str, ...]]:
-    """Workload marginals (by column name) each application cares about."""
-    if application == "fi":
-        pairs = [
-            (demo, indicator)
-            for indicator in ("nFI", "nSavings", "nLoans")
-            for demo in ("Period", "Age", "Gender")
-        ]
-        return pairs + [("Age", "Gender"), ("Period", "Age")]
-    if application == "yield":
-        return [
-            ("Term", "InterestRate"),
-            ("Capital", "InterestRate"),
-            ("Term", "Capital"),
-            ("Period", "InterestRate"),
-            ("Currency", "InterestRate"),
-            ("typeFI", "InterestRate"),
-        ]
-    if application == "credit":
-        return [
-            ("Delinquency2020", "Delinquency2021"),
-            ("Debt2020", "Debt2021"),
-            ("Age2020", "Gender"),
-            ("Gender", "Delinquency2020"),
-            ("Age2020", "Debt2020"),
-        ]
-    raise ValueError(f"unknown application '{application}'")

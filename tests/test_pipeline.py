@@ -29,6 +29,20 @@ def credit_config(tmp_path, subdir="run", **overrides):
     return doc
 
 
+# a small population for each application
+DATAGEN = {
+    "credit": {"n_cards": 4000},
+    "fi": {"n_individuals": 8000},
+    "yield": {"n_deposits": 3000},
+}
+
+
+def app_config(tmp_path, application, subdir="run", **overrides):
+    """``credit_config`` with another application and its small population."""
+    doc = {"application": application, "input": {"datagen": dict(DATAGEN[application])}}
+    return credit_config(tmp_path, subdir, **{**doc, **overrides})
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -111,9 +125,15 @@ def test_manifest_lists_every_artifact_with_hash(tmp_path):
     assert stage_names == ["gen-data", "encode", "synth", "decode", "eval"]
 
 
-def test_cli_staged_run_matches_pipeline_command(tmp_path):
-    doc_a = credit_config(tmp_path, subdir="staged")
-    doc_b = credit_config(tmp_path, subdir="oneshot")
+@pytest.mark.parametrize(
+    "application, strategy",
+    [("credit", "cbp"), ("fi", "cbp"), ("fi", "data_driven")],
+    ids=["credit-cbp", "fi-cbp", "fi-data_driven"],
+)
+def test_cli_staged_run_matches_pipeline_command(tmp_path, application, strategy):
+    # a staged fi run reads unbanked.csv back for its evaluation
+    doc_a = app_config(tmp_path, application, "staged", strategy=strategy)
+    doc_b = app_config(tmp_path, application, "oneshot", strategy=strategy)
     path_a = write_config(tmp_path, doc_a, "staged.json")
     path_b = write_config(tmp_path, doc_b, "oneshot.json")
     for command in ("gen-data", "encode", "synth", "decode", "eval"):
@@ -196,6 +216,20 @@ def test_fi_pipeline_smoke(tmp_path):
     assert (tmp_path / "fi" / "plot_usage_components.csv").exists()
 
 
+def test_fi_usage_levels_error_is_reported_without_a_plot(tmp_path):
+    # two nFI codes cannot be split into three levels
+    doc = app_config(
+        tmp_path, "fi", "fi2", strategy="data_driven",
+        rule_overrides={"nFI": {"method": "kmeans_1d", "k": 2}},
+    )
+    report = run_pipeline(write_config(tmp_path, doc, "fi2.json"))
+    assert report["metrics"]["usage_levels"] == {
+        "error": "column 'nFI': need at least 3 codes for levels, got 2"
+    }
+    assert not (tmp_path / "fi2" / "plot_usage_levels.csv").exists()
+    assert (tmp_path / "fi2" / "plot_usage_components.csv").exists()
+
+
 def test_fi_data_driven_reports_usage_levels(tmp_path):
     doc = {
         "application": "fi",
@@ -245,12 +279,20 @@ def test_yield_pipeline_kde_decode(tmp_path):
     assert report["metrics"]["wai_rmse_max_overall"] is not None
 
 
-def test_compare_emits_winner_flags(tmp_path):
-    doc = credit_config(tmp_path, subdir="cmp")
-    doc["input"]["datagen"]["n_cards"] = 3000
+@pytest.mark.parametrize(
+    "application, headline",
+    [
+        ("credit", ["frobenius_delinquency", "frobenius_debt"]),
+        ("fi", ["tau_overall"]),
+        ("yield", ["wai_rmse_max"]),
+    ],
+    ids=["credit", "fi", "yield"],
+)
+def test_compare_emits_winner_flags(tmp_path, application, headline):
+    doc = app_config(tmp_path, application, "cmp")
     comparison = compare_strategies(PipelineConfig.from_dict(doc))
     rows = comparison["rows"]
-    assert "frobenius_delinquency" in rows and "frobenius_debt" in rows
+    assert list(rows) == [*headline, "relative_error"]
     for row in rows.values():
         assert set(row) == {"cbp", "data_driven", "winner"}
         assert row["winner"] in ("cbp", "data_driven", "tie", "undefined")
@@ -272,23 +314,36 @@ def test_compare_identical_rules_identical_columns(tmp_path):
         assert row["winner"] == "tie"
 
 
-def test_file_input_round_trip(tmp_path):
-    # stage 1: generate with datagen, then re-run from the emitted files
-    gen_doc = credit_config(tmp_path, subdir="src")
-    gen_doc["input"]["datagen"]["n_cards"] = 2500
-    run_pipeline(write_config(tmp_path, gen_doc, "gen.json"))
+# the ``input.files`` keys of each application, and the gen-data artifact
+# each one names
+SOURCE_FILES = {
+    "credit": {
+        "cards_2020": "cards_2020.csv",
+        "schema_2020": "schema_2020.json",
+        "cards_2021": "cards_2021.csv",
+        "schema_2021": "schema_2021.json",
+    },
+    "fi": {"data": "original.csv", "schema": "schema.json", "unbanked": "unbanked.csv"},
+    "yield": {"data": "original.csv", "schema": "schema.json"},
+}
+
+
+@pytest.mark.parametrize("application", ["credit", "fi", "yield"])
+def test_file_input_round_trip(tmp_path, application):
+    # generate with datagen, then re-run from the emitted files
+    run_pipeline(write_config(tmp_path, app_config(tmp_path, application, "src"), "gen.json"))
     src = tmp_path / "src"
-    file_doc = credit_config(tmp_path, subdir="fromfiles")
-    file_doc["input"] = {
-        "files": {
-            "cards_2020": str(src / "cards_2020.csv"),
-            "schema_2020": str(src / "schema_2020.json"),
-            "cards_2021": str(src / "cards_2021.csv"),
-            "schema_2021": str(src / "schema_2021.json"),
-        }
-    }
+    files = {key: str(src / name) for key, name in SOURCE_FILES[application].items()}
+    file_doc = app_config(tmp_path, application, "fromfiles", input={"files": files})
     report = run_pipeline(write_config(tmp_path, file_doc, "fromfiles.json"))
-    assert report["metrics"]["frobenius"]["delinquency"]["value"] >= 0.0
+    assert report["metrics"]["relative_error"] >= 0.0
+    # the files run writes back the data it read, byte for byte (credit's
+    # coverage.json is not compared: its debt share is recomputed from the
+    # debts as written, to 12 significant digits)
+    generated = artifact_bytes(src)
+    reread = artifact_bytes(tmp_path / "fromfiles")
+    for name in {"original.csv", "schema.json", *SOURCE_FILES[application].values()}:
+        assert reread[name] == generated[name], name
 
 
 def without_seconds(doc):
