@@ -156,8 +156,11 @@ def yield_rmse(per_period_s: dict, per_period_o: dict, field: str = "wai") -> Yi
 
     Curves are compared over the term bins present in both; bins present on
     only one side are excluded and counted. Periods must match; a period
-    with no overlapping bins is an error.
+    with no overlapping bins is an error. ``field`` is ``"wai"`` or
+    ``"total_capital"``.
     """
+    if field not in ("wai", "total_capital"):
+        raise YieldError(f"unknown field '{field}': expected 'wai' or 'total_capital'")
     if set(per_period_s) != set(per_period_o):
         raise YieldError(
             f"period sets differ: {sorted(per_period_s)} vs {sorted(per_period_o)}"
@@ -172,11 +175,7 @@ def yield_rmse(per_period_s: dict, per_period_o: dict, field: str = "wai") -> Yi
         excluded[period] = len(set(cs.points) ^ set(co.points))
         if not common:
             raise YieldError(f"period '{period}': no overlapping term bins")
-        diffs = [
-            getattr(cs.points[b], "wai" if field == "wai" else "total_capital")
-            - getattr(co.points[b], "wai" if field == "wai" else "total_capital")
-            for b in common
-        ]
+        diffs = [getattr(cs.points[b], field) - getattr(co.points[b], field) for b in common]
         per_period[period] = float(np.sqrt(np.mean(np.square(diffs))))
     return YieldRmseReport(
         per_period=per_period,
@@ -295,11 +294,12 @@ def _raise_lstsq_error(err, flag):
 def _lstsq_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares solutions and ranks of a stack of systems in one call.
 
-    ``a`` is ``(k, m, n)`` and ``b`` is ``(m,)``; returns the ``(k, n)``
+    ``a`` is ``(k, m, n)`` and ``b`` holds one right-hand side per matrix,
+    ``(k, m)``, or one for all of them, ``(m,)``; returns the ``(k, n)``
     solutions and the ``(k,)`` ranks. This is the gufunc call of
     ``np.linalg.lstsq`` with its default ``rcond``, made once for the whole
     stack: every matrix gets the bits and the rank of its own
-    ``np.linalg.lstsq(a[i], b, rcond=None)``, and an SVD that does not
+    ``np.linalg.lstsq(a[i], b[i], rcond=None)``, and an SVD that does not
     converge raises ``LinAlgError`` in the same way.
     """
     m, n = a.shape[-2:]
@@ -307,8 +307,28 @@ def _lstsq_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(
         call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore", under="ignore"
     ):
-        x, _, rank, _ = _lstsq_gufunc(a, b[:, None], rcond, signature="ddd->ddid")
+        x, _, rank, _ = _lstsq_gufunc(a, b[..., None], rcond, signature="ddd->ddid")
     return x[..., 0], rank
+
+
+def _check_curve(t: np.ndarray, w: np.ndarray) -> None:
+    """Raise :class:`YieldError` unless :func:`nss_fit` can fit this curve."""
+    if t.size < 6:
+        raise YieldError("need at least 6 points to fit the term structure")
+    if np.unique(t).size < 3:
+        raise YieldError("need at least 3 distinct terms")
+    if np.any(t <= 0):
+        raise YieldError("maturities must be positive")
+    if np.any(w <= 0):
+        raise YieldError("weights must be positive")
+
+
+def _nss_columns(t: np.ndarray, sw: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    # weighted [1, f1, f2] columns of each row's decay time, by the
+    # expressions of _nss_basis; f2 of tau2 is the basis's f3
+    u = t / tau[:, None]
+    f1 = -np.expm1(-u) / u
+    return np.stack([np.ones_like(u), f1, f1 - np.exp(-u)], axis=2) * sw[:, :, None]
 
 
 def nss_fit(
@@ -317,13 +337,15 @@ def nss_fit(
     weights=None,
     tau_grid=DEFAULT_TAU_GRID,
     refine_rounds: int = 2,
-) -> tuple[NssParams, float]:
+) -> tuple[NssParams, float] | list[tuple[NssParams, float]]:
     """Profile grid search: betas solve by weighted linear least squares.
 
     The model is linear in the betas given the decay times, so every
     ``(tau1, tau2)`` grid cell is a least-squares solve; the best cell is
     refined by two rounds of local geometric search and only accepted when
-    it improves. Returns the parameters and the weighted fit RMSE.
+    it improves. Returns the parameters and the weighted fit RMSE. Given
+    ``(k, m)`` arrays, one curve per row, it returns ``k`` such pairs, each
+    bit for bit the pair of its row fitted alone.
 
     Ill-conditioned cells (near-equal decay times, or very long decay
     times that make a factor collinear with the level) produce huge
@@ -331,144 +353,122 @@ def nss_fit(
     is only accepted when every coefficient magnitude stays within a
     generous rate-unit bound, otherwise the fit falls back through the
     nested bases (drop the second hump, then the first, then slope).
-    A rank-deficient four-factor basis additionally warns.
+    Each curve whose four-factor basis is ever rank-deficient warns once.
 
-    Cells are solved in batches: the whole grid is one batch, and each
-    refinement round is one batch per ``tau1`` row. A row's ``tau2`` values
-    come from the best cell after the previous row, so a round cannot be
-    one batch without changing which cells are tried. The four-factor
-    solves of a batch are one stacked LAPACK call (:func:`_lstsq_stack`);
-    the narrower bases depend on ``tau1`` alone (width 1 on no decay time
-    at all), so each is solved at most once per fit. Within a batch the
-    cells are compared in the order a cell-by-cell search visits them, and
-    the first cell to beat the best by more than 1e-15 wins.
+    All curves are searched in step, and each step solves its cells of
+    every curve in one stacked LAPACK call (:func:`_lstsq_stack`): the
+    grid is one step, and each refinement round is one step per ``tau1``
+    row. A round's ``tau1`` values come from each curve's best cell at the
+    start of the round and a row's ``tau2`` values from its best cell after
+    the previous row, so a round cannot be one step without changing which
+    cells are tried. A step's narrower bases are stacked across curves
+    too; they depend on ``tau1`` alone (width 1 on no decay time at all),
+    so each is solved at most once per curve. Each curve skips the cells it
+    has solved before and compares the rest in the order a cell-by-cell
+    search visits them: the first cell to beat its best by more than 1e-15
+    wins.
     """
     t = np.asarray(terms, dtype=np.float64)
     y = np.asarray(rates, dtype=np.float64)
-    if t.size < 6:
-        raise YieldError("need at least 6 points to fit the term structure")
-    if np.unique(t).size < 3:
-        raise YieldError("need at least 3 distinct terms")
-    if np.any(t <= 0):
-        raise YieldError("maturities must be positive")
     w = np.ones_like(t) if weights is None else np.asarray(weights, dtype=np.float64)
-    if np.any(w <= 0):
-        raise YieldError("weights must be positive")
-    sw = np.sqrt(w / w.sum())
+    if t.ndim not in (1, 2) or not t.shape == y.shape == w.shape:
+        raise YieldError("terms, rates and weights must be 1-D or 2-D arrays of one shape")
+    t, y, w = np.atleast_2d(t, y, w)
+    for row_t, row_w in zip(t, w):
+        _check_curve(row_t, row_w)
+    sw = np.sqrt(w / w.sum(axis=1, keepdims=True))
     yw = y * sw
 
-    saw_rank_deficiency = False
+    rank_deficient = np.zeros(len(t), dtype=bool)
     beta_cap = 50.0  # rates live in percent; honest curve shapes stay far below
+    # the betas of a cell whose four-factor solve is rejected, by (curve,
+    # tau1): the first of widths 3, 2, 1 within the cap. Widths 3 and 2 use
+    # tau1's columns alone, and width 1 no decay time, so its betas are
+    # kept under (curve, None).
+    fallbacks = {}
+    # a cell solved again gives the same rmse, which cannot beat the best
+    # by the 1e-15 margin, so every cell is solved at most once per curve
+    solved = [set() for _ in t]
+    best = [None] * len(t)  # (rmse, tau1, tau2, beta) of each curve
 
-    # weighted basis columns of each decay time, by the expressions of
-    # _nss_basis: [1, f1, f2] serve as tau1's first three columns and f2
-    # as tau2's f3
-    columns = {}
-
-    def add_columns(taus) -> None:
-        new = [tau for tau in taus if tau not in columns]
-        if new:
-            u = t / np.array(new, dtype=np.float64)[:, None]
-            f1 = -np.expm1(-u) / u
-            basis = np.stack([np.ones_like(u), f1, f1 - np.exp(-u)], axis=2) * sw[:, None]
-            columns.update(zip(new, basis))
-
-    # the betas of a cell whose four-factor solve is rejected: the first of
-    # widths 3, 2, 1 within the cap. Widths 3 and 2 use tau1's columns
-    # alone, and width 1 no decay time, so its betas are kept under None.
-    fallbacks = {}  # tau1 -> betas
-
-    def add_fallbacks(tau1s) -> None:
-        pending = [tau for tau in dict.fromkeys(tau1s) if tau not in fallbacks]
-        for ncols in (3, 2):
-            if not pending:
-                return
-            sub, _ = _lstsq_stack(np.stack([columns[tau][:, :ncols] for tau in pending]), yw)
-            within = np.max(np.abs(sub), axis=1) <= beta_cap
-            for tau, beta, ok in zip(pending, sub, within):
-                if ok:
-                    fallbacks[tau] = np.concatenate([beta, np.zeros(4 - ncols)])
-            pending = [tau for tau in pending if tau not in fallbacks]
-        if pending and None not in fallbacks:
-            beta = np.zeros(4)
-            (sub,), _ = _lstsq_stack(columns[pending[0]][None, :, :1], yw)
-            if np.max(np.abs(sub)) <= beta_cap:
-                beta[:1] = sub
-            else:
-                # intercept-only: the weighted mean rate, always within the cap
-                beta[0] = float(np.sum(yw * sw))
-            fallbacks[None] = beta
-        for tau in pending:
-            fallbacks[tau] = fallbacks[None]
-
-    def solve(cells: list) -> tuple[np.ndarray, list]:
-        nonlocal saw_rank_deficiency
-        add_columns(dict.fromkeys(tau for cell in cells for tau in cell))
+    def consider(cells_by_curve) -> None:
+        curve, cells = [], []
+        for c, row in enumerate(cells_by_curve):
+            for cell in row:
+                if cell not in solved[c]:
+                    solved[c].add(cell)
+                    curve.append(c)
+                    cells.append(cell)
+        if not cells:
+            return
+        tau1, tau2 = np.array(cells, dtype=np.float64).T
+        t_cells, sw_cells, yw_cells = t[curve], sw[curve], yw[curve]
         basis_w = np.concatenate(
-            [
-                np.stack([columns[tau1] for tau1, _ in cells]),
-                np.stack([columns[tau2][:, 2:] for _, tau2 in cells]),
-            ],
+            [_nss_columns(t_cells, sw_cells, tau1), _nss_columns(t_cells, sw_cells, tau2)[:, :, 2:]],
             axis=2,
         )
         betas = np.zeros((len(cells), 4))
         accepted = np.zeros(len(cells), dtype=bool)
-        full = np.array([tau1 != tau2 for tau1, tau2 in cells])
+        full = tau1 != tau2
         if full.any():
-            sub, rank = _lstsq_stack(basis_w[full], yw)
-            deficient = rank < 4
-            saw_rank_deficiency |= bool(deficient.any())
+            sub, rank = _lstsq_stack(basis_w[full], yw_cells[full])
+            rank_deficient[np.asarray(curve)[full][rank < 4]] = True
             betas[full] = sub
-            accepted[full] = ~deficient & (np.max(np.abs(sub), axis=1) <= beta_cap)
+            accepted[full] = (rank == 4) & (np.max(np.abs(sub), axis=1) <= beta_cap)
         rejected = np.flatnonzero(~accepted).tolist()  # their betas are replaced
-        add_fallbacks(cells[i][0] for i in rejected)
-        for i in rejected:
-            betas[i] = fallbacks[cells[i][0]]
-        residuals = (basis_w @ betas[:, :, None])[:, :, 0] - yw
-        return betas, np.sqrt(np.sum(residuals**2, axis=1)).tolist()
+        keys = [(curve[i], cells[i][0]) for i in rejected]
+        # (curve, tau1) -> a rejected cell of that curve and tau1, for its columns
+        pending = {key: i for key, i in zip(keys, rejected) if key not in fallbacks}
+        for ncols in (3, 2):
+            rows = list(pending.values())
+            if rows:
+                sub, _ = _lstsq_stack(basis_w[rows, :, :ncols], yw_cells[rows])
+                for key, beta, ok in zip(list(pending), sub, np.max(np.abs(sub), axis=1) <= beta_cap):
+                    if ok:
+                        fallbacks[key] = np.concatenate([beta, np.zeros(4 - ncols)])
+                        del pending[key]
+        level = {c: i for (c, _), i in pending.items() if (c, None) not in fallbacks}
+        if level:
+            rows = list(level.values())
+            sub, _ = _lstsq_stack(basis_w[rows, :, :1], yw_cells[rows])
+            for c, (beta,) in zip(level, sub):
+                if abs(beta) > beta_cap:
+                    # intercept-only: the weighted mean rate, always within the cap
+                    beta = np.sum(yw[c] * sw[c])
+                fallbacks[c, None] = np.array([beta, 0.0, 0.0, 0.0])
+        for c, tau in pending:
+            fallbacks[c, tau] = fallbacks[c, None]
+        for i, key in zip(rejected, keys):
+            betas[i] = fallbacks[key]
+        residuals = (basis_w @ betas[:, :, None])[:, :, 0] - yw_cells
+        rmses = np.sqrt(np.sum(residuals**2, axis=1)).tolist()
+        for c, (tau1, tau2), beta, rmse in zip(curve, cells, betas, rmses):
+            if best[c] is None or rmse < best[c][0] - 1e-15:
+                best[c] = (rmse, tau1, tau2, beta)
 
-    # a cell solved again gives the same rmse, which cannot beat the best
-    # by the 1e-15 margin, so every cell is solved at most once
-    solved = set()
-    best = None  # (rmse, tau1, tau2, beta)
-
-    def consider(cells) -> None:
-        nonlocal best
-        fresh = []
-        for cell in cells:
-            if cell not in solved:
-                solved.add(cell)
-                fresh.append(cell)
-        if not fresh:
-            return
-        betas, rmses = solve(fresh)
-        for (tau1, tau2), beta, rmse in zip(fresh, betas, rmses):
-            if best is None or rmse < best[0] - 1e-15:
-                best = (rmse, tau1, tau2, beta)
-
-    consider([(tau1, tau2) for tau1 in tau_grid for tau2 in tau_grid])
-    grid_best = best[0]
+    consider([[(tau1, tau2) for tau1 in tau_grid for tau2 in tau_grid]] * len(t))
+    grid_best = [rmse for rmse, *_ in best]
 
     tau_lo, tau_hi = min(tau_grid) / 2.0, max(tau_grid) * 2.0
     factors = np.geomspace(0.6, 1.0 / 0.6, 7)
-    for _ in range(refine_rounds):
-        for tau1 in np.clip(best[1] * factors, tau_lo, tau_hi):
-            tau2_row = np.clip(best[2] * factors, tau_lo, tau_hi)
-            consider([(float(tau1), float(tau2)) for tau2 in tau2_row])
 
-    assert best[0] <= grid_best + 1e-12  # refinement only ever improves
-    if saw_rank_deficiency:
+    def around(i: int) -> list:  # each curve's best tau_i, scaled by each factor
+        taus = np.array([fit[i] for fit in best], dtype=np.float64)
+        return np.clip(taus[:, None] * factors, tau_lo, tau_hi).tolist()
+
+    for _ in range(refine_rounds):
+        for tau1s in zip(*around(1)):
+            consider([[(tau1, tau2) for tau2 in row] for tau1, row in zip(tau1s, around(2))])
+
+    # refinement only ever improves
+    assert all(fit[0] <= rmse + 1e-12 for fit, rmse in zip(best, grid_best))
+    for _ in range(np.count_nonzero(rank_deficient)):
         warnings.warn("rank-deficient term-structure basis; dropped beta3", stacklevel=2)
-    rmse, tau1, tau2, beta = best
-    params = NssParams(
-        beta0=float(beta[0]),
-        beta1=float(beta[1]),
-        beta2=float(beta[2]),
-        beta3=float(beta[3]),
-        tau1=tau1,
-        tau2=tau2,
-    )
-    return params, rmse
+    fits = [
+        (NssParams(*(float(b) for b in beta), tau1=tau1, tau2=tau2), rmse)
+        for rmse, tau1, tau2, beta in best
+    ]
+    return fits if np.ndim(terms) == 2 else fits[0]
 
 
 # ---------------------------------------------- the yield application (see apps)
@@ -539,6 +539,25 @@ def evaluate(original, extra, encoded, clean_synth, decoded, strategy):
         "wai_original,tc_original,count_original,"
         "wai_synthetic,tc_synthetic,count_synthetic,lowess_synthetic,nss_synthetic"
     ]
+    # Svensson fits of the synthetic curves: one nss_fit call fits all
+    # curves with the same number of points
+    fits: dict = {}  # key -> (params, rmse), or the error text
+    by_length: dict = {}
+    for key, cs in sorted(curves_s.items()):
+        if len(cs.points) >= 6:
+            xs = np.array([max(term_edges[b], 1.0) for b in cs.terms()])
+            ws = np.array([max(cs.points[b].total_capital, 1.0) for b in cs.terms()])
+            try:
+                _check_curve(xs, ws)
+            except YieldError as exc:
+                fits[key] = str(exc)
+                continue
+            ys = np.array([cs.points[b].wai for b in cs.terms()])
+            by_length.setdefault(xs.size, []).append((key, xs, ys, ws))
+    for group in by_length.values():
+        keys, xs, ys, ws = zip(*group)
+        fits.update(zip(keys, nss_fit(np.stack(xs), np.stack(ys), weights=np.stack(ws))))
+
     nss_report: dict = {}
     for key in sorted(set(curves_o) | set(curves_s)):
         co = curves_o.get(key)
@@ -553,24 +572,21 @@ def evaluate(original, extra, encoded, clean_synth, decoded, strategy):
                 smooth = dict(zip(cs.terms(), lowess(xs, ys)))
             except YieldError:
                 smooth = {}
-        if cs is not None and len(cs.points) >= 6:
-            xs = np.array([max(term_edges[b], 1.0) for b in cs.terms()])
-            ys = np.array([cs.points[b].wai for b in cs.terms()])
-            ws = np.array([max(cs.points[b].total_capital, 1.0) for b in cs.terms()])
-            try:
-                params, fit_rmse = nss_fit(xs, ys, weights=ws)
-                nss_report["|".join(key)] = {
-                    "beta0": params.beta0,
-                    "beta1": params.beta1,
-                    "beta2": params.beta2,
-                    "beta3": params.beta3,
-                    "tau1": params.tau1,
-                    "tau2": params.tau2,
-                    "fit_rmse": fit_rmse,
-                }
-                nss_values = {b: float(nss_eval(params, max(term_edges[b], 1.0))) for b in cs.terms()}
-            except YieldError as exc:
-                nss_report["|".join(key)] = {"error": str(exc)}
+        fit = fits.get(key)
+        if isinstance(fit, str):
+            nss_report["|".join(key)] = {"error": fit}
+        elif fit is not None:
+            params, fit_rmse = fit
+            nss_report["|".join(key)] = {
+                "beta0": params.beta0,
+                "beta1": params.beta1,
+                "beta2": params.beta2,
+                "beta3": params.beta3,
+                "tau1": params.tau1,
+                "tau2": params.tau2,
+                "fit_rmse": fit_rmse,
+            }
+            nss_values = {b: float(nss_eval(params, max(term_edges[b], 1.0))) for b in cs.terms()}
         for b in bins:
             po = co.points.get(b) if co else None
             ps = cs.points.get(b) if cs else None

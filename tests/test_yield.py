@@ -1,5 +1,8 @@
 """Yield curves, LOWESS smoothing, and the Svensson fit."""
 
+import csv
+import dataclasses
+import json
 import math
 import warnings
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synthbank.apps import yield_curve
 from synthbank.apps.yield_curve import (
     DEFAULT_TAU_GRID,
     NssParams,
@@ -24,6 +28,7 @@ from synthbank.apps.yield_curve import (
     yield_rmse,
 )
 from synthbank.binning import Codebook, ColumnCodec, assign_codes, encode_dataset
+from synthbank.pipeline import Pipeline, PipelineConfig
 from synthbank.population import DepositMarketConfig, generate_term_deposits, planted_rate_curve
 from synthbank.presets import deposit_rules
 from synthbank.tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
@@ -141,6 +146,15 @@ def test_yield_rmse_no_overlap():
     b = make_curve({5: (2.0, 1.0)})
     with pytest.raises(YieldError, match="no overlapping"):
         yield_rmse({"p1": a}, {"p1": b})
+
+
+def test_yield_rmse_scores_total_capital_and_rejects_unknown_fields():
+    a = make_curve({0: (2.0, 1.0), 1: (3.0, 4.0)})
+    b = make_curve({0: (2.0, 3.0), 1: (3.0, 4.0)})
+    assert yield_rmse({"p1": a}, {"p1": b}, field="total_capital").maximum == pytest.approx(np.sqrt(2.0))
+    for field in ("count", "WAI", ""):
+        with pytest.raises(YieldError, match=f"unknown field '{field}'"):
+            yield_rmse({"p1": a}, {"p1": b}, field=field)
 
 
 # ------------------------------------------------------------------ LOWESS
@@ -484,13 +498,16 @@ def test_nss_fit_equals_reference_bit_for_bit(terms, data, tau_grid, refine_roun
     assert repr(got) == repr(want)
 
 
+def fallback_curve(seed=126):
+    """Short terms make every factor nearly collinear with the level: some
+    cells keep four factors, some fall back to widths 3, 2 and 1, and some
+    four-factor bases are rank-deficient (at the default seed)."""
+    rng = np.random.default_rng(seed)
+    return np.round(rng.uniform(1.0, 30.0, 8)), rng.uniform(-5.0, 20.0, 8)
+
+
 def test_nss_fit_fallbacks_and_rank_deficiency_equal_reference(monkeypatch):
-    # short terms make every factor nearly collinear with the level: some
-    # cells keep four factors, some fall back to widths 3, 2 and 1, and some
-    # four-factor bases are rank-deficient
-    rng = np.random.default_rng(126)
-    terms = np.round(rng.uniform(1.0, 30.0, 8))
-    rates = rng.uniform(-5.0, 20.0, 8)
+    terms, rates = fallback_curve()
     got = with_warnings(nss_fit, terms, rates)
 
     solves = []
@@ -513,6 +530,100 @@ def test_nss_fit_fallbacks_and_rank_deficiency_equal_reference(monkeypatch):
     assert any(width == 4 and rank < 4 for width, rank, _ in solves)
 
 
+def reference_fits(terms, rates, weights=None, **kwargs):
+    """``reference_nss_fit`` of each row, one after another."""
+    rows = [None] * len(terms) if weights is None else weights
+    return [reference_nss_fit(t, y, weights=w, **kwargs) for t, y, w in zip(terms, rates, rows)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    m=st.integers(6, 16),
+    data=st.data(),
+    tau_grid=st.sampled_from([DEFAULT_TAU_GRID, (30.0, 30.0, 400.0, 15.0), (15, 3600)]),
+    refine_rounds=st.integers(0, 3),
+)
+def test_nss_fit_of_stacked_curves_equals_reference_per_curve(k, m, data, tau_grid, refine_rounds):
+    terms = [data.draw(st.lists(st.floats(1.0, 4000.0), min_size=m, max_size=m)) for _ in range(k)]
+    terms = [row if np.unique(row).size >= 3 else [*row[:-3], 10.0, 100.0, 1000.0] for row in terms]
+    rates = [data.draw(st.lists(st.floats(-5.0, 20.0), min_size=m, max_size=m)) for _ in range(k)]
+    weights = data.draw(
+        st.none() | st.lists(st.lists(st.floats(1e-3, 1e7), min_size=m, max_size=m), min_size=k, max_size=k)
+    )
+    kwargs = dict(tau_grid=tau_grid, refine_rounds=refine_rounds)
+    got = with_warnings(nss_fit, np.array(terms), np.array(rates), weights=weights, **kwargs)
+    want = with_warnings(reference_fits, terms, rates, weights, **kwargs)
+    assert repr(got) == repr(want)
+
+
+def test_nss_fit_batches_fallback_curves_with_ordinary_ones():
+    rng = np.random.default_rng(11)
+    ordinary = [(np.sort(rng.uniform(7.0, 3600.0, 8)), rng.uniform(1.0, 9.0, 8)) for _ in range(3)]
+    curves = [ordinary[0], fallback_curve(), ordinary[1], fallback_curve(127), ordinary[2]]
+    terms, rates = (np.array(rows) for rows in zip(*curves))
+    got = with_warnings(nss_fit, terms, rates)
+    want = with_warnings(reference_fits, terms, rates)
+    assert repr(got) == repr(want)
+    # one warning for each rank-deficient curve, none for the others
+    deficient = [with_warnings(reference_nss_fit, t, y)[1] for t, y in zip(terms, rates)]
+    assert [len(messages) for messages in deficient] == [0, 1, 1, 1, 0]
+    assert got[1] == ["rank-deficient term-structure basis; dropped beta3"] * 3
+
+
+def test_evaluate_fits_each_curve_length_in_one_call(tmp_path, monkeypatch):
+    calls = []
+
+    def recording_nss_fit(terms, *args, **kwargs):
+        calls.append(np.shape(terms))
+        return nss_fit(terms, *args, **kwargs)
+
+    monkeypatch.setattr(yield_curve, "nss_fit", recording_nss_fit)
+    doc = {
+        "application": "yield",
+        "strategy": "data_driven",
+        "mechanism": {"name": "mst"},
+        "decode": {"mode": "left_edge"},
+        "input": {"datagen": {"n_deposits": 3000}},
+        "rule_overrides": {"Term": {"method": "equal_frequency", "k": 8}},
+        "seed": 7,
+        "output": str(tmp_path),
+    }
+    pipeline = Pipeline(PipelineConfig.from_dict(doc))
+    pipeline.run()
+    term_edges = np.asarray(pipeline.encoded.codebook["Term"].edges)
+    curves = build_yield_curves(pipeline.decoded, pipeline.encoded.codebook)
+    fitted = {key: curve for key, curve in sorted(curves.items()) if len(curve.points) >= 6}
+    lengths = sorted({len(curve.points) for curve in fitted.values()})
+    assert len(lengths) >= 2
+    assert sorted(m for _, m in calls) == lengths
+
+    report = json.loads((tmp_path / "report.json").read_text())["metrics"]["nss"]
+    assert list(report) == ["|".join(key) for key in fitted]
+    with (tmp_path / "plot_yield_points.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    want_column = {(row["type"], row["currency"], row["period"], int(row["term_bin"])): "" for row in rows}
+    for key, curve in fitted.items():
+        terms = np.array([max(term_edges[b], 1.0) for b in curve.terms()])
+        rates = np.array([curve.points[b].wai for b in curve.terms()])
+        weights = np.array([max(curve.points[b].total_capital, 1.0) for b in curve.terms()])
+        params, rmse = reference_nss_fit(terms, rates, weights)
+        assert report["|".join(key)] == {**dataclasses.asdict(params), "fit_rmse": rmse}
+        for b, term in zip(curve.terms(), terms):
+            want_column[(*key, b)] = f"{nss_eval(params, term):.6f}"
+    assert [row["nss_synthetic"] for row in rows] == list(want_column.values())
+
+
+def test_nss_fit_rejects_mismatched_shapes():
+    terms = np.geomspace(7.0, 3600.0, 8)
+    with pytest.raises(YieldError, match="one shape"):
+        nss_fit(terms, np.ones(7))
+    with pytest.raises(YieldError, match="one shape"):
+        nss_fit(np.stack([terms, terms]), np.ones(8))
+    with pytest.raises(YieldError, match="at least 3 distinct terms"):
+        nss_fit(np.stack([terms, np.full(8, 30.0)]), np.ones((2, 8)))
+
+
 def test_lstsq_stack_matches_numpy_lstsq_per_matrix():
     rng = np.random.default_rng(5)
     m = 9
@@ -530,14 +641,17 @@ def test_lstsq_stack_matches_numpy_lstsq_per_matrix():
         t = np.geomspace(1.0, 30.0, m)
         svensson_like = [np.ones(m), *(np.exp(-t / tau) for tau in (3600, 1920, 960))]
         stack.append(np.column_stack(svensson_like)[:, :n])
-        x, rank = _lstsq_stack(np.stack(stack), b)
-        assert x.shape == (len(stack), n)
-        for a, xi, ri in zip(stack, x, rank):
-            want, _, want_rank, _ = np.linalg.lstsq(a, b, rcond=None)
-            assert xi.tobytes() == want.tobytes()
-            assert ri == want_rank
-        assert rank.min() < n
-        assert np.max(np.abs(x)) > 50.0 or n == 1
+        # one right-hand side for the whole stack, and one for each matrix
+        per_matrix = rng.normal(size=(len(stack), m))
+        for rhs in (b, per_matrix):
+            x, rank = _lstsq_stack(np.stack(stack), rhs)
+            assert x.shape == (len(stack), n)
+            for a, bi, xi, ri in zip(stack, np.broadcast_to(rhs, per_matrix.shape), x, rank):
+                want, _, want_rank, _ = np.linalg.lstsq(a, bi, rcond=None)
+                assert xi.tobytes() == want.tobytes()
+                assert ri == want_rank
+            assert rank.min() < n
+            assert np.max(np.abs(x)) > 50.0 or n == 1
 
 
 def test_lstsq_stack_raises_when_the_svd_fails():
