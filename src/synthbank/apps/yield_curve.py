@@ -272,14 +272,16 @@ def nss_eval(params: NssParams, t) -> np.ndarray | float:
     """Svensson rate at maturity ``t`` (days, positive).
 
     The short end tends to ``beta0 + beta1`` and the long end to ``beta0``;
-    both limits are handled by the numerically stable basis.
+    both limits are handled by the numerically stable basis. Each rate is
+    its own 1-row product, so a vector call gives every maturity the bits
+    of a scalar call.
     """
     arr = np.asarray(t, dtype=np.float64)
     if np.any(arr <= 0):
         raise YieldError("maturity must be positive")
     basis = _nss_basis(np.atleast_1d(arr), params.tau1, params.tau2)
     coef = np.array([params.beta0, params.beta1, params.beta2, params.beta3])
-    out = basis @ coef
+    out = (basis[:, None, :] @ coef)[:, 0]
     return float(out[0]) if np.isscalar(t) or arr.ndim == 0 else out
 
 
@@ -542,6 +544,7 @@ def evaluate(original, extra, encoded, clean_synth, decoded, strategy):
     # Svensson fits of the synthetic curves: one nss_fit call fits all
     # curves with the same number of points
     fits: dict = {}  # key -> (params, rmse), or the error text
+    fit_terms: dict = {}  # key -> the maturities the fit used
     by_length: dict = {}
     for key, cs in sorted(curves_s.items()):
         if len(cs.points) >= 6:
@@ -553,6 +556,7 @@ def evaluate(original, extra, encoded, clean_synth, decoded, strategy):
                 fits[key] = str(exc)
                 continue
             ys = np.array([cs.points[b].wai for b in cs.terms()])
+            fit_terms[key] = xs
             by_length.setdefault(xs.size, []).append((key, xs, ys, ws))
     for group in by_length.values():
         keys, xs, ys, ws = zip(*group)
@@ -586,7 +590,7 @@ def evaluate(original, extra, encoded, clean_synth, decoded, strategy):
                 "tau2": params.tau2,
                 "fit_rmse": fit_rmse,
             }
-            nss_values = {b: float(nss_eval(params, max(term_edges[b], 1.0))) for b in cs.terms()}
+            nss_values = dict(zip(cs.terms(), nss_eval(params, fit_terms[key])))
         for b in bins:
             po = co.points.get(b) if co else None
             ps = cs.points.get(b) if cs else None

@@ -79,12 +79,9 @@ def _apply_overrides(doc: dict, args) -> dict:
         doc["output"] = args.out
     if args.strategy is not None:
         doc["strategy"] = args.strategy
-    if args.mechanism is not None:
-        mech = doc.get("mechanism", {})
-        if isinstance(mech, dict):
-            doc["mechanism"] = {**mech, "name": args.mechanism}
-        else:
-            doc["mechanism"] = args.mechanism
+    mech = doc.get("mechanism", {})
+    if args.mechanism is not None and isinstance(mech, dict):
+        doc["mechanism"] = {**mech, "name": args.mechanism}
     if args.epsilon is not None or args.delta is not None:
         privacy = doc.get("privacy", DEFAULT_PRIVACY)
         privacy = dict(privacy) if isinstance(privacy, dict) else {}

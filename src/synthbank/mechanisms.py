@@ -21,8 +21,12 @@ share the same measurement primitives:
 Tree fitting is exact closed-form inference (root marginal plus edge
 conditionals), which is correct for the tree-structured measurement sets
 these mechanisms produce; no iterative graphical-model estimation is
-needed. Passing ``params=None`` runs any mechanism in the noiseless
-diagnostic mode (sigma = 0, exact selection).
+needed. A fitted forest is one list of sampling steps, ``(None, root)``
+for each component and ``(parent, child)`` for each edge in breadth-first
+order: sampling walks the steps, and a two-way model marginal multiplies
+the edge tables along the parent links between its attributes. Passing
+``params=None`` runs any mechanism in the noiseless diagnostic mode
+(sigma = 0, exact selection).
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .privacy import PrivacyParams, add_gaussian_noise, gaussian_sigma, split_bu
 __all__ = [
     "MECHANISMS",
     "MechanismError",
-    "Marginal",
     "TreeModel",
     "PacConfig",
     "PacLevel",
@@ -68,22 +71,16 @@ class MechanismError(ValueError):
     """Invalid mechanism input or configuration."""
 
 
-@dataclass(frozen=True)
-class Marginal:
-    """Exact contingency table over an attribute subset (sorted axes)."""
-
-    attrs: tuple[int, ...]
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "attrs", tuple(self.attrs))
+def _count(codes: np.ndarray, attrs, shape) -> np.ndarray:
+    """Contingency table of the rows of ``codes`` over the columns ``attrs``."""
+    if codes.shape[0] == 0:
+        return np.zeros(shape, dtype=np.int64)
+    flat = np.ravel_multi_index([codes[:, a] for a in attrs], shape)
+    return np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
 
 
-def compute_marginal(data: EncodedDataset, attrs) -> Marginal:
-    """Exact contingency table of the records over ``attrs``.
+def compute_marginal(data: EncodedDataset, attrs) -> np.ndarray:
+    """Exact, read-only contingency table of the records over ``attrs``.
 
     Axes follow ascending attribute order regardless of the order given.
     """
@@ -94,19 +91,16 @@ def compute_marginal(data: EncodedDataset, attrs) -> Marginal:
     if any(a < 0 or a >= d for a in attrs):
         raise MechanismError(f"attribute out of range in {attrs} (have {d} columns)")
     attrs = tuple(sorted(attrs))
-    shape = tuple(data.codebook[a].domain_size for a in attrs)
-    if data.n_records == 0:
-        return Marginal(attrs, np.zeros(shape, dtype=np.int64))
-    flat = np.ravel_multi_index([data.codes[:, a] for a in attrs], shape)
-    counts = np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
-    return Marginal(attrs, counts)
+    counts = _count(data.codes, attrs, tuple(data.codebook[a].domain_size for a in attrs))
+    counts.setflags(write=False)
+    return counts
 
 
 def mutual_information(data: EncodedDataset, a: int, b: int) -> float:
     """Plug-in mutual information (nats) from the exact two-way marginal."""
     if a == b:
         raise MechanismError("mutual information needs two distinct attributes")
-    counts = compute_marginal(data, (a, b)).counts.astype(np.float64)
+    counts = compute_marginal(data, (a, b)).astype(np.float64)
     n = counts.sum()
     if n == 0:
         return 0.0
@@ -121,34 +115,22 @@ def _plug_in_mi(p: np.ndarray) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / (px @ py)[mask])))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _kruskal(weights: dict, nodes) -> list[tuple[int, int]]:
+    """Maximum spanning forest of ``nodes``: Kruskal over the sorted pairs of
+    ``weights`` by descending weight, ties broken lexicographically."""
+    root = {node: node for node in nodes}
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
         return x
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def _kruskal(weights: dict, nodes) -> list[tuple[int, int]]:
-    index = {node: i for i, node in enumerate(nodes)}
-    ordered = sorted(
-        ((min(a, b), max(a, b)) for a, b in weights),
-        key=lambda e: (-weights.get(e, weights.get((e[1], e[0]))), e),
-    )
-    uf = _UnionFind(len(nodes))
     edges = []
-    for a, b in ordered:
-        if uf.union(index[a], index[b]):
+    for a, b in sorted(weights, key=lambda e: (-weights[e], e)):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[rb] = ra
             edges.append((a, b))
     return edges
 
@@ -173,11 +155,6 @@ def maximum_spanning_tree(weights: dict) -> list[tuple[int, int]]:
     return edges
 
 
-def _maximum_spanning_forest(weights: dict, n_nodes: int) -> list[tuple[int, int]]:
-    canon = {(min(a, b), max(a, b)): float(w) for (a, b), w in weights.items()}
-    return _kruskal(canon, list(range(n_nodes)))
-
-
 def _clean_distribution(counts, size: int) -> np.ndarray:
     """Clip negatives, normalize to a probability vector; uniform fallback."""
     arr = np.clip(np.asarray(counts, dtype=np.float64), 0.0, None)
@@ -190,44 +167,41 @@ def _clean_distribution(counts, size: int) -> np.ndarray:
 class TreeModel:
     """Fitted forest of measured marginals, ready to sample.
 
-    Holds a probability distribution per attribute and a row-stochastic
-    conditional table per oriented edge. Component roots are the smallest
-    attribute index of each connected component.
+    ``steps`` lists the forest in sampling order: each component's smallest
+    attribute as a ``(None, root)`` step, then one ``(parent, child)`` step
+    per edge, breadth first from the root with siblings in ascending order.
+    The oriented ``edges``, the component ``roots`` and the parent links
+    follow from the steps. Holds a probability distribution per attribute
+    and a row-stochastic conditional table per oriented edge.
     """
 
-    def __init__(self, domain, edges, attr_dist, conditionals, roots, measured):
+    def __init__(self, domain, steps, attr_dist, conditionals, measured):
         self.domain = tuple(domain)
-        self.edges = list(edges)  # oriented (parent, child)
+        self.steps = list(steps)
+        self.edges = [(p, c) for p, c in self.steps if p is not None]
+        self.roots = [c for p, c in self.steps if p is None]
+        self.parent = {c: p for p, c in self.steps}
         self.attr_dist = attr_dist
         self.conditionals = conditionals
-        self.roots = list(roots)
         self.measured = measured  # list of {"attrs": ..., "sigma": ...}
 
     def sample(self, n_out: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n_out`` rows: roots from their marginals, children from
-        edge conditionals along the forest. Deterministic for a fixed
+        """Draw ``n_out`` rows step by step: roots from their marginals,
+        children from their edge conditionals. Deterministic for a fixed
         generator state."""
         if n_out < 0:
             raise MechanismError("n_out must be non-negative")
-        d = len(self.domain)
-        codes = np.zeros((n_out, d), dtype=np.int64)
-        children = {}
-        for parent, child in self.edges:
-            children.setdefault(parent, []).append(child)
-        for root in self.roots:
-            codes[:, root] = rng.choice(self.domain[root], size=n_out, p=self.attr_dist[root])
-            stack = [root]
-            while stack:
-                parent = stack.pop(0)
-                for child in sorted(children.get(parent, [])):
-                    cond = self.conditionals[(parent, child)]
-                    for value in range(self.domain[parent]):
-                        idx = np.flatnonzero(codes[:, parent] == value)
-                        if idx.size:
-                            codes[idx, child] = rng.choice(
-                                self.domain[child], size=idx.size, p=cond[value]
-                            )
-                    stack.append(child)
+        codes = np.zeros((n_out, len(self.domain)), dtype=np.int64)
+        for parent, child in self.steps:
+            if parent is None:
+                dist = self.attr_dist[child]
+                codes[:, child] = rng.choice(self.domain[child], size=n_out, p=dist)
+                continue
+            cond = self.conditionals[(parent, child)]
+            for value in range(self.domain[parent]):
+                idx = np.flatnonzero(codes[:, parent] == value)
+                if idx.size:
+                    codes[idx, child] = rng.choice(self.domain[child], size=idx.size, p=cond[value])
         return codes
 
     def marginal(self, attrs) -> np.ndarray:
@@ -238,13 +212,25 @@ class TreeModel:
         if len(attrs) != 2:
             raise MechanismError("tree model exposes 1- and 2-way marginals only")
         a, b = attrs
-        path = self._path(a, b)
-        if path is None:
+        up, down = self._ancestors(a), self._ancestors(b)
+        if up[-1] != down[-1]:  # different components
             return np.outer(self.attr_dist[a], self.attr_dist[b])
+        # the tree path: up from a to the common ancestor, then down to b
+        while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+            up.pop()
+            down.pop()
+        path = up + down[-2::-1]
         joint = np.diag(self.attr_dist[a])
         for u, v in zip(path, path[1:]):
             joint = joint @ self._transition(u, v)
         return joint
+
+    def _ancestors(self, attr: int) -> list[int]:
+        """``attr``, its parent, and so on up to its component's root."""
+        chain = [attr]
+        while self.parent[chain[-1]] is not None:
+            chain.append(self.parent[chain[-1]])
+        return chain
 
     def _transition(self, u: int, v: int) -> np.ndarray:
         """Row-stochastic P(v | u) derived from the oriented edge tables."""
@@ -258,26 +244,6 @@ class TreeModel:
         out[nz] = (joint.T[nz] / pu[nz, None])
         return out
 
-    def _path(self, a: int, b: int) -> list[int] | None:
-        adj: dict[int, list[int]] = {}
-        for p, c in self.edges:
-            adj.setdefault(p, []).append(c)
-            adj.setdefault(c, []).append(p)
-        seen = {a: None}
-        frontier = [a]
-        while frontier:
-            node = frontier.pop(0)
-            if node == b:
-                path = [b]
-                while seen[path[-1]] is not None:
-                    path.append(seen[path[-1]])
-                return path[::-1]
-            for nxt in sorted(adj.get(node, [])):
-                if nxt not in seen:
-                    seen[nxt] = node
-                    frontier.append(nxt)
-        return None
-
 
 def _build_tree_model(domain, one_way: dict, pairs: dict, edge_list=None, measured=None) -> TreeModel:
     """Fit a forest model from cleaned noisy marginals.
@@ -286,7 +252,9 @@ def _build_tree_model(domain, one_way: dict, pairs: dict, edge_list=None, measur
     -> noisy tables. When ``edge_list`` is None a maximum spanning forest
     over the measured pairs (weighted by the mutual information of their
     cleaned tables) decides the structure. Attributes without any
-    measurement fall back to uniform distributions.
+    measurement fall back to uniform distributions. Each component is
+    walked breadth first from its smallest attribute, which orients every
+    edge away from that root and gives the model's sampling steps.
     """
     domain = tuple(domain)
     d = len(domain)
@@ -296,7 +264,7 @@ def _build_tree_model(domain, one_way: dict, pairs: dict, edge_list=None, measur
             key: _plug_in_mi(_clean_distribution(table, table.size).reshape(table.shape))
             for key, table in sorted(pair_tables.items())
         }
-        edge_list = _maximum_spanning_forest(weights, d) if weights else []
+        edge_list = _kruskal(weights, range(d))
 
     adj: dict[int, list[int]] = {i: [] for i in range(d)}
     for a, b in edge_list:
@@ -313,17 +281,14 @@ def _build_tree_model(domain, one_way: dict, pairs: dict, edge_list=None, measur
                 return _clean_distribution(table.sum(axis=0), domain[attr])
         return np.full(domain[attr], 1.0 / domain[attr])
 
-    # one breadth-first walk per connected component, rooted at its smallest
-    # attribute, orients every edge away from the root
     attr_dist: dict[int, np.ndarray] = {}
     conditionals: dict[tuple[int, int], np.ndarray] = {}
-    oriented: list[tuple[int, int]] = []
-    roots: list[int] = []
+    steps: list[tuple[int | None, int]] = []
     visited: set[int] = set()
     for root in range(d):
         if root in visited:
             continue
-        roots.append(root)
+        steps.append((None, root))
         visited.add(root)
         attr_dist[root] = base_dist(root)
         frontier = [root]
@@ -348,9 +313,25 @@ def _build_tree_model(domain, one_way: dict, pairs: dict, edge_list=None, measur
                         cond[v] = child_fallback
                 conditionals[(parent, child)] = cond
                 attr_dist[child] = attr_dist[parent] @ cond
-                oriented.append((parent, child))
+                steps.append((parent, child))
                 frontier.append(child)
-    return TreeModel(domain, oriented, attr_dist, conditionals, roots, measured or [])
+    return TreeModel(domain, steps, attr_dist, conditionals, measured or [])
+
+
+def _budget(
+    params: PrivacyParams | None, n_measurements: int, selection_fraction: float, n_records: int
+) -> tuple[PrivacyParams | None, float]:
+    """The selection budget (None without one) and the noise scale of each of
+    ``n_measurements`` measurements; ``params=None`` is the noiseless mode,
+    which needs records to measure."""
+    if params is None:
+        selection, sigma = None, 0.0
+    else:
+        selection, per_measurement = split_budget(params, n_measurements, selection_fraction)
+        sigma = gaussian_sigma(per_measurement)
+    if n_records == 0 and sigma == 0:
+        raise MechanismError("empty input in noiseless mode")
+    return selection, sigma
 
 
 def fit_mst_model(
@@ -371,13 +352,7 @@ def fit_mst_model(
     n = data.n_records
     if d < 1:
         raise MechanismError("need at least one attribute")
-    if params is None:
-        selection, sigma = None, 0.0
-    else:
-        selection, per_measurement = split_budget(params, max(d, 1), selection_fraction)
-        sigma = gaussian_sigma(per_measurement)
-    if n == 0 and sigma == 0:
-        raise MechanismError("empty input in noiseless mode")
+    selection, sigma = _budget(params, d, selection_fraction, n)
 
     edges: list[tuple[int, int]] = []
     if d >= 2:
@@ -393,22 +368,18 @@ def fit_mst_model(
                 scores[pair] += rng.gumbel(0.0, scale)
         edges = maximum_spanning_tree(scores)
 
-    root = 0
-    measured = []
-    root_noisy = add_gaussian_noise((root,), compute_marginal(data, (root,)).counts, sigma, rng)
-    measured.append({"attrs": (root,), "sigma": sigma})
-    pair_noisy = {}
-    for a, b in sorted(edges):
-        pair_noisy[(a, b)] = add_gaussian_noise(
-            (a, b), compute_marginal(data, (a, b)).counts, sigma, rng
-        )
-        measured.append({"attrs": (a, b), "sigma": sigma})
+    # the root's one-way marginal, then every edge's two-way one
+    measured = [(0,), *sorted(edges)]
+    noisy = {
+        attrs: add_gaussian_noise(attrs, compute_marginal(data, attrs), sigma, rng).counts
+        for attrs in measured
+    }
     return _build_tree_model(
         data.codebook.domain_sizes,
-        {root: root_noisy.counts},
-        {k: v.counts for k, v in pair_noisy.items()},
+        {0: noisy[(0,)]},
+        {attrs: counts for attrs, counts in noisy.items() if len(attrs) == 2},
         edge_list=edges,
-        measured=measured,
+        measured=[{"attrs": attrs, "sigma": sigma} for attrs in measured],
     )
 
 
@@ -465,13 +436,7 @@ def fit_aim_model(
     if not workload:
         raise MechanismError("workload must be non-empty")
     n = data.n_records
-    if params is None:
-        selection, sigma = None, 0.0
-    else:
-        selection, per_measurement = split_budget(params, rounds, selection_fraction)
-        sigma = gaussian_sigma(per_measurement)
-    if n == 0 and sigma == 0:
-        raise MechanismError("empty input in noiseless mode")
+    selection, sigma = _budget(params, rounds, selection_fraction, n)
     eps_sel_round = selection.epsilon / rounds if selection is not None else None
 
     domain = data.codebook.domain_sizes
@@ -479,7 +444,7 @@ def fit_aim_model(
     hits: dict[tuple[int, ...], int] = {}
     measured = []
     model = _build_tree_model(domain, {}, {}, edge_list=[])
-    exact = {attrs: compute_marginal(data, attrs).counts for attrs, _ in workload}
+    exact = {attrs: compute_marginal(data, attrs) for attrs, _ in workload}
     max_weight = max(weight for _, weight in workload)
 
     for _ in range(rounds):
@@ -522,7 +487,7 @@ class PacConfig:
     delta_k: float = 3.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, numbers.Integral) or self.k < 1:
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 1:
             raise MechanismError(f"reporting length k must be an integer >= 1, got {self.k!r}")
         if not isinstance(self.eta, numbers.Real) or not 0 < self.eta < 1:
             raise MechanismError(f"eta must lie in (0, 1), got {self.eta!r}")
@@ -603,17 +568,9 @@ def pac_aggregate(
 
         tables = {}
         for si, attrs in enumerate(subsets):
-            shape = tuple(domain[a] for a in attrs)
             rows = data.codes if contrib is None else data.codes[contrib[:, si]]
-            if rows.shape[0] == 0:
-                tables[attrs] = np.zeros(shape, dtype=np.float64)
-                continue
-            flat = np.ravel_multi_index([rows[:, a] for a in attrs], shape)
-            tables[attrs] = (
-                np.bincount(flat, minlength=int(np.prod(shape)))
-                .reshape(shape)
-                .astype(np.float64)
-            )
+            shape = tuple(domain[a] for a in attrs)
+            tables[attrs] = _count(rows, attrs, shape).astype(np.float64)
 
         cand_masks = {}
         total_candidates = 0

@@ -103,7 +103,7 @@ class PipelineConfig:
     decode_mode: str = "left_edge"
     kde: KdeSpec = field(default_factory=KdeSpec)
     n_synthetic: int | None = None
-    datagen: dict = field(default_factory=dict)
+    datagen: object = None  # the application's ``POPULATION`` settings
     files: dict = field(default_factory=dict)
     rule_overrides: dict = field(default_factory=dict)
 
@@ -160,11 +160,11 @@ class PipelineConfig:
                 f"strategy: unknown value {strategy!r} (allowed: {', '.join(STRATEGIES)})"
             )
         mech_section = doc.get("mechanism", {})
-        if isinstance(mech_section, str):
-            mech_section = {"name": mech_section}
         check_keys("mechanism", mech_section, SECTION_KEYS["mechanism"])
         mechanism = pick(mech_section, "name")
-        if mechanism not in MECHANISMS:
+        if not isinstance(mech_section, dict):
+            errors.append(f"mechanism: must be an object, got {mech_section!r}")
+        elif mechanism not in MECHANISMS:
             errors.append(
                 f"mechanism.name: unknown value {mechanism!r} (allowed: {', '.join(MECHANISMS)})"
             )
@@ -190,7 +190,7 @@ class PipelineConfig:
         if not output:
             errors.append("output: an output directory is required")
         seed = doc.get("seed", 1)
-        if not isinstance(seed, int) or seed < 0:
+        if not _is_int(seed) or seed < 0:
             errors.append(f"seed: must be a non-negative integer, got {seed!r}")
 
         input_section = doc.get("input", {"datagen": {}})
@@ -202,9 +202,17 @@ class PipelineConfig:
         for key, section in (("datagen", datagen), ("files", files)):
             if section is not None and not isinstance(section, dict):
                 errors.append(f"input.{key}: must be an object, got {section!r}")
+        population = None
         if app is not None:
             known = [f.name for f in dataclasses.fields(app.POPULATION)]
             check_keys("input.datagen", datagen, known, f" for {application}")
+            if datagen is None or isinstance(datagen, dict):
+                settings = {}  # JSON lists become the tuples the settings hold
+                for key, value in (datagen or {}).items():
+                    if isinstance(value, list):
+                        value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+                    settings[key] = value
+                population = build(app.POPULATION, "input.datagen", settings, known)
             check_keys("input.files", files, app.INPUT_FILES)
             if isinstance(files, dict):
                 missing = [key for key in app.INPUT_FILES if key not in files]
@@ -217,7 +225,7 @@ class PipelineConfig:
                 f"mechanism.selection_fraction: must lie in [0, 1), got {selection_fraction!r}"
             )
         rounds = pick(mech_section, "rounds", 10)
-        if not isinstance(rounds, int) or rounds < 1:
+        if not _is_int(rounds) or rounds < 1:
             errors.append(f"mechanism.rounds: must be a positive integer, got {rounds!r}")
         workload = pick(mech_section, "workload")
         if workload is not None:
@@ -230,13 +238,21 @@ class PipelineConfig:
         if not isinstance(rule_overrides, dict):
             errors.append(f"rule_overrides: must be an object, got {rule_overrides!r}")
             rule_overrides = {}
+        if app is not None and strategy in STRATEGIES:
+            binned = list(app.rules(strategy))
+            unbinned = [name for name in rule_overrides if name not in binned]
+            if unbinned:
+                errors.append(
+                    f"rule_overrides: {unbinned} are not binned columns of {application} "
+                    f"(binned: {', '.join(binned)})"
+                )
         parsed_overrides = {
             name: build(BinningRule, f"rule_overrides.{name}", spec)
             for name, spec in rule_overrides.items()
         }
 
         n_synthetic = doc.get("n_synthetic")
-        if n_synthetic is not None and (not isinstance(n_synthetic, int) or n_synthetic < 0):
+        if n_synthetic is not None and (not _is_int(n_synthetic) or n_synthetic < 0):
             errors.append(f"n_synthetic: must be a non-negative integer, got {n_synthetic!r}")
 
         if errors:
@@ -256,7 +272,7 @@ class PipelineConfig:
             decode_mode=decode_mode,
             kde=kde,
             n_synthetic=n_synthetic,
-            datagen=dict(datagen or {}),
+            datagen=population,
             files=dict(files or {}),
             rule_overrides=parsed_overrides,
         )
@@ -273,14 +289,9 @@ class PipelineConfig:
         return doc
 
 
-def _population_config(population: type, overrides: dict):
-    """The application's population settings with ``input.datagen`` applied."""
-    fixed = {}
-    for key, value in overrides.items():
-        if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        fixed[key] = value
-    return dataclasses.replace(population(), **fixed)
+def _is_int(value) -> bool:
+    """True for a JSON integer; ``true`` and ``false`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _json_dump(doc, path) -> None:
@@ -370,9 +381,8 @@ class Pipeline:
             "metrics_summary": {},
             "artifacts": {},
         }
-        population = _population_config(self.app.POPULATION, config.datagen)
         self.source, self.extra, written = self.app.prepare(
-            population, config.files, self._rng("datagen")
+            config.datagen, config.files, self._rng("datagen")
         )
         self._write_dataset(self.source, "original.csv", "schema.json")
         for args in written:

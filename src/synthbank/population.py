@@ -27,6 +27,7 @@ Planted structure worth knowing when testing:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,15 @@ DELINQUENCY_BAND_RANGES = ((0, 60), (61, 90), (91, 150), (151, 180), (181, 270),
 _BANDS = len(AGE_BAND_LABELS)
 
 
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def _check_probs(name: str, values, length: int | None = None) -> tuple[float, ...]:
     arr = tuple(float(v) for v in values)
     if length is not None and len(arr) != length:
-        raise ValueError(f"{name} needs {length} entries, got {len(arr)}")
+        raise ValueError(f"{name} needs {length} entries, got {values!r}")
     if any(not (0.0 <= v <= 1.0) for v in arr):
         raise ValueError(f"{name} entries must lie in [0, 1]")
     return arr
@@ -82,8 +88,7 @@ class FiPopulationConfig:
     nzs_lambda: tuple[float, ...] = (0.6, 1.0, 1.2, 1.1, 0.9, 0.8, 0.6)
 
     def __post_init__(self) -> None:
-        if self.n_individuals < 0:
-            raise ValueError("n_individuals must be non-negative")
+        _check_count("n_individuals", self.n_individuals)
         if not self.periods:
             raise ValueError("need at least one period")
         _check_probs("band_shares", self.band_shares, _BANDS)
@@ -125,12 +130,11 @@ class DepositMarketConfig:
     rate_range: tuple[float, float] = (0.05, 14.9)
 
     def __post_init__(self) -> None:
-        if self.n_deposits < 0:
-            raise ValueError("n_deposits must be non-negative")
+        _check_count("n_deposits", self.n_deposits)
         _check_probs("bank_share", (self.bank_share,))
         _check_probs("pyg_share", (self.pyg_share,))
-        if self.curve_tau[0] <= 0 or self.curve_tau[1] <= 0:
-            raise ValueError("curve decay times must be positive")
+        if len(self.curve_tau) != 2 or min(self.curve_tau) <= 0:
+            raise ValueError(f"curve_tau must be two positive decay times, got {self.curve_tau!r}")
 
 
 #: concentrated delinquency transition kernel (rows: 2020 band)
@@ -163,8 +167,7 @@ class CreditPortfolioConfig:
     debt_vol: float = 0.35
 
     def __post_init__(self) -> None:
-        if self.n_cards < 0:
-            raise ValueError("n_cards must be non-negative")
+        _check_count("n_cards", self.n_cards)
         _check_probs("persistence", (self.persistence,))
         _check_probs("new_card_rate", (self.new_card_rate,))
         _check_probs("band_shares", self.band_shares, _BANDS)

@@ -161,8 +161,8 @@ def test_criterion_2_exact_oracles():
             key = tuple(int(row[a]) for a in attrs)
             tally[key] = tally.get(key, 0) + 1
         for key, count in tally.items():
-            assert marg.counts[key] == count
-        assert marg.counts.sum() == 300
+            assert marg[key] == count
+        assert marg.sum() == 300
 
     assert time.perf_counter() - started < 30.0
 

@@ -5,11 +5,16 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from synthbank.binning import encode_dataset
 from synthbank.mechanisms import (
     MECHANISMS,
+    _build_tree_model,
+    _clean_distribution,
+    _plug_in_mi,
     MechanismError,
     PacConfig,
     compute_marginal,
@@ -36,16 +41,16 @@ from util import make_encoded, tv_distance
 def test_marginal_count_conservation():
     data = make_encoded([[0], [1], [1], [0]], (2,))
     marg = compute_marginal(data, (0,))
-    assert marg.counts.sum() == 4
-    assert list(marg.counts) == [2, 2]
+    assert marg.sum() == 4
+    assert list(marg) == [2, 2]
 
 
 def test_marginal_perfect_dependence_diagonal():
     codes = np.array([[0, 0], [1, 1], [0, 0], [1, 1]])
     data = make_encoded(codes, (2, 2))
     marg = compute_marginal(data, (0, 1))
-    assert marg.counts[0, 1] == 0 and marg.counts[1, 0] == 0
-    assert marg.counts[0, 0] == 2 and marg.counts[1, 1] == 2
+    assert marg[0, 1] == 0 and marg[1, 0] == 0
+    assert marg[0, 0] == 2 and marg[1, 1] == 2
 
 
 def test_marginal_matches_brute_force_tally():
@@ -60,7 +65,7 @@ def test_marginal_matches_brute_force_tally():
         key = tuple(row[a] for a in attrs)
         tally[key] = tally.get(key, 0) + 1
     for key in product(range(3), range(4), range(3)):
-        assert marg.counts[key] == tally.get(key, 0)
+        assert marg[key] == tally.get(key, 0)
 
 
 def test_marginal_rejects_duplicates_and_range():
@@ -143,6 +148,231 @@ def test_mst_matches_enumeration():
         assert math.isclose(got, want, rel_tol=1e-12)
 
 
+# ------------------------------------------------------------- tree model
+
+class ReferenceUnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
+def reference_forest(weights, n_nodes):
+    """Kruskal with a union-find object over canonical pairs."""
+    canon = {(min(a, b), max(a, b)): float(w) for (a, b), w in weights.items()}
+    ordered = sorted(canon, key=lambda e: (-canon[e], e))
+    uf = ReferenceUnionFind(n_nodes)
+    return [(a, b) for a, b in ordered if uf.union(a, b)]
+
+
+class ReferenceTreeModel:
+    """A forest given by oriented edges and roots: the path between two
+    attributes is found by breadth-first search, and sampling re-derives the
+    breadth-first order from the edges."""
+
+    def __init__(self, domain, edges, attr_dist, conditionals, roots):
+        self.domain = tuple(domain)
+        self.edges = list(edges)
+        self.attr_dist = attr_dist
+        self.conditionals = conditionals
+        self.roots = list(roots)
+
+    def sample(self, n_out, rng):
+        codes = np.zeros((n_out, len(self.domain)), dtype=np.int64)
+        children = {}
+        for parent, child in self.edges:
+            children.setdefault(parent, []).append(child)
+        for root in self.roots:
+            codes[:, root] = rng.choice(self.domain[root], size=n_out, p=self.attr_dist[root])
+            stack = [root]
+            while stack:
+                parent = stack.pop(0)
+                for child in sorted(children.get(parent, [])):
+                    cond = self.conditionals[(parent, child)]
+                    for value in range(self.domain[parent]):
+                        idx = np.flatnonzero(codes[:, parent] == value)
+                        if idx.size:
+                            codes[idx, child] = rng.choice(
+                                self.domain[child], size=idx.size, p=cond[value]
+                            )
+                    stack.append(child)
+        return codes
+
+    def marginal(self, attrs):
+        attrs = tuple(sorted(attrs))
+        if len(attrs) == 1:
+            return self.attr_dist[attrs[0]].copy()
+        a, b = attrs
+        path = self._path(a, b)
+        if path is None:
+            return np.outer(self.attr_dist[a], self.attr_dist[b])
+        joint = np.diag(self.attr_dist[a])
+        for u, v in zip(path, path[1:]):
+            joint = joint @ self._transition(u, v)
+        return joint
+
+    def _transition(self, u, v):
+        if (u, v) in self.conditionals:
+            return self.conditionals[(u, v)]
+        cond = self.conditionals[(v, u)]
+        joint = self.attr_dist[v][:, None] * cond
+        pu = joint.sum(axis=0)
+        out = np.zeros((self.domain[u], self.domain[v]))
+        nz = pu > 0
+        out[nz] = joint.T[nz] / pu[nz, None]
+        return out
+
+    def _path(self, a, b):
+        adj = {}
+        for p, c in self.edges:
+            adj.setdefault(p, []).append(c)
+            adj.setdefault(c, []).append(p)
+        seen = {a: None}
+        frontier = [a]
+        while frontier:
+            node = frontier.pop(0)
+            if node == b:
+                path = [b]
+                while seen[path[-1]] is not None:
+                    path.append(seen[path[-1]])
+                return path[::-1]
+            for nxt in sorted(adj.get(node, [])):
+                if nxt not in seen:
+                    seen[nxt] = node
+                    frontier.append(nxt)
+        return None
+
+
+def reference_tree_model(domain, one_way, pairs, edge_list=None):
+    """The forest fit of ``_build_tree_model``, as oriented edges and roots."""
+    d = len(domain)
+    pair_tables = {tuple(sorted(k)): np.asarray(v, dtype=np.float64) for k, v in pairs.items()}
+    if edge_list is None:
+        weights = {
+            key: _plug_in_mi(_clean_distribution(table, table.size).reshape(table.shape))
+            for key, table in sorted(pair_tables.items())
+        }
+        edge_list = reference_forest(weights, d)
+    adj = {i: [] for i in range(d)}
+    for a, b in edge_list:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    def base_dist(attr):
+        if attr in one_way:
+            return _clean_distribution(one_way[attr], domain[attr])
+        for (a, b), table in sorted(pair_tables.items()):
+            if attr == a:
+                return _clean_distribution(table.sum(axis=1), domain[attr])
+            if attr == b:
+                return _clean_distribution(table.sum(axis=0), domain[attr])
+        return np.full(domain[attr], 1.0 / domain[attr])
+
+    attr_dist, conditionals, oriented, roots, visited = {}, {}, [], [], set()
+    for root in range(d):
+        if root in visited:
+            continue
+        roots.append(root)
+        visited.add(root)
+        attr_dist[root] = base_dist(root)
+        frontier = [root]
+        while frontier:
+            parent = frontier.pop(0)
+            for child in sorted(adj[parent]):
+                if child in visited:
+                    continue
+                visited.add(child)
+                table = pair_tables[(min(parent, child), max(parent, child))]
+                if parent > child:
+                    table = table.T
+                table = np.clip(table, 0.0, None)
+                fallback = _clean_distribution(table.sum(axis=0), domain[child])
+                cond = np.empty((domain[parent], domain[child]))
+                row_sums = table.sum(axis=1)
+                for v in range(domain[parent]):
+                    cond[v] = table[v] / row_sums[v] if row_sums[v] > 0 else fallback
+                conditionals[(parent, child)] = cond
+                attr_dist[child] = attr_dist[parent] @ cond
+                oriented.append((parent, child))
+                frontier.append(child)
+    return ReferenceTreeModel(domain, oriented, attr_dist, conditionals, roots)
+
+
+def noisy_table(rng, shape, kind, shared):
+    """Noisy counts with some negative cells; ``kind`` 1 zeroes some rows of
+    the first axis, 2 the whole table, and 3 repeats the table of ``shared``
+    for this shape, which ties the mutual information of the pairs using it."""
+    if kind == 3:
+        return shared.setdefault(shape, noisy_table(rng, shape, 0, shared)).copy()
+    table = rng.integers(0, 30, size=shape) + rng.normal(0.0, 4.0, size=shape)
+    if kind == 1:
+        table[rng.random(shape[0]) < 0.5] = 0.0
+    elif kind == 2:
+        table[...] = 0.0
+    return table
+
+
+@st.composite
+def forest_fits(draw):
+    """Domain, one-way and pair tables, and an edge list (None for the
+    mutual-information forest) of one ``_build_tree_model`` call."""
+    domain = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=8)))
+    d = len(domain)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    all_pairs = list(combinations(range(d), 2))
+    if draw(st.booleans()):
+        # a random forest: each attribute hangs under an earlier one or
+        # starts a component; edges are given in either orientation
+        edge_list = []
+        for child in range(1, d):
+            parent = draw(st.integers(-1, child - 1))
+            if parent >= 0:
+                edge_list.append((parent, child) if draw(st.booleans()) else (child, parent))
+        draw(st.randoms()).shuffle(edge_list)
+        measured = sorted({tuple(sorted(e)) for e in edge_list})
+    else:
+        edge_list = None
+        measured = draw(st.lists(st.sampled_from(all_pairs), unique=True)) if all_pairs else []
+    shared = {}
+    pairs = {
+        (a, b): noisy_table(rng, (domain[a], domain[b]), draw(st.integers(0, 3)), shared)
+        for a, b in measured
+    }
+    one_way = {
+        a: noisy_table(rng, (domain[a],), draw(st.integers(0, 3)), shared)
+        for a in draw(st.lists(st.integers(0, d - 1), unique=True))
+    }
+    return domain, one_way, pairs, edge_list
+
+
+@settings(max_examples=50, deadline=None)
+@given(fit=forest_fits(), n_out=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_tree_model_matches_breadth_first_reference(fit, n_out, seed):
+    domain, one_way, pairs, edge_list = fit
+    model = _build_tree_model(domain, one_way, pairs, edge_list=edge_list)
+    ref = reference_tree_model(domain, one_way, pairs, edge_list=edge_list)
+    assert model.edges == ref.edges
+    assert model.roots == ref.roots
+    d = len(domain)
+    for attrs in [(a,) for a in range(d)] + list(combinations(range(d), 2)):
+        got, want = model.marginal(attrs), ref.marginal(attrs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), attrs
+    rng_model, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(model.sample(n_out, rng_model), ref.sample(n_out, rng_ref))
+    assert rng_model.random() == rng_ref.random()
+
+
 # ------------------------------------------------------------------- MST
 
 def test_mst_noiseless_copy_column():
@@ -190,7 +420,7 @@ def test_mst_noiseless_model_marginals_exact():
     n = data.n_records
     for item in model.measured:
         attrs = tuple(item["attrs"])
-        exact = compute_marginal(data, attrs).counts / n
+        exact = compute_marginal(data, attrs) / n
         assert np.allclose(model.marginal(attrs), exact, atol=1e-12)
 
 
@@ -256,7 +486,7 @@ def test_aim_high_budget_recovers_all_pairs():
     )
     for attrs in workload:
         tv = tv_distance(
-            compute_marginal(data, attrs).counts, compute_marginal(synth, attrs).counts
+            compute_marginal(data, attrs), compute_marginal(synth, attrs)
         )
         assert tv < 0.02, f"pair {attrs} TV {tv}"
 
@@ -275,7 +505,7 @@ def test_aim_prioritized_pair_beats_mst():
     ds = generate_term_deposits(config, np.random.default_rng(31))
     enc = encode_dataset(ds, deposit_rules("cbp"))
     pair = (enc.codebook.index_of("Period"), enc.codebook.index_of("InterestRate"))
-    exact = compute_marginal(enc, pair).counts
+    exact = compute_marginal(enc, pair)
     params = PrivacyParams(1.0, 1e-10)
     n = enc.n_records
     aim_tv, mst_tv = [], []
@@ -285,8 +515,8 @@ def test_aim_prioritized_pair_beats_mst():
             rounds=1, workload=[(("Period", "InterestRate"), 1.0)],
         )
         synth_m, _, _ = run_mechanism(enc, "mst", params, n, np.random.default_rng(2000 + seed))
-        aim_tv.append(tv_distance(exact, compute_marginal(synth_a, pair).counts))
-        mst_tv.append(tv_distance(exact, compute_marginal(synth_m, pair).counts))
+        aim_tv.append(tv_distance(exact, compute_marginal(synth_a, pair)))
+        mst_tv.append(tv_distance(exact, compute_marginal(synth_m, pair)))
     assert np.mean(aim_tv) <= np.mean(mst_tv), (np.mean(aim_tv), np.mean(mst_tv))
 
 
@@ -373,6 +603,7 @@ def test_pac_k_exceeds_attrs():
         ({"k": 0}, "k must be an integer >= 1, got 0"),
         ({"k": 2.0}, "k must be an integer >= 1, got 2.0"),
         ({"k": "2"}, "k must be an integer >= 1, got '2'"),
+        ({"k": True}, "k must be an integer >= 1, got True"),
         ({"eta": "x"}, "eta must lie in"),
         ({"delta_k": None}, "delta_k must be >= 1, got None"),
     ],

@@ -151,6 +151,15 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert "mechanism.name" in err and "mst" in err
 
 
+def test_cli_mechanism_flag_needs_a_mechanism_object(tmp_path, capsys):
+    path = write_config(tmp_path, credit_config(tmp_path, mechanism="mst"))
+    assert cli_main(["pipeline", "--config", str(path), "--mechanism", "aim"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: mechanism: must be an object, got 'mst'" in err
+    assert "failed" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_eval_without_artifacts_fails_cleanly(tmp_path, capsys):
     path = write_config(tmp_path, credit_config(tmp_path, subdir="missing"))
     assert cli_main(["eval", "--config", str(path)]) == 1
@@ -487,6 +496,46 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
             {"rule_overrides": {"Debt2020": {"method": "equal_frequency", "k": 4, "bins": 5}}},
             "rule_overrides.Debt2020: unknown keys ['bins']",
         ),
+        (
+            {"input": {"datagen": {"n_cards": -5}}},
+            "input.datagen: n_cards must be a non-negative integer, got -5",
+        ),
+        (
+            {"input": {"datagen": {"band_shares": [0.5, 0.5]}}},
+            "input.datagen: band_shares needs 7 entries, got (0.5, 0.5)",
+        ),
+        (
+            {"application": "yield", "input": {"datagen": {"curve_tau": [0, 5]}}},
+            "input.datagen: curve_tau must be two positive decay times, got (0, 5)",
+        ),
+        (
+            {"input": {"datagen": {"n_cards": 2000.5}}},
+            "input.datagen: n_cards must be a non-negative integer, got 2000.5",
+        ),
+        (
+            {"input": {"datagen": {"n_cards": "many"}}},
+            "input.datagen: n_cards must be a non-negative integer, got 'many'",
+        ),
+        (
+            {"rule_overrides": {"NoSuchCol": {"method": "equal_frequency", "k": 4}}},
+            "rule_overrides: ['NoSuchCol'] are not binned columns of credit (binned: Age2020, "
+            "Debt2020, Debt2021, Delinquency2020, Delinquency2021)",
+        ),
+        (
+            {"rule_overrides": {"Gender": {"method": "equal_frequency", "k": 2}}},
+            "rule_overrides: ['Gender'] are not binned columns of credit",
+        ),
+        ({"seed": True}, "seed: must be a non-negative integer, got True"),
+        (
+            {"mechanism": {"name": "aim", "rounds": True}},
+            "mechanism.rounds: must be a positive integer, got True",
+        ),
+        (
+            {"mechanism": {"name": "pac", "pac": {"k": True}}},
+            "mechanism.pac: reporting length k must be an integer >= 1, got True",
+        ),
+        ({"n_synthetic": False}, "n_synthetic: must be a non-negative integer, got False"),
+        ({"mechanism": "mst"}, "mechanism: must be an object, got 'mst'"),
     ],
     ids=["top-level-list", "pac-not-object", "pac-k-zero", "rule-overrides-list",
          "selection-fraction-string", "epsilon-string", "grid-points-string", "negative-bandwidth",
@@ -494,7 +543,11 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
          "workload-entry-without-attrs", "workload-three-way", "workload-repeated-column",
          "workload-negative-weight", "unknown-mechanism-key", "unknown-pac-key",
          "unknown-decode-key", "unknown-top-level-keys", "unknown-privacy-key",
-         "unknown-input-key", "unknown-input-files-key", "unknown-rule-override-key"],
+         "unknown-input-key", "unknown-input-files-key", "unknown-rule-override-key",
+         "negative-n-cards", "short-band-shares", "zero-curve-tau", "fractional-n-cards",
+         "string-n-cards", "override-unknown-column", "override-unbinned-column",
+         "boolean-seed", "boolean-rounds", "boolean-pac-k", "boolean-n-synthetic",
+         "mechanism-string"],
 )
 def test_cli_bad_config_fields_are_config_errors(tmp_path, capsys, doc, message):
     if isinstance(doc, dict):

@@ -1,6 +1,9 @@
 """Ground-truth generator: determinism and planted-parameter recovery."""
 
+import re
+
 import numpy as np
+import pytest
 from scipy.stats import spearmanr
 
 from synthbank.binning import encode_dataset
@@ -117,3 +120,19 @@ def test_credit_encodes_under_both_strategies():
         enc = encode_dataset(joined, credit_rules(strategy))
         assert enc.n_records == joined.n_records
         assert enc.codebook["Delinquency2020"].domain_size == 6
+
+
+@pytest.mark.parametrize(
+    "factory, field",
+    [
+        (FiPopulationConfig, "n_individuals"),
+        (DepositMarketConfig, "n_deposits"),
+        (CreditPortfolioConfig, "n_cards"),
+    ],
+)
+@pytest.mark.parametrize("value", [-5, 2000.5, "many", True, None])
+def test_population_counts_must_be_non_negative_integers(factory, field, value):
+    message = f"{field} must be a non-negative integer, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        factory(**{field: value})
+    assert getattr(factory(**{field: np.int64(7)}), field) == 7

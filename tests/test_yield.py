@@ -246,6 +246,19 @@ def test_nss_eval_hand_case():
     assert abs(want - 4.1606) < 1e-4
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    betas=st.lists(st.floats(-20.0, 20.0), min_size=4, max_size=4),
+    taus=st.lists(st.floats(1.0, 5000.0), min_size=2, max_size=2),
+    terms=st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=40),
+)
+def test_nss_eval_of_a_vector_equals_scalar_calls(betas, taus, terms):
+    params = NssParams(*betas, *taus)
+    got = nss_eval(params, np.array(terms))
+    want = np.array([nss_eval(params, term) for term in terms])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_nss_fit_recovers_planted_curve():
     planted = NssParams(beta0=6.0, beta1=-3.5, beta2=1.0, beta3=0.8, tau1=240.0, tau2=960.0)
     terms = np.array([30, 60, 90, 180, 270, 360, 540, 720, 1080, 1440, 2160, 3600], dtype=float)
