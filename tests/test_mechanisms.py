@@ -603,9 +603,9 @@ def test_pac_k_exceeds_attrs():
         ({"k": 0}, "k must be an integer >= 1, got 0"),
         ({"k": 2.0}, "k must be an integer >= 1, got 2.0"),
         ({"k": "2"}, "k must be an integer >= 1, got '2'"),
-        ({"k": True}, "k must be an integer >= 1, got True"),
         ({"eta": "x"}, "eta must lie in"),
         ({"delta_k": None}, "delta_k must be >= 1, got None"),
+        ({"k": True}, "k must be an integer >= 1, got True"),
     ],
 )
 def test_pac_config_rejects_bad_fields(fields, message):
