@@ -96,8 +96,8 @@ class BinningRule:
                     f"floor {self.floor} must lie below the first cut-off {arr[0]}"
                 )
         else:
-            if self.k is None or self.k < 1:
-                raise BinningError(f"{self.method} needs k >= 1")
+            if self.k is None or isinstance(self.k, bool) or self.k < 1:
+                raise BinningError(f"{self.method} needs k >= 1, got {self.k!r}")
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import combinations
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .binning import Codebook, EncodedDataset
 from .privacy import PrivacyParams, add_gaussian_noise, gaussian_sigma, split_budget
@@ -507,7 +507,9 @@ def pac_threshold(config: PacConfig, sigma_k: float, s_prev: int, v_k: int) -> f
     if v_k <= 0:
         raise MechanismError("candidate tuple count must be positive")
     quantile = 1.0 - config.eta * min(1.0, s_prev / v_k)
-    return math.sqrt(config.delta_k) * sigma_k * float(ndtri(quantile))
+    # inv_cdf (Wichura's AS241) takes p in (0, 1); Phi^-1(1) is +inf
+    z = NormalDist().inv_cdf(quantile) if quantile < 1.0 else math.inf
+    return math.sqrt(config.delta_k) * sigma_k * z
 
 
 @dataclass

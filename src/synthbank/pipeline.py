@@ -133,16 +133,26 @@ class PipelineConfig:
         def build(factory, label, section, keys=None):
             """``factory`` called with the given keys of ``section`` (by default the
             fields of ``factory``, and then no other key is allowed); errors are
-            collected."""
+            collected. A real-valued field takes no ``true`` or ``false``."""
+            types = {f.name: f.type for f in dataclasses.fields(factory)}
             if keys is None:
-                keys = [f.name for f in dataclasses.fields(factory)]
+                keys = list(types)
                 check_keys(label, section, keys)
             section = {} if section is None else section
             if not isinstance(section, dict):
                 errors.append(f"{label}: must be an object, got {section!r}")
                 return None
+            given = {key: section[key] for key in keys if key in section}
+            booleans = [
+                f"{label}: {key} must not be a boolean, got {value!r}"
+                for key, value in given.items()
+                if isinstance(value, bool) and "float" in str(types[key])
+            ]
+            if booleans:
+                errors.extend(booleans)
+                return None
             try:
-                return factory(**{key: section[key] for key in keys if key in section})
+                return factory(**given)
             except (TypeError, ValueError, OverflowError) as exc:
                 errors.append(f"{label}: {exc}")
                 return None
@@ -174,9 +184,9 @@ class PipelineConfig:
             check_keys("privacy", privacy, SECTION_KEYS["privacy"])
             epsilon = pick(privacy, "epsilon")
             delta = pick(privacy, "delta")
-            if not isinstance(epsilon, numbers.Real) or not epsilon > 0:
+            if not _is_real(epsilon) or not epsilon > 0:
                 errors.append(f"privacy.epsilon: must be positive, got {epsilon!r}")
-            if not isinstance(delta, numbers.Real) or not 0 < delta < 1:
+            if not _is_real(delta) or not 0 < delta < 1:
                 errors.append(f"privacy.delta: must lie in (0, 1), got {delta!r}")
         decode = doc.get("decode", {})
         check_keys("decode", decode, SECTION_KEYS["decode"])
@@ -220,7 +230,7 @@ class PipelineConfig:
                     errors.append(f"input.files: missing keys {missing}")
 
         selection_fraction = pick(mech_section, "selection_fraction", 1.0 / 3.0)
-        if not isinstance(selection_fraction, numbers.Real) or not 0 <= selection_fraction < 1:
+        if not _is_real(selection_fraction) or not 0 <= selection_fraction < 1:
             errors.append(
                 f"mechanism.selection_fraction: must lie in [0, 1), got {selection_fraction!r}"
             )
@@ -292,6 +302,11 @@ class PipelineConfig:
 def _is_int(value) -> bool:
     """True for a JSON integer; ``true`` and ``false`` are not integers."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """True for a JSON number; ``true`` and ``false`` are not numbers."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _json_dump(doc, path) -> None:

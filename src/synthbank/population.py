@@ -55,13 +55,45 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
-def _check_probs(name: str, values, length: int | None = None) -> tuple[float, ...]:
-    arr = tuple(float(v) for v in values)
-    if length is not None and len(arr) != length:
+def _check_numbers(name: str, values, length: int | None = None) -> tuple[float, ...]:
+    """``values`` as floats, if it is a sequence of ``length`` numbers
+    (``True`` and ``False`` are not numbers)."""
+    if not isinstance(values, (tuple, list)) or any(
+        isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values
+    ):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    if length is not None and len(values) != length:
         raise ValueError(f"{name} needs {length} entries, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
+def _check_probs(name: str, values, length: int | None = None) -> tuple[float, ...]:
+    arr = _check_numbers(name, values, length)
     if any(not (0.0 <= v <= 1.0) for v in arr):
         raise ValueError(f"{name} entries must lie in [0, 1]")
     return arr
+
+
+def _check_rates(name: str, values, length: int | None = None) -> None:
+    """Poisson means: non-negative numbers."""
+    if any(not v >= 0.0 for v in _check_numbers(name, values, length)):
+        raise ValueError(f"{name} entries must be non-negative, got {values!r}")
+
+
+def _check_range(name: str, values) -> None:
+    low, high = _check_numbers(name, values, 2)
+    if not low < high:
+        raise ValueError(f"{name} must be two increasing values, got {values!r}")
+
+
+def _check_periods(values) -> None:
+    if (
+        not isinstance(values, (tuple, list))
+        or not values
+        or not all(isinstance(v, str) for v in values)
+        or len(set(values)) != len(values)
+    ):
+        raise ValueError(f"periods must be a non-empty list of distinct names, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +121,7 @@ class FiPopulationConfig:
 
     def __post_init__(self) -> None:
         _check_count("n_individuals", self.n_individuals)
-        if not self.periods:
-            raise ValueError("need at least one period")
+        _check_periods(self.periods)
         _check_probs("band_shares", self.band_shares, _BANDS)
         if abs(sum(self.band_shares) - 1.0) > 1e-9:
             raise ValueError("band_shares must sum to 1")
@@ -99,6 +130,10 @@ class FiPopulationConfig:
         _check_probs("loan_rate", self.loan_rate, _BANDS)
         _check_probs("collateral_rate", self.collateral_rate, _BANDS)
         _check_probs("gender_split", (self.gender_split,))
+        for name in ("fi_extra_lambda", "ccards_lambda", "nzs_lambda"):
+            _check_rates(name, getattr(self, name), _BANDS)
+        _check_rates("savings_extra_lambda", (self.savings_extra_lambda,))
+        _check_rates("loan_extra_lambda", (self.loan_extra_lambda,))
 
 
 @dataclass(frozen=True)
@@ -133,8 +168,13 @@ class DepositMarketConfig:
         _check_count("n_deposits", self.n_deposits)
         _check_probs("bank_share", (self.bank_share,))
         _check_probs("pyg_share", (self.pyg_share,))
-        if len(self.curve_tau) != 2 or min(self.curve_tau) <= 0:
+        _check_periods(self.periods)
+        _check_numbers("curve_beta", self.curve_beta, 4)
+        tau = _check_numbers("curve_tau", self.curve_tau)
+        if len(tau) != 2 or min(tau) <= 0:
             raise ValueError(f"curve_tau must be two positive decay times, got {self.curve_tau!r}")
+        for name in ("capital_range", "term_range", "rate_range"):
+            _check_range(name, getattr(self, name))
 
 
 #: concentrated delinquency transition kernel (rows: 2020 band)
@@ -186,6 +226,7 @@ class CreditPortfolioConfig:
             _check_probs("kernel row", row, 6)
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ValueError("kernel rows must sum to 1")
+        _check_range("debt_range", self.debt_range)
 
 
 def _ages_for_bands(bands: np.ndarray, rng: np.random.Generator) -> np.ndarray:

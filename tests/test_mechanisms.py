@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from synthbank.binning import encode_dataset
 from synthbank.mechanisms import (
@@ -539,6 +539,24 @@ def test_pac_threshold_spurious_bound_consistency():
         rho = pac_threshold(cfg, 1.0, 10, 10)
         bound = 1.0 - ndtr(rho / (1.0 * math.sqrt(cfg.delta_k)))
         assert abs(bound - eta) < 1e-10
+
+
+def test_pac_threshold_matches_scipy_ndtri():
+    """The standard library's normal quantile gives scipy's threshold to 2e-15."""
+    rng = np.random.default_rng(1988)
+    for _ in range(10_000):
+        eta = float(rng.uniform(1e-9, 1.0))
+        delta_k = float(rng.uniform(1.0, 10.0))
+        sigma = float(rng.uniform(0.01, 500.0))
+        v_k = int(rng.integers(1, 1_000_000))
+        s_prev = int(rng.integers(0, 2 * v_k))
+        cfg = PacConfig(k=2, eta=eta, delta_k=delta_k)
+        quantile = 1.0 - eta * min(1.0, s_prev / v_k)
+        want = math.sqrt(delta_k) * sigma * float(ndtri(quantile))
+        got = pac_threshold(cfg, sigma, s_prev, v_k)
+        assert got == want or abs(got - want) <= 2e-15 * abs(want), (eta, s_prev, v_k)
+    for sigma in (1e-6, 1.0, 250.0):
+        assert pac_threshold(PacConfig(), sigma, 0, 17) == math.inf
 
 
 def test_pac_all_identical_rows_noiseless():

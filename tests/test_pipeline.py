@@ -380,6 +380,46 @@ def test_staged_manifest_equals_one_shot_manifest(tmp_path, mechanism):
     assert without_seconds(staged) == without_seconds(one_shot)
 
 
+# Runs in a fresh interpreter in which every scipy import fails; prints the
+# exit codes of the given CLI commands and the scipy modules left loaded.
+NO_SCIPY_SNIPPET = """
+import json, sys
+sys.modules["scipy"] = None
+sys.path.insert(0, sys.argv[1])
+from synthbank.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[2])]
+loaded = [name for name in sys.modules if name.startswith("scipy") and name != "scipy"]
+print(json.dumps({"codes": codes, "loaded": loaded, "blocked": sys.modules["scipy"] is None}))
+"""
+
+
+def test_runs_need_no_scipy(tmp_path):
+    import subprocess
+    import sys
+
+    import synthbank
+
+    configs = [
+        app_config(tmp_path, "yield", "yield", mechanism={"name": "pac"},
+                   decode={"mode": "kde"}),
+        credit_config(tmp_path, "credit"),
+        app_config(tmp_path, "fi", "fi", mechanism={"name": "aim"}),
+    ]
+    paths = [str(write_config(tmp_path, doc, f"{i}.json")) for i, doc in enumerate(configs)]
+    commands = [["pipeline", "--config", paths[0]], ["pipeline", "--config", paths[1]]]
+    commands += [[stage, "--config", paths[2]] for stage in STAGES]
+    src = str(Path(synthbank.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SNIPPET, src, json.dumps(commands)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * len(commands), "loaded": [], "blocked": True}, done.stderr
+    for name in ("yield", "credit", "fi"):
+        assert (tmp_path / name / "report.json").is_file()
+
+
 def test_stages_read_only_what_they_use(tmp_path):
     staged = write_config(tmp_path, credit_config(tmp_path, subdir="staged"), "staged.json")
     one_shot = write_config(tmp_path, credit_config(tmp_path, subdir="oneshot"), "oneshot.json")
@@ -536,6 +576,72 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
         ),
         ({"n_synthetic": False}, "n_synthetic: must be a non-negative integer, got False"),
         ({"mechanism": "mst"}, "mechanism: must be an object, got 'mst'"),
+        (
+            {"privacy": {"epsilon": True, "delta": 1e-10}},
+            "privacy.epsilon: must be positive, got True",
+        ),
+        (
+            {"mechanism": {"name": "mst", "selection_fraction": False}},
+            "mechanism.selection_fraction: must lie in [0, 1), got False",
+        ),
+        (
+            {"mechanism": {"name": "pac", "pac": {"delta_k": True}}},
+            "mechanism.pac: delta_k must not be a boolean, got True",
+        ),
+        (
+            {"decode": {"mode": "kde", "bandwidth": True}},
+            "decode: bandwidth must not be a boolean, got True",
+        ),
+        (
+            {"input": {"datagen": {"gender_split": True}}},
+            "input.datagen: gender_split must not be a boolean, got True",
+        ),
+        (
+            {"rule_overrides": {"Debt2020": {"method": "explicit_cutoffs",
+                                             "cutoffs": [1e5, 1e6], "floor": False}}},
+            "rule_overrides.Debt2020: floor must not be a boolean, got False",
+        ),
+        (
+            {"input": {"datagen": {"band_shares": [True, 0, 0, 0, 0, 0, 0]}}},
+            "input.datagen: band_shares must be a list of numbers, got (True, 0, 0, 0, 0, 0, 0)",
+        ),
+        (
+            {"application": "yield", "input": {"datagen": {"curve_beta": [1, 2]}}},
+            "input.datagen: curve_beta needs 4 entries, got (1, 2)",
+        ),
+        (
+            {"application": "yield", "input": {"datagen": {"capital_range": [5e5, 1e5]}}},
+            "input.datagen: capital_range must be two increasing values, got (500000.0, 100000.0)",
+        ),
+        (
+            {"application": "yield", "input": {"datagen": {"term_range": [7, "x"]}}},
+            "input.datagen: term_range must be a list of numbers, got (7, 'x')",
+        ),
+        (
+            {"application": "yield", "input": {"datagen": {"periods": []}}},
+            "input.datagen: periods must be a non-empty list of distinct names, got ()",
+        ),
+        (
+            {"application": "fi", "input": {"datagen": {"periods": ["2020", "2020"]}}},
+            "input.datagen: periods must be a non-empty list of distinct names, "
+            "got ('2020', '2020')",
+        ),
+        (
+            {"application": "fi", "input": {"datagen": {"nzs_lambda": [1.0, 2.0]}}},
+            "input.datagen: nzs_lambda needs 7 entries, got (1.0, 2.0)",
+        ),
+        (
+            {"application": "fi", "input": {"datagen": {"loan_extra_lambda": -0.5}}},
+            "input.datagen: loan_extra_lambda entries must be non-negative, got (-0.5,)",
+        ),
+        (
+            {"input": {"datagen": {"debt_range": [1e4]}}},
+            "input.datagen: debt_range needs 2 entries, got (10000.0,)",
+        ),
+        (
+            {"rule_overrides": {"Debt2020": {"method": "equal_frequency", "k": True}}},
+            "rule_overrides.Debt2020: equal_frequency needs k >= 1, got True",
+        ),
     ],
     ids=["top-level-list", "pac-not-object", "pac-k-zero", "rule-overrides-list",
          "selection-fraction-string", "epsilon-string", "grid-points-string", "negative-bandwidth",
@@ -547,7 +653,12 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
          "negative-n-cards", "short-band-shares", "zero-curve-tau", "fractional-n-cards",
          "string-n-cards", "override-unknown-column", "override-unbinned-column",
          "boolean-seed", "boolean-rounds", "boolean-pac-k", "boolean-n-synthetic",
-         "mechanism-string"],
+         "mechanism-string", "boolean-epsilon", "boolean-selection-fraction",
+         "boolean-pac-delta-k", "boolean-bandwidth", "boolean-gender-split",
+         "boolean-override-floor", "boolean-band-share", "short-curve-beta",
+         "decreasing-capital-range", "string-in-term-range", "empty-yield-periods",
+         "repeated-fi-periods", "short-fi-lambda", "negative-fi-lambda", "short-debt-range",
+         "boolean-override-k"],
 )
 def test_cli_bad_config_fields_are_config_errors(tmp_path, capsys, doc, message):
     if isinstance(doc, dict):
