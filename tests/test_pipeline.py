@@ -1,10 +1,13 @@
 """End-to-end pipeline and CLI behaviour."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import synthbank
 from synthbank.cli import main as cli_main
 from synthbank.pipeline import (
     PipelineConfig,
@@ -394,11 +397,6 @@ print(json.dumps({"codes": codes, "loaded": loaded, "blocked": sys.modules["scip
 
 
 def test_runs_need_no_scipy(tmp_path):
-    import subprocess
-    import sys
-
-    import synthbank
-
     configs = [
         app_config(tmp_path, "yield", "yield", mechanism={"name": "pac"},
                    decode={"mode": "kde"}),
