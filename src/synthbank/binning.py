@@ -21,6 +21,7 @@ from itertools import islice
 
 import numpy as np
 
+from .checks import is_bool, is_int, is_real, reject_bools
 from .tabular import (
     CHUNK_ROWS,
     Dataset,
@@ -84,9 +85,18 @@ class BinningRule:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise BinningError(f"unknown binning method '{self.method}'")
+        reject_bools(BinningError, floor=self.floor)
+        if not is_real(self.floor):
+            raise BinningError(f"floor must be a finite number, got {self.floor!r}")
+        if not is_bool(self.log_pretransform):
+            raise BinningError(
+                f"log_pretransform must be true or false, got {self.log_pretransform!r}"
+            )
         if self.method == EXPLICIT:
             if not self.cutoffs:
                 raise BinningError("explicit_cutoffs needs a cut-off list")
+            if not isinstance(self.cutoffs, (tuple, list)) or not all(map(is_real, self.cutoffs)):
+                raise BinningError(f"cut-offs must be finite numbers, got {self.cutoffs!r}")
             object.__setattr__(self, "cutoffs", tuple(float(c) for c in self.cutoffs))
             arr = np.asarray(self.cutoffs)
             if arr.size > 1 and not np.all(np.diff(arr) > 0):
@@ -95,9 +105,8 @@ class BinningRule:
                 raise BinningError(
                     f"floor {self.floor} must lie below the first cut-off {arr[0]}"
                 )
-        else:
-            if self.k is None or isinstance(self.k, bool) or self.k < 1:
-                raise BinningError(f"{self.method} needs k >= 1, got {self.k!r}")
+        elif not is_int(self.k) or self.k < 1:
+            raise BinningError(f"{self.method} needs k >= 1, got {self.k!r}")
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,13 @@ implementation is single-threaded.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binning import Codebook, EncodedDataset, log_pretransform
+from .checks import is_int, is_real, reject_bools
 from .tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
 
 __all__ = [
@@ -54,12 +54,13 @@ class KdeSpec:
     bounds: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        reject_bools(DecodeError, bandwidth=self.bandwidth)
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "scott":
                 raise DecodeError(f"unknown bandwidth rule '{self.bandwidth}'")
-        elif not isinstance(self.bandwidth, numbers.Real) or not self.bandwidth > 0:
+        elif not is_real(self.bandwidth) or not self.bandwidth > 0:
             raise DecodeError(f"bandwidth must be positive, got {self.bandwidth!r}")
-        if not isinstance(self.grid_points, numbers.Integral) or self.grid_points < 16:
+        if not is_int(self.grid_points) or self.grid_points < 16:
             raise DecodeError(f"grid_points must be an integer >= 16, got {self.grid_points!r}")
         if self.bounds is not None and not (self.bounds[0] < self.bounds[1]):
             if self.bounds[0] != self.bounds[1]:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from statistics import NormalDist
@@ -41,6 +40,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .binning import Codebook, EncodedDataset
+from .checks import is_int, is_real, reject_bools
 from .privacy import PrivacyParams, add_gaussian_noise, gaussian_sigma, split_budget
 
 __all__ = [
@@ -404,8 +404,8 @@ def parse_workload(items) -> list[tuple[tuple, float]]:
             raise MechanismError(f"entry {item!r}: only 1- and 2-way marginals are supported")
         if len(set(attrs)) != len(attrs):
             raise MechanismError(f"entry {item!r}: duplicate column")
-        if isinstance(weight, bool) or not isinstance(weight, numbers.Real) or not weight > 0:
-            raise MechanismError(f"entry {item!r}: weight must be positive")
+        if not is_real(weight) or not weight > 0:
+            raise MechanismError(f"entry {item!r}: weight must be positive and finite")
         if frozenset(attrs) not in seen:
             seen.add(frozenset(attrs))
             pairs.append((tuple(attrs), float(weight)))
@@ -487,11 +487,12 @@ class PacConfig:
     delta_k: float = 3.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 1:
+        reject_bools(MechanismError, eta=self.eta, delta_k=self.delta_k)
+        if not is_int(self.k) or self.k < 1:
             raise MechanismError(f"reporting length k must be an integer >= 1, got {self.k!r}")
-        if not isinstance(self.eta, numbers.Real) or not 0 < self.eta < 1:
+        if not is_real(self.eta) or not 0 < self.eta < 1:
             raise MechanismError(f"eta must lie in (0, 1), got {self.eta!r}")
-        if not isinstance(self.delta_k, numbers.Real) or self.delta_k < 1:
+        if not is_real(self.delta_k) or self.delta_k < 1:
             raise MechanismError(f"delta_k must be >= 1, got {self.delta_k!r}")
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +33,7 @@ from .binning import (
     read_encoded_csv,
     write_encoded_csv,
 )
+from .checks import is_int, is_real
 from .decoding import DECODE_MODES, KdeSpec, decode_dataset, decoded_schema
 from .mechanisms import (
     MECHANISMS,
@@ -133,26 +133,16 @@ class PipelineConfig:
         def build(factory, label, section, keys=None):
             """``factory`` called with the given keys of ``section`` (by default the
             fields of ``factory``, and then no other key is allowed); errors are
-            collected. A real-valued field takes no ``true`` or ``false``."""
-            types = {f.name: f.type for f in dataclasses.fields(factory)}
+            collected."""
             if keys is None:
-                keys = list(types)
+                keys = [f.name for f in dataclasses.fields(factory)]
                 check_keys(label, section, keys)
             section = {} if section is None else section
             if not isinstance(section, dict):
                 errors.append(f"{label}: must be an object, got {section!r}")
                 return None
-            given = {key: section[key] for key in keys if key in section}
-            booleans = [
-                f"{label}: {key} must not be a boolean, got {value!r}"
-                for key, value in given.items()
-                if isinstance(value, bool) and "float" in str(types[key])
-            ]
-            if booleans:
-                errors.extend(booleans)
-                return None
             try:
-                return factory(**given)
+                return factory(**{key: section[key] for key in keys if key in section})
             except (TypeError, ValueError, OverflowError) as exc:
                 errors.append(f"{label}: {exc}")
                 return None
@@ -184,9 +174,9 @@ class PipelineConfig:
             check_keys("privacy", privacy, SECTION_KEYS["privacy"])
             epsilon = pick(privacy, "epsilon")
             delta = pick(privacy, "delta")
-            if not _is_real(epsilon) or not epsilon > 0:
+            if not is_real(epsilon) or not epsilon > 0:
                 errors.append(f"privacy.epsilon: must be positive, got {epsilon!r}")
-            if not _is_real(delta) or not 0 < delta < 1:
+            if not is_real(delta) or not 0 < delta < 1:
                 errors.append(f"privacy.delta: must lie in (0, 1), got {delta!r}")
         decode = doc.get("decode", {})
         check_keys("decode", decode, SECTION_KEYS["decode"])
@@ -197,10 +187,10 @@ class PipelineConfig:
             )
         kde = build(KdeSpec, "decode", decode, KDE_KEYS)
         output = doc.get("output")
-        if not output:
-            errors.append("output: an output directory is required")
+        if not isinstance(output, str) or not output:
+            errors.append(f"output: an output directory path is required, got {output!r}")
         seed = doc.get("seed", 1)
-        if not _is_int(seed) or seed < 0:
+        if not is_int(seed) or seed < 0:
             errors.append(f"seed: must be a non-negative integer, got {seed!r}")
 
         input_section = doc.get("input", {"datagen": {}})
@@ -228,14 +218,17 @@ class PipelineConfig:
                 missing = [key for key in app.INPUT_FILES if key not in files]
                 if missing:
                     errors.append(f"input.files: missing keys {missing}")
+                for key in app.INPUT_FILES:
+                    if key in files and (not isinstance(files[key], str) or not files[key]):
+                        errors.append(f"input.files.{key}: must be a file path, got {files[key]!r}")
 
         selection_fraction = pick(mech_section, "selection_fraction", 1.0 / 3.0)
-        if not _is_real(selection_fraction) or not 0 <= selection_fraction < 1:
+        if not is_real(selection_fraction) or not 0 <= selection_fraction < 1:
             errors.append(
                 f"mechanism.selection_fraction: must lie in [0, 1), got {selection_fraction!r}"
             )
         rounds = pick(mech_section, "rounds", 10)
-        if not _is_int(rounds) or rounds < 1:
+        if not is_int(rounds) or rounds < 1:
             errors.append(f"mechanism.rounds: must be a positive integer, got {rounds!r}")
         workload = pick(mech_section, "workload")
         if workload is not None:
@@ -262,7 +255,7 @@ class PipelineConfig:
         }
 
         n_synthetic = doc.get("n_synthetic")
-        if n_synthetic is not None and (not _is_int(n_synthetic) or n_synthetic < 0):
+        if n_synthetic is not None and (not is_int(n_synthetic) or n_synthetic < 0):
             errors.append(f"n_synthetic: must be a non-negative integer, got {n_synthetic!r}")
 
         if errors:
@@ -297,16 +290,6 @@ class PipelineConfig:
         doc = dataclasses.asdict(self)
         doc["kde"] = {key: doc["kde"][key] for key in KDE_KEYS}
         return doc
-
-
-def _is_int(value) -> bool:
-    """True for a JSON integer; ``true`` and ``false`` are not integers."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """True for a JSON number; ``true`` and ``false`` are not numbers."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _json_dump(doc, path) -> None:

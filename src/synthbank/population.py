@@ -27,11 +27,11 @@ Planted structure worth knowing when testing:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import is_int, is_real, reject_bools
 from .presets import AGE_BAND_LABELS, DEPOSIT_INSURANCE_LIMIT
 from .tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
 
@@ -51,16 +51,24 @@ _BANDS = len(AGE_BAND_LABELS)
 
 
 def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+    if not is_int(value) or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
+def _check_scalars(config, *names: str, low: float = -np.inf) -> None:
+    """Each named setting of ``config`` is a finite number of at least ``low``."""
+    for name in names:
+        value = getattr(config, name)
+        reject_bools(ValueError, **{name: value})
+        if not is_real(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low:g}, got {value!r}")
+
+
 def _check_numbers(name: str, values, length: int | None = None) -> tuple[float, ...]:
-    """``values`` as floats, if it is a sequence of ``length`` numbers
-    (``True`` and ``False`` are not numbers)."""
-    if not isinstance(values, (tuple, list)) or any(
-        isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values
-    ):
+    """``values`` as floats, if it is a sequence of ``length`` finite numbers."""
+    if not isinstance(values, (tuple, list)) or not all(map(is_real, values)):
         raise ValueError(f"{name} must be a list of numbers, got {values!r}")
     if length is not None and len(values) != length:
         raise ValueError(f"{name} needs {length} entries, got {values!r}")
@@ -121,6 +129,7 @@ class FiPopulationConfig:
 
     def __post_init__(self) -> None:
         _check_count("n_individuals", self.n_individuals)
+        _check_scalars(self, "gender_split", "savings_extra_lambda", "loan_extra_lambda")
         _check_periods(self.periods)
         _check_probs("band_shares", self.band_shares, _BANDS)
         if abs(sum(self.band_shares) - 1.0) > 1e-9:
@@ -166,6 +175,11 @@ class DepositMarketConfig:
 
     def __post_init__(self) -> None:
         _check_count("n_deposits", self.n_deposits)
+        _check_scalars(
+            self, "bank_share", "pyg_share", "usd_shift", "nonbank_shift",
+            "period_shift_step", "capital_discount", "capital_log_mean", "term_log_mean",
+        )
+        _check_scalars(self, "rate_noise", "capital_log_sd", "term_log_sd", low=0.0)
         _check_probs("bank_share", (self.bank_share,))
         _check_probs("pyg_share", (self.pyg_share,))
         _check_periods(self.periods)
@@ -208,8 +222,12 @@ class CreditPortfolioConfig:
 
     def __post_init__(self) -> None:
         _check_count("n_cards", self.n_cards)
-        _check_probs("persistence", (self.persistence,))
-        _check_probs("new_card_rate", (self.new_card_rate,))
+        _check_scalars(
+            self, "persistence", "new_card_rate", "gender_split", "debt_log_mean", "debt_drift"
+        )
+        _check_scalars(self, "debt_log_sd", "debt_vol", low=0.0)
+        for name in ("persistence", "new_card_rate", "gender_split"):
+            _check_probs(name, (getattr(self, name),))
         _check_probs("band_shares", self.band_shares, _BANDS)
         if abs(sum(self.band_shares) - 1.0) > 1e-9:
             raise ValueError("band_shares must sum to 1")

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import is_real
+
 __all__ = [
     "PrivacyError",
     "PrivacyParams",
@@ -40,10 +42,10 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not (self.epsilon > 0):
-            raise PrivacyError(f"epsilon must be positive, got {self.epsilon}")
-        if not (0 < self.delta < 1):
-            raise PrivacyError(f"delta must lie in (0, 1), got {self.delta}")
+        if not is_real(self.epsilon) or not self.epsilon > 0:
+            raise PrivacyError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not is_real(self.delta) or not 0 < self.delta < 1:
+            raise PrivacyError(f"delta must lie in (0, 1), got {self.delta!r}")
 
     def scaled(self, fraction: float) -> "PrivacyParams":
         return PrivacyParams(self.epsilon * fraction, self.delta * fraction)

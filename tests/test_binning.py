@@ -444,6 +444,10 @@ def test_binning_rule_validation():
         BinningRule("kmeans_1d")
     with pytest.raises(BinningError):
         BinningRule("nope", k=2)
+    with pytest.raises(BinningError, match=r"equal_frequency needs k >= 1, got 2\.5"):
+        BinningRule("equal_frequency", k=2.5)
+    with pytest.raises(BinningError, match="log_pretransform must be true or false, got 'no'"):
+        BinningRule("equal_frequency", k=2, log_pretransform="no")
 
 
 def test_codebook_json_round_trip(tmp_path):

@@ -303,6 +303,7 @@ def test_midpoint_and_left_edge_give_different_curependencies():
         ({"grid_points": 64.0}, "grid_points must be an integer"),
         ({"bandwidth": "1"}, "unknown bandwidth rule"),
         ({"bandwidth": [1]}, "bandwidth must be positive, got [1]"),
+        ({"bandwidth": True}, "bandwidth must not be a boolean, got True"),
     ],
 )
 def test_kde_spec_rejects_wrong_types(spec, message):

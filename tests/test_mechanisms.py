@@ -624,6 +624,7 @@ def test_pac_k_exceeds_attrs():
         ({"eta": "x"}, "eta must lie in"),
         ({"delta_k": None}, "delta_k must be >= 1, got None"),
         ({"k": True}, "k must be an integer >= 1, got True"),
+        ({"delta_k": True}, "delta_k must not be a boolean, got True"),
     ],
 )
 def test_pac_config_rejects_bad_fields(fields, message):

@@ -1,6 +1,8 @@
 """End-to-end pipeline and CLI behaviour."""
 
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,13 +10,22 @@ from pathlib import Path
 import pytest
 
 import synthbank
+from synthbank.binning import BinningError, BinningRule
 from synthbank.cli import main as cli_main
+from synthbank.decoding import DecodeError, KdeSpec
+from synthbank.mechanisms import MechanismError, PacConfig
 from synthbank.pipeline import (
     PipelineConfig,
     PipelineConfigError,
     compare_strategies,
     run_pipeline,
 )
+from synthbank.population import (
+    CreditPortfolioConfig,
+    DepositMarketConfig,
+    FiPopulationConfig,
+)
+from synthbank.privacy import PrivacyError, PrivacyParams
 
 
 def credit_config(tmp_path, subdir="run", **overrides):
@@ -640,6 +651,61 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
             {"rule_overrides": {"Debt2020": {"method": "equal_frequency", "k": True}}},
             "rule_overrides.Debt2020: equal_frequency needs k >= 1, got True",
         ),
+        (
+            {"rule_overrides": {"Debt2020": {"method": "equal_frequency", "k": 2.5}}},
+            "rule_overrides.Debt2020: equal_frequency needs k >= 1, got 2.5",
+        ),
+        (
+            {"application": "yield", "input": {"datagen": {"rate_noise": "x"}}},
+            "input.datagen: rate_noise must be a finite number, got 'x'",
+        ),
+        (
+            {"application": "yield", "input": {"datagen": {"rate_noise": -1}}},
+            "input.datagen: rate_noise must be >= 0, got -1",
+        ),
+        (
+            {"application": "yield", "input": {"datagen": {"usd_shift": float("inf")}}},
+            "input.datagen: usd_shift must be a finite number, got inf",
+        ),
+        (
+            {"input": {"datagen": {"debt_log_sd": -1}}},
+            "input.datagen: debt_log_sd must be >= 0, got -1",
+        ),
+        (
+            {"input": {"datagen": {"gender_split": 1.5}}},
+            "input.datagen: gender_split entries must lie in [0, 1]",
+        ),
+        (
+            {"privacy": {"epsilon": float("inf"), "delta": 1e-10}},
+            "privacy.epsilon: must be positive, got inf",
+        ),
+        (
+            {"application": "yield",
+             "input": {"datagen": {"curve_beta": [float("nan"), -3.5, 1.0, 0.8]}}},
+            "input.datagen: curve_beta must be a list of numbers, got (nan, -3.5, 1.0, 0.8)",
+        ),
+        (
+            {"mechanism": {"name": "aim",
+                           "workload": [{"attrs": ["Gender"], "weight": float("inf")}]}},
+            "mechanism.workload: entry {'attrs': ['Gender'], 'weight': inf}: "
+            "weight must be positive and finite",
+        ),
+        ({"output": 5}, "output: an output directory path is required, got 5"),
+        (
+            {"input": {"files": {"cards_2020": 5, "schema_2020": "b", "cards_2021": "c",
+                                 "schema_2021": None}}},
+            "input.files.cards_2020: must be a file path, got 5",
+        ),
+        (
+            {"input": {"files": {"cards_2020": "a", "schema_2020": "b", "cards_2021": "c",
+                                 "schema_2021": None}}},
+            "input.files.schema_2021: must be a file path, got None",
+        ),
+        (
+            {"rule_overrides": {"Debt2020": {"method": "equal_frequency", "k": 4,
+                                             "log_pretransform": "no"}}},
+            "rule_overrides.Debt2020: log_pretransform must be true or false, got 'no'",
+        ),
     ],
     ids=["top-level-list", "pac-not-object", "pac-k-zero", "rule-overrides-list",
          "selection-fraction-string", "epsilon-string", "grid-points-string", "negative-bandwidth",
@@ -656,7 +722,11 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
          "boolean-override-floor", "boolean-band-share", "short-curve-beta",
          "decreasing-capital-range", "string-in-term-range", "empty-yield-periods",
          "repeated-fi-periods", "short-fi-lambda", "negative-fi-lambda", "short-debt-range",
-         "boolean-override-k"],
+         "boolean-override-k", "fractional-override-k", "string-rate-noise",
+         "negative-rate-noise", "infinite-usd-shift", "negative-debt-log-sd",
+         "credit-gender-split-above-one", "infinite-epsilon", "nan-curve-beta",
+         "infinite-workload-weight", "numeric-output", "numeric-input-file",
+         "null-input-file", "string-log-pretransform"],
 )
 def test_cli_bad_config_fields_are_config_errors(tmp_path, capsys, doc, message):
     if isinstance(doc, dict):
@@ -667,3 +737,62 @@ def test_cli_bad_config_fields_are_config_errors(tmp_path, capsys, doc, message)
     assert f"config error: {message}" in err
     assert "failed" not in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+# each settings class with valid arguments, its error, the config holding
+# the given arguments and the loader's message for one of the class's messages
+SETTINGS = {
+    "privacy": (
+        PrivacyParams, {"epsilon": 1.0, "delta": 1e-10}, PrivacyError,
+        lambda tmp_path, fields: credit_config(tmp_path, privacy=fields),
+        lambda message: "privacy." + message.replace(" ", ": ", 1),
+    ),
+    "pac": (
+        PacConfig, {}, MechanismError,
+        lambda tmp_path, fields: credit_config(tmp_path, mechanism={"name": "pac", "pac": fields}),
+        lambda message: f"mechanism.pac: {message}",
+    ),
+    "kde": (
+        KdeSpec, {}, DecodeError,
+        lambda tmp_path, fields: credit_config(tmp_path, decode={"mode": "kde", **fields}),
+        lambda message: f"decode: {message}",
+    ),
+    "rule": (
+        BinningRule, {"method": "equal_frequency", "k": 4}, BinningError,
+        lambda tmp_path, fields: credit_config(tmp_path, rule_overrides={"Debt2020": fields}),
+        lambda message: f"rule_overrides.Debt2020: {message}",
+    ),
+    **{
+        application: (
+            factory, {}, ValueError,
+            lambda tmp_path, fields, application=application: app_config(
+                tmp_path, application, input={"datagen": fields}
+            ),
+            lambda message: f"input.datagen: {message}",
+        )
+        for application, factory in (
+            ("fi", FiPopulationConfig),
+            ("yield", DepositMarketConfig),
+            ("credit", CreditPortfolioConfig),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(SETTINGS))
+def test_settings_reject_booleans_in_every_number_field(tmp_path, name):
+    factory, base, error, config, loaded_message = SETTINGS[name]
+    # fields annotated ``int`` or ``float``, alone or with another type
+    numbers = [
+        f.name for f in dataclasses.fields(factory)
+        if re.fullmatch(r"(int|float)( \| \w+)?", f.type)
+    ]
+    assert numbers
+    for field_name in numbers:
+        for value in (True, False):
+            fields = {**base, field_name: value}
+            with pytest.raises(error) as built:
+                factory(**fields)
+            with pytest.raises(PipelineConfigError) as loaded:
+                PipelineConfig.from_dict(config(tmp_path, fields))
+            assert loaded.value.errors == [loaded_message(str(built.value))]

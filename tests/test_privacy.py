@@ -55,6 +55,8 @@ def test_params_validation():
         PrivacyParams(1.0, 0.0)
     with pytest.raises(PrivacyError):
         PrivacyParams(1.0, 1.0)
+    with pytest.raises(PrivacyError, match="epsilon must be positive, got True"):
+        PrivacyParams(True, 0.5)
 
 
 def test_noise_sigma_zero_identity():
