@@ -55,16 +55,18 @@ def build_parser() -> argparse.ArgumentParser:
             "seed, output."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*_STAGE_COMMANDS, "compare"):
-        cmd = sub.add_parser(name, help=f"run the {name} step")
-        cmd.add_argument("--config", required=True, help="path to the JSON config")
-        cmd.add_argument("--seed", type=int, help="override the config seed")
-        cmd.add_argument("--out", help="override the output directory")
-        cmd.add_argument("--mechanism", help="override mechanism.name")
-        cmd.add_argument("--strategy", help="override the strategy")
-        cmd.add_argument("--epsilon", type=float, help="override privacy.epsilon")
-        cmd.add_argument("--delta", type=float, help="override privacy.delta")
+    commands = (*_STAGE_COMMANDS, "compare")
+    parser.add_argument(
+        "command", choices=commands, metavar="command",
+        help=f"the step to run: {', '.join(commands)}",
+    )
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--out", help="override the output directory")
+    parser.add_argument("--mechanism", help="override mechanism.name")
+    parser.add_argument("--strategy", help="override the strategy")
+    parser.add_argument("--epsilon", type=float, help="override privacy.epsilon")
+    parser.add_argument("--delta", type=float, help="override privacy.delta")
     return parser
 
 

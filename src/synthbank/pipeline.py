@@ -7,8 +7,10 @@ deterministic for a fixed (config, seed): each stage derives its generator
 from ``(seed, stage_tag)``, so running stages separately or through
 ``run_pipeline`` draws the same random numbers. A stage run on its own
 reads what it needs back from the output directory, where numbers carry
-12 significant digits. Stage timings live only in the manifest, which is
-excluded from byte-for-byte determinism.
+12 significant digits; ``eval`` decodes the synthetic codes again, exactly
+as the decode stage did, rather than parse ``synthetic_decoded.csv``.
+Stage timings live only in the manifest, which is excluded from
+byte-for-byte determinism.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .binning import (
     write_encoded_csv,
 )
 from .checks import is_int, is_real
-from .decoding import DECODE_MODES, KdeSpec, decode_dataset, decoded_schema
+from .decoding import DECODE_MODES, KdeSpec, decode_dataset
 from .mechanisms import (
     MECHANISMS,
     MechanismError,
@@ -45,7 +47,7 @@ from .mechanisms import (
 )
 from .presets import STRATEGIES
 from .privacy import PrivacyParams
-from .tabular import Dataset, load_schema, read_csv, save_schema, write_csv
+from .tabular import Dataset, TabularError, load_schema, read_csv, save_schema, write_csv
 
 __all__ = [
     "PipelineConfigError",
@@ -85,9 +87,40 @@ class PipelineConfigError(ValueError):
         super().__init__("invalid pipeline configuration:\n" + "\n".join(self.errors))
 
 
+def _top_level_errors(seed, privacy, output, selection_fraction, rounds, n_synthetic) -> list:
+    """The messages for the top-level settings that fail their checks, each
+    under its config key; ``privacy`` is ``(epsilon, delta)``, or None for a
+    run without noise."""
+    errors = []
+    if privacy is not None:
+        epsilon, delta = privacy
+        if not is_real(epsilon) or not epsilon > 0:
+            errors.append(f"privacy.epsilon: must be positive, got {epsilon!r}")
+        if not is_real(delta) or not 0 < delta < 1:
+            errors.append(f"privacy.delta: must lie in (0, 1), got {delta!r}")
+    if not isinstance(output, str) or not output:
+        errors.append(f"output: an output directory path is required, got {output!r}")
+    if not is_int(seed) or seed < 0:
+        errors.append(f"seed: must be a non-negative integer, got {seed!r}")
+    if not is_real(selection_fraction) or not 0 <= selection_fraction < 1:
+        errors.append(
+            f"mechanism.selection_fraction: must lie in [0, 1), got {selection_fraction!r}"
+        )
+    if not is_int(rounds) or rounds < 1:
+        errors.append(f"mechanism.rounds: must be a positive integer, got {rounds!r}")
+    if n_synthetic is not None and (not is_int(n_synthetic) or n_synthetic < 0):
+        errors.append(f"n_synthetic: must be a non-negative integer, got {n_synthetic!r}")
+    return errors
+
+
 @dataclass
 class PipelineConfig:
-    """Validated pipeline settings (see ``PipelineConfig.from_json``)."""
+    """Validated pipeline settings (see ``PipelineConfig.from_json``).
+
+    The top-level scalars and the output path are checked when the config is
+    built, so Python and JSON reject the same values with the same message;
+    ``epsilon=None`` turns the noise off.
+    """
 
     application: str
     strategy: str
@@ -106,6 +139,15 @@ class PipelineConfig:
     datagen: object = None  # the application's ``POPULATION`` settings
     files: dict = field(default_factory=dict)
     rule_overrides: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        privacy = None if self.epsilon is None else (self.epsilon, self.delta)
+        errors = _top_level_errors(
+            self.seed, privacy, self.output, self.selection_fraction, self.rounds,
+            self.n_synthetic,
+        )
+        if errors:
+            raise PipelineConfigError(errors)
 
     @property
     def privacy(self) -> PrivacyParams | None:
@@ -174,10 +216,6 @@ class PipelineConfig:
             check_keys("privacy", privacy, SECTION_KEYS["privacy"])
             epsilon = pick(privacy, "epsilon")
             delta = pick(privacy, "delta")
-            if not is_real(epsilon) or not epsilon > 0:
-                errors.append(f"privacy.epsilon: must be positive, got {epsilon!r}")
-            if not is_real(delta) or not 0 < delta < 1:
-                errors.append(f"privacy.delta: must lie in (0, 1), got {delta!r}")
         decode = doc.get("decode", {})
         check_keys("decode", decode, SECTION_KEYS["decode"])
         decode_mode = pick(decode, "mode", "left_edge")
@@ -187,11 +225,7 @@ class PipelineConfig:
             )
         kde = build(KdeSpec, "decode", decode, KDE_KEYS)
         output = doc.get("output")
-        if not isinstance(output, str) or not output:
-            errors.append(f"output: an output directory path is required, got {output!r}")
         seed = doc.get("seed", 1)
-        if not is_int(seed) or seed < 0:
-            errors.append(f"seed: must be a non-negative integer, got {seed!r}")
 
         input_section = doc.get("input", {"datagen": {}})
         check_keys("input", input_section, SECTION_KEYS["input"])
@@ -223,13 +257,7 @@ class PipelineConfig:
                         errors.append(f"input.files.{key}: must be a file path, got {files[key]!r}")
 
         selection_fraction = pick(mech_section, "selection_fraction", 1.0 / 3.0)
-        if not is_real(selection_fraction) or not 0 <= selection_fraction < 1:
-            errors.append(
-                f"mechanism.selection_fraction: must lie in [0, 1), got {selection_fraction!r}"
-            )
         rounds = pick(mech_section, "rounds", 10)
-        if not is_int(rounds) or rounds < 1:
-            errors.append(f"mechanism.rounds: must be a positive integer, got {rounds!r}")
         workload = pick(mech_section, "workload")
         if workload is not None:
             try:
@@ -255,8 +283,10 @@ class PipelineConfig:
         }
 
         n_synthetic = doc.get("n_synthetic")
-        if n_synthetic is not None and (not is_int(n_synthetic) or n_synthetic < 0):
-            errors.append(f"n_synthetic: must be a non-negative integer, got {n_synthetic!r}")
+        errors += _top_level_errors(
+            seed, None if privacy is None else (epsilon, delta), output,
+            selection_fraction, rounds, n_synthetic,
+        )
 
         if errors:
             raise PipelineConfigError(errors)
@@ -456,24 +486,35 @@ class Pipeline:
             self.synthetic = read_encoded_csv(self.outdir / "synthetic_encoded.csv", codebook)
         return self.synthetic
 
-    def decode(self) -> Dataset:
-        started = time.perf_counter()
+    def _decode(self, clean: EncodedDataset) -> Dataset:
+        """The synthetic codes, suppressed rows dropped, decoded as the
+        decode stage does: the same inputs and generator give the same
+        values."""
         config = self.config
-        clean, _ = drop_suppressed_rows(self._require_synthetic())
         # only KDE decode fits the original values
         source = self._require_source() if config.decode_mode == "kde" else None
-        self.decoded = decode_dataset(
+        return decode_dataset(
             clean, mode=config.decode_mode, source=source, kde_spec=config.kde,
             rng=self._rng("decode"),
         )
+
+    def decode(self) -> Dataset:
+        started = time.perf_counter()
+        clean, _ = drop_suppressed_rows(self._require_synthetic())
+        self.decoded = self._decode(clean)
         self._write_dataset(self.decoded, "synthetic_decoded.csv")
         self._stage("decode", started)
         return self.decoded
 
-    def _require_decoded(self) -> Dataset:
+    def _require_decoded(self, clean: EncodedDataset) -> Dataset:
+        """The decoded synthetic data, decoded again rather than parsed back
+        from ``synthetic_decoded.csv``, which must exist: the decode stage
+        has to have run."""
         if self.decoded is None:
-            schema = decoded_schema(self._require_encoded().codebook)
-            self.decoded = read_csv(self.outdir / "synthetic_decoded.csv", schema)
+            path = self.outdir / "synthetic_decoded.csv"
+            if not path.exists():
+                raise TabularError(f"no such file: {path}")
+            self.decoded = self._decode(clean)
         return self.decoded
 
     def evaluate(self) -> dict:
@@ -482,8 +523,8 @@ class Pipeline:
         source = self._require_source()
         encoded = self._require_encoded()
         synthetic = self._require_synthetic()
-        decoded = self._require_decoded()
         clean_synth, dropped = drop_suppressed_rows(synthetic)
+        decoded = self._require_decoded(clean_synth)
 
         metrics, tables = self.app.evaluate(
             source, self.extra, encoded, clean_synth, decoded, config.strategy

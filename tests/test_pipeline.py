@@ -10,11 +10,13 @@ from pathlib import Path
 import pytest
 
 import synthbank
+import synthbank.pipeline as pipeline_module
 from synthbank.binning import BinningError, BinningRule
 from synthbank.cli import main as cli_main
 from synthbank.decoding import DecodeError, KdeSpec
 from synthbank.mechanisms import MechanismError, PacConfig
 from synthbank.pipeline import (
+    Pipeline,
     PipelineConfig,
     PipelineConfigError,
     compare_strategies,
@@ -26,6 +28,7 @@ from synthbank.population import (
     FiPopulationConfig,
 )
 from synthbank.privacy import PrivacyError, PrivacyParams
+from synthbank.tabular import read_csv, write_csv
 
 
 def credit_config(tmp_path, subdir="run", **overrides):
@@ -178,6 +181,60 @@ def test_cli_eval_without_artifacts_fails_cleanly(tmp_path, capsys):
     path = write_config(tmp_path, credit_config(tmp_path, subdir="missing"))
     assert cli_main(["eval", "--config", str(path)]) == 1
     assert "failed" in capsys.readouterr().err
+
+
+def test_cli_eval_before_decode_fails_cleanly(tmp_path, capsys):
+    path = write_config(tmp_path, credit_config(tmp_path))
+    for command in ("gen-data", "encode", "synth"):
+        assert cli_main([command, "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["eval", "--config", str(path)]) == 1
+    missing = tmp_path / "run" / "synthetic_decoded.csv"
+    assert f"stage 'eval' failed: no such file: {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["left_edge", "midpoint", "kde"])
+def test_eval_decodes_what_the_decode_stage_wrote(tmp_path, monkeypatch, mode):
+    # a staged eval decodes the synthetic codes again instead of parsing
+    # synthetic_decoded.csv; PAC leaves suppressed rows to drop first
+    doc = app_config(
+        tmp_path, "yield", strategy="data_driven", mechanism={"name": "pac"},
+        decode={"mode": mode},
+    )
+    path = write_config(tmp_path, doc)
+    for command in ("gen-data", "encode", "synth", "decode"):
+        assert cli_main([command, "--config", str(path)]) == 0
+    read = []
+
+    def recording_read_csv(csv_path, schema):
+        read.append(Path(csv_path).name)
+        return read_csv(csv_path, schema)
+
+    monkeypatch.setattr(pipeline_module, "read_csv", recording_read_csv)
+    pipeline = Pipeline(PipelineConfig.from_dict(doc))
+    pipeline.evaluate()
+    assert read == ["original.csv"]
+    write_csv(pipeline.decoded, tmp_path / "redecoded.csv")
+    written = (tmp_path / "run" / "synthetic_decoded.csv").read_bytes()
+    assert (tmp_path / "redecoded.csv").read_bytes() == written
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus", "--config", "run.json"],
+        ["eval"],
+        ["eval", "--config", "run.json", "--seed", "x"],
+        ["pipeline", "--config", "run.json", "--epsilon", "much"],
+    ],
+    ids=["unknown-command", "missing-config", "string-seed", "string-epsilon"],
+)
+def test_cli_bad_usage_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        cli_main(argv)
+    assert exited.value.code == 2
+    assert "usage: synthbank" in capsys.readouterr().err
 
 
 def test_cli_overrides(tmp_path):
@@ -796,3 +853,34 @@ def test_settings_reject_booleans_in_every_number_field(tmp_path, name):
             with pytest.raises(PipelineConfigError) as loaded:
                 PipelineConfig.from_dict(config(tmp_path, fields))
             assert loaded.value.errors == [loaded_message(str(built.value))]
+
+
+# each top-level setting with a bad value, as a ``PipelineConfig`` argument
+# and as the config keys that hold it
+TOP_LEVEL = {
+    "seed": ({"seed": True}, {"seed": True}),
+    "epsilon": ({"epsilon": -1.0}, {"privacy": {"epsilon": -1.0, "delta": 1e-10}}),
+    "delta": ({"delta": 1.5}, {"privacy": {"epsilon": 1.0, "delta": 1.5}}),
+    "selection_fraction": (
+        {"selection_fraction": 1.0}, {"mechanism": {"name": "mst", "selection_fraction": 1.0}}
+    ),
+    "rounds": ({"rounds": 0}, {"mechanism": {"name": "mst", "rounds": 0}}),
+    "n_synthetic": ({"n_synthetic": -1}, {"n_synthetic": -1}),
+    "output": ({"output": 5}, {"output": 5}),
+}
+
+
+@pytest.mark.parametrize("name", list(TOP_LEVEL))
+def test_config_built_in_python_checks_top_level_fields(tmp_path, name):
+    arguments, doc = TOP_LEVEL[name]
+    base = {
+        "application": "credit", "strategy": "cbp", "mechanism": "mst",
+        "output": str(tmp_path / "run"), "datagen": CreditPortfolioConfig(n_cards=3000),
+    }
+    with pytest.raises(PipelineConfigError) as built:
+        run_pipeline(PipelineConfig(**{**base, **arguments}))
+    with pytest.raises(PipelineConfigError) as loaded:
+        PipelineConfig.from_dict(credit_config(tmp_path, **doc))
+    assert len(built.value.errors) == 1
+    assert built.value.errors == loaded.value.errors
+    assert not (tmp_path / "run").exists()
