@@ -6,6 +6,8 @@ its application, under the same names:
 - ``POPULATION``: its ``input.datagen`` settings class
 - ``INPUT_FILES``: the keys of its ``input.files`` section
 - ``rules(strategy)``: its binning preset for a strategy
+- ``PAIRED``: the column pairs that must share one binning rule, such as
+  the two years of one state
 - ``WORKLOAD``: its default AIM workload, as column tuples
 - ``prepare(population, files, rng)``: the original microdata, the extra
   input that evaluation needs, and the ``(dataset, csv name, schema name)``

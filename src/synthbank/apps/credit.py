@@ -132,14 +132,16 @@ def delinquency_rate(
         if codec.has_suppressed:
             valid &= codes != codec.suppressed_code
 
-    rates: dict[tuple, float | None] = {}
-    for age in range(age_codec.domain_size):
-        for g, gender in enumerate(gender_codec.labels):
-            sel = valid & (age_codes == age) & (gender_codes == g)
-            total = int(sel.sum())
-            key = (age, gender)
-            rates[key] = None if total == 0 else float((del_codes[sel] > 0).sum() / total)
-    return rates
+    # rows and delinquent rows of each group, (age, g) counted at age * len(labels) + g
+    labels = gender_codec.labels
+    n_groups = age_codec.domain_size * len(labels)
+    groups = (age_codes * len(labels) + gender_codes)[valid]
+    totals = np.bincount(groups, minlength=n_groups).tolist()
+    late = np.bincount(groups[del_codes[valid] > 0], minlength=n_groups).tolist()
+    return {
+        (i // len(labels), labels[i % len(labels)]): late[i] / totals[i] if totals[i] else None
+        for i in range(n_groups)
+    }
 
 
 @dataclass(frozen=True)
@@ -220,6 +222,8 @@ TRANSITIONS = {
     "delinquency": ("Delinquency2020", "Delinquency2021"),
     "debt": ("Debt2020", "Debt2021"),
 }
+#: each transition's two years are binned into one state space, by one rule
+PAIRED = tuple(TRANSITIONS.values())
 
 
 def prepare(population: CreditPortfolioConfig, files: dict, rng: np.random.Generator):

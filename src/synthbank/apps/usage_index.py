@@ -315,6 +315,7 @@ POPULATION = FiPopulationConfig
 INPUT_FILES = ("data", "schema", "unbanked")
 EXTRA = "unbanked.csv"
 rules = fi_rules
+PAIRED = ()
 #: each indicator against each demographic, plus two demographic pairs
 WORKLOAD = [
     (demo, indicator) for indicator in INDICATOR_COLUMNS for demo in ("Period", "Age", "Gender")

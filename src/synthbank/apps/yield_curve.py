@@ -479,6 +479,7 @@ POPULATION = DepositMarketConfig
 INPUT_FILES = ("data", "schema")
 EXTRA = None
 rules = deposit_rules
+PAIRED = ()
 #: the rate against every other column, plus term against capital
 WORKLOAD = [
     ("Term", "InterestRate"),

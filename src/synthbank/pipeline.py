@@ -119,7 +119,8 @@ class PipelineConfig:
 
     The top-level scalars and the output path are checked when the config is
     built, so Python and JSON reject the same values with the same message;
-    ``epsilon=None`` turns the noise off.
+    ``epsilon=None`` turns the noise off, and sets ``delta`` to None too, as
+    ``privacy: null`` does.
     """
 
     application: str
@@ -141,6 +142,8 @@ class PipelineConfig:
     rule_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.epsilon is None:
+            self.delta = None
         privacy = None if self.epsilon is None else (self.epsilon, self.delta)
         errors = _top_level_errors(
             self.seed, privacy, self.output, self.selection_fraction, self.rounds,
@@ -281,6 +284,15 @@ class PipelineConfig:
             name: build(BinningRule, f"rule_overrides.{name}", spec)
             for name, spec in rule_overrides.items()
         }
+        # the presets give both columns of a pair one rule under every
+        # strategy, so equal overrides keep it one in each arm of a compare
+        if app is not None and None not in parsed_overrides.values():
+            for first, second in app.PAIRED:
+                if parsed_overrides.get(first) != parsed_overrides.get(second):
+                    errors.append(
+                        f"rule_overrides: {first} and {second} must share one binning rule; "
+                        "override both alike"
+                    )
 
         n_synthetic = doc.get("n_synthetic")
         errors += _top_level_errors(

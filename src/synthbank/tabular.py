@@ -14,9 +14,10 @@ guarantees. Missing values are rejected at ingestion.
 :func:`write_csv` writes the bytes a per-cell :class:`csv.writer` pass
 with ``QUOTE_MINIMAL`` and ``FLOAT_FORMAT`` writes, built as numpy byte
 arrays: the text of each level comes from :class:`csv.writer` itself, and
-the text of each distinct numeric value from its 12 decimal digits,
-computed in numpy wherever the rounding can be proven exact (1e-4 <= |v|
-< 1e12, no tie); every other value is formatted by ``%`` once.
+the text of a numeric value from its 12 decimal digits, computed in numpy
+wherever the rounding can be proven exact (1e-4 <= |v| < 1e12, no tie);
+every other value is formatted by ``%``. :func:`number_path` picks the
+cheapest of three paths per column; a path changes speed, never bytes.
 
 :func:`read_csv` converts the file's bytes in numpy, a block of
 ``8 * CHUNK_ROWS`` rows at a time: a level is found by its UTF-8 bytes, and
@@ -61,6 +62,9 @@ _FLOAT_PERCENT = "%.12g"
 #: paths convert ``CHUNK_ROWS`` rows at a time, bounding the per-cell string
 #: objects they hold at once
 CHUNK_ROWS = 1024
+
+#: evenly spaced cells in which the writer looks for a repeated value
+_PROBE_CELLS = 256
 
 #: widest cell the readers' numpy paths read as digits: an integer below
 #: ``10**18``, which int64 holds (the widest ``FLOAT_FORMAT`` text in fixed
@@ -577,10 +581,17 @@ def write_csv(dataset: Dataset, path) -> None:
     ``read_csv(write_csv(d))`` reproduces ``d`` cell-for-cell at that
     precision.
 
-    The text of each level, and of each distinct numeric value, is built
-    once into a byte table (:func:`_level_table`, :func:`_number_table`);
-    :func:`write_rows` then gathers the table rows of every record. The
-    bytes are those a per-cell :class:`csv.writer` pass writes.
+    The cell texts are built into byte tables, and :func:`write_rows`
+    gathers the table rows of every record: one row per level
+    (:func:`_level_table`), and for a numeric column one of three paths
+    (:func:`number_path`), which differ in speed, never in bytes:
+
+    * ``"integer"``: the texts of every integer in the column's span
+      (:func:`_integer_table`), indexed by ``value - min``;
+    * ``"distinct"``: the values formatted in row order, with no gather;
+    * ``"dedup"``: each distinct value formatted once.
+
+    The bytes are those a per-cell :class:`csv.writer` pass writes.
     """
     names = dataset.column_names
     tables, indices = [], []
@@ -590,6 +601,14 @@ def write_csv(dataset: Dataset, path) -> None:
         if spec.is_categorical:
             tables.append(_level_table(spec.levels, len(names), end))
             indices.append(col)
+        elif (way := number_path(col)) == "integer":
+            low = int(col.min())
+            span = int(col.max()) - low + 1
+            tables.append(_integer_table(low, span, end))
+            indices.append((col - low).astype(np.min_scalar_type(span - 1)))
+        elif way == "distinct":
+            tables.append(_number_table(col, end))
+            indices.append(None)
         else:
             # distinct bit patterns, so that -0.0 and 0.0 stay apart; the
             # row indices are held until the file is written, so in the
@@ -610,17 +629,19 @@ def write_rows(fh, tables, indices, chunk_rows) -> None:
     """Write record ``i`` as the bytes of ``tables[j][indices[j][i]]``, ``j`` in order.
 
     Each table is a ``uint8`` array holding one cell text per row, its
-    separator or line end included. NUL bytes, anywhere in a row, stand for
-    nothing and are dropped on output, so no cell text may hold one.
-    Records are gathered, masked and written ``8 * chunk_rows`` at a time,
-    so the whole file is never held in memory.
+    separator or line end included; an index of None stands for ``i``. NUL
+    bytes, anywhere in a row, stand for nothing and are dropped on output,
+    so no cell text may hold one. Records are gathered, masked and written
+    ``8 * chunk_rows`` at a time, so the whole file is never held in memory.
     """
-    n_records = len(indices[0]) if indices else 0
+    n_records = len(tables[0] if indices[0] is None else indices[0]) if indices else 0
     step = 8 * chunk_rows
     for start in range(0, n_records, step):
         block = np.concatenate(
             [
-                np.take(table, index[start : start + step], axis=0)
+                table[start : start + step]
+                if index is None
+                else np.take(table, index[start : start + step], axis=0)
                 for table, index in zip(tables, indices)
             ],
             axis=1,
@@ -652,6 +673,35 @@ def _level_table(levels, n_columns, end) -> np.ndarray:
     empty = [""] * (n_columns - 1)
     cut = n_columns + 1  # the empty cells' commas and the CRLF
     return text_table([_csv_line([label, *empty])[:-cut] + end for label in levels])
+
+
+def number_path(col) -> str:
+    """How :func:`write_csv` writes the numeric column ``col``: ``"integer"``
+    when it holds integers in ``[0, 1e12)``, no ``-0``, spanning at most twice
+    its length; else ``"distinct"`` when no bit pattern repeats among every
+    ``len(col) // _PROBE_CELLS``-th cell (or every cell); else ``"dedup"``."""
+    if col.size and not np.signbit(col).any():
+        low, high = col.min(), col.max()
+        if high < 1e12 and high - low <= 2 * col.size and (col == np.floor(col)).all():
+            return "integer"
+    probe = col[:: max(1, col.size // _PROBE_CELLS)].view(np.int64)
+    return "distinct" if probe.size and np.unique(probe).size == probe.size else "dedup"
+
+
+def _integer_table(low, span, end) -> np.ndarray:
+    """Byte table of the ``FLOAT_FORMAT`` texts, each followed by ``end``, of the
+    integers ``low`` to ``low + span - 1`` in ``[0, 1e12)``: their digits, NUL-padded."""
+    values = np.arange(low, low + span, dtype=np.int64)
+    width = len(str(low + span - 1))
+    table = np.empty((span, width + len(end)), dtype=np.uint8)
+    for place in range(width - 1, -1, -1):
+        tens = values // 10
+        table[:, place] = values - 10 * tens + ord("0")
+        values = tens
+    for digits in range(1, width):  # the rows below 10**digits have fewer
+        table[: max(0, 10**digits - low), width - 1 - digits] = 0
+    table[:, width:] = np.frombuffer(end.encode("ascii"), dtype=np.uint8)
+    return table
 
 
 def _number_table(values, end) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Transition matrices, Frobenius error, delinquency rates, and the join."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from synthbank.apps.credit import (
     CreditError,
@@ -10,7 +14,7 @@ from synthbank.apps.credit import (
     frobenius_error,
     transition_matrix,
 )
-from synthbank.binning import encode_dataset
+from synthbank.binning import Codebook, EncodedDataset, encode_dataset
 from synthbank.population import CreditPortfolioConfig, generate_credit_cards
 from synthbank.presets import credit_rules
 from synthbank.tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
@@ -139,6 +143,58 @@ def test_delinquency_rate_missing_groups_and_bounds():
     for value in rates.values():
         if value is not None:
             assert 0.0 <= value <= 1.0
+
+
+def reference_delinquency_rate(encoded, delinquency_column, age_column, gender_column):
+    """delinquency_rate as one masked pass per (age band, gender) group."""
+    codebook = encoded.codebook
+    columns = (delinquency_column, age_column, gender_column)
+    del_codes, age_codes, gender_codes = (encoded.column_codes(name) for name in columns)
+    valid = np.ones(encoded.n_records, dtype=bool)
+    for name in columns:
+        if codebook[name].has_suppressed:
+            valid &= encoded.column_codes(name) != codebook[name].suppressed_code
+    rates = {}
+    for age in range(codebook[age_column].domain_size):
+        for g, gender in enumerate(codebook[gender_column].labels):
+            sel = valid & (age_codes == age) & (gender_codes == g)
+            total = int(sel.sum())
+            key = (age, gender)
+            rates[key] = None if total == 0 else float((del_codes[sel] > 0).sum() / total)
+    return rates
+
+
+RATE_COLUMNS = ["Delinquency2021", "Age2020", "Gender"]
+
+
+@st.composite
+def rate_dataset_strategy(draw):
+    """Codes of the three columns, each with or without a suppressed code;
+    few rows over many groups, so that some groups are empty."""
+    sizes = [draw(st.integers(1, 7)), draw(st.integers(1, 8)), draw(st.integers(1, 3))]
+    suppressed = [draw(st.booleans()) for _ in sizes]
+    n_rows = draw(st.integers(0, 60))
+    codes = [
+        draw(st.lists(st.integers(0, size - 1 + extra), min_size=n_rows, max_size=n_rows))
+        for size, extra in zip(sizes, suppressed)
+    ]
+    plain = make_encoded(np.zeros((0, 3), dtype=np.int64), sizes, names=RATE_COLUMNS).codebook
+    codebook = Codebook(replace(c, has_suppressed=s) for c, s in zip(plain, suppressed))
+    return EncodedDataset(np.array(codes, dtype=np.int64).T.reshape(n_rows, 3), codebook)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rate_dataset_strategy())
+@example(make_encoded(np.zeros((0, 3), dtype=np.int64), (6, 7, 2), names=RATE_COLUMNS))
+def test_delinquency_rate_matches_per_group_reference(encoded):
+    rates = delinquency_rate(encoded, *RATE_COLUMNS)
+    expected = reference_delinquency_rate(encoded, *RATE_COLUMNS)
+    assert list(rates) == list(expected)
+    for key, rate in rates.items():
+        if expected[key] is None:
+            assert rate is None
+        else:
+            assert type(rate) is float and rate.hex() == expected[key].hex()
 
 
 def test_planted_gender_delinquency_ratio():

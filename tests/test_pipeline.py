@@ -11,6 +11,7 @@ import pytest
 
 import synthbank
 import synthbank.pipeline as pipeline_module
+from synthbank.apps import APPS
 from synthbank.binning import BinningError, BinningRule
 from synthbank.cli import main as cli_main
 from synthbank.decoding import DecodeError, KdeSpec
@@ -27,6 +28,7 @@ from synthbank.population import (
     DepositMarketConfig,
     FiPopulationConfig,
 )
+from synthbank.presets import CBP_DEBT_CUTOFFS, STRATEGIES
 from synthbank.privacy import PrivacyError, PrivacyParams
 from synthbank.tabular import read_csv, write_csv
 
@@ -763,6 +765,28 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
                                              "log_pretransform": "no"}}},
             "rule_overrides.Debt2020: log_pretransform must be true or false, got 'no'",
         ),
+        (
+            {"strategy": "data_driven",
+             "rule_overrides": {"Debt2020": {"method": "equal_frequency", "k": 4}}},
+            "rule_overrides: Debt2020 and Debt2021 must share one binning rule; "
+            "override both alike",
+        ),
+        (
+            {"rule_overrides": {
+                "Delinquency2020": {"method": "kmeans_1d", "k": 6},
+                "Delinquency2021": {"method": "kmeans_1d", "k": 5},
+            }},
+            "rule_overrides: Delinquency2020 and Delinquency2021 must share one binning rule; "
+            "override both alike",
+        ),
+        (
+            # the cbp preset's own rule: one state space under cbp, but two
+            # in the data-driven arm of a compare
+            {"rule_overrides": {"Debt2020": {"method": "explicit_cutoffs",
+                                             "cutoffs": list(CBP_DEBT_CUTOFFS)}}},
+            "rule_overrides: Debt2020 and Debt2021 must share one binning rule; "
+            "override both alike",
+        ),
     ],
     ids=["top-level-list", "pac-not-object", "pac-k-zero", "rule-overrides-list",
          "selection-fraction-string", "epsilon-string", "grid-points-string", "negative-bandwidth",
@@ -783,7 +807,8 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
          "negative-rate-noise", "infinite-usd-shift", "negative-debt-log-sd",
          "credit-gender-split-above-one", "infinite-epsilon", "nan-curve-beta",
          "infinite-workload-weight", "numeric-output", "numeric-input-file",
-         "null-input-file", "string-log-pretransform"],
+         "null-input-file", "string-log-pretransform", "one-year-debt-override",
+         "unequal-delinquency-overrides", "one-year-override-equal-to-preset"],
 )
 def test_cli_bad_config_fields_are_config_errors(tmp_path, capsys, doc, message):
     if isinstance(doc, dict):
@@ -794,6 +819,17 @@ def test_cli_bad_config_fields_are_config_errors(tmp_path, capsys, doc, message)
     assert f"config error: {message}" in err
     assert "failed" not in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_paired_columns_share_one_rule_in_every_preset():
+    # the loader compares only the overrides of a pair, which keeps the pair
+    # on one rule as long as every preset gives both of its columns one rule
+    assert APPS["credit"].PAIRED
+    for app in APPS.values():
+        for strategy in STRATEGIES:
+            rules = app.rules(strategy)
+            for first, second in app.PAIRED:
+                assert rules[first] == rules[second]
 
 
 # each settings class with valid arguments, its error, the config holding
@@ -884,3 +920,23 @@ def test_config_built_in_python_checks_top_level_fields(tmp_path, name):
     assert len(built.value.errors) == 1
     assert built.value.errors == loaded.value.errors
     assert not (tmp_path / "run").exists()
+
+
+def test_noiseless_config_records_the_same_privacy_from_python_and_json(tmp_path):
+    built = PipelineConfig(
+        application="credit", strategy="cbp", mechanism="mst", output=str(tmp_path / "python"),
+        seed=11, epsilon=None, datagen=CreditPortfolioConfig(n_cards=3000),
+    )
+    doc = credit_config(tmp_path, subdir="json", privacy=None, seed=11)
+    doc["input"]["datagen"]["n_cards"] = 3000
+    loaded = PipelineConfig.from_dict(doc)
+    assert built.delta is None and loaded.delta is None
+    for config in (built, loaded):
+        run_pipeline(config)
+    for name in ("manifest.json", "report.json"):
+        python_doc, json_doc = (
+            json.loads((tmp_path / run / name).read_text(encoding="utf-8"))
+            for run in ("python", "json")
+        )
+        assert python_doc["privacy"] == json_doc["privacy"]
+        assert python_doc["privacy"]["delta"] is None

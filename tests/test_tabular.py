@@ -479,6 +479,117 @@ def test_fast_path_and_fallback_columns(tmp_path):
         assert _written_cells(tmp_path, fallback) == ["<%.12g>" % value for value in fallback]
 
 
+# write_csv takes one of three paths per numeric column (number_path); the
+# columns below are long enough to reach each of them, and their edge cells
+# (0, -0, the last integer below 1e12, 1e12, negatives) sit on the borders
+# between the paths
+_PATH_EDGES = (0.0, -0.0, 999999999999.0, 1e12, -1.0, -7.0)
+
+
+def _path_column(draw, n_rows):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("integers", "distinct", "repeats")))
+    if kind == "integers":
+        # a span up to about twice the rows, with gaps, from 0 or up to the top
+        span = int(n_rows * draw(st.sampled_from((0.0, 0.5, 1.0, 2.0, 2.2)))) + 1
+        low = draw(st.sampled_from((0, 1, 18, 10**6 - span, 10**12 - span)))
+        col = (low + rng.integers(0, span, n_rows)).astype(np.float64)
+    elif kind == "distinct":
+        col = rng.standard_normal(n_rows) * 10.0 ** draw(st.integers(-6, 14))
+    else:
+        pool = draw(st.lists(_any_float, min_size=1, max_size=20))
+        col = rng.choice(np.array(pool), n_rows)
+    for edge in draw(st.lists(st.sampled_from(_PATH_EDGES), max_size=3)):
+        if n_rows:
+            col[rng.integers(n_rows)] = edge
+    return col
+
+
+@st.composite
+def path_dataset_strategy(draw):
+    n_rows = draw(st.integers(0, 3000))
+    columns = [_path_column(draw, n_rows) for _ in range(draw(st.integers(1, 3)))]
+    return Dataset(tuple(ColumnSpec(f"x{j}", NUMERIC) for j in range(len(columns))), columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(path_dataset_strategy(), st.sampled_from((1, 1024)))
+@example(Dataset((ColumnSpec("x", NUMERIC),), [np.zeros(0)]), 1024)
+@example(Dataset((ColumnSpec("x", NUMERIC),), [np.array([-0.0])]), 1)
+@example(
+    Dataset(
+        (ColumnSpec("x", NUMERIC), ColumnSpec("y", NUMERIC), ColumnSpec("z", NUMERIC)),
+        [np.array([999999999999.0]), np.array([1e12]), np.array([0.0])],
+    ),
+    1024,
+)
+def test_write_csv_paths_match_per_cell_reference(tmp_path_factory, ds, chunk_rows):
+    out = tmp_path_factory.mktemp("paths")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tabular, "CHUNK_ROWS", chunk_rows)
+        write_csv(ds, out / "columnar.csv")
+    reference_write_csv(ds, out / "reference.csv")
+    assert (out / "columnar.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+
+def test_write_csv_takes_each_number_path(tmp_path):
+    rng = np.random.default_rng(7)
+    ids = rng.permutation(50_000).astype(np.float64)
+    columns = {
+        "integer": [
+            ids,  # card ids: all distinct, no gaps
+            rng.integers(18, 96, 5000).astype(np.float64),  # ages
+            np.repeat([15.0, 1665.0, 271.0, 15.0], 500),  # days late: 1651 values, 2000 rows
+            np.array([0.0]),
+            np.array([999999999999.0, 999999999998.0, 999999999999.0]),
+        ],
+        "distinct": [
+            rng.lognormal(13, 1, 5000),  # debts
+            np.array([-3.0, 5.0, 0.5]),  # negative integers are not the integer path's
+            np.arange(0.0, 3e6, 1000.0),  # integers that span too wide, none repeated
+        ],
+        "dedup": [
+            np.array([0.0, 2e6, 4.5e6, 2e6, 0.0, 6.72e7]),  # left edges, repeated
+            np.array([1e12, 1e12]),  # integral, but not below 1e12
+            np.array([-0.0, 1.0, 2.0, 1.0]),
+            rng.choice([0.1, 0.2, 0.3], 5000),
+            np.zeros(0),
+        ],
+    }
+    calls = []
+    integer_table, number_table = tabular._integer_table, tabular._number_table
+
+    def record_integer_table(low, span, end):
+        calls.append("integer")
+        return integer_table(low, span, end)
+
+    def record_number_table(values, end):
+        calls.append(values.view(np.int64).tolist())
+        return number_table(values, end)
+
+    with pytest.MonkeyPatch.context() as patch:
+        # record which table builder write_csv calls, and for how many values
+        patch.setattr(tabular, "_integer_table", record_integer_table)
+        patch.setattr(tabular, "_number_table", record_number_table)
+        for way, cols in columns.items():
+            for col in cols:
+                assert tabular.number_path(col) == way
+                ds = Dataset((ColumnSpec("x", NUMERIC),), [col])
+                calls.clear()
+                write_csv(ds, tmp_path / "x.csv")
+                reference_write_csv(ds, tmp_path / "reference.csv")
+                written = (tmp_path / "x.csv").read_bytes()
+                assert written == (tmp_path / "reference.csv").read_bytes()
+                # integer: no value formatted; distinct: every row, in row
+                # order; dedup: each bit pattern once, in sorted order
+                expected = {
+                    "integer": ["integer"],
+                    "distinct": [col.view(np.int64).tolist()],
+                    "dedup": [np.unique(col.view(np.int64)).tolist()],
+                }[way]
+                assert calls == expected, (way, col[:5])
+
+
 @st.composite
 def encoded_strategy(draw):
     domains = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
