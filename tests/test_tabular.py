@@ -568,7 +568,7 @@ def test_write_csv_takes_each_number_path(tmp_path):
         return number_table(values, end)
 
     with pytest.MonkeyPatch.context() as patch:
-        # record which table builder write_csv calls, and for how many values
+        # record which table function write_csv calls, and for how many values
         patch.setattr(tabular, "_integer_table", record_integer_table)
         patch.setattr(tabular, "_number_table", record_number_table)
         for way, cols in columns.items():

@@ -125,7 +125,7 @@ def flat_run(seed: int, result: dict) -> dict:
 
 
 def tier1_run(checkout: Path) -> dict:
-    """Passed and failed counts and the session time of one Tier-1 run."""
+    """Passed and failed counts and the run time of one Tier-1 run."""
     started = time.perf_counter()
     done = subprocess.run(
         [sys.executable, *TIER1], cwd=checkout, capture_output=True, text=True,
@@ -136,15 +136,15 @@ def tier1_run(checkout: Path) -> dict:
 
 
 def tier1_summary(line: str, elapsed: float) -> dict:
-    """Counts and session time from pytest's last line, e.g. ``"1 failed, 395
+    """Counts and run time from pytest's last line, e.g. ``"1 failed, 395
     passed in 76.00s (0:01:16)"``; errors count as failed, and ``elapsed``
     stands in for a time the line does not give."""
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)", line)}
-    session = re.search(r" in ([\d.]+)s", line)
+    timed = re.search(r" in ([\d.]+)s", line)
     return {
         "passed": counts.get("passed", 0),
         "failed": counts.get("failed", 0) + counts.get("error", 0),
-        "wall_s": float(session.group(1)) if session else elapsed,
+        "wall_s": float(timed.group(1)) if timed else elapsed,
     }
 
 
@@ -232,7 +232,7 @@ def record(args) -> dict:
             "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors "
             "-p no:cacheprovider",
             "note": "one run per side, parent first, after the benchmark runs; "
-            "pytest's reported session time",
+            "pytest's reported run time",
             **{side: tier1_run(checkouts[side]) for side in SIDES},
         }
     return doc
