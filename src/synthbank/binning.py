@@ -14,6 +14,7 @@ single-threaded.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from dataclasses import dataclass, replace
@@ -557,18 +558,21 @@ def drop_suppressed_rows(encoded: EncodedDataset) -> tuple[EncodedDataset, int]:
 def write_encoded_csv(encoded: EncodedDataset, path) -> None:
     """Persist the code matrix as integer CSV with a header row.
 
-    The bytes are fixed: UTF-8, the codebook names joined by commas, then
-    one row per record of decimal codes joined by commas, every line ended
-    by LF, with no quoting. :func:`synthbank.tabular.write_rows` assembles
-    the rows from the code strings, each followed by a comma or, in the
-    last column, by LF.
+    The bytes are fixed: UTF-8, the header row of codebook names as
+    :class:`csv.writer` writes them (quoted only when they hold a comma, a
+    double quote, CR or LF), then one row per record of decimal codes
+    joined by commas, every line ended by LF.
+    :func:`synthbank.tabular.write_rows` assembles the rows from the code
+    strings, each followed by a comma or, in the last column, by LF.
     """
     codes = encoded.codes
     strings = [str(c) for c in range(int(codes.max(initial=0)) + 1)]
     tables = [text_table([s + "," for s in strings])] * (codes.shape[1] - 1)
     tables.append(text_table([s + "\n" for s in strings]))
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(encoded.codebook.names)
     with open(path, "wb") as fh:
-        fh.write((",".join(encoded.codebook.names) + "\n").encode("utf-8"))
+        fh.write(header.getvalue().encode("utf-8"))
         write_rows(fh, tables, list(codes.T), CHUNK_ROWS)
 
 
@@ -597,7 +601,7 @@ def read_encoded_csv(path, codebook: Codebook) -> EncodedDataset:
     if head is None:
         return EncodedDataset(_read_code_text(path, data, codebook), codebook, provenance=str(path))
     line, body, crlf = head
-    check_header(path, line.strip().split(","), codebook.names)
+    check_header(path, _header_cells(line), codebook.names)
     codes = np.empty((count_lines(data, body), n_cells), dtype=np.int64)
     for first, block, edges in cell_blocks(data, body, crlf, n_cells, 8 * CHUNK_ROWS):
         if block is None or not _block_codes(block, edges, codes[first:]):
@@ -611,12 +615,17 @@ def _read_code_text(path, data, codebook) -> np.ndarray:
     n_cells = len(codebook)
     chunks = [np.zeros((0, n_cells), dtype=np.int64)]
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-        check_header(path, fh.readline().strip().split(","), codebook.names)
+        check_header(path, _header_cells(fh.readline()), codebook.names)
         first_row = 1
         while lines := list(map(str.strip, islice(fh, CHUNK_ROWS))):
             chunks.append(_parse_code_lines(lines, n_cells, path, first_row))
             first_row += len(lines)
     return np.concatenate(chunks)
+
+
+def _header_cells(line) -> list:
+    """The names in the header line of an encoded CSV, as :mod:`csv` reads them."""
+    return next(csv.reader([line.strip()]))
 
 
 def _block_codes(block, edges, out) -> bool:

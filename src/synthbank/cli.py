@@ -22,13 +22,7 @@ import sys
 
 from .apps import APPS
 from .mechanisms import MECHANISMS
-from .pipeline import (
-    DEFAULT_PRIVACY,
-    Pipeline,
-    PipelineConfig,
-    PipelineConfigError,
-    compare_strategies,
-)
+from .pipeline import Pipeline, PipelineConfig, PipelineConfigError, compare_strategies
 from .presets import STRATEGIES
 
 _STAGE_COMMANDS = {
@@ -85,7 +79,8 @@ def _apply_overrides(doc: dict, args) -> dict:
     if args.mechanism is not None and isinstance(mech, dict):
         doc["mechanism"] = {**mech, "name": args.mechanism}
     if args.epsilon is not None or args.delta is not None:
-        privacy = doc.get("privacy", DEFAULT_PRIVACY)
+        default = {"epsilon": PipelineConfig.epsilon, "delta": PipelineConfig.delta}
+        privacy = doc.get("privacy", default)
         privacy = dict(privacy) if isinstance(privacy, dict) else {}
         if args.epsilon is not None:
             privacy["epsilon"] = args.epsilon

@@ -57,8 +57,6 @@ __all__ = [
     "compare_strategies",
 ]
 
-# privacy section used when a config has none; ``privacy: null`` means no noise
-DEFAULT_PRIVACY = {"epsilon": 1.0, "delta": 1e-10}
 # config keys of the decode section that build its ``KdeSpec``
 KDE_KEYS = ("bandwidth", "grid_points")
 # keys of the config sections whose keys are fixed; ``mechanism.pac`` and
@@ -87,46 +85,43 @@ class PipelineConfigError(ValueError):
         super().__init__("invalid pipeline configuration:\n" + "\n".join(self.errors))
 
 
-def _top_level_errors(seed, privacy, output, selection_fraction, rounds, n_synthetic) -> list:
-    """The messages for the top-level settings that fail their checks, each
-    under its config key; ``privacy`` is ``(epsilon, delta)``, or None for a
-    run without noise."""
-    errors = []
-    if privacy is not None:
-        epsilon, delta = privacy
-        if not is_real(epsilon) or not epsilon > 0:
-            errors.append(f"privacy.epsilon: must be positive, got {epsilon!r}")
-        if not is_real(delta) or not 0 < delta < 1:
-            errors.append(f"privacy.delta: must lie in (0, 1), got {delta!r}")
-    if not isinstance(output, str) or not output:
-        errors.append(f"output: an output directory path is required, got {output!r}")
-    if not is_int(seed) or seed < 0:
-        errors.append(f"seed: must be a non-negative integer, got {seed!r}")
-    if not is_real(selection_fraction) or not 0 <= selection_fraction < 1:
-        errors.append(
-            f"mechanism.selection_fraction: must lie in [0, 1), got {selection_fraction!r}"
-        )
-    if not is_int(rounds) or rounds < 1:
-        errors.append(f"mechanism.rounds: must be a positive integer, got {rounds!r}")
-    if n_synthetic is not None and (not is_int(n_synthetic) or n_synthetic < 0):
-        errors.append(f"n_synthetic: must be a non-negative integer, got {n_synthetic!r}")
-    return errors
+def _unknown_keys(label, mapping, keys, suffix="") -> list:
+    """The message for the keys of ``mapping`` that ``keys`` lacks, if any."""
+    unknown = sorted(set(mapping) - set(keys), key=str)
+    return [f"{label}: unknown keys {unknown}{suffix}"] if unknown else []
+
+
+def _application(name):
+    """The ``apps`` module of the application config name ``name``, or None."""
+    return APPS.get(name) if isinstance(name, str) else None
+
+
+def _tuples(value):
+    """``value`` with every JSON list in it turned into a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 @dataclass
 class PipelineConfig:
     """Validated pipeline settings (see ``PipelineConfig.from_json``).
 
-    The top-level scalars and the output path are checked when the config is
-    built, so Python and JSON reject the same values with the same message;
+    Every setting is checked when the config is built, in Python, by
+    :meth:`from_dict` or by :func:`dataclasses.replace`: the application,
+    strategy, mechanism and decode mode names, the top-level numbers and the
+    output path, the ``rule_overrides`` columns and pairs, and the
+    ``files`` keys and paths. Each message names the setting's config key,
+    and all of them come in one :class:`PipelineConfigError`, so Python and
+    JSON reject the same values with the same messages.
+
     ``epsilon=None`` turns the noise off, and sets ``delta`` to None too, as
-    ``privacy: null`` does.
+    ``privacy: null`` does. ``datagen=None`` becomes the application's
+    default population settings, and an empty ``files`` reads no files.
     """
 
     application: str
-    strategy: str
     mechanism: str
     output: str
+    strategy: str = STRATEGIES[0]
     seed: int = 1
     epsilon: float | None = 1.0
     delta: float | None = 1e-10
@@ -139,18 +134,82 @@ class PipelineConfig:
     n_synthetic: int | None = None
     datagen: object = None  # the application's ``POPULATION`` settings
     files: dict = field(default_factory=dict)
+    # column -> ``BinningRule``; a None rule failed to load and has its own
+    # message, so the pair check is left out (see ``from_dict``)
     rule_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.epsilon is None:
             self.delta = None
-        privacy = None if self.epsilon is None else (self.epsilon, self.delta)
-        errors = _top_level_errors(
-            self.seed, privacy, self.output, self.selection_fraction, self.rounds,
-            self.n_synthetic,
-        )
+        errors = [
+            f"{key}: unknown value {value!r} (allowed: {', '.join(names)})"
+            for key, value, names in (
+                ("application", self.application, tuple(APPS)),
+                ("strategy", self.strategy, STRATEGIES),
+                ("mechanism.name", self.mechanism, MECHANISMS),
+                ("decode.mode", self.decode_mode, DECODE_MODES),
+            )
+            if value not in names
+        ]
+        noise = self.epsilon is not None
+        epsilon, delta, fraction = self.epsilon, self.delta, self.selection_fraction
+        errors += [
+            f"{key}: {rule}, got {value!r}"
+            for key, value, valid, rule in (
+                ("privacy.epsilon", epsilon, not noise or is_real(epsilon) and epsilon > 0,
+                 "must be positive"),
+                ("privacy.delta", delta, not noise or is_real(delta) and 0 < delta < 1,
+                 "must lie in (0, 1)"),
+                ("output", self.output, isinstance(self.output, str) and self.output != "",
+                 "an output directory path is required"),
+                ("seed", self.seed, is_int(self.seed) and self.seed >= 0,
+                 "must be a non-negative integer"),
+                ("mechanism.selection_fraction", fraction, is_real(fraction) and 0 <= fraction < 1,
+                 "must lie in [0, 1)"),
+                ("mechanism.rounds", self.rounds, is_int(self.rounds) and self.rounds >= 1,
+                 "must be a positive integer"),
+                ("n_synthetic", self.n_synthetic,
+                 self.n_synthetic is None or is_int(self.n_synthetic) and self.n_synthetic >= 0,
+                 "must be a non-negative integer"),
+            )
+            if not valid
+        ]
+        app = _application(self.application)
+        if app is not None:
+            overrides = self.rule_overrides
+            if self.strategy in STRATEGIES:
+                binned = list(app.rules(self.strategy))
+                unbinned = [name for name in overrides if name not in binned]
+                if unbinned:
+                    errors.append(
+                        f"rule_overrides: {unbinned} are not binned columns of "
+                        f"{self.application} (binned: {', '.join(binned)})"
+                    )
+            # the presets give both columns of a pair one rule under every
+            # strategy, so equal overrides keep it one in each arm of a compare
+            if None not in overrides.values():
+                errors += [
+                    f"rule_overrides: {first} and {second} must share one binning rule; "
+                    "override both alike"
+                    for first, second in app.PAIRED
+                    if overrides.get(first) != overrides.get(second)
+                ]
+            if self.files:
+                errors += _unknown_keys("input.files", self.files, app.INPUT_FILES)
+                missing = [key for key in app.INPUT_FILES if key not in self.files]
+                if missing:
+                    errors.append(f"input.files: missing keys {missing}")
+                paths = {key: self.files[key] for key in app.INPUT_FILES if key in self.files}
+                errors += [
+                    f"input.files.{key}: must be a file path, got {path!r}"
+                    for key, path in paths.items()
+                    if not isinstance(path, str) or not path
+                ]
         if errors:
             raise PipelineConfigError(errors)
+        self.selection_fraction = float(fraction)
+        if self.datagen is None:
+            self.datagen = app.POPULATION()
 
     @property
     def privacy(self) -> PrivacyParams | None:
@@ -160,167 +219,110 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        """The config that the JSON document ``doc`` describes.
+
+        Only the JSON is handled here. A section that is not an object, or
+        that holds a key it does not define, is an error; a null section
+        reads as an empty one, except that ``privacy: null`` turns the noise
+        off. JSON lists become tuples, and the settings objects are built,
+        each one's message under its section. Only the settings the document
+        gives are passed on, so the class supplies every default and makes
+        every other check. A settings object that fails to build is left at
+        its default, so the other settings are still checked, and every
+        message, the document's and the class's, comes in one
+        :class:`PipelineConfigError`.
+        """
         if not isinstance(doc, dict):
             raise PipelineConfigError(
                 [f"config: the top level must be a JSON object, got {type(doc).__name__}"]
             )
-        errors = []
+        errors = _unknown_keys("config", doc, SECTION_KEYS["config"])
 
-        def pick(section, key, default=None):
-            return section.get(key, default) if isinstance(section, dict) else default
-
-        def check_keys(label, section, keys, suffix=""):
-            if isinstance(section, dict):
-                unknown = sorted(set(section) - set(keys), key=str)
-                if unknown:
-                    errors.append(f"{label}: unknown keys {unknown}{suffix}")
-
-        def build(factory, label, section, keys=None):
-            """``factory`` called with the given keys of ``section`` (by default the
-            fields of ``factory``, and then no other key is allowed); errors are
-            collected."""
-            if keys is None:
-                keys = [f.name for f in dataclasses.fields(factory)]
-                check_keys(label, section, keys)
-            section = {} if section is None else section
-            if not isinstance(section, dict):
-                errors.append(f"{label}: must be an object, got {section!r}")
+        def section(label, value, keys=None, suffix=""):
+            """The object ``value``, its keys checked against ``keys`` unless
+            that is None; {} for None; None, reported, for anything else."""
+            if value is None:
+                return {}
+            if not isinstance(value, dict):
+                errors.append(f"{label}: must be an object, got {value!r}")
                 return None
+            if keys is not None:
+                errors.extend(_unknown_keys(label, value, keys, suffix))
+            return value
+
+        def build(factory, label, value, suffix=""):
+            """``factory`` built from the section ``value``, which holds some
+            of its fields; None, with its message recorded, if that fails."""
+            names = [f.name for f in dataclasses.fields(factory)]
+            fields = section(label, value, names, suffix)
             try:
-                return factory(**{key: section[key] for key in keys if key in section})
+                return None if fields is None else factory(**fields)
             except (TypeError, ValueError, OverflowError) as exc:
                 errors.append(f"{label}: {exc}")
                 return None
 
-        check_keys("config", doc, SECTION_KEYS["config"])
-        application = doc.get("application")
-        app = APPS.get(application) if isinstance(application, str) else None
-        if app is None:
-            errors.append(
-                f"application: unknown value {application!r} (allowed: {', '.join(APPS)})"
-            )
-        strategy = doc.get("strategy", STRATEGIES[0])
-        if strategy not in STRATEGIES:
-            errors.append(
-                f"strategy: unknown value {strategy!r} (allowed: {', '.join(STRATEGIES)})"
-            )
-        mech_section = doc.get("mechanism", {})
-        check_keys("mechanism", mech_section, SECTION_KEYS["mechanism"])
-        mechanism = pick(mech_section, "name")
-        if not isinstance(mech_section, dict):
-            errors.append(f"mechanism: must be an object, got {mech_section!r}")
-        elif mechanism not in MECHANISMS:
-            errors.append(
-                f"mechanism.name: unknown value {mechanism!r} (allowed: {', '.join(MECHANISMS)})"
-            )
-        privacy = doc.get("privacy", DEFAULT_PRIVACY)
-        epsilon = delta = None
-        if privacy is not None:
-            check_keys("privacy", privacy, SECTION_KEYS["privacy"])
-            epsilon = pick(privacy, "epsilon")
-            delta = pick(privacy, "delta")
-        decode = doc.get("decode", {})
-        check_keys("decode", decode, SECTION_KEYS["decode"])
-        decode_mode = pick(decode, "mode", "left_edge")
-        if decode_mode not in DECODE_MODES:
-            errors.append(
-                f"decode.mode: unknown value {decode_mode!r} (allowed: {', '.join(DECODE_MODES)})"
-            )
-        kde = build(KdeSpec, "decode", decode, KDE_KEYS)
-        output = doc.get("output")
-        seed = doc.get("seed", 1)
-
-        input_section = doc.get("input", {"datagen": {}})
-        check_keys("input", input_section, SECTION_KEYS["input"])
-        datagen = pick(input_section, "datagen")
-        files = pick(input_section, "files")
-        if datagen is None and files is None:
-            errors.append("input: needs a 'datagen' or 'files' section")
-        for key, section in (("datagen", datagen), ("files", files)):
-            if section is not None and not isinstance(section, dict):
-                errors.append(f"input.{key}: must be an object, got {section!r}")
-        population = None
-        if app is not None:
-            known = [f.name for f in dataclasses.fields(app.POPULATION)]
-            check_keys("input.datagen", datagen, known, f" for {application}")
-            if datagen is None or isinstance(datagen, dict):
-                settings = {}  # JSON lists become the tuples the settings hold
-                for key, value in (datagen or {}).items():
-                    if isinstance(value, list):
-                        value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-                    settings[key] = value
-                population = build(app.POPULATION, "input.datagen", settings, known)
-            check_keys("input.files", files, app.INPUT_FILES)
-            if isinstance(files, dict):
-                missing = [key for key in app.INPUT_FILES if key not in files]
-                if missing:
-                    errors.append(f"input.files: missing keys {missing}")
-                for key in app.INPUT_FILES:
-                    if key in files and (not isinstance(files[key], str) or not files[key]):
-                        errors.append(f"input.files.{key}: must be a file path, got {files[key]!r}")
-
-        selection_fraction = pick(mech_section, "selection_fraction", 1.0 / 3.0)
-        rounds = pick(mech_section, "rounds", 10)
-        workload = pick(mech_section, "workload")
-        if workload is not None:
+        args = {key: doc.get(key) for key in ("application", "output")}
+        args.update((key, doc[key]) for key in ("strategy", "seed", "n_synthetic") if key in doc)
+        mechanism = section("mechanism", doc.get("mechanism"), SECTION_KEYS["mechanism"]) or {}
+        args["mechanism"] = mechanism.get("name")
+        args.update(
+            (key, mechanism[key]) for key in ("selection_fraction", "rounds") if key in mechanism
+        )
+        if mechanism.get("workload") is not None:
             try:
-                workload = parse_workload(workload)
+                args["workload"] = parse_workload(mechanism["workload"])
             except MechanismError as exc:
                 errors.append(f"mechanism.workload: {exc}")
-        pac = build(PacConfig, "mechanism.pac", pick(mech_section, "pac"))
-        rule_overrides = doc.get("rule_overrides") or {}
-        if not isinstance(rule_overrides, dict):
-            errors.append(f"rule_overrides: must be an object, got {rule_overrides!r}")
-            rule_overrides = {}
-        if app is not None and strategy in STRATEGIES:
-            binned = list(app.rules(strategy))
-            unbinned = [name for name in rule_overrides if name not in binned]
-            if unbinned:
-                errors.append(
-                    f"rule_overrides: {unbinned} are not binned columns of {application} "
-                    f"(binned: {', '.join(binned)})"
-                )
-        parsed_overrides = {
-            name: build(BinningRule, f"rule_overrides.{name}", spec)
-            for name, spec in rule_overrides.items()
+        if "privacy" in doc and doc["privacy"] is None:
+            args["epsilon"] = None
+        elif "privacy" in doc:
+            privacy = section("privacy", doc["privacy"], SECTION_KEYS["privacy"]) or {}
+            args["delta"] = privacy.get("delta")
+            if privacy.get("epsilon") is None:  # only ``privacy: null`` turns the noise off
+                errors.append("privacy.epsilon: must be positive, got None")
+            else:
+                args["epsilon"] = privacy["epsilon"]
+        decode = section("decode", doc.get("decode"), SECTION_KEYS["decode"]) or {}
+        if "mode" in decode:
+            args["decode_mode"] = decode["mode"]
+        # the settings objects; one that fails to build keeps its default
+        kde = {key: decode[key] for key in KDE_KEYS if key in decode}
+        parts = {
+            "pac": build(PacConfig, "mechanism.pac", mechanism.get("pac")),
+            "kde": build(KdeSpec, "decode", kde),
         }
-        # the presets give both columns of a pair one rule under every
-        # strategy, so equal overrides keep it one in each arm of a compare
-        if app is not None and None not in parsed_overrides.values():
-            for first, second in app.PAIRED:
-                if parsed_overrides.get(first) != parsed_overrides.get(second):
-                    errors.append(
-                        f"rule_overrides: {first} and {second} must share one binning rule; "
-                        "override both alike"
-                    )
 
-        n_synthetic = doc.get("n_synthetic")
-        errors += _top_level_errors(
-            seed, None if privacy is None else (epsilon, delta), output,
-            selection_fraction, rounds, n_synthetic,
-        )
-
+        inputs = section("input", doc.get("input", {"datagen": {}}), SECTION_KEYS["input"]) or {}
+        datagen = inputs.get("datagen")
+        files = section("input.files", inputs.get("files"))
+        if datagen is None and not files:
+            errors.append("input: needs a 'datagen' or 'files' section")
+        if files:
+            args["files"] = dict(files)
+        if isinstance(datagen, dict):
+            datagen = {key: _tuples(value) for key, value in datagen.items()}
+        app = _application(args["application"])
+        if app is None:
+            section("input.datagen", datagen)  # its keys depend on the application
+        elif datagen is not None:
+            parts["datagen"] = build(
+                app.POPULATION, "input.datagen", datagen, f" for {args['application']}"
+            )
+        rule_overrides = section("rule_overrides", doc.get("rule_overrides"))
+        if rule_overrides:
+            # a rule that fails to build stays as None (see ``rule_overrides``)
+            args["rule_overrides"] = {
+                name: build(BinningRule, f"rule_overrides.{name}", spec)
+                for name, spec in rule_overrides.items()
+            }
+        args.update((key, part) for key, part in parts.items() if part is not None)
+        try:
+            config = cls(**args)
+        except PipelineConfigError as exc:
+            raise PipelineConfigError(errors + exc.errors) from None
         if errors:
             raise PipelineConfigError(errors)
-        return cls(
-            application=application,
-            strategy=strategy,
-            mechanism=mechanism,
-            output=output,
-            seed=seed,
-            epsilon=epsilon,
-            delta=delta,
-            selection_fraction=float(selection_fraction),
-            rounds=rounds,
-            workload=workload,
-            pac=pac,
-            decode_mode=decode_mode,
-            kde=kde,
-            n_synthetic=n_synthetic,
-            datagen=population,
-            files=dict(files or {}),
-            rule_overrides=parsed_overrides,
-        )
+        return config
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":

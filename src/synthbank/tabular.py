@@ -78,7 +78,10 @@ class TabularError(ValueError):
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """Declared name, kind, and (for categorical columns) level labels."""
+    """Declared name, kind, and (for categorical columns) level labels.
+
+    ``levels`` takes a list or tuple of strings and is stored as a tuple.
+    """
 
     name: str
     kind: str
@@ -86,9 +89,17 @@ class ColumnSpec:
     units: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise TabularError(f"column name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.levels, (list, tuple)) or not all(
+            isinstance(label, str) for label in self.levels
+        ):
+            raise TabularError(
+                f"column '{self.name}': levels must be a list of strings, got {self.levels!r}"
+            )
+        if not isinstance(self.units, str):
+            raise TabularError(f"column '{self.name}': units must be a string, got {self.units!r}")
         object.__setattr__(self, "levels", tuple(self.levels))
-        if not self.name:
-            raise TabularError("column name must be non-empty")
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise TabularError(
                 f"column '{self.name}': unknown kind '{self.kind}' "
@@ -813,7 +824,7 @@ def load_schema(path) -> tuple[ColumnSpec, ...]:
             ColumnSpec(
                 name=entry["name"],
                 kind=entry["kind"],
-                levels=tuple(entry.get("levels", ())),
+                levels=entry.get("levels", ()),
                 units=entry.get("units", ""),
             )
         )

@@ -30,7 +30,15 @@ from synthbank.population import (
 )
 from synthbank.presets import CBP_DEBT_CUTOFFS, STRATEGIES
 from synthbank.privacy import PrivacyError, PrivacyParams
-from synthbank.tabular import read_csv, write_csv
+from synthbank.tabular import (
+    CATEGORICAL,
+    ColumnSpec,
+    Dataset,
+    load_schema,
+    read_csv,
+    save_schema,
+    write_csv,
+)
 
 
 def credit_config(tmp_path, subdir="run", **overrides):
@@ -903,6 +911,21 @@ TOP_LEVEL = {
     "rounds": ({"rounds": 0}, {"mechanism": {"name": "mst", "rounds": 0}}),
     "n_synthetic": ({"n_synthetic": -1}, {"n_synthetic": -1}),
     "output": ({"output": 5}, {"output": 5}),
+    "application": ({"application": "bogus"}, {"application": "bogus"}),
+    "strategy": ({"strategy": "bogus"}, {"strategy": "bogus"}),
+    "mechanism": ({"mechanism": "gan"}, {"mechanism": {"name": "gan"}}),
+    "decode_mode": ({"decode_mode": "bogus"}, {"decode": {"mode": "bogus"}}),
+    "non-binned-override": (
+        {"rule_overrides": {"Gender": BinningRule("equal_frequency", k=2)}},
+        {"rule_overrides": {"Gender": {"method": "equal_frequency", "k": 2}}},
+    ),
+    "one-year-override": (
+        {"rule_overrides": {"Debt2020": BinningRule("equal_frequency", k=4)}},
+        {"rule_overrides": {"Debt2020": {"method": "equal_frequency", "k": 4}}},
+    ),
+    "missing-input-file": (
+        {"files": {"cards_2020": "a.csv"}}, {"input": {"files": {"cards_2020": "a.csv"}}}
+    ),
 }
 
 
@@ -920,6 +943,46 @@ def test_config_built_in_python_checks_top_level_fields(tmp_path, name):
     assert len(built.value.errors) == 1
     assert built.value.errors == loaded.value.errors
     assert not (tmp_path / "run").exists()
+
+
+def test_replaced_config_is_checked_again(tmp_path):
+    valid = PipelineConfig(application="credit", mechanism="mst", output=str(tmp_path / "run"))
+    with pytest.raises(PipelineConfigError) as err:
+        dataclasses.replace(valid, mechanism="gan")
+    assert err.value.errors == ["mechanism.name: unknown value 'gan' (allowed: mst, aim, pac)"]
+
+
+def test_python_config_without_datagen_uses_the_default_population(tmp_path):
+    built = PipelineConfig(
+        application="yield", mechanism="mst", output=str(tmp_path / "python"), seed=11
+    )
+    assert built.datagen == DepositMarketConfig()
+    loaded = PipelineConfig.from_dict(app_config(tmp_path, "yield", "json", input={"datagen": {}}))
+    for config in (built, loaded):
+        run_pipeline(config)
+    assert artifact_bytes(tmp_path / "python") == artifact_bytes(tmp_path / "json")
+
+
+def test_staged_run_reads_a_column_name_with_a_comma(tmp_path):
+    # encoded.csv quotes such a name in its header, as the other CSVs do
+    gen = write_config(tmp_path, app_config(tmp_path, "yield", "src"), "gen.json")
+    assert cli_main(["gen-data", "--config", str(gen)]) == 0
+    src = tmp_path / "src"
+    source = read_csv(src / "original.csv", load_schema(src / "schema.json"))
+    branch = ColumnSpec("Branch, city", CATEGORICAL, levels=("A", "B"))
+    columns = [source.column(spec.name) for spec in source.schema]
+    columns.append([i % 2 for i in range(source.n_records)])
+    extended = Dataset((*source.schema, branch), columns)
+    write_csv(extended, tmp_path / "data.csv")
+    save_schema(extended.schema, tmp_path / "schema.json")
+    files = {"data": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json")}
+    for run in ("staged", "oneshot"):
+        doc = app_config(tmp_path, "yield", run, input={"files": files})
+        write_config(tmp_path, doc, f"{run}.json")
+    for command in STAGES:
+        assert cli_main([command, "--config", str(tmp_path / "staged.json")]) == 0
+    assert cli_main(["pipeline", "--config", str(tmp_path / "oneshot.json")]) == 0
+    assert artifact_bytes(tmp_path / "staged") == artifact_bytes(tmp_path / "oneshot")
 
 
 def test_noiseless_config_records_the_same_privacy_from_python_and_json(tmp_path):

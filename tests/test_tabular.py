@@ -1,6 +1,7 @@
 """CSV ingestion/emission and dataset validation."""
 
 import csv
+import json
 from itertools import islice
 
 import numpy as np
@@ -155,6 +156,30 @@ def test_schema_json_round_trip(tmp_path):
     path = tmp_path / "schema.json"
     save_schema(SCHEMA, path)
     assert load_schema(path) == SCHEMA
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (
+            {"name": "g", "kind": "categorical", "levels": "MF"},
+            "column 'g': levels must be a list of strings, got 'MF'",
+        ),
+        (
+            {"name": "g", "kind": "categorical", "levels": [1, 2]},
+            "column 'g': levels must be a list of strings, got [1, 2]",
+        ),
+        ({"name": 5, "kind": "numeric"}, "column name must be a non-empty string, got 5"),
+        ({"name": "x", "kind": "numeric", "units": 3}, "column 'x': units must be a string, got 3"),
+    ],
+    ids=["string-levels", "numeric-levels", "numeric-name", "numeric-units"],
+)
+def test_schema_document_field_types_are_checked(tmp_path, entry, message):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    with pytest.raises(TabularError) as err:
+        load_schema(path)
+    assert str(err.value) == message
 
 
 def test_duplicate_levels_rejected():
