@@ -534,6 +534,27 @@ def pac_sigma(config: PacConfig, params: PrivacyParams | None) -> float:
     return gaussian_sigma(per_level)
 
 
+def _contributions(u: np.ndarray, cap: int) -> np.ndarray:
+    """Mark the ``cap`` smallest values of each row of ``u``: the columns
+    that ``np.argsort(u, axis=1)[:, :cap]`` picks.
+
+    The sorted rows give each row's ``cap``-th and next smallest value.
+    Where the two differ, the picks are the values up to the ``cap``-th,
+    whichever sort found them. A row with a tie at the cap takes
+    ``argsort``'s own picks, since which of the tied values ``argsort`` puts
+    first is up to its sort.
+    """
+    ordered = np.sort(u, axis=1)
+    last = ordered[:, cap - 1]
+    contrib = u <= last[:, None]
+    tied = np.flatnonzero(ordered[:, cap] == last)
+    if tied.size:
+        picks = np.argsort(u[tied], axis=1)[:, :cap]
+        contrib[tied] = False
+        contrib[tied[:, None], picks] = True
+    return contrib
+
+
 def pac_aggregate(
     data: EncodedDataset,
     config: PacConfig,
@@ -548,6 +569,12 @@ def pac_aggregate(
     attribute subsets per level; Gaussian noise with cell scale
     ``pac_sigma * sqrt(delta_k)`` is added to every candidate; candidates
     below the level threshold are suppressed.
+
+    A record contributes to the ``delta_k`` subsets with the smallest of
+    its uniform draws, found by sorting each record's draws; a record with
+    a tie at the cap takes ``argsort``'s picks (see ``_contributions``).
+    Each subset's counts are one ``bincount`` of the flat cell index of all
+    records, weighted 1 where a record contributes and 0 elsewhere.
     """
     d = data.n_columns
     if config.k > d:
@@ -557,6 +584,9 @@ def pac_aggregate(
     n = data.n_records
     cap = int(config.delta_k)
     cell_scale = sigma * math.sqrt(config.delta_k)
+    columns = np.ascontiguousarray(data.codes.T)
+    if n and (columns.max(axis=1) >= domain).any():
+        raise MechanismError("PAC counts codes of the base domains, not the suppressed code")
 
     levels: list[PacLevel] = []
     prev_masks: dict | None = None
@@ -565,15 +595,19 @@ def pac_aggregate(
         subsets = list(combinations(range(d), length))
         contrib = None
         if len(subsets) > cap and n > 0:
-            picks = np.argsort(rng.random((n, len(subsets))), axis=1)[:, :cap]
-            contrib = np.zeros((n, len(subsets)), dtype=bool)
-            contrib[np.arange(n)[:, None], picks] = True
+            # one row per subset, so each subset reads its weights in one run
+            contrib = np.ascontiguousarray(_contributions(rng.random((n, len(subsets))), cap).T)
 
         tables = {}
         for si, attrs in enumerate(subsets):
-            rows = data.codes if contrib is None else data.codes[contrib[:, si]]
-            shape = tuple(domain[a] for a in attrs)
-            tables[attrs] = _count(rows, attrs, shape).astype(np.float64)
+            # the flat cell index of every record; codes lie in their domains
+            flat = columns[attrs[0]]
+            for a in attrs[1:]:
+                flat = flat * domain[a] + columns[a]
+            # a record's weight is 1 where it contributes to attrs, else 0
+            weight = None if contrib is None else contrib[si]
+            counts = np.bincount(flat, weight, math.prod(domain[a] for a in attrs))
+            tables[attrs] = counts.reshape([domain[a] for a in attrs]).astype(np.float64)
 
         cand_masks = {}
         total_candidates = 0
@@ -639,6 +673,12 @@ def pac_synthesize(
     the reserved suppressed code when nothing survives. The returned
     codebook marks every column as suppression-capable; base domain sizes
     are unchanged.
+
+    The weights depend on a row only through its fixed values, so rows are
+    kept in groups, one per distinct combination of fixed values (the
+    suppressed code counts as a value). Each attribute builds one weight
+    row and cumulative sum per group; every row draws against its group's
+    cumulative sum, and the groups are then split by the code drawn.
     """
     if n_out < 0:
         raise MechanismError("n_out must be non-negative")
@@ -651,25 +691,26 @@ def pac_synthesize(
     order = sorted(range(d), key=lambda a: (-float(one_way[a].sum()), a))
     codebook = data.codebook.with_suppressed()
     out = np.empty((n_out, d), dtype=np.int64)
-    for j, codec in enumerate(codebook):
-        out[:, j] = codec.suppressed_code
 
-    fixed: list[int] = []
+    # group[i] is row i's group; prefix[b][g] is group g's code of the fixed
+    # attribute b, in the order the attributes were fixed
+    group = np.zeros(n_out, dtype=np.int64)
+    n_groups = 1
+    prefix: dict[int, np.ndarray] = {}
     for a in order:
         dom_a = domain[a]
-        weights = np.zeros((n_out, dom_a))
-        for b in fixed:
-            key = (min(a, b), max(a, b))
-            table = pair_w.get(key)
+        weights = np.zeros((n_groups, dom_a))
+        for b, values in prefix.items():
+            table = pair_w.get((min(a, b), max(a, b)))
             if table is None:
                 continue
-            valid = out[:, b] < domain[b]
+            valid = values < domain[b]
             if not valid.any():
                 continue
             if a < b:
-                gathered = table[:, out[valid, b]].T
+                gathered = table[:, values[valid]].T
             else:
-                gathered = table[out[valid, b], :]
+                gathered = table[values[valid], :]
             weights[valid] += gathered
         totals = weights.sum(axis=1)
         no_pair = totals <= 0
@@ -678,12 +719,26 @@ def pac_synthesize(
             totals = weights.sum(axis=1)
         unresolved = totals <= 0
         cum = np.cumsum(weights, axis=1)
-        draws = rng.random(n_out) * cum[:, -1]
-        codes_a = (cum <= draws[:, None]).sum(axis=1).astype(np.int64)
-        codes_a = np.minimum(codes_a, dom_a - 1)
-        codes_a[unresolved] = dom_a  # reserved suppressed code
+        draws = rng.random(n_out) * cum[group, -1]
+        # the code is the number of cumulative weights <= the draw, capped
+        # at dom_a - 1; the weights are >= 0, so the last cumulative weight
+        # counts only when all others do, and the cap takes it off again
+        codes_a = np.zeros(n_out, dtype=np.int64)
+        for column in cum.T[:-1]:
+            codes_a += column[group] <= draws
+        codes_a[unresolved[group]] = dom_a  # reserved suppressed code
         out[:, a] = codes_a
-        fixed.append(a)
+        if len(prefix) == d - 1:
+            break  # every attribute is fixed
+        # split each group by the code drawn, keeping the groups in
+        # (group, code) order
+        key = group * (dom_a + 1) + codes_a
+        present = np.bincount(key, minlength=n_groups * (dom_a + 1)) > 0
+        group = (np.cumsum(present) - 1)[key]
+        parent, code = np.divmod(np.flatnonzero(present), dom_a + 1)
+        prefix = {b: values[parent] for b, values in prefix.items()}
+        prefix[a] = code
+        n_groups = len(code)
     return EncodedDataset(out, codebook, provenance="pac")
 
 

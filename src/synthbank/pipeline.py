@@ -101,6 +101,21 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
+def _is_workload(value) -> bool:
+    """Whether ``value`` is a workload as ``parse_workload`` returns it: a
+    list of (column names, weight) tuples."""
+    try:
+        items = [{"attrs": list(attrs), "weight": weight} for attrs, weight in value]
+        return isinstance(value, (list, tuple)) and parse_workload(items) == list(value)
+    except (TypeError, ValueError):
+        return False
+
+
+# ``from_dict``'s stand-in for a rule that failed to build: its message is
+# recorded already, so the rule checks leave it out
+_UNBUILT = object()
+
+
 @dataclass
 class PipelineConfig:
     """Validated pipeline settings (see ``PipelineConfig.from_json``).
@@ -134,9 +149,7 @@ class PipelineConfig:
     n_synthetic: int | None = None
     datagen: object = None  # the application's ``POPULATION`` settings
     files: dict = field(default_factory=dict)
-    # column -> ``BinningRule``; a None rule failed to load and has its own
-    # message, so the pair check is left out (see ``from_dict``)
-    rule_overrides: dict = field(default_factory=dict)
+    rule_overrides: dict = field(default_factory=dict)  # column -> ``BinningRule``
 
     def __post_init__(self) -> None:
         if self.epsilon is None:
@@ -174,9 +187,33 @@ class PipelineConfig:
             )
             if not valid
         ]
+        errors += [
+            f"{key}: must be a {kind.__name__}, got {value!r}"
+            for key, value, kind in (("mechanism.pac", self.pac, PacConfig),
+                                     ("decode", self.kde, KdeSpec))
+            if not isinstance(value, kind)
+        ]
+        if self.workload is not None and not _is_workload(self.workload):
+            errors.append(
+                "mechanism.workload: must be a list of (column names, weight) pairs, "
+                f"got {self.workload!r}"
+            )
+        overrides = self.rule_overrides
+        if not isinstance(overrides, dict):
+            errors.append(f"rule_overrides: must be a dict, got {overrides!r}")
+            overrides = {}
+        errors += [
+            f"rule_overrides.{name}: must be a BinningRule, got {rule!r}"
+            for name, rule in overrides.items()
+            if not isinstance(rule, BinningRule) and rule is not _UNBUILT
+        ]
         app = _application(self.application)
         if app is not None:
-            overrides = self.rule_overrides
+            if self.datagen is not None and not isinstance(self.datagen, app.POPULATION):
+                errors.append(
+                    f"input.datagen: must be a {app.POPULATION.__name__} for "
+                    f"{self.application}, got {self.datagen!r}"
+                )
             if self.strategy in STRATEGIES:
                 binned = list(app.rules(self.strategy))
                 unbinned = [name for name in overrides if name not in binned]
@@ -186,8 +223,9 @@ class PipelineConfig:
                         f"{self.application} (binned: {', '.join(binned)})"
                     )
             # the presets give both columns of a pair one rule under every
-            # strategy, so equal overrides keep it one in each arm of a compare
-            if None not in overrides.values():
+            # strategy, so equal overrides keep it one in each arm of a compare;
+            # a value that is no rule has its own message
+            if all(isinstance(rule, BinningRule) for rule in overrides.values()):
                 errors += [
                     f"rule_overrides: {first} and {second} must share one binning rule; "
                     "override both alike"
@@ -310,9 +348,8 @@ class PipelineConfig:
             )
         rule_overrides = section("rule_overrides", doc.get("rule_overrides"))
         if rule_overrides:
-            # a rule that fails to build stays as None (see ``rule_overrides``)
             args["rule_overrides"] = {
-                name: build(BinningRule, f"rule_overrides.{name}", spec)
+                name: build(BinningRule, f"rule_overrides.{name}", spec) or _UNBUILT
                 for name, spec in rule_overrides.items()
             }
         args.update((key, part) for key, part in parts.items() if part is not None)

@@ -91,6 +91,9 @@ class ColumnSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise TabularError(f"column name must be a non-empty string, got {self.name!r}")
+        if "\r" in self.name or "\n" in self.name:
+            # the CSV readers take the header as one line
+            raise TabularError(f"column name must not hold CR or LF, got {self.name!r}")
         if not isinstance(self.levels, (list, tuple)) or not all(
             isinstance(label, str) for label in self.levels
         ):
@@ -722,8 +725,9 @@ def _number_table(values, end) -> np.ndarray:
     :func:`_decimal_text` when it can prove the rounding; every other value
     (``0``, ``-0``, exponent notation, subnormals, unproven cases) is
     formatted by ``%`` with the same 12 digits. Values are converted
-    ``8 * CHUNK_ROWS`` at a time, and columns that are NUL in every row are
-    dropped at the end.
+    ``8 * CHUNK_ROWS`` at a time. The table leaves out the columns that are
+    NUL in every row: each text is copied once, into a table of its final
+    width.
     """
     pieces = []  # (rows, their texts)
     step = 8 * CHUNK_ROWS
@@ -737,14 +741,17 @@ def _number_table(values, end) -> np.ndarray:
         rest = np.flatnonzero(rest)
         pieces.append((start + fast[proven], text))
         pieces.append((start + rest, text_table([_FLOAT_PERCENT % v for v in part[rest].tolist()])))
-    width = max((text.shape[1] for _, text in pieces), default=0)
-    table = np.zeros((values.size, width + len(end)), dtype=np.uint8)
+    pieces = [(rows, text) for rows, text in pieces if rows.size]  # most chunks have no rest
+    used = np.zeros(max((text.shape[1] for _, text in pieces), default=0), dtype=bool)
+    for _, text in pieces:
+        used[: text.shape[1]] |= (text != 0).any(axis=0)
+    keep = np.flatnonzero(used)
+    table = np.zeros((values.size, keep.size + len(end)), dtype=np.uint8)
     for rows, text in pieces:
-        table[rows, : text.shape[1]] = text
-    table[:, width:] = np.frombuffer(end.encode("ascii"), dtype=np.uint8)
-    # compress keeps C order (fancy indexing would not), so that the row
-    # gathers of write_rows copy whole rows
-    return np.compress((table != 0).any(axis=0), table, axis=1)
+        cols = keep[keep < text.shape[1]]
+        table[rows, : cols.size] = text[:, cols]
+    table[:, keep.size :] = np.frombuffer(end.encode("ascii"), dtype=np.uint8)
+    return table
 
 
 # 10**k for k in [0, 22], each an exact double: the writer's scales k = 11 - x0

@@ -14,15 +14,19 @@ from synthbank.mechanisms import (
     MECHANISMS,
     _build_tree_model,
     _clean_distribution,
+    _contributions,
+    _count,
     _plug_in_mi,
     MechanismError,
     PacConfig,
+    PacLevel,
     compute_marginal,
     fit_aim_model,
     fit_mst_model,
     maximum_spanning_tree,
     mutual_information,
     pac_aggregate,
+    pac_sigma,
     pac_synthesize,
     pac_threshold,
     parse_workload,
@@ -630,6 +634,232 @@ def test_pac_k_exceeds_attrs():
 def test_pac_config_rejects_bad_fields(fields, message):
     with pytest.raises(MechanismError, match=message):
         PacConfig(**fields)
+
+
+def reference_pac_aggregate(data, config, params, rng):
+    """``pac_aggregate`` as one weight table per subset from a copy of the
+    contributing rows, with ``argsort``'s picks for every record."""
+    d = data.n_columns
+    if config.k > d:
+        raise MechanismError(f"reporting length {config.k} exceeds {d} attributes")
+    sigma = pac_sigma(config, params)
+    domain = data.codebook.domain_sizes
+    n = data.n_records
+    cap = int(config.delta_k)
+    cell_scale = sigma * math.sqrt(config.delta_k)
+
+    levels = []
+    prev_masks = None
+    s_prev = 1
+    for length in range(1, config.k + 1):
+        subsets = list(combinations(range(d), length))
+        contrib = None
+        if len(subsets) > cap and n > 0:
+            picks = np.argsort(rng.random((n, len(subsets))), axis=1)[:, :cap]
+            contrib = np.zeros((n, len(subsets)), dtype=bool)
+            contrib[np.arange(n)[:, None], picks] = True
+
+        tables = {}
+        for si, attrs in enumerate(subsets):
+            rows = data.codes if contrib is None else data.codes[contrib[:, si]]
+            shape = tuple(domain[a] for a in attrs)
+            tables[attrs] = _count(rows, attrs, shape).astype(np.float64)
+
+        cand_masks = {}
+        total_candidates = 0
+        for attrs in subsets:
+            shape = tuple(domain[a] for a in attrs)
+            mask = np.ones(shape, dtype=bool)
+            if length > 1:
+                for drop in range(length):
+                    sub = attrs[:drop] + attrs[drop + 1 :]
+                    surv = prev_masks.get(sub)
+                    if surv is None or not surv.any():
+                        mask[:] = False
+                        break
+                    mask &= np.expand_dims(surv, axis=drop)
+            cand_masks[attrs] = mask
+            total_candidates += int(mask.sum())
+
+        if total_candidates == 0:
+            levels.append(PacLevel(length, sigma, math.inf, 0, 0,
+                                   {attrs: np.zeros(tables[attrs].shape) for attrs in subsets}))
+            prev_masks = {attrs: cand_masks[attrs] for attrs in subsets}
+            s_prev = 0
+            continue
+
+        rho = pac_threshold(config, sigma, s_prev, total_candidates)
+        weights = {}
+        kept_masks = {}
+        n_survivors = 0
+        for attrs in subsets:
+            mask = cand_masks[attrs]
+            counts = tables[attrs]
+            idx = np.flatnonzero(mask.ravel())
+            noisy = counts.ravel()[idx]
+            if cell_scale > 0 and idx.size:
+                noisy = noisy + rng.normal(0.0, cell_scale, size=idx.size)
+            keep = (noisy >= rho) & (noisy > 0)
+            warr = np.zeros(counts.size)
+            warr[idx[keep]] = noisy[keep]
+            weights[attrs] = warr.reshape(counts.shape)
+            kept = np.zeros(counts.size, dtype=bool)
+            kept[idx[keep]] = True
+            kept_masks[attrs] = kept.reshape(counts.shape)
+            n_survivors += int(keep.sum())
+        levels.append(PacLevel(length, sigma, rho, total_candidates, n_survivors, weights))
+        prev_masks = kept_masks
+        s_prev = n_survivors
+    return levels
+
+
+def reference_pac_synthesize(data, config, params, n_out, rng):
+    """``pac_synthesize`` with one weight row per synthetic row."""
+    if n_out < 0:
+        raise MechanismError("n_out must be non-negative")
+    levels = reference_pac_aggregate(data, config, params, rng)
+    d = data.n_columns
+    domain = data.codebook.domain_sizes
+    one_way = {a: levels[0].weights[(a,)] for a in range(d)}
+    pair_w = levels[1].weights if len(levels) > 1 else {}
+
+    order = sorted(range(d), key=lambda a: (-float(one_way[a].sum()), a))
+    codebook = data.codebook.with_suppressed()
+    out = np.empty((n_out, d), dtype=np.int64)
+    for j, codec in enumerate(codebook):
+        out[:, j] = codec.suppressed_code
+
+    fixed = []
+    for a in order:
+        dom_a = domain[a]
+        weights = np.zeros((n_out, dom_a))
+        for b in fixed:
+            key = (min(a, b), max(a, b))
+            table = pair_w.get(key)
+            if table is None:
+                continue
+            valid = out[:, b] < domain[b]
+            if not valid.any():
+                continue
+            if a < b:
+                gathered = table[:, out[valid, b]].T
+            else:
+                gathered = table[out[valid, b], :]
+            weights[valid] += gathered
+        totals = weights.sum(axis=1)
+        no_pair = totals <= 0
+        if no_pair.any():
+            weights[no_pair] = one_way[a]
+            totals = weights.sum(axis=1)
+        unresolved = totals <= 0
+        cum = np.cumsum(weights, axis=1)
+        draws = rng.random(n_out) * cum[:, -1]
+        codes_a = (cum <= draws[:, None]).sum(axis=1).astype(np.int64)
+        codes_a = np.minimum(codes_a, dom_a - 1)
+        codes_a[unresolved] = dom_a
+        out[:, a] = codes_a
+        fixed.append(a)
+    return out
+
+
+def same_float(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def assert_same_levels(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        counts = (g.length, g.n_candidates, g.n_survivors)
+        assert counts == (w.length, w.n_candidates, w.n_survivors)
+        assert same_float(g.sigma, w.sigma) and same_float(g.rho, w.rho)
+        assert list(g.weights) == list(w.weights)
+        for attrs, table in g.weights.items():
+            assert table.dtype == w.weights[attrs].dtype and table.shape == w.weights[attrs].shape
+            assert table.tobytes() == w.weights[attrs].tobytes(), (g.length, attrs)
+
+
+@st.composite
+def pac_inputs(draw):
+    """An encoded dataset and the PAC settings of one synthesis."""
+    domain = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=7)))
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # skewed codes, so some tuples are rare and some common
+    codes = np.column_stack([
+        np.minimum(rng.geometric(draw(st.sampled_from([0.2, 0.5, 0.9])), n) - 1, size - 1)
+        for size in domain
+    ]) if n else np.zeros((0, len(domain)), dtype=np.int64)
+    data = make_encoded(codes, domain)
+    config = PacConfig(k=draw(st.integers(1, min(3, len(domain)))),
+                       delta_k=draw(st.sampled_from([1.0, 2.5, 3.0, 50.0])))
+    params = draw(st.sampled_from([None, PrivacyParams(1.0, 1e-9), PrivacyParams(20.0, 1e-6)]))
+    n_out = draw(st.sampled_from([0, 1, 7, 300]))
+    return data, config, params, n_out
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=pac_inputs(), seed=st.integers(0, 2**32 - 1))
+def test_pac_matches_per_row_reference(inputs, seed):
+    data, config, params, n_out = inputs
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    synth = pac_synthesize(data, config, params, n_out, rng)
+    want = reference_pac_synthesize(data, config, params, n_out, ref_rng)
+    assert synth.codes.dtype == want.dtype and np.array_equal(synth.codes, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_levels(pac_aggregate(data, config, params, rng),
+                       reference_pac_aggregate(data, config, params, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class PlantedTies:
+    """A generator whose matrices of uniform draws take five values only,
+    so most records tie at the contribution cap."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        u = self.rng.random(size)
+        return np.round(u * 4) / 4 if np.ndim(u) == 2 else u
+
+    def normal(self, *args, **kwargs):
+        return self.rng.normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pac_ties_at_the_cap_pick_what_argsort_picks(seed):
+    u = np.array([
+        [0.5, 0.5, 0.5, 0.5, 0.5, 0.5],  # all tied
+        [0.1, 0.7, 0.3, 0.3, 0.9, 0.3],  # three tied across the cap of 3
+        [0.3, 0.2, 0.2, 0.8, 0.2, 0.1],  # the cap-th and next value equal
+        [0.4, 0.1, 0.1, 0.6, 0.6, 0.1],  # tied below the cap only
+        [0.9, 0.8, 0.7, 0.6, 0.5, 0.4],  # no tie
+    ])
+    for cap in (1, 2, 3, 5):
+        want = np.zeros(u.shape, dtype=bool)
+        want[np.arange(len(u))[:, None], np.argsort(u, axis=1)[:, :cap]] = True
+        got = _contributions(u, cap)
+        assert np.array_equal(got, want), cap
+        assert (got.sum(axis=1) == cap).all()
+    rng = np.random.default_rng(seed)
+    data = make_encoded(rng.integers(0, 4, (300, 6)), (4, 4, 4, 4, 4, 4))
+    config = PacConfig(k=3, delta_k=3.0)
+    params = PrivacyParams(5.0, 1e-9)
+    got = pac_synthesize(data, config, params, 200, PlantedTies(seed))
+    assert np.array_equal(got.codes, reference_pac_synthesize(data, config, params, 200,
+                                                              PlantedTies(seed)))
+    assert_same_levels(pac_aggregate(data, config, params, PlantedTies(seed)),
+                       reference_pac_aggregate(data, config, params, PlantedTies(seed)))
+
+
+def test_pac_rejects_the_suppressed_code():
+    data = make_encoded([[0, 1], [1, 0]], (2, 2))
+    synth = pac_synthesize(data, PacConfig(k=2), PrivacyParams(1.0, 1e-10), 50,
+                           np.random.default_rng(19))
+    assert (synth.codes == 2).any()
+    with pytest.raises(MechanismError, match="suppressed code"):
+        pac_aggregate(synth, PacConfig(k=2), None, np.random.default_rng(0))
 
 
 def test_aim_weight_prioritizes_marginal():

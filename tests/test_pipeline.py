@@ -15,7 +15,7 @@ from synthbank.apps import APPS
 from synthbank.binning import BinningError, BinningRule
 from synthbank.cli import main as cli_main
 from synthbank.decoding import DecodeError, KdeSpec
-from synthbank.mechanisms import MechanismError, PacConfig
+from synthbank.mechanisms import MechanismError, PacConfig, parse_workload
 from synthbank.pipeline import (
     Pipeline,
     PipelineConfig,
@@ -943,6 +943,56 @@ def test_config_built_in_python_checks_top_level_fields(tmp_path, name):
     assert len(built.value.errors) == 1
     assert built.value.errors == loaded.value.errors
     assert not (tmp_path / "run").exists()
+
+
+# a settings object of the wrong type, as a ``PipelineConfig`` argument, and
+# its one message; JSON cannot spell these, since ``from_dict`` builds the
+# settings objects itself
+SETTINGS_OBJECTS = {
+    "pac": ({"mechanism": "pac", "pac": 3}, "mechanism.pac: must be a PacConfig, got 3"),
+    "kde": ({"kde": {"bandwidth": 1.0}},
+            "decode: must be a KdeSpec, got {'bandwidth': 1.0}"),
+    "datagen": (
+        {"datagen": FiPopulationConfig(n_individuals=100)},
+        f"input.datagen: must be a CreditPortfolioConfig for credit, "
+        f"got {FiPopulationConfig(n_individuals=100)!r}",
+    ),
+    "none-overrides": (
+        {"rule_overrides": {"Debt2020": None, "Debt2021": None}},
+        "rule_overrides.Debt2020: must be a BinningRule, got None",
+        "rule_overrides.Debt2021: must be a BinningRule, got None",
+    ),
+    "override-spec": (
+        {"rule_overrides": {"Age2020": {"method": "equal_frequency", "k": 4}}},
+        "rule_overrides.Age2020: must be a BinningRule, got {'method': 'equal_frequency', 'k': 4}",
+    ),
+    "overrides-list": ({"rule_overrides": [1]}, "rule_overrides: must be a dict, got [1]"),
+    "workload": (
+        {"mechanism": "aim", "workload": [["Age2020", "Debt2020"]]},
+        "mechanism.workload: must be a list of (column names, weight) pairs, "
+        "got [['Age2020', 'Debt2020']]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SETTINGS_OBJECTS))
+def test_config_built_in_python_checks_settings_object_types(tmp_path, name):
+    arguments, *messages = SETTINGS_OBJECTS[name]
+    base = {
+        "application": "credit", "strategy": "cbp", "mechanism": "mst",
+        "output": str(tmp_path / "run"), "datagen": CreditPortfolioConfig(n_cards=3000),
+    }
+    with pytest.raises(PipelineConfigError) as built:
+        run_pipeline(PipelineConfig(**{**base, **arguments}))
+    assert built.value.errors == messages
+    assert not (tmp_path / "run").exists()
+
+
+def test_parsed_workload_passes_the_shape_check(tmp_path):
+    workload = parse_workload([["Age2020", "Debt2020"], {"attrs": ["Gender"], "weight": 2}])
+    config = PipelineConfig(application="credit", mechanism="aim", output=str(tmp_path / "run"),
+                            workload=workload)
+    assert config.workload == [(("Age2020", "Debt2020"), 1.0), (("Gender",), 2.0)]
 
 
 def test_replaced_config_is_checked_again(tmp_path):

@@ -171,8 +171,10 @@ def test_schema_json_round_trip(tmp_path):
         ),
         ({"name": 5, "kind": "numeric"}, "column name must be a non-empty string, got 5"),
         ({"name": "x", "kind": "numeric", "units": 3}, "column 'x': units must be a string, got 3"),
+        ({"name": "x\ny", "kind": "numeric"}, "column name must not hold CR or LF, got 'x\\ny'"),
+        ({"name": "x\rz", "kind": "numeric"}, "column name must not hold CR or LF, got 'x\\rz'"),
     ],
-    ids=["string-levels", "numeric-levels", "numeric-name", "numeric-units"],
+    ids=["string-levels", "numeric-levels", "numeric-name", "numeric-units", "lf-name", "cr-name"],
 )
 def test_schema_document_field_types_are_checked(tmp_path, entry, message):
     path = tmp_path / "schema.json"
@@ -378,7 +380,8 @@ _csv_text = st.one_of(
 def edge_dataset_strategy(draw):
     n_cols = draw(st.integers(1, 4))
     n_rows = draw(st.integers(0, 40))
-    names = draw(st.lists(_csv_text.filter(bool), min_size=n_cols, max_size=n_cols, unique=True))
+    names = draw(st.lists(_csv_text.filter(lambda name: name and not {"\r", "\n"} & set(name)),
+                          min_size=n_cols, max_size=n_cols, unique=True))
     schema, columns = [], []
     for name in names:
         if draw(st.booleans()):
