@@ -14,7 +14,7 @@ its application, under the same names:
   triples to write besides it
 - ``EXTRA``: the file name of the extra input, or None when there is none;
   ``save_extra(extra, path)`` and ``load_extra(path)`` write and read it
-- ``evaluate(original, extra, encoded, clean_synth, decoded, strategy)``:
+- ``evaluate(original, extra, encoded, synthetic, decoded, strategy)``:
   a pure scorer returning the metrics and the plot tables, keyed by file
   name, as lists of lines
 - ``headline(metrics)``: the metrics a strategy comparison sets side by side

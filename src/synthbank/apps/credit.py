@@ -86,9 +86,10 @@ def transition_matrix(states_t0, states_t1, n_states: int, states=None) -> Trans
 
 @dataclass(frozen=True)
 class FrobeniusResult:
-    """Frobenius norm of the difference over rows defined in both matrices."""
+    """Frobenius norm of the difference over rows defined in both matrices;
+    ``value`` is None when no row is."""
 
-    value: float
+    value: float | None
     excluded_rows: int
 
 
@@ -98,7 +99,7 @@ def frobenius_error(a: TransitionMatrix, b: TransitionMatrix) -> FrobeniusResult
         raise CreditError(f"state sets differ: {a.states} vs {b.states}")
     included = a.defined & b.defined
     diff = a.probs[included] - b.probs[included]
-    value = float(np.sqrt(np.sum(diff * diff)))
+    value = float(np.sqrt(np.sum(diff * diff))) if included.any() else None
     return FrobeniusResult(value=value, excluded_rows=int((~included).sum()))
 
 
@@ -111,10 +112,8 @@ def delinquency_rate(
     """Share of cards with delinquency code > 0 per (age band, gender).
 
     Keys are ``(age_code, gender_label)`` over the full group domain;
-    groups without generated rows map to None (missing, not zero). Rows
-    carrying reserved suppressed codes are left out.
+    groups without generated rows map to None (missing, not zero).
     """
-    del_codec = encoded.codebook[delinquency_column]
     age_codec = encoded.codebook[age_column]
     gender_codec = encoded.codebook[gender_column]
     if gender_codec.kind != "categorical":
@@ -123,21 +122,12 @@ def delinquency_rate(
     age_codes = encoded.column_codes(age_column)
     gender_codes = encoded.column_codes(gender_column)
 
-    valid = np.ones(encoded.n_records, dtype=bool)
-    for codec, codes in (
-        (del_codec, del_codes),
-        (age_codec, age_codes),
-        (gender_codec, gender_codes),
-    ):
-        if codec.has_suppressed:
-            valid &= codes != codec.suppressed_code
-
     # rows and delinquent rows of each group, (age, g) counted at age * len(labels) + g
     labels = gender_codec.labels
     n_groups = age_codec.domain_size * len(labels)
-    groups = (age_codes * len(labels) + gender_codes)[valid]
+    groups = age_codes * len(labels) + gender_codes
     totals = np.bincount(groups, minlength=n_groups).tolist()
-    late = np.bincount(groups[del_codes[valid] > 0], minlength=n_groups).tolist()
+    late = np.bincount(groups[del_codes > 0], minlength=n_groups).tolist()
     return {
         (i // len(labels), labels[i % len(labels)]): late[i] / totals[i] if totals[i] else None
         for i in range(n_groups)
@@ -252,7 +242,7 @@ def load_extra(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def evaluate(original, coverage, encoded, clean_synth, decoded, strategy):
+def evaluate(original, coverage, encoded, synthetic, decoded, strategy):
     """Frobenius errors of the synthetic transition matrices and the
     delinquency rates per (age band, gender), all on codes."""
     codebook = encoded.codebook
@@ -267,7 +257,7 @@ def evaluate(original, coverage, encoded, clean_synth, decoded, strategy):
             encoded.column_codes(c0), encoded.column_codes(c1), n_states, states=labels
         )
         tm_s = transition_matrix(
-            clean_synth.column_codes(c0), clean_synth.column_codes(c1), n_states, states=labels
+            synthetic.column_codes(c0), synthetic.column_codes(c1), n_states, states=labels
         )
         result = frobenius_error(tm_s, tm_o)
         metrics["frobenius"][kind] = {"value": result.value, "excluded_rows": result.excluded_rows}
@@ -279,7 +269,7 @@ def evaluate(original, coverage, encoded, clean_synth, decoded, strategy):
             tables[f"transition_{kind}_{tag}.csv"] = lines
 
     rates_o = delinquency_rate(encoded, delinquency_column="Delinquency2021")
-    rates_s = delinquency_rate(clean_synth, delinquency_column="Delinquency2021")
+    rates_s = delinquency_rate(synthetic, delinquency_column="Delinquency2021")
     # band names when the codes are the seven reporting bands
     named = codebook["Age2020"].domain_size == len(AGE_BAND_LABELS)
     lines = ["age_band,gender,rate_original,rate_synthetic"]
@@ -298,7 +288,9 @@ def evaluate(original, coverage, encoded, clean_synth, decoded, strategy):
     metrics["coverage"] = coverage
     metrics["missing_rate_groups_synthetic"] = sum(1 for v in rates_s.values() if v is None)
     metrics["relative_error"] = (
-        frob_del / norms["delinquency"] if norms["delinquency"] > 0 else None
+        frob_del / norms["delinquency"]
+        if frob_del is not None and norms["delinquency"] > 0
+        else None
     )
     return metrics, tables
 

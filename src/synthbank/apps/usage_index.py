@@ -260,9 +260,8 @@ def tau_metric(component_s: UsageComponent, component_o: UsageComponent) -> TauR
 def usage_levels(encoded: EncodedDataset, columns=INDICATOR_COLUMNS) -> dict:
     """Population share per (indicator, low/medium/high) level.
 
-    Levels split each indicator's code domain into contiguous thirds.
-    Rows carrying the reserved suppressed code are excluded from the
-    shares; shares per indicator sum to one over the remaining rows.
+    Levels split each indicator's code domain into contiguous thirds;
+    shares per indicator sum to one.
     """
     out = {}
     for name in columns:
@@ -271,8 +270,6 @@ def usage_levels(encoded: EncodedDataset, columns=INDICATOR_COLUMNS) -> dict:
         if dom < 3:
             raise UsageError(f"column '{name}': need at least 3 codes for levels, got {dom}")
         codes = encoded.column_codes(name)
-        if codec.has_suppressed:
-            codes = codes[codes != codec.suppressed_code]
         if codes.size == 0:
             raise UsageError(f"column '{name}': no rows left to level")
         levels = np.minimum((codes * 3) // dom, 2)
@@ -333,7 +330,7 @@ def prepare(population: FiPopulationConfig, files: dict, rng: np.random.Generato
     return dataset, unbanked, []
 
 
-def evaluate(original, unbanked, encoded, clean_synth, decoded, strategy):
+def evaluate(original, unbanked, encoded, synthetic, decoded, strategy):
     """Tau between the usage components of the original and the decoded
     synthetic data over their shared groups, plus, for data-driven bins,
     the usage-level shares of the codes."""
@@ -363,8 +360,8 @@ def evaluate(original, unbanked, encoded, clean_synth, decoded, strategy):
     if strategy == "data_driven":
         try:
             lo = usage_levels(encoded)
-            ls = usage_levels(clean_synth)
-        except UsageError as exc:  # under three codes, or all suppressed
+            ls = usage_levels(synthetic)
+        except UsageError as exc:  # under three codes, or no rows
             metrics["usage_levels"] = {"error": str(exc)}
         else:
             metrics["usage_levels"] = {

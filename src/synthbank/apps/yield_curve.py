@@ -498,7 +498,7 @@ def prepare(population: DepositMarketConfig, files: dict, rng: np.random.Generat
     return generate_term_deposits(population, rng), None, []
 
 
-def evaluate(original, extra, encoded, clean_synth, decoded, strategy):
+def evaluate(original, extra, encoded, synthetic, decoded, strategy):
     """Max WAI RMSE per (type, currency) group between the original and the
     decoded synthetic curves, plus LOWESS and Svensson fits of each
     synthetic curve for the plot table."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -50,7 +50,6 @@ __all__ = [
     "kmeans_1d",
     "log_pretransform",
     "encode_dataset",
-    "drop_suppressed_rows",
     "write_encoded_csv",
     "read_encoded_csv",
 ]
@@ -116,9 +115,8 @@ class ColumnCodec:
 
     Binned columns carry ``edges`` (``domain_size + 1`` strictly increasing
     boundaries, in log space when ``log_flag``); categorical columns carry
-    their level labels. ``has_suppressed`` marks codebooks produced by the
-    aggregate-seeded synthesiser, whose outputs may additionally contain the
-    reserved code ``domain_size`` for unresolvable cells.
+    their level labels. A column's codes are ``0`` to ``domain_size - 1``;
+    :class:`EncodedDataset` checks them.
     """
 
     name: str
@@ -127,7 +125,9 @@ class ColumnCodec:
     labels: tuple[str, ...] | None = None
     log_flag: bool = False
     method: str = ""
-    has_suppressed: bool = False
+    # not a field: the benchmark's PAC span counter (``perfbench/spans.py``,
+    # ``_kept_rows``) reads it to count the rows kept, which are all of them
+    has_suppressed = False
 
     def __post_init__(self) -> None:
         if self.kind == "binned":
@@ -148,10 +148,6 @@ class ColumnCodec:
         if self.kind == "binned":
             return len(self.edges) - 1
         return len(self.labels)
-
-    @property
-    def suppressed_code(self) -> int | None:
-        return self.domain_size if self.has_suppressed else None
 
 
 class Codebook:
@@ -192,10 +188,6 @@ class Codebook:
     def domain_sizes(self) -> tuple[int, ...]:
         return tuple(c.domain_size for c in self.codecs)
 
-    def with_suppressed(self) -> "Codebook":
-        """Copy whose codecs all accept the reserved suppressed code."""
-        return Codebook(replace(c, has_suppressed=True) for c in self.codecs)
-
     def to_json(self, path) -> None:
         doc = {}
         for c in self.codecs:
@@ -204,8 +196,6 @@ class Codebook:
                 entry["edges"] = list(c.edges)
             else:
                 entry["labels"] = list(c.labels)
-            if c.has_suppressed:
-                entry["has_suppressed"] = True
             doc[c.name] = entry
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"columns": list(self.names), "codecs": doc}, fh, indent=2)
@@ -226,7 +216,6 @@ class Codebook:
                     labels=tuple(entry.get("labels", ())) or None,
                     log_flag=entry.get("log_flag", False),
                     method=entry.get("method", ""),
-                    has_suppressed=entry.get("has_suppressed", False),
                 )
             )
         return cls(codecs)
@@ -246,9 +235,8 @@ class EncodedDataset:
         for j, codec in enumerate(codebook):
             if codes.shape[0] == 0:
                 continue
-            limit = codec.domain_size + (1 if codec.has_suppressed else 0)
             col = codes[:, j]
-            if col.min() < 0 or col.max() >= limit:
+            if col.min() < 0 or col.max() >= codec.domain_size:
                 raise BinningError(
                     f"column '{codec.name}': code out of range (domain size {codec.domain_size})"
                 )
@@ -538,21 +526,6 @@ def encode_dataset(dataset: Dataset, rules: dict) -> EncodedDataset:
         else np.zeros((0, len(codecs)), dtype=np.int64)
     )
     return EncodedDataset(codes, Codebook(codecs), provenance=dataset.provenance)
-
-
-def drop_suppressed_rows(encoded: EncodedDataset) -> tuple[EncodedDataset, int]:
-    """Remove rows containing any reserved suppressed code.
-
-    Returns the cleaned dataset (plain codebook, no suppression flags) and
-    the number of rows dropped, so suppression stays visible in reports.
-    """
-    mask = np.ones(encoded.n_records, dtype=bool)
-    for j, codec in enumerate(encoded.codebook):
-        if codec.has_suppressed:
-            mask &= encoded.codes[:, j] != codec.suppressed_code
-    clean = Codebook(replace(c, has_suppressed=False) for c in encoded.codebook)
-    kept = encoded.codes[mask]
-    return EncodedDataset(kept, clean, encoded.provenance), int((~mask).sum())
 
 
 def write_encoded_csv(encoded: EncodedDataset, path) -> None:

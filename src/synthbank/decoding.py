@@ -77,11 +77,6 @@ def _binned_codec(codebook: Codebook, column: str):
 def _check_codes(codes: np.ndarray, codec) -> None:
     if codes.size == 0:
         return
-    if codec.has_suppressed and np.any(codes == codec.suppressed_code):
-        raise DecodeError(
-            f"column '{codec.name}': suppressed codes cannot be decoded; "
-            "drop suppressed rows first"
-        )
     if codes.min() < 0 or codes.max() >= codec.domain_size:
         raise DecodeError(
             f"column '{codec.name}': code out of domain (size {codec.domain_size})"
@@ -289,11 +284,6 @@ def decode_dataset(
     for codec in encoded.codebook:
         codes = encoded.column_codes(codec.name)
         if codec.kind == "categorical":
-            if codec.has_suppressed and codes.size and np.any(codes == codec.suppressed_code):
-                raise DecodeError(
-                    f"column '{codec.name}': suppressed codes cannot be decoded; "
-                    "drop suppressed rows first"
-                )
             columns.append(codes.copy())
             continue
         if mode == "left_edge":

@@ -16,7 +16,8 @@ share the same measurement primitives:
 * ``pac`` (``pac_synthesize``) extracts tuple counts per reporting length
   with a per-record contribution cap, adds Gaussian noise, suppresses
   tuples whose noisy count falls below the spurious-tuple threshold, and
-  assembles rows greedily from surviving tuples.
+  assembles rows greedily from surviving tuples. A column none of whose
+  values survives raises ``MechanismError``.
 
 Tree fitting is exact closed-form inference (root marginal plus edge
 conditionals), which is correct for the tree-structured measurement sets
@@ -61,7 +62,6 @@ __all__ = [
     "pac_synthesize",
     "uniform_synthesize",
     "run_mechanism",
-    "synthetic_codebook",
 ]
 
 MECHANISMS = ("mst", "aim", "pac")
@@ -585,8 +585,6 @@ def pac_aggregate(
     cap = int(config.delta_k)
     cell_scale = sigma * math.sqrt(config.delta_k)
     columns = np.ascontiguousarray(data.codes.T)
-    if n and (columns.max(axis=1) >= domain).any():
-        raise MechanismError("PAC counts codes of the base domains, not the suppressed code")
 
     levels: list[PacLevel] = []
     prev_masks: dict | None = None
@@ -669,16 +667,16 @@ def pac_synthesize(
     Attributes are fixed in descending order of surviving one-way mass
     (ties lexicographic). Each attribute's value is sampled with weights
     summed from surviving pair tuples consistent with the already-fixed
-    attributes, falling back to surviving one-way weights, and finally to
-    the reserved suppressed code when nothing survives. The returned
-    codebook marks every column as suppression-capable; base domain sizes
-    are unchanged.
+    attributes, falling back to surviving one-way weights. A column with
+    no surviving one-way value has nothing to sample from: that raises
+    :class:`MechanismError`, naming the column, before any row is drawn.
+    The rows are returned with the input codebook.
 
     The weights depend on a row only through its fixed values, so rows are
-    kept in groups, one per distinct combination of fixed values (the
-    suppressed code counts as a value). Each attribute builds one weight
-    row and cumulative sum per group; every row draws against its group's
-    cumulative sum, and the groups are then split by the code drawn.
+    kept in groups, one per distinct combination of fixed values. Each
+    attribute builds one weight row and cumulative sum per group; every row
+    draws against its group's cumulative sum, and the groups are then
+    split by the code drawn.
     """
     if n_out < 0:
         raise MechanismError("n_out must be non-negative")
@@ -687,9 +685,14 @@ def pac_synthesize(
     domain = data.codebook.domain_sizes
     one_way = {a: levels[0].weights[(a,)] for a in range(d)}
     pair_w = levels[1].weights if len(levels) > 1 else {}
+    empty = [data.codebook.names[a] for a in range(d) if not one_way[a].any()]
+    if empty:
+        raise MechanismError(
+            f"no value of column(s) {', '.join(map(repr, empty))} survived PAC's "
+            "one-way threshold; no row can be drawn"
+        )
 
     order = sorted(range(d), key=lambda a: (-float(one_way[a].sum()), a))
-    codebook = data.codebook.with_suppressed()
     out = np.empty((n_out, d), dtype=np.int64)
 
     # group[i] is row i's group; prefix[b][g] is group g's code of the fixed
@@ -702,22 +705,11 @@ def pac_synthesize(
         weights = np.zeros((n_groups, dom_a))
         for b, values in prefix.items():
             table = pair_w.get((min(a, b), max(a, b)))
-            if table is None:
-                continue
-            valid = values < domain[b]
-            if not valid.any():
-                continue
-            if a < b:
-                gathered = table[:, values[valid]].T
-            else:
-                gathered = table[values[valid], :]
-            weights[valid] += gathered
-        totals = weights.sum(axis=1)
-        no_pair = totals <= 0
+            if table is not None:
+                weights += table[:, values].T if a < b else table[values, :]
+        no_pair = weights.sum(axis=1) <= 0
         if no_pair.any():
             weights[no_pair] = one_way[a]
-            totals = weights.sum(axis=1)
-        unresolved = totals <= 0
         cum = np.cumsum(weights, axis=1)
         draws = rng.random(n_out) * cum[group, -1]
         # the code is the number of cumulative weights <= the draw, capped
@@ -726,20 +718,19 @@ def pac_synthesize(
         codes_a = np.zeros(n_out, dtype=np.int64)
         for column in cum.T[:-1]:
             codes_a += column[group] <= draws
-        codes_a[unresolved[group]] = dom_a  # reserved suppressed code
         out[:, a] = codes_a
         if len(prefix) == d - 1:
             break  # every attribute is fixed
         # split each group by the code drawn, keeping the groups in
         # (group, code) order
-        key = group * (dom_a + 1) + codes_a
-        present = np.bincount(key, minlength=n_groups * (dom_a + 1)) > 0
+        key = group * dom_a + codes_a
+        present = np.bincount(key, minlength=n_groups * dom_a) > 0
         group = (np.cumsum(present) - 1)[key]
-        parent, code = np.divmod(np.flatnonzero(present), dom_a + 1)
+        parent, code = np.divmod(np.flatnonzero(present), dom_a)
         prefix = {b: values[parent] for b, values in prefix.items()}
         prefix[a] = code
         n_groups = len(code)
-    return EncodedDataset(out, codebook, provenance="pac")
+    return EncodedDataset(out, data.codebook, provenance="pac")
 
 
 def uniform_synthesize(codebook: Codebook, n_out: int, rng: np.random.Generator) -> EncodedDataset:
@@ -793,8 +784,3 @@ def run_mechanism(
     synthetic = EncodedDataset(model.sample(n_out, rng), data.codebook, mechanism)
     return synthetic, model.measured[0]["sigma"], details
 
-
-def synthetic_codebook(mechanism: str, codebook: Codebook) -> Codebook:
-    """The codebook of ``mechanism``'s output for input ``codebook``: PAC
-    output may hold the reserved suppressed code in every column."""
-    return codebook.with_suppressed() if mechanism == "pac" else codebook

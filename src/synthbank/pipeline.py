@@ -30,7 +30,6 @@ from .binning import (
     BinningRule,
     Codebook,
     EncodedDataset,
-    drop_suppressed_rows,
     encode_dataset,
     read_encoded_csv,
     write_encoded_csv,
@@ -43,7 +42,6 @@ from .mechanisms import (
     PacConfig,
     parse_workload,
     run_mechanism,
-    synthetic_codebook,
 )
 from .presets import STRATEGIES
 from .privacy import PrivacyParams
@@ -531,33 +529,29 @@ class Pipeline:
 
     def _require_synthetic(self) -> EncodedDataset:
         if self.synthetic is None:
-            codebook = synthetic_codebook(
-                self.config.mechanism, Codebook.from_json(self.outdir / "codebook.json")
-            )
+            codebook = Codebook.from_json(self.outdir / "codebook.json")
             self.synthetic = read_encoded_csv(self.outdir / "synthetic_encoded.csv", codebook)
         return self.synthetic
 
-    def _decode(self, clean: EncodedDataset) -> Dataset:
-        """The synthetic codes, suppressed rows dropped, decoded as the
-        decode stage does: the same inputs and generator give the same
-        values."""
+    def _decode(self) -> Dataset:
+        """The synthetic codes decoded as the decode stage does: the same
+        inputs and generator give the same values."""
         config = self.config
         # only KDE decode fits the original values
         source = self._require_source() if config.decode_mode == "kde" else None
         return decode_dataset(
-            clean, mode=config.decode_mode, source=source, kde_spec=config.kde,
-            rng=self._rng("decode"),
+            self._require_synthetic(), mode=config.decode_mode, source=source,
+            kde_spec=config.kde, rng=self._rng("decode"),
         )
 
     def decode(self) -> Dataset:
         started = time.perf_counter()
-        clean, _ = drop_suppressed_rows(self._require_synthetic())
-        self.decoded = self._decode(clean)
+        self.decoded = self._decode()
         self._write_dataset(self.decoded, "synthetic_decoded.csv")
         self._stage("decode", started)
         return self.decoded
 
-    def _require_decoded(self, clean: EncodedDataset) -> Dataset:
+    def _require_decoded(self) -> Dataset:
         """The decoded synthetic data, decoded again rather than parsed back
         from ``synthetic_decoded.csv``, which must exist: the decode stage
         has to have run."""
@@ -565,7 +559,7 @@ class Pipeline:
             path = self.outdir / "synthetic_decoded.csv"
             if not path.exists():
                 raise TabularError(f"no such file: {path}")
-            self.decoded = self._decode(clean)
+            self.decoded = self._decode()
         return self.decoded
 
     def evaluate(self) -> dict:
@@ -574,11 +568,10 @@ class Pipeline:
         source = self._require_source()
         encoded = self._require_encoded()
         synthetic = self._require_synthetic()
-        clean_synth, dropped = drop_suppressed_rows(synthetic)
-        decoded = self._require_decoded(clean_synth)
+        decoded = self._require_decoded()
 
         metrics, tables = self.app.evaluate(
-            source, self.extra, encoded, clean_synth, decoded, config.strategy
+            source, self.extra, encoded, synthetic, decoded, config.strategy
         )
         for name, lines in tables.items():
             self._write_lines(lines, name)
@@ -591,7 +584,6 @@ class Pipeline:
             "seed": config.seed,
             "n_original": source.n_records,
             "n_synthetic": synthetic.n_records,
-            "suppressed_rows_dropped": dropped,
             "metrics": metrics,
         }
         self._write_json(self.report, "report.json")
@@ -658,7 +650,6 @@ def compare_strategies(config_or_path) -> dict:
         "privacy": {"epsilon": base.epsilon, "delta": base.delta},
         "seed": base.seed,
         "rows": table,
-        "suppressed_rows_dropped": {s: r["suppressed_rows_dropped"] for s, r in reports.items()},
     }
     _json_dump(comparison, outdir / "comparison.json")
     return comparison

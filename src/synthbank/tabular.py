@@ -23,10 +23,11 @@ cheapest of three paths per column; a path changes speed, never bytes.
 ``8 * CHUNK_ROWS`` rows at a time: a level is found by its UTF-8 bytes, and
 a number in fixed notation is its digits read as an integer ``m < 2**53``,
 divided by ``10**k`` for its ``k`` decimals, which is ``float(text)`` bit
-for bit. A file holding input the writer does not produce (quotes, a line
-end other than the header's, blank or ragged rows, cells that do not
-convert) is read by :mod:`csv` and ``float()`` instead, so values and error
-messages are those of a cell-by-cell :mod:`csv` pass either way.
+for bit. A file holding input the writer does not produce (quotes after
+the header, a line end other than the header's, blank or ragged rows,
+cells that do not convert) is read by :mod:`csv` and ``float()`` instead,
+so values and error messages are those of a cell-by-cell :mod:`csv` pass
+either way.
 """
 
 from __future__ import annotations
@@ -245,9 +246,11 @@ def read_csv(path, schema) -> Dataset:
     ``float()`` once per distinct text.
 
     :mod:`csv` with ``float()`` per cell reads the whole file instead when
-    it is not UTF-8, holds a double quote or a NUL byte, its header line
-    holds a CR that does not end it in CRLF, or a block holds a line end
-    other than the header's (LF or CRLF), an empty line, a row without
+    it is not UTF-8 or holds a NUL byte, its header record (parsed by
+    :mod:`csv`, so quoted names are read) does not end on the first line,
+    its header line holds a CR that does not end it in CRLF, a line after
+    the header holds a double quote, or a block holds a line end other than
+    the header's (LF or CRLF), an empty line, a row without
     ``len(schema) - 1`` commas, a cell longer than
     :func:`csv.field_size_limit` or a cell that does not convert. It returns
     the same arrays, or raises the error, converting ``CHUNK_ROWS`` rows at
@@ -255,13 +258,18 @@ def read_csv(path, schema) -> Dataset:
     """
     schema = tuple(schema)
     data = read_bytes(path)
-    head = None
-    if schema and data and b'"' not in data and b"\0" not in data:
-        head = split_header(data)
+    head = split_header(data) if schema and data and b"\0" not in data else None
+    if head is not None:
+        line, body, crlf = head
+        # a quoted header record may go on past its first line; then, or
+        # with a quote in the body, the text reader reads the file
+        reader = csv.reader([line, ""])
+        header = next(reader)
+        if reader.line_num > 1 or data.find(b'"', body) >= 0:
+            head = None
     if head is None:
         return Dataset(schema, _read_text(path, data, schema), provenance=str(path))
-    line, body, crlf = head
-    check_header(path, next(csv.reader([line]), []), [spec.name for spec in schema])
+    check_header(path, header, [spec.name for spec in schema])
     levels = [_level_index(spec.levels) if spec.is_categorical else None for spec in schema]
     # room before each block for the widest label's window
     pad = max([1] + [index[0].dtype.itemsize for index in levels if index is not None])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from synthbank.binning import (
     BinningError,
     BinningRule,
-    EncodedDataset,
     assign_codes,
     encode_dataset,
     equal_frequency_bins,
@@ -469,16 +468,6 @@ def test_codebook_json_round_trip(tmp_path):
 def _round_trip(encoded, path):
     write_encoded_csv(encoded, path)
     return read_encoded_csv(path, encoded.codebook)
-
-
-def test_encoded_csv_round_trip_with_suppressed_code(tmp_path):
-    plain = make_encoded([[0, 1], [2, 0], [1, 1]], [3, 2])
-    codebook = plain.codebook.with_suppressed()
-    # the reserved suppressed code equals the domain size: 3 and 2 here
-    encoded = EncodedDataset([[3, 1], [2, 2], [0, 0], [3, 2]], codebook)
-    again = _round_trip(encoded, tmp_path / "pac.csv")
-    assert again.codebook is codebook
-    assert np.array_equal(again.codes, encoded.codes)
 
 
 def test_encoded_csv_round_trip_zero_rows(tmp_path):

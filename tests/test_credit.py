@@ -1,7 +1,5 @@
 """Transition matrices, Frobenius error, delinquency rates, and the join."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +12,7 @@ from synthbank.apps.credit import (
     frobenius_error,
     transition_matrix,
 )
-from synthbank.binning import Codebook, EncodedDataset, encode_dataset
+from synthbank.binning import encode_dataset
 from synthbank.population import CreditPortfolioConfig, generate_credit_cards
 from synthbank.presets import credit_rules
 from synthbank.tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
@@ -119,6 +117,15 @@ def test_frobenius_excludes_undefined_rows():
     assert result.excluded_rows == 2
 
 
+def test_frobenius_without_shared_rows_is_undefined():
+    a = transition_matrix([0, 0], [0, 1], 2)  # row 1 undefined
+    b = transition_matrix([1], [0], 2)  # row 0 undefined
+    result = frobenius_error(a, b)
+    assert result.value is None and result.excluded_rows == 2
+    empty = transition_matrix([], [], 2)
+    assert frobenius_error(empty, empty).value is None
+
+
 def test_frobenius_state_mismatch():
     a = transition_matrix([0], [0], 2, states=("a", "b"))
     b = transition_matrix([0], [0], 2, states=("x", "y"))
@@ -150,14 +157,10 @@ def reference_delinquency_rate(encoded, delinquency_column, age_column, gender_c
     codebook = encoded.codebook
     columns = (delinquency_column, age_column, gender_column)
     del_codes, age_codes, gender_codes = (encoded.column_codes(name) for name in columns)
-    valid = np.ones(encoded.n_records, dtype=bool)
-    for name in columns:
-        if codebook[name].has_suppressed:
-            valid &= encoded.column_codes(name) != codebook[name].suppressed_code
     rates = {}
     for age in range(codebook[age_column].domain_size):
         for g, gender in enumerate(codebook[gender_column].labels):
-            sel = valid & (age_codes == age) & (gender_codes == g)
+            sel = (age_codes == age) & (gender_codes == g)
             total = int(sel.sum())
             key = (age, gender)
             rates[key] = None if total == 0 else float((del_codes[sel] > 0).sum() / total)
@@ -169,18 +172,16 @@ RATE_COLUMNS = ["Delinquency2021", "Age2020", "Gender"]
 
 @st.composite
 def rate_dataset_strategy(draw):
-    """Codes of the three columns, each with or without a suppressed code;
-    few rows over many groups, so that some groups are empty."""
+    """Codes of the three columns; few rows over many groups, so that some
+    groups are empty."""
     sizes = [draw(st.integers(1, 7)), draw(st.integers(1, 8)), draw(st.integers(1, 3))]
-    suppressed = [draw(st.booleans()) for _ in sizes]
     n_rows = draw(st.integers(0, 60))
     codes = [
-        draw(st.lists(st.integers(0, size - 1 + extra), min_size=n_rows, max_size=n_rows))
-        for size, extra in zip(sizes, suppressed)
+        draw(st.lists(st.integers(0, size - 1), min_size=n_rows, max_size=n_rows))
+        for size in sizes
     ]
-    plain = make_encoded(np.zeros((0, 3), dtype=np.int64), sizes, names=RATE_COLUMNS).codebook
-    codebook = Codebook(replace(c, has_suppressed=s) for c, s in zip(plain, suppressed))
-    return EncodedDataset(np.array(codes, dtype=np.int64).T.reshape(n_rows, 3), codebook)
+    codes = np.array(codes, dtype=np.int64).T.reshape(n_rows, 3)
+    return make_encoded(codes, sizes, names=RATE_COLUMNS)
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,7 +12,6 @@ from synthbank.binning import (
     BinningRule,
     Codebook,
     ColumnCodec,
-    EncodedDataset,
     assign_codes,
     encode_dataset,
 )
@@ -275,13 +274,6 @@ def test_decode_dataset_round_trip_consistency():
                 assign_codes(vals, codec.edges), enc.column_codes("cap")
             )
         del re_encoded
-
-
-def test_decode_dataset_rejects_suppressed():
-    codecs = [ColumnCodec(name="x", kind="binned", edges=(0.0, 1.0), has_suppressed=True)]
-    enc = EncodedDataset(np.array([[1]]), Codebook(codecs))
-    with pytest.raises(DecodeError, match="suppressed"):
-        decode_dataset(enc, mode="left_edge")
 
 
 def test_midpoint_and_left_edge_give_different_curependencies():

@@ -603,16 +603,6 @@ def test_pac_suppresses_more_combinations_than_mst():
     assert pac_distinct < mst_distinct
 
 
-def test_pac_reserved_code_marked():
-    data = make_encoded([[0, 1], [1, 0]], (2, 2))
-    synth = pac_synthesize(data, PacConfig(k=2), PrivacyParams(1.0, 1e-10), 50,
-                           np.random.default_rng(19))
-    # base domains unchanged; suppressed sentinel allowed but outside them
-    assert synth.codebook.domain_sizes == data.codebook.domain_sizes
-    for codec in synth.codebook:
-        assert codec.suppressed_code == codec.domain_size
-
-
 def test_pac_k_exceeds_attrs():
     data = make_encoded([[0, 1]], (2, 2))
     with pytest.raises(MechanismError, match="reporting length"):
@@ -724,10 +714,8 @@ def reference_pac_synthesize(data, config, params, n_out, rng):
     pair_w = levels[1].weights if len(levels) > 1 else {}
 
     order = sorted(range(d), key=lambda a: (-float(one_way[a].sum()), a))
-    codebook = data.codebook.with_suppressed()
     out = np.empty((n_out, d), dtype=np.int64)
-    for j, codec in enumerate(codebook):
-        out[:, j] = codec.suppressed_code
+    out[:] = domain  # a code no value resolved
 
     fixed = []
     for a in order:
@@ -797,15 +785,39 @@ def pac_inputs(draw):
     return data, config, params, n_out
 
 
+def pac_error(names) -> str:
+    return (f"no value of column(s) {', '.join(map(repr, names))} survived PAC's "
+            "one-way threshold; no row can be drawn")
+
+
+def assert_pac_matches_reference(data, config, params, n_out, make_rng):
+    """``pac_synthesize`` raises, before it draws any row, exactly when the
+    reference aggregation keeps no one-way value of some column; otherwise
+    its codes are the reference's, each inside its domain."""
+    levels = reference_pac_aggregate(data, config, params, make_rng())
+    names = data.codebook.names
+    empty = [names[a] for a in range(len(names)) if not levels[0].weights[(a,)].any()]
+    rng, ref_rng = make_rng(), make_rng()
+    if empty:
+        with pytest.raises(MechanismError) as info:
+            pac_synthesize(data, config, params, n_out, rng)
+        assert str(info.value) == pac_error(empty)
+        reference_pac_aggregate(data, config, params, ref_rng)
+    else:
+        synth = pac_synthesize(data, config, params, n_out, rng)
+        want = reference_pac_synthesize(data, config, params, n_out, ref_rng)
+        assert synth.codebook is data.codebook
+        assert synth.codes.dtype == want.dtype and np.array_equal(synth.codes, want)
+        assert (synth.codes < np.array(data.codebook.domain_sizes)).all()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @settings(max_examples=150, deadline=None)
 @given(inputs=pac_inputs(), seed=st.integers(0, 2**32 - 1))
 def test_pac_matches_per_row_reference(inputs, seed):
     data, config, params, n_out = inputs
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    synth = pac_synthesize(data, config, params, n_out, rng)
-    want = reference_pac_synthesize(data, config, params, n_out, ref_rng)
-    assert synth.codes.dtype == want.dtype and np.array_equal(synth.codes, want)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert_pac_matches_reference(data, config, params, n_out,
+                                 lambda: np.random.default_rng(seed))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert_same_levels(pac_aggregate(data, config, params, rng),
                        reference_pac_aggregate(data, config, params, ref_rng))
@@ -825,6 +837,10 @@ class PlantedTies:
 
     def normal(self, *args, **kwargs):
         return self.rng.normal(*args, **kwargs)
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -846,20 +862,23 @@ def test_pac_ties_at_the_cap_pick_what_argsort_picks(seed):
     data = make_encoded(rng.integers(0, 4, (300, 6)), (4, 4, 4, 4, 4, 4))
     config = PacConfig(k=3, delta_k=3.0)
     params = PrivacyParams(5.0, 1e-9)
-    got = pac_synthesize(data, config, params, 200, PlantedTies(seed))
-    assert np.array_equal(got.codes, reference_pac_synthesize(data, config, params, 200,
-                                                              PlantedTies(seed)))
+    assert_pac_matches_reference(data, config, params, 200, lambda: PlantedTies(seed))
     assert_same_levels(pac_aggregate(data, config, params, PlantedTies(seed)),
                        reference_pac_aggregate(data, config, params, PlantedTies(seed)))
 
 
-def test_pac_rejects_the_suppressed_code():
+def test_pac_raises_when_a_column_keeps_no_value():
+    # no value of two records clears the one-way threshold at epsilon = 1
     data = make_encoded([[0, 1], [1, 0]], (2, 2))
-    synth = pac_synthesize(data, PacConfig(k=2), PrivacyParams(1.0, 1e-10), 50,
-                           np.random.default_rng(19))
-    assert (synth.codes == 2).any()
-    with pytest.raises(MechanismError, match="suppressed code"):
-        pac_aggregate(synth, PacConfig(k=2), None, np.random.default_rng(0))
+    config, params = PacConfig(k=2), PrivacyParams(1.0, 1e-10)
+    rng = np.random.default_rng(19)
+    with pytest.raises(MechanismError) as info:
+        pac_synthesize(data, config, params, 50, rng)
+    assert str(info.value) == pac_error(["a0", "a1"])
+    # no row was drawn: the generator stands where the aggregation left it
+    after = np.random.default_rng(19)
+    pac_aggregate(data, config, params, after)
+    assert rng.bit_generator.state == after.bit_generator.state
 
 
 def test_aim_weight_prioritizes_marginal():

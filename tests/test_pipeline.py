@@ -204,10 +204,32 @@ def test_cli_eval_before_decode_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "run" / "report.json").exists()
 
 
+def test_cli_pac_with_no_surviving_value_fails_at_synth(tmp_path, capsys):
+    # at epsilon = 0.01 no one-way value of 3,000 cards clears PAC's threshold
+    doc = credit_config(
+        tmp_path, mechanism={"name": "pac"}, privacy={"epsilon": 0.01, "delta": 1e-10}, seed=3
+    )
+    doc["input"]["datagen"]["n_cards"] = 3000
+    path = write_config(tmp_path, doc)
+    for command in ("gen-data", "encode"):
+        assert cli_main([command, "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["synth", "--config", str(path)]) == 1
+    columns = "'Gender', 'Age2020', 'Debt2020', 'Debt2021', 'Delinquency2020', 'Delinquency2021'"
+    assert capsys.readouterr().err == (
+        f"stage 'synth' failed: no value of column(s) {columns} survived PAC's "
+        "one-way threshold; no row can be drawn\n"
+    )
+    assert cli_main(["pipeline", "--config", str(path)]) == 1
+    assert "no value of column(s) 'Gender'" in capsys.readouterr().err
+    for name in ("synthetic_encoded.csv", "synthetic_decoded.csv", "report.json"):
+        assert not (tmp_path / "run" / name).exists()
+
+
 @pytest.mark.parametrize("mode", ["left_edge", "midpoint", "kde"])
 def test_eval_decodes_what_the_decode_stage_wrote(tmp_path, monkeypatch, mode):
     # a staged eval decodes the synthetic codes again instead of parsing
-    # synthetic_decoded.csv; PAC leaves suppressed rows to drop first
+    # synthetic_decoded.csv
     doc = app_config(
         tmp_path, "yield", strategy="data_driven", mechanism={"name": "pac"},
         decode={"mode": mode},
@@ -337,7 +359,7 @@ def test_fi_data_driven_reports_usage_levels(tmp_path):
     assert (tmp_path / "fidd" / "plot_usage_levels.csv").exists()
 
 
-def test_yield_pipeline_pac_shows_suppression(tmp_path):
+def test_yield_pipeline_pac_keeps_every_row(tmp_path):
     doc = {
         "application": "yield",
         "strategy": "cbp",
@@ -350,7 +372,14 @@ def test_yield_pipeline_pac_shows_suppression(tmp_path):
     }
     report = run_pipeline(write_config(tmp_path, doc, "ypac.json"))
     assert "groups" in report["metrics"]
-    assert report["suppressed_rows_dropped"] >= 0
+    # every drawn row is decoded and scored; no field counts dropped rows
+    assert list(report) == [
+        "application", "strategy", "mechanism", "privacy", "seed",
+        "n_original", "n_synthetic", "metrics",
+    ]
+    assert report["n_synthetic"] == report["n_original"]
+    decoded = (tmp_path / "ypac" / "synthetic_decoded.csv").read_text(encoding="utf-8")
+    assert len(decoded.splitlines()) == 1 + report["n_synthetic"]
     assert (tmp_path / "ypac" / "plot_yield_points.csv").exists()
 
 
@@ -388,6 +417,23 @@ def test_compare_emits_winner_flags(tmp_path, application, headline):
         assert row["winner"] in ("cbp", "data_driven", "tie", "undefined")
     assert (tmp_path / "cmp" / "comparison.json").exists()
     assert (tmp_path / "cmp" / "cbp" / "report.json").exists()
+
+
+def test_credit_without_synthetic_rows_scores_undefined(tmp_path):
+    # no transition row is defined in an empty synthetic matrix, so no error
+    # can be computed: each is None, not a perfect 0
+    doc = credit_config(tmp_path, subdir="empty", n_synthetic=0)
+    comparison = compare_strategies(PipelineConfig.from_dict(doc))
+    assert [row["winner"] for row in comparison["rows"].values()] == ["undefined"] * 3
+    for strategy in STRATEGIES:
+        report = json.loads((tmp_path / "empty" / strategy / "report.json").read_text())
+        assert report["n_synthetic"] == 0
+        metrics = report["metrics"]
+        assert {kind: entry["value"] for kind, entry in metrics["frobenius"].items()} == {
+            "delinquency": None, "debt": None,
+        }
+        assert metrics["relative_error"] is None
+    assert "suppressed_rows_dropped" not in comparison
 
 
 def test_compare_identical_rules_identical_columns(tmp_path):

@@ -627,9 +627,6 @@ def encoded_strategy(draw):
         for j, size in enumerate(domains)
     ]
     codebook = Codebook(codecs)
-    if draw(st.booleans()):
-        codebook = codebook.with_suppressed()
-        domains = [size + 1 for size in domains]
     codes = [
         draw(st.lists(st.integers(0, size - 1), min_size=n_rows, max_size=n_rows))
         for size in domains
@@ -680,6 +677,13 @@ _line_end = st.sampled_from(("\n", "\r\n", "\r"))
 # whole: any fault sends a file to the text reader
 _good_num_cell = st.sampled_from([cell for cell in _NUM_CELLS if _finite_float(cell)])
 _good_seg_cell = st.sampled_from(("M", ""))
+# header records as the writer quotes them, and odd ones: records that run
+# over two lines or to the end of the file, a quoted comma, a quote inside
+# a name
+_header = st.sampled_from(("x,seg,y", '"x",seg,y', 'x,"seg","y"'))
+_odd_header = st.sampled_from(
+    ('"x\ny",seg,y', 'x,"seg\r\n",y', '"x,seg,y', '"x,seg",y', 'x,se"g,y')
+)
 
 
 @st.composite
@@ -690,7 +694,7 @@ def csv_body_strategy(draw):
             ",".join([draw(_good_num_cell), draw(_good_seg_cell), draw(_good_num_cell)]) + end
             for _ in range(draw(st.integers(0, 20)))
         ]
-        body = "x,seg,y" + end + "".join(lines)
+        body = draw(_header) + end + "".join(lines)
         return body.removesuffix(end) if lines and draw(st.booleans()) else body
     end = draw(_line_end)
     lines = []
@@ -700,7 +704,7 @@ def csv_body_strategy(draw):
             cells = cells[: draw(st.integers(0, 2))] + draw(st.lists(_num_cell, max_size=1))
         # now and then a line end other than the file's
         lines.append(",".join(cells) + (draw(_line_end) if draw(st.integers(0, 9)) == 0 else end))
-    body = "x,seg,y" + end + "".join(lines)
+    body = draw(st.one_of(_header, _odd_header)) + end + "".join(lines)
     if lines and draw(st.booleans()):
         body = body.removesuffix(end)
     return body
@@ -726,6 +730,12 @@ def _read_outcome(reader, path, schema=READ_SCHEMA):
 @example("x,seg,y\r\n" + "1,M,2\r\n" * 9 + "3,,4\r5,M,6\r\n" + "7,M,x\r\n", 1)
 # an empty last cell, and no line end after it
 @example("x,seg,y\n1,M,", 1)
+# quoted headers: one the numpy reader takes, one with a quote in the body,
+# one whose record runs over two lines and one whose quote never closes
+@example('"x",seg,"y"\n1,M,2\n3,,4\n', 1024)
+@example('"x",seg,y\r\n1,"M",2\r\n', 1024)
+@example('"x\ny",seg,y\n1,M,2\n', 1024)
+@example('"x,seg,y\n1,M,2\n', 1024)
 def test_read_csv_matches_per_cell_reference(tmp_path_factory, body, chunk_rows):
     path = tmp_path_factory.mktemp("read") / "d.csv"
     path.write_text(body, encoding="utf-8", newline="")
@@ -766,14 +776,20 @@ def test_written_files_are_read_without_the_text_readers(tmp_path, monkeypatch):
     monkeypatch.setattr(binning, "_parse_code_lines", no_text_reader)
     monkeypatch.setattr(tabular, "CHUNK_ROWS", 2)
     monkeypatch.setattr(binning, "CHUNK_ROWS", 2)
-    write_csv(EVERY_EDGE_UNQUOTED, tmp_path / "d.csv")
-    again = read_csv(tmp_path / "d.csv", EVERY_EDGE_UNQUOTED.schema)
-    expected = np.array([float("%.12g" % value) for value in EDGE_FLOATS])
-    assert again.column("value").view(np.int64).tolist() == expected.view(np.int64).tolist()
-    assert again.column("label").tolist() == EVERY_EDGE_UNQUOTED.column("label").tolist()
+    # a comma in a column name makes the writer quote the header
+    for name in ("value", "Branch, city"):
+        dataset = Dataset(
+            (EVERY_EDGE_UNQUOTED.schema[0], ColumnSpec(name, NUMERIC)),
+            [EVERY_EDGE_UNQUOTED.column("label"), EVERY_EDGE_UNQUOTED.column("value")],
+        )
+        write_csv(dataset, tmp_path / "d.csv")
+        again = read_csv(tmp_path / "d.csv", dataset.schema)
+        expected = np.array([float("%.12g" % value) for value in EDGE_FLOATS])
+        assert again.column(name).view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert again.column("label").tolist() == EVERY_EDGE_UNQUOTED.column("label").tolist()
     codebook = Codebook(
-        ColumnCodec(name=f"a{j}", kind="categorical", labels=tuple(map(str, range(12))))
-        for j in range(3)
+        ColumnCodec(name=name, kind="categorical", labels=tuple(map(str, range(12))))
+        for name in ("a0", "Branch, city", "a2")
     )
     encoded = EncodedDataset(np.arange(60).reshape(20, 3) % 12, codebook)
     write_encoded_csv(encoded, tmp_path / "e.csv")
