@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
-from synthbank.binning import encode_dataset
+from synthbank.binning import BinningError, encode_dataset
 from synthbank.mechanisms import (
     MECHANISMS,
     _build_tree_model,
@@ -603,6 +603,21 @@ def test_pac_suppresses_more_combinations_than_mst():
     assert pac_distinct < mst_distinct
 
 
+def test_pac_reserved_code_marked():
+    # PAC marks no reserved code: its output keeps the input codebook, and
+    # every code lies inside its column's domain
+    rng = np.random.default_rng(17)
+    a = rng.integers(0, 4, 3000)
+    b = (a + rng.integers(0, 2, 3000)) % 4
+    data = make_encoded(np.column_stack([a, b]), (4, 4))
+    synth = pac_synthesize(data, PacConfig(k=2), PrivacyParams(1.0, 1e-10), 500,
+                           np.random.default_rng(19))
+    assert synth.codebook is data.codebook
+    assert not any(codec.has_suppressed for codec in synth.codebook)
+    assert (synth.codes >= 0).all()
+    assert (synth.codes < np.array(data.codebook.domain_sizes)).all()
+
+
 def test_pac_k_exceeds_attrs():
     data = make_encoded([[0, 1]], (2, 2))
     with pytest.raises(MechanismError, match="reporting length"):
@@ -879,6 +894,18 @@ def test_pac_raises_when_a_column_keeps_no_value():
     after = np.random.default_rng(19)
     pac_aggregate(data, config, params, after)
     assert rng.bit_generator.state == after.bit_generator.state
+
+
+def test_pac_rejects_the_suppressed_code():
+    # the code one past the domain, once PAC's suppressed code, cannot reach
+    # pac_aggregate: the encoded dataset refuses it
+    with pytest.raises(BinningError, match="column 'a1': code out of range"):
+        make_encoded([[0, 2], [1, 0]], (2, 2))
+    # and PAC raises rather than emit it when a column keeps no value
+    data = make_encoded([[0, 1], [1, 0]], (2, 2))
+    with pytest.raises(MechanismError, match="no row can be drawn"):
+        pac_synthesize(data, PacConfig(k=2), PrivacyParams(1.0, 1e-10), 50,
+                       np.random.default_rng(19))
 
 
 def test_aim_weight_prioritizes_marginal():
