@@ -333,14 +333,18 @@ def prepare(population: FiPopulationConfig, files: dict, rng: np.random.Generato
 def evaluate(original, unbanked, encoded, synthetic, decoded, strategy):
     """Tau between the usage components of the original and the decoded
     synthetic data over their shared groups, plus, for data-driven bins,
-    the usage-level shares of the codes."""
+    the usage-level shares of the codes. Without synthetic rows there is no
+    synthetic component, and the tau and the synthetic weights are None."""
     comp_o = pca_usage_component(build_usage_indicators(original, unbanked), variant="original")
-    comp_s = pca_usage_component(build_usage_indicators(decoded, unbanked), variant="synthetic")
-    shared = sorted(set(comp_o.values) & set(comp_s.values))
-    tau = tau_metric(
-        replace(comp_s, values={k: comp_s.values[k] for k in shared}),
-        replace(comp_o, values={k: comp_o.values[k] for k in shared}),
-    )
+    comp_s = tau = None
+    if decoded.n_records:
+        comp_s = pca_usage_component(build_usage_indicators(decoded, unbanked), variant="synthetic")
+    shared = sorted(set(comp_o.values) & set(comp_s.values if comp_s else ()))
+    if comp_s:
+        tau = tau_metric(
+            replace(comp_s, values={k: comp_s.values[k] for k in shared}),
+            replace(comp_o, values={k: comp_o.values[k] for k in shared}),
+        )
     rows = ["period,age_band,gender,b_original,b_synthetic"]
     for key in shared:
         period, band, gender = key
@@ -348,14 +352,14 @@ def evaluate(original, unbanked, encoded, synthetic, decoded, strategy):
     tables = {"plot_usage_components.csv": rows}
 
     metrics = {
-        "tau_overall": tau.overall,
-        "tau_per_group": {"|".join(k): v for k, v in sorted(tau.per_group.items())},
-        "cells_excluded": len(set(comp_o.values) ^ set(comp_s.values)),
+        "tau_overall": tau.overall if tau else None,
+        "tau_per_group": {"|".join(k): v for k, v in sorted(tau.per_group.items())} if tau else {},
+        "cells_excluded": len(set(comp_o.values) ^ set(comp_s.values if comp_s else ())),
         "weights_original": list(comp_o.weights),
-        "weights_synthetic": list(comp_s.weights),
+        "weights_synthetic": list(comp_s.weights) if comp_s else None,
         "pca_recon_error_original": comp_o.recon_error,
-        "pca_recon_error_synthetic": comp_s.recon_error,
-        "relative_error": tau.overall,
+        "pca_recon_error_synthetic": comp_s.recon_error if comp_s else None,
+        "relative_error": tau.overall if tau else None,
     }
     if strategy == "data_driven":
         try:

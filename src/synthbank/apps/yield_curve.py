@@ -120,7 +120,9 @@ def build_yield_curves(
     order = np.argsort(key, kind="stable")
     key = key[order]
     capital = data.column(capital_column)[order]
-    rates = data.column(rate_column)[order]
+    if np.any(capital <= 0):
+        raise YieldError("capitals must be positive")
+    weighted = capital * data.column(rate_column)[order]
 
     types, currencies, periods = group_labels
     points_by_group: dict[tuple, dict] = {}
@@ -130,10 +132,9 @@ def build_yield_curves(
         group, period = divmod(group, len(periods))
         type_, currency = divmod(group, len(currencies))
         points = points_by_group.setdefault((types[type_], currencies[currency], periods[period]), {})
+        total = np.sum(capital[start:stop])  # weighted_avg_rate's sums, made once
         points[code] = YieldPoint(
-            wai=weighted_avg_rate(capital[start:stop], rates[start:stop]),
-            total_capital=float(capital[start:stop].sum()),
-            count=stop - start,
+            wai=float(np.sum(weighted[start:stop]) / total), total_capital=float(total), count=stop - start
         )
     return {
         group_key: YieldCurve(key=group_key, points=points, n_term_bins=n_bins)
@@ -185,6 +186,19 @@ def yield_rmse(per_period_s: dict, per_period_o: dict, field: str = "wai") -> Yi
     )
 
 
+def _check_lowess(x: np.ndarray, frac: float = 2.0 / 3.0) -> None:
+    """Raise :class:`YieldError` unless :func:`lowess` can smooth the curves at ``x``."""
+    n = x.shape[-1]
+    if n < 3:
+        raise YieldError("lowess needs at least 3 points")
+    if np.any(np.diff(x) < 0):
+        raise YieldError("x must be sorted ascending")
+    if np.any(x[..., 0] == x[..., -1]):
+        raise YieldError("degenerate input: all x equal")
+    if frac * n < 2:
+        raise YieldError("frac too small: window must hold at least 2 points")
+
+
 def lowess(x, y, frac: float = 2.0 / 3.0, iters: int = 3) -> np.ndarray:
     """Locally weighted scatterplot smoothing (tricube + bisquare).
 
@@ -194,53 +208,54 @@ def lowess(x, y, frac: float = 2.0 / 3.0, iters: int = 3) -> np.ndarray:
     is a weighted least-squares line (weighted mean when the window is
     degenerate); ``iters`` bisquare reweightings follow the initial fit,
     scaled by six times the median absolute residual.
+
+    Given ``(k, n)`` arrays, one curve per row, it smooths them all in one
+    pass per iteration, each row bit for bit the fit of its curve alone: a
+    curve stops iterating on its own when its residual median reaches 0.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = x.size
-    if n < 3:
-        raise YieldError("lowess needs at least 3 points")
-    if np.any(np.diff(x) < 0):
-        raise YieldError("x must be sorted ascending")
-    if x[0] == x[-1]:
-        raise YieldError("degenerate input: all x equal")
-    r = int(np.ceil(frac * n))
-    r = max(2, min(r, n))
-    if frac * n < 2:
-        raise YieldError("frac too small: window must hold at least 2 points")
+    _check_lowess(x, frac)
+    stacked = x.ndim == 2
+    x, y = np.atleast_2d(x, y)
+    n = x.shape[1]
+    r = max(2, min(int(np.ceil(frac * n)), n))
+    fitted = np.zeros_like(x)
 
-    dist = np.abs(x[:, None] - x[None, :])
-    h = np.sort(dist, axis=1)[:, r - 1][:, None]
+    dist = np.abs(x[:, :, None] - x[:, None, :])
+    h = np.sort(dist, axis=2)[:, :, r - 1 : r]
     # a row whose window has zero width weights its ties alone; each
     # division is made only on the rows whose branch takes it
     u = np.clip(np.divide(dist, h, out=np.zeros_like(dist), where=h > 0), 0.0, 1.0)
     base = np.where(h == 0, (dist == 0).astype(np.float64), (1.0 - u**3) ** 3)
 
-    delta = np.ones(n)
-    fitted = np.zeros(n)
+    live = np.arange(len(x))  # the curves still iterating, with their rows below
+    delta = np.ones_like(y)
     for _ in range(iters + 1):
-        w = base * delta
-        sw = w.sum(axis=1)
-        swx = (w * x).sum(axis=1)
-        swx2 = (w * x * x).sum(axis=1)
-        swy = (w * y).sum(axis=1)
-        swxy = (w * x * y).sum(axis=1)
+        w = base * delta[:, None, :]
+        xj, yj = x[:, None, :], y[:, None, :]
+        sw = w.sum(axis=2)
+        swx = (w * xj).sum(axis=2)
+        swx2 = (w * xj * xj).sum(axis=2)
+        swy = (w * yj).sum(axis=2)
+        swxy = (w * xj * yj).sum(axis=2)
         det = sw * swx2 - swx * swx
         degenerate = np.abs(det) <= 1e-12 * np.maximum(sw * swx2, 1e-300)
         # a degenerate window takes the weighted mean, and the point's own
         # rate when it has no weight at all
         mean = np.divide(swy, sw, out=y.copy(), where=sw > 0)
         line = ~degenerate
-        slope = np.divide(sw * swxy - swx * swy, det, out=np.zeros(n), where=line)
-        intercept = np.divide(swy - slope * swx, sw, out=np.zeros(n), where=line)
-        fitted = np.where(degenerate, mean, intercept + slope * x)
-        residuals = y - fitted
-        s = float(np.median(np.abs(residuals)))
-        if s == 0:
-            break
-        u = np.clip(residuals / (6.0 * s), -1.0, 1.0)
+        slope = np.divide(sw * swxy - swx * swy, det, out=np.zeros_like(y), where=line)
+        intercept = np.divide(swy - slope * swx, sw, out=np.zeros_like(y), where=line)
+        fit = np.where(degenerate, mean, intercept + slope * x)
+        fitted[live] = fit
+        residuals = y - fit
+        s = np.median(np.abs(residuals), axis=1)
+        go = s != 0
+        live, x, y, base, residuals, s = (a[go] for a in (live, x, y, base, residuals, s))
+        u = np.clip(residuals / (6.0 * s[:, None]), -1.0, 1.0)
         delta = (1.0 - u**2) ** 2
-    return fitted
+    return fitted if stacked else fitted[0]
 
 
 @dataclass(frozen=True)
@@ -501,7 +516,9 @@ def prepare(population: DepositMarketConfig, files: dict, rng: np.random.Generat
 def evaluate(original, extra, encoded, synthetic, decoded, strategy):
     """Max WAI RMSE per (type, currency) group between the original and the
     decoded synthetic curves, plus LOWESS and Svensson fits of each
-    synthetic curve for the plot table."""
+    synthetic curve for the plot table: one call of each fits every curve of
+    one length that passes its checks, and a curve that fails them is left
+    without that fit."""
     codebook = encoded.codebook
     curves_o = build_yield_curves(original, codebook)
     curves_s = build_yield_curves(decoded, codebook)
@@ -542,24 +559,32 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
         "wai_original,tc_original,count_original,"
         "wai_synthetic,tc_synthetic,count_synthetic,lowess_synthetic,nss_synthetic"
     ]
-    # Svensson fits of the synthetic curves: one nss_fit call fits all
-    # curves with the same number of points
+    smooth: dict = {}  # key -> {term bin: LOWESS value}
     fits: dict = {}  # key -> (params, rmse), or the error text
-    fit_terms: dict = {}  # key -> the maturities the fit used
-    by_length: dict = {}
+    to_smooth: dict = {}
+    to_fit: dict = {}
     for key, cs in sorted(curves_s.items()):
+        xs = term_edges[cs.terms()]
+        ys = np.array([cs.points[b].wai for b in cs.terms()])
+        try:
+            _check_lowess(xs)
+            to_smooth.setdefault(xs.size, []).append((key, xs, ys))
+        except YieldError:
+            pass  # the curve is left unsmoothed
         if len(cs.points) >= 6:
-            xs = np.array([max(term_edges[b], 1.0) for b in cs.terms()])
+            xs = np.maximum(xs, 1.0)
             ws = np.array([max(cs.points[b].total_capital, 1.0) for b in cs.terms()])
             try:
                 _check_curve(xs, ws)
             except YieldError as exc:
                 fits[key] = str(exc)
                 continue
-            ys = np.array([cs.points[b].wai for b in cs.terms()])
-            fit_terms[key] = xs
-            by_length.setdefault(xs.size, []).append((key, xs, ys, ws))
-    for group in by_length.values():
+            to_fit.setdefault(xs.size, []).append((key, xs, ys, ws))
+    for group in to_smooth.values():
+        keys, xs, ys = zip(*group)
+        for key, fitted in zip(keys, lowess(np.stack(xs), np.stack(ys))):
+            smooth[key] = dict(zip(curves_s[key].terms(), fitted))
+    for group in to_fit.values():
         keys, xs, ys, ws = zip(*group)
         fits.update(zip(keys, nss_fit(np.stack(xs), np.stack(ys), weights=np.stack(ws))))
 
@@ -568,15 +593,8 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
         co = curves_o.get(key)
         cs = curves_s.get(key)
         bins = sorted(set(co.points if co else ()) | set(cs.points if cs else ()))
-        smooth: dict = {}
+        smoothed = smooth.get(key, {})
         nss_values: dict = {}
-        if cs is not None and len(cs.points) >= 3:
-            xs = np.array([term_edges[b] for b in cs.terms()])
-            ys = np.array([cs.points[b].wai for b in cs.terms()])
-            try:
-                smooth = dict(zip(cs.terms(), lowess(xs, ys)))
-            except YieldError:
-                smooth = {}
         fit = fits.get(key)
         if isinstance(fit, str):
             nss_report["|".join(key)] = {"error": fit}
@@ -591,7 +609,7 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
                 "tau2": params.tau2,
                 "fit_rmse": fit_rmse,
             }
-            nss_values = dict(zip(cs.terms(), nss_eval(params, fit_terms[key])))
+            nss_values = dict(zip(cs.terms(), nss_eval(params, np.maximum(term_edges[cs.terms()], 1.0))))
         for b in bins:
             po = co.points.get(b) if co else None
             ps = cs.points.get(b) if cs else None
@@ -609,7 +627,7 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
                         f"{ps.wai:.6f}" if ps else "",
                         f"{ps.total_capital:.6g}" if ps else "",
                         str(ps.count) if ps else "",
-                        f"{smooth[b]:.6f}" if b in smooth else "",
+                        f"{smoothed[b]:.6f}" if b in smoothed else "",
                         f"{nss_values[b]:.6f}" if b in nss_values else "",
                     ]
                 )

@@ -315,19 +315,17 @@ def equal_frequency_bins(values, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise BinningError("equal-frequency binning needs at least one value")
     if k < 1:
         raise BinningError("k must be >= 1")
-    n_distinct = np.unique(vals).size
-    if k > n_distinct:
+    n = vals.size
+    sv = np.sort(vals, kind="stable")
+    # first occurrence index of each distinct value
+    firsts = np.concatenate([[0], np.flatnonzero(np.diff(sv)) + 1])
+    if k > firsts.size:
         raise BinningError(
-            f"k={k} exceeds the {n_distinct} distinct values; use a smaller k"
+            f"k={k} exceeds the {firsts.size} distinct values; use a smaller k"
         )
 
-    n = vals.size
-    order = np.argsort(vals, kind="stable")
-    sv = vals[order]
     prelim = (np.arange(n, dtype=np.int64) * k) // n
-    # first occurrence index of each distinct value; min prelim code within a
-    # tie group is the code at its first occurrence (prelim is non-decreasing)
-    firsts = np.concatenate([[0], np.flatnonzero(np.diff(sv)) + 1])
+    # a tie group's min prelim code is at its first occurrence (prelim is non-decreasing)
     group = np.searchsorted(firsts, np.arange(n), side="right") - 1
     merged = prelim[firsts[group]]
     used = np.unique(merged)
@@ -374,12 +372,13 @@ def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     by a constant factor of two. Edges are placed at midpoints between
     adjacent clusters.
 
-    Each DP layer is solved by divide and conquer over the monotone split
-    points (Grønlund et al. 2017; Wang & Song 2011), run level-synchronously:
-    all nodes of one recursion depth are evaluated in a single vectorized
-    pass, so a layer costs about log2(m) passes of O(m) work for m distinct
-    values. Among candidate splits of equal cost the smallest split index
-    wins, as with ``np.argmin``.
+    Each DP layer but the last is solved by divide and conquer over the
+    monotone split points (Grønlund et al. 2017; Wang & Song 2011), run
+    level-synchronously: all nodes of one recursion depth are evaluated in a
+    single vectorized pass, so a layer costs about log2(m) passes of O(m)
+    work for m distinct values. The last layer is one O(m) pass over the
+    splits of the whole range. Among candidate splits of equal cost the
+    smallest split index wins, as with ``np.argmin``.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
@@ -409,7 +408,7 @@ def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     prev = cq[1:] - cs[1:] * cs[1:] / cw[1:]
     split_at = np.zeros((k, m), dtype=np.int64)
 
-    for layer in range(1, k):
+    for layer in range(1, k - 1):
         cur = np.full(m, np.inf)
         arg = np.zeros(m, dtype=np.int64)
         # frontier of pending nodes: target rows [jlo, jhi] whose best
@@ -445,6 +444,10 @@ def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
             jlo, jhi, ilo, ihi = jlo[keep], jhi[keep], ilo[keep], ihi[keep]
         prev = cur
         split_at[layer] = arg
+    if k > 1:
+        # the backtrack reads only target m - 1 of the last layer
+        cand = np.arange(k - 1, m)
+        split_at[k - 1, m - 1] = k - 1 + np.argmin(prev[cand - 1] + seg_cost(cand, m - 1))
 
     # backtrack the first distinct-value index of every cluster
     bounds = [0] * k

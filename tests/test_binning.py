@@ -340,6 +340,32 @@ def test_kmeans_bytes_match_node_by_node_reference(values, data):
     assert edges.tobytes() == ref_edges.tobytes()
 
 
+def test_kmeans_last_layer_and_edge_k_match_node_by_node_reference():
+    # k = 2 runs the single-target last layer alone, k = m every layer, and
+    # m = 1 no layer at all; ties pick the smallest split, NaN costs the first
+    rng = np.random.default_rng(53)
+    amounts = np.round(rng.lognormal(3, 1, 50), 1).tolist()
+    cases = [
+        ([5.0] * 7, 1),
+        ([-2.5], 1),
+        ([0.0, 1.0, 2.0], 2),  # equal costs at splits 1 and 2
+        ([0.0, 0.0, 1.0, 2.0, 2.0], 2),
+        ([1e300, -1e300, 1e299, 3.0], 2),  # squares overflow to NaN costs
+        (rng.integers(0, 40, 300).astype(float).tolist(), 2),
+        (rng.normal(0, 1e6, 60).tolist(), 2),
+        (rng.integers(0, 12, 100).astype(float).tolist(), 12),
+        (amounts, len(set(amounts))),
+    ]
+    for values, k in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            codes, edges = kmeans_1d(values, k)
+            ref_codes, ref_edges = reference_kmeans_1d(values, k)
+        assert np.array_equal(codes, ref_codes), (values[:5], k)
+        assert edges.tobytes() == ref_edges.tobytes(), (values[:5], k)
+        assert edges.size == k + 1
+    assert kmeans_1d([0.0, 1.0, 2.0], 2)[0].tolist() == [0, 1, 1]
+
+
 # --------------------------------------------------------------------- log
 
 def test_log_analytic():

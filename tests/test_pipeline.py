@@ -436,6 +436,22 @@ def test_credit_without_synthetic_rows_scores_undefined(tmp_path):
     assert "suppressed_rows_dropped" not in comparison
 
 
+def test_fi_without_synthetic_rows_scores_undefined(tmp_path):
+    # an empty synthetic dataset has no usage component, so there is no tau;
+    # scoring the unbanked counts alone would warn about zero variance
+    for strategy in STRATEGIES:
+        doc = app_config(tmp_path, "fi", subdir=strategy, strategy=strategy, n_synthetic=0)
+        report = run_pipeline(write_config(tmp_path, doc))
+        assert report["n_synthetic"] == 0
+        metrics = report["metrics"]
+        assert metrics["relative_error"] is None and metrics["tau_overall"] is None
+        assert metrics["tau_per_group"] == {}
+        assert metrics["weights_synthetic"] is None and metrics["pca_recon_error_synthetic"] is None
+        assert metrics["cells_excluded"] > 0  # every group of the original data
+        plot = (tmp_path / strategy / "plot_usage_components.csv").read_text().splitlines()
+        assert plot == ["period,age_band,gender,b_original,b_synthetic"]
+
+
 def test_compare_identical_rules_identical_columns(tmp_path):
     # overriding every numeric column makes both strategy arms identical
     doc = credit_config(tmp_path, subdir="cmpid")

@@ -491,8 +491,12 @@ def _written_cells(tmp_path, values):
 @example([(8245.026313705, False), (0.03572212420795, True), (14.07476745125, False)])
 def test_write_csv_numbers_match_percent_format(tmp_path_factory, cells):
     values = [-value if negative else value for value, negative in cells]
-    got = _written_cells(tmp_path_factory.mktemp("fmt"), values)
-    assert got == ["%.12g" % value for value in values]
+    # a table this small is formatted by % alone, unless the limit is lowered
+    for limit in (tabular._PERCENT_CELLS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tabular, "_PERCENT_CELLS", limit)
+            got = _written_cells(tmp_path_factory.mktemp("fmt"), values)
+        assert got == ["%.12g" % value for value in values]
 
 
 def test_fast_path_and_fallback_columns(tmp_path):
@@ -503,8 +507,34 @@ def test_fast_path_and_fallback_columns(tmp_path):
     fallback += [999999999999.5, -999999999999.6, 1.7976931348623157e308, 12345678901.25]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tabular, "_FLOAT_PERCENT", "<%.12g>")
+        # a table of at most _PERCENT_CELLS values is formatted by % alone
+        assert _written_cells(tmp_path, fast) == ["<%.12g>" % value for value in fast]
+        patch.setattr(tabular, "_PERCENT_CELLS", 0)
         assert _written_cells(tmp_path, fast) == ["%.12g" % value for value in fast]
         assert _written_cells(tmp_path, fallback) == ["<%.12g>" % value for value in fallback]
+
+
+def test_small_number_tables_take_percent_alone_in_the_same_bytes(tmp_path, monkeypatch):
+    # 1 to 12 distinct values, as in the count columns of a decoded fi or
+    # credit file, each written through the distinct and the dedup path
+    rng = np.random.default_rng(21)
+    pool = [-0.0, 0.0, 2.5, 7.0, 0.1, -3.25, 1e12, 5e-324, 123456.789, 1.7e-5, 999999999999.5, 1.0]
+    columns = []
+    for n in range(1, 13):
+        values = rng.permutation(np.array(pool[:n]))
+        columns += [values, rng.choice(values, 500)]
+    decimal_text, limit = tabular._decimal_text, tabular._PERCENT_CELLS
+    for col in columns:
+        assert tabular.number_path(col) == ("distinct" if col.size <= 12 else "dedup")
+        ds = Dataset((ColumnSpec("x", NUMERIC), ColumnSpec("y", NUMERIC)), [col, col[::-1]])
+        reference_write_csv(ds, tmp_path / "reference.csv")
+        # the decimal formatter where it proves the text, then % alone, which
+        # never calls it
+        for cells, formatter in ((0, decimal_text), (limit, None)):
+            monkeypatch.setattr(tabular, "_PERCENT_CELLS", cells)
+            monkeypatch.setattr(tabular, "_decimal_text", formatter)
+            write_csv(ds, tmp_path / "x.csv")
+            assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 # write_csv takes one of three paths per numeric column (number_path); the

@@ -438,6 +438,34 @@ def test_lowess_equals_reference_bit_for_bit(x, data, frac, iters):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    n=st.integers(3, 14),
+    data=st.data(),
+    frac=st.floats(0.05, 1.0),
+    iters=st.integers(0, 4),
+)
+def test_lowess_of_stacked_curves_equals_reference_per_curve(k, n, data, frac, iters):
+    # a constant power-of-two curve is fitted exactly, so its residual median
+    # is 0 after the first pass; it stops there, next to noisy curves that
+    # keep iterating
+    points = st.floats(0.0, 4000.0) | st.sampled_from([0.0, 1.0, 30.0, 365.0])
+    noisy = st.lists(st.floats(-20.0, 20.0) | st.just(3.0), min_size=n, max_size=n)
+    flat = st.sampled_from([0.0, 1.0, 0.5, -2.0]).map(lambda c: [c] * n)
+    x = [np.sort(data.draw(st.lists(points, min_size=n, max_size=n))) for _ in range(k + 1)]
+    y = [data.draw(noisy | flat) for _ in range(k)]
+    y.insert(data.draw(st.integers(0, k)), data.draw(flat))
+    want = [outcome(reference_lowess, xi, yi, frac=frac, iters=iters) for xi, yi in zip(x, y)]
+    got, caught = outcome(lowess, np.stack(x), np.array(y), frac=frac, iters=iters)
+    assert caught == set().union(*(kinds for _, kinds in want))
+    errors = {result for result, _ in want if isinstance(result, str)}
+    if errors:
+        assert got in errors  # a curve lowess cannot smooth fails the whole stack
+    else:
+        assert got == b"".join(result for result, _ in want)
+
+
 def reference_nss_fit(terms, rates, weights=None, tau_grid=DEFAULT_TAU_GRID, refine_rounds=2):
     """Every grid and refinement cell solved from a freshly built basis."""
     t = np.asarray(terms, dtype=np.float64)
@@ -584,15 +612,8 @@ def test_nss_fit_batches_fallback_curves_with_ordinary_ones():
     assert got[1] == ["rank-deficient term-structure basis; dropped beta3"] * 3
 
 
-def test_evaluate_fits_each_curve_length_in_one_call(tmp_path, monkeypatch):
-    calls = []
-
-    def recording_nss_fit(terms, *args, **kwargs):
-        calls.append(np.shape(terms))
-        return nss_fit(terms, *args, **kwargs)
-
-    monkeypatch.setattr(yield_curve, "nss_fit", recording_nss_fit)
-    doc = {
+def yield_term8_config(output):
+    return {
         "application": "yield",
         "strategy": "data_driven",
         "mechanism": {"name": "mst"},
@@ -600,9 +621,25 @@ def test_evaluate_fits_each_curve_length_in_one_call(tmp_path, monkeypatch):
         "input": {"datagen": {"n_deposits": 3000}},
         "rule_overrides": {"Term": {"method": "equal_frequency", "k": 8}},
         "seed": 7,
-        "output": str(tmp_path),
+        "output": str(output),
     }
-    pipeline = Pipeline(PipelineConfig.from_dict(doc))
+
+
+def test_evaluate_fits_each_curve_length_in_one_call(tmp_path, monkeypatch):
+    calls = []
+    smooth_calls = []
+
+    def recording_nss_fit(terms, *args, **kwargs):
+        calls.append(np.shape(terms))
+        return nss_fit(terms, *args, **kwargs)
+
+    def recording_lowess(x, *args, **kwargs):
+        smooth_calls.append(np.shape(x))
+        return lowess(x, *args, **kwargs)
+
+    monkeypatch.setattr(yield_curve, "nss_fit", recording_nss_fit)
+    monkeypatch.setattr(yield_curve, "lowess", recording_lowess)
+    pipeline = Pipeline(PipelineConfig.from_dict(yield_term8_config(tmp_path)))
     pipeline.run()
     term_edges = np.asarray(pipeline.encoded.codebook["Term"].edges)
     curves = build_yield_curves(pipeline.decoded, pipeline.encoded.codebook)
@@ -610,6 +647,14 @@ def test_evaluate_fits_each_curve_length_in_one_call(tmp_path, monkeypatch):
     lengths = sorted({len(curve.points) for curve in fitted.values()})
     assert len(lengths) >= 2
     assert sorted(m for _, m in calls) == lengths
+    # one lowess call per length of 3 points or more, stacking every curve
+    # of that length
+    smoothed = {key: curve for key, curve in sorted(curves.items()) if len(curve.points) >= 3}
+    by_length: dict = {}
+    for curve in smoothed.values():
+        by_length[len(curve.points)] = by_length.get(len(curve.points), 0) + 1
+    assert sorted(smooth_calls) == sorted((count, m) for m, count in by_length.items())
+    assert max(by_length.values()) >= 2
 
     report = json.loads((tmp_path / "report.json").read_text())["metrics"]["nss"]
     assert list(report) == ["|".join(key) for key in fitted]
@@ -625,6 +670,49 @@ def test_evaluate_fits_each_curve_length_in_one_call(tmp_path, monkeypatch):
         for b, term in zip(curve.terms(), terms):
             want_column[(*key, b)] = f"{nss_eval(params, term):.6f}"
     assert [row["nss_synthetic"] for row in rows] == list(want_column.values())
+    want_column = dict.fromkeys(want_column, "")
+    for key, curve in smoothed.items():
+        rates = [curve.points[b].wai for b in curve.terms()]
+        for b, value in zip(curve.terms(), reference_lowess(term_edges[curve.terms()], rates)):
+            want_column[(*key, b)] = f"{value:.6f}"
+    assert [row["lowess_synthetic"] for row in rows] == list(want_column.values())
+
+
+def test_evaluate_leaves_a_rejected_curve_unsmoothed_and_smooths_its_stack(tmp_path, monkeypatch):
+    def lowess_column(output):
+        with (output / "plot_yield_points.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        return {(row["type"], row["currency"], row["period"], row["term_bin"]): row for row in rows}
+
+    pipeline = Pipeline(PipelineConfig.from_dict(yield_term8_config(tmp_path / "all")))
+    pipeline.run()
+    curves = sorted(build_yield_curves(pipeline.decoded, pipeline.encoded.codebook).items())
+    # a curve that shares its length with other curves of 3 points or more
+    lengths = [len(curve.points) for _, curve in curves]
+    target = next(i for i, m in enumerate(lengths) if m >= 3 and lengths.count(m) >= 2)
+    check = yield_curve._check_lowess
+    seen = []
+
+    def rejecting_check(x, *args):
+        if x.ndim == 1:  # evaluate's check of one curve, in key order
+            seen.append(x)
+            if len(seen) == target + 1:
+                raise YieldError("rejected for the test")
+        return check(x, *args)
+
+    monkeypatch.setattr(yield_curve, "_check_lowess", rejecting_check)
+    Pipeline(PipelineConfig.from_dict(yield_term8_config(tmp_path / "one_rejected"))).run()
+    assert len(seen) == len(curves)
+    smoothed, rejected = lowess_column(tmp_path / "all"), lowess_column(tmp_path / "one_rejected")
+    assert list(smoothed) == list(rejected)
+    emptied = 0
+    for cell, row in smoothed.items():
+        if cell[:3] == curves[target][0] and row["wai_synthetic"]:
+            assert row["lowess_synthetic"] != "" and rejected[cell]["lowess_synthetic"] == ""
+            rejected[cell]["lowess_synthetic"] = row["lowess_synthetic"]
+            emptied += 1
+        assert rejected[cell] == row
+    assert emptied == lengths[target]
 
 
 def test_nss_fit_rejects_mismatched_shapes():
@@ -710,6 +798,14 @@ def test_build_yield_curves_equals_reference_bit_for_bit(n, data, log_flag):
     got = build_yield_curves(ds, codebook)
     want = reference_build_yield_curves(ds, codebook)
     assert repr(list(got.items())) == repr(list(want.items()))
+
+
+def test_build_yield_curves_rejects_non_positive_capital():
+    for capital in (0.0, -5.0):
+        ds = deposit_dataset([15.0, 45.0, 100.0], [2.0, 3.0, 4.0], [1e6, capital, 3e6])
+        enc = encode_dataset(ds, deposit_rules("cbp"))
+        with pytest.raises(YieldError, match="capitals must be positive"):
+            build_yield_curves(ds, enc.codebook)
 
 
 def test_build_yield_curves_rejects_numeric_group_column():

@@ -10,8 +10,8 @@ Run from anywhere, with one checkout of each revision:
 For each workload and seed it runs ``perfbench/bench.py --trace 0`` once in
 each checkout, parent first on odd seeds and change first on even ones, and
 keeps every run's last JSON line. It then adds one traced window per side
-(``--trace 1``, on the first workload) and one Tier-1 test run per side, and
-writes the revisions,
+(``--trace 1``, on the claimed workload, else the first) and one Tier-1
+test run per side, and writes the revisions,
 seeds, runs, per-metric medians, quartiles and pair wins, and, with
 ``--claim``, whether the claimed gain was met: won in at least nine tenths
 of the pairs, by a median gap larger than the parent's IQR. Metric names,
@@ -148,6 +148,11 @@ def tier1_summary(line: str, elapsed: float) -> dict:
     }
 
 
+def trace_workload(args) -> str:
+    """The workload of the traced windows: the claimed one, else the first."""
+    return args.claim.partition(":")[2] if args.claim else args.workloads[0]
+
+
 def revision(checkout: Path) -> str:
     done = subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True
@@ -205,7 +210,7 @@ def record(args) -> dict:
         doc["claim"] = {"metric": metric, "workload": workload,
                         "needs": "won in at least nine tenths of the pairs, median gap "
                         "larger than the parent's IQR", "result": claim_result(stats)}
-    traced_workload = args.workloads[0]
+    traced_workload = trace_workload(args)
     traced = {
         side: bench_run(checkouts[side], traced_workload, 1, args.trace_seconds, 1)
         for side in SIDES

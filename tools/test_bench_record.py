@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import bench_record
@@ -61,3 +63,27 @@ def test_parsing_of_seeds_runs_and_test_summaries():
         "passed": 395, "failed": 3, "wall_s": 76.0,
     }
     assert bench_record.tier1_summary("", 80.0) == {"passed": 0, "failed": 0, "wall_s": 80.0}
+
+
+def test_the_traced_windows_run_the_claimed_workload(monkeypatch):
+    root = Path(bench_record.__file__).resolve().parents[1]
+    calls = []
+
+    def fake_bench_run(checkout, workload, seed, seconds, trace):
+        calls.append((workload, trace))
+        return {"exit_code": 0, "correct": True, "metrics": {"wall_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_record, "bench_run", fake_bench_run)
+    argv = [
+        "--parent", str(root), "--change", str(root), "--out", "unused.json", "--seeds", "1",
+        "--no-tier1", "--workloads", "credit-cbp-mst", "yield-dd-pac-kde",
+    ]
+    claim = ["--claim", "wall_s:yield-dd-pac-kde"]
+    for extra, workload in (([], "credit-cbp-mst"), (claim, "yield-dd-pac-kde")):
+        calls.clear()
+        doc = bench_record.record(bench_record.parse_args(argv + extra))
+        assert doc["trace"]["workload"] == workload
+        assert [name for name, trace in calls if trace] == [workload, workload]
+        assert sorted(name for name, trace in calls if not trace) == [
+            "credit-cbp-mst", "credit-cbp-mst", "yield-dd-pac-kde", "yield-dd-pac-kde",
+        ]
