@@ -561,6 +561,7 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
     ]
     smooth: dict = {}  # key -> {term bin: LOWESS value}
     fits: dict = {}  # key -> (params, rmse), or the error text
+    fit_terms: dict = {}  # key -> the maturities the fit used
     to_smooth: dict = {}
     to_fit: dict = {}
     for key, cs in sorted(curves_s.items()):
@@ -572,14 +573,15 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
         except YieldError:
             pass  # the curve is left unsmoothed
         if len(cs.points) >= 6:
-            xs = np.maximum(xs, 1.0)
+            ts = np.maximum(xs, 1.0)
             ws = np.array([max(cs.points[b].total_capital, 1.0) for b in cs.terms()])
             try:
-                _check_curve(xs, ws)
+                _check_curve(ts, ws)
             except YieldError as exc:
                 fits[key] = str(exc)
                 continue
-            to_fit.setdefault(xs.size, []).append((key, xs, ys, ws))
+            fit_terms[key] = ts
+            to_fit.setdefault(ts.size, []).append((key, ts, ys, ws))
     for group in to_smooth.values():
         keys, xs, ys = zip(*group)
         for key, fitted in zip(keys, lowess(np.stack(xs), np.stack(ys))):
@@ -609,7 +611,7 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
                 "tau2": params.tau2,
                 "fit_rmse": fit_rmse,
             }
-            nss_values = dict(zip(cs.terms(), nss_eval(params, np.maximum(term_edges[cs.terms()], 1.0))))
+            nss_values = dict(zip(cs.terms(), nss_eval(params, fit_terms[key])))
         for b in bins:
             po = co.points.get(b) if co else None
             ps = cs.points.get(b) if cs else None

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -650,9 +651,7 @@ def test_evaluate_fits_each_curve_length_in_one_call(tmp_path, monkeypatch):
     # one lowess call per length of 3 points or more, stacking every curve
     # of that length
     smoothed = {key: curve for key, curve in sorted(curves.items()) if len(curve.points) >= 3}
-    by_length: dict = {}
-    for curve in smoothed.values():
-        by_length[len(curve.points)] = by_length.get(len(curve.points), 0) + 1
+    by_length = Counter(len(curve.points) for curve in smoothed.values())
     assert sorted(smooth_calls) == sorted((count, m) for m, count in by_length.items())
     assert max(by_length.values()) >= 2
 
@@ -679,7 +678,7 @@ def test_evaluate_fits_each_curve_length_in_one_call(tmp_path, monkeypatch):
 
 
 def test_evaluate_leaves_a_rejected_curve_unsmoothed_and_smooths_its_stack(tmp_path, monkeypatch):
-    def lowess_column(output):
+    def plot_rows(output):
         with (output / "plot_yield_points.csv").open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         return {(row["type"], row["currency"], row["period"], row["term_bin"]): row for row in rows}
@@ -703,7 +702,7 @@ def test_evaluate_leaves_a_rejected_curve_unsmoothed_and_smooths_its_stack(tmp_p
     monkeypatch.setattr(yield_curve, "_check_lowess", rejecting_check)
     Pipeline(PipelineConfig.from_dict(yield_term8_config(tmp_path / "one_rejected"))).run()
     assert len(seen) == len(curves)
-    smoothed, rejected = lowess_column(tmp_path / "all"), lowess_column(tmp_path / "one_rejected")
+    smoothed, rejected = plot_rows(tmp_path / "all"), plot_rows(tmp_path / "one_rejected")
     assert list(smoothed) == list(rejected)
     emptied = 0
     for cell, row in smoothed.items():
