@@ -103,24 +103,20 @@ def frobenius_error(a: TransitionMatrix, b: TransitionMatrix) -> FrobeniusResult
     return FrobeniusResult(value=value, excluded_rows=int((~included).sum()))
 
 
-def delinquency_rate(
-    encoded: EncodedDataset,
-    delinquency_column: str = "Delinquency2020",
-    age_column: str = "Age2020",
-    gender_column: str = "Gender",
-) -> dict:
-    """Share of cards with delinquency code > 0 per (age band, gender).
+def delinquency_rate(encoded: EncodedDataset) -> dict:
+    """Share of cards with a 2021 delinquency code > 0 (``Delinquency2021``)
+    per (``Age2020`` code, ``Gender``).
 
     Keys are ``(age_code, gender_label)`` over the full group domain;
     groups without generated rows map to None (missing, not zero).
     """
-    age_codec = encoded.codebook[age_column]
-    gender_codec = encoded.codebook[gender_column]
+    age_codec = encoded.codebook["Age2020"]
+    gender_codec = encoded.codebook["Gender"]
     if gender_codec.kind != "categorical":
-        raise CreditError(f"column '{gender_column}' must be categorical")
-    del_codes = encoded.column_codes(delinquency_column)
-    age_codes = encoded.column_codes(age_column)
-    gender_codes = encoded.column_codes(gender_column)
+        raise CreditError("column 'Gender' must be categorical")
+    del_codes = encoded.column_codes("Delinquency2021")
+    age_codes = encoded.column_codes("Age2020")
+    gender_codes = encoded.column_codes("Gender")
 
     # rows and delinquent rows of each group, (age, g) counted at age * len(labels) + g
     labels = gender_codec.labels
@@ -143,18 +139,16 @@ class Coverage:
     n_joined: int
 
 
-def active_both_filter(
-    data_2020: Dataset, data_2021: Dataset, id_column: str = "CardId"
-) -> tuple[Dataset, Coverage]:
-    """Inner join on card id; one record per card active in both years.
+def active_both_filter(data_2020: Dataset, data_2021: Dataset) -> tuple[Dataset, Coverage]:
+    """Inner join on ``CardId``; one record per card active in both years.
 
     Returns the joined microdata (Gender, Age2020, Debt2020, Debt2021,
     Delinquency2020, Delinquency2021, ordered by card id) and the count and
     debt coverage fractions relative to the 2020 portfolio. Duplicate ids
     within a year are an error.
     """
-    ids_a = data_2020.column(id_column)
-    ids_b = data_2021.column(id_column)
+    ids_a = data_2020.column("CardId")
+    ids_b = data_2021.column("CardId")
     for year, ids in (("2020", ids_a), ("2021", ids_b)):
         if np.unique(ids).size != ids.size:
             raise CreditError(f"duplicate card ids in the {year} dataset")
@@ -179,7 +173,6 @@ def active_both_filter(
             data_2020.column("Delinquency2020")[idx_a],
             data_2021.column("Delinquency2021")[idx_b],
         ],
-        provenance="active-both join",
     )
     total_debt = float(data_2020.column("Debt2020").sum())
     joined_debt = float(data_2020.column("Debt2020")[idx_a].sum())
@@ -268,8 +261,8 @@ def evaluate(original, coverage, encoded, synthetic, decoded, strategy):
                 lines.append(state + "," + ",".join(f"{v:.6f}" for v in tm.probs[i]))
             tables[f"transition_{kind}_{tag}.csv"] = lines
 
-    rates_o = delinquency_rate(encoded, delinquency_column="Delinquency2021")
-    rates_s = delinquency_rate(synthetic, delinquency_column="Delinquency2021")
+    rates_o = delinquency_rate(encoded)
+    rates_s = delinquency_rate(synthetic)
     # band names when the codes are the seven reporting bands
     named = codebook["Age2020"].domain_size == len(AGE_BAND_LABELS)
     lines = ["age_band,gender,rate_original,rate_synthetic"]

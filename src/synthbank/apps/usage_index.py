@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..binning import EncodedDataset
+from ..binning import EncodedDataset, assign_codes
 from ..population import FiPopulationConfig, generate_fi_population
 from ..presets import AGE_BAND_LABELS, CBP_AGE_CUTOFFS, fi_rules
 from ..tabular import Dataset, TabularError, load_schema, read_csv
@@ -79,7 +79,6 @@ class UsageComponent:
 
     weights: tuple[float, float, float]
     values: dict
-    variant: str
     recon_error: float
 
     def __post_init__(self) -> None:
@@ -91,26 +90,14 @@ class UsageComponent:
                 raise UsageError(f"component for {key} outside [0, 1]: {value}")
 
 
-def _age_band(ages: np.ndarray, cutoffs) -> np.ndarray:
-    cut = np.asarray(cutoffs)
-    return np.minimum(np.searchsorted(cut, ages, side="right"), len(cut) - 1)
+def build_usage_indicators(data: Dataset, unbanked: dict) -> list[UsageIndicators]:
+    """Penetration indicators per (period, age band, gender) cell, from
+    microdata plus unbanked counts.
 
-
-def build_usage_indicators(
-    data: Dataset,
-    unbanked: dict,
-    age_cutoffs=CBP_AGE_CUTOFFS,
-    granularity: str = "cell",
-) -> list[UsageIndicators]:
-    """Per-group penetration indicators from microdata plus unbanked counts.
-
-    ``unbanked`` maps ``(period, age_band_label, gender)`` to counts.
-    ``granularity``: "cell" keys groups by (period, age band, gender),
-    "period" aggregates to (period,), "overall" to the whole population.
-    Groups with zero total population are an error.
+    ``unbanked`` maps ``(period, age_band_label, gender)`` to counts. Ages
+    fall into the bands of ``CBP_AGE_CUTOFFS``. Cells with zero total
+    population are an error.
     """
-    if granularity not in ("cell", "period", "overall"):
-        raise UsageError(f"unknown granularity '{granularity}'")
     for name in ("Period", "Age", "Gender", *INDICATOR_COLUMNS):
         if name not in data.column_names:
             raise UsageError(f"required feature '{name}' missing from dataset")
@@ -120,17 +107,10 @@ def build_usage_indicators(
             raise TabularError(f"column '{name}' is numeric, has no labels")
     periods = data.spec("Period").levels
     genders = data.spec("Gender").levels
-    bands = _age_band(data.column("Age"), age_cutoffs)
-
-    def cell_to_group(cell_key):
-        if granularity == "cell":
-            return cell_key
-        if granularity == "period":
-            return (cell_key[0],)
-        return ()
+    bands = assign_codes(data.column("Age"), (0.0, *CBP_AGE_CUTOFFS))
 
     # rows, and rows with each indicator, per (period, age band, gender) cell
-    n_bands, n_genders = len(age_cutoffs), len(genders)
+    n_bands, n_genders = len(CBP_AGE_CUTOFFS), len(genders)
     cell = (data.column("Period") * n_bands + bands) * n_genders + data.column("Gender")
     n_cells = len(periods) * n_bands * n_genders
     flagged = [cell[data.column(name) > 0] for name in INDICATOR_COLUMNS]
@@ -139,14 +119,13 @@ def build_usage_indicators(
     for index in np.flatnonzero(counts[:, 0]).tolist():
         period, rest = divmod(index, n_bands * n_genders)
         band, gender = divmod(rest, n_genders)
-        group = cell_to_group((periods[period], AGE_BAND_LABELS[band], genders[gender]))
-        banked[group] = banked.get(group, 0) + counts[index]
+        banked[(periods[period], AGE_BAND_LABELS[band], genders[gender])] = counts[index]
 
     extra: dict[tuple, float] = {}
     for cell_key, count in unbanked.items():
         if count < 0:
             raise UsageError(f"unbanked count for {cell_key} is negative")
-        group = cell_to_group(tuple(cell_key))
+        group = tuple(cell_key)
         extra[group] = extra.get(group, 0.0) + count
 
     out = []
@@ -184,14 +163,15 @@ def _leading_eigenvector(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return v, float(v @ matrix @ v)
 
 
-def pca_usage_component(indicators, variant: str = "original") -> UsageComponent:
+def pca_usage_component(indicators) -> UsageComponent:
     """First-principal-component weights over standardized indicators.
 
     Loadings are sign-fixed so the largest-magnitude loading is positive,
     clipped to non-negative (degenerate anticorrelation warns), and
     normalized to sum to one. The component applies the weights to the raw
     indicators, so it stays inside [0, 1]. Zero-variance indicators receive
-    their equal share of the weight with a warning.
+    their equal share of the weight with a warning. The component's values
+    are keyed by the indicators' keys.
     """
     indicators = list(indicators)
     if len(indicators) < 3:
@@ -229,9 +209,7 @@ def pca_usage_component(indicators, variant: str = "original") -> UsageComponent
         recon_error = float(max(0.0, 1.0 - lam / np.trace(corr))) if live.size else 0.0
 
     values = {ind.key: float(weights @ ind.vector) for ind in indicators}
-    return UsageComponent(
-        weights=tuple(weights), values=values, variant=variant, recon_error=recon_error
-    )
+    return UsageComponent(weights=tuple(weights), values=values, recon_error=recon_error)
 
 
 @dataclass(frozen=True)
@@ -257,14 +235,15 @@ def tau_metric(component_s: UsageComponent, component_o: UsageComponent) -> TauR
     return TauReport(per_group=per_group, overall=overall)
 
 
-def usage_levels(encoded: EncodedDataset, columns=INDICATOR_COLUMNS) -> dict:
-    """Population share per (indicator, low/medium/high) level.
+def usage_levels(encoded: EncodedDataset) -> dict:
+    """Population share per (indicator, low/medium/high) level, for each of
+    ``INDICATOR_COLUMNS``.
 
     Levels split each indicator's code domain into contiguous thirds;
     shares per indicator sum to one.
     """
     out = {}
-    for name in columns:
+    for name in INDICATOR_COLUMNS:
         codec = encoded.codebook[name]
         dom = codec.domain_size
         if dom < 3:
@@ -335,10 +314,10 @@ def evaluate(original, unbanked, encoded, synthetic, decoded, strategy):
     synthetic data over their shared groups, plus, for data-driven bins,
     the usage-level shares of the codes. Without synthetic rows there is no
     synthetic component, and the tau and the synthetic weights are None."""
-    comp_o = pca_usage_component(build_usage_indicators(original, unbanked), variant="original")
+    comp_o = pca_usage_component(build_usage_indicators(original, unbanked))
     comp_s = tau = None
     if decoded.n_records:
-        comp_s = pca_usage_component(build_usage_indicators(decoded, unbanked), variant="synthetic")
+        comp_s = pca_usage_component(build_usage_indicators(decoded, unbanked))
     shared = sorted(set(comp_o.values) & set(comp_s.values if comp_s else ()))
     if comp_s:
         tau = tau_metric(

@@ -56,9 +56,7 @@ class YieldCurve:
     are simply absent (missing, not zero).
     """
 
-    key: tuple
     points: dict
-    n_term_bins: int
 
     def terms(self) -> list[int]:
         return sorted(self.points)
@@ -75,28 +73,19 @@ def weighted_avg_rate(capitals, rates) -> float:
     return float(np.sum(capitals * rates) / np.sum(capitals))
 
 
-def build_yield_curves(
-    data: Dataset,
-    codebook: Codebook,
-    *,
-    type_column: str = "typeFI",
-    period_column: str = "Period",
-    currency_column: str = "Currency",
-    capital_column: str = "Capital",
-    term_column: str = "Term",
-    rate_column: str = "InterestRate",
-) -> dict:
-    """Curves keyed by (type, currency, period), term-binned via the codebook.
+def build_yield_curves(data: Dataset, codebook: Codebook) -> dict:
+    """Curves keyed by (typeFI, Currency, Period), with ``Term`` binned by
+    the codebook's ``Term`` codec.
 
-    ``data`` holds numeric capital/term/rate cells: the original microdata,
-    or synthetic microdata after decoding (the release pipeline decodes
-    with the left bin edge). Total capital is conserved across bins.
+    ``data`` holds numeric Capital/Term/InterestRate cells: the original
+    microdata, or synthetic microdata after decoding (the release pipeline
+    decodes with the left bin edge). Total capital is conserved across bins.
     """
-    for name in (type_column, period_column, currency_column, capital_column, term_column, rate_column):
+    for name in ("typeFI", "Period", "Currency", "Capital", "Term", "InterestRate"):
         if name not in data.column_names:
             raise YieldError(f"required feature '{name}' missing from dataset")
-    term_codec = codebook[term_column]
-    terms = data.column(term_column)
+    term_codec = codebook["Term"]
+    terms = data.column("Term")
     if term_codec.log_flag:
         terms = np.log(terms)
     term_codes = assign_codes(terms, term_codec.edges)
@@ -107,7 +96,7 @@ def build_yield_curves(
     # out in sorted label order and keep their rows in data order
     key = np.zeros(data.n_records, dtype=np.int64)
     group_labels = []
-    for name in (type_column, currency_column, period_column):
+    for name in ("typeFI", "Currency", "Period"):
         levels = data.spec(name).levels
         if not levels:
             raise YieldError(f"feature '{name}' must be categorical")
@@ -119,10 +108,10 @@ def build_yield_curves(
     key = key * n_bins + term_codes
     order = np.argsort(key, kind="stable")
     key = key[order]
-    capital = data.column(capital_column)[order]
+    capital = data.column("Capital")[order]
     if np.any(capital <= 0):
         raise YieldError("capitals must be positive")
-    weighted = capital * data.column(rate_column)[order]
+    weighted = capital * data.column("InterestRate")[order]
 
     types, currencies, periods = group_labels
     points_by_group: dict[tuple, dict] = {}
@@ -136,10 +125,7 @@ def build_yield_curves(
         points[code] = YieldPoint(
             wai=float(np.sum(weighted[start:stop]) / total), total_capital=float(total), count=stop - start
         )
-    return {
-        group_key: YieldCurve(key=group_key, points=points, n_term_bins=n_bins)
-        for group_key, points in points_by_group.items()
-    }
+    return {group_key: YieldCurve(points) for group_key, points in points_by_group.items()}
 
 
 @dataclass(frozen=True)
@@ -149,7 +135,6 @@ class YieldRmseReport:
     per_period: dict
     maximum: float
     excluded_bins: dict
-    field: str
 
 
 def yield_rmse(per_period_s: dict, per_period_o: dict, field: str = "wai") -> YieldRmseReport:
@@ -179,10 +164,7 @@ def yield_rmse(per_period_s: dict, per_period_o: dict, field: str = "wai") -> Yi
         diffs = [getattr(cs.points[b], field) - getattr(co.points[b], field) for b in common]
         per_period[period] = float(np.sqrt(np.mean(np.square(diffs))))
     return YieldRmseReport(
-        per_period=per_period,
-        maximum=max(per_period.values()),
-        excluded_bins=excluded,
-        field=field,
+        per_period=per_period, maximum=max(per_period.values()), excluded_bins=excluded
     )
 
 

@@ -22,9 +22,9 @@ from itertools import islice
 
 import numpy as np
 
+from . import tabular
 from .checks import is_bool, is_int, is_real, reject_bools
 from .tabular import (
-    CHUNK_ROWS,
     Dataset,
     TabularError,
     cell_blocks,
@@ -224,7 +224,7 @@ class Codebook:
 class EncodedDataset:
     """All-categorical code matrix plus the codebook that decodes it."""
 
-    def __init__(self, codes, codebook: Codebook, provenance: str = ""):
+    def __init__(self, codes, codebook: Codebook):
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim != 2:
             codes = codes.reshape(len(codes), len(codebook)) if codes.size else codes.reshape(0, len(codebook))
@@ -243,7 +243,6 @@ class EncodedDataset:
         codes.setflags(write=False)
         self.codes = codes
         self.codebook = codebook
-        self.provenance = provenance
 
     @property
     def n_records(self) -> int:
@@ -528,7 +527,7 @@ def encode_dataset(dataset: Dataset, rules: dict) -> EncodedDataset:
         if code_columns and len(code_columns[0])
         else np.zeros((0, len(codecs)), dtype=np.int64)
     )
-    return EncodedDataset(codes, Codebook(codecs), provenance=dataset.provenance)
+    return EncodedDataset(codes, Codebook(codecs))
 
 
 def write_encoded_csv(encoded: EncodedDataset, path) -> None:
@@ -549,7 +548,7 @@ def write_encoded_csv(encoded: EncodedDataset, path) -> None:
     csv.writer(header, lineterminator="\n").writerow(encoded.codebook.names)
     with open(path, "wb") as fh:
         fh.write(header.getvalue().encode("utf-8"))
-        write_rows(fh, tables, list(codes.T), CHUNK_ROWS)
+        write_rows(fh, tables, list(codes.T), tabular.CHUNK_ROWS)
 
 
 def read_encoded_csv(path, codebook: Codebook) -> EncodedDataset:
@@ -559,41 +558,42 @@ def read_encoded_csv(path, codebook: Codebook) -> EncodedDataset:
     1-based from the line after the header, blank lines included; a missing
     file is a :class:`TabularError`.
 
-    The file is read as bytes and converted in numpy, ``8 * CHUNK_ROWS``
-    lines at a time (:func:`synthbank.tabular.cell_blocks`): a code of 1 to
-    18 ASCII digits is the sum of its digits times their place values,
-    counted from its end (:func:`synthbank.tabular.digit_sum`), an integer
-    below ``10**18`` that int64 holds exactly. The text reader, which
-    converts stripped lines ``CHUNK_ROWS`` at a time with one integer
-    conversion per chunk, reads the whole file instead when it is not
-    UTF-8, its header line holds a CR that does not end it in CRLF, or a
-    block holds a line end other than the header's (LF or CRLF), a blank
-    line, a row without ``len(codebook) - 1`` commas, or a cell that is not
-    1 to 18 digits. It returns the same codes, or raises the error.
+    The file is read as bytes and converted in numpy,
+    ``8 * tabular.CHUNK_ROWS`` lines at a time
+    (:func:`synthbank.tabular.cell_blocks`): a code of 1 to 18 ASCII digits
+    is the sum of its digits times their place values, counted from its end
+    (:func:`synthbank.tabular.digit_sum`), an integer below ``10**18`` that
+    int64 holds exactly. The text reader, which converts stripped lines
+    ``tabular.CHUNK_ROWS`` at a time with one integer conversion per chunk,
+    reads the whole file instead when it is not UTF-8, its header line
+    holds a CR that does not end it in CRLF, or a block holds a line end
+    other than the header's (LF or CRLF), a blank line, a row without
+    ``len(codebook) - 1`` commas, or a cell that is not 1 to 18 digits. It
+    returns the same codes, or raises the error.
     """
     n_cells = len(codebook)
     data = read_bytes(path)
     head = split_header(data) if n_cells else None
     if head is None:
-        return EncodedDataset(_read_code_text(path, data, codebook), codebook, provenance=str(path))
+        return EncodedDataset(_read_code_text(path, data, codebook), codebook)
     line, body, crlf = head
     check_header(path, _header_cells(line), codebook.names)
     codes = np.empty((count_lines(data, body), n_cells), dtype=np.int64)
-    for first, block, edges in cell_blocks(data, body, crlf, n_cells, 8 * CHUNK_ROWS):
+    for first, block, edges in cell_blocks(data, body, crlf, n_cells, 8 * tabular.CHUNK_ROWS):
         if block is None or not _block_codes(block, edges, codes[first:]):
             codes = _read_code_text(path, data, codebook)
             break
-    return EncodedDataset(codes, codebook, provenance=str(path))
+    return EncodedDataset(codes, codebook)
 
 
 def _read_code_text(path, data, codebook) -> np.ndarray:
-    """The code matrix of the file ``data``, read as text ``CHUNK_ROWS`` lines at a time."""
+    """The code matrix of the file ``data``, read as text ``tabular.CHUNK_ROWS`` lines at a time."""
     n_cells = len(codebook)
     chunks = [np.zeros((0, n_cells), dtype=np.int64)]
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         check_header(path, _header_cells(fh.readline()), codebook.names)
         first_row = 1
-        while lines := list(map(str.strip, islice(fh, CHUNK_ROWS))):
+        while lines := list(map(str.strip, islice(fh, tabular.CHUNK_ROWS))):
             chunks.append(_parse_code_lines(lines, n_cells, path, first_row))
             first_row += len(lines)
     return np.concatenate(chunks)

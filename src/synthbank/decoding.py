@@ -301,4 +301,4 @@ def decode_dataset(
                     rng,
                 )
             )
-    return Dataset(decoded_schema(encoded.codebook), columns, provenance=encoded.provenance)
+    return Dataset(decoded_schema(encoded.codebook), columns)

@@ -46,6 +46,8 @@ from .privacy import PrivacyParams, add_gaussian_noise, gaussian_sigma, split_bu
 
 __all__ = [
     "MECHANISMS",
+    "SELECTION_FRACTION",
+    "ROUNDS",
     "MechanismError",
     "TreeModel",
     "PacConfig",
@@ -65,6 +67,10 @@ __all__ = [
 ]
 
 MECHANISMS = ("mst", "aim", "pac")
+#: the default share of the budget spent on selection (MST and AIM)
+SELECTION_FRACTION = 1.0 / 3.0
+#: the default number of AIM rounds
+ROUNDS = 10
 
 
 class MechanismError(ValueError):
@@ -338,7 +344,7 @@ def fit_mst_model(
     data: EncodedDataset,
     params: PrivacyParams | None,
     rng: np.random.Generator,
-    selection_fraction: float = 1.0 / 3.0,
+    selection_fraction: float = SELECTION_FRACTION,
 ) -> TreeModel:
     """Select a maximum spanning tree and measure its marginals.
 
@@ -418,7 +424,7 @@ def fit_aim_model(
     params: PrivacyParams | None,
     rounds: int,
     rng: np.random.Generator,
-    selection_fraction: float = 1.0 / 3.0,
+    selection_fraction: float = SELECTION_FRACTION,
 ) -> TreeModel:
     """Workload-aware greedy measurement loop (AIM-lite).
 
@@ -568,7 +574,8 @@ def pac_aggregate(
     extracted with each record contributing to at most ``delta_k``
     attribute subsets per level; Gaussian noise with cell scale
     ``pac_sigma * sqrt(delta_k)`` is added to every candidate; candidates
-    below the level threshold are suppressed.
+    below the level threshold are suppressed. A level with no candidate
+    has threshold ``inf``, all-zero weights, and draws nothing from ``rng``.
 
     A record contributes to the ``delta_k`` subsets with the smallest of
     its uniform draws, found by sorting each record's draws; a record with
@@ -615,24 +622,17 @@ def pac_aggregate(
             if length > 1:
                 for drop in range(length):
                     sub = attrs[:drop] + attrs[drop + 1 :]
-                    surv = prev_masks.get(sub)
-                    if surv is None or not surv.any():
+                    surv = prev_masks[sub]
+                    if not surv.any():
                         mask[:] = False
                         break
                     mask &= np.expand_dims(surv, axis=drop)
             cand_masks[attrs] = mask
             total_candidates += int(mask.sum())
 
-        if total_candidates == 0:
-            levels.append(PacLevel(length, sigma, math.inf, 0, 0,
-                                   {attrs: np.zeros(tables[attrs].shape) for attrs in subsets}))
-            prev_masks = {attrs: cand_masks[attrs] for attrs in subsets}
-            s_prev = 0
-            continue
-
-        rho = pac_threshold(config, sigma, s_prev, total_candidates)
+        # with no candidate, no cell is noised and none survives
+        rho = pac_threshold(config, sigma, s_prev, total_candidates) if total_candidates else math.inf
         weights = {}
-        kept_masks = {}
         n_survivors = 0
         for attrs in subsets:
             mask = cand_masks[attrs]
@@ -645,12 +645,11 @@ def pac_aggregate(
             warr = np.zeros(counts.size)
             warr[idx[keep]] = noisy[keep]
             weights[attrs] = warr.reshape(counts.shape)
-            kept = np.zeros(counts.size, dtype=bool)
-            kept[idx[keep]] = True
-            kept_masks[attrs] = kept.reshape(counts.shape)
             n_survivors += int(keep.sum())
         levels.append(PacLevel(length, sigma, rho, total_candidates, n_survivors, weights))
-        prev_masks = kept_masks
+        # every kept noisy count is above 0, so the survivors are the
+        # positive weights
+        prev_masks = {attrs: table > 0 for attrs, table in weights.items()}
         s_prev = n_survivors
     return levels
 
@@ -730,7 +729,7 @@ def pac_synthesize(
         prefix = {b: values[parent] for b, values in prefix.items()}
         prefix[a] = code
         n_groups = len(code)
-    return EncodedDataset(out, data.codebook, provenance="pac")
+    return EncodedDataset(out, data.codebook)
 
 
 def uniform_synthesize(codebook: Codebook, n_out: int, rng: np.random.Generator) -> EncodedDataset:
@@ -738,7 +737,7 @@ def uniform_synthesize(codebook: Codebook, n_out: int, rng: np.random.Generator)
     codes = np.column_stack(
         [rng.integers(0, codec.domain_size, size=n_out) for codec in codebook]
     ) if len(codebook) else np.zeros((n_out, 0), dtype=np.int64)
-    return EncodedDataset(codes.astype(np.int64), codebook, provenance="uniform")
+    return EncodedDataset(codes.astype(np.int64), codebook)
 
 
 def run_mechanism(
@@ -748,8 +747,8 @@ def run_mechanism(
     n_out: int,
     rng: np.random.Generator,
     *,
-    selection_fraction: float = 1.0 / 3.0,
-    rounds: int = 10,
+    selection_fraction: float = SELECTION_FRACTION,
+    rounds: int = ROUNDS,
     workload=(),
     pac: PacConfig = PacConfig(),
 ) -> tuple[EncodedDataset, float, dict]:
@@ -781,6 +780,6 @@ def run_mechanism(
             for item in model.measured
         ],
     }
-    synthetic = EncodedDataset(model.sample(n_out, rng), data.codebook, mechanism)
+    synthetic = EncodedDataset(model.sample(n_out, rng), data.codebook)
     return synthetic, model.measured[0]["sigma"], details
 

@@ -38,6 +38,8 @@ from .checks import is_int, is_real
 from .decoding import DECODE_MODES, KdeSpec, decode_dataset
 from .mechanisms import (
     MECHANISMS,
+    ROUNDS,
+    SELECTION_FRACTION,
     MechanismError,
     PacConfig,
     parse_workload,
@@ -138,8 +140,8 @@ class PipelineConfig:
     seed: int = 1
     epsilon: float | None = 1.0
     delta: float | None = 1e-10
-    selection_fraction: float = 1.0 / 3.0
-    rounds: int = 10
+    selection_fraction: float = SELECTION_FRACTION
+    rounds: int = ROUNDS
     workload: list | None = None
     pac: PacConfig = field(default_factory=PacConfig)
     decode_mode: str = "left_edge"

@@ -338,7 +338,6 @@ def generate_fi_population(
             np.asarray(nzs, dtype=np.float64),
             np.asarray(savings, dtype=np.float64),
         ],
-        provenance="datagen:fi",
     )
     return dataset, unbanked
 
@@ -392,11 +391,7 @@ def generate_term_deposits(config: DepositMarketConfig, rng: np.random.Generator
         ColumnSpec("Term", NUMERIC, units="days"),
         ColumnSpec("InterestRate", NUMERIC, units="% p.a."),
     )
-    return Dataset(
-        schema,
-        [type_col, period_col, currency_col, capital, terms, rates],
-        provenance="datagen:deposits",
-    )
+    return Dataset(schema, [type_col, period_col, currency_col, capital, terms, rates])
 
 
 def _delinquency_days(bands: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -479,9 +474,7 @@ def generate_credit_cards(
         ColumnSpec("Delinquency2020", NUMERIC, units="days"),
     )
     data_2020 = Dataset(
-        schema_2020,
-        [np.arange(n, dtype=np.float64), gender_col, ages, debt_2020, del_2020],
-        provenance="datagen:cards2020",
+        schema_2020, [np.arange(n, dtype=np.float64), gender_col, ages, debt_2020, del_2020]
     )
 
     keep = np.flatnonzero(survivors)
@@ -493,5 +486,5 @@ def generate_credit_cards(
         ColumnSpec("Debt2021", NUMERIC, units="PYG"),
         ColumnSpec("Delinquency2021", NUMERIC, units="days"),
     )
-    data_2021 = Dataset(schema_2021, [ids_2021, debt_col, del_col], provenance="datagen:cards2021")
+    data_2021 = Dataset(schema_2021, [ids_2021, debt_col, del_col])
     return data_2020, data_2021

@@ -140,7 +140,7 @@ class Dataset:
     so no out-of-range index or non-finite numeric value survives it.
     """
 
-    def __init__(self, schema, columns, provenance: str = ""):
+    def __init__(self, schema, columns):
         schema = tuple(schema)
         if len(schema) != len(columns):
             raise TabularError(
@@ -188,7 +188,6 @@ class Dataset:
         self._schema = schema
         self._columns = tuple(stored)
         self._index = {spec.name: i for i, spec in enumerate(schema)}
-        self.provenance = provenance
 
     @property
     def schema(self) -> tuple[ColumnSpec, ...]:
@@ -273,7 +272,7 @@ def read_csv(path, schema) -> Dataset:
         if reader.line_num > 1 or data.find(b'"', body) >= 0:
             head = None
     if head is None:
-        return Dataset(schema, _read_text(path, data, schema), provenance=str(path))
+        return Dataset(schema, _read_text(path, data, schema))
     check_header(path, header, [spec.name for spec in schema])
     levels = [_level_index(spec.levels) if spec.is_categorical else None for spec in schema]
     # room before each block for the widest label's window
@@ -284,7 +283,7 @@ def read_csv(path, schema) -> Dataset:
         if block is None or not _convert_block(block, edges, levels, [c[first:] for c in columns]):
             columns = _read_text(path, data, schema)
             break
-    return Dataset(schema, columns, provenance=str(path))
+    return Dataset(schema, columns)
 
 
 def read_bytes(path) -> bytes:

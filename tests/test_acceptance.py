@@ -197,8 +197,8 @@ def test_criterion_3_noiseless_pipeline():
         fi_encoded, "mst", None, fi_encoded.n_records, np.random.default_rng(104)
     )
     fi_decoded = decode_dataset(fi_synth, mode="left_edge")
-    comp_o = pca_usage_component(build_usage_indicators(fi_data, unbanked), "original")
-    comp_s = pca_usage_component(build_usage_indicators(fi_decoded, unbanked), "synthetic")
+    comp_o = pca_usage_component(build_usage_indicators(fi_data, unbanked))
+    comp_s = pca_usage_component(build_usage_indicators(fi_decoded, unbanked))
     tau = tau_metric(comp_s, comp_o)
     assert tau.overall < 0.02, f"noiseless FI tau {tau.overall}"
 

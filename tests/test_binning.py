@@ -517,13 +517,13 @@ def _encoded_file(tmp_path, body):
 
 
 def test_encoded_csv_skips_blank_lines(tmp_path, monkeypatch):
-    monkeypatch.setattr("synthbank.binning.CHUNK_ROWS", 2)
+    monkeypatch.setattr("synthbank.tabular.CHUNK_ROWS", 2)
     path, codebook = _encoded_file(tmp_path, "0,1\n\n  \n2,2\n\n")
     assert read_encoded_csv(path, codebook).codes.tolist() == [[0, 1], [2, 2]]
 
 
 def test_encoded_csv_ragged_row_names_file_and_row(tmp_path, monkeypatch):
-    monkeypatch.setattr("synthbank.binning.CHUNK_ROWS", 2)
+    monkeypatch.setattr("synthbank.tabular.CHUNK_ROWS", 2)
     # row numbers count blank lines and run on across chunks
     path, codebook = _encoded_file(tmp_path, "0,1\n\n1,1\n2,0,1\n")
     with pytest.raises(TabularError) as info:

@@ -135,16 +135,16 @@ def test_frobenius_state_mismatch():
 
 def test_delinquency_rate_all_current():
     codes = np.column_stack([np.zeros(60, int), np.tile([0, 1, 2], 20), np.tile([0, 1], 30)])
-    enc = make_encoded(codes, (6, 3, 2), names=["Delinquency2020", "Age2020", "Gender"])
-    rates = delinquency_rate(enc, age_column="Age2020", gender_column="Gender")
+    enc = make_encoded(codes, (6, 3, 2), names=["Delinquency2021", "Age2020", "Gender"])
+    rates = delinquency_rate(enc)
     for value in rates.values():
         assert value == 0.0
 
 
 def test_delinquency_rate_missing_groups_and_bounds():
     codes = np.array([[1, 0, 0], [0, 0, 0], [3, 0, 1]])
-    enc = make_encoded(codes, (6, 3, 2), names=["Delinquency2020", "Age2020", "Gender"])
-    rates = delinquency_rate(enc, age_column="Age2020", gender_column="Gender")
+    enc = make_encoded(codes, (6, 3, 2), names=["Delinquency2021", "Age2020", "Gender"])
+    rates = delinquency_rate(enc)
     assert rates[(1, "v0")] is None  # no generated data for this level
     assert rates[(0, "v0")] == pytest.approx(0.5)
     for value in rates.values():
@@ -188,7 +188,7 @@ def rate_dataset_strategy(draw):
 @given(rate_dataset_strategy())
 @example(make_encoded(np.zeros((0, 3), dtype=np.int64), (6, 7, 2), names=RATE_COLUMNS))
 def test_delinquency_rate_matches_per_group_reference(encoded):
-    rates = delinquency_rate(encoded, *RATE_COLUMNS)
+    rates = delinquency_rate(encoded)
     expected = reference_delinquency_rate(encoded, *RATE_COLUMNS)
     assert list(rates) == list(expected)
     for key, rate in rates.items():

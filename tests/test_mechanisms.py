@@ -896,6 +896,21 @@ def test_pac_raises_when_a_column_keeps_no_value():
     assert rng.bit_generator.state == after.bit_generator.state
 
 
+def test_pac_level_without_candidates_has_no_threshold_and_no_weights():
+    # no one-way value of two records survives at epsilon = 1, so the pair
+    # level has no candidate: no cell is noised and none survives
+    data = make_encoded([[0, 1], [1, 0]], (2, 2))
+    config, params = PacConfig(k=2), PrivacyParams(1.0, 1e-10)
+    rng, ref_rng = np.random.default_rng(19), np.random.default_rng(19)
+    levels = pac_aggregate(data, config, params, rng)
+    assert (levels[0].n_candidates, levels[0].n_survivors) == (4, 0)
+    pair = levels[1]
+    assert (pair.rho, pair.n_candidates, pair.n_survivors) == (math.inf, 0, 0)
+    assert list(pair.weights) == [(0, 1)] and not pair.weights[(0, 1)].any()
+    assert_same_levels(levels, reference_pac_aggregate(data, config, params, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_pac_rejects_the_suppressed_code():
     # the code one past the domain, once PAC's suppressed code, cannot reach
     # pac_aggregate: the encoded dataset refuses it

@@ -341,7 +341,7 @@ def reference_read_csv(path, schema):
         np.asarray(col, dtype=np.int64 if spec.is_categorical else np.float64)
         for spec, col in zip(schema, cells)
     ]
-    return Dataset(schema, columns, provenance=str(path))
+    return Dataset(schema, columns)
 
 
 EDGE_FLOATS = (
@@ -670,7 +670,7 @@ def encoded_strategy(draw):
 def test_write_encoded_csv_bytes_match_per_cell_reference(tmp_path_factory, encoded, chunk_rows):
     out = tmp_path_factory.mktemp("encoded")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("synthbank.binning.CHUNK_ROWS", chunk_rows)
+        patch.setattr(tabular, "CHUNK_ROWS", chunk_rows)
         write_encoded_csv(encoded, out / "columnar.csv")
     reference_write_encoded_csv(encoded, out / "reference.csv")
     assert (out / "columnar.csv").read_bytes() == (out / "reference.csv").read_bytes()
@@ -805,7 +805,6 @@ def test_written_files_are_read_without_the_text_readers(tmp_path, monkeypatch):
     monkeypatch.setattr(tabular, "_read_text", no_text_reader)
     monkeypatch.setattr(binning, "_parse_code_lines", no_text_reader)
     monkeypatch.setattr(tabular, "CHUNK_ROWS", 2)
-    monkeypatch.setattr(binning, "CHUNK_ROWS", 2)
     # a comma in a column name makes the writer quote the header
     for name in ("value", "Branch, city"):
         dataset = Dataset(
@@ -921,10 +920,10 @@ def reference_read_encoded_csv(path, codebook):
             )
         chunks = [np.zeros((0, n_cells), dtype=np.int64)]
         first_row = 1
-        while lines := list(map(str.strip, islice(fh, binning.CHUNK_ROWS))):
+        while lines := list(map(str.strip, islice(fh, tabular.CHUNK_ROWS))):
             chunks.append(_reference_code_lines(lines, n_cells, path, first_row))
             first_row += len(lines)
-    return EncodedDataset(np.concatenate(chunks), codebook, provenance=str(path))
+    return EncodedDataset(np.concatenate(chunks), codebook)
 
 
 def _reference_code_lines(lines, n_cells, path, first_row):
@@ -1013,6 +1012,6 @@ def test_read_encoded_csv_matches_line_reference(tmp_path_factory, drawn, chunk_
     path = tmp_path_factory.mktemp("codes") / "c.csv"
     path.write_bytes(body.encode("utf-8"))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(binning, "CHUNK_ROWS", chunk_rows)
+        patch.setattr(tabular, "CHUNK_ROWS", chunk_rows)
         expected = _encoded_outcome(reference_read_encoded_csv, path, codebook)
         assert _encoded_outcome(read_encoded_csv, path, codebook) == expected

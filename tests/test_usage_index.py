@@ -74,16 +74,19 @@ def test_zero_population_group_errors():
 def test_planted_rates_recovered():
     config = FiPopulationConfig(n_individuals=100_000, periods=("2020",))
     ds, unbanked = generate_fi_population(config, np.random.default_rng(3))
-    # aggregate indicators land within 0.01 of the planted values
-    (agg,) = build_usage_indicators(ds, unbanked, granularity="overall")
+    # population-wide indicators land within 0.01 of the planted values
+    population = ds.n_records + sum(unbanked.values())
+    alpha, beta, gamma = (
+        np.count_nonzero(ds.column(name) > 0) / population for name in ("nFI", "nSavings", "nLoans")
+    )
     shares = np.asarray(config.band_shares)
     banked = np.asarray(config.banked_rate)
     alpha_expect = float((shares * banked).sum())
     beta_expect = float((shares * banked * np.asarray(config.savings_rate)).sum())
     gamma_expect = float((shares * banked * np.asarray(config.loan_rate)).sum())
-    assert abs(agg.alpha - alpha_expect) < 0.01
-    assert abs(agg.beta - beta_expect) < 0.01
-    assert abs(agg.gamma - gamma_expect) < 0.01
+    assert abs(alpha - alpha_expect) < 0.01
+    assert abs(beta - beta_expect) < 0.01
+    assert abs(gamma - gamma_expect) < 0.01
     # per-cell alpha within a 3-sigma binomial interval of its planted rate
     for ind in build_usage_indicators(ds, unbanked):
         band = AGE_BAND_LABELS.index(ind.key[1])
@@ -185,13 +188,11 @@ def test_tau_identity_and_hand_case():
     comp_o = UsageComponent(
         weights=(1 / 3, 1 / 3, 1 / 3),
         values={("p1", "b", "M"): 0.4, ("p2", "b", "M"): 0.75},
-        variant="original",
         recon_error=0.0,
     )
     comp_same = UsageComponent(
         weights=(1 / 3, 1 / 3, 1 / 3),
         values=dict(comp_o.values),
-        variant="synthetic",
         recon_error=0.0,
     )
     assert tau_metric(comp_same, comp_o).overall == 0.0
@@ -199,7 +200,6 @@ def test_tau_identity_and_hand_case():
     comp_s = UsageComponent(
         weights=(1 / 3, 1 / 3, 1 / 3),
         values={("p1", "b", "M"): 0.5, ("p2", "b", "M"): 0.7},
-        variant="synthetic",
         recon_error=0.0,
     )
     report = tau_metric(comp_s, comp_o)
@@ -214,8 +214,8 @@ def test_tau_identity_and_hand_case():
 def test_tau_key_mismatch():
     from synthbank.apps.usage_index import UsageComponent
 
-    a = UsageComponent((1 / 3, 1 / 3, 1 / 3), {("p", "b", "M"): 0.5}, "s", 0.0)
-    b = UsageComponent((1 / 3, 1 / 3, 1 / 3), {("p", "b", "F"): 0.5}, "o", 0.0)
+    a = UsageComponent((1 / 3, 1 / 3, 1 / 3), {("p", "b", "M"): 0.5}, 0.0)
+    b = UsageComponent((1 / 3, 1 / 3, 1 / 3), {("p", "b", "F"): 0.5}, 0.0)
     with pytest.raises(UsageError, match="keys do not match"):
         tau_metric(a, b)
 
@@ -266,7 +266,7 @@ def test_component_monotone_in_raw_indicators():
     low = float(np.dot(weights, (0.2, 0.4, 0.1)))
     high = float(np.dot(weights, (0.3, 0.4, 0.1)))
     assert high > low
-    comp = UsageComponent(weights, {("g",): low}, "o", 0.0)
+    comp = UsageComponent(weights, {("g",): low}, 0.0)
     assert 0.0 <= comp.values[("g",)] <= 1.0
 
 
@@ -276,34 +276,25 @@ def test_component_monotone_in_raw_indicators():
 # np.bincount: one dictionary update per row. Its output must be kept.
 
 
-def reference_build_usage_indicators(
-    data, unbanked, age_cutoffs=CBP_AGE_CUTOFFS, granularity="cell"
-):
+def reference_build_usage_indicators(data, unbanked):
     periods = np.asarray(data.labels("Period"), dtype=object)
     genders = np.asarray(data.labels("Gender"), dtype=object)
-    cut = np.asarray(age_cutoffs)
+    cut = np.asarray(CBP_AGE_CUTOFFS)
     bands = np.minimum(np.searchsorted(cut, data.column("Age"), side="right"), len(cut) - 1)
     band_labels = np.asarray(AGE_BAND_LABELS, dtype=object)[bands]
     has_fi = data.column("nFI") > 0
     has_savings = data.column("nSavings") > 0
     has_loan = data.column("nLoans") > 0
 
-    def cell_to_group(cell_key):
-        if granularity == "cell":
-            return cell_key
-        if granularity == "period":
-            return (cell_key[0],)
-        return ()
-
     banked = {}
     for i, cell in enumerate(zip(periods, band_labels, genders)):
-        acc = banked.setdefault(cell_to_group(cell), np.zeros(4))
+        acc = banked.setdefault(cell, np.zeros(4))
         acc += (1.0, has_fi[i], has_savings[i], has_loan[i])
     extra = {}
     for cell_key, count in unbanked.items():
         if count < 0:
             raise UsageError(f"unbanked count for {cell_key} is negative")
-        group = cell_to_group(tuple(cell_key))
+        group = tuple(cell_key)
         extra[group] = extra.get(group, 0.0) + count
     out = []
     for group in sorted(set(banked) | {g for g, c in extra.items() if c > 0}):
@@ -359,13 +350,13 @@ def usage_input_strategy(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(usage_input_strategy(), st.sampled_from(("cell", "period", "overall")))
-def test_build_usage_indicators_matches_per_row_reference(case, granularity):
+@given(usage_input_strategy())
+def test_build_usage_indicators_matches_per_row_reference(case):
     data, unbanked = case
 
     def outcome(build):
         try:
-            return repr(build(data, unbanked, granularity=granularity))
+            return repr(build(data, unbanked))
         except UsageError as exc:
             return f"UsageError: {exc}"
 

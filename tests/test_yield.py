@@ -96,16 +96,13 @@ def test_build_curves_missing_bins_and_capital_conservation():
     assert total_capital == pytest.approx(ds.column("Capital").sum(), rel=1e-9)
     for curve in curves.values():
         assert len(curve.points) <= 28
-        assert curve.n_term_bins == 28
 
 
-def make_curve(points, period="p1"):
+def make_curve(points):
     from synthbank.apps.yield_curve import YieldCurve, YieldPoint
 
     return YieldCurve(
-        key=("Bank", "PYG", period),
-        points={b: YieldPoint(wai=w, total_capital=c, count=1) for b, (w, c) in points.items()},
-        n_term_bins=28,
+        points={b: YieldPoint(wai=w, total_capital=c, count=1) for b, (w, c) in points.items()}
     )
 
 
@@ -125,11 +122,11 @@ def test_yield_rmse_hand_case():
 def test_yield_rmse_max_over_periods_and_exclusions():
     s = {
         "p1": make_curve({0: (2.0, 1.0), 1: (3.0, 1.0), 5: (4.0, 1.0)}),
-        "p2": make_curve({0: (2.0, 1.0)}, period="p2"),
+        "p2": make_curve({0: (2.0, 1.0)}),
     }
     o = {
         "p1": make_curve({0: (2.5, 1.0), 1: (3.0, 1.0)}),
-        "p2": make_curve({0: (2.2, 1.0)}, period="p2"),
+        "p2": make_curve({0: (2.2, 1.0)}),
     }
     report = yield_rmse(s, o)
     assert report.maximum == max(report.per_period.values())
@@ -354,7 +351,7 @@ def reference_build_yield_curves(data, codebook):
                 total_capital=float(capital[sel].sum()),
                 count=int(sel.sum()),
             )
-        curves[key] = YieldCurve(key=key, points=points, n_term_bins=term_codec.domain_size)
+        curves[key] = YieldCurve(points=points)
     return curves
 
 
@@ -810,5 +807,7 @@ def test_build_yield_curves_rejects_non_positive_capital():
 def test_build_yield_curves_rejects_numeric_group_column():
     ds = deposit_dataset([15.0, 45.0, 100.0], [2.0, 3.0, 4.0], [1e6, 2e6, 3e6])
     enc = encode_dataset(ds, deposit_rules("cbp"))
-    with pytest.raises(YieldError, match="'Capital' must be categorical"):
-        build_yield_curves(ds, enc.codebook, type_column="Capital")
+    schema = tuple(ColumnSpec(s.name, NUMERIC) if s.name == "typeFI" else s for s in ds.schema)
+    numeric = Dataset(schema, [ds.column(s.name).astype(float) for s in ds.schema])
+    with pytest.raises(YieldError, match="'typeFI' must be categorical"):
+        build_yield_curves(numeric, enc.codebook)
