@@ -22,10 +22,10 @@ ALLOWED = {
 }
 
 
-def _defaulted(fn, in_class):
+def _defaulted(fn, method):
     """The defaulted parameters of ``fn`` as (name, position or None)."""
     positional = [*fn.args.posonlyargs, *fn.args.args]
-    skip = in_class and not any(getattr(d, "id", "") == "staticmethod" for d in fn.decorator_list)
+    skip = method and not any(getattr(d, "id", "") == "staticmethod" for d in fn.decorator_list)
     first = len(positional) - len(fn.args.defaults)
     for i in range(first, len(positional)):
         yield positional[i].arg, i - skip
@@ -46,16 +46,16 @@ def unset_parameters():
             passed[name] = (max(n_pos, stars[0] if stars else len(call.args)), keywords)
     unset = []
     for path, tree in trees.items():
-        defs = [(node, "", False) for node in tree.body]
+        defs = [(node, "") for node in tree.body]
         for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
-            defs += [(node, cls.name, True) for node in cls.body]
-        for fn, owner, in_class in defs:
+            defs += [(node, cls.name) for node in cls.body]
+        for fn, owner in defs:
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             callee = owner if fn.name == "__init__" else fn.name
             n_pos, keywords = passed[callee]
             qualname = f"{path.stem}.{owner + '.' if owner else ''}{fn.name}"
-            for param, position in _defaulted(fn, in_class):
+            for param, position in _defaulted(fn, bool(owner)):
                 if param not in keywords and (position is None or position >= n_pos):
                     unset.append(f"{qualname}.{param}")
     return unset
