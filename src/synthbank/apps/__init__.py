@@ -16,7 +16,7 @@ its application, under the same names:
   ``save_extra(extra, path)`` and ``load_extra(path)`` write and read it
 - ``evaluate(original, extra, encoded, synthetic, decoded, strategy)``:
   a pure scorer returning the metrics and the plot tables, keyed by file
-  name, as lists of lines
+  name, as lists of rows of cells
 - ``headline(metrics)``: the metrics a strategy comparison sets side by side
 
 ``APPS`` maps each config name of an application to its module.

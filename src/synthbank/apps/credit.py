@@ -256,26 +256,24 @@ def evaluate(original, coverage, encoded, synthetic, decoded, strategy):
         metrics["frobenius"][kind] = {"value": result.value, "excluded_rows": result.excluded_rows}
         norms[kind] = float(np.sqrt(np.sum(tm_o.probs[tm_o.defined] ** 2)))
         for tag, tm in (("original", tm_o), ("synthetic", tm_s)):
-            lines = ["state," + ",".join(tm.states)]
-            for i, state in enumerate(tm.states):
-                lines.append(state + "," + ",".join(f"{v:.6f}" for v in tm.probs[i]))
-            tables[f"transition_{kind}_{tag}.csv"] = lines
+            rows = [["state", *tm.states]]
+            for state, probs in zip(tm.states, tm.probs):
+                rows.append([state, *(f"{v:.6f}" for v in probs)])
+            tables[f"transition_{kind}_{tag}.csv"] = rows
 
     rates_o = delinquency_rate(encoded)
     rates_s = delinquency_rate(synthetic)
     # band names when the codes are the seven reporting bands
     named = codebook["Age2020"].domain_size == len(AGE_BAND_LABELS)
-    lines = ["age_band,gender,rate_original,rate_synthetic"]
+    rows = [["age_band", "gender", "rate_original", "rate_synthetic"]]
     for key in sorted(rates_o):
         band = AGE_BAND_LABELS[key[0]] if named else f"bin{key[0]}"
         ro = rates_o[key]
         rs = rates_s.get(key)
-        lines.append(
-            f"{band},{key[1]},"
-            f"{'' if ro is None else f'{ro:.6f}'},"
-            f"{'' if rs is None else f'{rs:.6f}'}"
+        rows.append(
+            [band, key[1], "" if ro is None else f"{ro:.6f}", "" if rs is None else f"{rs:.6f}"]
         )
-    tables["plot_delinquency_rates.csv"] = lines
+    tables["plot_delinquency_rates.csv"] = rows
 
     frob_del = metrics["frobenius"]["delinquency"]["value"]
     metrics["coverage"] = coverage

@@ -324,10 +324,9 @@ def evaluate(original, unbanked, encoded, synthetic, decoded, strategy):
             replace(comp_s, values={k: comp_s.values[k] for k in shared}),
             replace(comp_o, values={k: comp_o.values[k] for k in shared}),
         )
-    rows = ["period,age_band,gender,b_original,b_synthetic"]
+    rows = [["period", "age_band", "gender", "b_original", "b_synthetic"]]
     for key in shared:
-        period, band, gender = key
-        rows.append(f"{period},{band},{gender},{comp_o.values[key]:.6f},{comp_s.values[key]:.6f}")
+        rows.append([*key, f"{comp_o.values[key]:.6f}", f"{comp_s.values[key]:.6f}"])
     tables = {"plot_usage_components.csv": rows}
 
     metrics = {
@@ -351,11 +350,11 @@ def evaluate(original, unbanked, encoded, synthetic, decoded, strategy):
                 name: {"original": lo[name].tolist(), "synthetic": ls[name].tolist()}
                 for name in lo
             }
-            lines = ["indicator,level,share_original,share_synthetic"]
+            levels = [["indicator", "level", "share_original", "share_synthetic"]]
             for name in sorted(lo):
                 for level, label in enumerate(LEVEL_LABELS):
-                    lines.append(f"{name},{label},{lo[name][level]:.6f},{ls[name][level]:.6f}")
-            tables["plot_usage_levels.csv"] = lines
+                    levels.append([name, label, f"{lo[name][level]:.6f}", f"{ls[name][level]:.6f}"])
+            tables["plot_usage_levels.csv"] = levels
     return metrics, tables
 
 

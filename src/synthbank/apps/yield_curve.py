@@ -15,7 +15,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
 
 from ..binning import Codebook, assign_codes
-from ..population import DepositMarketConfig, generate_term_deposits
+from ..population import DepositMarketConfig, generate_term_deposits, svensson_loadings
 from ..presets import deposit_rules
 from ..tabular import Dataset, load_schema, read_csv
 
@@ -257,12 +257,8 @@ class NssParams:
 
 
 def _nss_basis(t: np.ndarray, tau1: float, tau2: float) -> np.ndarray:
-    u1 = t / tau1
-    u2 = t / tau2
-    f1 = -np.expm1(-u1) / u1
-    f2 = f1 - np.exp(-u1)
-    f3 = -np.expm1(-u2) / u2 - np.exp(-u2)
-    return np.column_stack([np.ones_like(t), f1, f2, f3])
+    f1, f2 = svensson_loadings(t / tau1)
+    return np.column_stack([np.ones_like(t), f1, f2, svensson_loadings(t / tau2)[1]])
 
 
 def nss_eval(params: NssParams, t) -> np.ndarray | float:
@@ -323,11 +319,10 @@ def _check_curve(t: np.ndarray, w: np.ndarray) -> None:
 
 
 def _nss_columns(t: np.ndarray, sw: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    # weighted [1, f1, f2] columns of each row's decay time, by the
-    # expressions of _nss_basis; f2 of tau2 is the basis's f3
-    u = t / tau[:, None]
-    f1 = -np.expm1(-u) / u
-    return np.stack([np.ones_like(u), f1, f1 - np.exp(-u)], axis=2) * sw[:, :, None]
+    # weighted [1, f1, f2] columns of each row's decay time, as in
+    # _nss_basis; f2 of tau2 is the basis's f3
+    f1, f2 = svensson_loadings(t / tau[:, None])
+    return np.stack([np.ones_like(f1), f1, f2], axis=2) * sw[:, :, None]
 
 
 def nss_fit(
@@ -536,10 +531,12 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
         groups["|".join(gkey)] = entry
 
     # plot-ready points with trend fits per synthetic curve
-    lines = [
-        "type,currency,period,term_bin,term_left_days,"
-        "wai_original,tc_original,count_original,"
-        "wai_synthetic,tc_synthetic,count_synthetic,lowess_synthetic,nss_synthetic"
+    rows = [
+        (
+            "type,currency,period,term_bin,term_left_days,"
+            "wai_original,tc_original,count_original,"
+            "wai_synthetic,tc_synthetic,count_synthetic,lowess_synthetic,nss_synthetic"
+        ).split(",")
     ]
     smooth: dict = {}  # key -> {term bin: LOWESS value}
     fits: dict = {}  # key -> (params, rmse), or the error text
@@ -597,24 +594,20 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
         for b in bins:
             po = co.points.get(b) if co else None
             ps = cs.points.get(b) if cs else None
-            lines.append(
-                ",".join(
-                    [
-                        key[0],
-                        key[1],
-                        key[2],
-                        str(b),
-                        f"{term_edges[b]:.6g}",
-                        f"{po.wai:.6f}" if po else "",
-                        f"{po.total_capital:.6g}" if po else "",
-                        str(po.count) if po else "",
-                        f"{ps.wai:.6f}" if ps else "",
-                        f"{ps.total_capital:.6g}" if ps else "",
-                        str(ps.count) if ps else "",
-                        f"{smoothed[b]:.6f}" if b in smoothed else "",
-                        f"{nss_values[b]:.6f}" if b in nss_values else "",
-                    ]
-                )
+            rows.append(
+                [
+                    *key,
+                    b,
+                    f"{term_edges[b]:.6g}",
+                    f"{po.wai:.6f}" if po else "",
+                    f"{po.total_capital:.6g}" if po else "",
+                    po.count if po else "",
+                    f"{ps.wai:.6f}" if ps else "",
+                    f"{ps.total_capital:.6g}" if ps else "",
+                    ps.count if ps else "",
+                    f"{smoothed[b]:.6f}" if b in smoothed else "",
+                    f"{nss_values[b]:.6f}" if b in nss_values else "",
+                ]
             )
 
     mean_wai = float(
@@ -628,7 +621,7 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
         "nss": nss_report,
         "relative_error": relative,
     }
-    return metrics, {"plot_yield_points.csv": lines}
+    return metrics, {"plot_yield_points.csv": rows}
 
 
 def headline(metrics: dict) -> dict:

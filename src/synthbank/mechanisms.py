@@ -77,12 +77,14 @@ class MechanismError(ValueError):
     """Invalid mechanism input or configuration."""
 
 
-def _count(codes: np.ndarray, attrs, shape) -> np.ndarray:
-    """Contingency table of the rows of ``codes`` over the columns ``attrs``."""
-    if codes.shape[0] == 0:
-        return np.zeros(shape, dtype=np.int64)
-    flat = np.ravel_multi_index([codes[:, a] for a in attrs], shape)
-    return np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
+def _count(columns: np.ndarray, attrs, domain, weights=None) -> np.ndarray:
+    """Contingency table over ``attrs`` of the codes ``columns`` (one row per
+    attribute, of ``domain`` sizes), each record adding 1 or its ``weights``."""
+    flat = columns[attrs[0]]
+    for a in attrs[1:]:
+        flat = flat * domain[a] + columns[a]
+    shape = [domain[a] for a in attrs]
+    return np.bincount(flat, weights, math.prod(shape)).reshape(shape)
 
 
 def compute_marginal(data: EncodedDataset, attrs) -> np.ndarray:
@@ -96,8 +98,7 @@ def compute_marginal(data: EncodedDataset, attrs) -> np.ndarray:
     d = data.n_columns
     if any(a < 0 or a >= d for a in attrs):
         raise MechanismError(f"attribute out of range in {attrs} (have {d} columns)")
-    attrs = tuple(sorted(attrs))
-    counts = _count(data.codes, attrs, tuple(data.codebook[a].domain_size for a in attrs))
+    counts = _count(data.codes.T, sorted(attrs), data.codebook.domain_sizes)
     counts.setflags(write=False)
     return counts
 
@@ -309,14 +310,12 @@ def _build_tree_model(domain, one_way: dict, pairs: dict, edge_list=None, measur
                 if parent > child:
                     table = table.T  # axes -> (parent, child)
                 table = np.clip(table, 0.0, None)
-                child_fallback = _clean_distribution(table.sum(axis=0), domain[child])
+                # rows without mass take the child's distribution; cond is
+                # C-ordered, as the product below rounds by memory layout
+                row_sums = table.sum(axis=1)[:, None]
                 cond = np.empty((domain[parent], domain[child]))
-                row_sums = table.sum(axis=1)
-                for v in range(domain[parent]):
-                    if row_sums[v] > 0:
-                        cond[v] = table[v] / row_sums[v]
-                    else:
-                        cond[v] = child_fallback
+                cond[:] = _clean_distribution(table.sum(axis=0), domain[child])
+                np.divide(table, row_sums, out=cond, where=row_sums > 0)
                 conditionals[(parent, child)] = cond
                 attr_dist[child] = attr_dist[parent] @ cond
                 steps.append((parent, child))
@@ -325,19 +324,16 @@ def _build_tree_model(domain, one_way: dict, pairs: dict, edge_list=None, measur
 
 
 def _budget(
-    params: PrivacyParams | None, n_measurements: int, selection_fraction: float, n_records: int
-) -> tuple[PrivacyParams | None, float]:
-    """The selection budget (None without one) and the noise scale of each of
-    ``n_measurements`` measurements; ``params=None`` is the noiseless mode,
-    which needs records to measure."""
+    params: PrivacyParams | None, n_measurements: int, n_selections: int, selection_fraction: float
+) -> tuple[float | None, float]:
+    """Every mechanism's budget split (``split_budget``): the epsilon of each
+    of ``n_selections`` noisy selections (None without any) and the Gaussian
+    scale of each of ``n_measurements`` measurements; (None, 0) noiseless."""
     if params is None:
-        selection, sigma = None, 0.0
-    else:
-        selection, per_measurement = split_budget(params, n_measurements, selection_fraction)
-        sigma = gaussian_sigma(per_measurement)
-    if n_records == 0 and sigma == 0:
-        raise MechanismError("empty input in noiseless mode")
-    return selection, sigma
+        return None, 0.0
+    selection, per_measurement = split_budget(params, n_measurements, selection_fraction)
+    epsilon = selection.epsilon / n_selections if selection is not None and n_selections else None
+    return epsilon, gaussian_sigma(per_measurement)
 
 
 def fit_mst_model(
@@ -348,31 +344,29 @@ def fit_mst_model(
 ) -> TreeModel:
     """Select a maximum spanning tree and measure its marginals.
 
-    With a budget, pairwise mutual-information scores get Gumbel noise
-    scaled for the selection budget split equally across the tree's edges
-    (exponential-mechanism equivalent); measurements use the Gaussian
-    scale from the per-measurement budget. ``params=None`` is the exact
-    noiseless mode.
+    With a budget, the pairwise mutual-information scores get Gumbel noise
+    in one draw, scaled for the selection epsilon split equally across the
+    tree's edges (exponential-mechanism equivalent); the ``d`` measurements
+    use the Gaussian scale of their share (``_budget``). ``params=None`` is
+    the exact noiseless mode, which needs records.
     """
     d = data.n_columns
     n = data.n_records
     if d < 1:
         raise MechanismError("need at least one attribute")
-    selection, sigma = _budget(params, d, selection_fraction, n)
+    eps_per_edge, sigma = _budget(params, d, d - 1, selection_fraction)
+    if params is None and n == 0:
+        raise MechanismError("empty input in noiseless mode")
 
     edges: list[tuple[int, int]] = []
     if d >= 2:
-        scores = {
-            pair: mutual_information(data, *pair) for pair in combinations(range(d), 2)
-        }
-        if selection is not None:
-            eps_per_edge = selection.epsilon / (d - 1)
+        pairs = list(combinations(range(d), 2))
+        scores = np.array([mutual_information(data, *pair) for pair in pairs])
+        if eps_per_edge is not None:
             # plug-in MI sensitivity heuristic for one substituted record
             sensitivity = 2.0 * math.log(max(n, 2)) / max(n, 1)
-            scale = 2.0 * sensitivity / eps_per_edge
-            for pair in sorted(scores):
-                scores[pair] += rng.gumbel(0.0, scale)
-        edges = maximum_spanning_tree(scores)
+            scores += rng.gumbel(0.0, 2.0 * sensitivity / eps_per_edge, size=len(pairs))
+        edges = maximum_spanning_tree(dict(zip(pairs, scores)))
 
     # the root's one-way marginal, then every edge's two-way one
     measured = [(0,), *sorted(edges)]
@@ -431,19 +425,21 @@ def fit_aim_model(
     Round scores are ``weight * (L1(model estimate, exact marginal) -
     sigma * sqrt(2/pi) * cells)``, i.e. the gap a measurement could close
     minus the expected noise it would introduce, scaled by the workload
-    weight. Selection adds Gumbel noise under the per-round selection
-    budget; the chosen marginal is measured and the forest model refitted.
+    weight. Each round adds Gumbel noise for its share of the selection
+    epsilon (``_budget``) to all scores in one draw and picks the first
+    maximum; the chosen marginal is measured and the forest model refitted.
     Re-measured marginals are averaged. ``workload`` holds distinct
     ``(attrs, weight)`` pairs with sorted attribute indices and positive
-    weights.
+    weights. ``params=None`` is the exact noiseless mode, which needs records.
     """
     if rounds < 1:
         raise MechanismError("rounds must be >= 1")
     if not workload:
         raise MechanismError("workload must be non-empty")
     n = data.n_records
-    selection, sigma = _budget(params, rounds, selection_fraction, n)
-    eps_sel_round = selection.epsilon / rounds if selection is not None else None
+    eps_sel_round, sigma = _budget(params, rounds, rounds, selection_fraction)
+    if params is None and n == 0:
+        raise MechanismError("empty input in noiseless mode")
 
     domain = data.codebook.domain_sizes
     sums: dict[tuple[int, ...], np.ndarray] = {}
@@ -454,25 +450,20 @@ def fit_aim_model(
     max_weight = max(weight for _, weight in workload)
 
     for _ in range(rounds):
-        best_attrs, best_score = None, -np.inf
-        for attrs, weight in workload:
+        scores = np.empty(len(workload))
+        for i, (attrs, weight) in enumerate(workload):
             estimate = model.marginal(attrs) * n
             gap = float(np.abs(estimate - exact[attrs]).sum())
             penalty = sigma * math.sqrt(2.0 / math.pi) * estimate.size
-            score = weight * (gap - penalty)
-            if eps_sel_round is not None:
-                # report-noisy-max; a weighted L1 gap moves by at most
-                # 2 * max_weight per record
-                score += rng.gumbel(0.0, 2.0 * 2.0 * max_weight / eps_sel_round)
-            if score > best_score:
-                best_attrs, best_score = attrs, score
+            scores[i] = weight * (gap - penalty)
+        if eps_sel_round is not None:
+            # report-noisy-max; a weighted L1 gap moves by at most
+            # 2 * max_weight per record
+            scores += rng.gumbel(0.0, 2.0 * 2.0 * max_weight / eps_sel_round, size=len(workload))
+        best_attrs = workload[int(np.argmax(scores))][0]
         noisy = add_gaussian_noise(best_attrs, exact[best_attrs], sigma, rng)
-        if best_attrs in sums:
-            sums[best_attrs] = sums[best_attrs] + noisy.counts
-            hits[best_attrs] += 1
-        else:
-            sums[best_attrs] = noisy.counts.copy()
-            hits[best_attrs] = 1
+        sums[best_attrs] = sums.get(best_attrs, 0.0) + noisy.counts
+        hits[best_attrs] = hits.get(best_attrs, 0) + 1
         measured.append({"attrs": best_attrs, "sigma": sigma})
         one_way = {k[0]: sums[k] / hits[k] for k in sums if len(k) == 1}
         pairs = {k: sums[k] / hits[k] for k in sums if len(k) == 2}
@@ -532,12 +523,9 @@ class PacLevel:
 
 
 def pac_sigma(config: PacConfig, params: PrivacyParams | None) -> float:
-    """Per-level base noise scale: the Gaussian scale of the budget split
-    equally across the ``k`` levels (0 without a budget)."""
-    if params is None:
-        return 0.0
-    _, per_level = split_budget(params, config.k, 0.0)
-    return gaussian_sigma(per_level)
+    """Per-level base noise scale: ``_budget``'s Gaussian scale of the budget
+    split equally across the ``k`` levels, with no selection (0 without one)."""
+    return _budget(params, config.k, 0, 0.0)[1]
 
 
 def _contributions(u: np.ndarray, cap: int) -> np.ndarray:
@@ -580,8 +568,8 @@ def pac_aggregate(
     A record contributes to the ``delta_k`` subsets with the smallest of
     its uniform draws, found by sorting each record's draws; a record with
     a tie at the cap takes ``argsort``'s picks (see ``_contributions``).
-    Each subset's counts are one ``bincount`` of the flat cell index of all
-    records, weighted 1 where a record contributes and 0 elsewhere.
+    Each subset's counts are one ``_count`` of all records, the kernel of
+    ``compute_marginal``, weighted 1 where a record contributes, else 0.
     """
     d = data.n_columns
     if config.k > d:
@@ -603,16 +591,12 @@ def pac_aggregate(
             # one row per subset, so each subset reads its weights in one run
             contrib = np.ascontiguousarray(_contributions(rng.random((n, len(subsets))), cap).T)
 
-        tables = {}
-        for si, attrs in enumerate(subsets):
-            # the flat cell index of every record; codes lie in their domains
-            flat = columns[attrs[0]]
-            for a in attrs[1:]:
-                flat = flat * domain[a] + columns[a]
-            # a record's weight is 1 where it contributes to attrs, else 0
-            weight = None if contrib is None else contrib[si]
-            counts = np.bincount(flat, weight, math.prod(domain[a] for a in attrs))
-            tables[attrs] = counts.reshape([domain[a] for a in attrs]).astype(np.float64)
+        # a record's weight is 1 where it contributes to attrs, else 0
+        tables = {
+            attrs: _count(columns, attrs, domain, None if contrib is None else contrib[si])
+            .astype(np.float64)
+            for si, attrs in enumerate(subsets)
+        }
 
         cand_masks = {}
         total_candidates = 0

@@ -15,6 +15,7 @@ byte-for-byte determinism.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -436,9 +437,11 @@ class Pipeline:
         _json_dump(doc, self.outdir / name)
         self._register(name)
 
-    def _write_lines(self, lines: list[str], name: str) -> None:
-        """One plot or transition CSV: the lines joined by LF, LF-terminated."""
-        (self.outdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def _write_table(self, rows: list[list], name: str) -> None:
+        """One plot or transition table as CSV, rows LF-terminated, cells
+        quoted where they hold a comma or a quote."""
+        with open(self.outdir / name, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
         self._register(name)
 
     # -------------------------------------------------------------- stages
@@ -575,8 +578,8 @@ class Pipeline:
         metrics, tables = self.app.evaluate(
             source, self.extra, encoded, synthetic, decoded, config.strategy
         )
-        for name, lines in tables.items():
-            self._write_lines(lines, name)
+        for name, rows in tables.items():
+            self._write_table(rows, name)
 
         self.report = {
             "application": config.application,

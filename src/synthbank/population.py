@@ -287,30 +287,26 @@ def generate_fi_population(
         period_idx.append(np.full(banked, periods.index(period), dtype=np.int64))
         band_idx.append(np.full(banked, band, dtype=np.int64))
         gender_idx.append(np.full(banked, genders.index(gender), dtype=np.int64))
-    period_col = np.concatenate(period_idx) if period_idx else np.zeros(0, dtype=np.int64)
-    bands = np.concatenate(band_idx) if band_idx else np.zeros(0, dtype=np.int64)
-    gender_col = np.concatenate(gender_idx) if gender_idx else np.zeros(0, dtype=np.int64)
+    period_col = np.concatenate(period_idx)
+    bands = np.concatenate(band_idx)
+    gender_col = np.concatenate(gender_idx)
     n = bands.shape[0]
 
+    # a draw of size 0 is empty and leaves the generator as it was
     ages = _ages_for_bands(bands, rng)
-    ccards = rng.poisson(np.asarray(config.ccards_lambda)[bands]) if n else np.zeros(0)
-    collateral = (
-        rng.binomial(1, np.asarray(config.collateral_rate)[bands]) if n else np.zeros(0)
-    )
-    has_loan = rng.binomial(1, np.asarray(config.loan_rate)[bands]) if n else np.zeros(0)
-    loans = has_loan * (1 + (rng.poisson(config.loan_extra_lambda, size=n) if n else 0))
+    ccards = rng.poisson(np.asarray(config.ccards_lambda)[bands])
+    collateral = rng.binomial(1, np.asarray(config.collateral_rate)[bands])
+    has_loan = rng.binomial(1, np.asarray(config.loan_rate)[bands])
+    loans = has_loan * (1 + rng.poisson(config.loan_extra_lambda, size=n))
     duration = np.zeros(n, dtype=np.float64)
     loan_idx = np.flatnonzero(loans > 0)
-    if loan_idx.size:
-        duration[loan_idx] = np.clip(
-            np.round(np.exp(rng.normal(np.log(500.0), 0.8, size=loan_idx.size))), 30, 3900
-        )
-    nfi = 1 + (rng.poisson(np.asarray(config.fi_extra_lambda)[bands]) if n else np.zeros(0))
-    nzs = rng.poisson(np.asarray(config.nzs_lambda)[bands]) if n else np.zeros(0)
-    has_savings = rng.binomial(1, np.asarray(config.savings_rate)[bands]) if n else np.zeros(0)
-    savings = has_savings * (
-        1 + (rng.poisson(config.savings_extra_lambda, size=n) if n else 0)
+    duration[loan_idx] = np.clip(
+        np.round(np.exp(rng.normal(np.log(500.0), 0.8, size=loan_idx.size))), 30, 3900
     )
+    nfi = 1 + rng.poisson(np.asarray(config.fi_extra_lambda)[bands])
+    nzs = rng.poisson(np.asarray(config.nzs_lambda)[bands])
+    has_savings = rng.binomial(1, np.asarray(config.savings_rate)[bands])
+    savings = has_savings * (1 + rng.poisson(config.savings_extra_lambda, size=n))
 
     schema = (
         ColumnSpec("Period", CATEGORICAL, levels=periods),
@@ -342,16 +338,22 @@ def generate_fi_population(
     return dataset, unbanked
 
 
+def svensson_loadings(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slope and curvature loadings of the Svensson curve at ``u`` =
+    maturity / decay time, ``(1 - e^-u) / u`` and that minus ``e^-u``."""
+    slope = -np.expm1(-u) / u
+    return slope, slope - np.exp(-u)
+
+
 def planted_rate_curve(config: DepositMarketConfig, term_days) -> np.ndarray:
-    """The planted smooth rate curve evaluated at the given terms."""
+    """The planted smooth rate curve evaluated at the given terms: the
+    Svensson curve of ``curve_beta`` and ``curve_tau``, whose loadings
+    ``svensson_loadings`` gives, as in ``apps.yield_curve``'s fit."""
     b0, b1, b2, b3 = config.curve_beta
     t1, t2 = config.curve_tau
     t = np.asarray(term_days, dtype=np.float64)
-    u1 = t / t1
-    u2 = t / t2
-    f1 = -np.expm1(-u1) / u1
-    f2 = f1 - np.exp(-u1)
-    f3 = -np.expm1(-u2) / u2 - np.exp(-u2)
+    f1, f2 = svensson_loadings(t / t1)
+    f3 = svensson_loadings(t / t2)[1]
     return b0 + b1 * f1 + b2 * f2 + b3 * f3
 
 
@@ -379,7 +381,7 @@ def generate_term_deposits(config: DepositMarketConfig, rng: np.random.Generator
     rates = rates + np.where(type_col == 1, config.nonbank_shift, 0.0)
     rates = rates + config.period_shift_step * period_col
     rates = rates - config.capital_discount * np.log2(capital / DEPOSIT_INSURANCE_LIMIT)
-    if config.rate_noise > 0 and n:
+    if config.rate_noise > 0:
         rates = rates + rng.normal(0.0, config.rate_noise, size=n)
     rates = np.clip(rates, config.rate_range[0], config.rate_range[1])
 
@@ -429,7 +431,7 @@ def generate_credit_cards(
         idx = np.flatnonzero(gender_col == g)
         if idx.size:
             bands[idx] = rng.choice(6, size=idx.size, p=np.asarray(dist))
-    age_bands = rng.choice(_BANDS, size=n, p=np.asarray(config.band_shares)) if n else np.zeros(0, dtype=np.int64)
+    age_bands = rng.choice(_BANDS, size=n, p=np.asarray(config.band_shares))
     ages = _ages_for_bands(age_bands, rng)
     del_2020 = _delinquency_days(bands, rng)
     debt_2020 = np.clip(
@@ -453,18 +455,17 @@ def generate_credit_cards(
     )
 
     n_new = int(round(config.new_card_rate * n))
-    if n_new:
-        mix = (
-            config.gender_split * np.asarray(config.delinquency_dist_male)
-            + (1 - config.gender_split) * np.asarray(config.delinquency_dist_female)
-        )
-        new_bands = rng.choice(6, size=n_new, p=mix / mix.sum())
-        new_del = _delinquency_days(new_bands, rng)
-        new_debt = np.clip(
-            np.exp(rng.normal(config.debt_log_mean, config.debt_log_sd, size=n_new)),
-            config.debt_range[0],
-            config.debt_range[1],
-        )
+    mix = (
+        config.gender_split * np.asarray(config.delinquency_dist_male)
+        + (1 - config.gender_split) * np.asarray(config.delinquency_dist_female)
+    )
+    new_bands = rng.choice(6, size=n_new, p=mix / mix.sum())
+    new_del = _delinquency_days(new_bands, rng)
+    new_debt = np.clip(
+        np.exp(rng.normal(config.debt_log_mean, config.debt_log_sd, size=n_new)),
+        config.debt_range[0],
+        config.debt_range[1],
+    )
 
     schema_2020 = (
         ColumnSpec("CardId", NUMERIC),
@@ -479,8 +480,8 @@ def generate_credit_cards(
 
     keep = np.flatnonzero(survivors)
     ids_2021 = np.concatenate([keep.astype(np.float64), np.arange(n, n + n_new, dtype=np.float64)])
-    debt_col = np.concatenate([debt_2021[keep], new_debt]) if n_new else debt_2021[keep]
-    del_col = np.concatenate([del_2021[keep], new_del]) if n_new else del_2021[keep]
+    debt_col = np.concatenate([debt_2021[keep], new_debt])
+    del_col = np.concatenate([del_2021[keep], new_del])
     schema_2021 = (
         ColumnSpec("CardId", NUMERIC),
         ColumnSpec("Debt2021", NUMERIC, units="PYG"),

@@ -47,9 +47,6 @@ class PrivacyParams:
         if not is_real(self.delta) or not 0 < self.delta < 1:
             raise PrivacyError(f"delta must lie in (0, 1), got {self.delta!r}")
 
-    def scaled(self, fraction: float) -> "PrivacyParams":
-        return PrivacyParams(self.epsilon * fraction, self.delta * fraction)
-
 
 @dataclass(frozen=True)
 class NoisyMarginal:
@@ -112,9 +109,8 @@ def split_budget(
         raise PrivacyError(
             f"selection fraction must lie in [0, 1), got {selection_fraction}"
         )
-    selection = None
-    if selection_fraction > 0:
-        selection = params.scaled(selection_fraction)
+    f = selection_fraction
+    selection = PrivacyParams(params.epsilon * f, params.delta * f) if f > 0 else None
     remainder = 1.0 - selection_fraction
     per_measurement = PrivacyParams(
         params.epsilon * remainder / m, params.delta * remainder / m

@@ -12,10 +12,10 @@ from scipy.special import ndtr, ndtri
 from synthbank.binning import BinningError, encode_dataset
 from synthbank.mechanisms import (
     MECHANISMS,
+    SELECTION_FRACTION,
     _build_tree_model,
     _clean_distribution,
     _contributions,
-    _count,
     _plug_in_mi,
     MechanismError,
     PacConfig,
@@ -35,7 +35,7 @@ from synthbank.mechanisms import (
 )
 from synthbank.population import DepositMarketConfig, generate_term_deposits
 from synthbank.presets import deposit_rules
-from synthbank.privacy import PrivacyParams
+from synthbank.privacy import PrivacyParams, add_gaussian_noise, gaussian_sigma, split_budget
 
 from util import make_encoded, tv_distance
 
@@ -524,6 +524,157 @@ def test_aim_prioritized_pair_beats_mst():
     assert np.mean(aim_tv) <= np.mean(mst_tv), (np.mean(aim_tv), np.mean(mst_tv))
 
 
+# ------------------------------------------- MST and AIM selection noise
+
+def reference_split(params, m, selection_fraction):
+    """The measurement scale and the selection epsilon (None without one) of
+    ``m`` measurements, split by ``split_budget``; (0, None) noiseless."""
+    if params is None:
+        return 0.0, None
+    selection, per_measurement = split_budget(params, m, selection_fraction)
+    return gaussian_sigma(per_measurement), None if selection is None else selection.epsilon
+
+
+def reference_fit_mst_model(data, params, rng, selection_fraction):
+    """``fit_mst_model`` with one scalar Gumbel draw per pair, in sorted pair
+    order; returns the forest and the measured marginals."""
+    d, n = data.n_columns, data.n_records
+    sigma, eps_selection = reference_split(params, d, selection_fraction)
+    if n == 0 and sigma == 0:
+        raise MechanismError("empty input in noiseless mode")
+    edges = []
+    if d >= 2:
+        scores = {pair: mutual_information(data, *pair) for pair in combinations(range(d), 2)}
+        if eps_selection is not None:
+            eps_per_edge = eps_selection / (d - 1)
+            sensitivity = 2.0 * math.log(max(n, 2)) / max(n, 1)
+            scale = 2.0 * sensitivity / eps_per_edge
+            for pair in sorted(scores):
+                scores[pair] += rng.gumbel(0.0, scale)
+        edges = reference_forest(scores, d)
+    measured = [(0,), *sorted(edges)]
+    noisy = {
+        attrs: add_gaussian_noise(attrs, compute_marginal(data, attrs), sigma, rng).counts
+        for attrs in measured
+    }
+    pairs = {attrs: counts for attrs, counts in noisy.items() if len(attrs) == 2}
+    model = reference_tree_model(data.codebook.domain_sizes, {0: noisy[(0,)]}, pairs, edges)
+    return model, [{"attrs": attrs, "sigma": sigma} for attrs in measured]
+
+
+def reference_fit_aim_model(data, workload, params, rounds, rng, selection_fraction):
+    """``fit_aim_model`` with one scalar Gumbel draw per workload entry and a
+    strict ``>`` pick, so the first maximum wins; returns the forest and the
+    measured marginals."""
+    n = data.n_records
+    sigma, eps_selection = reference_split(params, rounds, selection_fraction)
+    if n == 0 and sigma == 0:
+        raise MechanismError("empty input in noiseless mode")
+    domain = data.codebook.domain_sizes
+    sums, hits, measured = {}, {}, []
+    model = reference_tree_model(domain, {}, {}, edge_list=[])
+    exact = {attrs: compute_marginal(data, attrs) for attrs, _ in workload}
+    max_weight = max(weight for _, weight in workload)
+    for _ in range(rounds):
+        best_attrs, best_score = None, -np.inf
+        for attrs, weight in workload:
+            estimate = model.marginal(attrs) * n
+            gap = float(np.abs(estimate - exact[attrs]).sum())
+            score = weight * (gap - sigma * math.sqrt(2.0 / math.pi) * estimate.size)
+            if eps_selection is not None:
+                score += rng.gumbel(0.0, 2.0 * 2.0 * max_weight / (eps_selection / rounds))
+            if score > best_score:
+                best_attrs, best_score = attrs, score
+        noisy = add_gaussian_noise(best_attrs, exact[best_attrs], sigma, rng)
+        if best_attrs in sums:
+            sums[best_attrs] = sums[best_attrs] + noisy.counts
+            hits[best_attrs] += 1
+        else:
+            sums[best_attrs] = noisy.counts.copy()
+            hits[best_attrs] = 1
+        measured.append({"attrs": best_attrs, "sigma": sigma})
+        one_way = {k[0]: sums[k] / hits[k] for k in sums if len(k) == 1}
+        pairs = {k: sums[k] / hits[k] for k in sums if len(k) == 2}
+        model = reference_tree_model(domain, one_way, pairs)
+    return model, measured
+
+
+@st.composite
+def tied_tables(draw):
+    """Up to 40 records over 1 to 5 columns; a column may copy an earlier
+    one, which ties the scores of the marginals that use either."""
+    domain, copies = [], []
+    for j in range(draw(st.integers(1, 5))):
+        source = draw(st.integers(0, j))
+        copies.append(source)
+        domain.append(domain[source] if source < j else draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 40))
+    codes = np.empty((n, len(domain)), dtype=np.int64)
+    for j, source in enumerate(copies):
+        codes[:, j] = codes[:, source] if source < j else rng.integers(0, domain[j], n)
+    return make_encoded(codes, domain)
+
+
+#: noiseless, a small and a large budget
+EPSILONS = st.sampled_from([None, 0.05, 50.0])
+FRACTIONS = st.sampled_from([SELECTION_FRACTION, 0.0, 0.5])
+
+
+def assert_same_fit(fit, reference, params, seed, n_out):
+    """``fit`` and ``reference``, each from a generator of ``seed``, give the
+    same forest, measurements, samples and generator state, or both reject
+    an empty input in noiseless mode."""
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        model = fit(rng)
+    except MechanismError as exc:
+        assert params is None and "empty input" in str(exc)
+        with pytest.raises(MechanismError, match="empty input"):
+            reference(rng_ref)
+        return
+    ref, measured = reference(rng_ref)
+    assert model.edges == ref.edges
+    assert model.measured == measured
+    assert np.array_equal(model.sample(n_out, rng), ref.sample(n_out, rng_ref))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=tied_tables(), epsilon=EPSILONS, fraction=FRACTIONS,
+       seed=st.integers(0, 2**32 - 1), n_out=st.integers(0, 20))
+def test_fit_mst_model_matches_scalar_draw_reference(data, epsilon, fraction, seed, n_out):
+    params = None if epsilon is None else PrivacyParams(epsilon, 1e-6)
+    assert_same_fit(
+        lambda rng: fit_mst_model(data, params, rng, fraction),
+        lambda rng: reference_fit_mst_model(data, params, rng, fraction),
+        params, seed, n_out,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=tied_tables(), epsilon=EPSILONS, fraction=FRACTIONS, rounds=st.integers(1, 4),
+       picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                st.sampled_from([0.5, 1.0, 2.0])), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1), n_out=st.integers(0, 20))
+def test_fit_aim_model_matches_scalar_draw_reference(
+    data, epsilon, fraction, rounds, picks, seed, n_out
+):
+    d = data.n_columns
+    workload, seen = [], set()
+    for a, b, weight in picks:
+        attrs = tuple(sorted({a % d, b % d}))
+        if attrs not in seen:
+            seen.add(attrs)
+            workload.append((attrs, weight))
+    params = None if epsilon is None else PrivacyParams(epsilon, 1e-6)
+    assert_same_fit(
+        lambda rng: fit_aim_model(data, workload, params, rounds, rng, fraction),
+        lambda rng: reference_fit_aim_model(data, workload, params, rounds, rng, fraction),
+        params, seed, n_out,
+    )
+
+
 # ------------------------------------------------------------------- PAC
 
 def test_pac_threshold_median_case():
@@ -668,7 +819,9 @@ def reference_pac_aggregate(data, config, params, rng):
         for si, attrs in enumerate(subsets):
             rows = data.codes if contrib is None else data.codes[contrib[:, si]]
             shape = tuple(domain[a] for a in attrs)
-            tables[attrs] = _count(rows, attrs, shape).astype(np.float64)
+            flat = np.ravel_multi_index([rows[:, a] for a in attrs], shape)
+            counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+            tables[attrs] = counts.astype(np.float64)
 
         cand_masks = {}
         total_candidates = 0

@@ -1,5 +1,6 @@
 """End-to-end pipeline and CLI behaviour."""
 
+import csv
 import dataclasses
 import json
 import re
@@ -326,6 +327,20 @@ def test_fi_pipeline_smoke(tmp_path):
     assert report["metrics"]["tau_overall"] < 0.2
     assert (tmp_path / "fi" / "unbanked.csv").exists()
     assert (tmp_path / "fi" / "plot_usage_components.csv").exists()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("application", sorted(APPS))
+def test_every_table_artifact_parses_as_csv_as_wide_as_its_header(tmp_path, application, strategy):
+    # credit's state labels, such as [0,61), hold a comma
+    run_pipeline(write_config(tmp_path, app_config(tmp_path, application, strategy=strategy)))
+    outdir = tmp_path / "run"
+    tables = sorted(outdir.glob("plot_*.csv")) + sorted(outdir.glob("transition_*.csv"))
+    assert tables
+    for path in tables:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert [len(row) for row in rows] == [len(header)] * len(rows), path.name
 
 
 def test_fi_usage_levels_error_is_reported_without_a_plot(tmp_path):

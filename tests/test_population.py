@@ -44,6 +44,28 @@ def test_fi_empty_population():
     assert sum(unbanked.values()) == 0
 
 
+@pytest.mark.parametrize(
+    "generate, config",
+    [
+        (generate_credit_cards, lambda n: CreditPortfolioConfig(n_cards=n)),
+        (generate_term_deposits, lambda n: DepositMarketConfig(n_deposits=n)),
+    ],
+    ids=["credit", "yield"],
+)
+def test_credit_and_deposit_empty_populations(generate, config):
+    # an empty population draws nothing, and its columns keep the dtypes of
+    # a small one
+    rng = np.random.default_rng(1)
+    empty = generate(config(0), rng)
+    assert rng.random() == np.random.default_rng(1).random()
+    small = generate(config(7), np.random.default_rng(1))
+    empty, small = (parts if isinstance(parts, tuple) else (parts,) for parts in (empty, small))
+    for got, want in zip(empty, small):
+        assert got.n_records == 0
+        for spec in want.schema:
+            assert got.column(spec.name).dtype == want.column(spec.name).dtype, spec.name
+
+
 def test_fi_encodes_under_both_strategies():
     config = FiPopulationConfig(n_individuals=30_000, periods=("2020",))
     ds, _ = generate_fi_population(config, np.random.default_rng(3))

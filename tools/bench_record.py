@@ -10,8 +10,8 @@ Run from anywhere, with one checkout of each revision:
 For each workload and seed it runs ``perfbench/bench.py --trace 0`` once in
 each checkout, parent first on odd seeds and change first on even ones, and
 keeps every run's last JSON line. It then adds one traced window per side
-(``--trace 1``, on the claimed workload, else the first) and one Tier-1
-test run per side, and writes the revisions,
+and workload (``--trace 1``) and one Tier-1 test run per side, and writes
+the revisions,
 seeds, runs, per-metric medians, quartiles and pair wins, and, with
 ``--claim``, whether the claimed gain was met: won in at least nine tenths
 of the pairs, by a median gap larger than the parent's IQR. Metric names,
@@ -148,11 +148,6 @@ def tier1_summary(line: str, elapsed: float) -> dict:
     }
 
 
-def trace_workload(args) -> str:
-    """The workload of the traced windows: the claimed one, else the first."""
-    return args.claim.partition(":")[2] if args.claim else args.workloads[0]
-
-
 def revision(checkout: Path) -> str:
     done = subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True
@@ -210,28 +205,27 @@ def record(args) -> dict:
         doc["claim"] = {"metric": metric, "workload": workload,
                         "needs": "won in at least nine tenths of the pairs, median gap "
                         "larger than the parent's IQR", "result": claim_result(stats)}
-    traced_workload = trace_workload(args)
-    traced = {
-        side: bench_run(checkouts[side], traced_workload, 1, args.trace_seconds, 1)
-        for side in SIDES
-    }
     units = {row["name"]: row["unit"] for row in spec["per_layer"]}
-    doc["trace"] = {
-        "command": f"python3 perfbench/bench.py --workload {traced_workload} --seed 1 "
-        f"--seconds {args.trace_seconds:g} --trace 1",
-        "note": "one traced window per side, parent first; self times (.s) are scaled to "
-        "the reference speed like wall_s, counts are exact",
-        "workload": traced_workload,
-        "correct": {side: traced[side].get("correct") for side in SIDES},
-        "layers": {
-            name: {
-                "unit": unit,
-                **{side: traced[side].get("metrics", {}).get(name, {}).get("value")
-                   for side in SIDES},
-            }
-            for name, unit in units.items()
-        },
-    }
+    doc["trace"] = {}
+    for workload in args.workloads:
+        traced = {
+            side: bench_run(checkouts[side], workload, 1, args.trace_seconds, 1) for side in SIDES
+        }
+        doc["trace"][workload] = {
+            "command": f"python3 perfbench/bench.py --workload {workload} --seed 1 "
+            f"--seconds {args.trace_seconds:g} --trace 1",
+            "note": "one traced window per side, parent first; self times (.s) are scaled to "
+            "the reference speed like wall_s, counts are exact",
+            "correct": {side: traced[side].get("correct") for side in SIDES},
+            "layers": {
+                name: {
+                    "unit": unit,
+                    **{side: traced[side].get("metrics", {}).get(name, {}).get("value")
+                       for side in SIDES},
+                }
+                for name, unit in units.items()
+            },
+        }
     if args.tier1:
         doc["tier1"] = {
             "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors "
@@ -265,7 +259,9 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     doc = record(args)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    correct = all(doc["trace"]["correct"].values()) and all(
+    correct = all(
+        ok for trace in doc["trace"].values() for ok in trace["correct"].values()
+    ) and all(
         run["exit_code"] == 0 and run["correct"]
         for entry in doc["workloads"].values() for side in SIDES for run in entry["runs"][side]
     )

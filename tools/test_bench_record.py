@@ -65,7 +65,7 @@ def test_parsing_of_seeds_runs_and_test_summaries():
     assert bench_record.tier1_summary("", 80.0) == {"passed": 0, "failed": 0, "wall_s": 80.0}
 
 
-def test_the_traced_windows_run_the_claimed_workload(monkeypatch):
+def test_one_traced_window_per_side_and_workload(monkeypatch):
     root = Path(bench_record.__file__).resolve().parents[1]
     calls = []
 
@@ -74,16 +74,18 @@ def test_the_traced_windows_run_the_claimed_workload(monkeypatch):
         return {"exit_code": 0, "correct": True, "metrics": {"wall_s": {"value": 1.0}}}
 
     monkeypatch.setattr(bench_record, "bench_run", fake_bench_run)
+    workloads = ["credit-cbp-mst", "yield-dd-pac-kde", "fi-dd-aim-staged"]
     argv = [
         "--parent", str(root), "--change", str(root), "--out", "unused.json", "--seeds", "1",
-        "--no-tier1", "--workloads", "credit-cbp-mst", "yield-dd-pac-kde",
+        "--no-tier1", "--workloads", *workloads,
     ]
-    claim = ["--claim", "wall_s:yield-dd-pac-kde"]
-    for extra, workload in (([], "credit-cbp-mst"), (claim, "yield-dd-pac-kde")):
+    for extra in ([], ["--claim", "wall_s:yield-dd-pac-kde"]):
         calls.clear()
         doc = bench_record.record(bench_record.parse_args(argv + extra))
-        assert doc["trace"]["workload"] == workload
-        assert [name for name, trace in calls if trace] == [workload, workload]
-        assert sorted(name for name, trace in calls if not trace) == [
-            "credit-cbp-mst", "credit-cbp-mst", "yield-dd-pac-kde", "yield-dd-pac-kde",
-        ]
+        assert list(doc["trace"]) == workloads
+        for workload, trace in doc["trace"].items():
+            assert f"--workload {workload} " in trace["command"]
+            assert trace["correct"] == {"parent": True, "change": True}
+        traced = [name for name, trace in calls if trace]
+        assert traced == [w for w in workloads for _ in bench_record.SIDES]
+        assert sorted(name for name, trace in calls if not trace) == sorted(workloads * 2)
