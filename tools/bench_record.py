@@ -11,13 +11,13 @@ For each workload and seed it runs ``perfbench/bench.py --trace 0`` once in
 each checkout, parent first on odd seeds and change first on even ones, and
 keeps every run's last JSON line. It then adds one traced window per side
 and workload (``--trace 1``) and one Tier-1 test run per side, and writes
-the revisions,
-seeds, runs, per-metric medians, quartiles and pair wins, and, with
-``--claim``, whether the claimed gain was met: won in at least nine tenths
-of the pairs, by a median gap larger than the parent's IQR. Metric names,
-units, bounds and directions come from the change's ``BENCHMARK.json``.
-Nothing here changes what ``bench.py`` measures. Use two fresh clones: a
-checkout with bytecode caches where the other has none is refused.
+the revisions, seeds, runs, per-metric medians, quartiles and pair wins,
+and, with ``--claim``, whether the claimed gain was met: won in at least
+nine tenths of the pairs, by a median gap larger than the parent's IQR.
+Metric names, units, bounds and directions come from the change's
+``BENCHMARK.json``. Nothing here changes what ``bench.py`` measures. Use
+two fresh clones: a checkout with bytecode caches where the other has none
+is refused.
 """
 
 from __future__ import annotations
