@@ -18,21 +18,21 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from . import tabular
 from .checks import is_bool, is_int, is_real, reject_bools
 from .tabular import (
+    CATEGORICAL,
+    ColumnSpec,
     Dataset,
-    TabularError,
     cell_blocks,
-    check_header,
     count_lines,
     digit_sum,
+    numpy_head,
     read_bytes,
-    split_header,
+    read_csv,
     text_table,
     write_rows,
 )
@@ -552,60 +552,45 @@ def write_encoded_csv(encoded: EncodedDataset, path) -> None:
 
 
 def read_encoded_csv(path, codebook: Codebook) -> EncodedDataset:
-    """Parse a file written by :func:`write_encoded_csv` against ``codebook``.
+    """Parse an encoded CSV against ``codebook``.
 
-    Blank lines are skipped. Errors name the file and the data row, counted
-    1-based from the line after the header, blank lines included; a missing
-    file is a :class:`TabularError`.
+    An encoded CSV is a tabular CSV whose columns are the codebook's, each
+    categorical with the levels ``"0"`` to ``"d-1"``, ``d`` its domain
+    size. Codes, errors and row numbers are those of
+    :func:`synthbank.tabular.read_csv` on that schema, so a sign, a space,
+    a leading zero, a code not below ``d`` or a blank line is an error that
+    names its row.
 
-    The file is read as bytes and converted in numpy,
-    ``8 * tabular.CHUNK_ROWS`` lines at a time
-    (:func:`synthbank.tabular.cell_blocks`): a code of 1 to 18 ASCII digits
-    is the sum of its digits times their place values, counted from its end
-    (:func:`synthbank.tabular.digit_sum`), an integer below ``10**18`` that
-    int64 holds exactly. The text reader, which converts stripped lines
-    ``tabular.CHUNK_ROWS`` at a time with one integer conversion per chunk,
-    reads the whole file instead when it is not UTF-8, its header line
-    holds a CR that does not end it in CRLF, or a block holds a line end
-    other than the header's (LF or CRLF), a blank line, a row without
-    ``len(codebook) - 1`` commas, or a cell that is not 1 to 18 digits. It
-    returns the same codes, or raises the error.
+    The files :func:`write_encoded_csv` writes are converted in numpy
+    (:func:`synthbank.tabular.numpy_head`,
+    :func:`synthbank.tabular.cell_blocks`, :func:`_block_codes`); every
+    file that path does not take is read by ``read_csv``.
     """
-    n_cells = len(codebook)
+    names = codebook.names
     data = read_bytes(path)
-    head = split_header(data) if n_cells else None
-    if head is None:
-        return EncodedDataset(_read_code_text(path, data, codebook), codebook)
-    line, body, crlf = head
-    check_header(path, _header_cells(line), codebook.names)
-    codes = np.empty((count_lines(data, body), n_cells), dtype=np.int64)
-    for first, block, edges in cell_blocks(data, body, crlf, n_cells, 8 * tabular.CHUNK_ROWS):
-        if block is None or not _block_codes(block, edges, codes[first:]):
-            codes = _read_code_text(path, data, codebook)
-            break
-    return EncodedDataset(codes, codebook)
+    head = numpy_head(path, data, names)
+    if head is not None:
+        body, crlf = head
+        codes = np.empty((count_lines(data, body), len(names)), dtype=np.int64)
+        for first, block, edges in cell_blocks(data, body, crlf, len(names), 8 * tabular.CHUNK_ROWS):
+            if block is None or not _block_codes(block, edges, codebook.domain_sizes, codes[first:]):
+                break
+        else:
+            return EncodedDataset(codes, codebook)
+    labels = [ColumnSpec(c.name, CATEGORICAL, tuple(map(str, range(c.domain_size)))) for c in codebook]
+    dataset = read_csv(path, labels)
+    return EncodedDataset(np.transpose([dataset.column(name) for name in names]), codebook)
 
 
-def _read_code_text(path, data, codebook) -> np.ndarray:
-    """The code matrix of the file ``data``, read as text ``tabular.CHUNK_ROWS`` lines at a time."""
-    n_cells = len(codebook)
-    chunks = [np.zeros((0, n_cells), dtype=np.int64)]
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-        check_header(path, _header_cells(fh.readline()), codebook.names)
-        first_row = 1
-        while lines := list(map(str.strip, islice(fh, tabular.CHUNK_ROWS))):
-            chunks.append(_parse_code_lines(lines, n_cells, path, first_row))
-            first_row += len(lines)
-    return np.concatenate(chunks)
+def _block_codes(block, edges, sizes, out) -> bool:
+    """Write a block's codes to the head of ``out``; False if a cell is no code of its column.
 
-
-def _header_cells(line) -> list:
-    """The names in the header line of an encoded CSV, as :mod:`csv` reads them."""
-    return next(csv.reader([line.strip()]))
-
-
-def _block_codes(block, edges, out) -> bool:
-    """Write a block's codes to the head of ``out``; False if a cell is not 1 to 18 digits."""
+    A code of column ``j`` is the decimal text of an integer below
+    ``sizes[j]``, 1 to 18 digits without a leading zero: a cell that
+    :func:`synthbank.tabular.read_csv` reads as a level of the code labels.
+    Its value is the sum of its digits times their place values
+    (:func:`synthbank.tabular.digit_sum`), which int64 holds exactly.
+    """
     digits = block - np.uint8(ord("0"))  # a digit's value, 10 or more for any other byte
     is_digit = digits < 10
     # commas, CRs and LFs are no digits: every byte from the block's first
@@ -614,41 +599,15 @@ def _block_codes(block, edges, out) -> bool:
     if np.count_nonzero(is_digit[int(edges[0][0]) + 1 :]) != n_cell_bytes:
         return False
     digits *= is_digit
-    for j, (before, ends) in enumerate(zip(edges, edges[1:])):
+    for j, (before, ends, size) in enumerate(zip(edges, edges[1:], sizes)):
         widths = ends - before - 1
-        if widths.min() < 1 or widths.max() > 18:
+        widest = widths.max()
+        if widths.min() < 1 or widest > 18:
             return False
-        out[: ends.size, j] = digit_sum(digits, before, ends)
+        if widest > 1 and ((digits[before + 1] == 0) & (widths > 1)).any():
+            return False  # a leading zero
+        codes = digit_sum(digits, before, ends)
+        if codes.max() >= size:
+            return False
+        out[: ends.size, j] = codes
     return True
-
-
-def _parse_code_lines(lines, n_cells, path, first_row) -> np.ndarray:
-    """Code matrix of one chunk of stripped lines, blank ones skipped.
-
-    ``first_row`` is the data row number of ``lines[0]``. The comma count of
-    every line is checked, then the whole chunk goes through one split and
-    one integer conversion; only when that fails are the cells converted one
-    by one, to locate the first bad one.
-    """
-    rows = [line for line in lines if line]
-    if {line.count(",") for line in rows} - {n_cells - 1}:
-        index, line = next(
-            (i, line) for i, line in enumerate(lines) if line and line.count(",") != n_cells - 1
-        )
-        raise TabularError(
-            f"{path}: row {first_row + index}: "
-            f"expected {n_cells} cells, found {line.count(',') + 1}"
-        )
-    cells = ",".join(rows).split(",") if rows else []
-    try:
-        return np.asarray(cells, dtype=np.int64).reshape(len(rows), n_cells)
-    except (ValueError, OverflowError):
-        for index, line in enumerate(lines):
-            for cell in line.split(",") if line else ():
-                try:
-                    np.asarray([cell], dtype=np.int64)
-                except (ValueError, OverflowError):
-                    raise TabularError(
-                        f"{path}: row {first_row + index}: invalid integer code '{cell}'"
-                    ) from None
-        raise  # unreachable: the chunk fails to convert only if one of its cells does

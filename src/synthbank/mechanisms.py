@@ -93,6 +93,8 @@ def compute_marginal(data: EncodedDataset, attrs) -> np.ndarray:
     Axes follow ascending attribute order regardless of the order given.
     """
     attrs = tuple(attrs)
+    if not attrs:
+        raise MechanismError("a marginal needs at least one attribute, got ()")
     if len(set(attrs)) != len(attrs):
         raise MechanismError(f"duplicate attribute in {attrs}")
     d = data.n_columns

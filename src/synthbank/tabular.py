@@ -29,6 +29,9 @@ the header, a line end other than the header's, blank or ragged rows,
 cells that do not convert) is read by :mod:`csv` and ``float()`` instead,
 so values and error messages are those of a cell-by-cell :mod:`csv` pass
 either way.
+An encoded CSV (:func:`synthbank.binning.read_encoded_csv`) is a CSV of
+categorical columns with the levels ``"0"`` to ``"d-1"``, read on the same
+header check (:func:`numpy_head`) and line blocks (:func:`cell_blocks`).
 """
 
 from __future__ import annotations
@@ -250,11 +253,8 @@ def read_csv(path, schema) -> Dataset:
     ``float()`` once per distinct text.
 
     :mod:`csv` with ``float()`` per cell reads the whole file instead when
-    it is not UTF-8 or holds a NUL byte, its header record (parsed by
-    :mod:`csv`, so quoted names are read) does not end on the first line,
-    its header line holds a CR that does not end it in CRLF, a line after
-    the header holds a double quote, or a block holds a line end other than
-    the header's (LF or CRLF), an empty line, a row without
+    :func:`numpy_head` leaves it to a text reader, or a block holds a line
+    end other than the header's, an empty line, a row without
     ``len(schema) - 1`` commas, a cell longer than
     :func:`csv.field_size_limit` or a cell that does not convert. It returns
     the same arrays, or raises the error, converting ``CHUNK_ROWS`` rows at
@@ -262,18 +262,10 @@ def read_csv(path, schema) -> Dataset:
     """
     schema = tuple(schema)
     data = read_bytes(path)
-    head = split_header(data) if schema and data and b"\0" not in data else None
-    if head is not None:
-        line, body, crlf = head
-        # a quoted header record may go on past its first line; then, or
-        # with a quote in the body, the text reader reads the file
-        reader = csv.reader([line, ""])
-        header = next(reader)
-        if reader.line_num > 1 or data.find(b'"', body) >= 0:
-            head = None
+    head = numpy_head(path, data, [spec.name for spec in schema])
     if head is None:
         return Dataset(schema, _read_text(path, data, schema))
-    check_header(path, header, [spec.name for spec in schema])
+    body, crlf = head
     levels = [_level_index(spec.levels) if spec.is_categorical else None for spec in schema]
     # room before each block for the widest label's window
     pad = max([1] + [index[0].dtype.itemsize for index in levels if index is not None])
@@ -295,29 +287,36 @@ def read_bytes(path) -> bytes:
         raise TabularError(f"no such file: {path}") from None
 
 
-def split_header(data):
-    """``(header text, offset of the first data line, crlf)`` of a file's bytes.
+def numpy_head(path, data, names):
+    """``(offset of the first data line, crlf)`` of a file the numpy readers may read.
 
-    ``crlf`` tells whether the header line ends in CRLF rather than LF. Returns
-    None when the file is not UTF-8 or its header line holds a CR that does
-    not end it, the cases the numpy readers leave to the text readers.
+    ``crlf`` tells whether the header line ends in CRLF rather than LF. The
+    header record, parsed by :mod:`csv`, must list ``names``, else the
+    readers' header mismatch error is raised. None leaves the file to a text
+    reader: ``names`` or the file is empty, the file is not UTF-8 or holds a
+    NUL byte, or a double quote after the header, or its header record is
+    not its first line ended by LF or CRLF.
     """
+    if not names or not data or b"\0" in data:
+        return None
     if not data.isascii():
         try:
             data.decode("utf-8")
         except UnicodeDecodeError:
             return None
     end = data.find(b"\n")
-    if end < 0:
-        end = body = len(data)
-        crlf = False
-    else:
-        body = end + 1
-        crlf = data[end - 1 : end] == b"\r"
+    end = len(data) if end < 0 else end
+    crlf = data[end - 1 : end + 1] == b"\r\n"
     line = data[: end - crlf]
+    body = min(end + 1, len(data))
     if b"\r" in line:
         return None
-    return line.decode("utf-8"), body, crlf
+    reader = csv.reader([line.decode("utf-8"), ""])
+    header = next(reader)
+    if reader.line_num > 1 or data.find(b'"', body) >= 0:
+        return None
+    _check_header(path, header, names)
+    return body, crlf
 
 
 def count_lines(data, body) -> int:
@@ -389,7 +388,7 @@ def digit_sum(digits, before, ends, base=10) -> np.ndarray:
     return total
 
 
-def check_header(path, header, names) -> None:
+def _check_header(path, header, names) -> None:
     """Raise the readers' header mismatch error unless ``header`` lists ``names``."""
     if header != list(names):
         raise TabularError(f"{path}: header mismatch: expected {list(names)}, found {header}")
@@ -401,7 +400,7 @@ def _read_text(path, data, schema) -> list[np.ndarray]:
     row = next(reader, None)
     if row is None:
         raise TabularError(f"{path}: empty file, header row is mandatory")
-    check_header(path, row, [spec.name for spec in schema])
+    _check_header(path, row, [spec.name for spec in schema])
     level_maps = [
         {label: i for i, label in enumerate(spec.levels)} if spec.is_categorical else None
         for spec in schema

@@ -516,29 +516,40 @@ def _encoded_file(tmp_path, body):
     return path, make_encoded(np.zeros((0, 2), dtype=np.int64), [3, 3]).codebook
 
 
-def test_encoded_csv_skips_blank_lines(tmp_path, monkeypatch):
-    monkeypatch.setattr("synthbank.tabular.CHUNK_ROWS", 2)
-    path, codebook = _encoded_file(tmp_path, "0,1\n\n  \n2,2\n\n")
-    assert read_encoded_csv(path, codebook).codes.tolist() == [[0, 1], [2, 2]]
-
-
-def test_encoded_csv_ragged_row_names_file_and_row(tmp_path, monkeypatch):
-    monkeypatch.setattr("synthbank.tabular.CHUNK_ROWS", 2)
-    # row numbers count blank lines and run on across chunks
-    path, codebook = _encoded_file(tmp_path, "0,1\n\n1,1\n2,0,1\n")
+def _encoded_error(path, codebook):
     with pytest.raises(TabularError) as info:
         read_encoded_csv(path, codebook)
-    assert str(info.value) == f"{path}: row 4: expected 2 cells, found 3"
+    return str(info.value)
 
 
-def test_encoded_csv_bad_cell_names_file_and_row(tmp_path):
+def test_encoded_csv_blank_line_is_a_row_error(tmp_path, monkeypatch):
+    # a blank line is a row of no cells, a whitespace-only one a row of one
+    # cell, as read_csv reads them
+    monkeypatch.setattr("synthbank.tabular.CHUNK_ROWS", 2)
+    path, codebook = _encoded_file(tmp_path, "0,1\n\n2,2\n")
+    assert _encoded_error(path, codebook) == "row 2: expected 2 cells, found 0"
+    path, codebook = _encoded_file(tmp_path, "0,1\n2,2\n  \n")
+    assert _encoded_error(path, codebook) == "row 3: expected 2 cells, found 1"
+
+
+def test_encoded_csv_ragged_row_names_row(tmp_path, monkeypatch):
+    monkeypatch.setattr("synthbank.tabular.CHUNK_ROWS", 2)
+    # row numbers run on across chunks
+    path, codebook = _encoded_file(tmp_path, "0,1\n1,1\n2,0\n2,0,1\n")
+    assert _encoded_error(path, codebook) == "row 4: expected 2 cells, found 3"
+
+
+def test_encoded_csv_bad_cell_names_row_and_column(tmp_path):
     path, codebook = _encoded_file(tmp_path, "0,1\n1x,1\n2,y\n")
-    with pytest.raises(TabularError) as info:
-        read_encoded_csv(path, codebook)
-    assert str(info.value) == f"{path}: row 2: invalid integer code '1x'"
+    assert _encoded_error(path, codebook) == "row 2, column 'a0': unknown level '1x'"
+
+
+@pytest.mark.parametrize("cell", [" 1", "1 ", "+1", "1_0", "01", "00", "-0", ""])
+def test_encoded_csv_code_is_its_plain_decimal_text(tmp_path, cell):
+    path, codebook = _encoded_file(tmp_path, f"0,1\n2,{cell}\n")
+    assert _encoded_error(path, codebook) == f"row 2, column 'a1': unknown level '{cell}'"
 
 
 def test_encoded_csv_out_of_range_code_rejected(tmp_path):
     path, codebook = _encoded_file(tmp_path, "0,1\n3,1\n")
-    with pytest.raises(BinningError, match="out of range"):
-        read_encoded_csv(path, codebook)
+    assert _encoded_error(path, codebook) == "row 2, column 'a0': unknown level '3'"

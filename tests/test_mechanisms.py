@@ -80,6 +80,12 @@ def test_marginal_rejects_duplicates_and_range():
         compute_marginal(data, (0, 5))
 
 
+def test_marginal_rejects_no_attributes():
+    data = make_encoded([[0, 1]], (2, 2))
+    with pytest.raises(MechanismError, match=r"at least one attribute, got \(\)"):
+        compute_marginal(data, ())
+
+
 def test_mutual_information_independent_zero():
     # product-count table: every combination appears exactly once
     codes = np.array(list(product(range(2), range(3))))

@@ -13,7 +13,7 @@ import pytest
 import synthbank
 import synthbank.pipeline as pipeline_module
 from synthbank.apps import APPS
-from synthbank.binning import BinningError, BinningRule
+from synthbank.binning import BinningError, BinningRule, Codebook
 from synthbank.cli import main as cli_main
 from synthbank.decoding import DecodeError, KdeSpec
 from synthbank.mechanisms import MechanismError, PacConfig, parse_workload
@@ -225,6 +225,24 @@ def test_cli_pac_with_no_surviving_value_fails_at_synth(tmp_path, capsys):
     assert "no value of column(s) 'Gender'" in capsys.readouterr().err
     for name in ("synthetic_encoded.csv", "synthetic_decoded.csv", "report.json"):
         assert not (tmp_path / "run" / name).exists()
+
+
+def test_cli_synth_names_the_row_and_column_of_a_code_outside_the_domain(tmp_path, capsys):
+    path = write_config(tmp_path, credit_config(tmp_path))
+    for command in ("gen-data", "encode"):
+        assert cli_main([command, "--config", str(path)]) == 0
+    capsys.readouterr()
+    run = tmp_path / "run"
+    codec = Codebook.from_json(run / "codebook.json")[-1]
+    name, size = codec.name, codec.domain_size
+    lines = (run / "encoded.csv").read_text(encoding="utf-8").split("\n")
+    lines[3] = lines[3].rsplit(",", 1)[0] + f",{size}"
+    (run / "encoded.csv").write_text("\n".join(lines), encoding="utf-8")
+    assert cli_main(["synth", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"stage 'synth' failed: row 3, column '{name}': unknown level '{size}'\n"
+    )
+    assert not (run / "synthetic_encoded.csv").exists()
 
 
 @pytest.mark.parametrize("mode", ["left_edge", "midpoint", "kde"])

@@ -1,8 +1,8 @@
 """CSV ingestion/emission and dataset validation."""
 
 import csv
+import dataclasses
 import json
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -803,7 +803,7 @@ def test_written_files_are_read_without_the_text_readers(tmp_path, monkeypatch):
         raise AssertionError("the text reader ran")
 
     monkeypatch.setattr(tabular, "_read_text", no_text_reader)
-    monkeypatch.setattr(binning, "_parse_code_lines", no_text_reader)
+    monkeypatch.setattr(binning, "read_csv", no_text_reader)
     monkeypatch.setattr(tabular, "CHUNK_ROWS", 2)
     # a comma in a column name makes the writer quote the header
     for name in ("value", "Branch, city"):
@@ -816,13 +816,19 @@ def test_written_files_are_read_without_the_text_readers(tmp_path, monkeypatch):
         expected = np.array([float("%.12g" % value) for value in EDGE_FLOATS])
         assert again.column(name).view(np.int64).tolist() == expected.view(np.int64).tolist()
         assert again.column("label").tolist() == EVERY_EDGE_UNQUOTED.column("label").tolist()
-    codebook = Codebook(
-        ColumnCodec(name=name, kind="categorical", labels=tuple(map(str, range(12))))
-        for name in ("a0", "Branch, city", "a2")
-    )
-    encoded = EncodedDataset(np.arange(60).reshape(20, 3) % 12, codebook)
-    write_encoded_csv(encoded, tmp_path / "e.csv")
-    assert read_encoded_csv(tmp_path / "e.csv", codebook).codes.tolist() == encoded.codes.tolist()
+    # codes on both sides of each power of ten below the domain size, the
+    # widest first; 20 rows cross the numpy reader's 16-line block border
+    for size in (1, 9, 10, 11, 100, 10**6):
+        pool = sorted({0, size - 1} | {p + d for p in (1, 10, 100, 10**5) for d in (-1, 0)}, reverse=True)
+        pool = np.array([code for code in pool if code < size])
+        codec = ColumnCodec(name="a0", kind="binned", edges=tuple(range(size + 1)))
+        for names in (("a0",), ("a0", "Branch, city", "a2")):
+            codebook = Codebook(dataclasses.replace(codec, name=name) for name in names)
+            for n_rows in (0, 1, 20):
+                codes = pool[np.arange(n_rows * len(names)) % pool.size].reshape(n_rows, len(names))
+                write_encoded_csv(EncodedDataset(codes, codebook), tmp_path / "e.csv")
+                again = read_encoded_csv(tmp_path / "e.csv", codebook)
+                assert again.codes.tolist() == codes.tolist(), (size, names, n_rows)
 
 
 EVERY_EDGE_UNQUOTED = Dataset(
@@ -903,115 +909,101 @@ def test_read_csv_decimal_cells_equal_float_of_text(tmp_path_factory, texts):
     assert _read_outcome(read_csv, path, schema) == _read_outcome(reference_read_csv, path, schema)
 
 
-# --------------------------------------------- encoded CSV reader reference
+# ------------------------------------------------ encoded CSV reader
 #
-# read_encoded_csv as it was before it converted file bytes in numpy: stripped
-# lines, CHUNK_ROWS at a time, one integer conversion per chunk. The numpy
-# reader must return its codes or raise its exception and message.
+# An encoded CSV is a tabular CSV whose columns are categorical with the
+# levels "0" to "d-1": read_encoded_csv must return the codes the per-cell
+# reader returns on that schema, or raise its exception and message.
 
 
-def reference_read_encoded_csv(path, codebook):
-    n_cells = len(codebook)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != codebook.names:
-            raise TabularError(
-                f"{path}: header mismatch: expected {list(codebook.names)}, found {header}"
-            )
-        chunks = [np.zeros((0, n_cells), dtype=np.int64)]
-        first_row = 1
-        while lines := list(map(str.strip, islice(fh, tabular.CHUNK_ROWS))):
-            chunks.append(_reference_code_lines(lines, n_cells, path, first_row))
-            first_row += len(lines)
-    return EncodedDataset(np.concatenate(chunks), codebook)
-
-
-def _reference_code_lines(lines, n_cells, path, first_row):
-    rows = [line for line in lines if line]
-    if {line.count(",") for line in rows} - {n_cells - 1}:
-        index, line = next(
-            (i, line) for i, line in enumerate(lines) if line and line.count(",") != n_cells - 1
-        )
-        raise TabularError(
-            f"{path}: row {first_row + index}: "
-            f"expected {n_cells} cells, found {line.count(',') + 1}"
-        )
-    cells = ",".join(rows).split(",") if rows else []
-    try:
-        return np.asarray(cells, dtype=np.int64).reshape(len(rows), n_cells)
-    except (ValueError, OverflowError):
-        for index, line in enumerate(lines):
-            for cell in line.split(",") if line else ():
-                try:
-                    np.asarray([cell], dtype=np.int64)
-                except (ValueError, OverflowError):
-                    raise TabularError(
-                        f"{path}: row {first_row + index}: invalid integer code '{cell}'"
-                    ) from None
-        raise
-
-
-_code_cell = st.one_of(
-    st.integers(0, 11).map(str),
-    st.sampled_from(("+1", " 1 ", "01", "1_0", "1x", "-1", "", "12", "007", "000000000011")),
-    # 18 digits, then 19 or more: above 2**63 - 1 the text reader overflows
-    st.sampled_from(("0" * 17 + "5", "9" * 18, "0" * 18 + "1", "9" * 19, "9223372036854775808")),
+_odd_code = st.one_of(
+    st.sampled_from(("+1", "-1", " 1", "1 ", "\t1", "1_0", "1x", "", "0x1", "1e1")),
+    # leading zeros, of codes that are in every domain and of wider ones
+    st.sampled_from(("00", "01", "007", "000000000011", "0" * 17 + "5", "0" * 18 + "1")),
+    # 18 digits, then 19 or more: above 2**63 - 1 int64 overflows
+    st.sampled_from(("9" * 18, "9" * 19, "9223372036854775808")),
     st.integers(10**18, 10**25).map(str),
-)
-
-
-_digit_code = st.one_of(
-    st.integers(0, 11).map(str), st.sampled_from(("01", "007", "000000000011", "0" * 17 + "5"))
+    # quoted codes, which csv reads as the code, and quotes left open
+    st.sampled_from(('"1"', '"0",', '""', '"1', '1"', '"1""2"')),
 )
 
 
 @st.composite
 def encoded_body_strategy(draw):
-    n_cells = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.sampled_from((1, 2, 10, 11, 12)), min_size=1, max_size=3))
     end = draw(st.sampled_from(("\n", "\r\n")))
+    # a code of the column, or one at or just above its domain size
+    codes = [
+        st.one_of(st.integers(0, size - 1), st.integers(size, size + 2)).map(str) for size in sizes
+    ]
     lines = []
-    # half the files hold only digit codes, which the numpy reader reads whole
+    # half the files hold digit cells only, nearly all of them codes of their
+    # columns: the numpy reader reads such a file whole or hands it on
     clean = draw(st.booleans())
     for _ in range(draw(st.integers(0, 24))):
-        kind = draw(st.integers(6 if clean else 0, 19))
-        if kind == 0:
-            line = draw(st.sampled_from(("", " ", "\t", "  ")))  # blank or whitespace only
+        kind = draw(st.integers(0, 19))
+        if clean or kind >= 6:
+            cells = [draw(st.integers(0, size - 1).map(str)) for size in sizes]
+            if clean and kind == 0:  # a leading zero, a code not below d, or 19 digits
+                j = draw(st.integers(0, len(sizes) - 1))
+                cells[j] = draw(st.sampled_from(("0" + cells[j], str(sizes[j]), "9" * 19)))
+        elif kind == 0:
+            cells = [draw(st.sampled_from(("", " ", "\t", "  ")))]  # blank or whitespace only
         elif kind == 1:  # a ragged row
-            line = ",".join(draw(st.lists(_code_cell, max_size=n_cells + 1)))
-        elif kind < 6:
-            line = ",".join(draw(st.lists(_code_cell, min_size=n_cells, max_size=n_cells)))
-        else:  # canonical codes, or leading zeros
-            line = ",".join(draw(_digit_code) for _ in range(n_cells))
-        lines.append(line + (draw(st.sampled_from(("\n", "\r\n", "\r"))) if kind == 2 else end))
-    body = ",".join(f"a{j}" for j in range(n_cells)) + end + "".join(lines)
+            cells = draw(st.lists(st.one_of(*codes, _odd_code), max_size=len(sizes) + 1))
+        else:
+            cells = [draw(st.one_of(code, _odd_code)) for code in codes]
+        # now and then a line end other than the file's
+        lines.append(",".join(cells) + (draw(_line_end) if kind == 2 and not clean else end))
+    names = [f"a{j}" for j in range(len(sizes))]
+    # now and then a quoted header, as the writer writes one, or a wrong one
+    header = draw(st.sampled_from([names] * 8 + [[f'"{name}"' for name in names], names + ["b"]]))
+    body = ",".join(header) + end + "".join(lines)
     if lines and draw(st.booleans()):
         body = body.removesuffix(end)
-    return n_cells, body
+    return tuple(sizes), body
 
 
-def _encoded_outcome(reader, path, codebook):
+def _encoded_outcome(path, sizes):
+    codebook = Codebook(
+        ColumnCodec(name=f"a{j}", kind="categorical", labels=tuple(map(str, range(size))))
+        for j, size in enumerate(sizes)
+    )
     try:
-        return reader(path, codebook).codes.tolist()
+        return read_encoded_csv(path, codebook).codes.tolist()
     except (TabularError, BinningError) as exc:
         return type(exc).__name__, str(exc)
 
 
+def _reference_outcome(path, sizes):
+    try:
+        dataset = reference_read_csv(
+            path,
+            [ColumnSpec(f"a{j}", CATEGORICAL, tuple(map(str, range(d)))) for j, d in enumerate(sizes)],
+        )
+    except (TabularError, BinningError) as exc:
+        return type(exc).__name__, str(exc)
+    columns = [dataset.column(name).tolist() for name in dataset.column_names]
+    return [list(row) for row in zip(*columns)]
+
+
 @settings(max_examples=250, deadline=None)
 @given(encoded_body_strategy(), st.sampled_from((1, 2, 5, 1024)))
-# an invalid code before a ragged row in one chunk: the ragged row is reported
-@example((2, "a0,a1\n0,1\n1x,1\n2\n"), 1024)
-@example((2, "a0,a1\r\n" + "0,1\r\n" * 9 + "2,2\r3,3\r\n"), 1)
+# an invalid code before a ragged row in one chunk: the invalid code is reported
+@example(((12, 12), "a0,a1\n0,1\n1x,1\n2\n"), 1024)
+@example(((12, 12), "a0,a1\r\n" + "0,1\r\n" * 9 + "2,2\r3,3\r\n"), 1)
 # a code of 19 digits, which int64 does not hold, in a file of digit codes
-@example((2, "a0,a1\n1,2\n3," + "9" * 19 + "\n"), 1024)
-def test_read_encoded_csv_matches_line_reference(tmp_path_factory, drawn, chunk_rows):
-    n_cells, body = drawn
-    codebook = Codebook(
-        ColumnCodec(name=f"a{j}", kind="categorical", labels=tuple(map(str, range(12))))
-        for j in range(n_cells)
-    )
+@example(((12, 12), "a0,a1\n1,2\n3," + "9" * 19 + "\n"), 1024)
+# a leading zero, and a code equal to the domain size, in files of digit codes
+@example(((12, 12), "a0,a1\n1,2\n3,01\n"), 1024)
+@example(((12, 10), "a0,a1\n1,2\n11,10\n"), 1)
+# files read by read_csv alone: a quoted code, and a bare CR line end
+@example(((2,), 'a0\n"1"\n0\n'), 1024)
+@example(((2, 2), "a0,a1\n0,1\r1,1\n"), 2)
+def test_read_encoded_csv_matches_read_csv_reference(tmp_path_factory, drawn, chunk_rows):
+    sizes, body = drawn
     path = tmp_path_factory.mktemp("codes") / "c.csv"
     path.write_bytes(body.encode("utf-8"))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tabular, "CHUNK_ROWS", chunk_rows)
-        expected = _encoded_outcome(reference_read_encoded_csv, path, codebook)
-        assert _encoded_outcome(read_encoded_csv, path, codebook) == expected
+        assert _encoded_outcome(path, sizes) == _reference_outcome(path, sizes)
