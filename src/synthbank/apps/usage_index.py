@@ -228,7 +228,7 @@ def tau_metric(component_s: UsageComponent, component_o: UsageComponent) -> TauR
         raise UsageError(f"group keys do not match, e.g. {missing[:4]}")
     per_group: dict[tuple, float] = {}
     for key in keys_s:
-        group = tuple(key[1:]) if len(key) == 3 else ()
+        group = key[1:]  # (band, gender) of (period, band, gender)
         diff = abs(component_s.values[key] - component_o.values[key])
         per_group[group] = max(per_group.get(group, 0.0), diff)
     overall = max(per_group.values()) if per_group else 0.0

@@ -7,6 +7,10 @@ uniform width, exact 1-D k-means). Every binned column follows one interval
 convention: half-open ``[a, b)`` bins with the final bin closed at its
 upper edge, which keeps encode/decode bijective on bins.
 
+An :class:`EncodedDataset` is stored as an encoded CSV of its codes;
+:func:`write_encoded_csv` and :func:`read_encoded_csv` hand the codebook's
+names and domain sizes to :mod:`synthbank.tabular`, which owns the bytes.
+
 All operations are pure functions over immutable inputs; per-column
 encoding could run in parallel, though the implementation is
 single-threaded.
@@ -14,8 +18,6 @@ single-threaded.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -23,19 +25,7 @@ import numpy as np
 
 from . import tabular
 from .checks import is_bool, is_int, is_real, reject_bools
-from .tabular import (
-    CATEGORICAL,
-    ColumnSpec,
-    Dataset,
-    cell_blocks,
-    count_lines,
-    digit_sum,
-    numpy_head,
-    read_bytes,
-    read_csv,
-    text_table,
-    write_rows,
-)
+from .tabular import Dataset
 
 __all__ = [
     "BinningError",
@@ -531,83 +521,10 @@ def encode_dataset(dataset: Dataset, rules: dict) -> EncodedDataset:
 
 
 def write_encoded_csv(encoded: EncodedDataset, path) -> None:
-    """Persist the code matrix as integer CSV with a header row.
-
-    The bytes are fixed: UTF-8, the header row of codebook names as
-    :class:`csv.writer` writes them (quoted only when they hold a comma, a
-    double quote, CR or LF), then one row per record of decimal codes
-    joined by commas, every line ended by LF.
-    :func:`synthbank.tabular.write_rows` assembles the rows from the code
-    strings, each followed by a comma or, in the last column, by LF.
-    """
-    codes = encoded.codes
-    strings = [str(c) for c in range(int(codes.max(initial=0)) + 1)]
-    tables = [text_table([s + "," for s in strings])] * (codes.shape[1] - 1)
-    tables.append(text_table([s + "\n" for s in strings]))
-    header = io.StringIO()
-    csv.writer(header, lineterminator="\n").writerow(encoded.codebook.names)
-    with open(path, "wb") as fh:
-        fh.write(header.getvalue().encode("utf-8"))
-        write_rows(fh, tables, list(codes.T), tabular.CHUNK_ROWS)
+    """Write the code matrix as an encoded CSV (:func:`synthbank.tabular.write_codes`)."""
+    tabular.write_codes(encoded.codes, encoded.codebook.names, path)
 
 
 def read_encoded_csv(path, codebook: Codebook) -> EncodedDataset:
-    """Parse an encoded CSV against ``codebook``.
-
-    An encoded CSV is a tabular CSV whose columns are the codebook's, each
-    categorical with the levels ``"0"`` to ``"d-1"``, ``d`` its domain
-    size. Codes, errors and row numbers are those of
-    :func:`synthbank.tabular.read_csv` on that schema, so a sign, a space,
-    a leading zero, a code not below ``d`` or a blank line is an error that
-    names its row.
-
-    The files :func:`write_encoded_csv` writes are converted in numpy
-    (:func:`synthbank.tabular.numpy_head`,
-    :func:`synthbank.tabular.cell_blocks`, :func:`_block_codes`); every
-    file that path does not take is read by ``read_csv``.
-    """
-    names = codebook.names
-    data = read_bytes(path)
-    head = numpy_head(path, data, names)
-    if head is not None:
-        body, crlf = head
-        codes = np.empty((count_lines(data, body), len(names)), dtype=np.int64)
-        for first, block, edges in cell_blocks(data, body, crlf, len(names), 8 * tabular.CHUNK_ROWS):
-            if block is None or not _block_codes(block, edges, codebook.domain_sizes, codes[first:]):
-                break
-        else:
-            return EncodedDataset(codes, codebook)
-    labels = [ColumnSpec(c.name, CATEGORICAL, tuple(map(str, range(c.domain_size)))) for c in codebook]
-    dataset = read_csv(path, labels)
-    return EncodedDataset(np.transpose([dataset.column(name) for name in names]), codebook)
-
-
-def _block_codes(block, edges, sizes, out) -> bool:
-    """Write a block's codes to the head of ``out``; False if a cell is no code of its column.
-
-    A code of column ``j`` is the decimal text of an integer below
-    ``sizes[j]``, 1 to 18 digits without a leading zero: a cell that
-    :func:`synthbank.tabular.read_csv` reads as a level of the code labels.
-    Its value is the sum of its digits times their place values
-    (:func:`synthbank.tabular.digit_sum`), which int64 holds exactly.
-    """
-    digits = block - np.uint8(ord("0"))  # a digit's value, 10 or more for any other byte
-    is_digit = digits < 10
-    # commas, CRs and LFs are no digits: every byte from the block's first
-    # line on that is one must be a cell byte
-    n_cell_bytes = (edges[-1] - edges[0] - 1).sum() - len(edges[0]) * (len(edges) - 2)
-    if np.count_nonzero(is_digit[int(edges[0][0]) + 1 :]) != n_cell_bytes:
-        return False
-    digits *= is_digit
-    for j, (before, ends, size) in enumerate(zip(edges, edges[1:], sizes)):
-        widths = ends - before - 1
-        widest = widths.max()
-        if widths.min() < 1 or widest > 18:
-            return False
-        if widest > 1 and ((digits[before + 1] == 0) & (widths > 1)).any():
-            return False  # a leading zero
-        codes = digit_sum(digits, before, ends)
-        if codes.max() >= size:
-            return False
-        out[: ends.size, j] = codes
-    return True
+    """Parse an encoded CSV of ``codebook``'s columns (:func:`synthbank.tabular.read_codes`)."""
+    return EncodedDataset(tabular.read_codes(path, codebook.names, codebook.domain_sizes), codebook)

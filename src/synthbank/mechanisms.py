@@ -207,10 +207,10 @@ class TreeModel:
                 codes[:, child] = rng.choice(self.domain[child], size=n_out, p=dist)
                 continue
             cond = self.conditionals[(parent, child)]
+            # a value no row holds draws nothing: a size-0 draw leaves the generator as it was
             for value in range(self.domain[parent]):
                 idx = np.flatnonzero(codes[:, parent] == value)
-                if idx.size:
-                    codes[idx, child] = rng.choice(self.domain[child], size=idx.size, p=cond[value])
+                codes[idx, child] = rng.choice(self.domain[child], size=idx.size, p=cond[value])
         return codes
 
     def marginal(self, attrs) -> np.ndarray:
@@ -479,6 +479,9 @@ class PacConfig:
 
     ``k`` is the reporting length, ``eta`` the target spurious proportion
     and ``delta_k`` the per-record contribution cap per tuple length.
+    Row assembly reads only the one-way and pair levels, yet the budget is
+    split over all ``k``: with ``k >= 3`` the levels from 3 on take budget
+    and noise draws that no synthetic row uses.
     """
 
     k: int = 2
@@ -625,7 +628,7 @@ def pac_aggregate(
             counts = tables[attrs]
             idx = np.flatnonzero(mask.ravel())
             noisy = counts.ravel()[idx]
-            if cell_scale > 0 and idx.size:
+            if cell_scale > 0:
                 noisy = noisy + rng.normal(0.0, cell_scale, size=idx.size)
             keep = (noisy >= rho) & (noisy > 0)
             warr = np.zeros(counts.size)

@@ -249,10 +249,10 @@ class CreditPortfolioConfig:
 
 def _ages_for_bands(bands: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     ages = np.zeros(bands.shape[0], dtype=np.float64)
+    # a band no record holds draws nothing: a size-0 draw leaves the generator as it was
     for b, (lo, hi) in enumerate(AGE_BAND_RANGES):
         idx = np.flatnonzero(bands == b)
-        if idx.size:
-            ages[idx] = rng.integers(lo, hi + 1, size=idx.size)
+        ages[idx] = rng.integers(lo, hi + 1, size=idx.size)
     return ages
 
 
@@ -406,10 +406,9 @@ def _delinquency_days(bands: np.ndarray, rng: np.random.Generator) -> np.ndarray
     days = np.zeros(bands.shape[0], dtype=np.float64)
     for b, (lo, hi) in enumerate(DELINQUENCY_BAND_RANGES):
         idx = np.flatnonzero(bands == b)
-        if idx.size:
-            center = (lo + hi) // 2
-            spread = max(1, min((hi - lo) // 4, 30))
-            days[idx] = rng.integers(center - spread, center + spread + 1, size=idx.size)
+        center = (lo + hi) // 2
+        spread = max(1, min((hi - lo) // 4, 30))
+        days[idx] = rng.integers(center - spread, center + spread + 1, size=idx.size)
     return days
 
 
@@ -429,8 +428,7 @@ def generate_credit_cards(
     bands = np.zeros(n, dtype=np.int64)
     for g, dist in ((0, config.delinquency_dist_male), (1, config.delinquency_dist_female)):
         idx = np.flatnonzero(gender_col == g)
-        if idx.size:
-            bands[idx] = rng.choice(6, size=idx.size, p=np.asarray(dist))
+        bands[idx] = rng.choice(6, size=idx.size, p=np.asarray(dist))
     age_bands = rng.choice(_BANDS, size=n, p=np.asarray(config.band_shares))
     ages = _ages_for_bands(age_bands, rng)
     del_2020 = _delinquency_days(bands, rng)
@@ -445,8 +443,7 @@ def generate_credit_cards(
     kernel = np.asarray(config.kernel)
     for b in range(6):
         idx = np.flatnonzero(bands == b)
-        if idx.size:
-            bands_2021[idx] = rng.choice(6, size=idx.size, p=kernel[b])
+        bands_2021[idx] = rng.choice(6, size=idx.size, p=kernel[b])
     del_2021 = _delinquency_days(bands_2021, rng)
     debt_2021 = np.clip(
         debt_2020 * np.exp(rng.normal(config.debt_drift, config.debt_vol, size=n)),

@@ -29,9 +29,11 @@ the header, a line end other than the header's, blank or ragged rows,
 cells that do not convert) is read by :mod:`csv` and ``float()`` instead,
 so values and error messages are those of a cell-by-cell :mod:`csv` pass
 either way.
-An encoded CSV (:func:`synthbank.binning.read_encoded_csv`) is a CSV of
-categorical columns with the levels ``"0"`` to ``"d-1"``, read on the same
-header check (:func:`numpy_head`) and line blocks (:func:`cell_blocks`).
+
+An encoded CSV holds a code matrix (:mod:`synthbank.binning`): categorical
+columns with the levels ``"0"`` to ``"d-1"``. :func:`write_codes` and
+:func:`read_codes` write and read it on the same header, tables and line
+blocks as :func:`write_csv` and :func:`read_csv`.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ __all__ = [
     "Dataset",
     "read_csv",
     "write_csv",
+    "read_codes",
+    "write_codes",
     "load_schema",
     "save_schema",
 ]
@@ -261,30 +265,53 @@ def read_csv(path, schema) -> Dataset:
     a time so that no whole-file list of cell strings is held at once.
     """
     schema = tuple(schema)
-    data = read_bytes(path)
-    head = numpy_head(path, data, [spec.name for spec in schema])
-    if head is None:
-        return Dataset(schema, _read_text(path, data, schema))
-    body, crlf = head
     levels = [_level_index(spec.levels) if spec.is_categorical else None for spec in schema]
     # room before each block for the widest label's window
     pad = max([1] + [index[0].dtype.itemsize for index in levels if index is not None])
-    n_rows = count_lines(data, body)
+    data, n_rows, blocks = _numpy_blocks(path, [spec.name for spec in schema], pad)
     columns = [np.empty(n_rows, np.int64 if spec.is_categorical else np.float64) for spec in schema]
-    for first, block, edges in cell_blocks(data, body, crlf, len(schema), 8 * CHUNK_ROWS, pad):
+    for first, block, edges in blocks:
         if block is None or not _convert_block(block, edges, levels, [c[first:] for c in columns]):
             columns = _read_text(path, data, schema)
             break
     return Dataset(schema, columns)
 
 
-def read_bytes(path) -> bytes:
-    """The bytes of the file at ``path``; a missing file is a :class:`TabularError`."""
+def read_codes(path, names, sizes) -> np.ndarray:
+    """The ``(n, len(names))`` int64 code matrix of an encoded CSV.
+
+    Its columns ``names`` are categorical, column ``j`` with the levels
+    ``"0"`` to ``str(sizes[j] - 1)``. Codes, errors and row numbers are those
+    of :func:`read_csv` on that schema, so a sign, a space, a leading zero,
+    a code not below its domain size or a blank line names its row. The
+    blocks :func:`_block_codes` converts are read in numpy; a file with any
+    other block is read by :func:`read_csv`.
+    """
+    _, n_rows, blocks = _numpy_blocks(path, names)
+    codes = np.empty((n_rows, len(names)), dtype=np.int64)
+    for first, block, edges in blocks:
+        if block is None or not _block_codes(block, edges, sizes, codes[first:]):
+            labels = [ColumnSpec(n, CATEGORICAL, tuple(map(str, range(d)))) for n, d in zip(names, sizes)]
+            dataset = read_csv(path, labels)
+            return np.transpose([dataset.column(name) for name in names])
+    return codes
+
+
+def _numpy_blocks(path, names, pad=1):
+    """The bytes of the file at ``path``, its data line count and its
+    :func:`cell_blocks` of ``8 * CHUNK_ROWS`` lines; a missing file is a
+    :class:`TabularError`. A file :func:`numpy_head` leaves to a text reader
+    has the one block ``(0, None, None)``, the block that hands a file on."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            data = fh.read()
     except FileNotFoundError:
         raise TabularError(f"no such file: {path}") from None
+    head = numpy_head(path, data, names)
+    if head is None:
+        return data, 0, [(0, None, None)]
+    body, crlf = head
+    return data, count_lines(data, body), cell_blocks(data, body, crlf, len(names), 8 * CHUNK_ROWS, pad)
 
 
 def numpy_head(path, data, names):
@@ -449,7 +476,8 @@ def _convert_block(block, edges, levels, out) -> bool:
 
 
 def _digit_kinds(block):
-    """``(digits, kinds)`` of a block's bytes, for :func:`_decimal_values`.
+    """``(digits, kinds)`` of a block's bytes, for :func:`_decimal_values` and
+    :func:`_block_codes`.
 
     ``digits`` holds each byte's digit, and 0 for every byte that is no
     digit; ``kinds`` holds 0 for a digit, 1 for a point and 3 for any other
@@ -460,6 +488,34 @@ def _digit_kinds(block):
     np.putmask(digits, kinds, np.uint8(0))
     np.putmask(kinds, block == ord("."), np.uint8(1))
     return digits, kinds
+
+
+def _block_codes(block, edges, sizes, out) -> bool:
+    """Write a block's codes to the head of ``out``; False if a cell is no code of its column.
+
+    A code of column ``j`` is the decimal text of an integer below
+    ``sizes[j]``, 1 to ``_MAX_DIGITS`` digits without a leading zero: a cell
+    that :func:`read_csv` reads as a code label. Its value is its
+    :func:`digit_sum`, which int64 holds exactly.
+    """
+    digits, kinds = _digit_kinds(block)
+    # from the block's first line on, the bytes that are no digit are the separators
+    start = int(edges[0][0]) + 1
+    n_cell_bytes = (edges[-1] - edges[0] - 1).sum() - len(edges[0]) * (len(edges) - 2)
+    if block.size - start - np.count_nonzero(kinds[start:]) != n_cell_bytes:
+        return False
+    for j, (before, ends, size) in enumerate(zip(edges, edges[1:], sizes)):
+        widths = ends - before - 1
+        widest = widths.max()
+        if widths.min() < 1 or widest > _MAX_DIGITS:
+            return False
+        if widest > 1 and ((digits[before + 1] == 0) & (widths > 1)).any():
+            return False  # a leading zero
+        codes = digit_sum(digits, before, ends)
+        if codes.max() >= size:
+            return False
+        out[: ends.size, j] = codes
+    return True
 
 
 def _level_codes(block, starts, ends, labels, order):
@@ -606,7 +662,7 @@ def write_csv(dataset: Dataset, path) -> None:
     ``read_csv(write_csv(d))`` reproduces ``d`` cell-for-cell at that
     precision.
 
-    The cell texts are built into byte tables, and :func:`write_rows`
+    The cell texts are built into byte tables, and :func:`_write_rows`
     gathers the table rows of every record: one row per level
     (:func:`_level_table`), and for a numeric column one of three paths
     (:func:`number_path`), which differ in speed, never in bytes:
@@ -641,37 +697,52 @@ def write_csv(dataset: Dataset, path) -> None:
             bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
             tables.append(_number_table(bits.view(np.float64), end))
             indices.append(inverse.astype(np.min_scalar_type(bits.size)))
-    try:
-        fh = open(path, "wb")
-    except OSError as exc:
-        raise TabularError(f"cannot write {path}: {exc}") from None
-    with fh:
-        fh.write(_csv_line(names).encode("utf-8"))
-        write_rows(fh, tables, indices, CHUNK_ROWS)
+    _write_rows(path, _csv_line(names), tables, indices)
 
 
-def write_rows(fh, tables, indices, chunk_rows) -> None:
-    """Write record ``i`` as the bytes of ``tables[j][indices[j][i]]``, ``j`` in order.
+def write_codes(codes, names, path) -> None:
+    """Write the ``(n, len(names))`` code matrix ``codes`` as an encoded CSV.
+
+    The bytes are fixed: UTF-8, the header row of ``names`` as
+    :func:`write_csv` writes it, then one row per record of decimal codes
+    joined by commas, every line ended by LF. The code texts come from two
+    tables of every code up to the largest (:func:`_integer_table`), one
+    with a comma after each code and one, for the last column, with LF.
+    """
+    span = int(codes.max(initial=0)) + 1
+    tables = [_integer_table(0, span, ",")] * (len(names) - 1) + [_integer_table(0, span, "\n")]
+    _write_rows(path, _csv_line(names)[:-2] + "\n", tables, list(codes.T))
+
+
+def _write_rows(path, header, tables, indices) -> None:
+    """Write ``header``, then record ``i`` as the bytes of ``tables[j][indices[j][i]]``.
 
     Each table is a ``uint8`` array holding one cell text per row, its
     separator or line end included; an index of None stands for ``i``. NUL
     bytes, anywhere in a row, stand for nothing and are dropped on output,
     so no cell text may hold one. Records are gathered, masked and written
-    ``8 * chunk_rows`` at a time, so the whole file is never held in memory.
+    ``8 * CHUNK_ROWS`` at a time, so the whole file is never held in memory.
+    A path that cannot be opened for writing is a :class:`TabularError`.
     """
+    try:
+        fh = open(path, "wb")
+    except OSError as exc:
+        raise TabularError(f"cannot write {path}: {exc}") from None
     n_records = len(tables[0] if indices[0] is None else indices[0]) if indices else 0
-    step = 8 * chunk_rows
-    for start in range(0, n_records, step):
-        block = np.concatenate(
-            [
-                table[start : start + step]
-                if index is None
-                else np.take(table, index[start : start + step], axis=0)
-                for table, index in zip(tables, indices)
-            ],
-            axis=1,
-        )
-        fh.write(block[block != 0])
+    step = 8 * CHUNK_ROWS
+    with fh:
+        fh.write(header.encode("utf-8"))
+        for start in range(0, n_records, step):
+            block = np.concatenate(
+                [
+                    table[start : start + step]
+                    if index is None
+                    else np.take(table, index[start : start + step], axis=0)
+                    for table, index in zip(tables, indices)
+                ],
+                axis=1,
+            )
+            fh.write(block[block != 0])
 
 
 def _csv_line(cells) -> str:

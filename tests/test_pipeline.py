@@ -302,6 +302,8 @@ def test_cli_overrides(tmp_path):
                 "2.5",
                 "--out",
                 str(tmp_path / "ov2"),
+                "--strategy",
+                "data_driven",
             ]
         )
         == 0
@@ -309,6 +311,23 @@ def test_cli_overrides(tmp_path):
     report = json.loads((tmp_path / "ov2" / "report.json").read_text())
     assert report["seed"] == 99
     assert report["privacy"]["epsilon"] == 2.5
+    assert report["strategy"] == "data_driven"  # the config says "cbp"
+
+
+def test_cli_compare_prints_one_winner_line_per_headline_metric(tmp_path, capsys):
+    doc = credit_config(tmp_path, subdir="cmp")
+    doc["input"]["datagen"]["n_cards"] = 2000
+    assert cli_main(["compare", "--config", str(write_config(tmp_path, doc))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    metrics = ["frobenius_delinquency", "frobenius_debt", "relative_error"]
+    assert [line.split(":")[0] for line in lines] == metrics
+    rows = json.loads((tmp_path / "cmp" / "comparison.json").read_text())["rows"]
+    assert sorted(rows) == sorted(metrics)  # the file's keys are sorted
+    for line, metric in zip(lines, metrics):
+        assert line.endswith(f" winner={rows[metric]['winner']}") and line.count("winner=") == 1
+    for strategy in STRATEGIES:
+        report = json.loads((tmp_path / "cmp" / strategy / "report.json").read_text())
+        assert report["strategy"] == strategy
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from synthbank import binning, tabular
+from synthbank import tabular
 from synthbank.binning import (
     BinningError,
     Codebook,
@@ -257,9 +257,17 @@ def test_csv_round_trip_property(tmp_path_factory, ds):
 
 
 def test_write_unwritable_path():
+    # both writers give the same error
+    path = "/nonexistent-dir/nope.csv"
     ds = Dataset(SCHEMA, [np.array([1.0]), np.array([0])])
-    with pytest.raises(TabularError, match="cannot write"):
-        write_csv(ds, "/nonexistent-dir/nope.csv")
+    codebook = Codebook([ColumnCodec(name="a0", kind="categorical", labels=("0", "1"))])
+    messages = []
+    for write, data in ((write_csv, ds), (write_encoded_csv, EncodedDataset([[1]], codebook))):
+        with pytest.raises(TabularError) as info:
+            write(data, path)
+        messages.append(str(info.value))
+    assert messages[0].startswith(f"cannot write {path}: ")
+    assert messages[1] == messages[0]
 
 
 # ------------------------------------------------ per-cell byte references
@@ -803,7 +811,8 @@ def test_written_files_are_read_without_the_text_readers(tmp_path, monkeypatch):
         raise AssertionError("the text reader ran")
 
     monkeypatch.setattr(tabular, "_read_text", no_text_reader)
-    monkeypatch.setattr(binning, "read_csv", no_text_reader)
+    # read_codes hands the files it does not convert to tabular.read_csv
+    monkeypatch.setattr(tabular, "read_csv", no_text_reader)
     monkeypatch.setattr(tabular, "CHUNK_ROWS", 2)
     # a comma in a column name makes the writer quote the header
     for name in ("value", "Branch, city"):
