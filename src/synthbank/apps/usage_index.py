@@ -59,14 +59,11 @@ class UsageIndicators:
     alpha: float
     beta: float
     gamma: float
-    population: int
 
     def __post_init__(self) -> None:
         for name, v in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
             if not (0.0 <= v <= 1.0):
                 raise UsageError(f"{name} must lie in [0, 1], got {v}")
-        if self.population <= 0:
-            raise UsageError(f"group {self.key}: population must be positive")
 
     @property
     def vector(self) -> np.ndarray:
@@ -140,7 +137,6 @@ def build_usage_indicators(data: Dataset, unbanked: dict) -> list[UsageIndicator
                 alpha=float(stats[1] / population),
                 beta=float(stats[2] / population),
                 gamma=float(stats[3] / population),
-                population=int(population),
             )
         )
     return out

@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
             f"Config keys: application ({'|'.join(APPS)}), strategy ({'|'.join(STRATEGIES)}), "
             f"mechanism.name ({'|'.join(MECHANISMS)}), "
             "mechanism.selection_fraction, mechanism.rounds, "
-            "mechanism.workload, mechanism.pac.{k,eta,delta_k}, privacy.{epsilon,delta} "
+            "mechanism.workload, mechanism.pac.{eta,delta_k}, privacy.{epsilon,delta} "
             "(null for the noiseless diagnostic mode), decode.{mode,bandwidth,grid_points}, "
             "input.datagen.* or input.files.*, rule_overrides.<column>, n_synthetic, "
             "seed, output."

@@ -13,7 +13,7 @@ share the same measurement primitives:
   between the current model estimate and the exact data marginal minus an
   expected-noise penalty, selects the max-score marginal via the selection
   budget, measures it, and refits.
-* ``pac`` (``pac_synthesize``) extracts tuple counts per reporting length
+* ``pac`` (``pac_synthesize``) extracts one-way and pair tuple counts
   with a per-record contribution cap, adds Gaussian noise, suppresses
   tuples whose noisy count falls below the spurious-tuple threshold, and
   assembles rows greedily from surviving tuples. A column none of whose
@@ -477,42 +477,36 @@ def fit_aim_model(
 class PacConfig:
     """Aggregate-seeded synthesiser settings.
 
-    ``k`` is the reporting length, ``eta`` the target spurious proportion
-    and ``delta_k`` the per-record contribution cap per tuple length.
-    Row assembly reads only the one-way and pair levels, yet the budget is
-    split over all ``k``: with ``k >= 3`` the levels from 3 on take budget
-    and noise draws that no synthetic row uses.
+    ``eta`` is the target spurious proportion and ``delta_k`` the number of
+    attribute subsets a record may add to at each of the two levels, the
+    one-way values and the pairs.
     """
 
-    k: int = 2
     eta: float = 0.01
-    delta_k: float = 3.0
+    delta_k: int = 3
 
     def __post_init__(self) -> None:
         reject_bools(MechanismError, eta=self.eta, delta_k=self.delta_k)
-        if not is_int(self.k) or self.k < 1:
-            raise MechanismError(f"reporting length k must be an integer >= 1, got {self.k!r}")
         if not is_real(self.eta) or not 0 < self.eta < 1:
             raise MechanismError(f"eta must lie in (0, 1), got {self.eta!r}")
-        if not is_real(self.delta_k) or self.delta_k < 1:
-            raise MechanismError(f"delta_k must be >= 1, got {self.delta_k!r}")
+        if not is_int(self.delta_k) or self.delta_k < 1:
+            raise MechanismError(f"delta_k must be an integer >= 1, got {self.delta_k!r}")
 
 
-def pac_threshold(config: PacConfig, sigma_k: float, s_prev: int, v_k: int) -> float:
-    """Suppression threshold rho_k for one reporting level of base noise
-    scale ``sigma_k``.
+def pac_threshold(config: PacConfig, cell_scale: float, s_prev: int, v_k: int) -> float:
+    """Suppression threshold rho_k for one level whose cells get Gaussian
+    noise of scale ``cell_scale``.
 
-    ``rho_k = sqrt(delta_k) * sigma_k * Phi^-1(1 - eta * min(1,
-    s_prev/v_k))`` with Phi the standard normal CDF; a spurious tuple then
-    survives with probability at most ``1 - Phi(rho_k / (sigma_k *
-    sqrt(delta_k)))``.
+    ``rho_k = cell_scale * Phi^-1(1 - eta * min(1, s_prev/v_k))`` with Phi
+    the standard normal CDF; a spurious tuple then survives with
+    probability at most ``1 - Phi(rho_k / cell_scale)``.
     """
     if v_k <= 0:
         raise MechanismError("candidate tuple count must be positive")
     quantile = 1.0 - config.eta * min(1.0, s_prev / v_k)
     # inv_cdf (Wichura's AS241) takes p in (0, 1); Phi^-1(1) is +inf
     z = NormalDist().inv_cdf(quantile) if quantile < 1.0 else math.inf
-    return math.sqrt(config.delta_k) * sigma_k * z
+    return cell_scale * z
 
 
 @dataclass
@@ -529,8 +523,8 @@ class PacLevel:
 
 def pac_sigma(config: PacConfig, params: PrivacyParams | None) -> float:
     """Per-level base noise scale: ``_budget``'s Gaussian scale of the budget
-    split equally across the ``k`` levels, with no selection (0 without one)."""
-    return _budget(params, config.k, 0, 0.0)[1]
+    split equally across the two levels, with no selection (0 without one)."""
+    return _budget(params, 2, 0, 0.0)[1]
 
 
 def _contributions(u: np.ndarray, cap: int) -> np.ndarray:
@@ -560,15 +554,18 @@ def pac_aggregate(
     params: PrivacyParams | None,
     rng: np.random.Generator,
 ) -> list[PacLevel]:
-    """Noisy tuple aggregation with spurious-tuple suppression.
+    """Noisy tuple aggregation with spurious-tuple suppression, at two
+    levels: the one-way values and the pairs.
 
-    For each length 1..k: candidate tuples are every value combination
-    whose (length-1)-sub-tuples all survived the previous level; counts are
-    extracted with each record contributing to at most ``delta_k``
-    attribute subsets per level; Gaussian noise with cell scale
-    ``pac_sigma * sqrt(delta_k)`` is added to every candidate; candidates
-    below the level threshold are suppressed. A level with no candidate
-    has threshold ``inf``, all-zero weights, and draws nothing from ``rng``.
+    Every value of every column is a one-way candidate; a pair of values is
+    a candidate when both of its values survived. Counts are extracted
+    with each record contributing to at most ``delta_k`` attribute subsets
+    per level. A record then adds 1 to at most ``min(delta_k, subsets at
+    the level)`` cells, so Gaussian noise of cell scale ``pac_sigma`` times
+    the square root of that is added to every candidate, and candidates
+    below the level threshold are suppressed. A level with no candidate (as
+    the pair level of one column) has threshold ``inf``, all-zero weights,
+    and draws nothing from ``rng``.
 
     A record contributes to the ``delta_k`` subsets with the smallest of
     its uniform draws, found by sorting each record's draws; a record with
@@ -577,57 +574,43 @@ def pac_aggregate(
     ``compute_marginal``, weighted 1 where a record contributes, else 0.
     """
     d = data.n_columns
-    if config.k > d:
-        raise MechanismError(f"reporting length {config.k} exceeds {d} attributes")
     sigma = pac_sigma(config, params)
     domain = data.codebook.domain_sizes
     n = data.n_records
-    cap = int(config.delta_k)
-    cell_scale = sigma * math.sqrt(config.delta_k)
+    cap = config.delta_k
     columns = np.ascontiguousarray(data.codes.T)
 
     levels: list[PacLevel] = []
-    prev_masks: dict | None = None
     s_prev = 1  # |S_0|: the empty tuple
-    for length in range(1, config.k + 1):
+    for length in (1, 2):
         subsets = list(combinations(range(d), length))
         contrib = None
         if len(subsets) > cap and n > 0:
             # one row per subset, so each subset reads its weights in one run
             contrib = np.ascontiguousarray(_contributions(rng.random((n, len(subsets))), cap).T)
-
-        # a record's weight is 1 where it contributes to attrs, else 0
-        tables = {
-            attrs: _count(columns, attrs, domain, None if contrib is None else contrib[si])
-            .astype(np.float64)
-            for si, attrs in enumerate(subsets)
-        }
-
-        cand_masks = {}
-        total_candidates = 0
-        for attrs in subsets:
-            shape = tuple(domain[a] for a in attrs)
-            mask = np.ones(shape, dtype=bool)
-            if length > 1:
-                for drop in range(length):
-                    sub = attrs[:drop] + attrs[drop + 1 :]
-                    surv = prev_masks[sub]
-                    if not surv.any():
-                        mask[:] = False
-                        break
-                    mask &= np.expand_dims(surv, axis=drop)
-            cand_masks[attrs] = mask
-            total_candidates += int(mask.sum())
+        # a record adds 1 to one cell of each subset it contributes to
+        cell_scale = sigma * math.sqrt(min(cap, len(subsets)))
+        if length == 1:
+            masks = {(a,): np.ones(domain[a], dtype=bool) for (a,) in subsets}
+        else:
+            # a pair is a candidate when both of its values survived; every
+            # kept noisy count is above 0, so the survivors are the positive
+            # weights
+            survived = [levels[0].weights[(a,)] > 0 for a in range(d)]
+            masks = {(a, b): np.outer(survived[a], survived[b]) for a, b in subsets}
+        total_candidates = sum(int(mask.sum()) for mask in masks.values())
 
         # with no candidate, no cell is noised and none survives
-        rho = pac_threshold(config, sigma, s_prev, total_candidates) if total_candidates else math.inf
+        rho = math.inf
+        if total_candidates:
+            rho = pac_threshold(config, cell_scale, s_prev, total_candidates)
         weights = {}
         n_survivors = 0
-        for attrs in subsets:
-            mask = cand_masks[attrs]
-            counts = tables[attrs]
-            idx = np.flatnonzero(mask.ravel())
-            noisy = counts.ravel()[idx]
+        for si, attrs in enumerate(subsets):
+            # a record's weight is 1 where it contributes to attrs, else 0
+            counts = _count(columns, attrs, domain, None if contrib is None else contrib[si])
+            idx = np.flatnonzero(masks[attrs].ravel())
+            noisy = counts.ravel()[idx].astype(np.float64)
             if cell_scale > 0:
                 noisy = noisy + rng.normal(0.0, cell_scale, size=idx.size)
             keep = (noisy >= rho) & (noisy > 0)
@@ -636,9 +619,6 @@ def pac_aggregate(
             weights[attrs] = warr.reshape(counts.shape)
             n_survivors += int(keep.sum())
         levels.append(PacLevel(length, sigma, rho, total_candidates, n_survivors, weights))
-        # every kept noisy count is above 0, so the survivors are the
-        # positive weights
-        prev_masks = {attrs: table > 0 for attrs, table in weights.items()}
         s_prev = n_survivors
     return levels
 
@@ -672,7 +652,7 @@ def pac_synthesize(
     d = data.n_columns
     domain = data.codebook.domain_sizes
     one_way = {a: levels[0].weights[(a,)] for a in range(d)}
-    pair_w = levels[1].weights if len(levels) > 1 else {}
+    pair_w = levels[1].weights
     empty = [data.codebook.names[a] for a in range(d) if not one_way[a].any()]
     if empty:
         raise MechanismError(

@@ -273,9 +273,10 @@ def test_criterion_4_dp_regime_sanity():
 
 @criterion(5, "aggregate suppression of a planted singleton; threshold arithmetic")
 def test_criterion_5_pac_suppression():
-    rho = pac_threshold(PacConfig(k=2, eta=0.025, delta_k=3.0), 1.0, 10, 10)
+    # a level whose cells get noise of scale sqrt(3): sigma = 1, three subsets
+    rho = pac_threshold(PacConfig(eta=0.025), math.sqrt(3.0), 10, 10)
     assert abs(rho - math.sqrt(3.0) * 1.959964) < 1e-4
-    assert abs(pac_threshold(PacConfig(k=2, eta=0.5, delta_k=3.0), 1.0, 10, 10)) < 1e-4
+    assert abs(pac_threshold(PacConfig(eta=0.5), math.sqrt(3.0), 10, 10)) < 1e-4
 
     rng = np.random.default_rng(301)
     n = 100_000
@@ -289,7 +290,7 @@ def test_criterion_5_pac_suppression():
     params = PrivacyParams(1.0, 1e-10)
     absent = 0
     for seed in range(100):
-        levels = pac_aggregate(data, PacConfig(k=2), params, np.random.default_rng(400 + seed))
+        levels = pac_aggregate(data, PacConfig(), params, np.random.default_rng(400 + seed))
         if levels[1].weights[(0, 1)][2, 2] == 0:
             absent += 1
     assert absent >= 95, f"singleton absent in only {absent}/100 runs"
@@ -316,7 +317,6 @@ def test_criterion_6_numerical_fitting():
             alpha=float(np.clip(v + rng.normal(0, 0.04), 0, 1)),
             beta=float(np.clip(0.7 * v + rng.normal(0, 0.04), 0, 1)),
             gamma=float(np.clip(0.4 * v + rng.normal(0, 0.04), 0, 1)),
-            population=10,
         )
         for i, v in enumerate(base)
     ]
@@ -334,7 +334,7 @@ def test_criterion_6_numerical_fitting():
     assert np.allclose(comp.weights, v / v.sum(), atol=1e-6)
 
     symmetric = [
-        UsageIndicators(key=(str(i),), alpha=val, beta=val, gamma=val, population=10)
+        UsageIndicators(key=(str(i),), alpha=val, beta=val, gamma=val)
         for i, val in enumerate((0.2, 0.4, 0.6, 0.8))
     ]
     assert pca_usage_component(symmetric).weights == (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)

@@ -684,21 +684,21 @@ def test_fit_aim_model_matches_scalar_draw_reference(
 # ------------------------------------------------------------------- PAC
 
 def test_pac_threshold_median_case():
-    cfg = PacConfig(k=2, eta=0.5, delta_k=3.0)
-    assert abs(pac_threshold(cfg, 1.0, 10, 10)) < 1e-12  # quantile 0.5 -> 0
+    cfg = PacConfig(eta=0.5)
+    assert abs(pac_threshold(cfg, math.sqrt(3.0), 10, 10)) < 1e-12  # quantile 0.5 -> 0
 
 
 def test_pac_threshold_normal_quantile():
-    cfg = PacConfig(k=2, eta=0.025, delta_k=3.0)
-    rho = pac_threshold(cfg, 1.0, 10, 10)
+    cfg = PacConfig(eta=0.025)
+    rho = pac_threshold(cfg, math.sqrt(3.0), 10, 10)
     assert abs(rho - math.sqrt(3.0) * 1.959964) < 1e-4
 
 
 def test_pac_threshold_spurious_bound_consistency():
+    cell_scale = math.sqrt(3.0)
     for eta in (0.5, 0.025):
-        cfg = PacConfig(k=2, eta=eta, delta_k=3.0)
-        rho = pac_threshold(cfg, 1.0, 10, 10)
-        bound = 1.0 - ndtr(rho / (1.0 * math.sqrt(cfg.delta_k)))
+        rho = pac_threshold(PacConfig(eta=eta), cell_scale, 10, 10)
+        bound = 1.0 - ndtr(rho / cell_scale)
         assert abs(bound - eta) < 1e-10
 
 
@@ -707,23 +707,21 @@ def test_pac_threshold_matches_scipy_ndtri():
     rng = np.random.default_rng(1988)
     for _ in range(10_000):
         eta = float(rng.uniform(1e-9, 1.0))
-        delta_k = float(rng.uniform(1.0, 10.0))
-        sigma = float(rng.uniform(0.01, 500.0))
+        cell_scale = float(rng.uniform(0.01, 1500.0))
         v_k = int(rng.integers(1, 1_000_000))
         s_prev = int(rng.integers(0, 2 * v_k))
-        cfg = PacConfig(k=2, eta=eta, delta_k=delta_k)
         quantile = 1.0 - eta * min(1.0, s_prev / v_k)
-        want = math.sqrt(delta_k) * sigma * float(ndtri(quantile))
-        got = pac_threshold(cfg, sigma, s_prev, v_k)
+        want = cell_scale * float(ndtri(quantile))
+        got = pac_threshold(PacConfig(eta=eta), cell_scale, s_prev, v_k)
         assert got == want or abs(got - want) <= 2e-15 * abs(want), (eta, s_prev, v_k)
-    for sigma in (1e-6, 1.0, 250.0):
-        assert pac_threshold(PacConfig(), sigma, 0, 17) == math.inf
+    for cell_scale in (1e-6, 1.0, 250.0):
+        assert pac_threshold(PacConfig(), cell_scale, 0, 17) == math.inf
 
 
 def test_pac_all_identical_rows_noiseless():
     codes = np.tile([1, 0, 2], (500, 1))
     data = make_encoded(codes, (3, 2, 4))
-    synth = pac_synthesize(data, PacConfig(k=2), None, 200, np.random.default_rng(11))
+    synth = pac_synthesize(data, PacConfig(), None, 200, np.random.default_rng(11))
     assert np.all(synth.codes == np.array([1, 0, 2]))
 
 
@@ -739,7 +737,7 @@ def test_pac_rare_combination_suppressed():
     params = PrivacyParams(1.0, 1e-10)
     survived = 0
     for seed in range(25):
-        levels = pac_aggregate(data, PacConfig(k=2), params, np.random.default_rng(seed))
+        levels = pac_aggregate(data, PacConfig(), params, np.random.default_rng(seed))
         if levels[1].weights[(0, 1)][2, 2] > 0:
             survived += 1
     assert survived <= 1  # >= 96% suppression on this slice
@@ -753,7 +751,7 @@ def test_pac_suppresses_more_combinations_than_mst():
     c = rng.integers(0, 6, n)
     data = make_encoded(np.column_stack([a, b, c]), (10, 8, 6))
     params = PrivacyParams(1.0, 1e-10)
-    pac_out = pac_synthesize(data, PacConfig(k=2), params, n, np.random.default_rng(18))
+    pac_out = pac_synthesize(data, PacConfig(), params, n, np.random.default_rng(18))
     mst_out, _, _ = run_mechanism(data, "mst", params, n, np.random.default_rng(18))
     pac_distinct = len({tuple(r) for r in pac_out.codes.tolist()})
     mst_distinct = len({tuple(r) for r in mst_out.codes.tolist()})
@@ -767,7 +765,7 @@ def test_pac_reserved_code_marked():
     a = rng.integers(0, 4, 3000)
     b = (a + rng.integers(0, 2, 3000)) % 4
     data = make_encoded(np.column_stack([a, b]), (4, 4))
-    synth = pac_synthesize(data, PacConfig(k=2), PrivacyParams(1.0, 1e-10), 500,
+    synth = pac_synthesize(data, PacConfig(), PrivacyParams(1.0, 1e-10), 500,
                            np.random.default_rng(19))
     assert synth.codebook is data.codebook
     assert not any(codec.has_suppressed for codec in synth.codebook)
@@ -775,21 +773,49 @@ def test_pac_reserved_code_marked():
     assert (synth.codes < np.array(data.codebook.domain_sizes)).all()
 
 
-def test_pac_k_exceeds_attrs():
-    data = make_encoded([[0, 1]], (2, 2))
-    with pytest.raises(MechanismError, match="reporting length"):
-        pac_synthesize(data, PacConfig(k=3), None, 5, np.random.default_rng(20))
+def test_pac_one_column_draws_only_surviving_one_way_values():
+    # on one column the pair level is empty, so every value is drawn from
+    # the one-way survivors: values 2 to 4 are too rare to survive at eps=1
+    data = make_encoded([0] * 1000 + [1] * 500 + [2] + [4] * 2, (5,))
+    config, params = PacConfig(), PrivacyParams(1.0, 1e-10)
+    one_way, pair = pac_aggregate(data, config, params, np.random.default_rng(20))
+    assert (pair.n_candidates, pair.n_survivors, pair.rho, pair.weights) == (0, 0, math.inf, {})
+    assert np.flatnonzero(one_way.weights[(0,)]).tolist() == [0, 1]
+    synth = pac_synthesize(data, config, params, 500, np.random.default_rng(20))
+    assert set(synth.codes[:, 0].tolist()) == {0, 1}
+
+
+def test_pac_noise_scale_counts_the_subsets_a_record_adds_to():
+    # two columns with delta_k = 3: a record adds to both one-way cells
+    # and the one pair cell, so the noise s.d. is sigma * sqrt(2) for a
+    # one-way cell and sigma for a pair cell
+    rng = np.random.default_rng(21)
+    data = make_encoded(rng.integers(0, 3, (3000, 2)), (3, 3))
+    config, params = PacConfig(delta_k=3), PrivacyParams(1.0, 1e-10)
+    scales = []
+
+    class Recording:
+        def normal(self, loc, scale, size):
+            scales.append(scale)
+            return rng.normal(loc, scale, size)
+
+    one_way, pair = pac_aggregate(data, config, params, Recording())
+    sigma = pac_sigma(config, params)
+    assert scales == [sigma * math.sqrt(2.0)] * 2 + [sigma]
+    assert one_way.rho == pac_threshold(config, sigma * math.sqrt(2.0), 1, 6)
+    assert pair.rho == pac_threshold(config, sigma, one_way.n_survivors, pair.n_candidates)
 
 
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ({"k": 0}, "k must be an integer >= 1, got 0"),
-        ({"k": 2.0}, "k must be an integer >= 1, got 2.0"),
-        ({"k": "2"}, "k must be an integer >= 1, got '2'"),
+        # each message is matched as a pattern inside the raised one
+        ({"delta_k": 0}, "k must be an integer >= 1, got 0"),
+        ({"delta_k": 2.0}, "k must be an integer >= 1, got 2.0"),
+        ({"delta_k": "2"}, "k must be an integer >= 1, got '2'"),
         ({"eta": "x"}, "eta must lie in"),
-        ({"delta_k": None}, "delta_k must be >= 1, got None"),
-        ({"k": True}, "k must be an integer >= 1, got True"),
+        ({"delta_k": None}, "delta_k must be an integer >= 1, got None"),
+        ({"delta_k": 2.5}, "delta_k must be an integer >= 1, got 2.5"),
         ({"delta_k": True}, "delta_k must not be a boolean, got True"),
     ],
 )
@@ -802,18 +828,15 @@ def reference_pac_aggregate(data, config, params, rng):
     """``pac_aggregate`` as one weight table per subset from a copy of the
     contributing rows, with ``argsort``'s picks for every record."""
     d = data.n_columns
-    if config.k > d:
-        raise MechanismError(f"reporting length {config.k} exceeds {d} attributes")
     sigma = pac_sigma(config, params)
     domain = data.codebook.domain_sizes
     n = data.n_records
-    cap = int(config.delta_k)
-    cell_scale = sigma * math.sqrt(config.delta_k)
+    cap = config.delta_k
 
     levels = []
-    prev_masks = None
+    kept_masks = {}
     s_prev = 1
-    for length in range(1, config.k + 1):
+    for length in (1, 2):
         subsets = list(combinations(range(d), length))
         contrib = None
         if len(subsets) > cap and n > 0:
@@ -829,30 +852,23 @@ def reference_pac_aggregate(data, config, params, rng):
             counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
             tables[attrs] = counts.astype(np.float64)
 
-        cand_masks = {}
-        total_candidates = 0
-        for attrs in subsets:
-            shape = tuple(domain[a] for a in attrs)
-            mask = np.ones(shape, dtype=bool)
-            if length > 1:
-                for drop in range(length):
-                    sub = attrs[:drop] + attrs[drop + 1 :]
-                    surv = prev_masks.get(sub)
-                    if surv is None or not surv.any():
-                        mask[:] = False
-                        break
-                    mask &= np.expand_dims(surv, axis=drop)
-            cand_masks[attrs] = mask
-            total_candidates += int(mask.sum())
+        if length == 1:
+            cand_masks = {attrs: np.ones(tables[attrs].shape, dtype=bool) for attrs in subsets}
+        else:
+            cand_masks = {(a, b): kept_masks[(a,)][:, None] & kept_masks[(b,)][None, :]
+                          for a, b in subsets}
+        total_candidates = sum(int(mask.sum()) for mask in cand_masks.values())
 
         if total_candidates == 0:
             levels.append(PacLevel(length, sigma, math.inf, 0, 0,
                                    {attrs: np.zeros(tables[attrs].shape) for attrs in subsets}))
-            prev_masks = {attrs: cand_masks[attrs] for attrs in subsets}
+            kept_masks = cand_masks
             s_prev = 0
             continue
 
-        rho = pac_threshold(config, sigma, s_prev, total_candidates)
+        # a record adds 1 to one cell of each subset it contributes to
+        cell_scale = sigma * math.sqrt(min(cap, len(subsets)))
+        rho = pac_threshold(config, cell_scale, s_prev, total_candidates)
         weights = {}
         kept_masks = {}
         n_survivors = 0
@@ -872,7 +888,6 @@ def reference_pac_aggregate(data, config, params, rng):
             kept_masks[attrs] = kept.reshape(counts.shape)
             n_survivors += int(keep.sum())
         levels.append(PacLevel(length, sigma, rho, total_candidates, n_survivors, weights))
-        prev_masks = kept_masks
         s_prev = n_survivors
     return levels
 
@@ -885,7 +900,7 @@ def reference_pac_synthesize(data, config, params, n_out, rng):
     d = data.n_columns
     domain = data.codebook.domain_sizes
     one_way = {a: levels[0].weights[(a,)] for a in range(d)}
-    pair_w = levels[1].weights if len(levels) > 1 else {}
+    pair_w = levels[1].weights
 
     order = sorted(range(d), key=lambda a: (-float(one_way[a].sum()), a))
     out = np.empty((n_out, d), dtype=np.int64)
@@ -952,8 +967,7 @@ def pac_inputs(draw):
         for size in domain
     ]) if n else np.zeros((0, len(domain)), dtype=np.int64)
     data = make_encoded(codes, domain)
-    config = PacConfig(k=draw(st.integers(1, min(3, len(domain)))),
-                       delta_k=draw(st.sampled_from([1.0, 2.5, 3.0, 50.0])))
+    config = PacConfig(delta_k=draw(st.sampled_from([1, 2, 3, 50])))
     params = draw(st.sampled_from([None, PrivacyParams(1.0, 1e-9), PrivacyParams(20.0, 1e-6)]))
     n_out = draw(st.sampled_from([0, 1, 7, 300]))
     return data, config, params, n_out
@@ -1034,7 +1048,7 @@ def test_pac_ties_at_the_cap_pick_what_argsort_picks(seed):
         assert (got.sum(axis=1) == cap).all()
     rng = np.random.default_rng(seed)
     data = make_encoded(rng.integers(0, 4, (300, 6)), (4, 4, 4, 4, 4, 4))
-    config = PacConfig(k=3, delta_k=3.0)
+    config = PacConfig(delta_k=3)
     params = PrivacyParams(5.0, 1e-9)
     assert_pac_matches_reference(data, config, params, 200, lambda: PlantedTies(seed))
     assert_same_levels(pac_aggregate(data, config, params, PlantedTies(seed)),
@@ -1044,7 +1058,7 @@ def test_pac_ties_at_the_cap_pick_what_argsort_picks(seed):
 def test_pac_raises_when_a_column_keeps_no_value():
     # no value of two records clears the one-way threshold at epsilon = 1
     data = make_encoded([[0, 1], [1, 0]], (2, 2))
-    config, params = PacConfig(k=2), PrivacyParams(1.0, 1e-10)
+    config, params = PacConfig(), PrivacyParams(1.0, 1e-10)
     rng = np.random.default_rng(19)
     with pytest.raises(MechanismError) as info:
         pac_synthesize(data, config, params, 50, rng)
@@ -1059,7 +1073,7 @@ def test_pac_level_without_candidates_has_no_threshold_and_no_weights():
     # no one-way value of two records survives at epsilon = 1, so the pair
     # level has no candidate: no cell is noised and none survives
     data = make_encoded([[0, 1], [1, 0]], (2, 2))
-    config, params = PacConfig(k=2), PrivacyParams(1.0, 1e-10)
+    config, params = PacConfig(), PrivacyParams(1.0, 1e-10)
     rng, ref_rng = np.random.default_rng(19), np.random.default_rng(19)
     levels = pac_aggregate(data, config, params, rng)
     assert (levels[0].n_candidates, levels[0].n_survivors) == (4, 0)
@@ -1078,7 +1092,7 @@ def test_pac_rejects_the_suppressed_code():
     # and PAC raises rather than emit it when a column keeps no value
     data = make_encoded([[0, 1], [1, 0]], (2, 2))
     with pytest.raises(MechanismError, match="no row can be drawn"):
-        pac_synthesize(data, PacConfig(k=2), PrivacyParams(1.0, 1e-10), 50,
+        pac_synthesize(data, PacConfig(), PrivacyParams(1.0, 1e-10), 50,
                        np.random.default_rng(19))
 
 

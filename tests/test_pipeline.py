@@ -415,7 +415,7 @@ def test_yield_pipeline_pac_keeps_every_row(tmp_path):
     doc = {
         "application": "yield",
         "strategy": "cbp",
-        "mechanism": {"name": "pac", "pac": {"k": 2}},
+        "mechanism": {"name": "pac"},
         "privacy": {"epsilon": 1.0, "delta": 1e-10},
         "decode": {"mode": "left_edge"},
         "input": {"datagen": {"n_deposits": 3000}},
@@ -663,7 +663,7 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
     [
         ([1, 2], "config: the top level must be a JSON object, got list"),
         ({"mechanism": {"name": "pac", "pac": 3}}, "mechanism.pac: must be an object, got 3"),
-        ({"mechanism": {"name": "pac", "pac": {"k": 0}}}, "mechanism.pac: reporting length k"),
+        ({"mechanism": {"name": "pac", "pac": {"k": 0}}}, "mechanism.pac: unknown keys ['k']"),
         ({"rule_overrides": [1]}, "rule_overrides: must be an object, got [1]"),
         (
             {"mechanism": {"name": "mst", "selection_fraction": "x"}},
@@ -762,7 +762,7 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
         ),
         (
             {"mechanism": {"name": "pac", "pac": {"k": True}}},
-            "mechanism.pac: reporting length k must be an integer >= 1, got True",
+            "mechanism.pac: unknown keys ['k']",
         ),
         ({"n_synthetic": False}, "n_synthetic: must be a non-negative integer, got False"),
         ({"mechanism": "mst"}, "mechanism: must be an object, got 'mst'"),
@@ -777,6 +777,10 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
         (
             {"mechanism": {"name": "pac", "pac": {"delta_k": True}}},
             "mechanism.pac: delta_k must not be a boolean, got True",
+        ),
+        (
+            {"mechanism": {"name": "pac", "pac": {"delta_k": 2.5}}},
+            "mechanism.pac: delta_k must be an integer >= 1, got 2.5",
         ),
         (
             {"decode": {"mode": "kde", "bandwidth": True}},
@@ -921,8 +925,8 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
          "string-n-cards", "override-unknown-column", "override-unbinned-column",
          "boolean-seed", "boolean-rounds", "boolean-pac-k", "boolean-n-synthetic",
          "mechanism-string", "boolean-epsilon", "boolean-selection-fraction",
-         "boolean-pac-delta-k", "boolean-bandwidth", "boolean-gender-split",
-         "boolean-override-floor", "boolean-band-share", "short-curve-beta",
+         "boolean-pac-delta-k", "fractional-pac-delta-k", "boolean-bandwidth",
+         "boolean-gender-split", "boolean-override-floor", "boolean-band-share", "short-curve-beta",
          "decreasing-capital-range", "string-in-term-range", "empty-yield-periods",
          "repeated-fi-periods", "short-fi-lambda", "negative-fi-lambda", "short-debt-range",
          "boolean-override-k", "fractional-override-k", "string-rate-noise",

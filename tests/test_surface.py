@@ -1,9 +1,14 @@
-"""Every defaulted parameter in ``src/synthbank`` is set by some call in ``src/``.
+"""Every defaulted parameter in ``src/synthbank`` is set by some call in
+``src/``, and every dataclass field there is read by some code in ``src/``.
 
 A call is matched to a ``def`` by name (``f(...)`` or ``x.f(...)``), and a
 call of a class counts as a call of its ``__init__``. A parameter counts as
 set when a call passes it by position or by keyword; what a call passes
 through ``*args`` or ``**kwargs`` is not counted.
+
+A field is matched to its reads by name too: any ``x.field`` that is read
+counts, except ``self.field`` in its own class's ``__post_init__``, which
+only checks or normalises what was written.
 """
 
 import ast
@@ -19,6 +24,23 @@ ALLOWED = {
     "yield_curve.nss_fit.tau_grid": "the bit-for-bit reference tests sweep it",
     "yield_curve.nss_fit.refine_rounds": "the bit-for-bit reference tests sweep it",
     "cli.main.argv": "None reads the process's own command line",
+}
+
+
+# dataclass fields that stay although no code in src/ reads them by name
+UNREAD = {
+    "Coverage.count_fraction": "the credit app writes Coverage whole with dataclasses.asdict",
+    "Coverage.debt_fraction": "the credit app writes Coverage whole with dataclasses.asdict",
+    "Coverage.n_joined": "the credit app writes Coverage whole with dataclasses.asdict",
+    "PacLevel.length": "the PAC reference tests compare it",
+    "PacLevel.sigma": "perfbench/spans.py reads it to count noised cells",
+    "PacLevel.rho": "the PAC reference tests compare it",
+    "PacLevel.n_candidates": "perfbench/spans.py reads it as a work count",
+    "PacLevel.n_survivors": "perfbench/spans.py reads it as a work count",
+    # dropping these two fields changes add_gaussian_noise, whose sigma
+    # parameter perfbench/spans.py reads; that is a change of its own
+    "NoisyMarginal.attrs": "nothing reads it (CHANGES.md, FOUND)",
+    "NoisyMarginal.sigma": "only tests/test_privacy.py reads it (CHANGES.md, FOUND)",
 }
 
 
@@ -68,3 +90,43 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 
 def test_every_allowed_parameter_exists_and_is_unset():
     assert set(ALLOWED) <= set(unset_parameters())
+
+
+def _is_dataclass(cls):
+    return any(
+        getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+        for node in (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+    )
+
+
+def unread_fields():
+    fields, reads = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        checks = set()  # self.field reads in a dataclass's own __post_init__
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    fields.append(f"{cls.name}.{stmt.target.id}")
+                elif isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__":
+                    checks.update(
+                        id(node) for node in ast.walk(stmt)
+                        if isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "self"
+                    )
+        reads.update(
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in checks
+        )
+    return [field for field in fields if field.split(".")[1] not in reads]
+
+
+def test_every_dataclass_field_is_read():
+    unread = sorted(set(unread_fields()) - set(UNREAD))
+    assert not unread, "no code in src/ reads " + ", ".join(unread)
+
+
+def test_every_allowed_field_exists_and_is_unread():
+    assert set(UNREAD) <= set(unread_fields())

@@ -50,8 +50,8 @@ def test_alpha_with_unbanked():
     unbanked = {("2020", "25-35", "M"): 20}
     (ind,) = build_usage_indicators(ds, unbanked)
     assert ind.key == ("2020", "25-35", "M")
+    # 80 banked rows over a population of 100, the 20 unbanked included
     assert ind.alpha == pytest.approx(0.8)
-    assert ind.population == 100
 
 
 def test_beta_saturated_no_unbanked():
@@ -88,16 +88,21 @@ def test_planted_rates_recovered():
     assert abs(beta - beta_expect) < 0.01
     assert abs(gamma - gamma_expect) < 0.01
     # per-cell alpha within a 3-sigma binomial interval of its planted rate
+    cut = np.asarray(CBP_AGE_CUTOFFS)
+    bands = np.minimum(np.searchsorted(cut, ds.column("Age"), side="right"), len(cut) - 1)
+    genders = ds.spec("Gender").levels
     for ind in build_usage_indicators(ds, unbanked):
         band = AGE_BAND_LABELS.index(ind.key[1])
+        in_cell = (bands == band) & (ds.column("Gender") == genders.index(ind.key[2]))
+        population = np.count_nonzero(in_cell) + unbanked.get(ind.key, 0)
         p = config.banked_rate[band]
-        ci = 3 * np.sqrt(p * (1 - p) / ind.population)
+        ci = 3 * np.sqrt(p * (1 - p) / population)
         assert abs(ind.alpha - p) <= ci, ind.key
 
 
 def test_pca_symmetric_indicators_exact_third():
     indicators = [
-        UsageIndicators(key=(str(i),), alpha=v, beta=v, gamma=v, population=100)
+        UsageIndicators(key=(str(i),), alpha=v, beta=v, gamma=v)
         for i, v in enumerate((0.3, 0.5, 0.7, 0.9))
     ]
     comp = pca_usage_component(indicators)
@@ -115,7 +120,6 @@ def test_pca_correlated_scaled_indicators_preserve_ranking():
             alpha=float(b),
             beta=float(0.5 * b),
             gamma=float(0.25 * b + 0.05),
-            population=10,
         )
         for i, b in enumerate(base)
     ]
@@ -133,7 +137,6 @@ def test_pca_matches_eigen_oracles():
             alpha=float(np.clip(b + rng.normal(0, 0.05), 0, 1)),
             beta=float(np.clip(0.8 * b + rng.normal(0, 0.05), 0, 1)),
             gamma=float(np.clip(0.5 * b + rng.normal(0, 0.05), 0, 1)),
-            population=10,
         )
         for i, b in enumerate(base)
     ]
@@ -164,7 +167,7 @@ def test_pca_matches_eigen_oracles():
 
 def test_pca_zero_variance_column_gets_equal_share():
     indicators = [
-        UsageIndicators(key=(str(i),), alpha=a, beta=0.5, gamma=a * 0.5, population=10)
+        UsageIndicators(key=(str(i),), alpha=a, beta=0.5, gamma=a * 0.5)
         for i, a in enumerate((0.2, 0.4, 0.6, 0.8))
     ]
     with pytest.warns(UserWarning, match="zero-variance"):
@@ -175,8 +178,8 @@ def test_pca_zero_variance_column_gets_equal_share():
 
 def test_pca_needs_three_groups():
     indicators = [
-        UsageIndicators(key=("a",), alpha=0.1, beta=0.2, gamma=0.3, population=5),
-        UsageIndicators(key=("b",), alpha=0.2, beta=0.3, gamma=0.4, population=5),
+        UsageIndicators(key=("a",), alpha=0.1, beta=0.2, gamma=0.3),
+        UsageIndicators(key=("b",), alpha=0.2, beta=0.3, gamma=0.4),
     ]
     with pytest.raises(UsageError, match="3 groups"):
         pca_usage_component(indicators)
@@ -308,7 +311,6 @@ def reference_build_usage_indicators(data, unbanked):
                 alpha=float(stats[1] / population),
                 beta=float(stats[2] / population),
                 gamma=float(stats[3] / population),
-                population=int(population),
             )
         )
     return out
