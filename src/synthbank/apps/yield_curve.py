@@ -1,9 +1,10 @@
 """Term-deposit yield-curve evaluator.
 
 Builds capital-weighted average rates per term bin from numeric microdata
-(original, or synthetic after decoding), scores synthetic curves by the
-maximum RMSE over periods, and fits two trend models: locally weighted
-scatterplot smoothing and the six-parameter Svensson term structure.
+(original, or synthetic after decoding) and the term codes of its rows,
+scores synthetic curves by the maximum RMSE over periods, and fits two
+trend models: locally weighted scatterplot smoothing and the six-parameter
+Svensson term structure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
 
-from ..binning import Codebook, assign_codes
+from ..binning import EncodedDataset
 from ..population import DepositMarketConfig, generate_term_deposits, svensson_loadings
 from ..presets import deposit_rules
 from ..tabular import Dataset, load_schema, read_csv
@@ -22,7 +23,6 @@ from ..tabular import Dataset, load_schema, read_csv
 __all__ = [
     "YieldError",
     "YieldPoint",
-    "YieldCurve",
     "YieldRmseReport",
     "NssParams",
     "weighted_avg_rate",
@@ -48,20 +48,6 @@ class YieldPoint:
     count: int
 
 
-@dataclass(frozen=True)
-class YieldCurve:
-    """Curve for one (institution type, currency, period) group.
-
-    ``points`` maps term-bin code to :class:`YieldPoint`; bins with no data
-    are simply absent (missing, not zero).
-    """
-
-    points: dict
-
-    def terms(self) -> list[int]:
-        return sorted(self.points)
-
-
 def weighted_avg_rate(capitals, rates) -> float:
     """Capital-weighted average interest rate of one group of deposits."""
     capitals = np.asarray(capitals, dtype=np.float64)
@@ -73,23 +59,24 @@ def weighted_avg_rate(capitals, rates) -> float:
     return float(np.sum(capitals * rates) / np.sum(capitals))
 
 
-def build_yield_curves(data: Dataset, codebook: Codebook) -> dict:
-    """Curves keyed by (typeFI, Currency, Period), with ``Term`` binned by
-    the codebook's ``Term`` codec.
+def build_yield_curves(data: Dataset, codes: EncodedDataset) -> dict:
+    """Curves keyed by (typeFI, Currency, Period), each a dict from term
+    code to :class:`YieldPoint`; a term bin with no deposits is absent
+    (missing, not zero).
 
-    ``data`` holds numeric Capital/Term/InterestRate cells: the original
-    microdata, or synthetic microdata after decoding (the release pipeline
-    decodes with the left bin edge). Total capital is conserved across bins.
+    ``data`` holds numeric Capital and InterestRate cells: the original
+    microdata, or synthetic microdata after decoding. ``codes`` is the
+    encoded dataset of the same rows (``encoded`` for the original rows,
+    ``synthetic`` for the decoded ones), whose ``Term`` codes bin each row:
+    the ``Term`` values are not read. Total capital is conserved across bins.
     """
-    for name in ("typeFI", "Period", "Currency", "Capital", "Term", "InterestRate"):
+    for name in ("typeFI", "Period", "Currency", "Capital", "InterestRate"):
         if name not in data.column_names:
             raise YieldError(f"required feature '{name}' missing from dataset")
-    term_codec = codebook["Term"]
-    terms = data.column("Term")
-    if term_codec.log_flag:
-        terms = np.log(terms)
-    term_codes = assign_codes(terms, term_codec.edges)
-    n_bins = term_codec.domain_size
+    if codes.n_records != data.n_records:
+        raise YieldError(f"{codes.n_records} coded rows for {data.n_records} data rows")
+    term_codes = codes.column_codes("Term")
+    n_bins = codes.codebook["Term"].domain_size
 
     # one stable sort by (type, currency, period, term code), each label
     # keyed by its rank among its column's sorted labels, so groups come
@@ -114,18 +101,18 @@ def build_yield_curves(data: Dataset, codebook: Codebook) -> dict:
     weighted = capital * data.column("InterestRate")[order]
 
     types, currencies, periods = group_labels
-    points_by_group: dict[tuple, dict] = {}
+    curves: dict[tuple, dict] = {}
     bounds = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), key.size] if key.size else []
     for start, stop in zip(bounds, bounds[1:]):
         group, code = divmod(int(key[start]), n_bins)
         group, period = divmod(group, len(periods))
         type_, currency = divmod(group, len(currencies))
-        points = points_by_group.setdefault((types[type_], currencies[currency], periods[period]), {})
+        points = curves.setdefault((types[type_], currencies[currency], periods[period]), {})
         total = np.sum(capital[start:stop])  # weighted_avg_rate's sums, made once
         points[code] = YieldPoint(
             wai=float(np.sum(weighted[start:stop]) / total), total_capital=float(total), count=stop - start
         )
-    return {group_key: YieldCurve(points) for group_key, points in points_by_group.items()}
+    return curves
 
 
 @dataclass(frozen=True)
@@ -140,7 +127,9 @@ class YieldRmseReport:
 def yield_rmse(per_period_s: dict, per_period_o: dict, field: str = "wai") -> YieldRmseReport:
     """Max-over-periods RMSE between synthetic and original curves.
 
-    Curves are compared over the term bins present in both; bins present on
+    Each argument maps a period to its curve, a dict from term code to
+    :class:`YieldPoint` as :func:`build_yield_curves` returns it. Curves
+    are compared over the term bins present in both; bins present on
     only one side are excluded and counted. Periods must match; a period
     with no overlapping bins is an error. ``field`` is ``"wai"`` or
     ``"total_capital"``.
@@ -157,11 +146,11 @@ def yield_rmse(per_period_s: dict, per_period_o: dict, field: str = "wai") -> Yi
     excluded = {}
     for period in sorted(per_period_s):
         cs, co = per_period_s[period], per_period_o[period]
-        common = sorted(set(cs.points) & set(co.points))
-        excluded[period] = len(set(cs.points) ^ set(co.points))
+        common = sorted(set(cs) & set(co))
+        excluded[period] = len(set(cs) ^ set(co))
         if not common:
             raise YieldError(f"period '{period}': no overlapping term bins")
-        diffs = [getattr(cs.points[b], field) - getattr(co.points[b], field) for b in common]
+        diffs = [getattr(cs[b], field) - getattr(co[b], field) for b in common]
         per_period[period] = float(np.sqrt(np.mean(np.square(diffs))))
     return YieldRmseReport(
         per_period=per_period, maximum=max(per_period.values()), excluded_bins=excluded
@@ -496,10 +485,9 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
     synthetic curve for the plot table: one call of each fits every curve of
     one length that passes its checks, and a curve that fails them is left
     without that fit."""
-    codebook = encoded.codebook
-    curves_o = build_yield_curves(original, codebook)
-    curves_s = build_yield_curves(decoded, codebook)
-    term_edges = np.asarray(codebook["Term"].edges)
+    curves_o = build_yield_curves(original, encoded)
+    curves_s = build_yield_curves(decoded, synthetic)
+    term_edges = np.asarray(encoded.codebook["Term"].edges)
 
     groups: dict = {}
     group_keys = sorted({(k[0], k[1]) for k in curves_o} | {(k[0], k[1]) for k in curves_s})
@@ -544,16 +532,17 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
     to_smooth: dict = {}
     to_fit: dict = {}
     for key, cs in sorted(curves_s.items()):
-        xs = term_edges[cs.terms()]
-        ys = np.array([cs.points[b].wai for b in cs.terms()])
+        terms = sorted(cs)
+        xs = term_edges[terms]
+        ys = np.array([cs[b].wai for b in terms])
         try:
             _check_lowess(xs)
             to_smooth.setdefault(xs.size, []).append((key, xs, ys))
         except YieldError:
             pass  # the curve is left unsmoothed
-        if len(cs.points) >= 6:
+        if len(cs) >= 6:
             ts = np.maximum(xs, 1.0)
-            ws = np.array([max(cs.points[b].total_capital, 1.0) for b in cs.terms()])
+            ws = np.array([max(cs[b].total_capital, 1.0) for b in terms])
             try:
                 _check_curve(ts, ws)
             except YieldError as exc:
@@ -564,16 +553,16 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
     for group in to_smooth.values():
         keys, xs, ys = zip(*group)
         for key, fitted in zip(keys, lowess(np.stack(xs), np.stack(ys))):
-            smooth[key] = dict(zip(curves_s[key].terms(), fitted))
+            smooth[key] = dict(zip(sorted(curves_s[key]), fitted))
     for group in to_fit.values():
         keys, xs, ys, ws = zip(*group)
         fits.update(zip(keys, nss_fit(np.stack(xs), np.stack(ys), weights=np.stack(ws))))
 
     nss_report: dict = {}
     for key in sorted(set(curves_o) | set(curves_s)):
-        co = curves_o.get(key)
-        cs = curves_s.get(key)
-        bins = sorted(set(co.points if co else ()) | set(cs.points if cs else ()))
+        co = curves_o.get(key, {})
+        cs = curves_s.get(key, {})
+        bins = sorted(set(co) | set(cs))
         smoothed = smooth.get(key, {})
         nss_values: dict = {}
         fit = fits.get(key)
@@ -590,10 +579,10 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
                 "tau2": params.tau2,
                 "fit_rmse": fit_rmse,
             }
-            nss_values = dict(zip(cs.terms(), nss_eval(params, fit_terms[key])))
+            nss_values = dict(zip(sorted(cs), nss_eval(params, fit_terms[key])))
         for b in bins:
-            po = co.points.get(b) if co else None
-            ps = cs.points.get(b) if cs else None
+            po = co.get(b)
+            ps = cs.get(b)
             rows.append(
                 [
                     *key,
@@ -611,7 +600,7 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
             )
 
     mean_wai = float(
-        np.mean([p.wai for c in curves_o.values() for p in c.points.values()])
+        np.mean([p.wai for c in curves_o.values() for p in c.values()])
     ) if curves_o else float("nan")
     relative = (wai_max_overall / mean_wai) if (wai_max_overall is not None and mean_wai > 0) else None
     metrics = {

@@ -61,9 +61,10 @@ class BinningRule:
 
     ``cutoffs`` drives the explicit method (strictly increasing, final value
     is the closed domain maximum); ``k`` drives the data-driven methods.
-    ``floor`` is decode-time metadata for explicit bins: the left edge of
-    the open-below first bin. ``log_pretransform`` bins in natural-log space
-    and is only legal on strictly positive features.
+    ``floor`` is the first edge of explicit bins: the left edge of the
+    open-below first bin, which the left-edge decoder returns for it; values
+    below it still fall into that bin. ``log_pretransform`` bins in
+    natural-log space and is only legal on strictly positive features.
     """
 
     method: str
@@ -266,7 +267,9 @@ def explicit_bins(values, cutoffs, floor: float = 0.0) -> tuple[np.ndarray, np.n
 
     Bin ``i >= 1`` is ``[cutoffs[i-1], cutoffs[i])``; bin 0 is open below
     its upper cut-off; the final bin is closed at the stated maximum.
-    Values above the final cut-off are out of domain.
+    Values above the final cut-off are out of domain. The edges are
+    ``[floor, *cutoffs]``, taken from the rule alone: a value below the
+    floor falls into bin 0 and moves no edge.
     """
     cut = np.asarray(cutoffs, dtype=np.float64)
     if cut.ndim != 1 or cut.size == 0:
@@ -274,19 +277,15 @@ def explicit_bins(values, cutoffs, floor: float = 0.0) -> tuple[np.ndarray, np.n
     if cut.size > 1 and not np.all(np.diff(cut) > 0):
         raise BinningError("cut-offs must be strictly increasing")
     vals = np.asarray(values, dtype=np.float64)
-    if vals.size:
-        above = vals > cut[-1]
-        if np.any(above):
-            i = int(np.flatnonzero(above)[0])
-            raise BinningError(
-                f"value {vals[i]:g} (row {i + 1}) above the final cut-off {cut[-1]:g}"
-            )
-    lo = floor
-    if vals.size:
-        lo = min(lo, float(vals.min()))
-    if lo >= cut[0]:
-        raise BinningError(f"floor {lo:g} must lie below the first cut-off {cut[0]:g}")
-    edges = np.concatenate([[lo], cut])
+    above = vals > cut[-1]
+    if np.any(above):
+        i = int(np.flatnonzero(above)[0])
+        raise BinningError(
+            f"value {vals[i]:g} (row {i + 1}) above the final cut-off {cut[-1]:g}"
+        )
+    if floor >= cut[0]:
+        raise BinningError(f"floor {floor:g} must lie below the first cut-off {cut[0]:g}")
+    edges = np.concatenate([[floor], cut])
     return assign_codes(vals, edges), edges
 
 

@@ -373,7 +373,7 @@ def fit_mst_model(
     # the root's one-way marginal, then every edge's two-way one
     measured = [(0,), *sorted(edges)]
     noisy = {
-        attrs: add_gaussian_noise(attrs, compute_marginal(data, attrs), sigma, rng).counts
+        attrs: add_gaussian_noise(compute_marginal(data, attrs), sigma, rng).counts
         for attrs in measured
     }
     return _build_tree_model(
@@ -463,7 +463,7 @@ def fit_aim_model(
             # 2 * max_weight per record
             scores += rng.gumbel(0.0, 2.0 * 2.0 * max_weight / eps_sel_round, size=len(workload))
         best_attrs = workload[int(np.argmax(scores))][0]
-        noisy = add_gaussian_noise(best_attrs, exact[best_attrs], sigma, rng)
+        noisy = add_gaussian_noise(exact[best_attrs], sigma, rng)
         sums[best_attrs] = sums.get(best_attrs, 0.0) + noisy.counts
         hits[best_attrs] = hits.get(best_attrs, 0) + 1
         measured.append({"attrs": best_attrs, "sigma": sigma})
@@ -521,7 +521,7 @@ class PacLevel:
     weights: dict  # attrs tuple -> dense weight array over the subset domain
 
 
-def pac_sigma(config: PacConfig, params: PrivacyParams | None) -> float:
+def pac_sigma(params: PrivacyParams | None) -> float:
     """Per-level base noise scale: ``_budget``'s Gaussian scale of the budget
     split equally across the two levels, with no selection (0 without one)."""
     return _budget(params, 2, 0, 0.0)[1]
@@ -574,7 +574,7 @@ def pac_aggregate(
     ``compute_marginal``, weighted 1 where a record contributes, else 0.
     """
     d = data.n_columns
-    sigma = pac_sigma(config, params)
+    sigma = pac_sigma(params)
     domain = data.codebook.domain_sizes
     n = data.n_records
     cap = config.delta_k
@@ -730,7 +730,7 @@ def run_mechanism(
     """
     if mechanism == "pac":
         synthetic = pac_synthesize(data, pac, params, n_out, rng)
-        return synthetic, pac_sigma(pac, params), {"pac": dataclasses.asdict(pac)}
+        return synthetic, pac_sigma(params), {"pac": dataclasses.asdict(pac)}
     if mechanism == "mst":
         model = fit_mst_model(data, params, rng, selection_fraction)
     elif mechanism == "aim":

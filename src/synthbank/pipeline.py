@@ -112,7 +112,7 @@ def _is_workload(value) -> bool:
         return False
 
 
-# ``from_dict``'s stand-in for a rule that failed to build: its message is
+# ``from_dict``'s stand-in for a rule it did not build: its message is
 # recorded already, so the rule checks leave it out
 _UNBUILT = object()
 
@@ -266,9 +266,10 @@ class PipelineConfig:
         off. JSON lists become tuples, and the settings objects are built,
         each one's message under its section. Only the settings the document
         gives are passed on, so the class supplies every default and makes
-        every other check. A settings object that fails to build is left at
-        its default, so the other settings are still checked, and every
-        message, the document's and the class's, comes in one
+        every other check. A settings object whose section has an unknown key
+        is not built, and one that fails to build is left at its default, so
+        each mistake has one message, the other settings are still checked,
+        and every message, the document's and the class's, comes in one
         :class:`PipelineConfigError`.
         """
         if not isinstance(doc, dict):
@@ -291,11 +292,13 @@ class PipelineConfig:
 
         def build(factory, label, value, suffix=""):
             """``factory`` built from the section ``value``, which holds some
-            of its fields; None, with its message recorded, if that fails."""
+            of its fields; None, with its message recorded, if that fails.
+            A section with unknown keys is not built: its one message says so."""
             names = [f.name for f in dataclasses.fields(factory)]
+            reported = len(errors)
             fields = section(label, value, names, suffix)
             try:
-                return None if fields is None else factory(**fields)
+                return None if fields is None or len(errors) > reported else factory(**fields)
             except (TypeError, ValueError, OverflowError) as exc:
                 errors.append(f"{label}: {exc}")
                 return None

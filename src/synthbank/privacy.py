@@ -50,24 +50,19 @@ class PrivacyParams:
 
 @dataclass(frozen=True)
 class NoisyMarginal:
-    """A measured contingency table: real-valued counts plus the noise scale.
+    """A measured contingency table: its real-valued, read-only counts.
 
-    ``sigma == 0`` marks the noiseless diagnostic mode. The table shape must
-    equal the product of the attribute domain sizes; that is checked by the
-    mechanism that owns the attribute metadata.
+    The table shape must equal the product of the attribute domain sizes;
+    that is checked by the mechanism that owns the attribute metadata, which
+    also records each measurement's attributes and noise scale.
     """
 
-    attrs: tuple[int, ...]
     counts: np.ndarray
-    sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise PrivacyError("sigma must be non-negative")
         counts = np.asarray(self.counts, dtype=np.float64)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "attrs", tuple(self.attrs))
 
 
 def gaussian_sigma(params: PrivacyParams) -> float:
@@ -76,7 +71,7 @@ def gaussian_sigma(params: PrivacyParams) -> float:
     return (math.sqrt(log_term) + math.sqrt(log_term + params.epsilon)) / params.epsilon
 
 
-def add_gaussian_noise(attrs, counts, sigma: float, rng: np.random.Generator) -> NoisyMarginal:
+def add_gaussian_noise(counts, sigma: float, rng: np.random.Generator) -> NoisyMarginal:
     """Independent N(0, sigma^2) noise on every cell of an exact marginal.
 
     sigma == 0 returns the counts unchanged; a fixed generator state yields
@@ -90,7 +85,7 @@ def add_gaussian_noise(attrs, counts, sigma: float, rng: np.random.Generator) ->
         noisy = counts.copy()
     else:
         noisy = counts + rng.normal(0.0, sigma, size=counts.shape)
-    return NoisyMarginal(attrs=tuple(attrs), counts=noisy, sigma=float(sigma))
+    return NoisyMarginal(counts=noisy)
 
 
 def split_budget(

@@ -211,14 +211,14 @@ def test_criterion_3_noiseless_pipeline():
         dep_encoded, "mst", None, dep_encoded.n_records, np.random.default_rng(106)
     )
     dep_decoded = decode_dataset(dep_synth, mode="left_edge")
-    curves_o = build_yield_curves(deposits, dep_encoded.codebook)
-    curves_s = build_yield_curves(dep_decoded, dep_encoded.codebook)
+    curves_o = build_yield_curves(deposits, dep_encoded)
+    curves_s = build_yield_curves(dep_decoded, dep_synth)
     assert set(curves_o) == set(curves_s)
     worst_gap = 0.0
     for key, curve_o in curves_o.items():
         curve_s = curves_s[key]
-        for b in set(curve_o.points) & set(curve_s.points):
-            gap = abs(curve_o.points[b].wai - curve_s.points[b].wai)
+        for b in set(curve_o) & set(curve_s):
+            gap = abs(curve_o[b].wai - curve_s[b].wai)
             worst_gap = max(worst_gap, gap)
     assert worst_gap < 0.5, f"noiseless yield per-bin WAI gap {worst_gap}"
 

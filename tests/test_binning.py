@@ -54,6 +54,13 @@ def test_explicit_bin_count_equals_cutoff_count():
     assert list(codes) == [0, 1, 2]
 
 
+def test_explicit_edges_come_from_the_rule_alone():
+    # values below the floor fall into the open-below bin 0 and move no edge
+    codes, edges = explicit_bins([0.5, 1.0, 2.5, 7.0], (2.0, 6.0, 10.0), floor=1.5)
+    assert list(edges) == [1.5, 2.0, 6.0, 10.0]
+    assert list(codes) == [0, 0, 1, 2]
+
+
 def test_explicit_order_preserving_property():
     rng = np.random.default_rng(5)
     values = rng.uniform(0, 110, size=500)
@@ -405,6 +412,17 @@ def deposit_fixture(n=400, seed=3):
     return Dataset(schema, columns)
 
 
+def test_encode_cbp_codebook_depends_on_the_preset_alone():
+    # two deposit sets whose capital minima differ, both below the 1e6 floor
+    low, lower = deposit_fixture(seed=3), deposit_fixture(seed=4)
+    assert low.column("Capital").min() != lower.column("Capital").min()
+    assert max(low.column("Capital").min(), lower.column("Capital").min()) < 1e6
+    first = encode_dataset(low, deposit_rules("cbp")).codebook
+    second = encode_dataset(lower, deposit_rules("cbp")).codebook
+    assert first.codecs == second.codecs
+    assert first["Capital"].edges[0] == 1e6
+
+
 def test_encode_cbp_strategy_domain_sizes():
     ds = deposit_fixture()
     enc = encode_dataset(ds, deposit_rules("cbp"))
@@ -452,7 +470,8 @@ def test_encode_decode_left_edge_bracket_invariant():
             if codec.log_flag:
                 vals = np.log(vals)
             codes = enc.column_codes(name)
-            assert np.all(edges[codes] <= vals + 1e-12)
+            # bin 0 is open below: an explicit floor may lie above a value
+            assert np.all((codes == 0) | (edges[codes] <= vals + 1e-12))
             assert np.all(vals <= edges[codes + 1] + 1e-12)
 
 

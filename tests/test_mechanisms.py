@@ -560,7 +560,7 @@ def reference_fit_mst_model(data, params, rng, selection_fraction):
         edges = reference_forest(scores, d)
     measured = [(0,), *sorted(edges)]
     noisy = {
-        attrs: add_gaussian_noise(attrs, compute_marginal(data, attrs), sigma, rng).counts
+        attrs: add_gaussian_noise(compute_marginal(data, attrs), sigma, rng).counts
         for attrs in measured
     }
     pairs = {attrs: counts for attrs, counts in noisy.items() if len(attrs) == 2}
@@ -591,7 +591,7 @@ def reference_fit_aim_model(data, workload, params, rounds, rng, selection_fract
                 score += rng.gumbel(0.0, 2.0 * 2.0 * max_weight / (eps_selection / rounds))
             if score > best_score:
                 best_attrs, best_score = attrs, score
-        noisy = add_gaussian_noise(best_attrs, exact[best_attrs], sigma, rng)
+        noisy = add_gaussian_noise(exact[best_attrs], sigma, rng)
         if best_attrs in sums:
             sums[best_attrs] = sums[best_attrs] + noisy.counts
             hits[best_attrs] += 1
@@ -800,7 +800,7 @@ def test_pac_noise_scale_counts_the_subsets_a_record_adds_to():
             return rng.normal(loc, scale, size)
 
     one_way, pair = pac_aggregate(data, config, params, Recording())
-    sigma = pac_sigma(config, params)
+    sigma = pac_sigma(params)
     assert scales == [sigma * math.sqrt(2.0)] * 2 + [sigma]
     assert one_way.rho == pac_threshold(config, sigma * math.sqrt(2.0), 1, 6)
     assert pair.rho == pac_threshold(config, sigma, one_way.n_survivors, pair.n_candidates)
@@ -828,7 +828,7 @@ def reference_pac_aggregate(data, config, params, rng):
     """``pac_aggregate`` as one weight table per subset from a copy of the
     contributing rows, with ``argsort``'s picks for every record."""
     d = data.n_columns
-    sigma = pac_sigma(config, params)
+    sigma = pac_sigma(params)
     domain = data.codebook.domain_sizes
     n = data.n_records
     cap = config.delta_k

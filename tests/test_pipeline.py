@@ -626,7 +626,7 @@ def test_stages_read_only_what_they_use(tmp_path):
 
 @pytest.mark.parametrize("mechanism", ["mst", "aim", "pac"])
 def test_manifest_sigma_is_the_measured_sigma(tmp_path, mechanism):
-    from synthbank.mechanisms import PacConfig, pac_sigma
+    from synthbank.mechanisms import pac_sigma
     from synthbank.privacy import PrivacyParams
 
     doc = credit_config(tmp_path, mechanism={"name": mechanism})
@@ -635,7 +635,7 @@ def test_manifest_sigma_is_the_measured_sigma(tmp_path, mechanism):
     sigma = manifest["privacy"]["sigma_per_measurement"]
     assert sigma > 0
     if mechanism == "pac":
-        assert sigma == pac_sigma(PacConfig(), PrivacyParams(1.0, 1e-10))
+        assert sigma == pac_sigma(PrivacyParams(1.0, 1e-10))
     else:
         measured = manifest["mechanism"]["measured"]
         assert measured and all(item["sigma"] == sigma for item in measured)
@@ -944,6 +944,29 @@ def test_cli_bad_config_fields_are_config_errors(tmp_path, capsys, doc, message)
     err = capsys.readouterr().err
     assert f"config error: {message}" in err
     assert "failed" not in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_reports_each_unknown_key_once(tmp_path, capsys):
+    # a section with an unknown key is not built, so its class adds no
+    # second message; the two overrides, left out, take no part in the pair
+    # rule, although their known keys give the pair two rules
+    doc = credit_config(
+        tmp_path,
+        mechanism={"name": "pac", "pac": {"k": 2}},
+        input={"datagen": {"n_cards": 4000, "n_card": 5}},
+        rule_overrides={
+            "Debt2020": {"method": "equal_frequency", "k": 4, "bins": 5},
+            "Debt2021": {"method": "equal_frequency", "k": 5, "bins": 5},
+        },
+    )
+    assert cli_main(["pipeline", "--config", str(write_config(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: mechanism.pac: unknown keys ['k']",
+        "config error: input.datagen: unknown keys ['n_card'] for credit",
+        "config error: rule_overrides.Debt2020: unknown keys ['bins']",
+        "config error: rule_overrides.Debt2021: unknown keys ['bins']",
+    ]
     assert not (tmp_path / "run").exists()
 
 

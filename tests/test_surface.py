@@ -37,10 +37,6 @@ UNREAD = {
     "PacLevel.rho": "the PAC reference tests compare it",
     "PacLevel.n_candidates": "perfbench/spans.py reads it as a work count",
     "PacLevel.n_survivors": "perfbench/spans.py reads it as a work count",
-    # dropping these two fields changes add_gaussian_noise, whose sigma
-    # parameter perfbench/spans.py reads; that is a change of its own
-    "NoisyMarginal.attrs": "nothing reads it (CHANGES.md, FOUND)",
-    "NoisyMarginal.sigma": "only tests/test_privacy.py reads it (CHANGES.md, FOUND)",
 }
 
 

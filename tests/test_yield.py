@@ -16,7 +16,6 @@ from synthbank.apps import yield_curve
 from synthbank.apps.yield_curve import (
     DEFAULT_TAU_GRID,
     NssParams,
-    YieldCurve,
     YieldError,
     YieldPoint,
     _lstsq_stack,
@@ -28,7 +27,7 @@ from synthbank.apps.yield_curve import (
     weighted_avg_rate,
     yield_rmse,
 )
-from synthbank.binning import Codebook, ColumnCodec, assign_codes, encode_dataset
+from synthbank.binning import Codebook, ColumnCodec, EncodedDataset, encode_dataset
 from synthbank.pipeline import Pipeline, PipelineConfig
 from synthbank.population import DepositMarketConfig, generate_term_deposits, planted_rate_curve
 from synthbank.presets import deposit_rules
@@ -78,32 +77,26 @@ def deposit_dataset(terms, rates, capitals, period="2023-12"):
 def test_build_curves_singleton_groups_reproduce_raw_rates():
     ds = deposit_dataset([15.0, 45.0, 100.0], [2.0, 3.0, 4.0], [1e6, 2e6, 3e6])
     enc = encode_dataset(ds, deposit_rules("cbp"))
-    curves = build_yield_curves(ds, enc.codebook)
+    curves = build_yield_curves(ds, enc)
     (curve,) = curves.values()
-    rates = [curve.points[b].wai for b in curve.terms()]
+    rates = [curve[b].wai for b in sorted(curve)]
     assert rates == [2.0, 3.0, 4.0]
-    assert len(curve.points) == 3
+    assert len(curve) == 3
 
 
 def test_build_curves_missing_bins_and_capital_conservation():
     config = DepositMarketConfig(n_deposits=3000)
     ds = generate_term_deposits(config, np.random.default_rng(5))
     enc = encode_dataset(ds, deposit_rules("cbp"))
-    curves = build_yield_curves(ds, enc.codebook)
-    total_capital = sum(
-        p.total_capital for curve in curves.values() for p in curve.points.values()
-    )
+    curves = build_yield_curves(ds, enc)
+    total_capital = sum(p.total_capital for curve in curves.values() for p in curve.values())
     assert total_capital == pytest.approx(ds.column("Capital").sum(), rel=1e-9)
     for curve in curves.values():
-        assert len(curve.points) <= 28
+        assert len(curve) <= 28
 
 
 def make_curve(points):
-    from synthbank.apps.yield_curve import YieldCurve, YieldPoint
-
-    return YieldCurve(
-        points={b: YieldPoint(wai=w, total_capital=c, count=1) for b, (w, c) in points.items()}
-    )
+    return {b: YieldPoint(wai=w, total_capital=c, count=1) for b, (w, c) in points.items()}
 
 
 def test_yield_rmse_identity():
@@ -315,10 +308,10 @@ def test_planted_deposit_curve_recovered_without_noise():
     )
     ds = generate_term_deposits(config, np.random.default_rng(13))
     enc = encode_dataset(ds, deposit_rules("cbp"))
-    curves = build_yield_curves(ds, enc.codebook)
+    curves = build_yield_curves(ds, enc)
     term_edges = np.asarray(enc.codebook["Term"].edges)
     for curve in curves.values():
-        for code, point in curve.points.items():
+        for code, point in curve.items():
             left = max(term_edges[code], 7.0)
             right = term_edges[code + 1]
             grid = planted_rate_curve(config, np.linspace(left, right, 64))
@@ -328,13 +321,9 @@ def test_planted_deposit_curve_recovered_without_noise():
 # ------------------------------------------- reference implementations
 
 
-def reference_build_yield_curves(data, codebook):
+def reference_build_yield_curves(data, codes):
     """One full-length mask per group and per term code, in data order."""
-    term_codec = codebook["Term"]
-    terms = data.column("Term")
-    if term_codec.log_flag:
-        terms = np.log(terms)
-    term_codes = assign_codes(terms, term_codec.edges)
+    term_codes = codes.column_codes("Term")
     capital = data.column("Capital")
     rates = data.column("InterestRate")
     types = data.labels("typeFI")
@@ -351,7 +340,7 @@ def reference_build_yield_curves(data, codebook):
                 total_capital=float(capital[sel].sum()),
                 count=int(sel.sum()),
             )
-        curves[key] = YieldCurve(points=points)
+        curves[key] = points
     return curves
 
 
@@ -640,15 +629,15 @@ def test_evaluate_fits_each_curve_length_in_one_call(tmp_path, monkeypatch):
     pipeline = Pipeline(PipelineConfig.from_dict(yield_term8_config(tmp_path)))
     pipeline.run()
     term_edges = np.asarray(pipeline.encoded.codebook["Term"].edges)
-    curves = build_yield_curves(pipeline.decoded, pipeline.encoded.codebook)
-    fitted = {key: curve for key, curve in sorted(curves.items()) if len(curve.points) >= 6}
-    lengths = sorted({len(curve.points) for curve in fitted.values()})
+    curves = build_yield_curves(pipeline.decoded, pipeline.synthetic)
+    fitted = {key: curve for key, curve in sorted(curves.items()) if len(curve) >= 6}
+    lengths = sorted({len(curve) for curve in fitted.values()})
     assert len(lengths) >= 2
     assert sorted(m for _, m in calls) == lengths
     # one lowess call per length of 3 points or more, stacking every curve
     # of that length
-    smoothed = {key: curve for key, curve in sorted(curves.items()) if len(curve.points) >= 3}
-    by_length = Counter(len(curve.points) for curve in smoothed.values())
+    smoothed = {key: curve for key, curve in sorted(curves.items()) if len(curve) >= 3}
+    by_length = Counter(len(curve) for curve in smoothed.values())
     assert sorted(smooth_calls) == sorted((count, m) for m, count in by_length.items())
     assert max(by_length.values()) >= 2
 
@@ -658,18 +647,18 @@ def test_evaluate_fits_each_curve_length_in_one_call(tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     want_column = {(row["type"], row["currency"], row["period"], int(row["term_bin"])): "" for row in rows}
     for key, curve in fitted.items():
-        terms = np.array([max(term_edges[b], 1.0) for b in curve.terms()])
-        rates = np.array([curve.points[b].wai for b in curve.terms()])
-        weights = np.array([max(curve.points[b].total_capital, 1.0) for b in curve.terms()])
+        terms = np.array([max(term_edges[b], 1.0) for b in sorted(curve)])
+        rates = np.array([curve[b].wai for b in sorted(curve)])
+        weights = np.array([max(curve[b].total_capital, 1.0) for b in sorted(curve)])
         params, rmse = reference_nss_fit(terms, rates, weights)
         assert report["|".join(key)] == {**dataclasses.asdict(params), "fit_rmse": rmse}
-        for b, term in zip(curve.terms(), terms):
+        for b, term in zip(sorted(curve), terms):
             want_column[(*key, b)] = f"{nss_eval(params, term):.6f}"
     assert [row["nss_synthetic"] for row in rows] == list(want_column.values())
     want_column = dict.fromkeys(want_column, "")
     for key, curve in smoothed.items():
-        rates = [curve.points[b].wai for b in curve.terms()]
-        for b, value in zip(curve.terms(), reference_lowess(term_edges[curve.terms()], rates)):
+        rates = [curve[b].wai for b in sorted(curve)]
+        for b, value in zip(sorted(curve), reference_lowess(term_edges[sorted(curve)], rates)):
             want_column[(*key, b)] = f"{value:.6f}"
     assert [row["lowess_synthetic"] for row in rows] == list(want_column.values())
 
@@ -682,9 +671,9 @@ def test_evaluate_leaves_a_rejected_curve_unsmoothed_and_smooths_its_stack(tmp_p
 
     pipeline = Pipeline(PipelineConfig.from_dict(yield_term8_config(tmp_path / "all")))
     pipeline.run()
-    curves = sorted(build_yield_curves(pipeline.decoded, pipeline.encoded.codebook).items())
+    curves = sorted(build_yield_curves(pipeline.decoded, pipeline.synthetic).items())
     # a curve that shares its length with other curves of 3 points or more
-    lengths = [len(curve.points) for _, curve in curves]
+    lengths = [len(curve) for _, curve in curves]
     target = next(i for i, m in enumerate(lengths) if m >= 3 and lengths.count(m) >= 2)
     check = yield_curve._check_lowess
     seen = []
@@ -768,12 +757,8 @@ LEVELS = {
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(0, 300),
-    data=st.data(),
-    log_flag=st.booleans(),
-)
-def test_build_yield_curves_equals_reference_bit_for_bit(n, data, log_flag):
+@given(n=st.integers(0, 300), data=st.data())
+def test_build_yield_curves_equals_reference_bit_for_bit(n, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     # levels listed out of sorted order, some of them never used
     schema = tuple(ColumnSpec(name, CATEGORICAL, levels=levels) for name, levels in LEVELS.items()) + (
@@ -787,13 +772,33 @@ def test_build_yield_curves_equals_reference_bit_for_bit(n, data, log_flag):
         [rng.integers(0, used[name], n) for name in LEVELS]
         + [np.exp(rng.normal(15, 3, n)), rng.integers(1, 3600, n).astype(float), rng.normal(6, 2, n)],
     )
-    edges = np.sort(rng.choice(np.arange(1.0, 4000.0), data.draw(st.integers(2, 12)), replace=False))
-    if log_flag:
-        edges = np.log(edges)
-    codebook = Codebook([ColumnCodec(name="Term", kind="binned", edges=tuple(edges), log_flag=log_flag)])
-    got = build_yield_curves(ds, codebook)
-    want = reference_build_yield_curves(ds, codebook)
+    n_bins = data.draw(st.integers(1, 11))
+    edges = np.sort(rng.choice(np.arange(1.0, 4000.0), n_bins + 1, replace=False))
+    codebook = Codebook([ColumnCodec(name="Term", kind="binned", edges=tuple(edges))])
+    # the upper term bins may stay empty
+    codes = EncodedDataset(rng.integers(0, data.draw(st.integers(1, n_bins)), (n, 1)), codebook)
+    got = build_yield_curves(ds, codes)
+    want = reference_build_yield_curves(ds, codes)
     assert repr(list(got.items())) == repr(list(want.items()))
+
+
+def test_build_yield_curves_reads_term_bins_from_the_codes_not_the_values():
+    ds = generate_term_deposits(DepositMarketConfig(n_deposits=2000), np.random.default_rng(4))
+    enc = encode_dataset(ds, deposit_rules("cbp"))
+    columns = [ds.column(spec.name) for spec in ds.schema]
+    columns[ds.column_names.index("Term")] = np.full(ds.n_records, 7200.0)
+    overwritten = Dataset(ds.schema, columns)
+    got = build_yield_curves(overwritten, enc)
+    assert repr(list(got.items())) == repr(list(build_yield_curves(ds, enc).items()))
+    assert len({code for curve in got.values() for code in curve}) > 1
+
+
+def test_build_yield_curves_rejects_codes_of_other_rows():
+    ds = deposit_dataset([15.0, 45.0, 100.0], [2.0, 3.0, 4.0], [1e6, 2e6, 3e6])
+    enc = encode_dataset(ds, deposit_rules("cbp"))
+    fewer = EncodedDataset(enc.codes[:2], enc.codebook)
+    with pytest.raises(YieldError, match="2 coded rows for 3 data rows"):
+        build_yield_curves(ds, fewer)
 
 
 def test_build_yield_curves_rejects_non_positive_capital():
@@ -801,7 +806,7 @@ def test_build_yield_curves_rejects_non_positive_capital():
         ds = deposit_dataset([15.0, 45.0, 100.0], [2.0, 3.0, 4.0], [1e6, capital, 3e6])
         enc = encode_dataset(ds, deposit_rules("cbp"))
         with pytest.raises(YieldError, match="capitals must be positive"):
-            build_yield_curves(ds, enc.codebook)
+            build_yield_curves(ds, enc)
 
 
 def test_build_yield_curves_rejects_numeric_group_column():
@@ -810,4 +815,4 @@ def test_build_yield_curves_rejects_numeric_group_column():
     schema = tuple(ColumnSpec(s.name, NUMERIC) if s.name == "typeFI" else s for s in ds.schema)
     numeric = Dataset(schema, [ds.column(s.name).astype(float) for s in ds.schema])
     with pytest.raises(YieldError, match="'typeFI' must be categorical"):
-        build_yield_curves(numeric, enc.codebook)
+        build_yield_curves(numeric, enc)
