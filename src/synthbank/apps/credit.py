@@ -18,7 +18,7 @@ import numpy as np
 
 from ..binning import EncodedDataset
 from ..population import CreditPortfolioConfig, generate_credit_cards
-from ..presets import AGE_BAND_LABELS, credit_rules
+from ..presets import AGE_BAND_LABELS, CBP_AGE_CUTOFFS, credit_rules
 from ..tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset, load_schema, read_csv
 
 __all__ = [
@@ -263,8 +263,8 @@ def evaluate(original, coverage, encoded, synthetic, decoded, strategy):
 
     rates_o = delinquency_rate(encoded)
     rates_s = delinquency_rate(synthetic)
-    # band names when the codes are the seven reporting bands
-    named = codebook["Age2020"].domain_size == len(AGE_BAND_LABELS)
+    # band names when the codes are the reporting age bands
+    named = codebook["Age2020"].edges[1:] == CBP_AGE_CUTOFFS
     rows = [["age_band", "gender", "rate_original", "rate_synthetic"]]
     for key in sorted(rates_o):
         band = AGE_BAND_LABELS[key[0]] if named else f"bin{key[0]}"

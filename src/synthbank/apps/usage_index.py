@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..binning import EncodedDataset, assign_codes
+from ..binning import EncodedDataset
 from ..population import FiPopulationConfig, generate_fi_population
-from ..presets import AGE_BAND_LABELS, CBP_AGE_CUTOFFS, fi_rules
+from ..presets import AGE_BAND_LABELS, age_bands, fi_rules
 from ..tabular import Dataset, TabularError, load_schema, read_csv
 
 __all__ = [
@@ -92,8 +92,8 @@ def build_usage_indicators(data: Dataset, unbanked: dict) -> list[UsageIndicator
     microdata plus unbanked counts.
 
     ``unbanked`` maps ``(period, age_band_label, gender)`` to counts. Ages
-    fall into the bands of ``CBP_AGE_CUTOFFS``. Cells with zero total
-    population are an error.
+    fall into the reporting age bands, named by ``AGE_BAND_LABELS``. Cells
+    with zero total population are an error.
     """
     for name in ("Period", "Age", "Gender", *INDICATOR_COLUMNS):
         if name not in data.column_names:
@@ -104,10 +104,10 @@ def build_usage_indicators(data: Dataset, unbanked: dict) -> list[UsageIndicator
             raise TabularError(f"column '{name}' is numeric, has no labels")
     periods = data.spec("Period").levels
     genders = data.spec("Gender").levels
-    bands = assign_codes(data.column("Age"), (0.0, *CBP_AGE_CUTOFFS))
+    bands = age_bands(data.column("Age"))
 
     # rows, and rows with each indicator, per (period, age band, gender) cell
-    n_bands, n_genders = len(CBP_AGE_CUTOFFS), len(genders)
+    n_bands, n_genders = len(AGE_BAND_LABELS), len(genders)
     cell = (data.column("Period") * n_bands + bands) * n_genders + data.column("Gender")
     n_cells = len(periods) * n_bands * n_genders
     flagged = [cell[data.column(name) > 0] for name in INDICATOR_COLUMNS]
@@ -253,7 +253,8 @@ def usage_levels(encoded: EncodedDataset) -> dict:
 
 
 def load_unbanked_csv(path) -> dict:
-    """Read the (period, age_band, gender, count) table."""
+    """Read the (period, age_band, gender, count) table; each ``age_band``
+    is one of ``AGE_BAND_LABELS``."""
     unbanked = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -263,6 +264,8 @@ def load_unbanked_csv(path) -> dict:
         for rownum, row in enumerate(reader, start=1):
             if len(row) != 4:
                 raise TabularError(f"{path}: row {rownum}: expected 4 cells")
+            if row[1] not in AGE_BAND_LABELS:
+                raise TabularError(f"{path}: row {rownum}: unknown age band '{row[1]}'")
             try:
                 count = int(row[3])
             except ValueError:

@@ -627,6 +627,8 @@ def compare_strategies(config_or_path) -> dict:
 
     The comparison table carries one row per headline metric with the two
     strategies side by side and a winner flag per row (lower error wins).
+    Both runs read the same original rows, so by basic composition they
+    spend (2ε, 2δ) together: ``privacy.total``, None without noise.
     """
     base = _as_config(config_or_path)
     outdir = Path(base.output)
@@ -652,10 +654,13 @@ def compare_strategies(config_or_path) -> dict:
             winner = first if a < b else second
         table[metric] = {first: a, second: b, "winner": winner}
 
+    total = None
+    if base.epsilon is not None:
+        total = {"epsilon": 2 * base.epsilon, "delta": 2 * base.delta}
     comparison = {
         "application": base.application,
         "mechanism": base.mechanism,
-        "privacy": {"epsilon": base.epsilon, "delta": base.delta},
+        "privacy": {"epsilon": base.epsilon, "delta": base.delta, "total": total},
         "seed": base.seed,
         "rows": table,
     }

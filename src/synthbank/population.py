@@ -32,7 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import is_int, is_real, reject_bools
-from .presets import AGE_BAND_LABELS, DEPOSIT_INSURANCE_LIMIT
+from .presets import (
+    AGE_BAND_LABELS,
+    CBP_AGE_CUTOFFS,
+    CBP_DELINQUENCY_CUTOFFS,
+    DEPOSIT_INSURANCE_LIMIT,
+    band_edges,
+)
 from .tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
 
 __all__ = [
@@ -44,10 +50,23 @@ __all__ = [
     "generate_credit_cards",
 ]
 
-AGE_BAND_RANGES = ((18, 24), (25, 34), (35, 44), (45, 54), (55, 64), (65, 74), (75, 95))
-DELINQUENCY_BAND_RANGES = ((0, 60), (61, 90), (91, 150), (151, 180), (181, 270), (271, 3000))
+#: the youngest and oldest age drawn, and the fewest and most days past due
+AGE_LIMITS = (18, 95)
+DELINQUENCY_LIMITS = (0, 3000)
 
 _BANDS = len(AGE_BAND_LABELS)
+_DELINQUENCY_BANDS = len(CBP_DELINQUENCY_CUTOFFS)
+
+
+def _draw_ranges(cutoffs, limits) -> tuple[tuple[int, int], ...]:
+    """The integers ``[lo, hi]`` drawn in each band of whole-number
+    ``cutoffs``: the band's own integers, kept within the outer ``limits``."""
+    low, high = limits
+    return tuple((int(max(lo, low)), min(int(hi) - 1, high)) for lo, hi in band_edges(cutoffs))
+
+
+_AGE_RANGES = _draw_ranges(CBP_AGE_CUTOFFS, AGE_LIMITS)
+_DELINQUENCY_RANGES = _draw_ranges(CBP_DELINQUENCY_CUTOFFS, DELINQUENCY_LIMITS)
 
 
 def _check_count(name: str, value) -> None:
@@ -235,13 +254,13 @@ class CreditPortfolioConfig:
             ("delinquency_dist_male", self.delinquency_dist_male),
             ("delinquency_dist_female", self.delinquency_dist_female),
         ):
-            _check_probs(name, dist, 6)
+            _check_probs(name, dist, _DELINQUENCY_BANDS)
             if abs(sum(dist) - 1.0) > 1e-9:
                 raise ValueError(f"{name} must sum to 1")
-        if len(self.kernel) != 6:
-            raise ValueError("kernel must be 6x6")
+        if len(self.kernel) != _DELINQUENCY_BANDS:
+            raise ValueError(f"kernel must be {_DELINQUENCY_BANDS}x{_DELINQUENCY_BANDS}")
         for row in self.kernel:
-            _check_probs("kernel row", row, 6)
+            _check_probs("kernel row", row, _DELINQUENCY_BANDS)
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ValueError("kernel rows must sum to 1")
         _check_range("debt_range", self.debt_range)
@@ -250,7 +269,7 @@ class CreditPortfolioConfig:
 def _ages_for_bands(bands: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     ages = np.zeros(bands.shape[0], dtype=np.float64)
     # a band no record holds draws nothing: a size-0 draw leaves the generator as it was
-    for b, (lo, hi) in enumerate(AGE_BAND_RANGES):
+    for b, (lo, hi) in enumerate(_AGE_RANGES):
         idx = np.flatnonzero(bands == b)
         ages[idx] = rng.integers(lo, hi + 1, size=idx.size)
     return ages
@@ -404,7 +423,7 @@ def _delinquency_days(bands: np.ndarray, rng: np.random.Generator) -> np.ndarray
     states a recoverable ground truth.
     """
     days = np.zeros(bands.shape[0], dtype=np.float64)
-    for b, (lo, hi) in enumerate(DELINQUENCY_BAND_RANGES):
+    for b, (lo, hi) in enumerate(_DELINQUENCY_RANGES):
         idx = np.flatnonzero(bands == b)
         center = (lo + hi) // 2
         spread = max(1, min((hi - lo) // 4, 30))
@@ -428,7 +447,7 @@ def generate_credit_cards(
     bands = np.zeros(n, dtype=np.int64)
     for g, dist in ((0, config.delinquency_dist_male), (1, config.delinquency_dist_female)):
         idx = np.flatnonzero(gender_col == g)
-        bands[idx] = rng.choice(6, size=idx.size, p=np.asarray(dist))
+        bands[idx] = rng.choice(_DELINQUENCY_BANDS, size=idx.size, p=np.asarray(dist))
     age_bands = rng.choice(_BANDS, size=n, p=np.asarray(config.band_shares))
     ages = _ages_for_bands(age_bands, rng)
     del_2020 = _delinquency_days(bands, rng)
@@ -441,9 +460,9 @@ def generate_credit_cards(
     survivors = rng.random(n) < config.persistence
     bands_2021 = np.zeros(n, dtype=np.int64)
     kernel = np.asarray(config.kernel)
-    for b in range(6):
+    for b in range(_DELINQUENCY_BANDS):
         idx = np.flatnonzero(bands == b)
-        bands_2021[idx] = rng.choice(6, size=idx.size, p=kernel[b])
+        bands_2021[idx] = rng.choice(_DELINQUENCY_BANDS, size=idx.size, p=kernel[b])
     del_2021 = _delinquency_days(bands_2021, rng)
     debt_2021 = np.clip(
         debt_2020 * np.exp(rng.normal(config.debt_drift, config.debt_vol, size=n)),
@@ -456,7 +475,7 @@ def generate_credit_cards(
         config.gender_split * np.asarray(config.delinquency_dist_male)
         + (1 - config.gender_split) * np.asarray(config.delinquency_dist_female)
     )
-    new_bands = rng.choice(6, size=n_new, p=mix / mix.sum())
+    new_bands = rng.choice(_DELINQUENCY_BANDS, size=n_new, p=mix / mix.sum())
     new_del = _delinquency_days(new_bands, rng)
     new_debt = np.clip(
         np.exp(rng.normal(config.debt_log_mean, config.debt_log_sd, size=n_new)),

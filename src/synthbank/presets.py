@@ -5,9 +5,15 @@ the bank's explicit domain cut-offs, ``data_driven`` applies
 equal-frequency / uniform / k-means rules with log pre-transforms on the
 very-large-domain monetary features. The k values are configuration
 inputs; the defaults follow the bank's reporting taxonomy.
+
+The cut-off tuples are the only band literals: the reporting band names,
+each band's edges and the band count derive from them, here, for the
+population generator and the applications.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .binning import (
     EQUAL_FREQUENCY,
@@ -15,11 +21,14 @@ from .binning import (
     KMEANS,
     UNIFORM_WIDTH,
     BinningRule,
+    assign_codes,
 )
 
 __all__ = [
     "CBP_AGE_CUTOFFS",
     "AGE_BAND_LABELS",
+    "band_edges",
+    "age_bands",
     "DEPOSIT_INSURANCE_LIMIT",
     "MINIMUM_MONTHLY_WAGE",
     "CBP_TERM_CUTOFFS",
@@ -37,7 +46,6 @@ STRATEGIES = ("cbp", "data_driven")
 
 #: seven demographic age bands used across reporting
 CBP_AGE_CUTOFFS = (25.0, 35.0, 45.0, 55.0, 65.0, 75.0, 110.0)
-AGE_BAND_LABELS = ("<25", "25-35", "36-45", "46-55", "56-65", "66-75", "76+")
 
 #: count features reported as [0, 1, 2, 3, >3]
 CBP_COUNT_CUTOFFS = (1.0, 2.0, 3.0, 4.0, 50.0)
@@ -72,6 +80,36 @@ CBP_DEBT_CUTOFFS = tuple(MINIMUM_MONTHLY_WAGE * 2.0**n for n in range(-1, 7))
 
 #: delinquency-day bands used in solvency oversight, domain capped at 8000
 CBP_DELINQUENCY_CUTOFFS = (61.0, 91.0, 151.0, 181.0, 271.0, 8000.0)
+
+
+def band_edges(cutoffs) -> tuple[tuple[float, float], ...]:
+    """The ``[low, high)`` edges of each band of ``cutoffs``, as
+    ``explicit_bins`` codes them: the first band is open below (``low`` is
+    ``-inf``) and the last cut-off closes the domain."""
+    return tuple(zip((-np.inf, *cutoffs[:-1]), cutoffs))
+
+
+def _band_names(cutoffs) -> tuple[str, ...]:
+    """Reporting names of the bands of whole-number ``cutoffs``: ``<c0``, then
+    each band's first and last whole value, and ``c+`` for the last band,
+    whose closing cut-off is the domain cap, not a reported limit."""
+    (_, first), *middle, (last, _) = band_edges(cutoffs)
+    return (
+        f"<{first:g}",
+        *(f"{low:g}-{high - 1:g}" for low, high in middle),
+        f"{last:g}+",
+    )
+
+
+#: the names of the age bands, which key fi's unbanked counts and groups
+#: and credit's delinquency rates
+AGE_BAND_LABELS = _band_names(CBP_AGE_CUTOFFS)
+
+
+def age_bands(ages) -> np.ndarray:
+    """The index of each age's band in ``AGE_BAND_LABELS``; ages past the
+    last cut-off count in the last band."""
+    return assign_codes(ages, (0.0, *CBP_AGE_CUTOFFS))
 
 
 def _check_strategy(strategy: str) -> None:

@@ -1,6 +1,7 @@
 """Discretization operators against exact oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from synthbank.binning import (
     uniform_width_bins,
     write_encoded_csv,
 )
-from synthbank.presets import CBP_AGE_CUTOFFS, deposit_rules
+from synthbank.presets import AGE_BAND_LABELS, CBP_AGE_CUTOFFS, age_bands, deposit_rules
 from synthbank.tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset, TabularError
 from util import make_encoded
 
@@ -29,8 +30,27 @@ from util import make_encoded
 
 def test_explicit_age_band_paper_example():
     codes, edges = explicit_bins([30.0], CBP_AGE_CUTOFFS)
-    assert codes[0] == 1  # 25-35 band
+    assert codes[0] == 1  # 25-34 band
     assert len(edges) == 8
+
+
+def spells(name: str, age: int) -> bool:
+    """Whether the band name ``name`` ("<25", "25-34" or "75+") covers ``age``."""
+    if match := re.fullmatch(r"<(\d+)", name):
+        return age < int(match[1])
+    if match := re.fullmatch(r"(\d+)-(\d+)", name):
+        return int(match[1]) <= age <= int(match[2])
+    match = re.fullmatch(r"(\d+)\+", name)
+    assert match, name
+    return age >= int(match[1])
+
+
+def test_each_age_gets_the_name_of_the_band_it_is_coded_into():
+    ages = np.arange(0, 111)
+    codes, _ = explicit_bins(ages, CBP_AGE_CUTOFFS)
+    assert np.array_equal(age_bands(ages), codes)
+    for age, code in zip(ages.tolist(), codes.tolist()):
+        assert spells(AGE_BAND_LABELS[code], age), (age, AGE_BAND_LABELS[code])
 
 
 def test_explicit_first_bin():

@@ -29,7 +29,7 @@ from synthbank.population import (
     DepositMarketConfig,
     FiPopulationConfig,
 )
-from synthbank.presets import CBP_DEBT_CUTOFFS, STRATEGIES
+from synthbank.presets import AGE_BAND_LABELS, CBP_DEBT_CUTOFFS, STRATEGIES
 from synthbank.privacy import PrivacyError, PrivacyParams
 from synthbank.tabular import (
     CATEGORICAL,
@@ -469,6 +469,40 @@ def test_compare_emits_winner_flags(tmp_path, application, headline):
         assert row["winner"] in ("cbp", "data_driven", "tie", "undefined")
     assert (tmp_path / "cmp" / "comparison.json").exists()
     assert (tmp_path / "cmp" / "cbp" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "privacy, total",
+    [({"epsilon": 0.5, "delta": 1e-9}, {"epsilon": 1.0, "delta": 2e-9}), (None, None)],
+    ids=["budget", "no-noise"],
+)
+def test_compare_records_the_budget_both_runs_spend(tmp_path, privacy, total):
+    # both strategies read the same original rows: together they spend (2ε, 2δ)
+    doc = credit_config(tmp_path, subdir="cmp", privacy=privacy)
+    doc["input"]["datagen"]["n_cards"] = 2000
+    compare_strategies(PipelineConfig.from_dict(doc))
+    recorded = json.loads((tmp_path / "cmp" / "comparison.json").read_text())["privacy"]
+    assert recorded == {**(privacy or {"epsilon": None, "delta": None}), "total": total}
+
+
+@pytest.mark.parametrize(
+    "strategy, overrides, names",
+    [
+        ("cbp", {}, list(AGE_BAND_LABELS)),
+        ("data_driven", {"Age2020": {"method": "kmeans_1d", "k": 7}},
+         [f"bin{i}" for i in range(7)]),
+    ],
+    ids=["cbp", "kmeans-seven-bins"],
+)
+def test_credit_rates_name_reporting_bands_only_on_their_edges(tmp_path, strategy, overrides,
+                                                               names):
+    # seven k-means bins have edges other than the reporting cut-offs, so
+    # their rate groups are named by bin, not by reporting band
+    doc = credit_config(tmp_path, strategy=strategy, rule_overrides=overrides, seed=3)
+    run_pipeline(write_config(tmp_path, doc))
+    with open(tmp_path / "run" / "plot_delinquency_rates.csv", newline="") as fh:
+        bands = [row["age_band"] for row in csv.DictReader(fh)]
+    assert sorted(set(bands)) == sorted(names)
 
 
 def test_credit_without_synthetic_rows_scores_undefined(tmp_path):

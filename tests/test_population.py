@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from synthbank.binning import encode_dataset
+from synthbank import population
+from synthbank.binning import encode_dataset, explicit_bins
 from synthbank.population import (
+    AGE_LIMITS,
+    DELINQUENCY_LIMITS,
     CreditPortfolioConfig,
     DepositMarketConfig,
     FiPopulationConfig,
@@ -16,7 +19,14 @@ from synthbank.population import (
     generate_term_deposits,
     planted_rate_curve,
 )
-from synthbank.presets import credit_rules, deposit_rules, fi_rules
+from synthbank.presets import (
+    CBP_AGE_CUTOFFS,
+    CBP_DELINQUENCY_CUTOFFS,
+    band_edges,
+    credit_rules,
+    deposit_rules,
+    fi_rules,
+)
 from synthbank.tabular import write_csv
 
 
@@ -158,3 +168,83 @@ def test_population_counts_must_be_non_negative_integers(factory, field, value):
     with pytest.raises(ValueError, match=re.escape(message)):
         factory(**{field: value})
     assert getattr(factory(**{field: np.int64(7)}), field) == 7
+
+
+# ------------------------------------------------ draw ranges from the cut-offs
+
+
+@pytest.mark.parametrize(
+    "ranges, cutoffs, limits",
+    [
+        (population._AGE_RANGES, CBP_AGE_CUTOFFS, AGE_LIMITS),
+        (population._DELINQUENCY_RANGES, CBP_DELINQUENCY_CUTOFFS, DELINQUENCY_LIMITS),
+    ],
+    ids=["age", "delinquency"],
+)
+def test_draw_ranges_lie_inside_their_bands(ranges, cutoffs, limits):
+    assert len(ranges) == len(cutoffs)
+    for band, ((lo, hi), (low, high)) in enumerate(zip(ranges, band_edges(cutoffs))):
+        assert low <= lo <= hi < high
+        assert limits[0] <= lo and hi <= limits[1]
+        codes, _ = explicit_bins(np.arange(lo, hi + 1), cutoffs)
+        assert np.all(codes == band), band
+
+
+# The draw ranges as the literal tables they were before they were derived
+# from the preset cut-offs, and the two draws that read them. The generators
+# must draw the same rows with the derived ranges.
+LITERAL_AGE_RANGES = ((18, 24), (25, 34), (35, 44), (45, 54), (55, 64), (65, 74), (75, 95))
+LITERAL_DELINQUENCY_RANGES = (
+    (0, 60), (61, 90), (91, 150), (151, 180), (181, 270), (271, 3000)
+)
+
+
+def reference_ages_for_bands(bands, rng):
+    ages = np.zeros(bands.shape[0], dtype=np.float64)
+    for b, (lo, hi) in enumerate(LITERAL_AGE_RANGES):
+        idx = np.flatnonzero(bands == b)
+        ages[idx] = rng.integers(lo, hi + 1, size=idx.size)
+    return ages
+
+
+def reference_delinquency_days(bands, rng):
+    days = np.zeros(bands.shape[0], dtype=np.float64)
+    for b, (lo, hi) in enumerate(LITERAL_DELINQUENCY_RANGES):
+        idx = np.flatnonzero(bands == b)
+        center = (lo + hi) // 2
+        spread = max(1, min((hi - lo) // 4, 30))
+        days[idx] = rng.integers(center - spread, center + spread + 1, size=idx.size)
+    return days
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n", [0, 7, 50, 4000])
+@pytest.mark.parametrize(
+    "generate, config",
+    [
+        (generate_fi_population, lambda n: FiPopulationConfig(n_individuals=n)),
+        (generate_term_deposits, lambda n: DepositMarketConfig(n_deposits=n)),
+        (generate_credit_cards, lambda n: CreditPortfolioConfig(n_cards=n)),
+    ],
+    ids=["fi", "yield", "credit"],
+)
+def test_generators_draw_as_with_the_literal_range_tables(monkeypatch, generate, config, n, seed):
+    def run():
+        rng = np.random.default_rng(seed)
+        out = generate(config(n), rng)
+        return (out if isinstance(out, tuple) else (out,)), rng.bit_generator.state
+
+    got, got_state = run()
+    monkeypatch.setattr(population, "_ages_for_bands", reference_ages_for_bands)
+    monkeypatch.setattr(population, "_delinquency_days", reference_delinquency_days)
+    want, want_state = run()
+    assert got_state == want_state
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, dict):  # fi's unbanked counts
+            assert g == w
+            continue
+        assert g.schema == w.schema
+        for spec in w.schema:
+            a, b = g.column(spec.name), w.column(spec.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), spec.name

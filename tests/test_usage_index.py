@@ -47,9 +47,9 @@ def small_fi_dataset(n_banked=80, nfi=1.0, nsav=1.0, nloan=0.0):
 
 def test_alpha_with_unbanked():
     ds = small_fi_dataset(80)
-    unbanked = {("2020", "25-35", "M"): 20}
+    unbanked = {("2020", "25-34", "M"): 20}
     (ind,) = build_usage_indicators(ds, unbanked)
-    assert ind.key == ("2020", "25-35", "M")
+    assert ind.key == ("2020", "25-34", "M")
     # 80 banked rows over a population of 100, the 20 unbanked included
     assert ind.alpha == pytest.approx(0.8)
 
@@ -63,11 +63,11 @@ def test_beta_saturated_no_unbanked():
 def test_zero_population_group_errors():
     ds = small_fi_dataset(10)
     # an unbanked-only group is fine; a zero-count unbanked-only group is not iterated
-    unbanked = {("2020", "36-45", "F"): 5}
+    unbanked = {("2020", "35-44", "F"): 5}
     inds = build_usage_indicators(ds, unbanked)
     keys = {ind.key for ind in inds}
-    assert ("2020", "36-45", "F") in keys
-    only_unbanked = [i for i in inds if i.key == ("2020", "36-45", "F")][0]
+    assert ("2020", "35-44", "F") in keys
+    only_unbanked = [i for i in inds if i.key == ("2020", "35-44", "F")][0]
     assert only_unbanked.alpha == 0.0
 
 
@@ -256,10 +256,22 @@ def test_usage_levels_domain_too_small():
 
 
 def test_unbanked_csv_round_trip(tmp_path):
-    table = {("2020", "<25", "M"): 10, ("2021", "76+", "F"): 3}
+    table = {("2020", "<25", "M"): 10, ("2021", "75+", "F"): 3}
     path = tmp_path / "unbanked.csv"
     save_unbanked_csv(table, path)
     assert load_unbanked_csv(path) == table
+
+
+def test_unbanked_csv_rejects_an_unknown_age_band(tmp_path):
+    # the first rows of an unbanked table written before the band names were
+    # derived from the cut-offs: "25-35" would add an unbanked-only group
+    path = tmp_path / "unbanked.csv"
+    path.write_text(
+        "period,age_band,gender,count\n2020,25-35,F,43\n2020,25-35,M,37\n2020,36-45,F,24\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(TabularError, match=r"unbanked\.csv: row 1: unknown age band '25-35'"):
+        load_unbanked_csv(path)
 
 
 def test_component_monotone_in_raw_indicators():
