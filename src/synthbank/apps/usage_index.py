@@ -254,7 +254,8 @@ def usage_levels(encoded: EncodedDataset) -> dict:
 
 def load_unbanked_csv(path) -> dict:
     """Read the (period, age_band, gender, count) table; each ``age_band``
-    is one of ``AGE_BAND_LABELS``."""
+    is one of ``AGE_BAND_LABELS``, and no (period, age_band, gender) key
+    repeats, so key ``i`` of the dict is data row ``i + 1``."""
     unbanked = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -272,7 +273,13 @@ def load_unbanked_csv(path) -> dict:
                 raise TabularError(
                     f"{path}: row {rownum}: unparseable count '{row[3]}'"
                 ) from None
-            unbanked[(row[0], row[1], row[2])] = count
+            key = (row[0], row[1], row[2])
+            if key in unbanked:
+                raise TabularError(
+                    f"{path}: row {rownum}: period, age band and gender "
+                    f"{','.join(key)} repeat an earlier row"
+                )
+            unbanked[key] = count
     return unbanked
 
 
@@ -303,7 +310,16 @@ def prepare(population: FiPopulationConfig, files: dict, rng: np.random.Generato
     """The fi microdata and its unbanked table, read from ``files`` or generated."""
     if files:
         dataset = read_csv(files["data"], load_schema(files["schema"]))
-        return dataset, load_unbanked_csv(files["unbanked"]), []
+        unbanked = load_unbanked_csv(files["unbanked"])
+        # a period or gender the microdata lacks would add an unbanked-only group
+        for rownum, (period, _, gender) in enumerate(unbanked, start=1):
+            for name, label in (("Period", period), ("Gender", gender)):
+                if label not in dataset.spec(name).levels:
+                    raise TabularError(
+                        f"{files['unbanked']}: row {rownum}: {name} '{label}' "
+                        "is no level of the microdata"
+                    )
+        return dataset, unbanked, []
     dataset, unbanked = generate_fi_population(population, rng)
     return dataset, unbanked, []
 

@@ -21,6 +21,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -500,10 +501,14 @@ class Pipeline:
         self._stage("encode", started)
         return self.encoded
 
+    @cached_property
+    def _codebook(self) -> Codebook:
+        """``codebook.json``, parsed once for every code CSV a later stage reads."""
+        return Codebook.from_json(self.outdir / "codebook.json")
+
     def _require_encoded(self) -> EncodedDataset:
         if self.encoded is None:
-            codebook = Codebook.from_json(self.outdir / "codebook.json")
-            self.encoded = read_encoded_csv(self.outdir / "encoded.csv", codebook)
+            self.encoded = read_encoded_csv(self.outdir / "encoded.csv", self._codebook)
         return self.encoded
 
     def _workload(self, names: tuple[str, ...]) -> list:
@@ -537,8 +542,7 @@ class Pipeline:
 
     def _require_synthetic(self) -> EncodedDataset:
         if self.synthetic is None:
-            codebook = Codebook.from_json(self.outdir / "codebook.json")
-            self.synthetic = read_encoded_csv(self.outdir / "synthetic_encoded.csv", codebook)
+            self.synthetic = read_encoded_csv(self.outdir / "synthetic_encoded.csv", self._codebook)
         return self.synthetic
 
     def _decode(self) -> Dataset:

@@ -253,8 +253,12 @@ def read_csv(path, schema) -> Dataset:
     exact doubles (``10**k`` is, up to ``k = 22``), so the one correctly
     rounded division equals the correctly rounded ``float(text)`` bit for
     bit, ``-0`` included (Clinger's fast path). Every ``FLOAT_FORMAT`` text
-    in fixed notation qualifies. Any other numeric cell goes through
-    ``float()`` once per distinct text.
+    in fixed notation qualifies. In a numeric column whose every cell is 1 to
+    ``_MAX_DIGITS`` digits, with no sign or point (counts, ages, durations),
+    each cell is its integer, below ``10**18``, converted to a double: that
+    one conversion rounds correctly too, so it equals ``float(text)`` bit for
+    bit, leading zeros and integers above ``2**53`` included. Any other
+    numeric cell goes through ``float()`` once per distinct text.
 
     :mod:`csv` with ``float()`` per cell reads the whole file instead when
     :func:`numpy_head` leaves it to a text reader, or a block holds a line
@@ -300,18 +304,29 @@ def read_codes(path, names, sizes) -> np.ndarray:
 def _numpy_blocks(path, names, pad=1):
     """The bytes of the file at ``path``, its data line count and its
     :func:`cell_blocks` of ``8 * CHUNK_ROWS`` lines; a missing file is a
-    :class:`TabularError`. A file :func:`numpy_head` leaves to a text reader
-    has the one block ``(0, None, None)``, the block that hands a file on."""
+    :class:`TabularError`. A file :func:`numpy_head` leaves to a text
+    reader, or whose lines hold another line end (a bare CR, or a bare LF in
+    a CRLF file), has the one block ``(0, None, None)``, the block that
+    hands a file on."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         raise TabularError(f"no such file: {path}") from None
     head = numpy_head(path, data, names)
-    if head is None:
-        return data, 0, [(0, None, None)]
-    body, crlf = head
-    return data, count_lines(data, body), cell_blocks(data, body, crlf, len(names), 8 * CHUNK_ROWS, pad)
+    if head is not None:
+        body, crlf = head
+        buf = np.frombuffer(data, dtype=np.uint8)
+        lf = np.flatnonzero(buf[body:] == ord("\n")) + body
+        if np.count_nonzero(buf[body:] == ord("\r")) == (lf.size if crlf else 0) and not (
+            crlf and (buf[lf - 1] != ord("\r")).any()
+        ):
+            # the LF offsets, plus a last line without one
+            n_lines = lf.size + (body < len(data) and data[-1:] != b"\n")
+            return data, n_lines, cell_blocks(
+                buf, body, lf, n_lines, crlf, len(names), 8 * CHUNK_ROWS, pad
+            )
+    return data, 0, [(0, None, None)]
 
 
 def numpy_head(path, data, names):
@@ -346,35 +361,22 @@ def numpy_head(path, data, names):
     return body, crlf
 
 
-def count_lines(data, body) -> int:
-    """Lines from offset ``body`` on: LF bytes, plus a last line without one."""
-    return data.count(b"\n", body) + (body < len(data) and data[-1:] != b"\n")
-
-
-def cell_blocks(data, body, crlf, n_cells, step, pad=1):
+def cell_blocks(buf, body, lf, n_lines, crlf, n_cells, step, pad=1):
     """Yield ``(first, block, edges)`` for each block of ``step`` lines.
 
-    Lines start at offset ``body`` of ``data`` and end in CRLF (``crlf``) or
-    LF; the last may have no line end. ``first`` is the index of the
-    block's first line. ``block`` is a ``uint8`` array of the lines after
-    ``pad`` more bytes (of the line before, or NUL), and ``edges`` a list of
-    ``n_cells + 1`` arrays of offsets into it, so that cell ``j`` of line
-    ``i`` is ``block[edges[j][i] + 1 : edges[j + 1][i]]``: the byte before
-    the line, the line's commas, then its line end.
+    ``buf`` holds a file's bytes as ``uint8``. Its ``n_lines`` lines start
+    at offset ``body`` and end in CRLF (``crlf``) or LF, at the offsets
+    ``lf`` of its LF bytes; the last may have no line end. ``first`` is the
+    index of the block's first line. ``block`` is a ``uint8`` array of the
+    lines after ``pad`` more bytes (of the line before, or NUL), and
+    ``edges`` a list of ``n_cells + 1`` arrays of offsets into it, so that
+    cell ``j`` of line ``i`` is ``block[edges[j][i] + 1 : edges[j + 1][i]]``:
+    the byte before the line, the line's commas, then its line end.
 
-    ``block`` and ``edges`` are None, and no block follows, when the lines
-    hold another line end (a bare CR, or a bare LF in a CRLF file), or the
-    block an empty line or a line without ``n_cells - 1`` commas: a text
+    ``block`` and ``edges`` are None, and no block follows, when the block
+    holds an empty line or a line without ``n_cells - 1`` commas: a text
     reader then reads the file.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    lf = np.flatnonzero(buf[body:] == ord("\n")) + body
-    if data.count(b"\r", body) != (lf.size if crlf else 0) or (
-        crlf and (buf[lf - 1] != ord("\r")).any()
-    ):
-        yield 0, None, None
-        return
-    n_lines = count_lines(data, body)
     for first in range(0, n_lines, step):
         offset = int(lf[first - 1]) + 1 if first else body
         # the line the file's end ends, if any, is in the last block
@@ -548,7 +550,11 @@ def _decimal_values(block, starts, ends, digits, kinds):
     before the point are then moved one place down. The byte kinds
     (:func:`_digit_kinds`), summed in base 4, tell its form: 0 when every
     byte is a digit, ``4**k`` when one is a point and the others digits.
-    Every other cell goes through ``float()`` once per distinct text.
+    A column whose every cell is 1 to ``_MAX_DIGITS`` digits, with no sign,
+    is read as integers: an int64 below ``10**18`` converts to the correctly
+    rounded double, so each cell's :func:`digit_sum` is ``float(text)``,
+    above ``2**53`` too. Every other cell goes through ``float()`` once per
+    distinct text.
     """
     if (ends == starts).any():
         return None  # float("") fails
@@ -559,9 +565,11 @@ def _decimal_values(block, starts, ends, digits, kinds):
     # a cell of more bytes is not summed whole: it goes through float()
     before = np.maximum(before, ends - 1 - _MAX_DIGITS)
     form = digit_sum(kinds, before, ends, base=4)
+    whole = digit_sum(digits, before, ends)
+    if not (negative.any() or form.any()) and width.max() <= _MAX_DIGITS:
+        return whole.astype(np.float64)  # all digits, each cell below 10**18
     point = form > 0
     decimals = (np.frexp(form)[1] // 2).astype(np.intp)  # k of form == 4**k
-    whole = digit_sum(digits, before, ends)
     low = whole % np.int64(10) ** decimals
     mantissa = np.where(point, (whole - low) // 10 + low, whole)
     fast = (

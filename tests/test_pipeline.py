@@ -172,6 +172,20 @@ def test_cli_staged_run_matches_pipeline_command(tmp_path, application, strategy
     assert bytes_a == bytes_b
 
 
+def test_staged_eval_parses_the_codebook_once(tmp_path, monkeypatch):
+    # eval reads encoded.csv and synthetic_encoded.csv on one parsed codebook
+    path = write_config(tmp_path, credit_config(tmp_path))
+    for command in ("gen-data", "encode", "synth", "decode"):
+        assert cli_main([command, "--config", str(path)]) == 0
+    parsed = []
+    from_json = Codebook.from_json
+    monkeypatch.setattr(
+        Codebook, "from_json", lambda path: parsed.append(Path(path).name) or from_json(path)
+    )
+    assert cli_main(["eval", "--config", str(path)]) == 0
+    assert parsed == ["codebook.json"]
+
+
 def test_cli_validation_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, credit_config(tmp_path, mechanism={"name": "gan"}))
     assert cli_main(["pipeline", "--config", str(path)]) == 2

@@ -918,6 +918,42 @@ def test_read_csv_decimal_cells_equal_float_of_text(tmp_path_factory, texts):
     assert _read_outcome(read_csv, path, schema) == _read_outcome(reference_read_csv, path, schema)
 
 
+# All-digit cells of 1 to 20 bytes, leading zeros included, near 2**53 and
+# at 18 and 19 digits: a column of 1 to 18 of them, unsigned, is read as
+# integers, and any other column as decimals. Beside them sit a decimal
+# column and a signed integer one ("-0", "-5"), so that one file mixes all three.
+_digit_text = st.one_of(
+    st.text("0123456789", min_size=1, max_size=20),
+    st.integers(2**53 - 3, 2**53 + 3).map(str),
+    st.integers(10**17, 10**19 - 1).map(str),
+)
+_signed_text = st.one_of(st.sampled_from(("-0", "-5")), st.integers(-(2**60), 2**60).map(str))
+DIGITS_SCHEMA = tuple(ColumnSpec(name, NUMERIC) for name in ("count", "rate", "change"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_digit_text, _decimal_text.filter(_finite_float), _signed_text),
+        min_size=1,
+        max_size=30,
+    ),
+    st.sampled_from((1, 1024)),
+)
+@example([(str(2**53 + d), "2.5", "-0") for d in range(-3, 4)], 1)
+@example([("9" * 18, "0.1", "-5"), ("0" * 17 + "5", "-3.25", "-0"), ("007", "1", "12")], 1024)
+# 19 and 20 bytes: their column is read as decimals
+@example([("9" * 19, "0.1", "-5"), ("1" + "0" * 19, "2", "-0"), ("0" * 19 + "1", "3", "4")], 1)
+def test_read_csv_all_digit_columns_equal_float_of_text(tmp_path_factory, rows, chunk_rows):
+    path = tmp_path_factory.mktemp("digits") / "d.csv"
+    body = "count,rate,change\n" + "".join(",".join(row) + "\n" for row in rows)
+    path.write_bytes(body.encode("ascii"))
+    expected = _read_outcome(reference_read_csv, path, DIGITS_SCHEMA)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tabular, "CHUNK_ROWS", chunk_rows)
+        assert _read_outcome(read_csv, path, DIGITS_SCHEMA) == expected
+
+
 # ------------------------------------------------ encoded CSV reader
 #
 # An encoded CSV is a tabular CSV whose columns are categorical with the

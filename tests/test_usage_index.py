@@ -1,5 +1,7 @@
 """Financial-usage index: indicators, principal component, tau, levels."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from synthbank.apps.usage_index import (
     build_usage_indicators,
     load_unbanked_csv,
     pca_usage_component,
+    prepare,
     save_unbanked_csv,
     tau_metric,
     usage_levels,
@@ -18,7 +21,15 @@ from synthbank.apps.usage_index import (
 from synthbank.binning import encode_dataset
 from synthbank.population import FiPopulationConfig, generate_fi_population
 from synthbank.presets import AGE_BAND_LABELS, CBP_AGE_CUTOFFS, fi_rules
-from synthbank.tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset, TabularError
+from synthbank.tabular import (
+    CATEGORICAL,
+    NUMERIC,
+    ColumnSpec,
+    Dataset,
+    TabularError,
+    save_schema,
+    write_csv,
+)
 
 from util import make_encoded
 
@@ -272,6 +283,46 @@ def test_unbanked_csv_rejects_an_unknown_age_band(tmp_path):
     )
     with pytest.raises(TabularError, match=r"unbanked\.csv: row 1: unknown age band '25-35'"):
         load_unbanked_csv(path)
+
+
+def test_unbanked_csv_rejects_a_repeated_row(tmp_path):
+    # the second row of a (period, age band, gender) would replace the first
+    path = tmp_path / "unbanked.csv"
+    path.write_text(
+        "period,age_band,gender,count\n2020,25-34,F,43\n2020,25-34,M,37\n2020,25-34,F,7\n",
+        encoding="utf-8",
+    )
+    message = "unbanked.csv: row 3: period, age band and gender 2020,25-34,F repeat an earlier row"
+    with pytest.raises(TabularError, match=re.escape(message)):
+        load_unbanked_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2030,25-34,M,5", "row 2: Period '2030' is no level of the microdata"),
+        ("2020,25-34,X,5", "row 2: Gender 'X' is no level of the microdata"),
+    ],
+    ids=["period", "gender"],
+)
+def test_fi_files_reject_an_unbanked_group_the_microdata_lacks(tmp_path, row, message):
+    # such a row would add an unbanked-only group to the index and its weights
+    data = small_fi_dataset()
+    write_csv(data, tmp_path / "data.csv")
+    save_schema(data.schema, tmp_path / "schema.json")
+    (tmp_path / "unbanked.csv").write_text(
+        f"period,age_band,gender,count\n2020,25-34,F,4\n{row}\n", encoding="utf-8"
+    )
+    files = {name: str(tmp_path / f"{name}.{ext}") for name, ext in
+             (("data", "csv"), ("schema", "json"), ("unbanked", "csv"))}
+    with pytest.raises(TabularError, match=re.escape(f"unbanked.csv: {message}")):
+        prepare(FiPopulationConfig(), files, np.random.default_rng(0))
+    # the same table without the row is read whole
+    (tmp_path / "unbanked.csv").write_text(
+        "period,age_band,gender,count\n2020,25-34,F,4\n", encoding="utf-8"
+    )
+    _, unbanked, _ = prepare(FiPopulationConfig(), files, np.random.default_rng(0))
+    assert unbanked == {("2020", "25-34", "F"): 4}
 
 
 def test_component_monotone_in_raw_indicators():
