@@ -313,8 +313,11 @@ def test_fi_files_reject_an_unbanked_group_the_microdata_lacks(tmp_path, row, me
     (tmp_path / "unbanked.csv").write_text(
         f"period,age_band,gender,count\n2020,25-34,F,4\n{row}\n", encoding="utf-8"
     )
-    files = {name: str(tmp_path / f"{name}.{ext}") for name, ext in
-             (("data", "csv"), ("schema", "json"), ("unbanked", "csv"))}
+    files = {
+        "data": str(tmp_path / "data.csv"),
+        "schema": str(tmp_path / "schema.json"),
+        "unbanked": str(tmp_path / "unbanked.csv"),
+    }
     with pytest.raises(TabularError, match=re.escape(f"unbanked.csv: {message}")):
         prepare(FiPopulationConfig(), files, np.random.default_rng(0))
     # the same table without the row is read whole
