@@ -19,7 +19,7 @@ import numpy as np
 from ..binning import EncodedDataset
 from ..population import CreditPortfolioConfig, generate_credit_cards
 from ..presets import AGE_BAND_LABELS, CBP_AGE_CUTOFFS, credit_rules
-from ..tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset, load_schema, read_csv
+from ..tabular import Dataset, load_schema, read_csv
 
 __all__ = [
     "CreditError",
@@ -143,9 +143,10 @@ def active_both_filter(data_2020: Dataset, data_2021: Dataset) -> tuple[Dataset,
     """Inner join on ``CardId``; one record per card active in both years.
 
     Returns the joined microdata (Gender, Age2020, Debt2020, Debt2021,
-    Delinquency2020, Delinquency2021, ordered by card id) and the count and
-    debt coverage fractions relative to the 2020 portfolio. Duplicate ids
-    within a year are an error.
+    Delinquency2020, Delinquency2021, ordered by card id), each column with
+    the spec it has in its year's dataset, and the count and debt coverage
+    fractions relative to the 2020 portfolio. Duplicate ids within a year
+    are an error.
     """
     ids_a = data_2020.column("CardId")
     ids_b = data_2021.column("CardId")
@@ -154,25 +155,18 @@ def active_both_filter(data_2020: Dataset, data_2021: Dataset) -> tuple[Dataset,
             raise CreditError(f"duplicate card ids in the {year} dataset")
     common, idx_a, idx_b = np.intersect1d(ids_a, ids_b, return_indices=True)
 
-    gender_spec = data_2020.spec("Gender")
-    schema = (
-        ColumnSpec("Gender", CATEGORICAL, levels=gender_spec.levels),
-        ColumnSpec("Age2020", NUMERIC, units="years"),
-        ColumnSpec("Debt2020", NUMERIC, units="PYG"),
-        ColumnSpec("Debt2021", NUMERIC, units="PYG"),
-        ColumnSpec("Delinquency2020", NUMERIC, units="days"),
-        ColumnSpec("Delinquency2021", NUMERIC, units="days"),
+    # each joined column, its spec and its rows come from the year it belongs to
+    picks = (
+        (data_2020, idx_a, "Gender"),
+        (data_2020, idx_a, "Age2020"),
+        (data_2020, idx_a, "Debt2020"),
+        (data_2021, idx_b, "Debt2021"),
+        (data_2020, idx_a, "Delinquency2020"),
+        (data_2021, idx_b, "Delinquency2021"),
     )
     joined = Dataset(
-        schema,
-        [
-            data_2020.column("Gender")[idx_a],
-            data_2020.column("Age2020")[idx_a],
-            data_2020.column("Debt2020")[idx_a],
-            data_2021.column("Debt2021")[idx_b],
-            data_2020.column("Delinquency2020")[idx_a],
-            data_2021.column("Delinquency2021")[idx_b],
-        ],
+        tuple(data.spec(name) for data, _, name in picks),
+        [data.column(name)[idx] for data, idx, name in picks],
     )
     total_debt = float(data_2020.column("Debt2020").sum())
     joined_debt = float(data_2020.column("Debt2020")[idx_a].sum())

@@ -254,8 +254,9 @@ def usage_levels(encoded: EncodedDataset) -> dict:
 
 def load_unbanked_csv(path) -> dict:
     """Read the (period, age_band, gender, count) table; each ``age_band``
-    is one of ``AGE_BAND_LABELS``, and no (period, age_band, gender) key
-    repeats, so key ``i`` of the dict is data row ``i + 1``."""
+    is one of ``AGE_BAND_LABELS``, each count is a non-negative integer,
+    and no (period, age_band, gender) key repeats, so key ``i`` of the dict
+    is data row ``i + 1``."""
     unbanked = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -273,6 +274,8 @@ def load_unbanked_csv(path) -> dict:
                 raise TabularError(
                     f"{path}: row {rownum}: unparseable count '{row[3]}'"
                 ) from None
+            if count < 0:
+                raise TabularError(f"{path}: row {rownum}: count {count} is negative")
             key = (row[0], row[1], row[2])
             if key in unbanked:
                 raise TabularError(

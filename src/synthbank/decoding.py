@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import Codebook, EncodedDataset, log_pretransform
+from .binning import Codebook, ColumnCodec, EncodedDataset, log_pretransform
 from .checks import is_int, is_real, reject_bools
 from .tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
 
@@ -25,8 +25,6 @@ __all__ = [
     "DECODE_MODES",
     "DecodeError",
     "KdeSpec",
-    "decode_left_edge",
-    "decode_midpoint",
     "kde_decode",
     "decoded_schema",
     "decode_dataset",
@@ -41,17 +39,16 @@ class DecodeError(ValueError):
 
 @dataclass(frozen=True)
 class KdeSpec:
-    """Gaussian-KDE decode settings.
+    """Gaussian-KDE decode settings: the ``decode`` config keys other than
+    ``mode``.
 
     ``bandwidth`` is an absolute kernel standard deviation or the tag
     "scott" (sample std times n^(-1/5)); ``grid_points`` fixes the sampling
-    grid resolution; ``bounds`` defaults to the original feature's min and
-    max.
+    grid resolution.
     """
 
     bandwidth: float | str = "scott"
     grid_points: int = 512
-    bounds: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         reject_bools(DecodeError, bandwidth=self.bandwidth)
@@ -62,53 +59,23 @@ class KdeSpec:
             raise DecodeError(f"bandwidth must be positive, got {self.bandwidth!r}")
         if not is_int(self.grid_points) or self.grid_points < 16:
             raise DecodeError(f"grid_points must be an integer >= 16, got {self.grid_points!r}")
-        if self.bounds is not None and not (self.bounds[0] < self.bounds[1]):
-            if self.bounds[0] != self.bounds[1]:
-                raise DecodeError("bounds must satisfy min <= max")
 
 
-def _binned_codec(codebook: Codebook, column: str):
-    codec = codebook[column]
-    if codec.kind != "binned":
-        raise DecodeError(f"column '{column}' is categorical, not binned")
-    return codec
-
-
-def _check_codes(codes: np.ndarray, codec) -> None:
-    if codes.size == 0:
-        return
-    if codes.min() < 0 or codes.max() >= codec.domain_size:
-        raise DecodeError(
-            f"column '{codec.name}': code out of domain (size {codec.domain_size})"
-        )
-
-
-def decode_left_edge(codes, codebook: Codebook, column: str) -> np.ndarray:
-    """Left-most bin edge of each code; exponentiated for log-flagged columns."""
-    codec = _binned_codec(codebook, column)
-    codes = np.asarray(codes, dtype=np.int64)
-    _check_codes(codes, codec)
-    edges = np.asarray(codec.edges)
-    values = edges[codes]
-    return np.exp(values) if codec.log_flag else values
-
-
-def decode_midpoint(codes, codebook: Codebook, column: str) -> np.ndarray:
-    """Bin midpoints, a diagnostic alternative quantifying left-edge loss.
+def _bin_values(codec: ColumnCodec, mode: str) -> np.ndarray:
+    """The value each bin of ``codec`` decodes to: its left edge, or its
+    midpoint (the diagnostic alternative quantifying left-edge loss);
+    exponentiated for log-flagged columns.
 
     An unbounded final bin (infinite upper edge in a hand-written codebook)
-    falls back to the left edge plus half of the previous bin's width.
+    has the midpoint of its left edge plus half of the previous bin's width.
     """
-    codec = _binned_codec(codebook, column)
-    codes = np.asarray(codes, dtype=np.int64)
-    _check_codes(codes, codec)
     edges = np.asarray(codec.edges)
-    left, right = edges[:-1], edges[1:]
-    mids = 0.5 * (left + right)
-    if not np.isfinite(edges[-1]):
-        prev_width = left[-1] - left[-2] if len(left) > 1 else 1.0
-        mids[-1] = left[-1] + 0.5 * prev_width
-    values = mids[codes]
+    values = edges[:-1]
+    if mode == "midpoint":
+        values = 0.5 * (values + edges[1:])
+        if not np.isfinite(edges[-1]):
+            prev_width = edges[-2] - edges[-3] if len(edges) > 2 else 1.0
+            values[-1] = edges[-2] + 0.5 * prev_width
     return np.exp(values) if codec.log_flag else values
 
 
@@ -167,14 +134,13 @@ def kde_decode(
 ) -> np.ndarray:
     """Sample numeric values from a KDE of the original feature, per bin.
 
-    The density is evaluated on a uniformly spaced grid over the feature
-    bounds whose phase is offset by a seeded random fraction of one step;
-    grid values inside each code's bin are renormalized to a probability
-    vector and sampled with replacement. Every output lies inside its
-    source bin and inside the bounds. Bins containing no grid point fall
-    back to the left edge with a warning; a bin whose grid points all have
-    zero density, such as one beyond the kernel's reach of every value, is
-    sampled uniformly.
+    The density is evaluated on a uniformly spaced grid from the original
+    feature's min to its max, whose phase is offset by a seeded random
+    fraction of one step; grid values inside each code's bin are
+    renormalized to a probability vector and sampled with replacement.
+    Every output lies inside its source bin and inside that range. Bins
+    containing no grid point fall back to the left edge with a warning; a
+    bin whose grid points all have zero density is sampled uniformly.
 
     The grid densities come from linear binning and an FFT convolution
     (see ``_kde_density``), not from the direct O(n G) Gaussian sum. With
@@ -187,18 +153,21 @@ def kde_decode(
     next to a boundary of the cumulative probabilities: 2 to 8 cells in
     10,000 on 15k-deposit yield data.
     """
-    codec = _binned_codec(codebook, column)
+    codec = codebook[column]
+    if codec.kind != "binned":
+        raise DecodeError(f"column '{column}' is categorical, not binned")
     codes = np.asarray(codes, dtype=np.int64)
-    _check_codes(codes, codec)
+    if codes.size and (codes.min() < 0 or codes.max() >= codec.domain_size):
+        raise DecodeError(f"column '{column}': code out of domain (size {codec.domain_size})")
     original = np.asarray(original_values, dtype=np.float64)
     if original.size == 0:
         raise DecodeError(f"column '{column}': KDE decode needs the original values")
+    if not np.isfinite(original).all():
+        raise DecodeError(f"column '{column}': the original values must be finite")
     if codec.log_flag:
         original = log_pretransform(original)
 
-    lo, hi = spec.bounds if spec.bounds is not None else (float(original.min()), float(original.max()))
-    if not (lo <= hi):
-        raise DecodeError(f"column '{column}': invalid bounds ({lo}, {hi})")
+    lo, hi = float(original.min()), float(original.max())
     edges = np.asarray(codec.edges)
     out = np.empty(codes.shape[0], dtype=np.float64)
 
@@ -285,11 +254,9 @@ def decode_dataset(
         codes = encoded.column_codes(codec.name)
         if codec.kind == "categorical":
             columns.append(codes.copy())
-            continue
-        if mode == "left_edge":
-            columns.append(decode_left_edge(codes, encoded.codebook, codec.name))
-        elif mode == "midpoint":
-            columns.append(decode_midpoint(codes, encoded.codebook, codec.name))
+        elif mode != "kde":
+            # the codes were range-checked when ``encoded`` was built
+            columns.append(_bin_values(codec, mode)[codes])
         else:
             columns.append(
                 kde_decode(

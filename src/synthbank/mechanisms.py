@@ -527,6 +527,15 @@ def pac_sigma(params: PrivacyParams | None) -> float:
     return _budget(params, 2, 0, 0.0)[1]
 
 
+def _pac_cell_scales(params: PrivacyParams | None, config: PacConfig, d: int) -> tuple[float, float]:
+    """The noise scale of every candidate cell at the one-way and at the
+    pair level of ``d`` columns: a record adds 1 to at most ``min(delta_k,
+    subsets at the level)`` cells, so ``pac_sigma`` times the square root
+    of that."""
+    sigma = pac_sigma(params)
+    return tuple(sigma * math.sqrt(min(config.delta_k, math.comb(d, length))) for length in (1, 2))
+
+
 def _contributions(u: np.ndarray, cap: int) -> np.ndarray:
     """Mark the ``cap`` smallest values of each row of ``u``: the columns
     that ``np.argsort(u, axis=1)[:, :cap]`` picks.
@@ -562,10 +571,10 @@ def pac_aggregate(
     with each record contributing to at most ``delta_k`` attribute subsets
     per level. A record then adds 1 to at most ``min(delta_k, subsets at
     the level)`` cells, so Gaussian noise of cell scale ``pac_sigma`` times
-    the square root of that is added to every candidate, and candidates
-    below the level threshold are suppressed. A level with no candidate (as
-    the pair level of one column) has threshold ``inf``, all-zero weights,
-    and draws nothing from ``rng``.
+    the square root of that (``_pac_cell_scales``) is added to every
+    candidate, and candidates below the level threshold are suppressed. A
+    level with no candidate (as the pair level of one column) has threshold
+    ``inf``, all-zero weights, and draws nothing from ``rng``.
 
     A record contributes to the ``delta_k`` subsets with the smallest of
     its uniform draws, found by sorting each record's draws; a record with
@@ -582,14 +591,12 @@ def pac_aggregate(
 
     levels: list[PacLevel] = []
     s_prev = 1  # |S_0|: the empty tuple
-    for length in (1, 2):
+    for length, cell_scale in zip((1, 2), _pac_cell_scales(params, config, d)):
         subsets = list(combinations(range(d), length))
         contrib = None
         if len(subsets) > cap and n > 0:
             # one row per subset, so each subset reads its weights in one run
             contrib = np.ascontiguousarray(_contributions(rng.random((n, len(subsets))), cap).T)
-        # a record adds 1 to one cell of each subset it contributes to
-        cell_scale = sigma * math.sqrt(min(cap, len(subsets)))
         if length == 1:
             masks = {(a,): np.ones(domain[a], dtype=bool) for (a,) in subsets}
         else:
@@ -720,17 +727,25 @@ def run_mechanism(
     rounds: int = ROUNDS,
     workload=(),
     pac: PacConfig = PacConfig(),
-) -> tuple[EncodedDataset, float, dict]:
+) -> tuple[EncodedDataset, dict, dict]:
     """Run ``mechanism`` on ``data`` and draw ``n_out`` synthetic rows.
 
     ``workload`` holds AIM's ``(column names, weight)`` pairs. Returns the
-    rows, the noise scale of every measurement, and the details a run
-    manifest records: the PAC settings, or the tree edges and the measured
-    marginals by column name.
+    rows, the privacy record of a run manifest and the details it records:
+    the PAC settings, or the tree edges and the measured marginals by column
+    name. The privacy record holds the share of the budget spent on
+    selection and ``sigma_per_measurement``, the noise scale each
+    measurement added: one number for MST and AIM, whose marginals all
+    share it, and for PAC, which selects nothing, the scale of every
+    candidate cell at each of its two levels.
     """
     if mechanism == "pac":
         synthetic = pac_synthesize(data, pac, params, n_out, rng)
-        return synthetic, pac_sigma(params), {"pac": dataclasses.asdict(pac)}
+        privacy = {
+            "selection_fraction": 0.0,
+            "sigma_per_measurement": list(_pac_cell_scales(params, pac, data.n_columns)),
+        }
+        return synthetic, privacy, {"pac": dataclasses.asdict(pac)}
     if mechanism == "mst":
         model = fit_mst_model(data, params, rng, selection_fraction)
     elif mechanism == "aim":
@@ -750,5 +765,9 @@ def run_mechanism(
         ],
     }
     synthetic = EncodedDataset(model.sample(n_out, rng), data.codebook)
-    return synthetic, model.measured[0]["sigma"], details
+    privacy = {
+        "selection_fraction": selection_fraction,
+        "sigma_per_measurement": model.measured[0]["sigma"],
+    }
+    return synthetic, privacy, details
 

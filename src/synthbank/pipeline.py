@@ -59,8 +59,6 @@ __all__ = [
     "compare_strategies",
 ]
 
-# config keys of the decode section that build its ``KdeSpec``
-KDE_KEYS = ("bandwidth", "grid_points")
 # keys of the config sections whose keys are fixed; ``mechanism.pac`` and
 # ``rule_overrides.<column>`` take the fields of their dataclass, and
 # ``input.datagen`` and ``input.files`` depend on the application
@@ -71,7 +69,7 @@ SECTION_KEYS = {
     ),
     "mechanism": ("name", "selection_fraction", "rounds", "workload", "pac"),
     "privacy": ("epsilon", "delta"),
-    "decode": ("mode", *KDE_KEYS),
+    "decode": ("mode", *(f.name for f in dataclasses.fields(KdeSpec))),
     "input": ("datagen", "files"),
 }
 
@@ -328,8 +326,9 @@ class PipelineConfig:
         decode = section("decode", doc.get("decode"), SECTION_KEYS["decode"]) or {}
         if "mode" in decode:
             args["decode_mode"] = decode["mode"]
+        # the decode keys after ``mode`` are the ``KdeSpec`` fields
+        kde = {key: decode[key] for key in SECTION_KEYS["decode"][1:] if key in decode}
         # the settings objects; one that fails to build keeps its default
-        kde = {key: decode[key] for key in KDE_KEYS if key in decode}
         parts = {
             "pac": build(PacConfig, "mechanism.pac", mechanism.get("pac")),
             "kde": build(KdeSpec, "decode", kde),
@@ -370,12 +369,6 @@ class PipelineConfig:
     def from_json(cls, path) -> "PipelineConfig":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    def to_snapshot(self) -> dict:
-        """The config as JSON: ``kde`` holds only its config keys."""
-        doc = dataclasses.asdict(self)
-        doc["kde"] = {key: doc["kde"][key] for key in KDE_KEYS}
-        return doc
 
 
 def _json_dump(doc, path) -> None:
@@ -456,13 +449,9 @@ class Pipeline:
         config = self.config
         self._manifest = {
             "package_version": __version__,
-            "config": config.to_snapshot(),
+            "config": dataclasses.asdict(config),
             "stages": [],
-            "privacy": {
-                "epsilon": config.epsilon,
-                "delta": config.delta,
-                "selection_fraction": config.selection_fraction,
-            },
+            "privacy": {"epsilon": config.epsilon, "delta": config.delta},
             "mechanism": {"name": config.mechanism},
             "metrics_summary": {},
             "artifacts": {},
@@ -528,12 +517,12 @@ class Pipeline:
         config = self.config
         encoded = self._require_encoded()
         n_out = config.n_synthetic if config.n_synthetic is not None else encoded.n_records
-        self.synthetic, sigma, details = run_mechanism(
+        self.synthetic, privacy, details = run_mechanism(
             encoded, config.mechanism, config.privacy, n_out, self._rng("synth"),
             selection_fraction=config.selection_fraction, rounds=config.rounds,
             workload=self._workload(encoded.codebook.names), pac=config.pac,
         )
-        self.manifest["privacy"]["sigma_per_measurement"] = sigma
+        self.manifest["privacy"].update(privacy)
         self.manifest["mechanism"].update(details)
         write_encoded_csv(self.synthetic, self.outdir / "synthetic_encoded.csv")
         self._register("synthetic_encoded.csv")

@@ -351,7 +351,7 @@ def test_criterion_7_invariants(tmp_path):
     deposits = generate_term_deposits(DepositMarketConfig(n_deposits=5000), np.random.default_rng(702))
     for strategy in ("cbp", "data_driven"):
         enc = encode_dataset(deposits, deposit_rules(strategy))
-        for mode in ("left_edge", "kde"):
+        for mode in ("left_edge", "midpoint", "kde"):
             decoded = decode_dataset(
                 enc, mode=mode, source=deposits, kde_spec=KdeSpec(grid_points=256),
                 rng=np.random.default_rng(703),

@@ -276,3 +276,38 @@ def test_planted_persistence_coverage():
     _, coverage = active_both_filter(cards_2020, cards_2021)
     assert abs(coverage.count_fraction - 0.80) < 0.01
     assert 0.5 < coverage.debt_fraction <= 1.0
+
+
+def test_joined_columns_keep_the_specs_of_their_year(tmp_path):
+    from synthbank.apps.credit import prepare
+    from synthbank.tabular import save_schema, write_csv
+
+    # generated cards: the joined schema is the one written before the
+    # specs were taken from the yearly datasets
+    cards = generate_credit_cards(CreditPortfolioConfig(n_cards=200), np.random.default_rng(3))
+    joined, _ = active_both_filter(*cards)
+    assert joined.schema == (
+        ColumnSpec("Gender", CATEGORICAL, levels=cards[0].spec("Gender").levels),
+        ColumnSpec("Age2020", NUMERIC, units="years"),
+        ColumnSpec("Debt2020", NUMERIC, units="PYG"),
+        ColumnSpec("Debt2021", NUMERIC, units="PYG"),
+        ColumnSpec("Delinquency2020", NUMERIC, units="days"),
+        ColumnSpec("Delinquency2021", NUMERIC, units="days"),
+    )
+
+    # card files whose schemas give other units and levels keep them
+    renamed = {"Debt2020": "USD", "Debt2021": "EUR", "Age2020": "months"}
+    files = {}
+    for year, data in zip((2020, 2021), cards):
+        schema = tuple(
+            ColumnSpec(spec.name, spec.kind, ("X", "Y") if spec.levels else (),
+                       renamed.get(spec.name, spec.units))
+            for spec in data.schema
+        )
+        files[f"cards_{year}"] = tmp_path / f"cards_{year}.csv"
+        files[f"schema_{year}"] = tmp_path / f"schema_{year}.json"
+        write_csv(Dataset(schema, [data.column(s.name) for s in schema]), files[f"cards_{year}"])
+        save_schema(schema, files[f"schema_{year}"])
+    joined, _, _ = prepare(CreditPortfolioConfig(), files, np.random.default_rng(0))
+    assert [spec.units for spec in joined.schema] == ["", "months", "USD", "EUR", "days", "days"]
+    assert joined.spec("Gender").levels == ("X", "Y")

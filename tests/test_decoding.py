@@ -9,9 +9,11 @@ from scipy.stats import ks_2samp
 from synthbank import decoding
 
 from synthbank.binning import (
+    BinningError,
     BinningRule,
     Codebook,
     ColumnCodec,
+    EncodedDataset,
     assign_codes,
     encode_dataset,
 )
@@ -19,8 +21,6 @@ from synthbank.decoding import (
     DecodeError,
     KdeSpec,
     decode_dataset,
-    decode_left_edge,
-    decode_midpoint,
     decoded_schema,
     kde_decode,
 )
@@ -33,42 +33,66 @@ def codebook_with_edges(edges, log_flag=False, name="x"):
     return Codebook([ColumnCodec(name=name, kind="binned", edges=tuple(edges), log_flag=log_flag)])
 
 
+def decode_codes(codes, edges, mode, log_flag=False):
+    """The codes of one binned column, decoded by ``decode_dataset``."""
+    encoded = EncodedDataset(np.asarray(codes), codebook_with_edges(edges, log_flag))
+    return decode_dataset(encoded, mode=mode).column("x")
+
+
 def test_left_edge_lookup():
-    cb = codebook_with_edges([0.0, 10.0, 20.0, 30.0])
-    assert decode_left_edge([2], cb, "x")[0] == 20.0
+    assert decode_codes([2], [0.0, 10.0, 20.0, 30.0], "left_edge")[0] == 20.0
 
 
 def test_left_edge_first_bin():
-    cb = codebook_with_edges([0.0, 10.0, 20.0])
-    assert decode_left_edge([0], cb, "x")[0] == 0.0
+    assert decode_codes([0], [0.0, 10.0, 20.0], "left_edge")[0] == 0.0
 
 
 def test_left_edge_log_flagged():
-    cb = codebook_with_edges([math.log(100.0), math.log(1000.0)], log_flag=True)
-    value = decode_left_edge([0], cb, "x")[0]
+    value = decode_codes([0], [math.log(100.0), math.log(1000.0)], "left_edge", log_flag=True)[0]
     assert abs(value - 100.0) / 100.0 < 1e-9
 
 
 def test_left_edge_out_of_domain():
-    cb = codebook_with_edges([0.0, 10.0])
-    with pytest.raises(DecodeError, match="out of domain"):
-        decode_left_edge([1], cb, "x")
+    with pytest.raises(BinningError, match=r"code out of range \(domain size 1\)"):
+        decode_codes([1], [0.0, 10.0], "left_edge")
 
 
 def test_midpoint_basic():
-    cb = codebook_with_edges([0.0, 10.0])
-    assert decode_midpoint([0], cb, "x")[0] == 5.0
+    assert decode_codes([0], [0.0, 10.0], "midpoint")[0] == 5.0
 
 
 def test_midpoint_single_bin_column():
-    cb = codebook_with_edges([2.0, 8.0])
-    assert decode_midpoint([0], cb, "x")[0] == 5.0
+    assert decode_codes([0], [2.0, 8.0], "midpoint")[0] == 5.0
 
 
 def test_midpoint_unbounded_final_bin_convention():
-    cb = codebook_with_edges([0.0, 10.0, 30.0, np.inf])
     # final bin: left edge 30 plus half the previous width (20) -> 40
-    assert decode_midpoint([2], cb, "x")[0] == 40.0
+    assert decode_codes([2], [0.0, 10.0, 30.0, np.inf], "midpoint")[0] == 40.0
+
+
+def test_bin_lookup_exponentiates_each_bin_value_of_a_log_codec():
+    edges = np.log([100.0, 1000.0, 5000.0, 20000.0])
+    codes = [2, 0, 1, 2, 2, 0]
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    for mode, values in (("left_edge", edges[:-1]), ("midpoint", mids)):
+        decoded = decode_codes(codes, edges, mode, log_flag=True)
+        assert np.array_equal(decoded, np.exp(values[codes])), mode
+
+
+@pytest.mark.parametrize(
+    "codes, original, message",
+    [
+        ([2], [1.0, 2.0], r"column 'x': code out of domain \(size 2\)"),
+        ([-1], [1.0, 2.0], r"column 'x': code out of domain \(size 2\)"),
+        ([0], [], "column 'x': KDE decode needs the original values"),
+        ([0], [1.0, np.nan], "column 'x': the original values must be finite"),
+        ([0], [1.0, np.inf], "column 'x': the original values must be finite"),
+    ],
+)
+def test_kde_decode_rejects_bad_input(codes, original, message):
+    cb = codebook_with_edges([0.0, 10.0, 20.0])
+    with pytest.raises(DecodeError, match=message):
+        kde_decode(codes, cb, "x", original, KdeSpec(), np.random.default_rng(0))
 
 
 def test_kde_point_mass_concentrates():
@@ -172,32 +196,47 @@ def test_binned_density_matches_direct_sum(values, steps, tolerance):
 
 def test_binned_density_with_bounds_narrower_than_the_data():
     values = np.random.default_rng(17).normal(0.0, 1.0, 15_000)
-    grid_n, bandwidth = 512, 0.3  # reaches far past the bounds
-    lo, hi = -0.5, 0.5
+    grid_n, lo, hi = 512, -0.5, 0.5
     step = (hi - lo) / grid_n
-    args = (values, lo + 0.3 * step, step, grid_n, bandwidth)
-    assert total_variation(decoding._kde_density(*args), reference_kde_density(*args)) <= 1e-3
+    # kernel sd 0.3 reaches far past the grid; at 0.01 the values beyond
+    # 0.9 in magnitude are more than 40 bandwidths from every grid point
+    for bandwidth in (0.3, 0.01):
+        args = (values, lo + 0.3 * step, step, grid_n, bandwidth)
+        binned = decoding._kde_density(*args)
+        assert total_variation(binned, reference_kde_density(*args)) <= 1e-3, bandwidth
 
-    cb = codebook_with_edges([-4.0, -0.2, 0.1, 4.0])
+    # decoded with a kernel that small, the values stay in their bins and
+    # in the range of the data
+    cb = codebook_with_edges([-5.0, -0.2, 0.1, 5.0])
     codes = np.repeat([0, 1, 2], 50)
-    spec = KdeSpec(bandwidth=bandwidth, bounds=(lo, hi))
-    out = kde_decode(codes, cb, "x", values, spec, np.random.default_rng(18))
-    assert np.all((out >= lo) & (out <= hi))
+    out = kde_decode(codes, cb, "x", values, KdeSpec(bandwidth=0.01), np.random.default_rng(18))
+    assert np.all((out >= values.min()) & (out <= values.max()))
     assert np.array_equal(assign_codes(out, cb["x"].edges), codes)
 
 
-def test_kde_bin_beyond_kernel_reach_is_sampled_uniformly():
-    # values in [0, 1], kernel sd 0.1: the grid points of [50, 100] are
-    # hundreds of bandwidths away and have density exactly 0
-    cb = codebook_with_edges([0.0, 50.0, 100.0])
-    values = np.random.default_rng(19).uniform(0.0, 1.0, 1000)
-    spec = KdeSpec(bandwidth=0.1, grid_points=64, bounds=(0.0, 100.0))
-    out = kde_decode(np.ones(40, dtype=int), cb, "x", values, spec, np.random.default_rng(20))
+def test_kde_bin_beyond_kernel_reach_is_sampled_uniformly(monkeypatch):
+    # values in [0, 1] and [99, 100], kernel sd 0.1: grid points in [40, 60]
+    # are hundreds of bandwidths away, and a grid beyond the kernel's reach
+    # of every value has density exactly 0
+    values = np.concatenate([
+        np.random.default_rng(19).uniform(0.0, 1.0, 500),
+        np.random.default_rng(21).uniform(99.0, 100.0, 500),
+    ])
+    assert not decoding._kde_density(values, 40.0, 20.0 / 64, 64, 0.1).any()
+
+    # the direct sum gives the bin [40, 60) density exactly 0 too, and
+    # kde_decode then samples its grid points uniformly
+    cb = codebook_with_edges([0.0, 40.0, 60.0, 100.0])
+    spec = KdeSpec(bandwidth=0.1, grid_points=64)
+    out = direct_sum_decode(
+        monkeypatch,
+        lambda: kde_decode(np.ones(40, dtype=int), cb, "x", values, spec, np.random.default_rng(20)),
+    )
 
     replay = np.random.default_rng(20)
-    step = 100.0 / 64
-    grid = replay.uniform(0.0, step) + step * np.arange(64)
-    points = grid[grid >= 50.0]
+    lo, step = values.min(), (values.max() - values.min()) / 64
+    grid = lo + replay.uniform(0.0, step) + step * np.arange(64)
+    points = grid[(grid >= 40.0) & (grid < 60.0)]
     expected = replay.choice(points, size=40, replace=True, p=np.full(points.size, 1.0 / points.size))
     assert np.array_equal(out, expected)
 
@@ -282,8 +321,8 @@ def test_midpoint_and_left_edge_give_different_curependencies():
     schema = (ColumnSpec("x", NUMERIC),)
     ds = Dataset(schema, [values])
     enc = encode_dataset(ds, {"x": BinningRule("explicit_cutoffs", cutoffs=(10.0, 20.0, 30.0))})
-    left = decode_left_edge(enc.column_codes("x"), enc.codebook, "x")
-    mid = decode_midpoint(enc.column_codes("x"), enc.codebook, "x")
+    left = decode_dataset(enc, mode="left_edge").column("x")
+    mid = decode_dataset(enc, mode="midpoint").column("x")
     assert np.all(mid > left)
     assert np.mean(np.abs(mid - values)) < np.mean(np.abs(left - values))
 

@@ -1124,15 +1124,45 @@ def test_parse_workload_normalises_and_drops_repeats():
 def test_run_mechanism_resolves_workload_names_in_any_order():
     data = chain_fixture(2000)
     workload = [(("a2", "a0"), 1.0), (("a1",), 1.0)]
-    _, sigma, details = run_mechanism(
+    _, privacy, details = run_mechanism(
         data, "aim", None, 10, np.random.default_rng(32), rounds=2, workload=workload
     )
     model = fit_aim_model(
         data, [((0, 2), 1.0), ((1,), 1.0)], None, 2, np.random.default_rng(32)
     )
     names = data.codebook.names
-    assert sigma == 0.0
+    assert privacy == {"selection_fraction": SELECTION_FRACTION, "sigma_per_measurement": 0.0}
     assert details["measured"] == [
         {"attrs": [names[a] for a in item["attrs"]], "sigma": 0.0} for item in model.measured
     ]
     assert details["tree_edges"] == [[names[a], names[b]] for a, b in model.edges]
+
+
+@pytest.mark.parametrize("d, delta_k", [(1, 3), (2, 3), (4, 2)])
+def test_run_mechanism_records_the_noise_pac_added(d, delta_k):
+    # the manifest's privacy record must hold the scale each PAC level
+    # added to its cells, and no selection share: PAC spends none
+    rng = np.random.default_rng(33)
+    data = make_encoded(rng.integers(0, 3, (2000, d)), (3,) * d)
+    params = PrivacyParams(1.0, 1e-10)
+    scales = []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(rng, name)
+
+        def normal(self, loc, scale, size):
+            scales.append(scale)
+            return rng.normal(loc, scale, size)
+
+    _, privacy, details = run_mechanism(
+        data, "pac", params, 500, Recording(), pac=PacConfig(delta_k=delta_k)
+    )
+    one_way, pair = privacy["sigma_per_measurement"]
+    pairs = math.comb(d, 2)
+    # one normal draw per subset: d one-way subsets, then the pairs
+    assert scales == [one_way] * d + [pair] * pairs
+    assert one_way == pac_sigma(params) * math.sqrt(min(delta_k, d))
+    assert pair == pac_sigma(params) * math.sqrt(min(delta_k, pairs))
+    assert privacy["selection_fraction"] == 0.0
+    assert details == {"pac": {"eta": 0.01, "delta_k": delta_k}}

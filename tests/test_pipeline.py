@@ -674,20 +674,28 @@ def test_stages_read_only_what_they_use(tmp_path):
 
 @pytest.mark.parametrize("mechanism", ["mst", "aim", "pac"])
 def test_manifest_sigma_is_the_measured_sigma(tmp_path, mechanism):
-    from synthbank.mechanisms import pac_sigma
-    from synthbank.privacy import PrivacyParams
+    import math
+
+    from synthbank.mechanisms import SELECTION_FRACTION, pac_sigma
 
     doc = credit_config(tmp_path, mechanism={"name": mechanism})
     run_pipeline(PipelineConfig.from_dict(doc))
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    sigma = manifest["privacy"]["sigma_per_measurement"]
-    assert sigma > 0
+    privacy = manifest["privacy"]
+    sigma = privacy["sigma_per_measurement"]
     if mechanism == "pac":
-        assert sigma == pac_sigma(PrivacyParams(1.0, 1e-10))
+        # PAC selects nothing, and each of its two levels adds pac_sigma
+        # times sqrt(min(delta_k, subsets)) to every candidate cell: with
+        # delta_k 3 and credit's six columns, sqrt(3) at both levels
+        cell = pac_sigma(PrivacyParams(1.0, 1e-10)) * math.sqrt(3)
+        assert cell > 0 and sigma == [cell, cell]
+        assert privacy["selection_fraction"] == 0.0
     else:
+        assert sigma > 0
         measured = manifest["mechanism"]["measured"]
         assert measured and all(item["sigma"] == sigma for item in measured)
         assert manifest["mechanism"]["tree_edges"]
+        assert privacy["selection_fraction"] == SELECTION_FRACTION
 
 
 def test_unknown_workload_column_is_named(tmp_path, capsys):

@@ -297,6 +297,21 @@ def test_unbanked_csv_rejects_a_repeated_row(tmp_path):
         load_unbanked_csv(path)
 
 
+def test_unbanked_csv_rejects_a_negative_count(tmp_path):
+    # such a count used to pass gen-data and synth and fail only at eval,
+    # naming neither the file nor the row
+    path = tmp_path / "unbanked.csv"
+    path.write_text(
+        "period,age_band,gender,count\n2017,25-34,F,43\n2017,35-44,M,-5\n2017,45-54,F,0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(TabularError, match=re.escape("unbanked.csv: row 2: count -5 is negative")):
+        load_unbanked_csv(path)
+    # a zero count is read
+    path.write_text("period,age_band,gender,count\n2017,45-54,F,0\n", encoding="utf-8")
+    assert load_unbanked_csv(path) == {("2017", "45-54", "F"): 0}
+
+
 @pytest.mark.parametrize(
     "row, message",
     [
