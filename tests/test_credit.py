@@ -282,8 +282,7 @@ def test_joined_columns_keep_the_specs_of_their_year(tmp_path):
     from synthbank.apps.credit import prepare
     from synthbank.tabular import save_schema, write_csv
 
-    # generated cards: the joined schema is the one written before the
-    # specs were taken from the yearly datasets
+    # generated cards keep the specs the generator declares
     cards = generate_credit_cards(CreditPortfolioConfig(n_cards=200), np.random.default_rng(3))
     joined, _ = active_both_filter(*cards)
     assert joined.schema == (

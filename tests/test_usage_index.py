@@ -298,8 +298,8 @@ def test_unbanked_csv_rejects_a_repeated_row(tmp_path):
 
 
 def test_unbanked_csv_rejects_a_negative_count(tmp_path):
-    # such a count used to pass gen-data and synth and fail only at eval,
-    # naming neither the file nor the row
+    # it must fail at load, naming the row, not at eval after synth has
+    # spent the budget
     path = tmp_path / "unbanked.csv"
     path.write_text(
         "period,age_band,gender,count\n2017,25-34,F,43\n2017,35-44,M,-5\n2017,45-54,F,0\n",
