@@ -9,9 +9,8 @@ its application, under the same names:
 - ``PAIRED``: the column pairs that must share one binning rule, such as
   the two years of one state
 - ``WORKLOAD``: its default AIM workload, as column tuples
-- ``prepare(population, files, rng)``: the original microdata, the extra
-  input that evaluation needs, and the ``(dataset, csv name, schema name)``
-  triples to write besides it
+- ``prepare(population, files, rng)``: the original microdata and the
+  extra input that evaluation needs
 - ``EXTRA``: the file name of the extra input, or None when there is none;
   ``save_extra(extra, path)`` and ``load_extra(path)`` write and read it
 - ``evaluate(original, extra, encoded, synthetic, decoded, strategy)``:

@@ -9,7 +9,6 @@ decode step.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,6 @@ __all__ = [
     "CreditError",
     "TransitionMatrix",
     "FrobeniusResult",
-    "Coverage",
     "transition_matrix",
     "frobenius_error",
     "delinquency_rate",
@@ -130,23 +128,14 @@ def delinquency_rate(encoded: EncodedDataset) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Coverage:
-    """Active-in-both-years coverage of the 2020 portfolio."""
-
-    count_fraction: float
-    debt_fraction: float
-    n_joined: int
-
-
-def active_both_filter(data_2020: Dataset, data_2021: Dataset) -> tuple[Dataset, Coverage]:
+def active_both_filter(data_2020: Dataset, data_2021: Dataset) -> tuple[Dataset, dict]:
     """Inner join on ``CardId``; one record per card active in both years.
 
     Returns the joined microdata (Gender, Age2020, Debt2020, Debt2021,
     Delinquency2020, Delinquency2021, ordered by card id), each column with
-    the spec it has in its year's dataset, and the count and debt coverage
-    fractions relative to the 2020 portfolio. Duplicate ids within a year
-    are an error.
+    the spec it has in its year's dataset, and its coverage of the 2020
+    portfolio: ``count_fraction`` and ``debt_fraction`` of the 2020 cards
+    and debt, and ``n_joined``. Duplicate ids within a year are an error.
     """
     ids_a = data_2020.column("CardId")
     ids_b = data_2021.column("CardId")
@@ -171,11 +160,11 @@ def active_both_filter(data_2020: Dataset, data_2021: Dataset) -> tuple[Dataset,
     total_debt = float(data_2020.column("Debt2020").sum())
     joined_debt = float(data_2020.column("Debt2020")[idx_a].sum())
     n_2020 = data_2020.n_records
-    coverage = Coverage(
-        count_fraction=0.0 if n_2020 == 0 else common.size / n_2020,
-        debt_fraction=0.0 if total_debt == 0 else joined_debt / total_debt,
-        n_joined=int(common.size),
-    )
+    coverage = {
+        "count_fraction": 0.0 if n_2020 == 0 else common.size / n_2020,
+        "debt_fraction": 0.0 if total_debt == 0 else joined_debt / total_debt,
+        "n_joined": int(common.size),
+    }
     return joined, coverage
 
 
@@ -205,7 +194,7 @@ PAIRED = tuple(TRANSITIONS.values())
 
 def prepare(population: CreditPortfolioConfig, files: dict, rng: np.random.Generator):
     """The cards active in both years and their coverage, from the yearly
-    card files or generated; the yearly cards are written out too."""
+    card files or generated."""
     if files:
         cards = [
             read_csv(files[f"cards_{year}"], load_schema(files[f"schema_{year}"]))
@@ -213,12 +202,7 @@ def prepare(population: CreditPortfolioConfig, files: dict, rng: np.random.Gener
         ]
     else:
         cards = generate_credit_cards(population, rng)
-    joined, coverage = active_both_filter(*cards)
-    written = [
-        (dataset, f"cards_{year}.csv", f"schema_{year}.json")
-        for year, dataset in zip(CARD_YEARS, cards)
-    ]
-    return joined, dataclasses.asdict(coverage), written
+    return active_both_filter(*cards)
 
 
 def save_extra(coverage: dict, path) -> None:
@@ -238,7 +222,7 @@ def evaluate(original, coverage, encoded, synthetic, decoded, strategy):
     norms = {}
     for kind, (c0, c1) in TRANSITIONS.items():
         n_states = codebook[c0].domain_size
-        edges = codebook[c0].edges
+        edges = codebook[c0].value_edges
         labels = tuple(f"[{edges[i]:g},{edges[i + 1]:g})" for i in range(n_states))
         tm_o = transition_matrix(
             encoded.column_codes(c0), encoded.column_codes(c1), n_states, states=labels

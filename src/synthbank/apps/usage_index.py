@@ -322,9 +322,8 @@ def prepare(population: FiPopulationConfig, files: dict, rng: np.random.Generato
                         f"{files['unbanked']}: row {rownum}: {name} '{label}' "
                         "is no level of the microdata"
                     )
-        return dataset, unbanked, []
-    dataset, unbanked = generate_fi_population(population, rng)
-    return dataset, unbanked, []
+        return dataset, unbanked
+    return generate_fi_population(population, rng)
 
 
 def evaluate(original, unbanked, encoded, synthetic, decoded, strategy):

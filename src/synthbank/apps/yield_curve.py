@@ -475,8 +475,8 @@ WORKLOAD = [
 def prepare(population: DepositMarketConfig, files: dict, rng: np.random.Generator):
     """The term-deposit microdata, read from ``files`` or generated."""
     if files:
-        return read_csv(files["data"], load_schema(files["schema"])), None, []
-    return generate_term_deposits(population, rng), None, []
+        return read_csv(files["data"], load_schema(files["schema"])), None
+    return generate_term_deposits(population, rng), None
 
 
 def evaluate(original, extra, encoded, synthetic, decoded, strategy):
@@ -487,7 +487,7 @@ def evaluate(original, extra, encoded, synthetic, decoded, strategy):
     without that fit."""
     curves_o = build_yield_curves(original, encoded)
     curves_s = build_yield_curves(decoded, synthetic)
-    term_edges = np.asarray(encoded.codebook["Term"].edges)
+    term_edges = encoded.codebook["Term"].value_edges
 
     groups: dict = {}
     group_keys = sorted({(k[0], k[1]) for k in curves_o} | {(k[0], k[1]) for k in curves_s})

@@ -140,6 +140,13 @@ class ColumnCodec:
             return len(self.edges) - 1
         return len(self.labels)
 
+    @property
+    def value_edges(self) -> np.ndarray:
+        """The bin edges in the column's own units: ``edges``, exponentiated
+        for a log-flagged column."""
+        edges = np.asarray(self.edges)
+        return np.exp(edges) if self.log_flag else edges
+
 
 class Codebook:
     """Ordered collection of column codecs, addressable by name or index."""
@@ -312,15 +319,10 @@ def equal_frequency_bins(values, k: int) -> tuple[np.ndarray, np.ndarray]:
             f"k={k} exceeds the {firsts.size} distinct values; use a smaller k"
         )
 
-    prelim = (np.arange(n, dtype=np.int64) * k) // n
-    # a tie group's min prelim code is at its first occurrence (prelim is non-decreasing)
-    group = np.searchsorted(firsts, np.arange(n), side="right") - 1
-    merged = prelim[firsts[group]]
-    used = np.unique(merged)
-    codes_sorted = np.searchsorted(used, merged)
-    m = used.size
-
-    starts = np.searchsorted(codes_sorted, np.arange(1, m), side="left")
+    # a tie group takes the bin of its first occurrence, rank * k // n, so a
+    # bin starts at each group whose first rank enters a later bin
+    starts = firsts[1:][np.diff((firsts * k) // n) > 0]
+    m = starts.size + 1
     boundaries = sv[starts]
     edges = np.concatenate([[sv[0]], boundaries, [sv[-1]]])
     if m == 1:

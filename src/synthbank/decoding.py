@@ -69,13 +69,13 @@ def _bin_values(codec: ColumnCodec, mode: str) -> np.ndarray:
     An unbounded final bin (infinite upper edge in a hand-written codebook)
     has the midpoint of its left edge plus half of the previous bin's width.
     """
+    if mode == "left_edge":
+        return codec.value_edges[:-1]
     edges = np.asarray(codec.edges)
-    values = edges[:-1]
-    if mode == "midpoint":
-        values = 0.5 * (values + edges[1:])
-        if not np.isfinite(edges[-1]):
-            prev_width = edges[-2] - edges[-3] if len(edges) > 2 else 1.0
-            values[-1] = edges[-2] + 0.5 * prev_width
+    values = 0.5 * (edges[:-1] + edges[1:])
+    if not np.isfinite(edges[-1]):
+        prev_width = edges[-2] - edges[-3] if len(edges) > 2 else 1.0
+        values[-1] = edges[-2] + 0.5 * prev_width
     return np.exp(values) if codec.log_flag else values
 
 

@@ -453,15 +453,12 @@ class Pipeline:
             "stages": [],
             "privacy": {"epsilon": config.epsilon, "delta": config.delta},
             "mechanism": {"name": config.mechanism},
-            "metrics_summary": {},
             "artifacts": {},
         }
-        self.source, self.extra, written = self.app.prepare(
+        self.source, self.extra = self.app.prepare(
             config.datagen, config.files, self._rng("datagen")
         )
         self._write_dataset(self.source, "original.csv", "schema.json")
-        for args in written:
-            self._write_dataset(*args)
         if self.app.EXTRA is not None:
             self.app.save_extra(self.extra, self.outdir / self.app.EXTRA)
             self._register(self.app.EXTRA)
@@ -588,9 +585,6 @@ class Pipeline:
             "metrics": metrics,
         }
         self._write_json(self.report, "report.json")
-        self.manifest["metrics_summary"] = {
-            "relative_error": metrics.get("relative_error"),
-        }
         self._stage("eval", started)
         return self.report
 

@@ -9,6 +9,7 @@ from synthbank.apps.credit import (
     CreditError,
     active_both_filter,
     delinquency_rate,
+    evaluate,
     frobenius_error,
     transition_matrix,
 )
@@ -246,13 +247,13 @@ def test_join_disjoint_ids():
     a, b = two_card_datasets([0, 1, 2], [5, 6])
     joined, coverage = active_both_filter(a, b)
     assert joined.n_records == 0
-    assert coverage.count_fraction == 0.0
+    assert coverage["count_fraction"] == 0.0
 
 
 def test_join_identical_ids():
     a, b = two_card_datasets([3, 1, 2], [1, 2, 3])
     joined, coverage = active_both_filter(a, b)
-    assert coverage.count_fraction == 1.0
+    assert coverage["count_fraction"] == 1.0
     assert joined.n_records == 3
     assert joined.column_names == (
         "Gender",
@@ -274,8 +275,8 @@ def test_planted_persistence_coverage():
     config = CreditPortfolioConfig(n_cards=100_000, persistence=0.8)
     cards_2020, cards_2021 = generate_credit_cards(config, np.random.default_rng(13))
     _, coverage = active_both_filter(cards_2020, cards_2021)
-    assert abs(coverage.count_fraction - 0.80) < 0.01
-    assert 0.5 < coverage.debt_fraction <= 1.0
+    assert abs(coverage["count_fraction"] - 0.80) < 0.01
+    assert 0.5 < coverage["debt_fraction"] <= 1.0
 
 
 def test_joined_columns_keep_the_specs_of_their_year(tmp_path):
@@ -307,6 +308,23 @@ def test_joined_columns_keep_the_specs_of_their_year(tmp_path):
         files[f"schema_{year}"] = tmp_path / f"schema_{year}.json"
         write_csv(Dataset(schema, [data.column(s.name) for s in schema]), files[f"cards_{year}"])
         save_schema(schema, files[f"schema_{year}"])
-    joined, _, _ = prepare(CreditPortfolioConfig(), files, np.random.default_rng(0))
+    joined, _ = prepare(CreditPortfolioConfig(), files, np.random.default_rng(0))
     assert [spec.units for spec in joined.schema] == ["", "months", "USD", "EUR", "days", "days"]
     assert joined.spec("Gender").levels == ("X", "Y")
+
+
+def test_debt_state_labels_are_pyg_under_a_log_rule():
+    # data-driven credit bins ln(debt); the transition tables label each
+    # state with its debt range in PYG
+    cards = generate_credit_cards(CreditPortfolioConfig(n_cards=3000), np.random.default_rng(37))
+    joined, coverage = active_both_filter(*cards)
+    encoded = encode_dataset(joined, credit_rules("data_driven"))
+    codec = encoded.codebook["Debt2020"]
+    assert codec.log_flag
+    _, tables = evaluate(joined, coverage, encoded, encoded, joined, "data_driven")
+    edges = np.exp(codec.edges)
+    states = [f"[{edges[i]:g},{edges[i + 1]:g})" for i in range(codec.domain_size)]
+    for tag in ("original", "synthetic"):
+        assert tables[f"transition_debt_{tag}.csv"][0] == ["state", *states]
+    lowest = float(states[0][1:].split(",")[0])
+    assert lowest == pytest.approx(joined.column("Debt2020").min(), rel=1e-5)

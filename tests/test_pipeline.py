@@ -28,6 +28,7 @@ from synthbank.population import (
     CreditPortfolioConfig,
     DepositMarketConfig,
     FiPopulationConfig,
+    generate_credit_cards,
 )
 from synthbank.presets import AGE_BAND_LABELS, CBP_DEBT_CUTOFFS, STRATEGIES
 from synthbank.privacy import PrivacyError, PrivacyParams
@@ -566,15 +567,9 @@ def test_compare_identical_rules_identical_columns(tmp_path):
         assert row["winner"] == "tie"
 
 
-# the ``input.files`` keys of each application, and the gen-data artifact
-# each one names
+# the ``input.files`` keys of fi and yield, and the gen-data artifact each
+# one names; credit's card files are no artifact
 SOURCE_FILES = {
-    "credit": {
-        "cards_2020": "cards_2020.csv",
-        "schema_2020": "schema_2020.json",
-        "cards_2021": "cards_2021.csv",
-        "schema_2021": "schema_2021.json",
-    },
     "fi": {"data": "original.csv", "schema": "schema.json", "unbanked": "unbanked.csv"},
     "yield": {"data": "original.csv", "schema": "schema.json"},
 }
@@ -582,20 +577,54 @@ SOURCE_FILES = {
 
 @pytest.mark.parametrize("application", ["credit", "fi", "yield"])
 def test_file_input_round_trip(tmp_path, application):
-    # generate with datagen, then re-run from the emitted files
-    run_pipeline(write_config(tmp_path, app_config(tmp_path, application, "src"), "gen.json"))
+    # generate with datagen, then re-run from files of the same data
+    gen_doc = app_config(tmp_path, application, "src")
+    run_pipeline(write_config(tmp_path, gen_doc, "gen.json"))
     src = tmp_path / "src"
-    files = {key: str(src / name) for key, name in SOURCE_FILES[application].items()}
+    if application == "credit":
+        # the cards the datagen run drew, written through the library
+        config = PipelineConfig.from_dict(gen_doc)
+        cards = generate_credit_cards(config.datagen, Pipeline(config)._rng("datagen"))
+        files = {}
+        for year, data in zip((2020, 2021), cards):
+            files[f"cards_{year}"] = str(tmp_path / f"cards_{year}.csv")
+            files[f"schema_{year}"] = str(tmp_path / f"schema_{year}.json")
+            write_csv(data, files[f"cards_{year}"])
+            save_schema(data.schema, files[f"schema_{year}"])
+    else:
+        files = {key: str(src / name) for key, name in SOURCE_FILES[application].items()}
     file_doc = app_config(tmp_path, application, "fromfiles", input={"files": files})
     report = run_pipeline(write_config(tmp_path, file_doc, "fromfiles.json"))
     assert report["metrics"]["relative_error"] >= 0.0
-    # the files run writes back the data it read, byte for byte (credit's
+    # the files run writes the artifacts of the datagen run, no copy of its
+    # inputs among them, and the data it read byte for byte (credit's
     # coverage.json is not compared: its debt share is recomputed from the
     # debts as written, to 12 significant digits)
     generated = artifact_bytes(src)
     reread = artifact_bytes(tmp_path / "fromfiles")
-    for name in {"original.csv", "schema.json", *SOURCE_FILES[application].values()}:
+    assert set(reread) == set(generated)
+    for name in {"original.csv", "schema.json", *SOURCE_FILES.get(application, {}).values()}:
         assert reread[name] == generated[name], name
+
+
+# what ``gen-data`` writes for each application: each file is one that a
+# later stage reads, so a new artifact has to be declared here
+GEN_DATA_ARTIFACTS = {
+    "credit": {"original.csv", "schema.json", "coverage.json"},
+    "fi": {"original.csv", "schema.json", "unbanked.csv"},
+    "yield": {"original.csv", "schema.json"},
+}
+
+
+@pytest.mark.parametrize("application", sorted(GEN_DATA_ARTIFACTS))
+def test_gen_data_writes_only_what_later_stages_read(tmp_path, application):
+    path = write_config(tmp_path, app_config(tmp_path, application))
+    assert cli_main(["gen-data", "--config", str(path)]) == 0
+    outdir = tmp_path / "run"
+    expected = GEN_DATA_ARTIFACTS[application]
+    assert {p.name for p in outdir.iterdir()} == expected | {"manifest.json"}
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert set(manifest["artifacts"]) == expected
 
 
 def without_seconds(doc):
@@ -661,15 +690,10 @@ def test_runs_need_no_scipy(tmp_path):
 def test_stages_read_only_what_they_use(tmp_path):
     staged = write_config(tmp_path, credit_config(tmp_path, subdir="staged"), "staged.json")
     one_shot = write_config(tmp_path, credit_config(tmp_path, subdir="oneshot"), "oneshot.json")
-    assert cli_main(["gen-data", "--config", str(staged)]) == 0
-    for name in ("cards_2020.csv", "cards_2021.csv"):
-        (tmp_path / "staged" / name).unlink()
-    for command in STAGES[1:]:
+    for command in STAGES:
         assert cli_main([command, "--config", str(staged)]) == 0
     assert cli_main(["pipeline", "--config", str(one_shot)]) == 0
-    expected = artifact_bytes(tmp_path / "oneshot")
-    del expected["cards_2020.csv"], expected["cards_2021.csv"]
-    assert artifact_bytes(tmp_path / "staged") == expected
+    assert artifact_bytes(tmp_path / "staged") == artifact_bytes(tmp_path / "oneshot")
 
 
 @pytest.mark.parametrize("mechanism", ["mst", "aim", "pac"])

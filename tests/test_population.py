@@ -138,8 +138,8 @@ def test_credit_full_persistence_full_overlap():
     config = CreditPortfolioConfig(n_cards=3000, persistence=1.0, new_card_rate=0.0)
     cards_2020, cards_2021 = generate_credit_cards(config, np.random.default_rng(19))
     _, coverage = active_both_filter(cards_2020, cards_2021)
-    assert coverage.count_fraction == 1.0
-    assert coverage.debt_fraction == 1.0
+    assert coverage["count_fraction"] == 1.0
+    assert coverage["debt_fraction"] == 1.0
 
 
 def test_credit_encodes_under_both_strategies():

@@ -29,9 +29,6 @@ ALLOWED = {
 
 # dataclass fields that stay although no code in src/ reads them by name
 UNREAD = {
-    "Coverage.count_fraction": "the credit app writes Coverage whole with dataclasses.asdict",
-    "Coverage.debt_fraction": "the credit app writes Coverage whole with dataclasses.asdict",
-    "Coverage.n_joined": "the credit app writes Coverage whole with dataclasses.asdict",
     "PacLevel.length": "the PAC reference tests compare it",
     "PacLevel.sigma": "perfbench/spans.py reads it to count noised cells",
     "PacLevel.rho": "the PAC reference tests compare it",

@@ -339,7 +339,7 @@ def test_fi_files_reject_an_unbanked_group_the_microdata_lacks(tmp_path, row, me
     (tmp_path / "unbanked.csv").write_text(
         "period,age_band,gender,count\n2020,25-34,F,4\n", encoding="utf-8"
     )
-    _, unbanked, _ = prepare(FiPopulationConfig(), files, np.random.default_rng(0))
+    _, unbanked = prepare(FiPopulationConfig(), files, np.random.default_rng(0))
     assert unbanked == {("2020", "25-34", "F"): 4}
 
 

@@ -27,7 +27,7 @@ from synthbank.apps.yield_curve import (
     weighted_avg_rate,
     yield_rmse,
 )
-from synthbank.binning import Codebook, ColumnCodec, EncodedDataset, encode_dataset
+from synthbank.binning import BinningRule, Codebook, ColumnCodec, EncodedDataset, encode_dataset
 from synthbank.pipeline import Pipeline, PipelineConfig
 from synthbank.population import DepositMarketConfig, generate_term_deposits, planted_rate_curve
 from synthbank.presets import deposit_rules
@@ -816,3 +816,25 @@ def test_build_yield_curves_rejects_numeric_group_column():
     numeric = Dataset(schema, [ds.column(s.name).astype(float) for s in ds.schema])
     with pytest.raises(YieldError, match="'typeFI' must be categorical"):
         build_yield_curves(numeric, enc)
+
+
+def test_term_maturities_are_days_under_a_log_rule():
+    # a log rule bins ln(Term) at the same ranks as Term, so the curves,
+    # their maturities and their Svensson fits are those of the plain rule
+    deposits = generate_term_deposits(DepositMarketConfig(n_deposits=3000), np.random.default_rng(31))
+    outputs = []
+    for log in (False, True):
+        rules = deposit_rules("data_driven")
+        rules["Term"] = BinningRule("equal_frequency", k=8, log_pretransform=log)
+        encoded = encode_dataset(deposits, rules)
+        assert encoded.codebook["Term"].log_flag == log
+        outputs.append(yield_curve.evaluate(deposits, None, encoded, encoded, deposits, "data_driven"))
+    (plain, plain_tables), (logged, logged_tables) = outputs
+    column = plain_tables["plot_yield_points.csv"][0].index("term_left_days")
+    days = [row[column] for row in plain_tables["plot_yield_points.csv"][1:]]
+    assert [row[column] for row in logged_tables["plot_yield_points.csv"][1:]] == days
+    assert min(float(day) for day in days) == deposits.column("Term").min()
+    assert plain["nss"] and set(logged["nss"]) == set(plain["nss"])
+    for key, fit in plain["nss"].items():
+        assert "error" not in fit
+        assert logged["nss"][key] == pytest.approx(fit, rel=1e-6), key
