@@ -142,7 +142,8 @@ def active_both_filter(data_2020: Dataset, data_2021: Dataset) -> tuple[Dataset,
     for year, ids in (("2020", ids_a), ("2021", ids_b)):
         if np.unique(ids).size != ids.size:
             raise CreditError(f"duplicate card ids in the {year} dataset")
-    common, idx_a, idx_b = np.intersect1d(ids_a, ids_b, return_indices=True)
+    # the check above proved the ids of each year unique
+    common, idx_a, idx_b = np.intersect1d(ids_a, ids_b, assume_unique=True, return_indices=True)
 
     # each joined column, its spec and its rows come from the year it belongs to
     picks = (

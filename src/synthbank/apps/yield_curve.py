@@ -80,7 +80,9 @@ def build_yield_curves(data: Dataset, codes: EncodedDataset) -> dict:
 
     # one stable sort by (type, currency, period, term code), each label
     # keyed by its rank among its column's sorted labels, so groups come
-    # out in sorted label order and keep their rows in data order
+    # out in sorted label order and keep their rows in data order; the keys
+    # are sorted in their smallest unsigned type, which NumPy radix-sorts up
+    # to 16 bits, and a stable sort's order is the same in any type
     key = np.zeros(data.n_records, dtype=np.int64)
     group_labels = []
     for name in ("typeFI", "Currency", "Period"):
@@ -93,7 +95,7 @@ def build_yield_curves(data: Dataset, codes: EncodedDataset) -> dict:
         key = key * len(levels) + rank[data.column(name)]
         group_labels.append([levels[i] for i in by_label])
     key = key * n_bins + term_codes
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key.astype(np.min_scalar_type(int(key.max(initial=0)))), kind="stable")
     key = key[order]
     capital = data.column("Capital")[order]
     if np.any(capital <= 0):

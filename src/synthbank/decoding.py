@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import Codebook, ColumnCodec, EncodedDataset, log_pretransform
+from .binning import Codebook, ColumnCodec, EncodedDataset, draw_index, log_pretransform
 from .checks import is_int, is_real, reject_bools
 from .tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
 
@@ -148,7 +148,7 @@ def kde_decode(
     sum, both normalised, is at most 1e-3 when the bandwidth is at least
     2 grid steps and at most 1e-2 when it is at least half a step; it
     shrinks as the values per grid step grow. The generator draws the grid
-    offset, then one ``choice`` per code, whichever density is used; so a
+    offset, then one ``draw_index`` per code, whichever density is used; so a
     decoded value differs from the direct sum's only where its draw falls
     next to a boundary of the cumulative probabilities: 2 to 8 cells in
     10,000 on 15k-deposit yield data.
@@ -208,7 +208,7 @@ def kde_decode(
             probs = np.full(points.size, 1.0 / points.size)
         else:
             probs = probs / total
-        out[idx] = rng.choice(points, size=idx.size, replace=True, p=probs)
+        out[idx] = points[draw_index(rng, probs, idx.size)]
     if fallback_bins:
         warnings.warn(
             f"column '{column}': bins {fallback_bins} contain no grid point; "

@@ -40,7 +40,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .binning import Codebook, EncodedDataset
+from .binning import Codebook, EncodedDataset, draw_index
 from .checks import is_int, is_real, reject_bools
 from .privacy import PrivacyParams, add_gaussian_noise, gaussian_sigma, split_budget
 
@@ -204,13 +204,13 @@ class TreeModel:
         for parent, child in self.steps:
             if parent is None:
                 dist = self.attr_dist[child]
-                codes[:, child] = rng.choice(self.domain[child], size=n_out, p=dist)
+                codes[:, child] = draw_index(rng, dist, n_out)
                 continue
             cond = self.conditionals[(parent, child)]
             # a value no row holds draws nothing: a size-0 draw leaves the generator as it was
             for value in range(self.domain[parent]):
                 idx = np.flatnonzero(codes[:, parent] == value)
-                codes[idx, child] = rng.choice(self.domain[child], size=idx.size, p=cond[value])
+                codes[idx, child] = draw_index(rng, cond[value], idx.size)
         return codes
 
     def marginal(self, attrs) -> np.ndarray:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binning import draw_index
 from .checks import is_int, is_real, reject_bools
 from .presets import (
     AGE_BAND_LABELS,
@@ -447,8 +448,8 @@ def generate_credit_cards(
     bands = np.zeros(n, dtype=np.int64)
     for g, dist in ((0, config.delinquency_dist_male), (1, config.delinquency_dist_female)):
         idx = np.flatnonzero(gender_col == g)
-        bands[idx] = rng.choice(_DELINQUENCY_BANDS, size=idx.size, p=np.asarray(dist))
-    age_bands = rng.choice(_BANDS, size=n, p=np.asarray(config.band_shares))
+        bands[idx] = draw_index(rng, dist, idx.size)
+    age_bands = draw_index(rng, config.band_shares, n)
     ages = _ages_for_bands(age_bands, rng)
     del_2020 = _delinquency_days(bands, rng)
     debt_2020 = np.clip(
@@ -462,7 +463,7 @@ def generate_credit_cards(
     kernel = np.asarray(config.kernel)
     for b in range(_DELINQUENCY_BANDS):
         idx = np.flatnonzero(bands == b)
-        bands_2021[idx] = rng.choice(_DELINQUENCY_BANDS, size=idx.size, p=kernel[b])
+        bands_2021[idx] = draw_index(rng, kernel[b], idx.size)
     del_2021 = _delinquency_days(bands_2021, rng)
     debt_2021 = np.clip(
         debt_2020 * np.exp(rng.normal(config.debt_drift, config.debt_vol, size=n)),
@@ -475,7 +476,7 @@ def generate_credit_cards(
         config.gender_split * np.asarray(config.delinquency_dist_male)
         + (1 - config.gender_split) * np.asarray(config.delinquency_dist_female)
     )
-    new_bands = rng.choice(_DELINQUENCY_BANDS, size=n_new, p=mix / mix.sum())
+    new_bands = draw_index(rng, mix / mix.sum(), n_new)
     new_del = _delinquency_days(new_bands, rng)
     new_debt = np.clip(
         np.exp(rng.normal(config.debt_log_mean, config.debt_log_sd, size=n_new)),

@@ -708,17 +708,19 @@ def write_csv(dataset: Dataset, path) -> None:
     _write_rows(path, _csv_line(names), tables, indices)
 
 
-def write_codes(codes, names, path) -> None:
-    """Write the ``(n, len(names))`` code matrix ``codes`` as an encoded CSV.
+def write_codes(codes, names, sizes, path) -> None:
+    """Write the ``(n, len(names))`` code matrix ``codes``, whose column ``j``
+    holds codes ``0`` to ``sizes[j] - 1``, as an encoded CSV.
 
     The bytes are fixed: UTF-8, the header row of ``names`` as
     :func:`write_csv` writes it, then one row per record of decimal codes
-    joined by commas, every line ended by LF. The code texts come from two
-    tables of every code up to the largest (:func:`_integer_table`), one
-    with a comma after each code and one, for the last column, with LF.
+    joined by commas, every line ended by LF. Each column's code texts come
+    from a table of its ``sizes[j]`` codes (:func:`_integer_table`), with a
+    comma after each code, or LF in the last column; so a column of one-digit
+    codes is gathered one digit wide, whatever the other columns hold.
     """
-    span = int(codes.max(initial=0)) + 1
-    tables = [_integer_table(0, span, ",")] * (len(names) - 1) + [_integer_table(0, span, "\n")]
+    ends = [","] * (len(names) - 1) + ["\n"]
+    tables = [_integer_table(0, size, end) for size, end in zip(sizes, ends)]
     _write_rows(path, _csv_line(names)[:-2] + "\n", tables, list(codes.T))
 
 

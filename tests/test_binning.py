@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthbank.binning import (
+    _COUNT_LIMIT,
     BinningError,
     BinningRule,
     assign_codes,
+    draw_index,
     encode_dataset,
     equal_frequency_bins,
     explicit_bins,
     kmeans_1d,
     log_pretransform,
     read_encoded_csv,
+    table_rank,
     uniform_width_bins,
     write_encoded_csv,
 )
@@ -89,6 +92,106 @@ def test_explicit_order_preserving_property():
     assert np.all(np.diff(codes[order]) >= 0)
 
 
+# --------------------------------------------------------- rank and draw
+
+# entries and values with ties, both zeros, and values beyond every entry
+RANK_NUMBERS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    table=st.lists(RANK_NUMBERS, max_size=2 * _COUNT_LIMIT),
+    values=st.lists(
+        st.one_of(RANK_NUMBERS, st.sampled_from([math.nan, math.inf, -math.inf])),
+        max_size=40,
+    ),
+)
+def test_table_rank_is_searchsorted_right(table, values):
+    # tables on both sides of _COUNT_LIMIT, counted or searched
+    table = np.sort(np.asarray(table, dtype=np.float64))
+    values = np.asarray(values, dtype=np.float64)
+    expected = np.searchsorted(table, values, side="right")
+    got = table_rank(table, values)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+def test_table_rank_counts_on_small_tables_and_searches_on_large():
+    values = np.array([-0.0, 0.0, math.nan, 3.0, -7.0])
+    for size in (_COUNT_LIMIT, _COUNT_LIMIT + 1):
+        table = np.concatenate([[-0.0, 0.0], np.arange(1.0, size - 1)])
+        assert np.array_equal(
+            table_rank(table, values), np.searchsorted(table, values, side="right")
+        )
+    assert table_rank(np.array([0.0, 1.0]), np.array([])).shape == (0,)
+
+
+DRAW_CASES = [
+    ([1.0], 7),
+    ([0.0, 0.0, 0.25, 0.75], 500),  # zero-probability head
+    ([0.6, 0.4, 0.0, 0.0], 500),  # zero-probability tail
+    ([0.0, 1.0, 0.0], 50),
+    (np.full(18, 1 / 18), 0),
+    (np.random.default_rng(4).dirichlet(np.ones(18)), 20_000),
+    (np.random.default_rng(5).dirichlet(np.ones(2 * _COUNT_LIMIT)), 3_000),
+    ((0.7, 0.1, 0.2), 1_000),
+]
+
+
+@pytest.mark.parametrize("p, size", DRAW_CASES)
+def test_draw_index_is_generator_choice(p, size):
+    rng, replay = np.random.default_rng(21), np.random.default_rng(21)
+    expected = replay.choice(len(p), size=size, p=p)
+    got = draw_index(rng, p, size)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    # and the draws after it
+    assert rng.random() == replay.random()
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        [0.5, -0.1, 0.6],
+        [0.5, math.nan, 0.5],
+        [0.5, 0.4],
+        [0.5, 0.5 + 1e-7],
+        [[0.5, 0.5]],
+        [math.inf, 0.5],
+        [0.5, math.inf, 0.5],
+        [],
+    ],
+)
+def test_draw_index_rejects_p_as_generator_choice_does(p):
+    with pytest.raises(Exception) as expected:
+        np.random.default_rng(3).choice(len(p), size=4, p=p)
+    with pytest.raises(Exception) as got:
+        draw_index(np.random.default_rng(3), p, 4)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_draw_index_sums_p_as_generator_choice_does():
+    # six addends below half an ulp of the first: a plain sum drops them and
+    # stays within Generator.choice's tolerance; the Kahan sum that
+    # Generator.choice checks keeps them and goes past it
+    atol = math.sqrt(np.finfo(np.float64).eps)
+    head = 1.0 + atol
+    while head - 1.0 > atol:
+        head = float(np.nextafter(head, 0.0))
+    p = np.array([head] + [1e-16] * 6)
+    assert abs(np.add.reduce(p) - 1.0) <= atol
+    with pytest.raises(ValueError) as expected:
+        np.random.default_rng(1).choice(p.size, size=3, p=p)
+    with pytest.raises(ValueError) as got:
+        draw_index(np.random.default_rng(1), p, 3)
+    assert str(got.value) == str(expected.value)
+
+
 # ---------------------------------------------------------- equal frequency
 
 def brute_counts(codes, k):
@@ -125,6 +228,21 @@ def test_equal_frequency_codes_consistent_with_edges():
     values = rng.normal(size=300)
     codes, edges = equal_frequency_bins(values, 7)
     assert np.array_equal(codes, assign_codes(values, edges))
+
+
+def test_equal_frequency_zero_edge_keeps_the_bits_of_a_stable_sort():
+    # a boundary falls on the zeros: the first zero in input order is 0.0
+    # and the others -0.0, so an unstable sort tends to put a -0.0 first
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        values = np.repeat([-2.0, -0.0, 1.0, 4.0], 250)[rng.permutation(1000)]
+        values[np.flatnonzero(values == 0)[0]] = 0.0
+        codes, edges = equal_frequency_bins(values, 4)
+        sv = np.sort(values, kind="stable")
+        expected = np.array([sv[0], sv[250], sv[500], 0.5 * (sv[749] + sv[750]), sv[-1]])
+        assert not np.signbit(sv[250])
+        assert np.array_equal(edges.view(np.int64), expected.view(np.int64)), seed
+        assert np.array_equal(codes, assign_codes(values, edges))
 
 
 @settings(max_examples=60, deadline=None)
