@@ -309,11 +309,73 @@ def _check_curve(t: np.ndarray, w: np.ndarray) -> None:
         raise YieldError("weights must be positive")
 
 
-def _nss_columns(t: np.ndarray, sw: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    # weighted [1, f1, f2] columns of each row's decay time, as in
-    # _nss_basis; f2 of tau2 is the basis's f3
-    f1, f2 = svensson_loadings(t / tau[:, None])
-    return np.stack([np.ones_like(f1), f1, f2], axis=2) * sw[:, :, None]
+#: a cell's coefficients must stay within this many rate units (percent):
+#: honest curve shapes stay far below it
+_BETA_CAP = 50.0
+#: a cell replaces the best only when its rmse is lower by more than this
+_MARGIN = 1e-15
+#: the screen's rounding slack per point and unit of scale, 256 machine
+#: epsilons (see nss_fit)
+_SCREEN_SLACK = 2.0**-44
+#: the least Gram-Schmidt column norm, as a fraction of the level column's,
+#: of a four-factor cell that the screen may leave unsolved (see nss_fit)
+_SCREEN_GUARD = 2.0**-20
+# 1 where a row of the inverse has no entry left of its diagonal: its
+# coefficient is 0 there, and so is its excess
+_BELOW_DIAGONAL = np.tri(4, k=-1)[:, :, None]
+
+
+def _nss_columns(t: np.ndarray, sw: np.ndarray, tau1: np.ndarray, tau2: np.ndarray) -> list:
+    # each cell's weighted [1, f1, f2] columns of tau1, as in _nss_basis,
+    # and f2 of tau2, which is the basis's f3: four (cells, points) arrays
+    f1, f2 = svensson_loadings(t / tau1[:, None])
+    return [sw, f1 * sw, f2 * sw, svensson_loadings(t / tau2[:, None])[1] * sw]
+
+
+def _screen(a: np.ndarray, full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's lower bound on its rmse, whichever basis it ends with,
+    and the four-factor cells that the rank guard keeps (see :func:`nss_fit`).
+
+    ``a`` is ``(5, points, cells)``: the four weighted columns of each
+    cell, then its weighted rates. It is overwritten.
+    """
+    n = a.shape[2]
+    # modified Gram-Schmidt: the triangular factor of each cell's columns,
+    # with the rates' coordinates along the orthonormal columns as column 4
+    r = np.zeros((4, 5, n))
+    outside = np.empty((4, n))  # squared residual of the rates outside the first 1-4 columns
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(4):
+            np.sqrt(np.einsum("in,in->n", a[k], a[k]), out=r[k, k])
+            q = np.divide(a[k], r[k, k], out=a[k])
+            np.einsum("in,jin->jn", q, a[k + 1 :], out=r[k, k + 1 :])
+            a[k + 1 :] -= r[k, k + 1 :, None] * q
+            if k >= 2:
+                np.einsum("in,in->n", a[4], a[4], out=outside[k])
+        outside[1] = outside[2] + r[2, 4] ** 2
+        outside[0] = outside[1] + r[1, 4] ** 2
+        # the rows x of the factor's inverse, each by forward substitution
+        # in x R = e_i, so that x R - e_i stays small whatever R's condition
+        inverse = np.zeros((4, 4, n))
+        for j in range(4):
+            np.divide(1.0, r[j, j], out=inverse[j, j])
+            if j:
+                np.einsum("iln,ln->in", inverse[:j, :j], r[:j, j], out=inverse[:j, j])
+                inverse[:j, j] *= -inverse[j, j]
+        # [i, w - 1]: coefficient i of the least-squares fit on the first w
+        # columns, and the squared norm of row i of their factor's inverse
+        beta = inverse * r[:, 4]
+        norm = inverse**2
+        for j in range(1, 4):
+            beta[:, j] += beta[:, j - 1]
+            norm[:, j] += norm[:, j - 1]
+        excess = (np.maximum(np.abs(beta) - _BETA_CAP, 0.0) ** 2 / (norm + _BELOW_DIAGONAL)).max(axis=0)
+        within = outside[1:] + excess[1:]
+        within[2] = np.where(full, within[2], np.inf)
+        bound = np.minimum(outside[0], within.min(axis=0))
+    diagonal = r[np.arange(4), np.arange(4)]
+    guard = full & ~(diagonal.min(axis=0) >= _SCREEN_GUARD * diagonal[0])
+    return np.sqrt(bound), guard
 
 
 def nss_fit(
@@ -340,18 +402,76 @@ def nss_fit(
     nested bases (drop the second hump, then the first, then slope).
     Each curve whose four-factor basis is ever rank-deficient warns once.
 
-    All curves are searched in step, and each step solves its cells of
-    every curve in one stacked LAPACK call (:func:`_lstsq_stack`): the
-    grid is one step, and each refinement round is one step per ``tau1``
-    row. A round's ``tau1`` values come from each curve's best cell at the
-    start of the round and a row's ``tau2`` values from its best cell after
-    the previous row, so a round cannot be one step without changing which
-    cells are tried. A step's narrower bases are stacked across curves
-    too; they depend on ``tau1`` alone (width 1 on no decay time at all),
-    so each is solved at most once per curve. Each curve skips the cells it
-    has solved before and compares the rest in the order a cell-by-cell
-    search visits them: the first cell to beat its best by more than 1e-15
-    wins.
+    All curves are searched in step: the grid is one step, and each
+    refinement round is one step per ``tau1`` row. A round's ``tau1`` values
+    come from each curve's best cell at the start of the round and a row's
+    ``tau2`` values from its best cell after the previous row, as in a
+    cell-by-cell search, where the first cell to beat the best by more than
+    1e-15 wins.
+
+    **Screen.** Most cells cannot win, and a bound proves it before any
+    solve. Modified Gram-Schmidt on each cell's weighted columns, then its
+    weighted rates, in plain ufuncs over all cells of a step, gives the
+    triangular factor ``R`` of the first ``w`` columns, the rates'
+    coordinates and their residual ``rho_w`` outside those columns, for
+    ``w`` = 1 to 4. Whatever a cell ends with has coefficients ``b`` within
+    the cap on some width ``w`` (``rank == 4`` too at width 4), or is the
+    intercept-only mean, whose residual is ``rho_1``. For such ``b``,
+    ``|B b - y|**2 = rho_w**2 + |R (b - x)|**2`` with ``x`` the width's
+    least-squares coefficients, and ``|R (b - x)|`` is at least
+    ``(|x_i| - cap) / |row i of R^-1|`` for every ``i``. So the least over
+    the widths (4 only with two decay times) of ``rho_w`` and that excess,
+    and ``rho_1``, bounds the cell's rmse from below: ``rho_4`` (``rho_3``
+    when ``tau1 == tau2``) for a cell within the cap, and about its
+    fallback's rmse for one past it. The rows of ``R^-1`` come from forward
+    substitution in ``x R = e_i``, so that any error in them only scales
+    the excess by ``1 + O(eps)``.
+
+    **Slack.** Gram-Schmidt on ``[B y]`` is backward stable for ``R``, the
+    coordinates and ``rho`` (Bjorck and Paige 1992): the computed bound is
+    the exact bound of columns and rates moved by a few ``m * eps`` times
+    their norms. The weights are normalised, so no column's norm exceeds 1,
+    and ``b`` stays in the cap's box, so that moves the bound by at most a
+    few ``m * eps * (cap + |y|)``; the rmse's own rounding is of the same
+    size. The slack, ``2**-44 * (m + 8) * 8 * (cap + |y|)``, is 256 machine
+    epsilons per point and unit of that scale: on 480,000 random cells
+    (terms of 1 to 4,000 days, weights over ten decades, rates from noise
+    to exact Svensson curves) the bound never came above the rmse by more
+    than 1e-5 of it.
+
+    **Which cells are solved.** In the grid step, no curve has a best yet,
+    so each first solves one witness, its cell of least bound. Then each
+    step solves, through :func:`_lstsq_stack` and the fallbacks, every cell
+    whose bound minus the slack is not above the best so far (the witness,
+    or the best before the step) plus 1e-15, and every cell the guard
+    keeps. A cell visited again is screened again: its bound rules it out
+    unless it ties the best, and solved again it cannot win. Only a strict
+    prefix minimum of the solved rmses in visit order can replace the best,
+    and the last of them wins unless two of them are within 1e-15, where
+    the margin rule is replayed among them.
+
+    **Exactness.** A skipped cell's bound minus the slack is above
+    ``M + 1e-15``, ``M`` the best before the step or, in the grid step, the
+    least rmse of the cells solved first; so its rmse exceeds ``M + 1e-15``
+    by more than the slack's second part, ``(n + 2) * (1e-15 + 2**-51 *
+    |y|)``, ``n`` the cells a curve visits in the step. If ``M`` is the best
+    before the step, no skipped cell can beat it by the margin. If ``M`` is
+    the rmse of a solved cell ``c``, a skipped cell may win in the
+    cell-by-cell search before ``c``, and the two searches then part. But a
+    cell that wins in one search and not the other is within the margin,
+    plus rounding, of the other's best, so fewer than ``n`` such steps
+    cannot bring either best down to ``c``'s level plus the margin: ``c``
+    wins in both, or they already agree, and after ``c`` no skipped cell
+    can win. So both searches end with the same best.
+
+    **Guard.** ``_lstsq_stack`` calls a basis rank-deficient when its
+    smallest singular value is below about ``m * eps`` times its largest
+    (which is 1 to 2 here). A cell whose Gram-Schmidt column norms all stay
+    above ``2**-20`` of the level column's is far from that: on 243,000
+    random cells, every rank-deficient basis had a column norm below
+    ``3.3e-10`` of the level's. The cells below the guard are solved, so
+    every curve that had a rank-deficient basis still warns. On the
+    benchmark's yield curves the guard keeps about 1 cell in 2,000.
     """
     t = np.asarray(terms, dtype=np.float64)
     y = np.asarray(rates, dtype=np.float64)
@@ -363,95 +483,128 @@ def nss_fit(
         _check_curve(row_t, row_w)
     sw = np.sqrt(w / w.sum(axis=1, keepdims=True))
     yw = y * sw
+    k, m = t.shape
+    # each curve's rounding slack, and the part that grows with the number
+    # of cells a step visits (see the docstring)
+    size = np.sqrt(np.sum(yw**2, axis=1))
+    slack = _SCREEN_SLACK * (m + 8) * 8.0 * (_BETA_CAP + size)
+    per_cell = _MARGIN + 2.0**-51 * size
 
-    rank_deficient = np.zeros(len(t), dtype=bool)
-    beta_cap = 50.0  # rates live in percent; honest curve shapes stay far below
-    # the betas of a cell whose four-factor solve is rejected, by (curve,
-    # tau1): the first of widths 3, 2, 1 within the cap. Widths 3 and 2 use
-    # tau1's columns alone, and width 1 no decay time, so its betas are
-    # kept under (curve, None).
-    fallbacks = {}
-    # a cell solved again gives the same rmse, which cannot beat the best
-    # by the 1e-15 margin, so every cell is solved at most once per curve
-    solved = [set() for _ in t]
-    best = [None] * len(t)  # (rmse, tau1, tau2, beta) of each curve
+    rank_deficient = np.zeros(k, dtype=bool)
+    best_rmse = np.full(k, np.inf)
+    best_beta = np.zeros((k, 4))
+    best_tau = np.zeros((k, 2))
+    best_grid = np.full(k, -1)  # the grid cell of each best, -1 once refined
 
-    def consider(cells_by_curve) -> None:
-        curve, cells = [], []
-        for c, row in enumerate(cells_by_curve):
-            for cell in row:
-                if cell not in solved[c]:
-                    solved[c].add(cell)
-                    curve.append(c)
-                    cells.append(cell)
-        if not cells:
-            return
-        tau1, tau2 = np.array(cells, dtype=np.float64).T
-        t_cells, sw_cells, yw_cells = t[curve], sw[curve], yw[curve]
-        basis_w = np.concatenate(
-            [_nss_columns(t_cells, sw_cells, tau1), _nss_columns(t_cells, sw_cells, tau2)[:, :, 2:]],
-            axis=2,
-        )
-        betas = np.zeros((len(cells), 4))
-        accepted = np.zeros(len(cells), dtype=bool)
-        full = tau1 != tau2
+    def solve(basis, yw_cells, curve, tau1, full):
+        """The rmse and betas of the given cells, each from the first basis
+        width whose coefficients stay within the cap."""
+        betas = np.zeros((len(curve), 4))
+        accepted = np.zeros(len(curve), dtype=bool)
         if full.any():
-            sub, rank = _lstsq_stack(basis_w[full], yw_cells[full])
-            rank_deficient[np.asarray(curve)[full][rank < 4]] = True
+            sub, rank = _lstsq_stack(basis[full], yw_cells[full])
+            rank_deficient[curve[full][rank < 4]] = True
             betas[full] = sub
-            accepted[full] = (rank == 4) & (np.max(np.abs(sub), axis=1) <= beta_cap)
-        rejected = np.flatnonzero(~accepted).tolist()  # their betas are replaced
-        keys = [(curve[i], cells[i][0]) for i in rejected]
-        # (curve, tau1) -> a rejected cell of that curve and tau1, for its columns
-        pending = {key: i for key, i in zip(keys, rejected) if key not in fallbacks}
-        for ncols in (3, 2):
-            rows = list(pending.values())
-            if rows:
-                sub, _ = _lstsq_stack(basis_w[rows, :, :ncols], yw_cells[rows])
-                for key, beta, ok in zip(list(pending), sub, np.max(np.abs(sub), axis=1) <= beta_cap):
-                    if ok:
-                        fallbacks[key] = np.concatenate([beta, np.zeros(4 - ncols)])
-                        del pending[key]
-        level = {c: i for (c, _), i in pending.items() if (c, None) not in fallbacks}
-        if level:
-            rows = list(level.values())
-            sub, _ = _lstsq_stack(basis_w[rows, :, :1], yw_cells[rows])
-            for c, (beta,) in zip(level, sub):
-                if abs(beta) > beta_cap:
-                    # intercept-only: the weighted mean rate, always within the cap
-                    beta = np.sum(yw[c] * sw[c])
-                fallbacks[c, None] = np.array([beta, 0.0, 0.0, 0.0])
-        for c, tau in pending:
-            fallbacks[c, tau] = fallbacks[c, None]
-        for i, key in zip(rejected, keys):
-            betas[i] = fallbacks[key]
-        residuals = (basis_w @ betas[:, :, None])[:, :, 0] - yw_cells
-        rmses = np.sqrt(np.sum(residuals**2, axis=1)).tolist()
-        for c, (tau1, tau2), beta, rmse in zip(curve, cells, betas, rmses):
-            if best[c] is None or rmse < best[c][0] - 1e-15:
-                best[c] = (rmse, tau1, tau2, beta)
+            accepted[full] = (rank == 4) & (np.max(np.abs(sub), axis=1) <= _BETA_CAP)
+        rejected = np.flatnonzero(~accepted)
+        if rejected.size:
+            # widths 3 and 2 use tau1's columns alone, and width 1 no decay
+            # time: each curve and tau1 falls back once
+            _, first, back = np.unique(
+                curve[rejected] + 1j * tau1[rejected], return_index=True, return_inverse=True
+            )
+            rows = rejected[first]
+            fallback = np.zeros((rows.size, 4))
+            pending = np.arange(rows.size)
+            for ncols in (3, 2, 1):
+                if not pending.size:
+                    break
+                sub, _ = _lstsq_stack(basis[rows[pending], :, :ncols], yw_cells[rows[pending]])
+                within = np.max(np.abs(sub), axis=1) <= _BETA_CAP
+                fallback[pending[within], :ncols] = sub[within]
+                pending = pending[~within]
+            # intercept only: the weighted mean rate
+            c = curve[rows[pending]]
+            fallback[pending, 0] = np.sum(yw[c] * sw[c], axis=1)
+            betas[rejected] = fallback[back]
+        residuals = (basis @ betas[:, :, None])[:, :, 0] - yw_cells
+        return np.sqrt(np.sum(residuals**2, axis=1)), betas
 
-    consider([[(tau1, tau2) for tau1 in tau_grid for tau2 in tau_grid]] * len(t))
-    grid_best = [rmse for rmse, *_ in best]
+    def consider(tau1: np.ndarray, tau2: np.ndarray, from_grid: bool = False) -> None:
+        """Visit each curve's cells ``(tau1, tau2)`` in order along the rows:
+        ``(k, n)`` arrays, or ``(1, n)`` for every curve alike."""
+        n = tau2.shape[1]
+        tau1, tau2 = (np.broadcast_to(a, (k, n)).ravel() for a in (tau1, tau2))
+        curve = np.repeat(np.arange(k), n)
+        basis = np.stack(_nss_columns(t[curve], sw[curve], tau1, tau2), axis=2)
+        yw_cells = yw[curve]
+        full = tau1 != tau2
+        bound, guard = _screen(np.concatenate([basis, yw_cells[:, :, None]], axis=2).T.copy(), full)
+        bound -= np.repeat(slack + (n + 2) * per_cell, n)
+        rmse = np.full(k * n, np.inf)  # of the cells solved
+        betas = np.zeros((k * n, 4))
+        table = rmse.reshape(k, n)  # the same, by curve and visit order
+
+        def solve_rows(rows):
+            rmse[rows], betas[rows] = solve(basis[rows], yw_cells[rows], curve[rows], tau1[rows], full[rows])
+
+        rest = np.ones(k * n, dtype=bool)
+        if from_grid:
+            # no curve has a best yet: each first solves its witness, the
+            # cell of least bound, with the cells the guard keeps
+            rest = ~guard
+            rest[np.argmin(np.where(guard, np.inf, bound).reshape(k, n), axis=1) + n * np.arange(k)] = False
+            solve_rows(np.flatnonzero(~rest))
+        # then every cell whose bound the best so far does not rule out
+        bar = np.minimum(best_rmse, table.min(axis=1)) + _MARGIN
+        rows = np.flatnonzero(rest & (guard | ~(bound > np.repeat(bar, n))))
+        if rows.size:
+            solve_rows(rows)
+        elif not from_grid:
+            return  # nothing solved, so nothing can win
+
+        # only a strict prefix minimum in visit order can replace the best;
+        # when each beats the one before by the margin, the last one wins
+        before = np.minimum.accumulate(np.concatenate([best_rmse[:, None], table[:, :-1]], axis=1), axis=1)
+        candidate = table < before
+        winner = np.where(candidate.any(axis=1), np.argmin(table, axis=1), -1)
+        for c in np.flatnonzero((candidate & ~(table < before - _MARGIN)).any(axis=1)):
+            best, winner[c] = best_rmse[c], -1  # a near tie: replay the margin rule
+            for j in np.flatnonzero(candidate[c]):
+                if table[c, j] < best - _MARGIN:
+                    best, winner[c] = table[c, j], j
+        won = np.flatnonzero(winner >= 0)
+        i = n * won + winner[won]
+        best_rmse[won] = rmse[i]
+        best_beta[won] = betas[i]
+        best_tau[won] = np.stack([tau1[i], tau2[i]], axis=1)
+        best_grid[won] = winner[won] if from_grid else -1
+
+    grid = np.asarray(tau_grid, dtype=np.float64)
+    consider(np.repeat(grid, grid.size)[None], np.tile(grid, grid.size)[None], from_grid=True)
+    grid_best = best_rmse.copy()
 
     tau_lo, tau_hi = min(tau_grid) / 2.0, max(tau_grid) * 2.0
     factors = np.geomspace(0.6, 1.0 / 0.6, 7)
 
-    def around(i: int) -> list:  # each curve's best tau_i, scaled by each factor
-        taus = np.array([fit[i] for fit in best], dtype=np.float64)
-        return np.clip(taus[:, None] * factors, tau_lo, tau_hi).tolist()
+    def around(i: int) -> np.ndarray:  # each curve's best tau_i, scaled by each factor
+        return np.clip(best_tau[:, i, None] * factors, tau_lo, tau_hi)
 
     for _ in range(refine_rounds):
-        for tau1s in zip(*around(1)):
-            consider([[(tau1, tau2) for tau2 in row] for tau1, row in zip(tau1s, around(2))])
+        for tau1 in around(0).T:
+            consider(tau1[:, None], around(1))
 
     # refinement only ever improves
-    assert all(fit[0] <= rmse + 1e-12 for fit, rmse in zip(best, grid_best))
+    assert np.all(best_rmse <= grid_best + 1e-12)
     for _ in range(np.count_nonzero(rank_deficient)):
         warnings.warn("rank-deficient term-structure basis; dropped beta3", stacklevel=2)
+    cells = [(tau1, tau2) for tau1 in tau_grid for tau2 in tau_grid]
     fits = [
-        (NssParams(*(float(b) for b in beta), tau1=tau1, tau2=tau2), rmse)
-        for rmse, tau1, tau2, beta in best
+        (
+            NssParams(*(float(b) for b in beta), *(cells[j] if j >= 0 else map(float, taus))),
+            float(rmse),
+        )
+        for rmse, beta, taus, j in zip(best_rmse, best_beta, best_tau, best_grid)
     ]
     return fits if np.ndim(terms) == 2 else fits[0]
 

@@ -485,6 +485,8 @@ def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     for layer in range(1, k - 1):
         cur = np.full(m, np.inf)
         arg = np.zeros(m, dtype=np.int64)
+        # prev shifted by one: shifted[i] is the cost of the prefix before i
+        shifted = np.concatenate([[np.inf], prev])
         # frontier of pending nodes: target rows [jlo, jhi] whose best
         # split lies in [ilo, ihi]; ilo <= jlo holds for every node, so no
         # candidate range [ilo, min(ihi, jm)] is empty
@@ -497,17 +499,19 @@ def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
             lens = np.minimum(ihi, jm) - ilo + 1
             starts = np.cumsum(lens) - lens
             cand = np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(ilo - starts, lens)
-            seg = np.repeat(np.arange(jm.size), lens)
-            costs = prev[cand - 1] + seg_cost(cand, jm[seg])
+            # seg_cost(cand, jm) with each node's right-end sums gathered once
+            w = np.repeat(cw[jm + 1], lens) - cw[cand]
+            s = np.repeat(cs[jm + 1], lens) - cs[cand]
+            q = np.repeat(cq[jm + 1], lens) - cq[cand]
+            costs = shifted[cand] + (q - s * s / w)
             mins = np.minimum.reduceat(costs, starts)
             # first position of each node's minimum (np.argmin's tie rule,
             # including its preference for the first NaN)
-            hit = costs == mins[seg]
+            hit = costs == np.repeat(mins, lens)
             if np.isnan(mins).any():
                 hit |= np.isnan(costs)
             pos = np.flatnonzero(hit)
-            pos = pos[np.concatenate([[True], seg[pos[1:]] != seg[pos[:-1]]])]
-            best = cand[pos]
+            best = cand[pos[np.searchsorted(pos, starts)]]
             cur[jm] = mins
             arg[jm] = best
             jlo = np.concatenate([jlo, jm + 1])

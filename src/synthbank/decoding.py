@@ -121,6 +121,13 @@ def _kde_density(values: np.ndarray, first: float, step: float, grid_n: int, ban
     n_fft = 1 << (n_lat + n_out - 2).bit_length()
     conv = np.fft.irfft(np.fft.rfft(weights, n_fft) * np.fft.rfft(kernel, n_fft), n_fft)
     density[out_lo : out_hi + 1] = np.maximum(conv[n_lat - 1 : n_lat - 1 + n_out], 0.0)
+    # a grid point between occupied lattice points but beyond the reach of
+    # each gets FFT round-off, not 0
+    occupied = np.flatnonzero(weights) + lat_lo
+    points = np.arange(out_lo, out_hi + 1)
+    after = np.minimum(np.searchsorted(occupied, points), occupied.size - 1)
+    nearest = np.minimum(np.abs(points - occupied[after]), np.abs(points - occupied[np.maximum(after - 1, 0)]))
+    density[out_lo : out_hi + 1][nearest > reach] = 0.0
     return density / (values.size * bandwidth * np.sqrt(2.0 * np.pi))
 
 

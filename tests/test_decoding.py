@@ -214,7 +214,7 @@ def test_binned_density_with_bounds_narrower_than_the_data():
     assert np.array_equal(assign_codes(out, cb["x"].edges), codes)
 
 
-def test_kde_bin_beyond_kernel_reach_is_sampled_uniformly(monkeypatch):
+def test_kde_bin_beyond_kernel_reach_is_sampled_uniformly():
     # values in [0, 1] and [99, 100], kernel sd 0.1: grid points in [40, 60]
     # are hundreds of bandwidths away, and a grid beyond the kernel's reach
     # of every value has density exactly 0
@@ -224,14 +224,12 @@ def test_kde_bin_beyond_kernel_reach_is_sampled_uniformly(monkeypatch):
     ])
     assert not decoding._kde_density(values, 40.0, 20.0 / 64, 64, 0.1).any()
 
-    # the direct sum gives the bin [40, 60) density exactly 0 too, and
-    # kde_decode then samples its grid points uniformly
+    # on the data's own grid the bin [40, 60) lies between the two groups'
+    # lattice points, beyond the reach of each: its density is exactly 0,
+    # not FFT round-off, and kde_decode samples its grid points uniformly
     cb = codebook_with_edges([0.0, 40.0, 60.0, 100.0])
     spec = KdeSpec(bandwidth=0.1, grid_points=64)
-    out = direct_sum_decode(
-        monkeypatch,
-        lambda: kde_decode(np.ones(40, dtype=int), cb, "x", values, spec, np.random.default_rng(20)),
-    )
+    out = kde_decode(np.ones(40, dtype=int), cb, "x", values, spec, np.random.default_rng(20))
 
     replay = np.random.default_rng(20)
     lo, step = values.min(), (values.max() - values.min()) / 64

@@ -599,6 +599,94 @@ def test_nss_fit_batches_fallback_curves_with_ordinary_ones():
     assert got[1] == ["rank-deficient term-structure basis; dropped beta3"] * 3
 
 
+def near_exact_rates(data, terms):
+    """An exact Svensson curve at ``terms``, plus noise of about 1e-12 or
+    none: with a zero beta or decay times on the search's lattice, many
+    cells then fit within rounding of each other."""
+    betas = data.draw(st.lists(st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-10.0, 10.0), min_size=4, max_size=4))
+    if data.draw(st.booleans()):
+        betas[1:] = [0.0, 0.0, 0.0]  # flat: every cell fits
+    lattice = st.sampled_from([15.0, 30.0, 60.0, 240.0, 960.0, 3600.0, 15.0 / 0.6, 960.0 * 0.6 ** (2 / 3)])
+    taus = data.draw(st.lists(lattice | st.floats(10.0, 5000.0), min_size=2, max_size=2))
+    scale = data.draw(st.sampled_from([0.0, 1e-14, 1e-13, 1e-12, 1e-12, 3e-10]))
+    noise = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(terms), max_size=len(terms)))
+    return nss_eval(NssParams(*betas, *taus), np.asarray(terms, dtype=np.float64)) + scale * np.array(noise)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    terms=st.lists(st.floats(1.0, 4000.0), min_size=6, max_size=30),
+    data=st.data(),
+    tau_grid=st.sampled_from([DEFAULT_TAU_GRID, (30.0, 30.0, 400.0, 15.0), (15, 3600)]),
+    refine_rounds=st.integers(0, 3),
+)
+def test_nss_fit_of_near_exact_curves_equals_reference_bit_for_bit(terms, data, tau_grid, refine_rounds):
+    if np.unique(terms).size < 3:
+        terms = [*terms[:-3], 10.0, 100.0, 1000.0]
+    rates = near_exact_rates(data, terms)
+    weights = data.draw(st.none() | st.lists(st.floats(1e-3, 1e7), min_size=len(terms), max_size=len(terms)))
+    kwargs = dict(weights=weights, tau_grid=tau_grid, refine_rounds=refine_rounds)
+    got = with_warnings(nss_fit, terms, rates, **kwargs)
+    want = with_warnings(reference_nss_fit, terms, rates, **kwargs)
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 6),
+    m=st.integers(6, 12),
+    data=st.data(),
+    refine_rounds=st.integers(0, 2),
+)
+def test_nss_fit_of_stacked_duplicate_curves_equals_reference_per_curve(k, m, data, refine_rounds):
+    # a few distinct curves, near-exact or noisy, each stacked several times
+    distinct = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        terms = data.draw(st.lists(st.floats(1.0, 4000.0), min_size=m, max_size=m))
+        if np.unique(terms).size < 3:
+            terms = [*terms[:-3], 10.0, 100.0, 1000.0]
+        noisy = st.lists(st.floats(-5.0, 20.0), min_size=m, max_size=m).map(np.array)
+        rates = data.draw(st.just(None) | noisy)
+        rates = near_exact_rates(data, terms) if rates is None else rates
+        distinct.append((terms, rates, data.draw(st.lists(st.floats(1e-3, 1e7), min_size=m, max_size=m))))
+    rows = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=k, max_size=k))
+    terms, rates, weights = (np.array([distinct[i][j] for i in rows]) for j in range(3))
+    got = with_warnings(nss_fit, terms, rates, weights=weights, refine_rounds=refine_rounds)
+    want = with_warnings(reference_fits, terms, rates, weights, refine_rounds=refine_rounds)
+    assert repr(got) == repr(want)
+
+
+def test_nss_fit_of_flat_curves_with_rounding_noise_equals_reference():
+    # flat rates plus noise near rounding: every cell fits within rounding
+    # of the others, so the screen's slack decides which of them it solves
+    rng = np.random.default_rng(5)
+    terms = rng.uniform(1.0, 4000.0, (60, 24))
+    rates = rng.choice([1.5, -9.7, 4.0], (60, 1)) + 1e-13 * rng.uniform(-1.0, 1.0, (60, 24))
+    got = with_warnings(nss_fit, terms, rates)
+    want = with_warnings(reference_fits, terms, rates)
+    assert repr(got) == repr(want)
+
+
+def test_nss_fit_solves_at_most_a_fifth_of_the_cells_it_visits(tmp_path, monkeypatch):
+    # a cell-by-cell search visits the 81 grid cells and 2 rounds of 7 x 7
+    # refinement cells per curve; the screen leaves most of them unsolved
+    visited, solved = [], []
+
+    def counting_nss_fit(terms, *args, **kwargs):
+        visited.append(len(terms) * (len(DEFAULT_TAU_GRID) ** 2 + 2 * 7 * 7))
+        return nss_fit(terms, *args, **kwargs)
+
+    def counting_lstsq_stack(a, b):
+        solved.append(len(a))
+        return _lstsq_stack(a, b)
+
+    monkeypatch.setattr(yield_curve, "nss_fit", counting_nss_fit)
+    monkeypatch.setattr(yield_curve, "_lstsq_stack", counting_lstsq_stack)
+    Pipeline(PipelineConfig.from_dict(yield_term8_config(tmp_path))).run()
+    assert sum(visited) >= 1000
+    assert sum(solved) <= 0.2 * sum(visited)
+
+
 def yield_term8_config(output):
     return {
         "application": "yield",
