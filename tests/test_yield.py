@@ -600,9 +600,9 @@ def test_nss_fit_batches_fallback_curves_with_ordinary_ones():
 
 
 def near_exact_rates(data, terms):
-    """An exact Svensson curve at ``terms``, plus noise of about 1e-12 or
-    none: with a zero beta or decay times on the search's lattice, many
-    cells then fit within rounding of each other."""
+    """An exact Svensson curve at ``terms``, plus noise of 3e-10 down to
+    1e-14, or none: with zero betas or decay times on the search's lattice,
+    many cells then fit within rounding of each other."""
     betas = data.draw(st.lists(st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-10.0, 10.0), min_size=4, max_size=4))
     if data.draw(st.booleans()):
         betas[1:] = [0.0, 0.0, 0.0]  # flat: every cell fits
