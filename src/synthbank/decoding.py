@@ -197,19 +197,18 @@ def kde_decode(
 
     density = _kde_density(original, lo + offset, step, grid_n, bandwidth)
 
+    # bin c holds grid[bounds[c]:bounds[c + 1]]: [left, right), and the last bin is closed
+    bounds = np.searchsorted(grid, edges)
+    bounds[-1] = np.searchsorted(grid, edges[-1], side="right")
     fallback_bins = []
     for code in np.unique(codes):
         idx = np.flatnonzero(codes == code)
-        left, right = edges[code], edges[code + 1]
-        in_bin = (grid >= left) & (grid < right)
-        if code == codec.domain_size - 1:
-            in_bin = (grid >= left) & (grid <= right)
-        points = grid[in_bin]
+        points = grid[bounds[code] : bounds[code + 1]]
         if points.size == 0:
-            out[idx] = left
+            out[idx] = edges[code]
             fallback_bins.append(int(code))
             continue
-        probs = density[in_bin]
+        probs = density[bounds[code] : bounds[code + 1]]
         total = probs.sum()
         if total <= 0:
             probs = np.full(points.size, 1.0 / points.size)

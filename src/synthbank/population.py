@@ -28,6 +28,7 @@ Planted structure worth knowing when testing:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -54,6 +55,21 @@ __all__ = [
 #: the youngest and oldest age drawn, and the fewest and most days past due
 AGE_LIMITS = (18, 95)
 DELINQUENCY_LIMITS = (0, 3000)
+#: the clip ranges of deposit capital, term (days) and rate (% p.a.) and of
+#: card debt, each ending at or below its cbp rule's final cut-off
+CAPITAL_RANGE = (1e5, 2.5e10)
+TERM_RANGE = (7.0, 7000.0)
+RATE_RANGE = (0.05, 14.9)
+DEBT_RANGE = (1e4, 1.34e8)
+#: Poisson means of fi's counts: per age band, of the institutions beyond
+#: the first, the credit cards and the non-zero savings accounts; then of a
+#: holder's savings accounts and loans beyond the first. Each keeps a count
+#: above its cbp rule's final cut-off out of reach
+FI_EXTRA_LAMBDA = (0.6, 1.5, 1.8, 1.5, 1.2, 0.9, 0.7)
+CCARDS_LAMBDA = (0.5, 1.2, 1.4, 1.2, 1.0, 0.7, 0.4)
+NZS_LAMBDA = (0.6, 1.0, 1.2, 1.1, 0.9, 0.8, 0.6)
+SAVINGS_EXTRA_LAMBDA = 0.8
+LOAN_EXTRA_LAMBDA = 0.35
 
 _BANDS = len(AGE_BAND_LABELS)
 _DELINQUENCY_BANDS = len(CBP_DELINQUENCY_CUTOFFS)
@@ -102,18 +118,6 @@ def _check_probs(name: str, values, length: int | None = None) -> tuple[float, .
     return arr
 
 
-def _check_rates(name: str, values, length: int | None = None) -> None:
-    """Poisson means: non-negative numbers."""
-    if any(not v >= 0.0 for v in _check_numbers(name, values, length)):
-        raise ValueError(f"{name} entries must be non-negative, got {values!r}")
-
-
-def _check_range(name: str, values) -> None:
-    low, high = _check_numbers(name, values, 2)
-    if not low < high:
-        raise ValueError(f"{name} must be two increasing values, got {values!r}")
-
-
 def _check_periods(values) -> None:
     if (
         not isinstance(values, (tuple, list))
@@ -138,18 +142,13 @@ class FiPopulationConfig:
     gender_split: float = 0.5
     band_shares: tuple[float, ...] = (0.16, 0.20, 0.18, 0.15, 0.12, 0.11, 0.08)
     banked_rate: tuple[float, ...] = (0.55, 0.80, 0.85, 0.80, 0.72, 0.65, 0.55)
-    fi_extra_lambda: tuple[float, ...] = (0.6, 1.5, 1.8, 1.5, 1.2, 0.9, 0.7)
     savings_rate: tuple[float, ...] = (0.50, 0.68, 0.72, 0.70, 0.66, 0.62, 0.58)
-    savings_extra_lambda: float = 0.8
     loan_rate: tuple[float, ...] = (0.18, 0.35, 0.42, 0.40, 0.33, 0.25, 0.15)
-    loan_extra_lambda: float = 0.35
-    ccards_lambda: tuple[float, ...] = (0.5, 1.2, 1.4, 1.2, 1.0, 0.7, 0.4)
     collateral_rate: tuple[float, ...] = (0.10, 0.25, 0.32, 0.30, 0.26, 0.20, 0.12)
-    nzs_lambda: tuple[float, ...] = (0.6, 1.0, 1.2, 1.1, 0.9, 0.8, 0.6)
 
     def __post_init__(self) -> None:
         _check_count("n_individuals", self.n_individuals)
-        _check_scalars(self, "gender_split", "savings_extra_lambda", "loan_extra_lambda")
+        _check_scalars(self, "gender_split")
         _check_periods(self.periods)
         _check_probs("band_shares", self.band_shares, _BANDS)
         if abs(sum(self.band_shares) - 1.0) > 1e-9:
@@ -159,10 +158,6 @@ class FiPopulationConfig:
         _check_probs("loan_rate", self.loan_rate, _BANDS)
         _check_probs("collateral_rate", self.collateral_rate, _BANDS)
         _check_probs("gender_split", (self.gender_split,))
-        for name in ("fi_extra_lambda", "ccards_lambda", "nzs_lambda"):
-            _check_rates(name, getattr(self, name), _BANDS)
-        _check_rates("savings_extra_lambda", (self.savings_extra_lambda,))
-        _check_rates("loan_extra_lambda", (self.loan_extra_lambda,))
 
 
 @dataclass(frozen=True)
@@ -187,11 +182,8 @@ class DepositMarketConfig:
     rate_noise: float = 0.25
     capital_log_mean: float = float(np.log(5e7))
     capital_log_sd: float = 1.5
-    capital_range: tuple[float, float] = (1e5, 2.5e10)
     term_log_mean: float = float(np.log(180.0))
     term_log_sd: float = 1.1
-    term_range: tuple[float, float] = (7.0, 7000.0)
-    rate_range: tuple[float, float] = (0.05, 14.9)
 
     def __post_init__(self) -> None:
         _check_count("n_deposits", self.n_deposits)
@@ -207,8 +199,6 @@ class DepositMarketConfig:
         tau = _check_numbers("curve_tau", self.curve_tau)
         if len(tau) != 2 or min(tau) <= 0:
             raise ValueError(f"curve_tau must be two positive decay times, got {self.curve_tau!r}")
-        for name in ("capital_range", "term_range", "rate_range"):
-            _check_range(name, getattr(self, name))
 
 
 #: concentrated delinquency transition kernel (rows: 2020 band)
@@ -236,7 +226,6 @@ class CreditPortfolioConfig:
     kernel: tuple[tuple[float, ...], ...] = DEFAULT_DELINQUENCY_KERNEL
     debt_log_mean: float = float(np.log(3e6))
     debt_log_sd: float = 1.1
-    debt_range: tuple[float, float] = (1e4, 1.34e8)
     debt_drift: float = -0.05
     debt_vol: float = 0.35
 
@@ -264,7 +253,6 @@ class CreditPortfolioConfig:
             _check_probs("kernel row", row, _DELINQUENCY_BANDS)
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ValueError("kernel rows must sum to 1")
-        _check_range("debt_range", self.debt_range)
 
 
 def _ages_for_bands(bands: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -287,46 +275,35 @@ def generate_fi_population(
     """
     periods = config.periods
     genders = ("M", "F")
-    cell_probs = []
-    cells = []
-    for period in periods:
-        for band in range(_BANDS):
-            for g, gender in enumerate(genders):
-                share = config.gender_split if gender == "M" else 1.0 - config.gender_split
-                cell_probs.append(config.band_shares[band] * share / len(periods))
-                cells.append((period, band, gender))
+    # cells in (period, age band, gender) order, gender fastest
+    shares = np.asarray(config.band_shares)[:, None] * [config.gender_split, 1.0 - config.gender_split]
+    cell_probs = np.tile((shares / len(periods)).ravel(), len(periods))
     cell_sizes = rng.multinomial(config.n_individuals, cell_probs)
-    banked_sizes = rng.binomial(cell_sizes, [config.banked_rate[band] for _, band, _ in cells])
-
-    unbanked = {}
-    period_idx = []
-    band_idx = []
-    gender_idx = []
-    for (period, band, gender), total, banked in zip(cells, cell_sizes, banked_sizes):
-        unbanked[(period, AGE_BAND_LABELS[band], gender)] = int(total - banked)
-        period_idx.append(np.full(banked, periods.index(period), dtype=np.int64))
-        band_idx.append(np.full(banked, band, dtype=np.int64))
-        gender_idx.append(np.full(banked, genders.index(gender), dtype=np.int64))
-    period_col = np.concatenate(period_idx)
-    bands = np.concatenate(band_idx)
-    gender_col = np.concatenate(gender_idx)
+    banked_rates = np.tile(np.repeat(config.banked_rate, len(genders)), len(periods))
+    banked_sizes = rng.binomial(cell_sizes, banked_rates)
+    unbanked = dict(
+        zip(product(periods, AGE_BAND_LABELS, genders), (cell_sizes - banked_sizes).tolist())
+    )
+    cell = np.repeat(np.arange(cell_sizes.size), banked_sizes)
+    period_col, cell = np.divmod(cell, _BANDS * len(genders))
+    bands, gender_col = np.divmod(cell, len(genders))
     n = bands.shape[0]
 
     # a draw of size 0 is empty and leaves the generator as it was
     ages = _ages_for_bands(bands, rng)
-    ccards = rng.poisson(np.asarray(config.ccards_lambda)[bands])
+    ccards = rng.poisson(np.asarray(CCARDS_LAMBDA)[bands])
     collateral = rng.binomial(1, np.asarray(config.collateral_rate)[bands])
     has_loan = rng.binomial(1, np.asarray(config.loan_rate)[bands])
-    loans = has_loan * (1 + rng.poisson(config.loan_extra_lambda, size=n))
+    loans = has_loan * (1 + rng.poisson(LOAN_EXTRA_LAMBDA, size=n))
     duration = np.zeros(n, dtype=np.float64)
     loan_idx = np.flatnonzero(loans > 0)
     duration[loan_idx] = np.clip(
         np.round(np.exp(rng.normal(np.log(500.0), 0.8, size=loan_idx.size))), 30, 3900
     )
-    nfi = 1 + rng.poisson(np.asarray(config.fi_extra_lambda)[bands])
-    nzs = rng.poisson(np.asarray(config.nzs_lambda)[bands])
+    nfi = 1 + rng.poisson(np.asarray(FI_EXTRA_LAMBDA)[bands])
+    nzs = rng.poisson(np.asarray(NZS_LAMBDA)[bands])
     has_savings = rng.binomial(1, np.asarray(config.savings_rate)[bands])
-    savings = has_savings * (1 + rng.poisson(config.savings_extra_lambda, size=n))
+    savings = has_savings * (1 + rng.poisson(SAVINGS_EXTRA_LAMBDA, size=n))
 
     schema = (
         ColumnSpec("Period", CATEGORICAL, levels=periods),
@@ -388,13 +365,11 @@ def generate_term_deposits(config: DepositMarketConfig, rng: np.random.Generator
     currency_col = (rng.random(n) < config.pyg_share).astype(np.int64)  # 0 USD, 1 PYG
     terms = np.clip(
         np.round(np.exp(rng.normal(config.term_log_mean, config.term_log_sd, size=n))),
-        config.term_range[0],
-        config.term_range[1],
+        *TERM_RANGE,
     )
     capital = np.clip(
         np.exp(rng.normal(config.capital_log_mean, config.capital_log_sd, size=n)),
-        config.capital_range[0],
-        config.capital_range[1],
+        *CAPITAL_RANGE,
     )
     rates = planted_rate_curve(config, terms)
     rates = rates + np.where(currency_col == 0, config.usd_shift, 0.0)
@@ -403,7 +378,7 @@ def generate_term_deposits(config: DepositMarketConfig, rng: np.random.Generator
     rates = rates - config.capital_discount * np.log2(capital / DEPOSIT_INSURANCE_LIMIT)
     if config.rate_noise > 0:
         rates = rates + rng.normal(0.0, config.rate_noise, size=n)
-    rates = np.clip(rates, config.rate_range[0], config.rate_range[1])
+    rates = np.clip(rates, *RATE_RANGE)
 
     schema = (
         ColumnSpec("typeFI", CATEGORICAL, levels=("Bank", "Nonbank")),
@@ -454,8 +429,7 @@ def generate_credit_cards(
     del_2020 = _delinquency_days(bands, rng)
     debt_2020 = np.clip(
         np.exp(rng.normal(config.debt_log_mean, config.debt_log_sd, size=n)),
-        config.debt_range[0],
-        config.debt_range[1],
+        *DEBT_RANGE,
     )
 
     survivors = rng.random(n) < config.persistence
@@ -467,8 +441,7 @@ def generate_credit_cards(
     del_2021 = _delinquency_days(bands_2021, rng)
     debt_2021 = np.clip(
         debt_2020 * np.exp(rng.normal(config.debt_drift, config.debt_vol, size=n)),
-        config.debt_range[0],
-        config.debt_range[1],
+        *DEBT_RANGE,
     )
 
     n_new = int(round(config.new_card_rate * n))
@@ -480,8 +453,7 @@ def generate_credit_cards(
     new_del = _delinquency_days(new_bands, rng)
     new_debt = np.clip(
         np.exp(rng.normal(config.debt_log_mean, config.debt_log_sd, size=n_new)),
-        config.debt_range[0],
-        config.debt_range[1],
+        *DEBT_RANGE,
     )
 
     schema_2020 = (

@@ -289,15 +289,15 @@ def read_codes(path, names, sizes) -> np.ndarray:
     of :func:`read_csv` on that schema, so a sign, a space, a leading zero,
     a code not below its domain size or a blank line names its row. The
     blocks :func:`_block_codes` converts are read in numpy; a file with any
-    other block is read by :func:`read_csv`.
+    other block is read by the text reader, since no cell :func:`_block_codes`
+    rejects is a code label.
     """
-    _, n_rows, blocks = _numpy_blocks(path, names)
+    data, n_rows, blocks = _numpy_blocks(path, names)
     codes = np.empty((n_rows, len(names)), dtype=np.int64)
     for first, block, edges in blocks:
         if block is None or not _block_codes(block, edges, sizes, codes[first:]):
             labels = [ColumnSpec(n, CATEGORICAL, tuple(map(str, range(d)))) for n, d in zip(names, sizes)]
-            dataset = read_csv(path, labels)
-            return np.transpose([dataset.column(name) for name in names])
+            return np.transpose(_read_text(path, data, labels))
     return codes
 
 
@@ -424,7 +424,11 @@ def _check_header(path, header, names) -> None:
 
 
 def _read_text(path, data, schema) -> list[np.ndarray]:
-    """The columns of the file ``data`` as :mod:`csv` reads them, ``CHUNK_ROWS`` rows at a time."""
+    """The columns of the file ``data`` as :mod:`csv` reads them, ``CHUNK_ROWS`` rows at a time.
+
+    On bad input, raises the error of the first faulty row, and within that
+    row of the first faulty cell.
+    """
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     row = next(reader, None)
     if row is None:
@@ -437,8 +441,14 @@ def _read_text(path, data, schema) -> list[np.ndarray]:
     chunks: list[list[np.ndarray]] = [[] for _ in schema]
     first_row = 1
     while rows := list(islice(reader, CHUNK_ROWS)):
-        for j, col in enumerate(_parse_rows(rows, schema, level_maps, first_row)):
-            chunks[j].append(col)
+        try:
+            if any(len(row) != len(schema) for row in rows):
+                raise ValueError("a ragged row")
+            columns = [_convert_column(cells, m) for m, cells in zip(level_maps, zip(*rows))]
+        except (KeyError, ValueError):
+            raise _first_fault(rows, schema, level_maps, first_row) from None
+        for parts, col in zip(chunks, columns):
+            parts.append(col)
         first_row += len(rows)
     return [
         np.concatenate(parts)
@@ -596,36 +606,6 @@ def _decimal_values(block, starts, ends, digits, kinds):
     return values
 
 
-def _parse_rows(rows, schema, level_maps, first_row) -> list[np.ndarray]:
-    """Convert one chunk of tokenised rows into one array per column.
-
-    ``first_row`` is the 1-based data row number of ``rows[0]``. On bad
-    input, raises the error of the first faulty row, and within that row of
-    the first faulty cell, as a cell-by-cell scan would.
-    """
-    n_cells = len(schema)
-    ragged = None
-    if set(map(len, rows)) != {n_cells}:
-        ragged = next(i for i, row in enumerate(rows) if len(row) != n_cells)
-        found = len(rows[ragged])
-        rows = rows[:ragged]  # rows before the ragged one are checked first
-    faults = []
-    arrays = []
-    for spec, level_map, cells in zip(schema, level_maps, zip(*rows)):
-        try:
-            arrays.append(_convert_column(cells, level_map))
-        except (KeyError, ValueError):
-            faults.append((*_first_bad_cell(cells, level_map), spec.name))
-    if faults:
-        index, reason, name = min(faults, key=lambda fault: fault[0])
-        raise TabularError(f"row {first_row + index}, column '{name}': {reason}")
-    if ragged is not None:
-        raise TabularError(
-            f"row {first_row + ragged}: expected {n_cells} cells, found {found}"
-        )
-    return arrays
-
-
 def _convert_column(cells, level_map) -> np.ndarray:
     """Level indices (``level_map`` given) or finite floats, in one C-level pass.
 
@@ -639,23 +619,27 @@ def _convert_column(cells, level_map) -> np.ndarray:
     return values
 
 
-def _first_bad_cell(cells, level_map) -> tuple[int, str]:
-    """Index and reason of the first cell that :func:`_convert_column` rejects."""
-    for index, cell in enumerate(cells):
-        if level_map is not None:
-            if cell not in level_map:
-                return index, f"unknown level '{cell}'"
-            continue
-        text = cell.strip()
-        if not text:
-            return index, "missing value"
-        try:
-            value = float(text)
-        except ValueError:
-            return index, f"unparseable numeric cell '{cell}'"
-        if not np.isfinite(value):
-            return index, f"non-finite value '{cell}'"
-    raise AssertionError("the column failed to convert, yet every cell converts")
+def _first_fault(rows, schema, level_maps, first_row) -> TabularError:
+    """The error of the first row, in ``rows`` from data row ``first_row``
+    on, that is ragged or holds a cell :func:`_convert_column` rejects."""
+    for number, row in enumerate(rows, first_row):
+        if len(row) != len(schema):
+            return TabularError(f"row {number}: expected {len(schema)} cells, found {len(row)}")
+        for spec, level_map, cell in zip(schema, level_maps, row):
+            if level_map is not None:
+                reason = None if cell in level_map else f"unknown level '{cell}'"
+            elif not cell.strip():
+                reason = "missing value"
+            else:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    reason = f"unparseable numeric cell '{cell}'"
+                else:
+                    reason = None if np.isfinite(value) else f"non-finite value '{cell}'"
+            if reason:
+                return TabularError(f"row {number}, column '{spec.name}': {reason}")
+    raise AssertionError("the chunk failed to convert, yet every cell converts")
 
 
 def write_csv(dataset: Dataset, path) -> None:

@@ -885,11 +885,11 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
         ),
         (
             {"application": "yield", "input": {"datagen": {"capital_range": [5e5, 1e5]}}},
-            "input.datagen: capital_range must be two increasing values, got (500000.0, 100000.0)",
+            "input.datagen: unknown keys ['capital_range'] for yield",
         ),
         (
             {"application": "yield", "input": {"datagen": {"term_range": [7, "x"]}}},
-            "input.datagen: term_range must be a list of numbers, got (7, 'x')",
+            "input.datagen: unknown keys ['term_range'] for yield",
         ),
         (
             {"application": "yield", "input": {"datagen": {"periods": []}}},
@@ -902,15 +902,33 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
         ),
         (
             {"application": "fi", "input": {"datagen": {"nzs_lambda": [1.0, 2.0]}}},
-            "input.datagen: nzs_lambda needs 7 entries, got (1.0, 2.0)",
+            "input.datagen: unknown keys ['nzs_lambda'] for fi",
         ),
         (
             {"application": "fi", "input": {"datagen": {"loan_extra_lambda": -0.5}}},
-            "input.datagen: loan_extra_lambda entries must be non-negative, got (-0.5,)",
+            "input.datagen: unknown keys ['loan_extra_lambda'] for fi",
         ),
         (
             {"input": {"datagen": {"debt_range": [1e4]}}},
-            "input.datagen: debt_range needs 2 entries, got (10000.0,)",
+            "input.datagen: unknown keys ['debt_range'] for credit",
+        ),
+        (
+            # the planted clip ranges and count means are model constants
+            {"application": "yield", "strategy": "cbp",
+             "input": {"datagen": {"rate_range": [0.05, 30], "curve_beta": [18, -3.5, 1, 0.8]}}},
+            "input.datagen: unknown keys ['rate_range'] for yield",
+        ),
+        (
+            {"application": "fi", "input": {"datagen": {"fi_extra_lambda": [0.6] * 7}}},
+            "input.datagen: unknown keys ['fi_extra_lambda'] for fi",
+        ),
+        (
+            {"application": "fi", "input": {"datagen": {"savings_extra_lambda": 0.8}}},
+            "input.datagen: unknown keys ['savings_extra_lambda'] for fi",
+        ),
+        (
+            {"application": "fi", "input": {"datagen": {"ccards_lambda": [100] * 7}}},
+            "input.datagen: unknown keys ['ccards_lambda'] for fi",
         ),
         (
             {"rule_overrides": {"Debt2020": {"method": "equal_frequency", "k": True}}},
@@ -1009,6 +1027,8 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
          "boolean-gender-split", "boolean-override-floor", "boolean-band-share", "short-curve-beta",
          "decreasing-capital-range", "string-in-term-range", "empty-yield-periods",
          "repeated-fi-periods", "short-fi-lambda", "negative-fi-lambda", "short-debt-range",
+         "rate-range-past-cbp-cut-off", "fi-extra-lambda", "savings-extra-lambda",
+         "ccards-lambda-past-cbp-cut-off",
          "boolean-override-k", "fractional-override-k", "string-rate-noise",
          "negative-rate-noise", "infinite-usd-shift", "negative-debt-log-sd",
          "credit-gender-split-above-one", "infinite-epsilon", "nan-curve-beta",

@@ -4,13 +4,22 @@ import re
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
+from scipy.stats import poisson, spearmanr
 
 from synthbank import population
 from synthbank.binning import encode_dataset, explicit_bins
 from synthbank.population import (
     AGE_LIMITS,
+    CAPITAL_RANGE,
+    CCARDS_LAMBDA,
+    DEBT_RANGE,
     DELINQUENCY_LIMITS,
+    FI_EXTRA_LAMBDA,
+    LOAN_EXTRA_LAMBDA,
+    NZS_LAMBDA,
+    RATE_RANGE,
+    SAVINGS_EXTRA_LAMBDA,
+    TERM_RANGE,
     CreditPortfolioConfig,
     DepositMarketConfig,
     FiPopulationConfig,
@@ -20,6 +29,7 @@ from synthbank.population import (
     planted_rate_curve,
 )
 from synthbank.presets import (
+    AGE_BAND_LABELS,
     CBP_AGE_CUTOFFS,
     CBP_DELINQUENCY_CUTOFFS,
     band_edges,
@@ -188,6 +198,41 @@ def test_draw_ranges_lie_inside_their_bands(ranges, cutoffs, limits):
         assert limits[0] <= lo and hi <= limits[1]
         codes, _ = explicit_bins(np.arange(lo, hi + 1), cutoffs)
         assert np.all(codes == band), band
+
+
+@pytest.mark.parametrize(
+    "limits, rule",
+    [
+        (CAPITAL_RANGE, deposit_rules("cbp")["Capital"]),
+        (TERM_RANGE, deposit_rules("cbp")["Term"]),
+        (RATE_RANGE, deposit_rules("cbp")["InterestRate"]),
+        (DEBT_RANGE, credit_rules("cbp")["Debt2020"]),
+        (DEBT_RANGE, credit_rules("cbp")["Debt2021"]),
+    ],
+    ids=["capital", "term", "rate", "debt-2020", "debt-2021"],
+)
+def test_clip_ranges_end_within_their_cbp_domain(limits, rule):
+    # a clipped value above the final cut-off would fail the cbp encode
+    low, high = limits
+    assert low < high <= rule.cutoffs[-1]
+
+
+@pytest.mark.parametrize(
+    "column, means, first",
+    [
+        ("nFI", FI_EXTRA_LAMBDA, 1),
+        ("nCCards", CCARDS_LAMBDA, 0),
+        ("nNZS", NZS_LAMBDA, 0),
+        ("nSavings", (SAVINGS_EXTRA_LAMBDA,), 1),
+        ("nLoans", (LOAN_EXTRA_LAMBDA,), 1),
+    ],
+)
+def test_count_means_keep_draws_below_their_cbp_cap(column, means, first):
+    # a count is `first` plus a Poisson draw (for savings and loans, of the
+    # holders), out of the cbp domain above the rule's final cut-off
+    assert len(means) in (1, len(AGE_BAND_LABELS))
+    cap = fi_rules("cbp")[column].cutoffs[-1]
+    assert poisson.sf(cap - first, means).max() < 1e-30
 
 
 # The draw ranges as the literal tables they were before they were derived

@@ -805,6 +805,30 @@ def test_read_csv_bare_cr_inside_a_line_splits_it(tmp_path):
     assert _read_outcome(read_csv, path, schema) == expected
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0,1\n01,1\n", "row 2, column 'a0': unknown level '01'"),
+        ("0,1\n1,3\n", "row 2, column 'a1': unknown level '3'"),
+    ],
+    ids=["leading-zero", "past-domain"],
+)
+def test_read_codes_hands_a_rejected_file_to_the_text_reader_alone(
+    tmp_path, monkeypatch, body, message
+):
+    # no cell the code converter rejects is a code label, so the label
+    # converter is never tried on a code file
+    def no_label_converter(*args):
+        raise AssertionError("the label converter ran")
+
+    monkeypatch.setattr(tabular, "_level_codes", no_label_converter)
+    path = tmp_path / "codes.csv"
+    path.write_text("a0,a1\n" + body, encoding="utf-8")
+    with pytest.raises(TabularError) as info:
+        tabular.read_codes(path, ("a0", "a1"), (3, 3))
+    assert str(info.value) == message
+
+
 def test_written_files_are_read_without_the_text_readers(tmp_path, monkeypatch):
     # what write_csv and write_encoded_csv write, the numpy readers take whole
     def no_text_reader(*args):
