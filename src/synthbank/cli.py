@@ -75,18 +75,20 @@ def _apply_overrides(doc: dict, args) -> dict:
         doc["output"] = args.out
     if args.strategy is not None:
         doc["strategy"] = args.strategy
-    mech = doc.get("mechanism", {})
+    # a null section reads as an empty one, as in ``from_dict``, except that
+    # a budget flag on ``privacy: null`` starts from the default budget; a
+    # section that is no object is left for ``from_dict`` to report
+    mech = doc.get("mechanism")
+    mech = {} if mech is None else mech
     if args.mechanism is not None and isinstance(mech, dict):
         doc["mechanism"] = {**mech, "name": args.mechanism}
-    if args.epsilon is not None or args.delta is not None:
-        default = {"epsilon": PipelineConfig.epsilon, "delta": PipelineConfig.delta}
-        privacy = doc.get("privacy", default)
-        privacy = dict(privacy) if isinstance(privacy, dict) else {}
-        if args.epsilon is not None:
-            privacy["epsilon"] = args.epsilon
-        if args.delta is not None:
-            privacy["delta"] = args.delta
-        doc["privacy"] = privacy
+    budget = {key: value for key, value in (("epsilon", args.epsilon), ("delta", args.delta))
+              if value is not None}
+    privacy = doc.get("privacy")
+    if privacy is None:
+        privacy = {"epsilon": PipelineConfig.epsilon, "delta": PipelineConfig.delta}
+    if budget and isinstance(privacy, dict):
+        doc["privacy"] = {**privacy, **budget}
     return doc
 
 

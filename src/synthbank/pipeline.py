@@ -111,8 +111,9 @@ def _is_workload(value) -> bool:
         return False
 
 
-# ``from_dict``'s stand-in for a rule it did not build: its message is
-# recorded already, so the rule checks leave it out
+# ``from_dict``'s stand-in for a rule it did not build or a mechanism name
+# it could not read: its message is recorded already, so the checks leave
+# it out
 _UNBUILT = object()
 
 
@@ -162,7 +163,7 @@ class PipelineConfig:
                 ("mechanism.name", self.mechanism, MECHANISMS),
                 ("decode.mode", self.decode_mode, DECODE_MODES),
             )
-            if value not in names
+            if value not in names and value is not _UNBUILT
         ]
         noise = self.epsilon is not None
         epsilon, delta, fraction = self.epsilon, self.delta, self.selection_fraction
@@ -262,13 +263,15 @@ class PipelineConfig:
         Only the JSON is handled here. A section that is not an object, or
         that holds a key it does not define, is an error; a null section
         reads as an empty one, except that ``privacy: null`` turns the noise
-        off. JSON lists become tuples, and the settings objects are built,
-        each one's message under its section. Only the settings the document
-        gives are passed on, so the class supplies every default and makes
-        every other check. A settings object whose section has an unknown key
-        is not built, and one that fails to build is left at its default, so
-        each mistake has one message, the other settings are still checked,
-        and every message, the document's and the class's, comes in one
+        off; a section that is not an object has that one message, and the
+        checks of its settings are skipped. JSON lists become tuples, and
+        the settings objects are built, each one's message under its
+        section. Only the settings the document gives are passed on, so the
+        class supplies every default and makes every other check. A settings
+        object whose section has an unknown key is not built, and one that
+        fails to build is left at its default, so each mistake has one
+        message, the other settings are still checked, and every message,
+        the document's and the class's, comes in one
         :class:`PipelineConfigError`.
         """
         if not isinstance(doc, dict):
@@ -304,8 +307,9 @@ class PipelineConfig:
 
         args = {key: doc.get(key) for key in ("application", "output")}
         args.update((key, doc[key]) for key in ("strategy", "seed", "n_synthetic") if key in doc)
-        mechanism = section("mechanism", doc.get("mechanism"), SECTION_KEYS["mechanism"]) or {}
-        args["mechanism"] = mechanism.get("name")
+        mechanism = section("mechanism", doc.get("mechanism"), SECTION_KEYS["mechanism"])
+        args["mechanism"] = _UNBUILT if mechanism is None else mechanism.get("name")
+        mechanism = mechanism or {}
         args.update(
             (key, mechanism[key]) for key in ("selection_fraction", "rounds") if key in mechanism
         )
@@ -317,12 +321,13 @@ class PipelineConfig:
         if "privacy" in doc and doc["privacy"] is None:
             args["epsilon"] = None
         elif "privacy" in doc:
-            privacy = section("privacy", doc["privacy"], SECTION_KEYS["privacy"]) or {}
-            args["delta"] = privacy.get("delta")
-            if privacy.get("epsilon") is None:  # only ``privacy: null`` turns the noise off
-                errors.append("privacy.epsilon: must be positive, got None")
-            else:
-                args["epsilon"] = privacy["epsilon"]
+            privacy = section("privacy", doc["privacy"], SECTION_KEYS["privacy"])
+            if privacy is not None:
+                args["delta"] = privacy.get("delta")
+                if privacy.get("epsilon") is None:  # only ``privacy: null`` turns the noise off
+                    errors.append("privacy.epsilon: must be positive, got None")
+                else:
+                    args["epsilon"] = privacy["epsilon"]
         decode = section("decode", doc.get("decode"), SECTION_KEYS["decode"]) or {}
         if "mode" in decode:
             args["decode_mode"] = decode["mode"]
@@ -334,10 +339,10 @@ class PipelineConfig:
             "kde": build(KdeSpec, "decode", kde),
         }
 
-        inputs = section("input", doc.get("input", {"datagen": {}}), SECTION_KEYS["input"]) or {}
-        datagen = inputs.get("datagen")
-        files = section("input.files", inputs.get("files"))
-        if datagen is None and not files:
+        inputs = section("input", doc.get("input", {"datagen": {}}), SECTION_KEYS["input"])
+        datagen = (inputs or {}).get("datagen")
+        files = section("input.files", (inputs or {}).get("files"))
+        if inputs is not None and datagen is None and files == {}:
             errors.append("input: needs a 'datagen' or 'files' section")
         if files:
             args["files"] = dict(files)

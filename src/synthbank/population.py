@@ -14,15 +14,22 @@ Planted structure worth knowing when testing:
 * Financial inclusion: banked share and product penetration depend only on
   the age band (periods and genders are exchangeable), so pairwise
   dependencies form a star around Age and a tree-structured synthesizer
-  can represent the population exactly.
-* Term deposits: rates follow a smooth planted term curve plus small
-  currency/type/period shifts, a small capital discount, and independent
-  noise, so term-bin curves are recoverable and parametric fits have a
-  ground truth.
-* Credit cards: 2021 delinquency bands follow a planted Markov kernel
-  conditional on the 2020 band; debt follows a multiplicative walk; the
-  persistence rate controls the active-in-both-years overlap. Gender scales
-  2020 delinquency (Gender -> Del2020 -> Del2021 forms a chain).
+  can represent the population exactly (``BAND_SHARES``, ``GENDER_SPLIT``
+  and the per-band ``BANKED_RATE``, ``SAVINGS_RATE``, ``LOAN_RATE`` and
+  ``COLLATERAL_RATE``).
+* Term deposits: rates follow a smooth planted term curve (decay times
+  ``CURVE_TAU``) plus small currency/type/period shifts, a small capital
+  discount, and independent noise, so term-bin curves are recoverable and
+  parametric fits have a ground truth. Capital and term are log-normal
+  (``CAPITAL_LOG_MEAN``, ``CAPITAL_LOG_SD``, ``TERM_LOG_MEAN``,
+  ``TERM_LOG_SD``).
+* Credit cards: 2021 delinquency bands follow the planted Markov kernel
+  ``DEFAULT_DELINQUENCY_KERNEL`` conditional on the 2020 band; debt is
+  log-normal and follows a multiplicative walk (``DEBT_LOG_MEAN``,
+  ``DEBT_LOG_SD``, ``DEBT_DRIFT``, ``DEBT_VOL``); the persistence rate
+  controls the active-in-both-years overlap. Gender scales 2020
+  delinquency (Gender -> Del2020 -> Del2021 forms a chain). Ages and
+  genders follow fi's ``BAND_SHARES`` and ``GENDER_SPLIT``.
 """
 
 from __future__ import annotations
@@ -70,6 +77,37 @@ CCARDS_LAMBDA = (0.5, 1.2, 1.4, 1.2, 1.0, 0.7, 0.4)
 NZS_LAMBDA = (0.6, 1.0, 1.2, 1.1, 0.9, 0.8, 0.6)
 SAVINGS_EXTRA_LAMBDA = 0.8
 LOAN_EXTRA_LAMBDA = 0.35
+#: fi's and credit's share of men, and each age band's share of the people
+GENDER_SPLIT = 0.5
+BAND_SHARES = (0.16, 0.20, 0.18, 0.15, 0.12, 0.11, 0.08)
+#: fi's probabilities per age band: being banked, and a banked person's
+#: holding savings, a loan and collateral
+BANKED_RATE = (0.55, 0.80, 0.85, 0.80, 0.72, 0.65, 0.55)
+SAVINGS_RATE = (0.50, 0.68, 0.72, 0.70, 0.66, 0.62, 0.58)
+LOAN_RATE = (0.18, 0.35, 0.42, 0.40, 0.33, 0.25, 0.15)
+COLLATERAL_RATE = (0.10, 0.25, 0.32, 0.30, 0.26, 0.20, 0.12)
+#: the planted yield curve's two decay times (days), and the mean and spread
+#: of log capital and of log term
+CURVE_TAU = (240.0, 960.0)
+CAPITAL_LOG_MEAN = float(np.log(5e7))
+CAPITAL_LOG_SD = 1.5
+TERM_LOG_MEAN = float(np.log(180.0))
+TERM_LOG_SD = 1.1
+#: concentrated delinquency transition kernel (rows: 2020 band)
+DEFAULT_DELINQUENCY_KERNEL = (
+    (0.90, 0.10, 0.00, 0.00, 0.00, 0.00),
+    (0.15, 0.75, 0.10, 0.00, 0.00, 0.00),
+    (0.10, 0.10, 0.70, 0.10, 0.00, 0.00),
+    (0.05, 0.05, 0.10, 0.70, 0.10, 0.00),
+    (0.00, 0.05, 0.05, 0.10, 0.70, 0.10),
+    (0.00, 0.00, 0.05, 0.05, 0.10, 0.80),
+)
+#: the mean and spread of a 2020 card's log debt, and the drift and
+#: volatility of its yearly multiplicative walk
+DEBT_LOG_MEAN = float(np.log(3e6))
+DEBT_LOG_SD = 1.1
+DEBT_DRIFT = -0.05
+DEBT_VOL = 0.35
 
 _BANDS = len(AGE_BAND_LABELS)
 _DELINQUENCY_BANDS = len(CBP_DELINQUENCY_CUTOFFS)
@@ -111,11 +149,9 @@ def _check_numbers(name: str, values, length: int | None = None) -> tuple[float,
     return tuple(float(v) for v in values)
 
 
-def _check_probs(name: str, values, length: int | None = None) -> tuple[float, ...]:
-    arr = _check_numbers(name, values, length)
-    if any(not (0.0 <= v <= 1.0) for v in arr):
+def _check_probs(name: str, values, length: int | None = None) -> None:
+    if any(not (0.0 <= v <= 1.0) for v in _check_numbers(name, values, length)):
         raise ValueError(f"{name} entries must lie in [0, 1]")
-    return arr
 
 
 def _check_periods(values) -> None:
@@ -139,25 +175,10 @@ class FiPopulationConfig:
 
     n_individuals: int = 100_000
     periods: tuple[str, ...] = ("2017", "2018", "2019", "2020", "2021", "2022")
-    gender_split: float = 0.5
-    band_shares: tuple[float, ...] = (0.16, 0.20, 0.18, 0.15, 0.12, 0.11, 0.08)
-    banked_rate: tuple[float, ...] = (0.55, 0.80, 0.85, 0.80, 0.72, 0.65, 0.55)
-    savings_rate: tuple[float, ...] = (0.50, 0.68, 0.72, 0.70, 0.66, 0.62, 0.58)
-    loan_rate: tuple[float, ...] = (0.18, 0.35, 0.42, 0.40, 0.33, 0.25, 0.15)
-    collateral_rate: tuple[float, ...] = (0.10, 0.25, 0.32, 0.30, 0.26, 0.20, 0.12)
 
     def __post_init__(self) -> None:
         _check_count("n_individuals", self.n_individuals)
-        _check_scalars(self, "gender_split")
         _check_periods(self.periods)
-        _check_probs("band_shares", self.band_shares, _BANDS)
-        if abs(sum(self.band_shares) - 1.0) > 1e-9:
-            raise ValueError("band_shares must sum to 1")
-        _check_probs("banked_rate", self.banked_rate, _BANDS)
-        _check_probs("savings_rate", self.savings_rate, _BANDS)
-        _check_probs("loan_rate", self.loan_rate, _BANDS)
-        _check_probs("collateral_rate", self.collateral_rate, _BANDS)
-        _check_probs("gender_split", (self.gender_split,))
 
 
 @dataclass(frozen=True)
@@ -174,42 +195,23 @@ class DepositMarketConfig:
     bank_share: float = 0.7
     pyg_share: float = 0.8
     curve_beta: tuple[float, float, float, float] = (6.0, -3.5, 1.0, 0.8)
-    curve_tau: tuple[float, float] = (240.0, 960.0)
     usd_shift: float = -1.2
     nonbank_shift: float = 0.25
     period_shift_step: float = 0.05
     capital_discount: float = 0.02
     rate_noise: float = 0.25
-    capital_log_mean: float = float(np.log(5e7))
-    capital_log_sd: float = 1.5
-    term_log_mean: float = float(np.log(180.0))
-    term_log_sd: float = 1.1
 
     def __post_init__(self) -> None:
         _check_count("n_deposits", self.n_deposits)
         _check_scalars(
             self, "bank_share", "pyg_share", "usd_shift", "nonbank_shift",
-            "period_shift_step", "capital_discount", "capital_log_mean", "term_log_mean",
+            "period_shift_step", "capital_discount",
         )
-        _check_scalars(self, "rate_noise", "capital_log_sd", "term_log_sd", low=0.0)
+        _check_scalars(self, "rate_noise", low=0.0)
         _check_probs("bank_share", (self.bank_share,))
         _check_probs("pyg_share", (self.pyg_share,))
         _check_periods(self.periods)
         _check_numbers("curve_beta", self.curve_beta, 4)
-        tau = _check_numbers("curve_tau", self.curve_tau)
-        if len(tau) != 2 or min(tau) <= 0:
-            raise ValueError(f"curve_tau must be two positive decay times, got {self.curve_tau!r}")
-
-
-#: concentrated delinquency transition kernel (rows: 2020 band)
-DEFAULT_DELINQUENCY_KERNEL = (
-    (0.90, 0.10, 0.00, 0.00, 0.00, 0.00),
-    (0.15, 0.75, 0.10, 0.00, 0.00, 0.00),
-    (0.10, 0.10, 0.70, 0.10, 0.00, 0.00),
-    (0.05, 0.05, 0.10, 0.70, 0.10, 0.00),
-    (0.00, 0.05, 0.05, 0.10, 0.70, 0.10),
-    (0.00, 0.00, 0.05, 0.05, 0.10, 0.80),
-)
 
 
 @dataclass(frozen=True)
@@ -219,27 +221,14 @@ class CreditPortfolioConfig:
     n_cards: int = 100_000
     persistence: float = 0.8
     new_card_rate: float = 0.15
-    gender_split: float = 0.5
-    band_shares: tuple[float, ...] = (0.16, 0.20, 0.18, 0.15, 0.12, 0.11, 0.08)
     delinquency_dist_male: tuple[float, ...] = (0.70, 0.07, 0.06, 0.06, 0.055, 0.055)
     delinquency_dist_female: tuple[float, ...] = (0.85, 0.04, 0.03, 0.03, 0.025, 0.025)
-    kernel: tuple[tuple[float, ...], ...] = DEFAULT_DELINQUENCY_KERNEL
-    debt_log_mean: float = float(np.log(3e6))
-    debt_log_sd: float = 1.1
-    debt_drift: float = -0.05
-    debt_vol: float = 0.35
 
     def __post_init__(self) -> None:
         _check_count("n_cards", self.n_cards)
-        _check_scalars(
-            self, "persistence", "new_card_rate", "gender_split", "debt_log_mean", "debt_drift"
-        )
-        _check_scalars(self, "debt_log_sd", "debt_vol", low=0.0)
-        for name in ("persistence", "new_card_rate", "gender_split"):
+        _check_scalars(self, "persistence", "new_card_rate")
+        for name in ("persistence", "new_card_rate"):
             _check_probs(name, (getattr(self, name),))
-        _check_probs("band_shares", self.band_shares, _BANDS)
-        if abs(sum(self.band_shares) - 1.0) > 1e-9:
-            raise ValueError("band_shares must sum to 1")
         for name, dist in (
             ("delinquency_dist_male", self.delinquency_dist_male),
             ("delinquency_dist_female", self.delinquency_dist_female),
@@ -247,12 +236,6 @@ class CreditPortfolioConfig:
             _check_probs(name, dist, _DELINQUENCY_BANDS)
             if abs(sum(dist) - 1.0) > 1e-9:
                 raise ValueError(f"{name} must sum to 1")
-        if len(self.kernel) != _DELINQUENCY_BANDS:
-            raise ValueError(f"kernel must be {_DELINQUENCY_BANDS}x{_DELINQUENCY_BANDS}")
-        for row in self.kernel:
-            _check_probs("kernel row", row, _DELINQUENCY_BANDS)
-            if abs(sum(row) - 1.0) > 1e-9:
-                raise ValueError("kernel rows must sum to 1")
 
 
 def _ages_for_bands(bands: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -276,10 +259,10 @@ def generate_fi_population(
     periods = config.periods
     genders = ("M", "F")
     # cells in (period, age band, gender) order, gender fastest
-    shares = np.asarray(config.band_shares)[:, None] * [config.gender_split, 1.0 - config.gender_split]
+    shares = np.asarray(BAND_SHARES)[:, None] * [GENDER_SPLIT, 1.0 - GENDER_SPLIT]
     cell_probs = np.tile((shares / len(periods)).ravel(), len(periods))
     cell_sizes = rng.multinomial(config.n_individuals, cell_probs)
-    banked_rates = np.tile(np.repeat(config.banked_rate, len(genders)), len(periods))
+    banked_rates = np.tile(np.repeat(BANKED_RATE, len(genders)), len(periods))
     banked_sizes = rng.binomial(cell_sizes, banked_rates)
     unbanked = dict(
         zip(product(periods, AGE_BAND_LABELS, genders), (cell_sizes - banked_sizes).tolist())
@@ -292,8 +275,8 @@ def generate_fi_population(
     # a draw of size 0 is empty and leaves the generator as it was
     ages = _ages_for_bands(bands, rng)
     ccards = rng.poisson(np.asarray(CCARDS_LAMBDA)[bands])
-    collateral = rng.binomial(1, np.asarray(config.collateral_rate)[bands])
-    has_loan = rng.binomial(1, np.asarray(config.loan_rate)[bands])
+    collateral = rng.binomial(1, np.asarray(COLLATERAL_RATE)[bands])
+    has_loan = rng.binomial(1, np.asarray(LOAN_RATE)[bands])
     loans = has_loan * (1 + rng.poisson(LOAN_EXTRA_LAMBDA, size=n))
     duration = np.zeros(n, dtype=np.float64)
     loan_idx = np.flatnonzero(loans > 0)
@@ -302,7 +285,7 @@ def generate_fi_population(
     )
     nfi = 1 + rng.poisson(np.asarray(FI_EXTRA_LAMBDA)[bands])
     nzs = rng.poisson(np.asarray(NZS_LAMBDA)[bands])
-    has_savings = rng.binomial(1, np.asarray(config.savings_rate)[bands])
+    has_savings = rng.binomial(1, np.asarray(SAVINGS_RATE)[bands])
     savings = has_savings * (1 + rng.poisson(SAVINGS_EXTRA_LAMBDA, size=n))
 
     schema = (
@@ -344,10 +327,10 @@ def svensson_loadings(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def planted_rate_curve(config: DepositMarketConfig, term_days) -> np.ndarray:
     """The planted smooth rate curve evaluated at the given terms: the
-    Svensson curve of ``curve_beta`` and ``curve_tau``, whose loadings
+    Svensson curve of ``curve_beta`` and ``CURVE_TAU``, whose loadings
     ``svensson_loadings`` gives, as in ``apps.yield_curve``'s fit."""
     b0, b1, b2, b3 = config.curve_beta
-    t1, t2 = config.curve_tau
+    t1, t2 = CURVE_TAU
     t = np.asarray(term_days, dtype=np.float64)
     f1, f2 = svensson_loadings(t / t1)
     f3 = svensson_loadings(t / t2)[1]
@@ -364,11 +347,11 @@ def generate_term_deposits(config: DepositMarketConfig, rng: np.random.Generator
     period_col = rng.integers(0, len(config.periods), size=n)
     currency_col = (rng.random(n) < config.pyg_share).astype(np.int64)  # 0 USD, 1 PYG
     terms = np.clip(
-        np.round(np.exp(rng.normal(config.term_log_mean, config.term_log_sd, size=n))),
+        np.round(np.exp(rng.normal(TERM_LOG_MEAN, TERM_LOG_SD, size=n))),
         *TERM_RANGE,
     )
     capital = np.clip(
-        np.exp(rng.normal(config.capital_log_mean, config.capital_log_sd, size=n)),
+        np.exp(rng.normal(CAPITAL_LOG_MEAN, CAPITAL_LOG_SD, size=n)),
         *CAPITAL_RANGE,
     )
     rates = planted_rate_curve(config, terms)
@@ -419,40 +402,40 @@ def generate_credit_cards(
     """
     n = config.n_cards
     genders = ("M", "F")
-    gender_col = (rng.random(n) >= config.gender_split).astype(np.int64)  # 0 M, 1 F
+    gender_col = (rng.random(n) >= GENDER_SPLIT).astype(np.int64)  # 0 M, 1 F
     bands = np.zeros(n, dtype=np.int64)
     for g, dist in ((0, config.delinquency_dist_male), (1, config.delinquency_dist_female)):
         idx = np.flatnonzero(gender_col == g)
         bands[idx] = draw_index(rng, dist, idx.size)
-    age_bands = draw_index(rng, config.band_shares, n)
+    age_bands = draw_index(rng, BAND_SHARES, n)
     ages = _ages_for_bands(age_bands, rng)
     del_2020 = _delinquency_days(bands, rng)
     debt_2020 = np.clip(
-        np.exp(rng.normal(config.debt_log_mean, config.debt_log_sd, size=n)),
+        np.exp(rng.normal(DEBT_LOG_MEAN, DEBT_LOG_SD, size=n)),
         *DEBT_RANGE,
     )
 
     survivors = rng.random(n) < config.persistence
     bands_2021 = np.zeros(n, dtype=np.int64)
-    kernel = np.asarray(config.kernel)
+    kernel = np.asarray(DEFAULT_DELINQUENCY_KERNEL)
     for b in range(_DELINQUENCY_BANDS):
         idx = np.flatnonzero(bands == b)
         bands_2021[idx] = draw_index(rng, kernel[b], idx.size)
     del_2021 = _delinquency_days(bands_2021, rng)
     debt_2021 = np.clip(
-        debt_2020 * np.exp(rng.normal(config.debt_drift, config.debt_vol, size=n)),
+        debt_2020 * np.exp(rng.normal(DEBT_DRIFT, DEBT_VOL, size=n)),
         *DEBT_RANGE,
     )
 
     n_new = int(round(config.new_card_rate * n))
     mix = (
-        config.gender_split * np.asarray(config.delinquency_dist_male)
-        + (1 - config.gender_split) * np.asarray(config.delinquency_dist_female)
+        GENDER_SPLIT * np.asarray(config.delinquency_dist_male)
+        + (1 - GENDER_SPLIT) * np.asarray(config.delinquency_dist_female)
     )
     new_bands = draw_index(rng, mix / mix.sum(), n_new)
     new_del = _delinquency_days(new_bands, rng)
     new_debt = np.clip(
-        np.exp(rng.normal(config.debt_log_mean, config.debt_log_sd, size=n_new)),
+        np.exp(rng.normal(DEBT_LOG_MEAN, DEBT_LOG_SD, size=n_new)),
         *DEBT_RANGE,
     )
 

@@ -14,7 +14,11 @@ from synthbank.apps.credit import (
     transition_matrix,
 )
 from synthbank.binning import encode_dataset
-from synthbank.population import CreditPortfolioConfig, generate_credit_cards
+from synthbank.population import (
+    DEFAULT_DELINQUENCY_KERNEL,
+    CreditPortfolioConfig,
+    generate_credit_cards,
+)
 from synthbank.presets import credit_rules
 from synthbank.tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset
 
@@ -67,7 +71,7 @@ def test_planted_kernel_recovered():
     tm = transition_matrix(
         enc.column_codes("Delinquency2020"), enc.column_codes("Delinquency2021"), 6
     )
-    kernel = np.asarray(config.kernel)
+    kernel = np.asarray(DEFAULT_DELINQUENCY_KERNEL)
     assert np.max(np.abs(tm.probs - kernel)) < 0.01
 
 

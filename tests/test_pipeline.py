@@ -348,12 +348,11 @@ def test_cli_compare_prints_one_winner_line_per_headline_metric(tmp_path, capsys
 @pytest.mark.parametrize(
     "privacy, flags, message",
     [
-        (None, ["--epsilon", "0.5"], "privacy.delta: must lie in (0, 1), got None"),
         ({"epsilon": 1.0, "delta": 1e-10}, ["--epsilon", "-1"], "privacy.epsilon: must be positive"),
         ({"epsilon": 1.0, "delta": 1e-10}, ["--delta", "5"], "privacy.delta: must lie in (0, 1)"),
         ({"epsilon": 1.0, "delta": 1e-10}, ["--mechanism", "gan"], "mechanism.name: unknown value 'gan'"),
     ],
-    ids=["epsilon-on-null-privacy", "negative-epsilon", "delta-above-one", "unknown-mechanism"],
+    ids=["negative-epsilon", "delta-above-one", "unknown-mechanism"],
 )
 def test_cli_bad_flags_are_config_errors(tmp_path, capsys, privacy, flags, message):
     path = write_config(tmp_path, credit_config(tmp_path, privacy=privacy))
@@ -361,6 +360,51 @@ def test_cli_bad_flags_are_config_errors(tmp_path, capsys, privacy, flags, messa
     err = capsys.readouterr().err
     assert f"config error: {message}" in err
     assert "failed" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "section, flags, mechanism, privacy",
+    [
+        ({"mechanism": None}, ["--mechanism", "aim"], "aim", {"epsilon": 1.0, "delta": 1e-10}),
+        ({"privacy": None}, ["--epsilon", "0.5"], "mst", {"epsilon": 0.5, "delta": 1e-10}),
+        ({"privacy": None}, ["--delta", "1e-6"], "mst", {"epsilon": 1.0, "delta": 1e-6}),
+    ],
+    ids=["mechanism-on-null-mechanism", "epsilon-on-null-privacy", "delta-on-null-privacy"],
+)
+def test_cli_flags_on_a_null_section(tmp_path, section, flags, mechanism, privacy):
+    # a null section reads as an empty one, as in the loader, and a budget
+    # flag on ``privacy: null`` starts from the default budget
+    path = write_config(tmp_path, credit_config(tmp_path, **section))
+    assert cli_main(["pipeline", "--config", str(path), *flags]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["mechanism"] == mechanism
+    assert report["privacy"] == privacy
+
+
+@pytest.mark.parametrize(
+    "doc, flags, message",
+    [
+        ({"mechanism": 3}, [], "mechanism: must be an object, got 3"),
+        ({"privacy": 3}, [], "privacy: must be an object, got 3"),
+        ({"input": 3}, [], "input: must be an object, got 3"),
+        ({"input": {"files": 3}}, [], "input.files: must be an object, got 3"),
+        ({"mechanism": 3}, ["--mechanism", "mst"], "mechanism: must be an object, got 3"),
+        ({"privacy": 3}, ["--epsilon", "1"], "privacy: must be an object, got 3"),
+    ],
+    ids=["mechanism", "privacy", "input", "input-files", "mechanism-flag", "epsilon-flag"],
+)
+def test_a_section_that_is_not_an_object_has_one_error(tmp_path, capsys, doc, flags, message):
+    # the checks of the settings in a section that is not an object are
+    # skipped, so the section's shape error is the one message
+    doc = credit_config(tmp_path, **doc)
+    if not flags:
+        with pytest.raises(PipelineConfigError) as err:
+            PipelineConfig.from_dict(doc)
+        assert err.value.errors == [message]
+    path = write_config(tmp_path, doc)
+    assert cli_main(["pipeline", "--config", str(path), *flags]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
     assert not (tmp_path / "run").exists()
 
 
@@ -811,12 +855,13 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
             "input.datagen: n_cards must be a non-negative integer, got -5",
         ),
         (
+            # the planted shares, rates, spreads and kernel are model constants
             {"input": {"datagen": {"band_shares": [0.5, 0.5]}}},
-            "input.datagen: band_shares needs 7 entries, got (0.5, 0.5)",
+            "input.datagen: unknown keys ['band_shares'] for credit",
         ),
         (
             {"application": "yield", "input": {"datagen": {"curve_tau": [0, 5]}}},
-            "input.datagen: curve_tau must be two positive decay times, got (0, 5)",
+            "input.datagen: unknown keys ['curve_tau'] for yield",
         ),
         (
             {"input": {"datagen": {"n_cards": 2000.5}}},
@@ -868,7 +913,7 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
         ),
         (
             {"input": {"datagen": {"gender_split": True}}},
-            "input.datagen: gender_split must not be a boolean, got True",
+            "input.datagen: unknown keys ['gender_split'] for credit",
         ),
         (
             {"rule_overrides": {"Debt2020": {"method": "explicit_cutoffs",
@@ -877,7 +922,7 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
         ),
         (
             {"input": {"datagen": {"band_shares": [True, 0, 0, 0, 0, 0, 0]}}},
-            "input.datagen: band_shares must be a list of numbers, got (True, 0, 0, 0, 0, 0, 0)",
+            "input.datagen: unknown keys ['band_shares'] for credit",
         ),
         (
             {"application": "yield", "input": {"datagen": {"curve_beta": [1, 2]}}},
@@ -952,11 +997,28 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
         ),
         (
             {"input": {"datagen": {"debt_log_sd": -1}}},
-            "input.datagen: debt_log_sd must be >= 0, got -1",
+            "input.datagen: unknown keys ['debt_log_sd'] for credit",
         ),
         (
             {"input": {"datagen": {"gender_split": 1.5}}},
-            "input.datagen: gender_split entries must lie in [0, 1]",
+            "input.datagen: unknown keys ['gender_split'] for credit",
+        ),
+        (
+            {"input": {"datagen": {"persistence": 1.5}}},
+            "input.datagen: persistence entries must lie in [0, 1]",
+        ),
+        (
+            {"input": {"datagen": {"persistence": True}}},
+            "input.datagen: persistence must not be a boolean, got True",
+        ),
+        (
+            {"input": {"datagen": {"delinquency_dist_male": [0.2] * 5}}},
+            "input.datagen: delinquency_dist_male needs 6 entries, got (0.2, 0.2, 0.2, 0.2, 0.2)",
+        ),
+        (
+            {"input": {"datagen": {"delinquency_dist_female": [True, 0, 0, 0, 0, 0]}}},
+            "input.datagen: delinquency_dist_female must be a list of numbers, "
+            "got (True, 0, 0, 0, 0, 0)",
         ),
         (
             {"privacy": {"epsilon": float("inf"), "delta": 1e-10}},
@@ -1031,7 +1093,8 @@ def test_unknown_workload_column_is_named(tmp_path, capsys):
          "ccards-lambda-past-cbp-cut-off",
          "boolean-override-k", "fractional-override-k", "string-rate-noise",
          "negative-rate-noise", "infinite-usd-shift", "negative-debt-log-sd",
-         "credit-gender-split-above-one", "infinite-epsilon", "nan-curve-beta",
+         "credit-gender-split-above-one", "persistence-above-one", "boolean-persistence",
+         "short-delinquency-dist", "boolean-in-delinquency-dist", "infinite-epsilon", "nan-curve-beta",
          "infinite-workload-weight", "numeric-output", "numeric-input-file",
          "null-input-file", "string-log-pretransform", "one-year-debt-override",
          "unequal-delinquency-overrides", "one-year-override-equal-to-preset"],

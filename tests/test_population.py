@@ -1,5 +1,6 @@
 """Ground-truth generator: determinism and planted-parameter recovery."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -10,15 +11,27 @@ from synthbank import population
 from synthbank.binning import encode_dataset, explicit_bins
 from synthbank.population import (
     AGE_LIMITS,
+    BAND_SHARES,
+    BANKED_RATE,
+    CAPITAL_LOG_SD,
     CAPITAL_RANGE,
     CCARDS_LAMBDA,
+    COLLATERAL_RATE,
+    CURVE_TAU,
+    DEBT_LOG_SD,
     DEBT_RANGE,
+    DEBT_VOL,
+    DEFAULT_DELINQUENCY_KERNEL,
     DELINQUENCY_LIMITS,
     FI_EXTRA_LAMBDA,
+    GENDER_SPLIT,
     LOAN_EXTRA_LAMBDA,
+    LOAN_RATE,
     NZS_LAMBDA,
     RATE_RANGE,
     SAVINGS_EXTRA_LAMBDA,
+    SAVINGS_RATE,
+    TERM_LOG_SD,
     TERM_RANGE,
     CreditPortfolioConfig,
     DepositMarketConfig,
@@ -233,6 +246,46 @@ def test_count_means_keep_draws_below_their_cbp_cap(column, means, first):
     assert len(means) in (1, len(AGE_BAND_LABELS))
     cap = fi_rules("cbp")[column].cutoffs[-1]
     assert poisson.sf(cap - first, means).max() < 1e-30
+
+
+def test_planted_constants_keep_the_invariants_of_a_population_model():
+    # what the settings checks enforced before these became constants
+    assert len(BAND_SHARES) == len(AGE_BAND_LABELS)
+    assert abs(sum(BAND_SHARES) - 1.0) < 1e-9
+    for rates in (BAND_SHARES, BANKED_RATE, SAVINGS_RATE, LOAN_RATE, COLLATERAL_RATE):
+        assert len(rates) == len(AGE_BAND_LABELS)
+        assert all(0.0 <= p <= 1.0 for p in rates)
+    assert 0.0 <= GENDER_SPLIT <= 1.0
+    bands = len(CBP_DELINQUENCY_CUTOFFS)
+    assert len(DEFAULT_DELINQUENCY_KERNEL) == bands
+    for row in DEFAULT_DELINQUENCY_KERNEL:
+        assert len(row) == bands and all(0.0 <= p <= 1.0 for p in row)
+        assert abs(sum(row) - 1.0) < 1e-9
+    assert len(CURVE_TAU) == 2 and min(CURVE_TAU) > 0
+    assert min(CAPITAL_LOG_SD, TERM_LOG_SD, DEBT_LOG_SD, DEBT_VOL) > 0
+
+
+@pytest.mark.parametrize(
+    "factory, names",
+    [
+        (FiPopulationConfig, ("n_individuals", "periods")),
+        (
+            DepositMarketConfig,
+            ("n_deposits", "periods", "bank_share", "pyg_share", "curve_beta", "usd_shift",
+             "nonbank_shift", "period_shift_step", "capital_discount", "rate_noise"),
+        ),
+        (
+            CreditPortfolioConfig,
+            ("n_cards", "persistence", "new_card_rate", "delinquency_dist_male",
+             "delinquency_dist_female"),
+        ),
+    ],
+    ids=["fi", "yield", "credit"],
+)
+def test_population_settings_are_the_declared_ones(factory, names):
+    # a new knob of the planted model has to be declared here; the rest of
+    # the model is constants of ``synthbank.population``
+    assert tuple(f.name for f in dataclasses.fields(factory)) == names
 
 
 # The draw ranges as the literal tables they were before they were derived

@@ -19,7 +19,14 @@ from synthbank.apps.usage_index import (
     usage_levels,
 )
 from synthbank.binning import encode_dataset
-from synthbank.population import FiPopulationConfig, generate_fi_population
+from synthbank.population import (
+    BAND_SHARES,
+    BANKED_RATE,
+    LOAN_RATE,
+    SAVINGS_RATE,
+    FiPopulationConfig,
+    generate_fi_population,
+)
 from synthbank.presets import AGE_BAND_LABELS, CBP_AGE_CUTOFFS, fi_rules
 from synthbank.tabular import (
     CATEGORICAL,
@@ -90,11 +97,11 @@ def test_planted_rates_recovered():
     alpha, beta, gamma = (
         np.count_nonzero(ds.column(name) > 0) / population for name in ("nFI", "nSavings", "nLoans")
     )
-    shares = np.asarray(config.band_shares)
-    banked = np.asarray(config.banked_rate)
+    shares = np.asarray(BAND_SHARES)
+    banked = np.asarray(BANKED_RATE)
     alpha_expect = float((shares * banked).sum())
-    beta_expect = float((shares * banked * np.asarray(config.savings_rate)).sum())
-    gamma_expect = float((shares * banked * np.asarray(config.loan_rate)).sum())
+    beta_expect = float((shares * banked * np.asarray(SAVINGS_RATE)).sum())
+    gamma_expect = float((shares * banked * np.asarray(LOAN_RATE)).sum())
     assert abs(alpha - alpha_expect) < 0.01
     assert abs(beta - beta_expect) < 0.01
     assert abs(gamma - gamma_expect) < 0.01
@@ -106,7 +113,7 @@ def test_planted_rates_recovered():
         band = AGE_BAND_LABELS.index(ind.key[1])
         in_cell = (bands == band) & (ds.column("Gender") == genders.index(ind.key[2]))
         population = np.count_nonzero(in_cell) + unbanked.get(ind.key, 0)
-        p = config.banked_rate[band]
+        p = BANKED_RATE[band]
         ci = 3 * np.sqrt(p * (1 - p) / population)
         assert abs(ind.alpha - p) <= ci, ind.key
 
