@@ -42,6 +42,7 @@ __all__ = [
     "uniform_width_bins",
     "kmeans_1d",
     "log_pretransform",
+    "check_rules",
     "encode_dataset",
     "write_encoded_csv",
     "read_encoded_csv",
@@ -52,6 +53,8 @@ EQUAL_FREQUENCY = "equal_frequency"
 UNIFORM_WIDTH = "uniform_width"
 KMEANS = "kmeans_1d"
 _METHODS = (EXPLICIT, EQUAL_FREQUENCY, UNIFORM_WIDTH, KMEANS)
+# the data-driven methods as their messages name them
+_METHOD_NAMES = {EQUAL_FREQUENCY: "equal-frequency", UNIFORM_WIDTH: "uniform-width", KMEANS: "k-means"}
 
 #: most entries a table may hold for :func:`table_rank` to rank by counting:
 #: on a 2-vCPU x86_64 VM, with uniform values on 2-32 entries, counting took
@@ -231,12 +234,20 @@ class Codebook:
 
 
 class EncodedDataset:
-    """All-categorical code matrix plus the codebook that decodes it."""
+    """All-categorical code matrix plus the codebook that decodes it.
+
+    The ``(n, d)`` matrix is stored column-major (Fortran order), so each
+    column's codes are one contiguous array: every reader of the codes (the
+    marginal counts, the apps, decoding, the encoded CSV writer) reads them
+    a column at a time. Codes of any order, or a 1-D array of rows, are
+    accepted and stored so.
+    """
 
     def __init__(self, codes, codebook: Codebook):
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim != 2:
             codes = codes.reshape(len(codes), len(codebook)) if codes.size else codes.reshape(0, len(codebook))
+        codes = np.asfortranarray(codes)
         if codes.shape[1] != len(codebook):
             raise BinningError(
                 f"code matrix has {codes.shape[1]} columns, codebook has {len(codebook)}"
@@ -361,12 +372,7 @@ def explicit_bins(values, cutoffs, floor: float = 0.0) -> tuple[np.ndarray, np.n
     if cut.size > 1 and not np.all(np.diff(cut) > 0):
         raise BinningError("cut-offs must be strictly increasing")
     vals = np.asarray(values, dtype=np.float64)
-    above = vals > cut[-1]
-    if np.any(above):
-        i = int(np.flatnonzero(above)[0])
-        raise BinningError(
-            f"value {vals[i]:g} (row {i + 1}) above the final cut-off {cut[-1]:g}"
-        )
+    _check_final_cutoff(vals, cut[-1])
     if floor >= cut[0]:
         raise BinningError(f"floor {floor:g} must lie below the first cut-off {cut[0]:g}")
     edges = np.concatenate([[floor], cut])
@@ -383,8 +389,7 @@ def equal_frequency_bins(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     domain. Edges are ``[min, boundary values..., max]``.
     """
     vals = np.asarray(values, dtype=np.float64)
-    if vals.size == 0:
-        raise BinningError("equal-frequency binning needs at least one value")
+    _check_values(vals, EQUAL_FREQUENCY)
     if k < 1:
         raise BinningError("k must be >= 1")
     n = vals.size
@@ -398,10 +403,7 @@ def equal_frequency_bins(values, k: int) -> tuple[np.ndarray, np.ndarray]:
         sv[negative : negative + np.count_nonzero(zero)] = vals[zero]
     # first occurrence index of each distinct value
     firsts = np.concatenate([[0], np.flatnonzero(np.diff(sv)) + 1])
-    if k > firsts.size:
-        raise BinningError(
-            f"k={k} exceeds the {firsts.size} distinct values; use a smaller k"
-        )
+    _check_k(k, firsts.size, EQUAL_FREQUENCY)
 
     # a tie group takes the bin of its first occurrence, rank * k // n, so a
     # bin starts at each group whose first rank enters a later bin
@@ -424,8 +426,7 @@ def equal_frequency_bins(values, k: int) -> tuple[np.ndarray, np.ndarray]:
 def uniform_width_bins(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k equal-width bins spanning [min, max]."""
     vals = np.asarray(values, dtype=np.float64)
-    if vals.size == 0:
-        raise BinningError("uniform-width binning needs at least one value")
+    _check_values(vals, UNIFORM_WIDTH)
     if k < 1:
         raise BinningError("k must be >= 1")
     lo, hi = float(vals.min()), float(vals.max())
@@ -455,14 +456,12 @@ def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     smallest split index wins, as with ``np.argmin``.
     """
     vals = np.asarray(values, dtype=np.float64)
-    if vals.size == 0:
-        raise BinningError("k-means binning needs at least one value")
+    _check_values(vals, KMEANS)
     uniq, counts = np.unique(vals, return_counts=True)
     m = uniq.size
     if k < 1:
         raise BinningError("k must be >= 1")
-    if k > m:
-        raise BinningError(f"k={k} exceeds the {m} distinct values")
+    _check_k(k, m, KMEANS)
 
     # centering keeps the SSE prefix arithmetic well conditioned for
     # money-scale magnitudes; the optimal partition is shift invariant
@@ -558,6 +557,62 @@ def log_pretransform(values) -> np.ndarray:
     return np.log(vals)
 
 
+def check_rules(dataset: Dataset, rules: dict) -> None:
+    """Raise the :class:`BinningError` :func:`encode_dataset` raises on
+    ``dataset`` with ``rules``, if any, without binning.
+
+    A numeric column needs a rule whose input checks its values pass: all
+    positive under a log pre-transform, none above an explicit rule's final
+    cut-off, and for a data-driven rule at least one value, and at least
+    ``k`` distinct ones for equal-frequency and k-means bins.
+    """
+    for spec in dataset.schema:
+        if not spec.is_categorical:
+            _rule_input(spec.name, dataset.column(spec.name), rules)
+
+
+def _rule_input(name, col, rules):
+    """The rule of numeric column ``name`` and the values it bins (their logs
+    under a log pre-transform), once they pass the rule's input checks
+    (:func:`check_rules`); a failed check names the column."""
+    rule = rules.get(name)
+    if rule is None:
+        raise BinningError(f"numeric column '{name}' has no binning rule")
+    try:
+        vals = log_pretransform(col) if rule.log_pretransform else col
+        if rule.method == EXPLICIT:
+            _check_final_cutoff(vals, rule.cutoffs[-1])
+        else:
+            _check_values(vals, rule.method)
+            # the first 4k values settle most columns without sorting them all
+            if rule.method != UNIFORM_WIDTH and np.unique(vals[: 4 * rule.k]).size < rule.k:
+                _check_k(rule.k, np.unique(vals).size, rule.method)
+    except BinningError as exc:
+        raise BinningError(f"column '{name}': {exc}") from None
+    return rule, vals
+
+
+def _check_final_cutoff(vals, last) -> None:
+    """Raise unless every value lies at or below the final cut-off ``last``."""
+    above = vals > last
+    if np.any(above):
+        i = int(np.flatnonzero(above)[0])
+        raise BinningError(f"value {vals[i]:g} (row {i + 1}) above the final cut-off {last:g}")
+
+
+def _check_values(vals, method) -> None:
+    """Raise unless the data-driven ``method`` has a value to bin."""
+    if vals.size == 0:
+        raise BinningError(f"{_METHOD_NAMES[method]} binning needs at least one value")
+
+
+def _check_k(k, distinct, method) -> None:
+    """Raise unless ``distinct`` values are enough for ``method``'s ``k`` bins."""
+    if k > distinct:
+        hint = "; use a smaller k" if method == EQUAL_FREQUENCY else ""
+        raise BinningError(f"k={k} exceeds the {distinct} distinct values{hint}")
+
+
 def encode_dataset(dataset: Dataset, rules: dict) -> EncodedDataset:
     """Discretize every numeric column; categorical columns pass through.
 
@@ -574,13 +629,8 @@ def encode_dataset(dataset: Dataset, rules: dict) -> EncodedDataset:
             code_columns.append(col.astype(np.int64))
             codecs.append(ColumnCodec(name=spec.name, kind="categorical", labels=spec.levels))
             continue
-        rule = rules.get(spec.name)
-        if rule is None:
-            raise BinningError(f"numeric column '{spec.name}' has no binning rule")
-        vals = col
+        rule, vals = _rule_input(spec.name, col, rules)
         try:
-            if rule.log_pretransform:
-                vals = log_pretransform(vals)
             if rule.method == EXPLICIT:
                 codes, edges = explicit_bins(vals, rule.cutoffs, floor=rule.floor)
             elif rule.method == EQUAL_FREQUENCY:
@@ -601,11 +651,9 @@ def encode_dataset(dataset: Dataset, rules: dict) -> EncodedDataset:
                 method=rule.method,
             )
         )
-    codes = (
-        np.column_stack(code_columns)
-        if code_columns and len(code_columns[0])
-        else np.zeros((0, len(codecs)), dtype=np.int64)
-    )
+    codes = np.empty((dataset.n_records, len(codecs)), dtype=np.int64, order="F")
+    for j, column in enumerate(code_columns):
+        codes[:, j] = column
     return EncodedDataset(codes, Codebook(codecs))
 
 

@@ -200,7 +200,7 @@ class TreeModel:
         generator state."""
         if n_out < 0:
             raise MechanismError("n_out must be non-negative")
-        codes = np.zeros((n_out, len(self.domain)), dtype=np.int64)
+        codes = np.zeros((n_out, len(self.domain)), dtype=np.int64, order="F")
         for parent, child in self.steps:
             if parent is None:
                 dist = self.attr_dist[child]
@@ -587,7 +587,7 @@ def pac_aggregate(
     domain = data.codebook.domain_sizes
     n = data.n_records
     cap = config.delta_k
-    columns = np.ascontiguousarray(data.codes.T)
+    columns = data.codes.T
 
     levels: list[PacLevel] = []
     s_prev = 1  # |S_0|: the empty tuple
@@ -668,7 +668,7 @@ def pac_synthesize(
         )
 
     order = sorted(range(d), key=lambda a: (-float(one_way[a].sum()), a))
-    out = np.empty((n_out, d), dtype=np.int64)
+    out = np.empty((n_out, d), dtype=np.int64, order="F")
 
     # group[i] is row i's group; prefix[b][g] is group g's code of the fixed
     # attribute b, in the order the attributes were fixed
@@ -710,10 +710,10 @@ def pac_synthesize(
 
 def uniform_synthesize(codebook: Codebook, n_out: int, rng: np.random.Generator) -> EncodedDataset:
     """Uniform-random baseline synthesiser (utility floor for comparisons)."""
-    codes = np.column_stack(
-        [rng.integers(0, codec.domain_size, size=n_out) for codec in codebook]
-    ) if len(codebook) else np.zeros((n_out, 0), dtype=np.int64)
-    return EncodedDataset(codes.astype(np.int64), codebook)
+    codes = np.empty((n_out, len(codebook)), dtype=np.int64, order="F")
+    for j, codec in enumerate(codebook):
+        codes[:, j] = rng.integers(0, codec.domain_size, size=n_out)
+    return EncodedDataset(codes, codebook)
 
 
 def run_mechanism(

@@ -29,9 +29,11 @@ import numpy as np
 from . import __version__
 from .apps import APPS
 from .binning import (
+    BinningError,
     BinningRule,
     Codebook,
     EncodedDataset,
+    check_rules,
     encode_dataset,
     read_encoded_csv,
     write_encoded_csv,
@@ -394,7 +396,6 @@ class Pipeline:
         self.config = config
         self.app = APPS[config.application]
         self.outdir = Path(config.output)
-        self.outdir.mkdir(parents=True, exist_ok=True)
         self._manifest: dict | None = None
         self.source: Dataset | None = None
         self.extra = None  # the application's extra input (see ``apps``)
@@ -463,6 +464,13 @@ class Pipeline:
         self.source, self.extra = self.app.prepare(
             config.datagen, config.files, self._rng("datagen")
         )
+        # data that the encode stage would reject is a config error, found
+        # before anything is written
+        try:
+            check_rules(self.source, self._rules)
+        except BinningError as exc:
+            raise PipelineConfigError([str(exc)]) from None
+        self.outdir.mkdir(parents=True, exist_ok=True)
         self._write_dataset(self.source, "original.csv", "schema.json")
         if self.app.EXTRA is not None:
             self.app.save_extra(self.extra, self.outdir / self.app.EXTRA)
@@ -481,16 +489,18 @@ class Pipeline:
 
     def encode(self) -> EncodedDataset:
         started = time.perf_counter()
-        source = self._require_source()
-        rules = dict(self.app.rules(self.config.strategy))
-        rules.update(self.config.rule_overrides)
-        self.encoded = encode_dataset(source, rules)
+        self.encoded = encode_dataset(self._require_source(), self._rules)
         write_encoded_csv(self.encoded, self.outdir / "encoded.csv")
         self._register("encoded.csv")
         self.encoded.codebook.to_json(self.outdir / "codebook.json")
         self._register("codebook.json")
         self._stage("encode", started)
         return self.encoded
+
+    @property
+    def _rules(self) -> dict:
+        """The binning rule of every numeric column: the strategy's, then the overrides."""
+        return {**self.app.rules(self.config.strategy), **self.config.rule_overrides}
 
     @cached_property
     def _codebook(self) -> Codebook:

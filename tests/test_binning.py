@@ -12,6 +12,7 @@ from synthbank.binning import (
     _COUNT_LIMIT,
     BinningError,
     BinningRule,
+    EncodedDataset,
     assign_codes,
     draw_index,
     encode_dataset,
@@ -24,6 +25,7 @@ from synthbank.binning import (
     uniform_width_bins,
     write_encoded_csv,
 )
+from synthbank.privacy import PrivacyParams
 from synthbank.presets import AGE_BAND_LABELS, CBP_AGE_CUTOFFS, age_bands, deposit_rules
 from synthbank.tabular import CATEGORICAL, NUMERIC, ColumnSpec, Dataset, TabularError
 from util import make_encoded
@@ -710,3 +712,76 @@ def test_encoded_csv_code_is_its_plain_decimal_text(tmp_path, cell):
 def test_encoded_csv_out_of_range_code_rejected(tmp_path):
     path, codebook = _encoded_file(tmp_path, "0,1\n3,1\n")
     assert _encoded_error(path, codebook) == "row 2, column 'a0': unknown level '3'"
+
+
+# ------------------------------------------------------------------ layout
+
+# every producer of a code matrix stores it column by column, so that the
+# marginal counts, the apps and the writer read each column as one array
+
+
+def test_every_code_matrix_producer_returns_column_major_codes(tmp_path):
+    from synthbank import tabular
+    from synthbank.mechanisms import (
+        PacConfig,
+        fit_aim_model,
+        fit_mst_model,
+        pac_synthesize,
+        uniform_synthesize,
+    )
+
+    encoded = encode_dataset(deposit_fixture(), deposit_rules("data_driven"))
+    params = PrivacyParams(1.0, 1e-10)
+    rng = np.random.default_rng(11)
+    write_encoded_csv(encoded, tmp_path / "codes.csv")
+    produced = {
+        "encode_dataset": encoded,
+        "read_encoded_csv": read_encoded_csv(tmp_path / "codes.csv", encoded.codebook),
+        "pac_synthesize": pac_synthesize(encoded, PacConfig(), None, 50, rng),
+        "uniform_synthesize": uniform_synthesize(encoded.codebook, 50, rng),
+    }
+    for name, dataset in produced.items():
+        assert dataset.codes.flags.f_contiguous, name
+    sampled = {
+        "mst": fit_mst_model(encoded, params, rng),
+        "aim": fit_aim_model(encoded, [((0, 3), 1.0), ((3, 5), 1.0)], params, 3, rng),
+    }
+    for name, model in sampled.items():
+        assert model.sample(50, rng).flags.f_contiguous, name
+    sizes = encoded.codebook.domain_sizes
+    assert tabular.read_codes(tmp_path / "codes.csv", encoded.codebook.names, sizes).flags.f_contiguous
+
+
+def test_encoded_dataset_stores_any_order_as_column_major():
+    rows = np.array([[0, 1, 2], [1, 0, 1], [1, 1, 0], [0, 0, 2]], dtype=np.int64)
+    from_rows = make_encoded(np.ascontiguousarray(rows), (2, 2, 3))
+    assert from_rows.codes.flags.f_contiguous
+    assert np.array_equal(from_rows.codes, rows)
+    # a 1-D array is the one column of a one-column codebook
+    one = make_encoded(rows[:, 2:], (3,))
+    flat = EncodedDataset(rows[:, 2], one.codebook)
+    assert flat.codes.flags.f_contiguous and np.array_equal(flat.codes, one.codes)
+    assert np.array_equal(from_rows.column_codes("a2"), [2, 1, 0, 2])
+    with pytest.raises(ValueError):
+        from_rows.codes[0, 0] = 1  # read-only
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_encoded_dataset_still_rejects_out_of_range_codes(bad):
+    rows = np.array([[0, 1], [1, bad]], dtype=np.int64)
+    with pytest.raises(BinningError) as caught:
+        make_encoded(np.ascontiguousarray(rows), (2, 2))
+    assert str(caught.value) == "column 'a1': code out of range (domain size 2)"
+
+
+@pytest.mark.parametrize("sizes", [(3,), (3, 3), (2, 3, 3)])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_writer_never_clips_an_out_of_range_code(tmp_path, sizes, bad):
+    from synthbank import tabular
+
+    # past EncodedDataset's check: a lone table, and one merged with others
+    codes = np.zeros((400, len(sizes)), dtype=np.int64, order="F")
+    codes[7, -1] = bad
+    names = [f"a{j}" for j in range(len(sizes))]
+    with pytest.raises(IndexError):
+        tabular.write_codes(codes, names, sizes, tmp_path / "codes.csv")

@@ -13,7 +13,7 @@ import pytest
 import synthbank
 import synthbank.pipeline as pipeline_module
 from synthbank.apps import APPS
-from synthbank.binning import BinningError, BinningRule, Codebook
+from synthbank.binning import BinningError, BinningRule, Codebook, check_rules, encode_dataset
 from synthbank.cli import main as cli_main
 from synthbank.decoding import DecodeError, KdeSpec
 from synthbank.mechanisms import MechanismError, PacConfig, parse_workload
@@ -1108,6 +1108,49 @@ def test_cli_bad_config_fields_are_config_errors(tmp_path, capsys, doc, message)
     assert f"config error: {message}" in err
     assert "failed" not in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+# settings that load, yet give data the encode rules cannot bin: gen-data
+# checks the rules first, so each exits 2 with encode's message, unwritten
+DATA_THE_RULES_REJECT = [
+    pytest.param(
+        "yield", {"n_deposits": 3000, "curve_beta": [100, 0, 0, 0]},
+        "column 'InterestRate': k=5 exceeds the 1 distinct values", id="flat-curve",
+    ),
+    pytest.param(
+        "yield", {"n_deposits": 4},
+        "column 'Capital': k=5 exceeds the 4 distinct values; use a smaller k", id="four-deposits",
+    ),
+    pytest.param(
+        "credit", {"n_cards": 4000, "persistence": 0},
+        "column 'Age2020': k-means binning needs at least one value", id="no-persistent-card",
+    ),
+]
+
+
+@pytest.mark.parametrize("application, datagen, message", DATA_THE_RULES_REJECT)
+def test_cli_data_the_encode_rules_reject_is_a_config_error(tmp_path, capsys, application, datagen, message):
+    doc = credit_config(
+        tmp_path, application=application, strategy="data_driven", input={"datagen": datagen}
+    )
+    for command in ("pipeline", "gen-data"):
+        assert cli_main([command, "--config", str(write_config(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("application, datagen, message", DATA_THE_RULES_REJECT)
+def test_check_rules_raises_the_encode_error(tmp_path, application, datagen, message):
+    doc = credit_config(
+        tmp_path, application=application, strategy="data_driven", input={"datagen": datagen}
+    )
+    config = PipelineConfig.from_dict(doc)
+    pipeline = Pipeline(config)
+    source, _ = pipeline.app.prepare(config.datagen, config.files, pipeline._rng("datagen"))
+    for check in (check_rules, encode_dataset):
+        with pytest.raises(BinningError) as caught:
+            check(source, pipeline._rules)
+        assert str(caught.value) == message
 
 
 def test_cli_reports_each_unknown_key_once(tmp_path, capsys):

@@ -445,12 +445,14 @@ def test_lowess_of_stacked_curves_equals_reference_per_curve(k, n, data, frac, i
     y.insert(data.draw(st.integers(0, k)), data.draw(flat))
     want = [outcome(reference_lowess, xi, yi, frac=frac, iters=iters) for xi, yi in zip(x, y)]
     got, caught = outcome(lowess, np.stack(x), np.array(y), frac=frac, iters=iters)
-    assert caught == set().union(*(kinds for _, kinds in want))
     errors = {result for result, _ in want if isinstance(result, str)}
     if errors:
-        assert got in errors  # a curve lowess cannot smooth fails the whole stack
+        # a curve lowess cannot smooth fails the whole stack before any
+        # arithmetic, so the warnings the other curves give alone do not arise
+        assert got in errors and caught == set()
     else:
         assert got == b"".join(result for result, _ in want)
+        assert caught == set().union(*(kinds for _, kinds in want))
 
 
 def reference_nss_fit(terms, rates, weights=None, tau_grid=DEFAULT_TAU_GRID, refine_rounds=2):

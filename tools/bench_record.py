@@ -9,10 +9,11 @@ Run from anywhere, with one checkout of each revision:
 
 For each workload and seed it runs ``perfbench/bench.py --trace 0`` once in
 each checkout, parent first on odd seeds and change first on even ones, and
-keeps every run's last JSON line. It then adds one traced window per side
-and workload (``--trace 1``) and one Tier-1 test run per side, and writes
-the revisions, seeds, runs, per-metric medians, quartiles and pair wins,
-and, with ``--claim``, whether the claimed gain was met: won in at least
+keeps every run's last JSON line. It then adds three traced windows per side
+and workload (``--trace 1`` at ``TRACE_SEEDS``, in the same alternating
+order), of which it keeps each layer's median and quartiles, and one Tier-1
+test run per side, and writes the revisions, seeds, runs, per-metric
+medians, quartiles and pair wins, and, with ``--claim``, whether the claimed gain was met: won in at least
 nine tenths of the pairs, by a median gap larger than the parent's IQR.
 Metric names, units, bounds and directions come from the change's
 ``BENCHMARK.json``. Nothing here changes what ``bench.py`` measures. Use
@@ -36,6 +37,8 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 BENCH = ["perfbench/bench.py"]
+# the seeds of the traced windows, each traced on both sides
+TRACE_SEEDS = (1, 2, 3)
 TIER1 = [
     "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
 ]
@@ -83,6 +86,20 @@ def claim_result(stats: dict) -> dict:
         "parent_iqr": stats["parent"]["iqr"],
         "met": met,
     }
+
+
+def trace_layer(traced: dict, name: str, unit: str) -> dict:
+    """One layer of the traced windows: its unit, each side's median over
+    the windows that recorded it (None if none did) and each side's spread."""
+    layer = {"unit": unit, "spread": {}}
+    for side in SIDES:
+        values = [
+            run["metrics"][name]["value"] for run in traced[side]
+            if run.get("metrics", {}).get(name, {}).get("value") is not None
+        ]
+        layer["spread"][side] = spread(values) if values else None
+        layer[side] = layer["spread"][side]["median"] if values else None
+    return layer
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -208,23 +225,22 @@ def record(args) -> dict:
     units = {row["name"]: row["unit"] for row in spec["per_layer"]}
     doc["trace"] = {}
     for workload in args.workloads:
-        traced = {
-            side: bench_run(checkouts[side], workload, 1, args.trace_seconds, 1) for side in SIDES
-        }
+        traced = {side: [] for side in SIDES}
+        for seed in TRACE_SEEDS:
+            for side in SIDES if seed % 2 else SIDES[::-1]:
+                traced[side].append(
+                    bench_run(checkouts[side], workload, seed, args.trace_seconds, 1)
+                )
         doc["trace"][workload] = {
-            "command": f"python3 perfbench/bench.py --workload {workload} --seed 1 "
+            "command": f"python3 perfbench/bench.py --workload {workload} --seed <seed> "
             f"--seconds {args.trace_seconds:g} --trace 1",
-            "note": "one traced window per side, parent first; self times (.s) are scaled to "
-            "the reference speed like wall_s, counts are exact",
-            "correct": {side: traced[side].get("correct") for side in SIDES},
-            "layers": {
-                name: {
-                    "unit": unit,
-                    **{side: traced[side].get("metrics", {}).get(name, {}).get("value")
-                       for side in SIDES},
-                }
-                for name, unit in units.items()
-            },
+            "seeds": list(TRACE_SEEDS),
+            "note": "one traced window per side and seed, parent first on odd seeds and "
+            "change first on even ones; each side's value is the median over the seeds, "
+            "and spread gives its quartiles; self times (.s) are scaled to the reference "
+            "speed like wall_s, counts are exact",
+            "correct": {side: all(run.get("correct") for run in traced[side]) for side in SIDES},
+            "layers": {name: trace_layer(traced, name, unit) for name, unit in units.items()},
         }
     if args.tier1:
         doc["tier1"] = {

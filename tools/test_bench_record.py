@@ -65,13 +65,19 @@ def test_parsing_of_seeds_runs_and_test_summaries():
     assert bench_record.tier1_summary("", 80.0) == {"passed": 0, "failed": 0, "wall_s": 80.0}
 
 
-def test_one_traced_window_per_side_and_workload(monkeypatch):
+def test_three_traced_windows_per_side_and_workload(monkeypatch):
     root = Path(bench_record.__file__).resolve().parents[1]
     calls = []
 
     def fake_bench_run(checkout, workload, seed, seconds, trace):
-        calls.append((workload, trace))
-        return {"exit_code": 0, "correct": True, "metrics": {"wall_s": {"value": 1.0}}}
+        calls.append((workload, seed, trace))
+        # a traced layer's self time by seed, and a layer that seed 2 does not record
+        metrics = {"wall_s": {"value": 1.0}}
+        if trace:
+            metrics["tabular.write_csv.s"] = {"value": {1: 0.5, 2: 0.125, 3: 0.25}[seed]}
+            if seed != 2:
+                metrics["apps.yield_curve.nss_fit.s"] = {"value": 0.5}
+        return {"exit_code": 0, "correct": True, "metrics": metrics}
 
     monkeypatch.setattr(bench_record, "bench_run", fake_bench_run)
     workloads = ["credit-cbp-mst", "yield-dd-pac-kde", "fi-dd-aim-staged"]
@@ -85,7 +91,18 @@ def test_one_traced_window_per_side_and_workload(monkeypatch):
         assert list(doc["trace"]) == workloads
         for workload, trace in doc["trace"].items():
             assert f"--workload {workload} " in trace["command"]
+            assert trace["seeds"] == [1, 2, 3]
             assert trace["correct"] == {"parent": True, "change": True}
-        traced = [name for name, trace in calls if trace]
-        assert traced == [w for w in workloads for _ in bench_record.SIDES]
-        assert sorted(name for name, trace in calls if not trace) == sorted(workloads * 2)
+            layer = trace["layers"]["tabular.write_csv.s"]
+            assert layer["parent"] == layer["change"] == 0.25  # the median
+            assert layer["spread"]["parent"] == {
+                "median": 0.25, "q1": 0.1875, "q3": 0.375, "iqr": 0.1875,
+            }
+            assert trace["layers"]["apps.yield_curve.nss_fit.s"]["change"] == 0.5
+            assert trace["layers"]["mechanisms.fit_aim_model.s"]["change"] is None
+        traced = [(name, seed) for name, seed, trace in calls if trace]
+        # each seed traced once per side
+        assert traced == [
+            (w, seed) for w in workloads for seed in (1, 2, 3) for _ in bench_record.SIDES
+        ]
+        assert sorted(name for name, _, trace in calls if not trace) == sorted(workloads * 2)
