@@ -13,8 +13,9 @@ keeps every run's last JSON line. It then adds three traced windows per side
 and workload (``--trace 1`` at ``TRACE_SEEDS``, in the same alternating
 order), of which it keeps each layer's median and quartiles, and one Tier-1
 test run per side, and writes the revisions, seeds, runs, per-metric
-medians, quartiles and pair wins, and, with ``--claim``, whether the claimed gain was met: won in at least
-nine tenths of the pairs, by a median gap larger than the parent's IQR.
+medians, quartiles and pair wins, and, with ``--claim``, whether the
+claimed gain was met: won in at least nine tenths of the pairs, by a
+median gap larger than the parent's IQR.
 Metric names, units, bounds and directions come from the change's
 ``BENCHMARK.json``. Nothing here changes what ``bench.py`` measures. Use
 two fresh clones: a checkout with bytecode caches where the other has none
