@@ -567,29 +567,34 @@ def check_rules(dataset: Dataset, rules: dict) -> None:
     ``k`` distinct ones for equal-frequency and k-means bins.
     """
     for spec in dataset.schema:
-        if not spec.is_categorical:
-            _rule_input(spec.name, dataset.column(spec.name), rules)
+        if spec.is_categorical:
+            continue
+        rule, vals = _rule_input(spec.name, dataset.column(spec.name), rules)
+        try:
+            if rule.method == EXPLICIT:
+                _check_final_cutoff(vals, rule.cutoffs[-1])
+            else:
+                _check_values(vals, rule.method)
+                if rule.method != UNIFORM_WIDTH:
+                    _check_k(rule.k, np.unique(vals).size, rule.method)
+        except BinningError as exc:
+            raise BinningError(f"column '{spec.name}': {exc}") from None
 
 
 def _rule_input(name, col, rules):
-    """The rule of numeric column ``name`` and the values it bins (their logs
-    under a log pre-transform), once they pass the rule's input checks
-    (:func:`check_rules`); a failed check names the column."""
+    """The rule of numeric column ``name`` and the values it bins: their logs
+    under a log pre-transform. A missing rule or a failed log names the
+    column; the rule's other input checks are :func:`check_rules`' and the
+    bin functions'."""
     rule = rules.get(name)
     if rule is None:
         raise BinningError(f"numeric column '{name}' has no binning rule")
+    if not rule.log_pretransform:
+        return rule, col
     try:
-        vals = log_pretransform(col) if rule.log_pretransform else col
-        if rule.method == EXPLICIT:
-            _check_final_cutoff(vals, rule.cutoffs[-1])
-        else:
-            _check_values(vals, rule.method)
-            # the first 4k values settle most columns without sorting them all
-            if rule.method != UNIFORM_WIDTH and np.unique(vals[: 4 * rule.k]).size < rule.k:
-                _check_k(rule.k, np.unique(vals).size, rule.method)
+        return rule, log_pretransform(col)
     except BinningError as exc:
         raise BinningError(f"column '{name}': {exc}") from None
-    return rule, vals
 
 
 def _check_final_cutoff(vals, last) -> None:

@@ -37,11 +37,8 @@ blocks as :func:`write_csv` and :func:`read_csv`; :func:`read_codes` returns
 it column-major, each column one contiguous array.
 
 Both writers hand :func:`_write_rows` one byte table of cell texts per
-column and each record's row index into it. Runs of adjacent indexed
-tables whose joint table stays small next to the record count are merged
-into one table with a mixed-radix index, so a code row takes one or two
-lookups rather than one per column; each table row is then gathered as a
-single void element into its column slot of one reused block.
+column and each record's row index into it; each table row is gathered as
+a single void element into its column slot of one reused block.
 """
 
 from __future__ import annotations
@@ -86,14 +83,6 @@ _PROBE_CELLS = 256
 #: took about 0.5 µs a value and ``_decimal_text`` about 110 µs a call, and the
 #: two crossed at 300-400 values
 _PERCENT_CELLS = 128
-
-#: most rows of a joint table of adjacent indexed columns, per record of the
-#: file (:func:`_joint_tables`): on a 2-vCPU x86_64 VM, gathering 40,186 rows
-#: of credit's six code columns (2, 7, 8, 8, 6 and 6 codes) took 0.49 ms
-#: unmerged, 0.38 ms at 1/8 and 0.73 ms at 1/4, and 20,000 rows of ten
-#: 5-code columns 0.50, 0.38 and 0.73 ms: a wide joint table costs more to
-#: build than its lookups save
-_JOINT_SHARE = 0.125
 
 #: widest cell the readers' numpy paths read as digits: an integer below
 #: ``10**18``, which int64 holds (the widest ``FLOAT_FORMAT`` text in fixed
@@ -733,21 +722,20 @@ def _write_rows(path, header, tables, indices) -> None:
     so no cell text may hold one. A path that cannot be opened for writing
     is a :class:`TabularError`.
 
-    Runs of adjacent indexed tables are merged into joint tables
-    (:func:`_joint_tables`), so that a record takes one lookup per run.
     Each table row is viewed as one void element, and each step gathers the
     elements of ``8 * CHUNK_ROWS`` records straight into their column slots
     of one block, reused for every step, then writes the block without its
-    NUL bytes; so the whole file is never held in memory. An index out of
-    its table's range raises :class:`IndexError`; none is clipped.
+    NUL bytes; so the whole file is never held in memory. An index outside
+    ``[-len(table), len(table))`` raises :class:`IndexError` (``np.take``'s
+    ``"raise"`` mode); none is clipped, and a negative one counts from the
+    end, as in numpy indexing.
     """
     n_records = len(tables[0] if indices[0] is None else indices[0]) if indices else 0
-    tables, parts = _joint_tables(tables, indices, n_records)
     bounds = np.cumsum([0] + [table.shape[1] for table in tables]).tolist()
     step = 8 * CHUNK_ROWS
     block = np.empty((min(step, n_records), bounds[-1]), dtype=np.uint8)
     # a table row, and its slot in a block row, as one element of the row's width
-    rows = [table.view(np.dtype((np.void, table.shape[1])))[:, 0] for table in tables]
+    rows = [np.ascontiguousarray(t).view(np.dtype((np.void, t.shape[1])))[:, 0] for t in tables]
     slots = [block[:, a:b].view(np.dtype((np.void, b - a)))[:, 0] for a, b in zip(bounds, bounds[1:])]
     try:
         fh = open(path, "wb")
@@ -757,52 +745,13 @@ def _write_rows(path, header, tables, indices) -> None:
         fh.write(header.encode("utf-8"))
         for start in range(0, n_records, step):
             stop = min(start + step, n_records)
-            for row, slot, run in zip(rows, slots, parts):
-                if run is None:
+            for row, slot, index in zip(rows, slots, indices):
+                if index is None:
                     slot[: stop - start] = row[start:stop]
                 else:
-                    np.take(row, _joint_index(run, start, stop), out=slot[: stop - start])
+                    np.take(row, index[start:stop], out=slot[: stop - start])
             out = block[: stop - start]
             fh.write(out[out != 0])
-
-
-def _joint_tables(tables, indices, n_records):
-    """The tables with each run of adjacent indexed tables merged, and per
-    table its index run: None for a table indexed by record, else the
-    ``(index, size)`` of each table merged into it. An index outside its
-    table's rows raises :class:`IndexError`.
-
-    A run grows while its joint table, the rows of every combination of its
-    tables' rows, holds at most ``n_records * _JOINT_SHARE`` rows. Joint row
-    ``((i1 * s2) + i2) * s3 + i3`` is the rows ``i1``, ``i2`` and ``i3`` of
-    tables of ``s1``, ``s2`` and ``s3`` rows side by side: a mixed-radix
-    index, as :func:`_joint_index` computes it.
-    """
-    merged, parts = [], []
-    for table, index in zip(tables, indices):
-        run = parts[-1] if parts else None
-        size = len(table)
-        # a joint index would read a digit out of range as another row
-        if index is not None and index.size and (index.min() < 0 or index.max() >= size):
-            raise IndexError(f"an index lies outside its table of {size} rows")
-        if index is not None and run is not None and len(merged[-1]) * size <= n_records * _JOINT_SHARE:
-            joint = merged[-1]
-            merged[-1] = np.concatenate(
-                [np.repeat(joint, size, axis=0), np.tile(table, (len(joint), 1))], axis=1
-            )
-            run.append((index, size))
-        else:
-            merged.append(np.ascontiguousarray(table))
-            parts.append(None if index is None else [(index, size)])
-    return merged, parts
-
-
-def _joint_index(run, start, stop):
-    """Records ``start`` to ``stop`` of a run's joint index (:func:`_joint_tables`)."""
-    joint = run[0][0][start:stop]
-    for index, size in run[1:]:
-        joint = joint * np.intp(size) + index[start:stop]
-    return joint
 
 
 def _csv_line(cells) -> str:

@@ -775,11 +775,12 @@ def test_encoded_dataset_still_rejects_out_of_range_codes(bad):
 
 
 @pytest.mark.parametrize("sizes", [(3,), (3, 3), (2, 3, 3)])
-@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("bad", [-4, 3])
 def test_writer_never_clips_an_out_of_range_code(tmp_path, sizes, bad):
     from synthbank import tabular
 
-    # past EncodedDataset's check: a lone table, and one merged with others
+    # past EncodedDataset's check, a code just outside numpy's index range
+    # of a 3-row table, alone and beside other columns
     codes = np.zeros((400, len(sizes)), dtype=np.int64, order="F")
     codes[7, -1] = bad
     names = [f"a{j}" for j in range(len(sizes))]

@@ -685,23 +685,9 @@ def test_write_encoded_csv_bytes_match_per_cell_reference(tmp_path_factory, enco
     assert (out / "columnar.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
 
-# _write_rows merges runs of adjacent indexed tables into joint tables; the
-# bytes must stay those of the per-cell writers on each side of every merge
-
-
-def _joint_runs(patch):
-    """Record, for each _write_rows call, the number of tables merged into
-    each output table (None for a table indexed by record)."""
-    runs = []
-    joint_tables = tabular._joint_tables
-
-    def spy(tables, indices, n_records):
-        merged, parts = joint_tables(tables, indices, n_records)
-        runs.append([None if run is None else len(run) for run in parts])
-        return merged, parts
-
-    patch.setattr(tabular, "_joint_tables", spy)
-    return runs
+# _write_rows gathers each table row as one element into its slot of a
+# reused block; the bytes must stay those of the per-cell writers whatever
+# the neighbouring columns and the chunk borders
 
 
 def _categorical(name, levels, n, rng):
@@ -718,18 +704,16 @@ def _writes_reference_bytes(tmp_path, dataset, chunk_rows=1024):
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 1024])
-def test_writer_merges_three_adjacent_small_columns(tmp_path, monkeypatch, chunk_rows):
+def test_writer_gathers_three_adjacent_small_columns(tmp_path, chunk_rows):
     rng = np.random.default_rng(5)
-    n = 400  # 2 * 3 * 4 = 24 joint rows, at most n * _JOINT_SHARE
+    n = 400
     specs, columns = zip(
         *(_categorical(f"c{j}", map(str, range(size)), n, rng) for j, size in enumerate((2, 3, 4)))
     )
-    runs = _joint_runs(monkeypatch)
     assert _writes_reference_bytes(tmp_path, Dataset(specs, columns), chunk_rows)
-    assert runs == [[3]]
 
 
-def test_writer_run_is_broken_by_a_distinct_numeric_column(tmp_path, monkeypatch):
+def test_writer_gathers_around_a_distinct_numeric_column(tmp_path):
     rng = np.random.default_rng(6)
     n = 500
     values = rng.normal(0.0, 1e3, n)
@@ -737,22 +721,7 @@ def test_writer_run_is_broken_by_a_distinct_numeric_column(tmp_path, monkeypatch
     cats = [_categorical(f"c{j}", ("x", "y", "z"), n, rng) for j in range(4)]
     specs = (cats[0][0], cats[1][0], ColumnSpec("v", NUMERIC), cats[2][0], cats[3][0])
     columns = (cats[0][1], cats[1][1], values, cats[2][1], cats[3][1])
-    runs = _joint_runs(monkeypatch)
     assert _writes_reference_bytes(tmp_path, Dataset(specs, columns))
-    assert runs == [[2, None, 2]]
-
-
-@pytest.mark.parametrize("second, merged", [(10, True), (11, False)])
-def test_writer_merges_up_to_the_joint_cap(tmp_path, monkeypatch, second, merged):
-    rng = np.random.default_rng(7)
-    n = int(100 / tabular._JOINT_SHARE)  # a cap of exactly 10 * 10 joint rows
-    specs, columns = zip(
-        _categorical("a", map(str, range(10)), n, rng),
-        _categorical("b", map(str, range(second)), n, rng),
-    )
-    runs = _joint_runs(monkeypatch)
-    assert _writes_reference_bytes(tmp_path, Dataset(specs, columns))
-    assert runs == [[2] if merged else [1, 1]]
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -771,7 +740,7 @@ def test_writers_on_zero_and_one_row(tmp_path, n):
     assert (tmp_path / "codes.csv").read_bytes() == (tmp_path / "codes_reference.csv").read_bytes()
 
 
-def test_writer_quotes_a_label_inside_a_merged_table(tmp_path, monkeypatch):
+def test_writer_quotes_labels_between_quoted_neighbours(tmp_path):
     rng = np.random.default_rng(9)
     n = 300
     specs, columns = zip(
@@ -779,21 +748,17 @@ def test_writer_quotes_a_label_inside_a_merged_table(tmp_path, monkeypatch):
         _categorical("second", ("x", "lf\n", ""), n, rng),
         _categorical("last", ("1,2", "3"), n, rng),
     )
-    runs = _joint_runs(monkeypatch)
     assert _writes_reference_bytes(tmp_path, Dataset(specs, columns))
-    assert runs == [[3]]
 
 
-def test_code_column_with_a_domain_above_the_row_count_builds_no_joint_table(tmp_path, monkeypatch):
+def test_code_column_with_a_domain_above_the_row_count(tmp_path):
     rng = np.random.default_rng(10)
     n, sizes = 100, (2, 3, 500, 2)
     codes = np.column_stack([rng.integers(0, size, n) for size in sizes])
     encoded = make_encoded(codes, sizes)
-    runs = _joint_runs(monkeypatch)
     write_encoded_csv(encoded, tmp_path / "codes.csv")
     reference_write_encoded_csv(encoded, tmp_path / "reference.csv")
     assert (tmp_path / "codes.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    assert runs == [[2, 1, 1]]
 
 
 # read_csv must return what the per-cell reader returned, or raise its
