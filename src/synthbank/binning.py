@@ -19,7 +19,6 @@ single-threaded.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +60,6 @@ _METHOD_NAMES = {EQUAL_FREQUENCY: "equal-frequency", UNIFORM_WIDTH: "uniform-wid
 #: 0.1-0.25 of ``np.searchsorted``'s time at 15k-40k values, 0.5-0.85 at
 #: 3k-4k values, and 1.2-2.5 times it at 2k values
 _COUNT_LIMIT = 32
-# ``Generator.choice``'s tolerance on the sum of ``p`` (for float64 ``p``)
-_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 class BinningError(ValueError):
@@ -317,44 +314,23 @@ def draw_index(rng: np.random.Generator, p, size) -> np.ndarray:
     """``rng.choice(len(p), size=size, p=p)``, value for value, leaving ``rng``
     in the same state.
 
-    ``p`` is checked as ``Generator.choice`` checks it, with its messages and
-    its Kahan sum; then one ``rng.random(size)`` is ranked
+    A 1-D non-negative ``p`` that sums to 1 within 1e-10 takes
+    ``Generator.choice``'s own steps faster: one ``rng.random(size)`` ranked
     (:func:`table_rank`) against the cumulative sums of ``p`` divided by
-    their last.
+    their last. Any other ``p`` goes to ``rng.choice`` itself, which draws
+    the same values or raises NumPy's own error.
     """
-    atol = _CHOICE_ATOL
-    if isinstance(p, np.ndarray) and np.issubdtype(p.dtype, np.floating):
-        atol = max(atol, float(np.sqrt(np.finfo(p.dtype).eps)))
-    if len(p) == 0 and np.prod(size) != 0:
-        raise ValueError("a must be a positive integer unless no samples are taken")
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("p must be 1-dimensional")
-    total = _kahan_sum(p.tolist())
-    if math.isnan(total):
-        raise ValueError("Probabilities contain NaN")
-    if np.logical_or.reduce(p < 0):
-        raise ValueError("Probabilities are not non-negative")
-    if abs(total - 1.0) > atol:
-        raise ValueError(
-            "Probabilities do not sum to 1. See Notes section of docstring for more information."
-        )
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return table_rank(cdf, rng.random(size))
-
-
-def _kahan_sum(values) -> float:
-    """Compensated sum of ``values`` in order, as NumPy's ``kahan_sum``."""
-    if not values:
-        return 0.0
-    total, carry = values[0], 0.0
-    for value in values[1:]:
-        addend = value - carry
-        step = total + addend
-        carry = (step - total) - addend
-        total = step
-    return total
+    q = np.asarray(p, dtype=np.float64)
+    if q.ndim == 1 and q.size and q.min() >= 0:
+        cdf = q.cumsum()
+        # Generator.choice rejects a p whose Kahan sum is further than
+        # sqrt(eps) = 1.5e-8 from 1. For non-negative p that sum and cdf[-1]
+        # differ by under len(p) * eps, so a cdf[-1] within 1e-10 of 1
+        # passes the check for any p short of tens of millions of entries.
+        if abs(cdf[-1] - 1.0) <= 1e-10:
+            cdf /= cdf[-1]
+            return table_rank(cdf, rng.random(size))
+    return rng.choice(len(p), size=size, p=p)
 
 
 def explicit_bins(values, cutoffs, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,9 @@ share the same measurement primitives:
   assembles rows greedily from surviving tuples. A column none of whose
   values survives raises ``MechanismError``.
 
+Every noise scale comes from :mod:`synthbank.privacy` (``split_budget``,
+``noisy_max``); this module supplies only the sensitivities.
+
 Tree fitting is exact closed-form inference (root marginal plus edge
 conditionals), which is correct for the tree-structured measurement sets
 these mechanisms produce; no iterative graphical-model estimation is
@@ -42,7 +45,7 @@ import numpy as np
 
 from .binning import Codebook, EncodedDataset, draw_index
 from .checks import is_int, is_real, reject_bools
-from .privacy import PrivacyParams, add_gaussian_noise, gaussian_sigma, split_budget
+from .privacy import PrivacyParams, add_gaussian_noise, noisy_max, split_budget
 
 __all__ = [
     "MECHANISMS",
@@ -325,19 +328,6 @@ def _build_tree_model(domain, one_way: dict, pairs: dict, edge_list=None, measur
     return TreeModel(domain, steps, attr_dist, conditionals, measured or [])
 
 
-def _budget(
-    params: PrivacyParams | None, n_measurements: int, n_selections: int, selection_fraction: float
-) -> tuple[float | None, float]:
-    """Every mechanism's budget split (``split_budget``): the epsilon of each
-    of ``n_selections`` noisy selections (None without any) and the Gaussian
-    scale of each of ``n_measurements`` measurements; (None, 0) noiseless."""
-    if params is None:
-        return None, 0.0
-    selection, per_measurement = split_budget(params, n_measurements, selection_fraction)
-    epsilon = selection.epsilon / n_selections if selection is not None and n_selections else None
-    return epsilon, gaussian_sigma(per_measurement)
-
-
 def fit_mst_model(
     data: EncodedDataset,
     params: PrivacyParams | None,
@@ -349,14 +339,14 @@ def fit_mst_model(
     With a budget, the pairwise mutual-information scores get Gumbel noise
     in one draw, scaled for the selection epsilon split equally across the
     tree's edges (exponential-mechanism equivalent); the ``d`` measurements
-    use the Gaussian scale of their share (``_budget``). ``params=None`` is
-    the exact noiseless mode, which needs records.
+    use the Gaussian scale of their share (``split_budget``). ``params=None``
+    is the exact noiseless mode, which needs records.
     """
     d = data.n_columns
     n = data.n_records
     if d < 1:
         raise MechanismError("need at least one attribute")
-    eps_per_edge, sigma = _budget(params, d, d - 1, selection_fraction)
+    eps_per_edge, sigma = split_budget(params, d, d - 1, selection_fraction)
     if params is None and n == 0:
         raise MechanismError("empty input in noiseless mode")
 
@@ -364,10 +354,9 @@ def fit_mst_model(
     if d >= 2:
         pairs = list(combinations(range(d), 2))
         scores = np.array([mutual_information(data, *pair) for pair in pairs])
-        if eps_per_edge is not None:
-            # plug-in MI sensitivity heuristic for one substituted record
-            sensitivity = 2.0 * math.log(max(n, 2)) / max(n, 1)
-            scores += rng.gumbel(0.0, 2.0 * sensitivity / eps_per_edge, size=len(pairs))
+        # plug-in MI sensitivity heuristic for one substituted record
+        sensitivity = 2.0 * math.log(max(n, 2)) / max(n, 1)
+        scores = noisy_max(scores, sensitivity, eps_per_edge, rng)
         edges = maximum_spanning_tree(dict(zip(pairs, scores)))
 
     # the root's one-way marginal, then every edge's two-way one
@@ -428,7 +417,7 @@ def fit_aim_model(
     sigma * sqrt(2/pi) * cells)``, i.e. the gap a measurement could close
     minus the expected noise it would introduce, scaled by the workload
     weight. Each round adds Gumbel noise for its share of the selection
-    epsilon (``_budget``) to all scores in one draw and picks the first
+    epsilon (``noisy_max``) to all scores in one draw and picks the first
     maximum; the chosen marginal is measured and the forest model refitted.
     Re-measured marginals are averaged. ``workload`` holds distinct
     ``(attrs, weight)`` pairs with sorted attribute indices and positive
@@ -439,7 +428,7 @@ def fit_aim_model(
     if not workload:
         raise MechanismError("workload must be non-empty")
     n = data.n_records
-    eps_sel_round, sigma = _budget(params, rounds, rounds, selection_fraction)
+    eps_sel_round, sigma = split_budget(params, rounds, rounds, selection_fraction)
     if params is None and n == 0:
         raise MechanismError("empty input in noiseless mode")
 
@@ -458,10 +447,8 @@ def fit_aim_model(
             gap = float(np.abs(estimate - exact[attrs]).sum())
             penalty = sigma * math.sqrt(2.0 / math.pi) * estimate.size
             scores[i] = weight * (gap - penalty)
-        if eps_sel_round is not None:
-            # report-noisy-max; a weighted L1 gap moves by at most
-            # 2 * max_weight per record
-            scores += rng.gumbel(0.0, 2.0 * 2.0 * max_weight / eps_sel_round, size=len(workload))
+        # a weighted L1 gap moves by at most 2 * max_weight per record
+        scores = noisy_max(scores, 2.0 * max_weight, eps_sel_round, rng)
         best_attrs = workload[int(np.argmax(scores))][0]
         noisy = add_gaussian_noise(exact[best_attrs], sigma, rng)
         sums[best_attrs] = sums.get(best_attrs, 0.0) + noisy.counts
@@ -522,9 +509,9 @@ class PacLevel:
 
 
 def pac_sigma(params: PrivacyParams | None) -> float:
-    """Per-level base noise scale: ``_budget``'s Gaussian scale of the budget
-    split equally across the two levels, with no selection (0 without one)."""
-    return _budget(params, 2, 0, 0.0)[1]
+    """Per-level base noise scale: ``split_budget``'s sigma for two levels
+    and no selection (0 without a budget)."""
+    return split_budget(params, 2, 0, 0.0)[1]
 
 
 def _pac_cell_scales(params: PrivacyParams | None, config: PacConfig, d: int) -> tuple[float, float]:

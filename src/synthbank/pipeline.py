@@ -497,7 +497,7 @@ class Pipeline:
         self._stage("encode", started)
         return self.encoded
 
-    @property
+    @cached_property
     def _rules(self) -> dict:
         """The binning rule of every numeric column: the strategy's, then the overrides."""
         return {**self.app.rules(self.config.strategy), **self.config.rule_overrides}

@@ -1,14 +1,16 @@
 """Privacy parameters, Gaussian noise calibration, and budget composition.
 
-Noise scale follows the calibration used by the spanning-tree mechanism:
+The only module that turns an (epsilon, delta) budget into a noise scale:
+:func:`split_budget` gives each selection its epsilon and each measurement
+the Gaussian scale of its share,
 
-    sigma = (sqrt(ln(1/delta)) + sqrt(ln(1/delta) + epsilon)) / epsilon
+    sigma = (sqrt(ln(1/delta)) + sqrt(ln(1/delta) + epsilon)) / epsilon,
 
-applied per measurement after budgets are split. Composition across
-measurements is basic (linear): budgets add up exactly, keeping the
-accounting auditable; tighter accountants are out of scope. Noise
-application takes an explicit seeded generator so runs are reproducible
-and no mutable RNG is shared.
+and :func:`noisy_max` draws Gumbel selection noise of scale
+``2 * sensitivity / epsilon``. Composition is basic (linear): budgets add
+up exactly, keeping the accounting auditable; tighter accountants are out
+of scope. Noise application takes an explicit seeded generator so runs are
+reproducible and no mutable RNG is shared.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "gaussian_sigma",
     "add_gaussian_noise",
     "split_budget",
+    "noisy_max",
 ]
 
 
@@ -89,15 +92,19 @@ def add_gaussian_noise(counts, sigma: float, rng: np.random.Generator) -> NoisyM
 
 
 def split_budget(
-    params: PrivacyParams, m: int, selection_fraction: float
-) -> tuple[PrivacyParams | None, PrivacyParams]:
-    """Divide a budget between a selection phase and m equal measurements.
+    params: PrivacyParams | None, m: int, n_selections: int, selection_fraction: float
+) -> tuple[float | None, float]:
+    """The epsilon of each of ``n_selections`` noisy selections and the
+    Gaussian scale of each of ``m`` measurements.
 
-    Selection receives ``(eps*f, delta*f)``; the remainder is divided
-    equally across the ``m`` measurements by basic composition. With
-    ``f == 0`` there is no selection budget and ``None`` is returned for it.
-    Component budgets sum exactly to the input budget by construction.
+    Selection receives ``(eps*f, delta*f)``, split equally across the
+    selections; the remainder is divided equally across the ``m``
+    measurements by basic composition, so the components sum exactly to the
+    input budget. The selection epsilon is None with ``f == 0`` or no
+    selections; ``params=None`` (no noise) gives ``(None, 0.0)``.
     """
+    if params is None:
+        return None, 0.0
     if m < 1:
         raise PrivacyError(f"measurement count must be >= 1, got {m}")
     if not (0 <= selection_fraction < 1):
@@ -110,4 +117,17 @@ def split_budget(
     per_measurement = PrivacyParams(
         params.epsilon * remainder / m, params.delta * remainder / m
     )
-    return selection, per_measurement
+    epsilon = selection.epsilon / n_selections if selection is not None and n_selections else None
+    return epsilon, gaussian_sigma(per_measurement)
+
+
+def noisy_max(
+    scores: np.ndarray, sensitivity: float, epsilon: float | None, rng: np.random.Generator
+) -> np.ndarray:
+    """``scores`` plus Gumbel noise of scale ``2 * sensitivity / epsilon`` in
+    one draw, whose first maximum is an epsilon-DP report-noisy-max pick
+    (Cesar & Rogers 2021, arXiv:2004.07223); with ``epsilon=None`` the
+    scores themselves, and no draw."""
+    if epsilon is None:
+        return scores
+    return scores + rng.gumbel(0.0, 2.0 * sensitivity / epsilon, size=len(scores))

@@ -140,6 +140,10 @@ DRAW_CASES = [
     (np.random.default_rng(4).dirichlet(np.ones(18)), 20_000),
     (np.random.default_rng(5).dirichlet(np.ones(2 * _COUNT_LIMIT)), 3_000),
     ((0.7, 0.1, 0.2), 1_000),
+    # off the fast path: a float32 p that Generator.choice accepts only by its
+    # float32 tolerance (its float64 sum is 1 + 3e-8), and a sum of 1 + 1e-9
+    (np.full(3, 1 / 3, dtype=np.float32), 500),
+    ([0.25, 0.25, 0.5 + 1e-9], 500),
 ]
 
 

@@ -35,7 +35,7 @@ from synthbank.mechanisms import (
 )
 from synthbank.population import DepositMarketConfig, generate_term_deposits
 from synthbank.presets import deposit_rules
-from synthbank.privacy import PrivacyParams, add_gaussian_noise, gaussian_sigma, split_budget
+from synthbank.privacy import PrivacyParams, add_gaussian_noise, split_budget
 
 from util import make_encoded, tv_distance
 
@@ -533,12 +533,11 @@ def test_aim_prioritized_pair_beats_mst():
 # ------------------------------------------- MST and AIM selection noise
 
 def reference_split(params, m, selection_fraction):
-    """The measurement scale and the selection epsilon (None without one) of
-    ``m`` measurements, split by ``split_budget``; (0, None) noiseless."""
-    if params is None:
-        return 0.0, None
-    selection, per_measurement = split_budget(params, m, selection_fraction)
-    return gaussian_sigma(per_measurement), None if selection is None else selection.epsilon
+    """The measurement scale and the whole selection epsilon (None without
+    one) of ``m`` measurements, split by ``split_budget`` with the selection
+    taken as one; (0, None) noiseless."""
+    eps_selection, sigma = split_budget(params, m, 1, selection_fraction)
+    return sigma, eps_selection
 
 
 def reference_fit_mst_model(data, params, rng, selection_fraction):
